@@ -540,7 +540,7 @@ impl Interconnect for BridgedInterconnect {
 
     /// The true event horizon of the bridged pipeline — in-flight
     /// traffic no longer forces dense stepping. Every event source
-    /// ([`BridgedInterconnect::refresh_calendar`]: master idle
+    /// (`refresh_calendar`: master idle
     /// countdowns, per-bridge front sub-request service times,
     /// per-bridge oldest-parent response deliveries) re-registers its
     /// wakeup after each step, so the answer is a calendar peek, not a

@@ -231,15 +231,7 @@ fn main() {
                 },
             );
         }
-        // The meshes big enough to shard also get a 4-region parallel
-        // row; its iteration pays build + region partitioning + the
-        // threaded run, so the speedup gate below subtracts build_only
-        // from both sides before comparing.
-        let mut modes = vec![("horizon", StepMode::Horizon), ("dense", StepMode::Dense)];
-        if w >= 16 {
-            modes.push(("sharded4", StepMode::Sharded { threads: 4 }));
-        }
-        for (mode_name, mode) in modes {
+        for (mode_name, mode) in [("horizon", StepMode::Horizon), ("dense", StepMode::Dense)] {
             let spec = spec.clone();
             h.case(
                 "step_mode",
@@ -255,46 +247,8 @@ fn main() {
             );
         }
     }
-    // Sharding must buy real wall-clock on the big meshes: with 4
-    // workers the stepping phase (mode minus build) must run at least
-    // 2.5x faster than the single-thread horizon reference. Only
-    // meaningful where 4 workers can actually run in parallel, so the
-    // gate arms itself on the host's core count instead of silently
-    // measuring oversubscription.
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let step_ns = |h: &Harness, name: &str| {
-        h.results
-            .iter()
-            .find(|r| r.group == "step_mode" && r.name == name)
-            .expect("case just ran")
-            .ns_per_iter
-    };
-    for w in [16usize, 32] {
-        let build = step_ns(&h, &format!("mesh_{w}x{w}_sparse_build_only"));
-        let single = step_ns(&h, &format!("mesh_{w}x{w}_sparse_horizon")) - build;
-        let sharded = step_ns(&h, &format!("mesh_{w}x{w}_sparse_sharded4")) - build;
-        let speedup = single / sharded;
-        println!(
-            "{:<22} {:<28} {speedup:>20.1}x",
-            "step_mode",
-            format!("mesh_{w}x{w}_sharded_speedup")
-        );
-        if cores >= 4 {
-            assert!(
-                speedup >= 2.5,
-                "4-way sharding must advance the {w}x{w} sparse mesh at least 2.5x \
-                 faster than single-thread horizon stepping, got {speedup:.2}x"
-            );
-        } else {
-            println!("(speedup gate skipped: {cores} core(s) available, need 4)");
-        }
-    }
-
-    // Partition quality on the hotspot mesh: default round-robin
-    // placement parks every endpoint on switches 0..11 of the 16x16
-    // fabric, so the naive band cut puts all traffic in region 0 (zero
-    // parallelism), while the balanced cut — the build default, fed by
-    // the static load estimate — splits the endpoint cluster itself.
+    // The hotspot mesh: a congested 12-endpoint corner of an otherwise
+    // idle 16x16 fabric, with its build cost pinned beside it.
     let hotspot = noc_bench::scenarios::zipf_hotspot_mesh16_spec();
     {
         let spec = hotspot.clone();
@@ -309,48 +263,13 @@ fn main() {
             },
         );
     }
-    let band_hotspot = {
-        let cfg = noc_scenario::NocConfigSpec::new()
-            .with_shards(4)
-            .with_assignment(noc_bench::scenarios::band_assignment(256, 4));
-        hotspot.clone().with_config(cfg)
-    };
-    for (mode_name, spec) in [
-        ("sharded4_band", band_hotspot),
-        ("sharded4_balanced", hotspot.clone()),
-    ] {
-        h.case(
-            "step_mode",
-            &format!("zipf_hotspot_16x16_{mode_name}"),
-            300,
-            move || {
-                let mut sim = spec
-                    .build(&noc_scenario::Backend::noc())
-                    .expect("consistent");
-                assert!(sim.run_until_with(5_000_000, StepMode::Sharded { threads: 4 }));
-                sim.now()
-            },
-        );
-    }
-    {
-        let build = step_ns(&h, "zipf_hotspot_16x16_build_only");
-        let band = step_ns(&h, "zipf_hotspot_16x16_sharded4_band") - build;
-        let balanced = step_ns(&h, "zipf_hotspot_16x16_sharded4_balanced") - build;
-        let speedup = band / balanced;
-        println!(
-            "{:<22} {:<28} {speedup:>20.1}x",
-            "step_mode", "zipf_hotspot_balanced_gain"
-        );
-        if cores >= 4 {
-            assert!(
-                speedup >= 1.05,
-                "the balanced cut must step the 16x16 hotspot mesh faster than \
-                 the naive band cut, got {speedup:.2}x"
-            );
-        } else {
-            println!("(balanced-vs-band gate skipped: {cores} core(s) available, need 4)");
-        }
-    }
+    h.case("step_mode", "zipf_hotspot_16x16_horizon", 300, move || {
+        let mut sim = hotspot
+            .build(&noc_scenario::Backend::noc())
+            .expect("consistent");
+        assert!(sim.run_until_with(5_000_000, StepMode::Horizon));
+        sim.now()
+    });
 
     // The deep-pipeline mesh (the corpus `deep_pipeline.scn` scenario):
     // traffic is in flight almost every cycle, so before the per-layer

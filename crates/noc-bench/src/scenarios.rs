@@ -220,13 +220,12 @@ pub fn sparse_mesh_spec(w: usize) -> ScenarioSpec {
 }
 
 /// The 32x32 instance of [`sparse_mesh_spec`], serialized into the
-/// corpus as `mesh_32x32_sparse.scn` — the sharded-stepping showcase:
-/// 1024 switches carved into regions that meet only on multi-cycle
-/// links. Pipelined links deepen every region crossing (the
-/// conservative runner's lookahead window), and the `[config] shards`
-/// knob makes plain `--step sharded` pick four regions by default.
+/// corpus as `mesh_32x32_sparse.scn` — the big-fabric build-cost
+/// scenario: 1024 switches joined by 2-stage pipelined links, almost
+/// all of them idle, so construction dominates the run and what
+/// stepping remains is calendar skipping.
 pub fn sparse_mesh_32_spec() -> ScenarioSpec {
-    sparse_mesh_spec(32).with_config(NocConfigSpec::new().with_link_pipeline(2).with_shards(4))
+    sparse_mesh_spec(32).with_config(NocConfigSpec::new().with_link_pipeline(2))
 }
 
 /// The `exp_scale` mesh-size sweep over the given widths.
@@ -594,15 +593,10 @@ pub fn zipf_hotspot_spec() -> ScenarioSpec {
         .memory(MemorySpec::new("cold", 0x3000, 0x4000, 2).with_queue(4))
 }
 
-/// The hotspot storm on a 16x16 mesh — the partition-quality corpus
-/// scenario. Eight Zipf generators and four memories keep the default
-/// round-robin placement, which parks all twelve endpoints on switches
-/// 0..11 of a 256-switch fabric: the naive band cut (64 switches per
-/// region) then puts every endpoint *and* every flit in region 0 and
-/// the other three regions idle, while the balanced cut (the build
-/// default, from the static load estimate) splits the cluster itself.
-/// The bench gates balanced-vs-band wall clock on this spec, and CI
-/// gates its epoch occupancy (`scn --assert-occupancy`).
+/// The hotspot storm on a 16x16 mesh. Eight Zipf generators and four
+/// memories keep the default round-robin placement, which parks all
+/// twelve endpoints on switches 0..11 of a 256-switch fabric: a small
+/// congested corner of a large, otherwise idle mesh.
 pub fn zipf_hotspot_mesh16_spec() -> ScenarioSpec {
     let mut spec = ScenarioSpec::new();
     for (i, seed) in [
@@ -623,17 +617,6 @@ pub fn zipf_hotspot_mesh16_spec() -> ScenarioSpec {
             width: 16,
             height: 16,
         })
-        .with_config(NocConfigSpec::new().with_shards(4))
-}
-
-/// The naive contiguous band cut over `switches`, `regions` equal
-/// slices — what the partitioner falls back to with no load signal,
-/// pinned explicitly so benchmarks can race it against the balanced
-/// default.
-pub fn band_assignment(switches: usize, regions: usize) -> Vec<usize> {
-    (0..switches)
-        .map(|s| (s * regions / switches).min(regions - 1))
-        .collect()
 }
 
 /// The trace-replay corpus scenario: an OCP initiator streaming the

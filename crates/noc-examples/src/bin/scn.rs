@@ -7,7 +7,7 @@
 //!   --backend noc|bridged|bus|all   backend for plain scenario files
 //!                                   (default all; sweep files carry
 //!                                   their own backends per point)
-//!   --step dense|horizon|sharded|both  step mode; "both" runs each
+//!   --step dense|horizon|both       step mode; "both" runs each
 //!                                   simulation twice, fails unless
 //!                                   the logs, timestamps included, are
 //!                                   identical, and reports per-backend
@@ -18,14 +18,6 @@
 //!                                   sweeps (an explicit --step
 //!                                   overrides them, per-point
 //!                                   overrides included)
-//!   --shards N                      region/thread count for sharded
-//!                                   stepping; alone it implies
-//!                                   --step sharded, while with
-//!                                   --step both the differential pits
-//!                                   dense (unsharded) against the
-//!                                   N-way sharded runner — the
-//!                                   bit-identity gate CI runs on the
-//!                                   corpus
 //!   --assert-fewer-steps            with --step both: fail unless
 //!                                   horizon executed strictly fewer
 //!                                   steps than dense on every row (the
@@ -45,20 +37,6 @@
 //!                                   hotspot workloads congest); a
 //!                                   per-target latency table is printed
 //!                                   for any multi-target scenario
-//!   --assert-occupancy RATIO        fail if the sharded run's
-//!                                   epoch-occupancy ratio — the busiest
-//!                                   region's share of the epoch work,
-//!                                   printed in the occup column next to
-//!                                   polls/pops; 1/regions is a perfect
-//!                                   spread, 1.0 one region doing
-//!                                   everything — exceeds RATIO on any
-//!                                   row: the CI guard keeping the
-//!                                   balanced partitioner from
-//!                                   regressing to a lopsided cut on
-//!                                   hotspot workloads; needs a sharded
-//!                                   run, and the ratio is deterministic
-//!                                   (regions are logical, so core count
-//!                                   does not move it)
 //!   --max-cycles N                  drain budget (default 10_000_000
 //!                                   for scenario files, the file's
 //!                                   budget for sweeps)
@@ -90,7 +68,7 @@
 
 use noc_protocols::CompletionRecord;
 use noc_scenario::{
-    parse_document, Backend, Document, EpochOccupancy, ScenarioError, ScenarioSpec, StepMode, Sweep,
+    parse_document, Backend, Document, ScenarioError, ScenarioSpec, StepMode, Sweep,
 };
 use noc_stats::Table;
 use std::fmt::Write as _;
@@ -127,19 +105,6 @@ struct Options {
     /// factor above the coldest trafficked target's, on every backend —
     /// the CI guard proving the hotspot workloads actually congest.
     assert_target_spread: Option<f64>,
-    /// Fail if the sharded run's epoch-occupancy ratio (the busiest
-    /// region's share of the epoch work; lower is a better spread)
-    /// exceeds this ceiling on any row — the CI guard keeping the
-    /// balanced partitioner from regressing to a lopsided cut on
-    /// hotspot workloads. Requires a sharded run (only sharded stepping
-    /// has epochs to measure).
-    assert_occupancy: Option<f64>,
-    /// `--shards N`: region/thread count for sharded stepping. Alone it
-    /// selects sharded stepping outright; with `--step both` the
-    /// comparison becomes dense (unsharded, the reference semantics)
-    /// versus sharded — the record-for-record bit-identity gate CI runs
-    /// on the corpus.
-    shards: Option<usize>,
 }
 
 /// `--assert-wakeup-discipline` bound: every `next_activity` poll must
@@ -152,9 +117,9 @@ const WAKEUP_POLL_FACTOR: u64 = 4;
 const WAKEUP_POLL_SLACK: u64 = 64;
 
 fn usage() -> &'static str {
-    "usage: scn [--backend noc|bridged|bus|all] [--step dense|horizon|sharded|both] \
-     [--shards N] [--assert-fewer-steps] [--assert-wakeup-discipline] \
-     [--assert-target-spread RATIO] [--assert-occupancy RATIO] [--max-cycles N] FILE..."
+    "usage: scn [--backend noc|bridged|bus|all] [--step dense|horizon|both] \
+     [--assert-fewer-steps] [--assert-wakeup-discipline] \
+     [--assert-target-spread RATIO] [--max-cycles N] FILE..."
 }
 
 fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
@@ -166,8 +131,6 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
         assert_fewer_steps: false,
         assert_wakeup_discipline: false,
         assert_target_spread: None,
-        assert_occupancy: None,
-        shards: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -185,18 +148,9 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
                 opts.step = Some(match args.next().as_deref() {
                     Some("dense") => StepSel::One(StepMode::Dense),
                     Some("horizon") => StepSel::One(StepMode::Horizon),
-                    Some("sharded") => StepSel::One(StepMode::Sharded { threads: 0 }),
                     Some("both") => StepSel::Both,
                     other => return Err(format!("bad --step {other:?}\n{}", usage()).into()),
                 })
-            }
-            "--shards" => {
-                let v = args.next().ok_or("--shards needs a thread count")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --shards {v:?}"))?;
-                if n == 0 {
-                    return Err(format!("--shards {v:?} must be >= 1").into());
-                }
-                opts.shards = Some(n);
             }
             "--max-cycles" => {
                 let v = args.next().ok_or("--max-cycles needs a number")?;
@@ -213,16 +167,6 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
                     return Err(format!("--assert-target-spread {v:?} must be >= 1").into());
                 }
                 opts.assert_target_spread = Some(ratio);
-            }
-            "--assert-occupancy" => {
-                let v = args.next().ok_or("--assert-occupancy needs a ratio")?;
-                let ratio: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --assert-occupancy {v:?}"))?;
-                if !(ratio > 0.0 && ratio <= 1.0) {
-                    return Err(format!("--assert-occupancy {v:?} must be in (0, 1]").into());
-                }
-                opts.assert_occupancy = Some(ratio);
             }
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -249,17 +193,6 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
         )
         .into());
     }
-    // `--shards N` fixes the thread count of sharded stepping; alone it
-    // selects sharded stepping outright (with `--step both` it instead
-    // turns the comparison into dense-unsharded vs sharded, resolved in
-    // run_spec).
-    if let Some(n) = opts.shards {
-        match &mut opts.step {
-            Some(StepSel::One(StepMode::Sharded { threads })) if *threads == 0 => *threads = n,
-            None => opts.step = Some(StepSel::One(StepMode::Sharded { threads: n })),
-            _ => {}
-        }
-    }
     Ok(opts)
 }
 
@@ -280,10 +213,6 @@ struct RunOutcome {
     steps: u64,
     polls: u64,
     pops: u64,
-    /// Sharded runs only: the epoch-occupancy counter. Deliberately
-    /// outside `compared` — like polls/pops it is stepping accounting,
-    /// not simulated behaviour.
-    occupancy: Option<EpochOccupancy>,
 }
 
 fn run_once(
@@ -304,7 +233,6 @@ fn run_once(
         steps: sim.executed_steps(),
         polls: sim.horizon_polls(),
         pops: sim.calendar_pops(),
-        occupancy: sim.report().occupancy,
     })
 }
 
@@ -386,15 +314,7 @@ fn run_spec(
 ) -> Result<Option<(Vec<String>, Vec<(String, usize, f64)>)>, Box<dyn std::error::Error>> {
     let modes: Vec<StepMode> = match step {
         StepSel::One(mode) => vec![mode],
-        // Under `--shards N` the differential pairs the dense unsharded
-        // reference against the sharded runner — the bit-identity gate.
-        StepSel::Both => vec![
-            StepMode::Dense,
-            match opts.shards {
-                Some(threads) => StepMode::Sharded { threads },
-                None => StepMode::Horizon,
-            },
-        ],
+        StepSel::Both => vec![StepMode::Dense, StepMode::Horizon],
     };
     let mut outcomes = Vec::new();
     for mode in &modes {
@@ -480,32 +400,6 @@ fn run_spec(
     } else {
         "-".to_owned()
     };
-    // Epoch occupancy exists only on sharded runs (the last outcome
-    // under Both); it sits next to polls/pops as stepping accounting.
-    let occupancy = outcomes.iter().rev().find_map(|o| o.occupancy);
-    let occ_cell = match occupancy {
-        Some(occ) => format!("{:.3}", occ.ratio()),
-        None => "-".to_owned(),
-    };
-    if let Some(ceiling) = opts.assert_occupancy {
-        let Some(occ) = occupancy else {
-            return Err(format!(
-                "{backend}: --assert-occupancy needs a sharded run \
-                 (use --step sharded or --shards N)"
-            )
-            .into());
-        };
-        if occ.ratio() > ceiling {
-            return Err(format!(
-                "{backend}: the busiest region carried {:.3} of the epoch work \
-                 over {} epochs, above the --assert-occupancy ceiling {ceiling} \
-                 — the partition is lopsided for this workload",
-                occ.ratio(),
-                occ.epochs
-            )
-            .into());
-        }
-    }
     let stats = target_stats(spec, logs);
     if let Some(ratio) = opts.assert_target_spread {
         check_target_spread(backend, &stats, ratio)?;
@@ -520,7 +414,6 @@ fn run_spec(
             steps_cell,
             ratio_cell,
             wake_cell,
-            occ_cell,
         ],
         stats,
     )))
@@ -545,7 +438,6 @@ fn run_scenario_file(
         "steps",
         "dense/horizon",
         "polls/pops",
-        "occup",
     ]);
     t.numeric();
     let mut target_rows = Vec::new();
@@ -596,7 +488,6 @@ fn run_sweep_file(sweep: &Sweep, opts: &Options) -> Result<(), Box<dyn std::erro
             "steps",
             "dense/horizon",
             "polls/pops",
-            "occup",
         ]);
         t.numeric();
         for p in sweep.points() {
@@ -662,9 +553,8 @@ fn run_sweep_file(sweep: &Sweep, opts: &Options) -> Result<(), Box<dyn std::erro
 /// word).
 fn run_serve(args: impl Iterator<Item = String>) -> Result<(), Box<dyn std::error::Error>> {
     let usage = "usage: scn serve [--spool DIR] [--threads N] [--queue N] [--cache-cap N] \
-         [--max-cycles N] [--step dense|horizon|sharded] [--shards N] [--poll-ms N]";
+         [--max-cycles N] [--step dense|horizon] [--poll-ms N]";
     let mut config = noc_serve::ServeConfig::default();
-    let mut shards: Option<usize> = None;
     let mut args = args;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -692,17 +582,8 @@ fn run_serve(args: impl Iterator<Item = String>) -> Result<(), Box<dyn std::erro
                 config.step_mode = match args.next().as_deref() {
                     Some("dense") => StepMode::Dense,
                     Some("horizon") => StepMode::Horizon,
-                    Some("sharded") => StepMode::Sharded { threads: 0 },
                     other => return Err(format!("bad --step {other:?}\n{usage}").into()),
                 };
-            }
-            "--shards" => {
-                let v = args.next().ok_or("--shards needs a thread count")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --shards {v:?}"))?;
-                if n == 0 {
-                    return Err(format!("--shards {v:?} must be >= 1").into());
-                }
-                shards = Some(n);
             }
             "--poll-ms" => {
                 let v = args.next().ok_or("--poll-ms needs a number")?;
@@ -715,11 +596,6 @@ fn run_serve(args: impl Iterator<Item = String>) -> Result<(), Box<dyn std::erro
             }
             other => return Err(format!("unknown serve option {other:?}\n{usage}").into()),
         }
-    }
-    // `--shards N` selects sharded stepping outright, whatever order the
-    // flags arrived in.
-    if let Some(threads) = shards {
-        config.step_mode = StepMode::Sharded { threads };
     }
     if let Some(dir) = &config.spool {
         std::fs::create_dir_all(dir).map_err(|e| format!("--spool {}: {e}", dir.display()))?;

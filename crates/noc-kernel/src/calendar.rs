@@ -28,9 +28,8 @@
 //! i.e. safe. Every stale entry costs at most one spurious executed
 //! step before `pop_due` retires it, so there is no livelock.
 //!
-//! Same-cycle ties pop in ascending `WakeId` order, the same stable
-//! ordering the kernel's [`crate::Kernel`] event queue uses for
-//! same-time events, so wakeup processing is deterministic.
+//! Same-cycle ties pop in ascending `WakeId` order, so wakeup
+//! processing is deterministic.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -6,7 +6,6 @@
 //! performs work only on base cycles where `d` is *active*; this keeps the
 //! whole simulation on one deterministic timeline.
 
-use crate::time::SimTime;
 use std::fmt;
 
 /// A clock domain defined by an integer divisor of the base clock and a
@@ -210,20 +209,6 @@ fn gcd(a: u64, b: u64) -> u64 {
 
 fn lcm(a: u64, b: u64) -> u64 {
     a / gcd(a, b) * b
-}
-
-/// Helper converting a [`SimTime`] to the local tick count of a domain.
-///
-/// # Examples
-///
-/// ```
-/// use noc_kernel::{ClockDomain, SimTime};
-/// use noc_kernel::clock::local_ticks;
-/// let d = ClockDomain::new(4);
-/// assert_eq!(local_ticks(d, SimTime::from_cycles(9)), 3); // ticks at 0,4,8
-/// ```
-pub fn local_ticks(domain: ClockDomain, t: SimTime) -> u64 {
-    domain.ticks_in(t.cycles() + 1)
 }
 
 #[cfg(test)]

@@ -1,393 +1,48 @@
-//! Deterministic discrete-event simulation kernel for NoC modelling.
+//! Deterministic time-keeping primitives for NoC modelling.
 //!
-//! This crate is the substrate on which the rest of the workspace runs. It
-//! provides:
+//! This crate is the substrate under the cycle-stepped simulators in the
+//! rest of the workspace. It holds no event engine of its own: the
+//! systems step themselves and use these four pieces to decide *when*:
 //!
-//! - [`SimTime`], a cycle-granular simulation timestamp;
-//! - [`Kernel`], a generic discrete-event engine whose events mutate a
-//!   user-supplied *world* type;
 //! - [`ClockDomain`] / [`ClockSet`], divisor-based clock domains so that
-//!   mixed-clock systems stay deterministic;
+//!   mixed-clock systems stay on one deterministic base timeline;
 //! - [`Horizon`], the min-combining accumulator for per-component event
 //!   horizons used by quiescence-aware stepping;
 //! - [`Calendar`], the wakeup queue that inverts horizon polling:
 //!   components schedule their next-activity cycle once and the advance
 //!   loop pops the earliest instead of rescanning every component;
 //! - [`SplitMix64`], a tiny deterministic RNG used to seed all stochastic
-//!   behaviour in the workspace;
-//! - [`EpochPlanner`] / [`SpinBarrier`], the lookahead-window and
-//!   epoch-barrier primitives for conservative parallel simulation.
+//!   behaviour in the workspace.
 //!
 //! Reproducibility matters more than wall-clock speed for architecture
 //! studies: every experiment in the workspace must be replayable
-//! bit-for-bit from a seed. The event engine itself is therefore
-//! sequential; parallelism enters only through the conservative sharding
-//! primitives in [`pdes`], whose epoch protocol keeps results
-//! bit-identical to the sequential engine regardless of thread timing.
+//! bit-for-bit from a seed, so everything here is sequential and free of
+//! host-dependent state.
 //!
 //! # Examples
 //!
 //! ```
-//! use noc_kernel::{Kernel, SimTime};
+//! use noc_kernel::{Calendar, ClockDomain, Horizon};
 //!
-//! struct World { counter: u64 }
+//! // A component on a /4 clock wants to wake at base cycle 9; its next
+//! // active edge is cycle 12.
+//! let slow = ClockDomain::new(4);
+//! let mut cal = Calendar::new();
+//! let id = cal.register();
+//! cal.set(id, Some(slow.next_active(9)));
 //!
-//! let mut kernel = Kernel::new(World { counter: 0 });
-//! kernel.schedule_fn(SimTime::from_cycles(5), |w, _s| w.counter += 1);
-//! kernel.schedule_fn(SimTime::from_cycles(2), |w, s| {
-//!     w.counter += 10;
-//!     // events may schedule further events
-//!     s.schedule_fn(SimTime::from_cycles(9), |w, _s| w.counter += 100);
-//! });
-//! let outcome = kernel.run_until(SimTime::from_cycles(100));
-//! assert_eq!(kernel.world().counter, 111);
-//! assert!(outcome.exhausted());
+//! let mut h = Horizon::new();
+//! h.merge(cal.peek());
+//! h.merge_at(40);
+//! assert_eq!(h.earliest(), Some(12));
 //! ```
 
 pub mod calendar;
 pub mod clock;
-pub mod event;
 pub mod horizon;
-pub mod pdes;
 pub mod rng;
-pub mod time;
 
 pub use calendar::{Calendar, WakeId};
 pub use clock::{ClockDomain, ClockId, ClockSet};
-pub use event::{Event, EventId, Scheduler};
 pub use horizon::Horizon;
-pub use pdes::{EpochPlanner, MinStamp, ParityCell, SpinBarrier};
 pub use rng::SplitMix64;
-pub use time::SimTime;
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::fmt;
-
-/// Why a [`Kernel::run_until`] call returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RunOutcome {
-    /// The event queue drained before the horizon was reached.
-    Exhausted {
-        /// Time of the last executed event.
-        last_event: SimTime,
-    },
-    /// The horizon was reached with events still pending.
-    HorizonReached {
-        /// The horizon that was hit.
-        horizon: SimTime,
-    },
-    /// A stop request was raised by an event via [`Scheduler::request_stop`].
-    Stopped {
-        /// Time at which the stop was requested.
-        at: SimTime,
-    },
-}
-
-impl RunOutcome {
-    /// Returns `true` if the queue drained completely.
-    pub fn exhausted(&self) -> bool {
-        matches!(self, RunOutcome::Exhausted { .. })
-    }
-
-    /// Returns `true` if the run stopped because the horizon was reached.
-    pub fn horizon_reached(&self) -> bool {
-        matches!(self, RunOutcome::HorizonReached { .. })
-    }
-}
-
-impl fmt::Display for RunOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RunOutcome::Exhausted { last_event } => {
-                write!(f, "exhausted (last event at {last_event})")
-            }
-            RunOutcome::HorizonReached { horizon } => write!(f, "horizon {horizon} reached"),
-            RunOutcome::Stopped { at } => write!(f, "stopped at {at}"),
-        }
-    }
-}
-
-/// Internal heap entry: events fire in `(time, seq)` order so that events
-/// scheduled first at the same timestamp fire first (FIFO tie-break), which
-/// keeps simulations deterministic.
-struct QueuedEvent<W> {
-    time: SimTime,
-    seq: u64,
-    event: Box<dyn Event<W>>,
-}
-
-impl<W> PartialEq for QueuedEvent<W> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<W> Eq for QueuedEvent<W> {}
-impl<W> PartialOrd for QueuedEvent<W> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<W> Ord for QueuedEvent<W> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
-
-/// A generic single-threaded discrete-event simulation kernel.
-///
-/// The kernel owns a *world* of type `W` (the entire mutable simulation
-/// state) and a time-ordered queue of events. Each event receives exclusive
-/// access to the world plus a [`Scheduler`] handle through which it may
-/// schedule follow-up events or request a stop.
-///
-/// # Examples
-///
-/// ```
-/// use noc_kernel::{Kernel, SimTime};
-/// let mut k: Kernel<Vec<u64>> = Kernel::new(Vec::new());
-/// for t in [3u64, 1, 2] {
-///     k.schedule_fn(SimTime::from_cycles(t), move |w, _| w.push(t));
-/// }
-/// k.run_to_completion();
-/// assert_eq!(k.world(), &[1, 2, 3]);
-/// ```
-pub struct Kernel<W> {
-    world: W,
-    queue: BinaryHeap<Reverse<QueuedEvent<W>>>,
-    now: SimTime,
-    next_seq: u64,
-    executed: u64,
-}
-
-impl<W: fmt::Debug> fmt::Debug for Kernel<W> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Kernel")
-            .field("now", &self.now)
-            .field("pending", &self.queue.len())
-            .field("executed", &self.executed)
-            .field("world", &self.world)
-            .finish()
-    }
-}
-
-impl<W> Kernel<W> {
-    /// Creates a kernel owning `world`, with time at zero and no events.
-    pub fn new(world: W) -> Self {
-        Kernel {
-            world,
-            queue: BinaryHeap::new(),
-            now: SimTime::ZERO,
-            next_seq: 0,
-            executed: 0,
-        }
-    }
-
-    /// Current simulation time (time of the most recently fired event).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events executed so far.
-    pub fn executed_events(&self) -> u64 {
-        self.executed
-    }
-
-    /// Number of events still pending.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Shared access to the world.
-    pub fn world(&self) -> &W {
-        &self.world
-    }
-
-    /// Exclusive access to the world.
-    pub fn world_mut(&mut self) -> &mut W {
-        &mut self.world
-    }
-
-    /// Consumes the kernel, returning the world.
-    pub fn into_world(self) -> W {
-        self.world
-    }
-
-    /// Schedules a boxed [`Event`] at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is earlier than the current simulation time: the
-    /// kernel never travels backwards.
-    pub fn schedule(&mut self, at: SimTime, event: Box<dyn Event<W>>) -> EventId {
-        assert!(
-            at >= self.now,
-            "cannot schedule event at {at} before current time {}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue.push(Reverse(QueuedEvent {
-            time: at,
-            seq,
-            event,
-        }));
-        EventId::new(seq)
-    }
-
-    /// Schedules a closure as an event at absolute time `at`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `at` is before the current time.
-    pub fn schedule_fn<F>(&mut self, at: SimTime, f: F) -> EventId
-    where
-        F: FnOnce(&mut W, &mut Scheduler<W>) + 'static,
-    {
-        self.schedule(at, Box::new(event::FnEvent::new(f)))
-    }
-
-    /// Runs events until the queue drains, `horizon` is passed, or a stop is
-    /// requested. Events scheduled *exactly at* the horizon still fire.
-    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        loop {
-            let next_time = match self.queue.peek() {
-                Some(Reverse(q)) => q.time,
-                None => {
-                    return RunOutcome::Exhausted {
-                        last_event: self.now,
-                    }
-                }
-            };
-            if next_time > horizon {
-                self.now = horizon;
-                return RunOutcome::HorizonReached { horizon };
-            }
-            let Reverse(q) = self.queue.pop().expect("peeked entry must pop");
-            self.now = q.time;
-            self.executed += 1;
-            let mut scheduler = Scheduler::new(self.now);
-            q.event.fire(&mut self.world, &mut scheduler);
-            let (pending, stop) = scheduler.into_parts();
-            for (at, ev) in pending {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.queue.push(Reverse(QueuedEvent {
-                    time: at,
-                    seq,
-                    event: ev,
-                }));
-            }
-            if stop {
-                return RunOutcome::Stopped { at: self.now };
-            }
-        }
-    }
-
-    /// Runs until the event queue drains completely.
-    pub fn run_to_completion(&mut self) -> RunOutcome {
-        self.run_until(SimTime::MAX)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn events_fire_in_time_order() {
-        let mut k: Kernel<Vec<u64>> = Kernel::new(Vec::new());
-        for t in [5u64, 1, 3, 2, 4] {
-            k.schedule_fn(SimTime::from_cycles(t), move |w, _| w.push(t));
-        }
-        let outcome = k.run_to_completion();
-        assert_eq!(k.world(), &[1, 2, 3, 4, 5]);
-        assert!(outcome.exhausted());
-        assert_eq!(k.executed_events(), 5);
-    }
-
-    #[test]
-    fn same_time_events_fire_fifo() {
-        let mut k: Kernel<Vec<u32>> = Kernel::new(Vec::new());
-        for i in 0..10u32 {
-            k.schedule_fn(SimTime::from_cycles(7), move |w, _| w.push(i));
-        }
-        k.run_to_completion();
-        assert_eq!(k.world(), &(0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn events_can_schedule_events() {
-        let mut k: Kernel<u64> = Kernel::new(0);
-        k.schedule_fn(SimTime::from_cycles(1), |w, s| {
-            *w += 1;
-            s.schedule_fn(SimTime::from_cycles(2), |w, s| {
-                *w += 10;
-                s.schedule_fn(SimTime::from_cycles(3), |w, _| *w += 100);
-            });
-        });
-        k.run_to_completion();
-        assert_eq!(*k.world(), 111);
-    }
-
-    #[test]
-    fn horizon_cuts_off_later_events() {
-        let mut k: Kernel<u64> = Kernel::new(0);
-        k.schedule_fn(SimTime::from_cycles(5), |w, _| *w += 1);
-        k.schedule_fn(SimTime::from_cycles(15), |w, _| *w += 1);
-        let outcome = k.run_until(SimTime::from_cycles(10));
-        assert!(outcome.horizon_reached());
-        assert_eq!(*k.world(), 1);
-        assert_eq!(k.pending_events(), 1);
-        // resuming picks up the rest
-        let outcome = k.run_to_completion();
-        assert!(outcome.exhausted());
-        assert_eq!(*k.world(), 2);
-    }
-
-    #[test]
-    fn events_at_horizon_still_fire() {
-        let mut k: Kernel<u64> = Kernel::new(0);
-        k.schedule_fn(SimTime::from_cycles(10), |w, _| *w += 1);
-        k.run_until(SimTime::from_cycles(10));
-        assert_eq!(*k.world(), 1);
-    }
-
-    #[test]
-    fn stop_request_halts_run() {
-        let mut k: Kernel<u64> = Kernel::new(0);
-        k.schedule_fn(SimTime::from_cycles(1), |w, _| *w += 1);
-        k.schedule_fn(SimTime::from_cycles(2), |w, s| {
-            *w += 1;
-            s.request_stop();
-        });
-        k.schedule_fn(SimTime::from_cycles(3), |w, _| *w += 1);
-        let outcome = k.run_to_completion();
-        assert_eq!(
-            outcome,
-            RunOutcome::Stopped {
-                at: SimTime::from_cycles(2)
-            }
-        );
-        assert_eq!(*k.world(), 2);
-        // remaining event still pending
-        assert_eq!(k.pending_events(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot schedule event")]
-    fn scheduling_in_the_past_panics() {
-        let mut k: Kernel<u64> = Kernel::new(0);
-        k.schedule_fn(SimTime::from_cycles(10), |_, _| {});
-        k.run_to_completion();
-        k.schedule_fn(SimTime::from_cycles(5), |_, _| {});
-    }
-
-    #[test]
-    fn run_outcome_display() {
-        let o = RunOutcome::HorizonReached {
-            horizon: SimTime::from_cycles(9),
-        };
-        assert!(o.to_string().contains('9'));
-    }
-}

@@ -103,7 +103,7 @@ pub trait NocEndpoint: Send {
     }
     /// Appends commands to the end of an initiator endpoint's socket
     /// program, mid-run (see
-    /// [`SocketInitiator::append_commands`](crate::initiator::SocketInitiator::append_commands)).
+    /// [`SocketInitiator::append_commands`]).
     /// Target endpoints never receive this call.
     ///
     /// # Panics

@@ -267,15 +267,6 @@ impl<T> Link<T> {
         self.in_flight.front().map(|&(at, _)| at)
     }
 
-    /// The arrival stamp of the most recently queued flit — final the
-    /// moment [`Link::send`] accepted it (serialisation, pipeline, CDC
-    /// alignment and FIFO clamping are all applied at send time), which
-    /// is what lets a sharded run publish a cross-region flit together
-    /// with its absolute delivery cycle.
-    pub fn last_queued_arrival(&self) -> Option<u64> {
-        self.in_flight.back().map(|&(at, _)| at)
-    }
-
     /// The link's event horizon: the earliest base cycle at or after
     /// `now` at which [`Link::deliver`] can return an item, or `None`
     /// when nothing is in flight. Until that cycle, polling the link is

@@ -50,7 +50,6 @@ pub mod spec;
 pub mod sweep;
 pub mod text;
 
-pub use noc_system::{EpochOccupancy, Partition};
 pub use program::{
     BurstySpec, Discipline, FeedSource, ProgramSpec, StochasticShape, TraceCursor, TraceSpec,
     Workload, ZipfSpec,

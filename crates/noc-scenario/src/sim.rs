@@ -4,9 +4,7 @@ use crate::program::{FeedSource, Workload};
 use noc_baseline::{BridgedInterconnect, Interconnect, SharedBus};
 use noc_protocols::{CompletionLog, Program, SocketCommand};
 use noc_stats::Histogram;
-use noc_system::{
-    EpochOccupancy, FabricReport, MasterReport, Partition, RegionFeeder, ShardedSoc, Soc, SocReport,
-};
+use noc_system::{FabricReport, MasterReport, Soc, SocReport};
 use noc_transaction::Fingerprint;
 use std::fmt;
 
@@ -134,49 +132,6 @@ impl FeederSet {
     pub(crate) fn exhausted(&self) -> bool {
         self.feeders.iter().all(|f| f.exhausted)
     }
-
-    /// Splits the set into one [`FeederSet`] per region of `sharded`,
-    /// each holding exactly the feeders whose master lives there, so
-    /// the overlapped runner can refill regions from inside their
-    /// workers. Reassemble with [`FeederSet::merge`].
-    fn split_by_region(&mut self, sharded: &ShardedSoc) -> Vec<FeederSet> {
-        let mut per_region: Vec<FeederSet> = (0..sharded.regions())
-            .map(|_| FeederSet::default())
-            .collect();
-        for f in self.feeders.drain(..) {
-            per_region[sharded.initiator_region(f.ordinal)]
-                .feeders
-                .push(f);
-        }
-        per_region
-    }
-
-    /// Reabsorbs region feeder sets, restoring the canonical global
-    /// ordering (by master ordinal) so snapshots and later splits are
-    /// bit-identical to a never-split set.
-    fn merge(&mut self, parts: Vec<FeederSet>) {
-        debug_assert!(self.feeders.is_empty());
-        for mut part in parts {
-            self.feeders.append(&mut part.feeders);
-        }
-        self.feeders.sort_by_key(|f| f.ordinal);
-    }
-}
-
-/// The overlapped runner's view of one region's streamed workloads:
-/// refill appends through global master ordinals (the runner maps them
-/// to region-local ones), the bound is the set's earliest unappended
-/// release, uncapped (the runner folds in its own horizon).
-impl RegionFeeder for FeederSet {
-    fn refill(&mut self, frontier: u64, append: &mut dyn FnMut(usize, &[SocketCommand])) {
-        FeederSet::refill(self, frontier, |ordinal, tail| append(ordinal, tail));
-    }
-    fn bound(&self) -> u64 {
-        FeederSet::bound(self, u64::MAX)
-    }
-    fn exhausted(&self) -> bool {
-        FeederSet::exhausted(self)
-    }
 }
 
 /// How [`Simulation::run_until`] advances base time.
@@ -192,18 +147,6 @@ pub enum StepMode {
     /// and several-fold faster on sparse workloads.
     #[default]
     Horizon,
-    /// Partition the fabric into regions and run them on worker threads
-    /// in conservative lookahead epochs (NoC backend only; the
-    /// baselines, which have no fabric to partition, fall back to
-    /// horizon stepping). `threads == 0` means "auto": the scenario's
-    /// `[config] shards` knob if set, else the machine's available
-    /// parallelism. Bit-identical to dense/horizon stepping —
-    /// record-for-record and counter-for-counter — pinned by the
-    /// sharded determinism suite.
-    Sharded {
-        /// Worker-thread / region count (0 = auto).
-        threads: usize,
-    },
 }
 
 impl fmt::Display for StepMode {
@@ -211,8 +154,6 @@ impl fmt::Display for StepMode {
         match self {
             StepMode::Dense => f.write_str("dense"),
             StepMode::Horizon => f.write_str("horizon"),
-            StepMode::Sharded { threads: 0 } => f.write_str("sharded"),
-            StepMode::Sharded { threads } => write!(f, "sharded({threads})"),
         }
     }
 }
@@ -289,10 +230,7 @@ pub trait Simulation: Send {
     }
 
     /// Runs until done or `max_cycles` with the given step mode;
-    /// returns whether the system drained. The default treats
-    /// [`StepMode::Sharded`] as horizon stepping — only backends with a
-    /// partitionable fabric ([`NocSim`]) override it with a real
-    /// parallel runner.
+    /// returns whether the system drained.
     fn run_until_with(&mut self, max_cycles: u64, mode: StepMode) -> bool {
         match mode {
             StepMode::Dense => {
@@ -300,7 +238,7 @@ pub trait Simulation: Send {
                     self.step();
                 }
             }
-            StepMode::Horizon | StepMode::Sharded { .. } => self.advance_to(max_cycles),
+            StepMode::Horizon => self.advance_to(max_cycles),
         }
         self.is_done()
     }
@@ -328,15 +266,6 @@ pub trait Simulation: Send {
     /// Panics if the simulation already stepped or the workload count
     /// does not match the master count.
     fn load_programs(&mut self, workloads: &[Workload]);
-
-    /// Installs the [`Partition`] a first sharded run will cut the
-    /// fabric with. Warm-state forking needs this hook: the cached
-    /// checkpoint is built from a *programless* spec, whose static load
-    /// estimate is empty, so after [`Simulation::load_programs`] the
-    /// fork re-applies the partition resolved from the full spec
-    /// ([`crate::ScenarioSpec::resolve_partition`]). Backends without a
-    /// fabric ignore it.
-    fn set_partition(&mut self, _partition: Option<Partition>) {}
 }
 
 /// A backend-neutral simulation report: per-master results plus fabric
@@ -362,10 +291,6 @@ pub struct ScenarioReport {
     /// Calendar wakeups retired while stepping (both modes execute the
     /// same events, so this is mode-independent up to run length).
     pub calendar_pops: u64,
-    /// Epoch load-balance accounting (`Σ max-region-busy / Σ
-    /// total-region-busy` over conservative epochs); `None` unless the
-    /// run used the sharded runner.
-    pub occupancy: Option<EpochOccupancy>,
 }
 
 impl ScenarioReport {
@@ -445,9 +370,6 @@ impl fmt::Display for ScenarioReport {
                 fab.lock_idle_cycles
             )?;
         }
-        if let Some(occ) = &self.occupancy {
-            write!(f, "\n  occupancy: {occ}")?;
-        }
         Ok(())
     }
 }
@@ -468,269 +390,99 @@ fn master_report_from_log(name: &str, node: u16, log: &CompletionLog) -> MasterR
     }
 }
 
-/// The SoC of a [`NocSim`]: monolithic until the first sharded run,
-/// partitioned from then on. Both shapes expose the same stepping
-/// surface with bit-identical results; `Converting` only exists for the
-/// instant of the irreversible `Single → Sharded` move and is never
-/// observable from outside.
-#[derive(Clone)]
-// One `NocSim` owns exactly one `SocState` (they are never collected),
-// so the Single/Sharded size spread costs nothing and boxing would put
-// a pointer hop on every step.
-#[allow(clippy::large_enum_variant)]
-enum SocState {
-    Single(Soc),
-    Sharded(ShardedSoc),
-    Converting,
-}
-
-/// Dispatches over the two live [`SocState`] shapes; the methods shared
-/// by [`Soc`] and [`ShardedSoc`] are name-identical by design.
-macro_rules! with_soc {
-    ($state:expr, $s:ident => $e:expr) => {
-        match $state {
-            SocState::Single($s) => $e,
-            SocState::Sharded($s) => $e,
-            SocState::Converting => unreachable!("transient conversion placeholder escaped"),
-        }
-    };
-}
-
 /// The NoC realisation of a scenario (paper Fig 1).
 #[derive(Clone)]
 pub struct NocSim {
-    state: SocState,
+    soc: Soc,
     feeders: FeederSet,
-    /// The scenario's `[config] shards` knob — the thread count
-    /// [`StepMode::Sharded`]`{ threads: 0 }` resolves to before falling
-    /// back to the machine's available parallelism.
-    default_shards: Option<usize>,
-    /// How the first sharded run cuts the fabric: the scenario's
-    /// `[config] assignment` (explicit bands) or a static load
-    /// estimate, when either is available.
-    partition: Option<Partition>,
 }
 
 impl NocSim {
     pub(crate) fn new(soc: Soc) -> Self {
         NocSim {
-            state: SocState::Single(soc),
+            soc,
             feeders: FeederSet::default(),
-            default_shards: None,
-            partition: None,
         }
-    }
-
-    /// Installs the scenario's `[config] shards` default (see
-    /// [`StepMode::Sharded`]).
-    pub(crate) fn set_default_shards(&mut self, shards: Option<usize>) {
-        self.default_shards = shards;
-    }
-
-    /// Installs the [`Partition`] the first sharded run will cut the
-    /// fabric with (explicit `[config] assignment` bands, or a static
-    /// load estimate from the scenario's address map). `None` keeps the
-    /// default: warm activity counters when present, uniform bands
-    /// otherwise. Has no effect once the simulation is sharded.
-    pub fn set_partition(&mut self, partition: Option<Partition>) {
-        self.partition = partition;
-    }
-
-    /// The partition the first sharded run will use, if one was pinned.
-    pub fn partition(&self) -> Option<&Partition> {
-        self.partition.as_ref()
     }
 
     /// Installs the streamed-workload feeders and primes their first
     /// window (fixed programs are already loaded into the masters).
     pub(crate) fn attach_workloads(&mut self, workloads: &[Workload]) {
         self.feeders = FeederSet::new(workloads);
-        let NocSim { state, feeders, .. } = self;
-        with_soc!(state, soc => feeders.refill(soc.now(), |ordinal, tail| {
+        let soc = &mut self.soc;
+        self.feeders.refill(soc.now(), |ordinal, tail| {
             soc.append_commands(ordinal, tail)
-        }));
+        });
     }
 
     /// The underlying SoC, for fabric-level inspection.
-    ///
-    /// # Panics
-    ///
-    /// Panics after a sharded run: the monolithic SoC no longer exists
-    /// (its state lives in per-region slices). Inspect via
-    /// [`NocSim::soc_report`] instead, which reassembles either shape.
     pub fn soc(&self) -> &Soc {
-        match &self.state {
-            SocState::Single(soc) => soc,
-            _ => panic!("NocSim::soc: the simulation was sharded; use soc_report()"),
-        }
+        &self.soc
     }
 
     /// Unwraps into the lower-layer [`Soc`].
-    ///
-    /// # Panics
-    ///
-    /// Panics after a sharded run, like [`NocSim::soc`].
     pub fn into_inner(self) -> Soc {
-        match self.state {
-            SocState::Single(soc) => soc,
-            _ => panic!("NocSim::into_inner: the simulation was sharded; use soc_report()"),
-        }
+        self.soc
     }
 
     /// The full NoC-native report (fabric counters included).
     pub fn soc_report(&self) -> SocReport {
-        with_soc!(&self.state, soc => soc.report())
-    }
-
-    /// Resolves a [`StepMode::Sharded`] thread request: an explicit
-    /// count wins, then the `[config] shards` knob, then the machine.
-    fn resolve_shards(&self, threads: usize) -> usize {
-        if threads > 0 {
-            return threads;
-        }
-        if let Some(n) = self.default_shards {
-            if n > 0 {
-                return n;
-            }
-        }
-        // An explicit assignment fixes the region count by itself.
-        if let Some(Partition::Explicit { assignment }) = &self.partition {
-            return assignment.iter().copied().max().map_or(1, |m| m + 1);
-        }
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    }
-
-    /// Partitions the SoC for sharded stepping (idempotent; the first
-    /// call fixes the region count). Any step boundary is a valid split
-    /// point, so this is safe mid-run.
-    fn ensure_sharded(&mut self, threads: usize) {
-        if let SocState::Single(_) = self.state {
-            let threads = self.resolve_shards(threads);
-            let SocState::Single(soc) = std::mem::replace(&mut self.state, SocState::Converting)
-            else {
-                unreachable!()
-            };
-            let sharded = match &self.partition {
-                // An explicit assignment always wins. A pinned balanced
-                // estimate is a cold-start signal only: once the soc has
-                // run, its warm activity counters are strictly better,
-                // and `ShardedSoc::new` prefers them.
-                Some(p @ Partition::Explicit { .. }) => ShardedSoc::with_partition(soc, threads, p),
-                Some(p) if soc.switch_activity().iter().all(|&a| a == 0) => {
-                    ShardedSoc::with_partition(soc, threads, p)
-                }
-                _ => ShardedSoc::new(soc, threads),
-            };
-            self.state = SocState::Sharded(sharded);
-        }
-    }
-
-    /// Runs until done or `max_cycles` on the *barrier-integrated*
-    /// reference runner ([`ShardedSoc::advance_conservative`]: serial
-    /// cross-traffic integration and feeder refill under the epoch
-    /// barrier) instead of the overlapped one — the differential oracle
-    /// of the sharded determinism suite. Shards the simulation on first
-    /// use exactly like [`StepMode::Sharded`].
-    pub fn run_until_barrier(&mut self, max_cycles: u64, threads: usize) -> bool {
-        self.ensure_sharded(threads);
-        let NocSim { state, feeders, .. } = self;
-        match state {
-            SocState::Sharded(sharded) => {
-                sharded.advance_conservative(max_cycles, |append, frontier| {
-                    feeders.refill(frontier, |ordinal, tail| append(ordinal, tail));
-                    feeders.bound(max_cycles)
-                });
-            }
-            _ => unreachable!("ensure_sharded pins the sharded shape"),
-        }
-        self.is_done()
+        self.soc.report()
     }
 }
 
 impl Simulation for NocSim {
     fn step(&mut self) {
-        let NocSim { state, feeders, .. } = self;
-        with_soc!(state, soc => {
-            feeders.refill(soc.now(), |ordinal, tail| {
-                soc.append_commands(ordinal, tail)
-            });
-            soc.step();
+        let soc = &mut self.soc;
+        self.feeders.refill(soc.now(), |ordinal, tail| {
+            soc.append_commands(ordinal, tail)
         });
+        self.soc.step();
     }
     fn now(&self) -> u64 {
-        with_soc!(&self.state, soc => soc.now())
+        self.soc.now()
     }
     fn is_done(&self) -> bool {
-        self.feeders.exhausted() && with_soc!(&self.state, soc => soc.is_done())
+        self.feeders.exhausted() && self.soc.is_done()
     }
     fn logs(&self) -> Vec<(&str, &CompletionLog)> {
-        with_soc!(&self.state, soc => soc.completion_logs())
+        self.soc.completion_logs()
     }
     fn executed_steps(&self) -> u64 {
-        with_soc!(&self.state, soc => soc.executed_steps())
+        self.soc.executed_steps()
     }
     fn next_activity(&self) -> Option<u64> {
-        with_soc!(&self.state, soc => soc.next_activity())
+        self.soc.next_activity()
     }
     fn advance_to(&mut self, horizon: u64) {
-        let NocSim { state, feeders, .. } = self;
-        match state {
-            SocState::Single(soc) => {
-                while soc.now() < horizon {
-                    feeders.refill(soc.now(), |ordinal, tail| {
-                        soc.append_commands(ordinal, tail)
-                    });
-                    soc.advance_to(feeders.bound(horizon));
-                    if (feeders.exhausted() && soc.is_done()) || soc.now() >= horizon {
-                        break;
-                    }
-                }
+        while self.soc.now() < horizon {
+            let soc = &mut self.soc;
+            self.feeders.refill(soc.now(), |ordinal, tail| {
+                soc.append_commands(ordinal, tail)
+            });
+            self.soc.advance_to(self.feeders.bound(horizon));
+            if Simulation::is_done(self) || self.soc.now() >= horizon {
+                break;
             }
-            SocState::Sharded(sharded) => {
-                // The overlapped runner refills each region's feeders
-                // from inside its worker; split the set along the
-                // partition for the duration of the run.
-                let mut region_feeders = feeders.split_by_region(sharded);
-                sharded.advance_overlapped(horizon, &mut region_feeders);
-                feeders.merge(region_feeders);
-            }
-            SocState::Converting => unreachable!("transient conversion placeholder escaped"),
         }
-    }
-    fn run_until_with(&mut self, max_cycles: u64, mode: StepMode) -> bool {
-        if let StepMode::Sharded { threads } = mode {
-            self.ensure_sharded(threads);
-        }
-        match mode {
-            StepMode::Dense => {
-                while self.now() < max_cycles && !self.is_done() {
-                    self.step();
-                }
-            }
-            StepMode::Horizon | StepMode::Sharded { .. } => self.advance_to(max_cycles),
-        }
-        self.is_done()
     }
     fn horizon_polls(&self) -> u64 {
-        with_soc!(&self.state, soc => soc.horizon_polls())
+        self.soc.horizon_polls()
     }
     fn calendar_pops(&self) -> u64 {
-        with_soc!(&self.state, soc => soc.calendar_pops())
+        self.soc.calendar_pops()
     }
     fn report(&self) -> ScenarioReport {
-        let r = self.soc_report();
+        let r = self.soc.report();
         ScenarioReport {
             backend: "noc",
             cycles: r.cycles,
-            steps: self.executed_steps(),
+            steps: self.soc.executed_steps(),
             all_done: r.all_done,
             masters: r.masters,
             fabric: Some(r.fabric),
-            horizon_polls: self.horizon_polls(),
-            calendar_pops: self.calendar_pops(),
-            occupancy: r.occupancy,
+            horizon_polls: self.soc.horizon_polls(),
+            calendar_pops: self.soc.calendar_pops(),
         }
     }
     fn snapshot(&self) -> Box<dyn Simulation> {
@@ -738,23 +490,14 @@ impl Simulation for NocSim {
     }
     fn load_programs(&mut self, workloads: &[Workload]) {
         let heads: Vec<Program> = workloads.iter().map(Workload::head_program).collect();
-        with_soc!(&mut self.state, soc => soc.load_programs(&heads));
+        self.soc.load_programs(&heads);
         self.attach_workloads(workloads);
-    }
-    fn set_partition(&mut self, partition: Option<Partition>) {
-        NocSim::set_partition(self, partition);
     }
 }
 
 impl fmt::Debug for NocSim {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut d = f.debug_struct("NocSim");
-        match &self.state {
-            SocState::Single(soc) => d.field("soc", soc),
-            SocState::Sharded(sharded) => d.field("sharded", sharded),
-            SocState::Converting => unreachable!("transient conversion placeholder escaped"),
-        }
-        .finish()
+        f.debug_struct("NocSim").field("soc", &self.soc).finish()
     }
 }
 
@@ -778,7 +521,6 @@ fn baseline_report<I: Interconnect>(
         fabric: None,
         horizon_polls: ic.horizon_polls(),
         calendar_pops: ic.calendar_pops(),
-        occupancy: None,
     }
 }
 

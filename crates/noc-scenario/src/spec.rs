@@ -19,7 +19,7 @@ use noc_protocols::ocp::OcpMaster;
 use noc_protocols::strm::StrmMaster;
 use noc_protocols::vci::{VciFlavor, VciMaster};
 use noc_protocols::{MemoryModel, Program, ProtocolKind};
-use noc_system::{NocConfig, Partition, SocBuilder};
+use noc_system::{NocConfig, SocBuilder};
 use noc_topology::{RouteAlgorithm, Topology, TopologyBuilder};
 use noc_transaction::{AddressMap, MstAddr, Opcode, OrderingModel, SlvAddr};
 use std::fmt;
@@ -282,7 +282,7 @@ impl LinkClassSpec {
 /// passed to [`ScenarioSpec::build_noc`]; the baselines have no fabric,
 /// so — like the `routing` knob — the section is NoC-only and ignored
 /// elsewhere.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NocConfigSpec {
     /// Switch input buffer depth in flits.
     pub buffer_depth: Option<usize>,
@@ -292,19 +292,6 @@ pub struct NocConfigSpec {
     /// Endpoint (injection/ejection) link class overrides; a knob left
     /// `None` falls back to the (possibly overridden) switch class.
     pub endpoint: LinkClassSpec,
-    /// Default region/thread count for sharded stepping
-    /// (`StepMode::Sharded { threads: 0 }` resolves to this before
-    /// falling back to the machine's available parallelism). Purely a
-    /// stepping default — it never changes simulated behaviour, which
-    /// the sharded determinism suite pins.
-    pub shards: Option<usize>,
-    /// Explicit sharded-stepping region assignment: `assignment[s]` is
-    /// the region of switch `s` (contiguous non-decreasing bands
-    /// starting at region 0). Fixes the region count by itself, so it
-    /// must agree with `shards` when both are set. Like `shards`, a
-    /// stepping knob only — simulated behaviour is partition-invariant,
-    /// which the sharded determinism suite pins.
-    pub assignment: Option<Vec<usize>>,
 }
 
 impl NocConfigSpec {
@@ -338,21 +325,6 @@ impl NocConfigSpec {
     #[must_use]
     pub fn with_buffer_depth(mut self, depth: usize) -> Self {
         self.buffer_depth = Some(depth);
-        self
-    }
-
-    /// Sets the default sharded-stepping region count.
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-
-    /// Pins the sharded-stepping region assignment (switch → region,
-    /// contiguous non-decreasing bands starting at 0).
-    #[must_use]
-    pub fn with_assignment(mut self, assignment: Vec<usize>) -> Self {
-        self.assignment = Some(assignment);
         self
     }
 
@@ -695,8 +667,7 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
-    /// Number of switches this shape builds — also the length a sharded
-    /// `assignment` must have.
+    /// Number of switches this shape builds.
     pub fn switch_count(&self) -> usize {
         match self {
             TopologySpec::Crossbar => 1,
@@ -892,14 +863,6 @@ pub enum ScenarioError {
         /// Why.
         reason: String,
     },
-    /// The declared sharded-stepping partition is malformed: an
-    /// assignment that is not a contiguous non-decreasing band cover, a
-    /// switch index outside the topology, or a region count that
-    /// disagrees with the `shards` knob.
-    BadPartition {
-        /// Why.
-        reason: String,
-    },
     /// A scenario text file failed to parse (see [`crate::text`]); the
     /// inner error pinpoints the offending line and column.
     Parse(crate::text::ParseError),
@@ -962,9 +925,6 @@ impl fmt::Display for ScenarioError {
                 } else {
                     write!(f, "trace {path}:{line}: {reason}")
                 }
-            }
-            ScenarioError::BadPartition { reason } => {
-                write!(f, "bad partition: {reason}")
             }
             ScenarioError::Parse(e) => write!(f, "scenario text: {e}"),
         }
@@ -1176,7 +1136,6 @@ impl ScenarioSpec {
             }
         }
         self.topology.placement(self.num_endpoints())?;
-        self.resolve_partition()?;
         Ok(())
     }
 
@@ -1340,92 +1299,6 @@ impl ScenarioSpec {
             .collect()
     }
 
-    /// Estimates per-switch traffic weights from the declaration alone
-    /// — the cold-start signal for [`Partition::Balanced`] band cuts
-    /// before any warm activity counters exist. Initiator load is the
-    /// declared command count; memory load distributes those commands by
-    /// each program's target model (explicit: exact per-region address
-    /// counts; zipf: the generator's own rank weights; bursty: uniform).
-    /// Trace programs have no static model, so any trace in the scenario
-    /// yields `None` and callers fall back to the naive band partition.
-    pub fn static_switch_weights(&self) -> Option<Vec<u64>> {
-        let placement = self.topology.placement(self.num_endpoints()).ok()?;
-        let mut ini_load = vec![0f64; self.initiators.len()];
-        let mut mem_load = vec![0f64; self.memories.len()];
-        for (i, ini) in self.initiators.iter().enumerate() {
-            match &ini.program {
-                ProgramSpec::Explicit(program) => {
-                    ini_load[i] = program.len() as f64;
-                    for cmd in program {
-                        if let Some(m) = self
-                            .memories
-                            .iter()
-                            .position(|m| cmd.addr >= m.base && cmd.addr < m.end)
-                        {
-                            mem_load[m] += 1.0;
-                        }
-                    }
-                }
-                ProgramSpec::Bursty(b) => {
-                    ini_load[i] = b.commands as f64;
-                    let share = b.commands as f64 / self.memories.len() as f64;
-                    for load in &mut mem_load {
-                        *load += share;
-                    }
-                }
-                ProgramSpec::Zipf(z) => {
-                    ini_load[i] = z.commands as f64;
-                    // Mirror ZipfGen's integer CDF (rank^-s scaled to
-                    // 2^32, clamped ≥ 1) so the estimate matches the
-                    // traffic the generator will actually emit.
-                    let s = z.exponent_milli as f64 / 1000.0;
-                    let weights: Vec<u64> = (1..=self.memories.len())
-                        .map(|rank| (((rank as f64).powf(-s) * (1u64 << 32) as f64) as u64).max(1))
-                        .collect();
-                    let total: f64 = weights.iter().map(|&w| w as f64).sum();
-                    for (load, &w) in mem_load.iter_mut().zip(&weights) {
-                        *load += z.commands as f64 * w as f64 / total;
-                    }
-                }
-                ProgramSpec::Trace(_) => return None,
-            }
-        }
-        let mut weights = vec![0u64; self.topology.switch_count()];
-        for (i, load) in ini_load.iter().enumerate() {
-            weights[placement[i]] += load.round() as u64;
-        }
-        for (m, load) in mem_load.iter().enumerate() {
-            weights[placement[self.initiators.len() + m]] += load.round() as u64;
-        }
-        weights.iter().any(|&w| w > 0).then_some(weights)
-    }
-
-    /// Resolves the sharded-stepping partition the compiled sim pins: an
-    /// explicit `assignment` wins (validated against the topology and
-    /// the `shards` knob), else the static load estimate yields a
-    /// balanced cut, else `None` (naive band fallback). Public so
-    /// warm-state forking (which builds its cached checkpoint from
-    /// [`ScenarioSpec::without_programs`], whose load estimate is
-    /// empty) can re-apply the full spec's partition to a fork via
-    /// [`crate::Simulation::set_partition`].
-    pub fn resolve_partition(&self) -> Result<Option<Partition>, ScenarioError> {
-        let config = self.config.as_ref();
-        if let Some(assignment) = config.and_then(|c| c.assignment.clone()) {
-            let regions = match config.and_then(|c| c.shards) {
-                Some(shards) => shards,
-                None => assignment.iter().copied().max().map_or(1, |m| m + 1),
-            };
-            let partition = Partition::Explicit { assignment };
-            partition
-                .validate(self.topology.switch_count(), regions)
-                .map_err(|reason| ScenarioError::BadPartition { reason })?;
-            return Ok(Some(partition));
-        }
-        Ok(self
-            .static_switch_weights()
-            .map(|weights| Partition::Balanced { weights }))
-    }
-
     /// The spec with every initiator program removed — explicit,
     /// stochastic and trace kinds alike map to the empty explicit
     /// program: the shareable "prefix" (topology, `[config]`, routing,
@@ -1512,8 +1385,6 @@ impl ScenarioSpec {
             reason: e.to_string(),
         })?;
         let mut sim = NocSim::new(soc);
-        sim.set_default_shards(self.config.as_ref().and_then(|c| c.shards));
-        sim.set_partition(self.resolve_partition()?);
         sim.attach_workloads(&self.programs());
         Ok(sim)
     }

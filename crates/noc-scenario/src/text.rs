@@ -23,10 +23,6 @@
 //!
 //! [config]                      # optional NoC transport/physical knobs
 //! buffer_depth = 8              # switch input buffers, in flits
-//! shards = 4                    # default region count for sharded stepping
-//! assignment = [0, 0, 1, 1]     # explicit switch→region bands (contiguous,
-//!                               #   non-decreasing from 0; fixes the region
-//!                               #   count, so it must agree with shards)
 //! link_pipeline = 9             # both link classes unless overridden:
 //! link_phits = 1                #   pipeline stages, phits per flit,
 //! link_cdc_latency = 2          #   CDC synchroniser depth, in-flight
@@ -110,7 +106,7 @@
 //! code; the spec-level `routing` override covers the one knob the
 //! corpus needs. Parsing reports precise line/column [`ParseError`]s;
 //! [`ScenarioSpec::from_text`] wraps them in
-//! [`ScenarioError::Parse`](crate::ScenarioError::Parse).
+//! [`ScenarioError::Parse`].
 //!
 //! # Examples
 //!
@@ -146,7 +142,6 @@ use crate::spec::{
 use crate::sweep::{Sweep, SweepPoint};
 use noc_protocols::vci::VciFlavor;
 use noc_protocols::SocketCommand;
-use noc_system::Partition;
 use noc_topology::RouteAlgorithm;
 use noc_transaction::{BurstKind, Opcode, OrderingModel, StreamId};
 use std::fmt;
@@ -413,9 +408,11 @@ fn quoted(kind: &str, s: &str) -> String {
     format!("\"{s}\"")
 }
 
-fn step_name(step: StepMode) -> String {
-    // `Display` is the grammar: dense | horizon | sharded | sharded(N).
-    step.to_string()
+fn step_name(step: StepMode) -> &'static str {
+    match step {
+        StepMode::Dense => "dense",
+        StepMode::Horizon => "horizon",
+    }
 }
 
 fn routing_name(r: RouteAlgorithm) -> String {
@@ -568,13 +565,6 @@ fn emit_scenario(out: &mut String, spec: &ScenarioSpec) {
         out.push_str("[config]\n");
         if let Some(depth) = cfg.buffer_depth {
             out.push_str(&format!("buffer_depth = {depth}\n"));
-        }
-        if let Some(shards) = cfg.shards {
-            out.push_str(&format!("shards = {shards}\n"));
-        }
-        if let Some(assignment) = &cfg.assignment {
-            let regions: Vec<String> = assignment.iter().map(|r| r.to_string()).collect();
-            out.push_str(&format!("assignment = [{}]\n", regions.join(", ")));
         }
         emit_link_class(out, "link", &cfg.link);
         emit_link_class(out, "endpoint", &cfg.endpoint);
@@ -1220,26 +1210,11 @@ fn parse_int(s: &str, line: usize, col: usize) -> Result<u64, ParseError> {
 }
 
 fn parse_step(e: &Entry) -> Result<StepMode, ParseError> {
-    let s = e.str()?;
-    match s {
-        "dense" => return Ok(StepMode::Dense),
-        "horizon" => return Ok(StepMode::Horizon),
-        "sharded" => return Ok(StepMode::Sharded { threads: 0 }),
-        _ => {}
+    match e.str()? {
+        "dense" => Ok(StepMode::Dense),
+        "horizon" => Ok(StepMode::Horizon),
+        other => Err(e.bad(format!("unknown step mode {other:?} (dense|horizon)"))),
     }
-    if let Some(n) = s.strip_prefix("sharded(").and_then(|r| r.strip_suffix(')')) {
-        if let Ok(threads) = n.parse::<usize>() {
-            if threads > 0 {
-                return Ok(StepMode::Sharded { threads });
-            }
-        }
-        return Err(e.bad(format!(
-            "malformed sharded step mode {s:?} (sharded(N), N >= 1)"
-        )));
-    }
-    Err(e.bad(format!(
-        "unknown step mode {s:?} (dense|horizon|sharded|sharded(N))"
-    )))
 }
 
 fn parse_backend(e: &Entry) -> Result<Backend, ParseError> {
@@ -1537,35 +1512,13 @@ fn finalize_link_class(sec: &mut Section, prefix: &str) -> Result<LinkClassSpec,
     Ok(class)
 }
 
-fn finalize_config(
-    section: Option<Section>,
-    topology: &TopologySpec,
-) -> Result<Option<NocConfigSpec>, ParseError> {
+fn finalize_config(section: Option<Section>) -> Result<Option<NocConfigSpec>, ParseError> {
     let Some(mut sec) = section else {
         return Ok(None);
     };
     let mut cfg = NocConfigSpec::default();
     if let Some(e) = sec.take("buffer_depth")? {
         cfg.buffer_depth = Some(e.nonzero(1 << 20)? as usize);
-    }
-    if let Some(e) = sec.take("shards")? {
-        cfg.shards = Some(e.nonzero(1 << 10)? as usize);
-    }
-    if let Some(e) = sec.take("assignment")? {
-        let assignment: Vec<usize> = e.ints()?.iter().map(|&r| r as usize).collect();
-        // The topology is already finalized, so the band-shape rules can
-        // be checked here, where the entry still knows its line/column.
-        let regions = match cfg.shards {
-            Some(shards) => shards,
-            None => assignment.iter().copied().max().map_or(1, |m| m + 1),
-        };
-        let partition = Partition::Explicit {
-            assignment: assignment.clone(),
-        };
-        if let Err(reason) = partition.validate(topology.switch_count(), regions) {
-            return Err(e.bad(reason));
-        }
-        cfg.assignment = Some(assignment);
     }
     cfg.link = finalize_link_class(&mut sec, "link")?;
     cfg.endpoint = finalize_link_class(&mut sec, "endpoint")?;
@@ -1749,10 +1702,9 @@ fn finalize_memory(mut sec: Section) -> Result<Named<MemorySpec>, ParseError> {
 
 fn finalize_doc(doc: DocBuf) -> Result<ScenarioSpec, ParseError> {
     let (topology, routing) = finalize_topology(doc.topology)?;
-    let config = finalize_config(doc.config, &topology)?;
     let mut spec = ScenarioSpec::new().with_topology(topology);
     spec.routing = routing;
-    spec.config = config;
+    spec.config = finalize_config(doc.config)?;
     let mut names: Vec<(String, usize)> = Vec::new();
     let check_name = |name: &str, line: usize, names: &mut Vec<(String, usize)>| {
         if names.iter().any(|(n, _)| n == name) {
@@ -1836,8 +1788,7 @@ mod tests {
         let mut cfg = NocConfigSpec::new()
             .with_link_pipeline(9)
             .with_link_capacity(32)
-            .with_buffer_depth(4)
-            .with_shards(4);
+            .with_buffer_depth(4);
         cfg.link.phits = Some(2);
         cfg.endpoint.pipeline = Some(1);
         cfg.endpoint.cdc_latency = Some(4);
@@ -2005,56 +1956,21 @@ mod tests {
         let sweep = Sweep::new()
             .with_max_cycles(123_456)
             .with_threads(2)
-            .with_step_mode(StepMode::Sharded { threads: 0 })
+            .with_step_mode(StepMode::Dense)
             .point("a", base.clone(), Backend::noc())
-            .with_point(
-                SweepPoint::new("b", base.clone(), Backend::bus()).with_step(StepMode::Dense),
-            )
-            .with_point(
-                SweepPoint::new("c", base, Backend::noc())
-                    .with_step(StepMode::Sharded { threads: 4 }),
-            );
+            .with_point(SweepPoint::new("b", base, Backend::bus()).with_step(StepMode::Horizon));
         let text = sweep.to_text();
         let back = Sweep::from_text(&text).expect("parses");
         assert_eq!(back.max_cycles(), 123_456);
         assert_eq!(back.threads(), Some(2));
-        assert_eq!(back.step_mode(), StepMode::Sharded { threads: 0 });
-        assert_eq!(back.points().len(), 3);
+        assert_eq!(back.step_mode(), StepMode::Dense);
+        assert_eq!(back.points().len(), 2);
         assert_eq!(back.points()[0].step, None);
         assert_eq!(back.points()[0].backend.label(), "noc");
-        assert_eq!(back.points()[1].step, Some(StepMode::Dense));
+        assert_eq!(back.points()[1].step, Some(StepMode::Horizon));
         assert_eq!(back.points()[1].backend.label(), "bus");
-        assert_eq!(
-            back.points()[2].step,
-            Some(StepMode::Sharded { threads: 4 })
-        );
         assert_eq!(back.points()[1].spec, sweep_spec(&back));
         assert_eq!(back.to_text(), text);
-    }
-
-    #[test]
-    fn step_grammar_rejects_malformed_sharded_counts() {
-        for bad in [
-            "sharded()",
-            "sharded(0)",
-            "sharded(x)",
-            "sharded(4",
-            "shardy",
-        ] {
-            let text = format!(
-                "[sweep]\nmax_cycles = 10\nstep = \"{bad}\"\n\n[[sweep.point]]\n\
-                 label = \"a\"\nbackend = \"noc\"\n\n[[initiator]]\nname = \"m\"\n\
-                 socket = \"ahb\"\n\n[[memory]]\nname = \"mem\"\nbase = 0\nend = 16\nlatency = 1\n"
-            );
-            let err = Sweep::from_text(&text).unwrap_err();
-            let ScenarioError::Parse(e) = err else {
-                panic!("expected a parse error for step {bad:?}");
-            };
-            assert!(
-                matches!(e.kind, ParseErrorKind::BadValue { .. }),
-                "step {bad:?} -> {e:?}"
-            );
-        }
     }
 
     fn sweep_spec(sweep: &Sweep) -> ScenarioSpec {

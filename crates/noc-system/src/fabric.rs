@@ -28,7 +28,7 @@ use noc_kernel::{Calendar, Horizon, WakeId};
 use noc_physical::{Link, LinkConfig};
 use noc_topology::{RouteAlgorithm, Topology};
 use noc_transport::{Flit, PortId, RoutingTable, Switch, SwitchConfig, SwitchMode};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Where a link terminates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,28 +103,6 @@ impl ActiveSet {
     }
 }
 
-/// The result of partitioning a [`Fabric`] with [`Fabric::split`]: one
-/// fabric per region plus the routing tables the epoch coordinator uses
-/// to move cross-region traffic between them.
-pub(crate) struct FabricSplit {
-    /// One fabric per region, switches and links remapped to local
-    /// indices in ascending global order (so per-region iteration order
-    /// is the dense order restricted to the region).
-    pub regions: Vec<Fabric>,
-    /// Global link id → region whose inbox receives its flits (`None`
-    /// for intra-region links).
-    pub flit_to: Vec<Option<usize>>,
-    /// Global link id → region owning the link's replica, where credit
-    /// returns are due (`None` for intra-region links).
-    pub credit_to: Vec<Option<usize>>,
-    /// Minimum cycles between any cross-region cause (send or credit
-    /// release) and its earliest remote effect; `u64::MAX` when nothing
-    /// crosses.
-    pub lookahead: u64,
-    /// Node → region of its attachment switch.
-    pub node_region: Vec<Option<usize>>,
-}
-
 /// One packet network (request or response): switches, links and credit
 /// bookkeeping.
 ///
@@ -168,9 +146,9 @@ pub struct Fabric {
     /// so credit visibility cannot depend on switch iteration order.
     /// (The dense loop used to apply releases immediately, letting a
     /// same-cycle consumer see them iff its index was higher than the
-    /// releaser's: an ordering bug, and fatal for sharding.)
+    /// releaser's: an ordering bug.)
     credit_lat: Vec<u64>,
-    /// In-flight credit returns: due cycle → local link indices, applied
+    /// In-flight credit returns: due cycle → link indices, applied
     /// by [`Fabric::apply_due_credits`] at the top of each SoC step.
     /// Deliberately excluded from [`Fabric::is_idle`] and
     /// [`Fabric::next_event_at`]: a pending credit only raises a counter
@@ -179,35 +157,6 @@ pub struct Fabric {
     /// its due cycle (and any component that could consume it is itself
     /// keeping the system non-idle).
     pending_credits: BTreeMap<u64, Vec<u32>>,
-    /// Per link: its identity in the pre-split (global) fabric. Identity
-    /// for a monolithic fabric; preserved by [`Fabric::split`] so
-    /// cross-region routing and latency folds stay globally ordered.
-    global_ids: Vec<u32>,
-    /// Per link: `Some(global)` when the link is this region's replica
-    /// of a cross-region link. The replica owns sending, serialisation,
-    /// occupancy and latency statistics; the real delivery happens in
-    /// the destination region's inbox, so the replica's own deliveries
-    /// are discarded (its `dst` is the pre-split end — never deref it).
-    cross_out: Vec<Option<u32>>,
-    /// Per switch input port: `Some((global, credit_lat))` when the port
-    /// is fed by another region's cross link; credits released by it are
-    /// published through the outbox instead of applied locally.
-    cross_in_wire: Vec<Vec<Option<(u32, u64)>>>,
-    /// Cross link global id → local (switch, input port) receiving its
-    /// staged arrivals.
-    cross_in_ports: HashMap<u32, (usize, usize)>,
-    /// Cross link global id → local link index, for credits returning to
-    /// replicas this region owns.
-    cross_local: HashMap<u32, u32>,
-    /// Staged cross-region arrivals: absolute cycle → (global link,
-    /// flit), integrated at epoch barriers, delivered by `tick`.
-    inbox: BTreeMap<u64, Vec<(u32, Flit)>>,
-    /// Cross-region sends awaiting coordinator routing: (global link,
-    /// absolute arrival cycle, flit).
-    outbox_flits: Vec<(u32, u64, Flit)>,
-    /// Cross-region credit returns awaiting routing: (global link, due
-    /// cycle).
-    outbox_credits: Vec<(u32, u64)>,
     /// Tick-loop scratch buffers (due links, active-set iteration order,
     /// per-switch tick result), reused so the hot path allocates nothing.
     due_scratch: Vec<usize>,
@@ -272,10 +221,6 @@ impl Fabric {
                 .iter()
                 .map(|sw| vec![None; sw.config().inputs])
                 .collect(),
-            cross_in_wire: switches
-                .iter()
-                .map(|sw| vec![None; sw.config().inputs])
-                .collect(),
             stash: switches
                 .iter()
                 .map(|sw| (0..sw.config().outputs).map(|_| VecDeque::new()).collect())
@@ -295,13 +240,6 @@ impl Fabric {
             delivered_flits: 0,
             credit_lat: Vec::new(),
             pending_credits: BTreeMap::new(),
-            global_ids: Vec::new(),
-            cross_out: Vec::new(),
-            cross_in_ports: HashMap::new(),
-            cross_local: HashMap::new(),
-            inbox: BTreeMap::new(),
-            outbox_flits: Vec::new(),
-            outbox_credits: Vec::new(),
             due_scratch: Vec::new(),
             order_scratch: Vec::new(),
             tick_scratch: noc_transport::SwitchTick::default(),
@@ -375,8 +313,6 @@ impl Fabric {
         let cfg = link.config();
         self.credit_lat
             .push(1 + cfg.pipeline as u64 * cfg.src_divisor);
-        self.global_ids.push(idx as u32);
-        self.cross_out.push(None);
         self.links.push(FabricLink { link, src, dst });
         let wake = self.link_cal.register();
         debug_assert_eq!(wake.index(), idx);
@@ -386,24 +322,13 @@ impl Fabric {
 
     /// Sends `flit` on link `li` and reschedules the link's arrival
     /// wakeup. Every send in the fabric funnels through here so no
-    /// horizon change can escape the calendar. Sends on cross-region
-    /// replicas also publish a copy with its absolute arrival cycle —
-    /// final at send time, since link timing depends only on prior
-    /// sends — for the coordinator to route at the next epoch barrier.
+    /// horizon change can escape the calendar.
     fn send_on_link(&mut self, li: usize, flit: Flit, now: u64) {
-        let copy = self.cross_out[li].map(|global| (global, flit.clone()));
         self.links[li]
             .link
             .send(flit, now)
             .expect("can_send checked");
         self.in_flight += 1;
-        if let Some((global, flit)) = copy {
-            let arrival = self.links[li]
-                .link
-                .last_queued_arrival()
-                .expect("send just queued an arrival");
-            self.outbox_flits.push((global, arrival, flit));
-        }
         let next = self.links[li].link.next_event_at(now);
         self.link_cal.set(self.link_wake[li], next);
     }
@@ -464,22 +389,15 @@ impl Fabric {
         for &li in &due {
             if let Some(flit) = self.links[li].link.deliver(now) {
                 self.in_flight -= 1;
-                if self.cross_out[li].is_some() {
-                    // Cross-region replica: retiring here keeps the
-                    // occupancy/latency statistics on exactly one link
-                    // instance; the flit itself was published at send
-                    // time and arrives via the destination's inbox.
-                } else {
-                    match self.links[li].dst {
-                        LinkEnd::Switch { switch, port } => {
-                            let ok = self.switches[switch].accept(port, flit);
-                            assert!(ok, "credit flow control must prevent overflow");
-                            self.mark_busy(switch);
-                        }
-                        LinkEnd::Endpoint { node } => {
-                            self.delivered_flits += 1;
-                            ejected.push((node, flit));
-                        }
+                match self.links[li].dst {
+                    LinkEnd::Switch { switch, port } => {
+                        let ok = self.switches[switch].accept(port, flit);
+                        assert!(ok, "credit flow control must prevent overflow");
+                        self.mark_busy(switch);
+                    }
+                    LinkEnd::Endpoint { node } => {
+                        self.delivered_flits += 1;
+                        ejected.push((node, flit));
                     }
                 }
             }
@@ -487,22 +405,6 @@ impl Fabric {
             self.link_cal.set(self.link_wake[li], next);
         }
         self.due_scratch = due;
-        // 1a. Staged cross-region arrivals due this cycle. Each lands on
-        // its own dedicated input port (same-cycle arrivals on one link
-        // are impossible — the FIFO spaces them by the destination
-        // divisor), so delivery order across ports is immaterial.
-        while let Some(entry) = self.inbox.first_entry() {
-            if *entry.key() > now {
-                break;
-            }
-            debug_assert_eq!(*entry.key(), now, "inbox arrival was skipped");
-            for (global, flit) in entry.remove() {
-                let (switch, port) = self.cross_in_ports[&global];
-                let ok = self.switches[switch].accept(port, flit);
-                assert!(ok, "credit flow control must prevent overflow");
-                self.mark_busy(switch);
-            }
-        }
         // 1b. Idle switches pinned by locked sequences accrue their
         // lock-idle statistic for this executed cycle in bulk — exactly
         // what a dense tick's empty allocation pass would have counted.
@@ -555,21 +457,11 @@ impl Fabric {
             // 4. Credit returns to upstream, registered onto the return
             // wire: visible to the sender `credit_lat` cycles from now
             // (applied by [`Fabric::apply_due_credits`]), never within
-            // this cycle. Credits for another region's link go through
-            // the outbox with the same absolute due cycle.
+            // this cycle.
             for input in tick.credits_released.drain(..) {
-                match self.in_wire[s][input] {
-                    Some(li) => {
-                        let due = now + self.credit_lat[li];
-                        self.pending_credits.entry(due).or_default().push(li as u32);
-                    }
-                    None => match self.cross_in_wire[s][input] {
-                        Some((global, lat)) => {
-                            self.outbox_credits.push((global, now + lat));
-                        }
-                        None => unreachable!("every switch input is wired"),
-                    },
-                }
+                let li = self.in_wire[s][input].expect("every switch input is wired");
+                let due = now + self.credit_lat[li];
+                self.pending_credits.entry(due).or_default().push(li as u32);
             }
             if self.switches[s].is_idle() {
                 self.busy.remove(s);
@@ -606,14 +498,11 @@ impl Fabric {
         }
     }
 
-    /// Returns `true` when no flit is buffered, in flight, or staged
-    /// for cross-region delivery. In-flight credit returns deliberately
-    /// don't count (see the `pending_credits` field).
+    /// Returns `true` when no flit is buffered or in flight. In-flight
+    /// credit returns deliberately don't count (see the
+    /// `pending_credits` field).
     pub fn is_idle(&self) -> bool {
-        self.busy.is_empty()
-            && self.total_stashed == 0
-            && self.in_flight == 0
-            && self.inbox.is_empty()
+        self.busy.is_empty() && self.total_stashed == 0 && self.in_flight == 0
     }
 
     /// The fabric's event horizon: the earliest base cycle at or after
@@ -635,9 +524,7 @@ impl Fabric {
         // A stale calendar minimum is never later than the true earliest
         // arrival, so the caller may at worst execute a spurious,
         // dense-identical step.
-        let mut horizon = Horizon::from(self.link_cal.peek());
-        horizon.merge(self.inbox.keys().next().copied());
-        horizon.earliest_from(now)
+        Horizon::from(self.link_cal.peek()).earliest_from(now)
     }
 
     /// Accounts `cycles` skipped fabric ticks: forwards the bulk
@@ -653,261 +540,6 @@ impl Fabric {
         for i in 0..self.locked.list.len() {
             let s = self.locked.list[i];
             self.switches[s].skip_cycles(cycles);
-        }
-    }
-
-    /// Stages a flit arriving from another region's replica of cross
-    /// link `global` at absolute cycle `arrival`. Called between epochs;
-    /// `arrival` is never in this region's past (the epoch window
-    /// guarantees it).
-    pub(crate) fn integrate_cross_flit(&mut self, global: u32, arrival: u64, flit: Flit) {
-        debug_assert!(
-            self.cross_in_ports.contains_key(&global),
-            "flit routed to a region that does not terminate the link"
-        );
-        self.inbox.entry(arrival).or_default().push((global, flit));
-    }
-
-    /// Stages a credit released by the remote input of cross link
-    /// `global`, due at absolute cycle `due` on this region's replica.
-    pub(crate) fn integrate_cross_credit(&mut self, global: u32, due: u64) {
-        let li = self.cross_local[&global];
-        self.pending_credits.entry(due).or_default().push(li);
-    }
-
-    /// Drains the cross-region outboxes (sends and credit returns
-    /// accumulated since the last drain) into the caller's buffers.
-    pub(crate) fn take_cross_output(
-        &mut self,
-        flits: &mut Vec<(u32, u64, Flit)>,
-        credits: &mut Vec<(u32, u64)>,
-    ) {
-        flits.append(&mut self.outbox_flits);
-        credits.append(&mut self.outbox_credits);
-    }
-
-    /// Appends `(global link id, delivered flits, mean latency)` for
-    /// every link that delivered, so a sharded run can reproduce
-    /// [`Fabric::mean_link_latency`]'s fold bit-for-bit by sorting the
-    /// merged entries on global id (cross links appear exactly once, in
-    /// their owner region).
-    pub(crate) fn link_latency_entries(&self, out: &mut Vec<(u32, u64, f64)>) {
-        for (i, l) in self.links.iter().enumerate() {
-            if l.link.delivered() > 0 {
-                out.push((
-                    self.global_ids[i],
-                    l.link.delivered(),
-                    l.link.mean_latency(),
-                ));
-            }
-        }
-    }
-
-    /// Partitions the fabric into `regions` independent fabrics along
-    /// `region_of_switch`, preserving every piece of runtime state so a
-    /// mid-run split resumes bit-identically at cycle `now`.
-    ///
-    /// Links whose two switch ends land in different regions become
-    /// *cross* links: the source region keeps the full link as a replica
-    /// (owning send timing, occupancy and statistics) and publishes each
-    /// send through its outbox with the absolute arrival cycle; the
-    /// destination region wires the terminating input port to its inbox
-    /// and publishes released credits back. Injection/ejection links
-    /// never cross — endpoints belong to their attachment switch's
-    /// region by construction.
-    pub(crate) fn split(self, region_of_switch: &[usize], regions: usize, now: u64) -> FabricSplit {
-        assert_eq!(region_of_switch.len(), self.switches.len());
-        assert!(regions >= 1, "need at least one region");
-        debug_assert!(
-            self.inbox.is_empty() && self.outbox_flits.is_empty() && self.outbox_credits.is_empty(),
-            "splitting an already-sharded fabric"
-        );
-        let num_nodes = self.node_inj.len();
-        let num_links = self.links.len();
-        // Injection credits by node, looked up when links are moved.
-        let mut inj_credits = vec![0u32; num_nodes];
-        for &(node, _, credits) in &self.injection {
-            inj_credits[node as usize] = credits;
-        }
-        let mut parts: Vec<Fabric> = (0..regions)
-            .map(|_| Fabric {
-                switches: Vec::new(),
-                links: Vec::new(),
-                injection: Vec::new(),
-                node_inj: vec![None; num_nodes],
-                out_wire: Vec::new(),
-                in_wire: Vec::new(),
-                cross_in_wire: Vec::new(),
-                stash: Vec::new(),
-                link_cal: Calendar::new(),
-                link_wake: Vec::new(),
-                busy: ActiveSet::default(),
-                locked: ActiveSet::default(),
-                stashed: ActiveSet::default(),
-                stash_flits: Vec::new(),
-                total_stashed: 0,
-                in_flight: 0,
-                delivered_flits: 0,
-                credit_lat: Vec::new(),
-                pending_credits: BTreeMap::new(),
-                global_ids: Vec::new(),
-                cross_out: Vec::new(),
-                cross_in_ports: HashMap::new(),
-                cross_local: HashMap::new(),
-                inbox: BTreeMap::new(),
-                outbox_flits: Vec::new(),
-                outbox_credits: Vec::new(),
-                due_scratch: Vec::new(),
-                order_scratch: Vec::new(),
-                tick_scratch: noc_transport::SwitchTick::default(),
-            })
-            .collect();
-        // Move switches (with their stashes) in ascending global order,
-        // so local order is the dense order restricted to each region.
-        let mut switch_local = vec![usize::MAX; self.switches.len()];
-        for ((s, switch), stash) in self.switches.into_iter().enumerate().zip(self.stash) {
-            let part = &mut parts[region_of_switch[s]];
-            switch_local[s] = part.switches.len();
-            part.out_wire.push(vec![None; switch.config().outputs]);
-            part.in_wire.push(vec![None; switch.config().inputs]);
-            part.cross_in_wire.push(vec![None; switch.config().inputs]);
-            let flits: usize = stash.iter().map(VecDeque::len).sum();
-            part.stash_flits.push(flits);
-            part.total_stashed += flits;
-            part.stash.push(stash);
-            part.switches.push(switch);
-        }
-        // Rebuild the active sets from the moved state. At a step
-        // boundary membership is fully determined by it: busy iff the
-        // switch holds flits or allocations, locked iff idle with a
-        // pinned output, stashed iff the stash holds flits.
-        for part in &mut parts {
-            let n = part.switches.len();
-            part.busy = ActiveSet::with_capacity(n);
-            part.locked = ActiveSet::with_capacity(n);
-            part.stashed = ActiveSet::with_capacity(n);
-            for s in 0..n {
-                if !part.switches[s].is_idle() {
-                    part.busy.insert(s);
-                } else if part.switches[s].has_locked_output() {
-                    part.locked.insert(s);
-                }
-                if part.stash_flits[s] > 0 {
-                    part.stashed.insert(s);
-                }
-            }
-        }
-        // Distribute links. A link lives in the region of its source
-        // switch (endpoint-ended links take the switch end's region and
-        // are intra by construction).
-        let mut flit_to = vec![None; num_links];
-        let mut credit_to = vec![None; num_links];
-        let mut node_region = vec![None; num_nodes];
-        // Global link id → (region, local id), for `pending_credits`.
-        let mut link_place = vec![(usize::MAX, 0u32); num_links];
-        let mut lookahead = u64::MAX;
-        for (li, l) in self.links.into_iter().enumerate() {
-            let src_region = match (l.src, l.dst) {
-                (LinkEnd::Switch { switch, .. }, _) => region_of_switch[switch],
-                (LinkEnd::Endpoint { .. }, LinkEnd::Switch { switch, .. }) => {
-                    region_of_switch[switch]
-                }
-                (LinkEnd::Endpoint { .. }, LinkEnd::Endpoint { .. }) => {
-                    unreachable!("no endpoint-to-endpoint links")
-                }
-            };
-            let dst_region = match l.dst {
-                LinkEnd::Switch { switch, .. } => region_of_switch[switch],
-                LinkEnd::Endpoint { .. } => src_region,
-            };
-            let cross = src_region != dst_region;
-            let credit_lat = self.credit_lat[li];
-            if cross {
-                flit_to[li] = Some(dst_region);
-                credit_to[li] = Some(src_region);
-                lookahead = lookahead.min(l.link.config().min_latency().min(credit_lat));
-            }
-            let part = &mut parts[src_region];
-            let local = part.links.len();
-            link_place[li] = (src_region, local as u32);
-            part.in_flight += l.link.in_flight();
-            part.credit_lat.push(credit_lat);
-            part.global_ids.push(self.global_ids[li]);
-            part.cross_out.push(cross.then_some(self.global_ids[li]));
-            if cross {
-                part.cross_local.insert(self.global_ids[li], local as u32);
-            }
-            // Remap the ends. A cross link's destination stays in global
-            // terms (its region has no local image); it is never
-            // dereferenced — step 1 discards replica deliveries first.
-            let src = match l.src {
-                LinkEnd::Switch { switch, port } => {
-                    let sw = switch_local[switch];
-                    part.out_wire[sw][port] = Some(local);
-                    LinkEnd::Switch { switch: sw, port }
-                }
-                LinkEnd::Endpoint { node } => {
-                    node_region[node as usize] = Some(src_region);
-                    part.node_inj[node as usize] = Some(part.injection.len());
-                    part.injection
-                        .push((node, local, inj_credits[node as usize]));
-                    LinkEnd::Endpoint { node }
-                }
-            };
-            let dst = if cross {
-                let LinkEnd::Switch { switch, port } = l.dst else {
-                    unreachable!("cross links join two switches");
-                };
-                let dst_part_switch = switch_local[switch];
-                let dst_part = &mut parts[dst_region];
-                dst_part.cross_in_wire[dst_part_switch][port] =
-                    Some((self.global_ids[li], credit_lat));
-                dst_part
-                    .cross_in_ports
-                    .insert(self.global_ids[li], (dst_part_switch, port));
-                l.dst
-            } else {
-                match l.dst {
-                    LinkEnd::Switch { switch, port } => {
-                        let sw = switch_local[switch];
-                        parts[src_region].in_wire[sw][port] = Some(local);
-                        LinkEnd::Switch { switch: sw, port }
-                    }
-                    LinkEnd::Endpoint { node } => LinkEnd::Endpoint { node },
-                }
-            };
-            let part = &mut parts[src_region];
-            let next = l.link.next_event_at(now);
-            part.links.push(FabricLink {
-                link: l.link,
-                src,
-                dst,
-            });
-            let wake = part.link_cal.register();
-            debug_assert_eq!(wake.index(), local);
-            part.link_wake.push(wake);
-            part.link_cal.set(wake, next);
-        }
-        // In-flight credit returns follow their link.
-        for (due, lis) in self.pending_credits {
-            for li in lis {
-                let (region, local) = link_place[li as usize];
-                parts[region]
-                    .pending_credits
-                    .entry(due)
-                    .or_default()
-                    .push(local);
-            }
-        }
-        // The scalar delivery counter is a global sum; park it on region
-        // 0 so the shards' counters still total the monolithic value.
-        parts[0].delivered_flits = self.delivered_flits;
-        FabricSplit {
-            regions: parts,
-            flit_to,
-            credit_to,
-            lookahead,
-            node_region,
         }
     }
 
@@ -929,17 +561,6 @@ impl Fabric {
             total.lock_idle_cycles += st.lock_idle_cycles;
         }
         total
-    }
-
-    /// Accumulates each switch's forwarded-flit count into `out`
-    /// (indexed by switch), the activity weights the balanced
-    /// partitioner cuts the mesh by. Callers size `out` to the switch
-    /// count; values add so request and response fabrics can share one
-    /// buffer.
-    pub(crate) fn accumulate_switch_activity(&self, out: &mut [u64]) {
-        for (s, sw) in self.switches.iter().enumerate() {
-            out[s] += sw.stats().flits_forwarded;
-        }
     }
 
     /// Total flits delivered to endpoints.

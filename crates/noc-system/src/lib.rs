@@ -47,10 +47,8 @@
 
 pub mod fabric;
 pub mod report;
-pub mod shard;
 pub mod soc;
 
 pub use fabric::Fabric;
-pub use report::{EpochOccupancy, FabricReport, MasterReport, SocReport};
-pub use shard::{Partition, RegionFeeder, ShardedSoc};
+pub use report::{FabricReport, MasterReport, SocReport};
 pub use soc::{BuildError, NocConfig, Soc, SocBuilder};

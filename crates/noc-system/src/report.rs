@@ -66,44 +66,6 @@ pub struct FabricReport {
     pub mean_link_latency: f64,
 }
 
-/// Per-epoch load-balance accounting of a sharded run.
-///
-/// For every conservative epoch the runner records the busiest region's
-/// executed-step count (`max_busy`) and the sum over all regions
-/// (`total_busy`). The ratio `Σ max / Σ total` lands in `[1/regions, 1]`:
-/// `1/regions` means every epoch's work was spread evenly, `1` means one
-/// region did everything while the others idled — the partition
-/// serialized the workload. The counter is deterministic for a given
-/// scenario, region count and partition (epoch windows derive only from
-/// simulation state), so CI can gate on it without wall-clock noise.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EpochOccupancy {
-    /// Σ over epochs of the busiest region's executed steps.
-    pub max_busy: u64,
-    /// Σ over epochs of all regions' executed steps.
-    pub total_busy: u64,
-    /// Conservative epochs accounted (fix-up excluded).
-    pub epochs: u64,
-}
-
-impl EpochOccupancy {
-    /// `Σ max-region-busy / Σ sum-region-busy`, the imbalance ratio.
-    /// Returns 1.0 for a run that executed no steps.
-    pub fn ratio(&self) -> f64 {
-        if self.total_busy == 0 {
-            1.0
-        } else {
-            self.max_busy as f64 / self.total_busy as f64
-        }
-    }
-}
-
-impl fmt::Display for EpochOccupancy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.3} over {} epochs", self.ratio(), self.epochs)
-    }
-}
-
 /// A full simulation report.
 #[derive(Debug, Clone)]
 pub struct SocReport {
@@ -115,9 +77,6 @@ pub struct SocReport {
     pub masters: Vec<MasterReport>,
     /// Fabric aggregates.
     pub fabric: FabricReport,
-    /// Epoch load-balance accounting; `None` unless the run used the
-    /// sharded conservative runner.
-    pub occupancy: Option<EpochOccupancy>,
 }
 
 impl SocReport {
@@ -181,10 +140,6 @@ impl fmt::Display for SocReport {
             self.fabric.credit_stalls,
             self.fabric.arbitration_conflicts,
             self.fabric.lock_idle_cycles
-        )?;
-        if let Some(occ) = &self.occupancy {
-            write!(f, "\n  occupancy: {occ}")?;
-        }
-        Ok(())
+        )
     }
 }

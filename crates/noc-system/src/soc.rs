@@ -561,31 +561,6 @@ impl Soc {
         }
     }
 
-    /// Advances to *exactly* `target`, continuing past global done-ness
-    /// (which [`Soc::advance_to`] stops at). Used by the sharded runner:
-    /// a region that finished early is parked at its local done cycle,
-    /// and the final fix-up brings every region to the same cycle with
-    /// accounting bit-identical to a single-threaded run — any cycle
-    /// executed or skipped here is provably dead, so stepping and
-    /// skipping through it are equivalent by the same invariant that
-    /// makes horizon stepping exact.
-    pub(crate) fn advance_exact(&mut self, target: u64) {
-        while self.now < target {
-            self.advance_to(target);
-            if self.now >= target {
-                break;
-            }
-            // Done before `target`: burn through the dead tail. Stale
-            // calendar entries may force spurious (dense-identical)
-            // steps; everything else is jumped.
-            match self.next_activity() {
-                Some(t) if t > self.now => self.skip_to(t.min(target)),
-                Some(_) => self.step(),
-                None => self.skip_to(target),
-            }
-        }
-    }
-
     /// Runs until done or `max_cycles` (horizon stepping), then reports.
     pub fn run(&mut self, max_cycles: u64) -> SocReport {
         self.advance_to(max_cycles);
@@ -658,50 +633,30 @@ impl Soc {
             .collect()
     }
 
-    /// Per-initiator completion logs in build order, `None` where an
-    /// initiator exposes no log — the ordinal-aligned form the sharded
-    /// assembly needs ([`Soc::completion_logs`] filters the `None`s).
-    pub(crate) fn initiator_logs(&self) -> Vec<Option<(&str, &noc_protocols::CompletionLog)>> {
-        self.endpoints
-            .iter()
-            .filter(|e| e.is_initiator)
-            .map(|e| e.inner.completion_log().map(|l| (e.name.as_str(), l)))
-            .collect()
-    }
-
-    /// Per-initiator master reports in build order, ordinal-aligned like
-    /// [`Soc::initiator_logs`].
-    pub(crate) fn initiator_master_reports(&self) -> Vec<Option<MasterReport>> {
-        self.endpoints
-            .iter()
-            .filter(|e| e.is_initiator)
-            .map(|ep| {
-                ep.inner.completion_log().map(|log| {
-                    let mut latency = Histogram::new();
-                    for r in log.records() {
-                        latency.record(r.latency());
-                    }
-                    MasterReport {
-                        name: ep.name.clone(),
-                        node: ep.node,
-                        completions: log.len(),
-                        errors: log.errors(),
-                        mean_latency: log.mean_latency(),
-                        latency,
-                        fingerprint: log.fingerprint(),
-                    }
-                })
-            })
-            .collect()
-    }
-
     /// Builds a report from the current state.
     pub fn report(&self) -> SocReport {
-        let masters: Vec<MasterReport> = self
-            .initiator_master_reports()
-            .into_iter()
-            .flatten()
-            .collect();
+        let mut masters = Vec::new();
+        for ep in &self.endpoints {
+            if !ep.is_initiator {
+                continue;
+            }
+            let Some(log) = ep.inner.completion_log() else {
+                continue;
+            };
+            let mut latency = Histogram::new();
+            for r in log.records() {
+                latency.record(r.latency());
+            }
+            masters.push(MasterReport {
+                name: ep.name.clone(),
+                node: ep.node,
+                completions: log.len(),
+                errors: log.errors(),
+                mean_latency: log.mean_latency(),
+                latency,
+                fingerprint: log.fingerprint(),
+            });
+        }
         let req = self.request.stats();
         let resp = self.response.stats();
         SocReport {
@@ -720,146 +675,8 @@ impl Soc {
                     + self.response.mean_link_latency())
                     / 2.0,
             },
-            occupancy: None,
         }
     }
-
-    /// Number of switches per fabric (the request and response fabrics
-    /// share the topology).
-    pub fn num_switches(&self) -> usize {
-        self.request.num_switches()
-    }
-
-    /// Per-switch forwarded-flit totals over both fabrics — the warm
-    /// activity profile the balanced partitioner prefers over static
-    /// estimates when the system has already run.
-    pub fn switch_activity(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.num_switches()];
-        self.request.accumulate_switch_activity(&mut out);
-        self.response.accumulate_switch_activity(&mut out);
-        out
-    }
-
-    pub(crate) fn request_fabric(&self) -> &Fabric {
-        &self.request
-    }
-
-    pub(crate) fn response_fabric(&self) -> &Fabric {
-        &self.response
-    }
-
-    pub(crate) fn request_fabric_mut(&mut self) -> &mut Fabric {
-        &mut self.request
-    }
-
-    pub(crate) fn response_fabric_mut(&mut self) -> &mut Fabric {
-        &mut self.response
-    }
-
-    /// Partitions the SoC into per-region SoCs along `region_of_switch`
-    /// (see [`Fabric::split`]); endpoints follow their attachment
-    /// switch, so only switch-to-switch links ever cross regions. Each
-    /// region resumes at the current cycle with bit-identical state.
-    pub(crate) fn shard(self, region_of_switch: &[usize], regions: usize) -> SocSplit {
-        let now = self.now;
-        let steps = self.steps;
-        let req = self.request.split(region_of_switch, regions, now);
-        let resp = self.response.split(region_of_switch, regions, now);
-        debug_assert_eq!(
-            req.node_region, resp.node_region,
-            "request/response fabrics share the topology"
-        );
-        let num_nodes = self.node_ep.len();
-        let mut shells: Vec<Soc> = req
-            .regions
-            .into_iter()
-            .zip(resp.regions)
-            .map(|(request, response)| Soc {
-                endpoints: Vec::new(),
-                clock_ids: Vec::new(),
-                clocks: ClockSet::new(),
-                request,
-                response,
-                node_ep: vec![None; num_nodes],
-                ep_cal: Calendar::new(),
-                ep_wake: Vec::new(),
-                polls: Cell::new(0),
-                done: Vec::new(),
-                not_done: 0,
-                now,
-                steps: 0,
-                touched_scratch: Vec::new(),
-                eject_scratch: Vec::new(),
-            })
-            .collect();
-        // The executed-steps counter is a global sum; park it on region
-        // 0 like the fabrics' delivery counters.
-        shells[0].steps = steps;
-        // Distribute endpoints in build order (so region-local order is
-        // the global order restricted to the region) and record where
-        // each initiator ordinal went.
-        let mut initiator_map = Vec::new();
-        let mut local_initiators = vec![0usize; regions];
-        for ep in self.endpoints {
-            let r = req.node_region[ep.node as usize]
-                .expect("every endpoint node is attached to a switch");
-            let shell = &mut shells[r];
-            if ep.is_initiator {
-                initiator_map.push((r, local_initiators[r]));
-                local_initiators[r] += 1;
-            }
-            let i = shell.endpoints.len();
-            shell.node_ep[ep.node as usize] = Some(i);
-            shell
-                .clock_ids
-                .push(shell.clocks.register(ClockDomain::new(ep.clock_divisor)));
-            shell.ep_wake.push(shell.ep_cal.register());
-            shell.done.push(false);
-            shell.not_done += 1;
-            shell.endpoints.push(ep);
-        }
-        // Prime each region's calendar and done cache. Fresh entries may
-        // drop a stale-early wakeup the monolithic calendar carried;
-        // the step it would have forced is a dense-identical no-op, so
-        // only the mode-dependent `steps` counter can differ.
-        for shell in &mut shells {
-            for i in 0..shell.endpoints.len() {
-                shell.refresh_endpoint(i);
-            }
-        }
-        SocSplit {
-            regions: shells,
-            req_flit_to: req.flit_to,
-            req_credit_to: req.credit_to,
-            resp_flit_to: resp.flit_to,
-            resp_credit_to: resp.credit_to,
-            lookahead: req.lookahead.min(resp.lookahead),
-            initiator_map,
-        }
-    }
-}
-
-/// The result of sharding a [`Soc`]: per-region SoCs plus the routing
-/// tables and lookahead the epoch coordinator needs.
-pub(crate) struct SocSplit {
-    /// One SoC per region; endpoints keep their relative build order.
-    pub regions: Vec<Soc>,
-    /// Request-fabric global link id → region whose inbox receives its
-    /// flits (`None` for intra-region links).
-    pub req_flit_to: Vec<Option<usize>>,
-    /// Request-fabric global link id → region owning the replica, where
-    /// credit returns are due.
-    pub req_credit_to: Vec<Option<usize>>,
-    /// Response-fabric equivalents.
-    pub resp_flit_to: Vec<Option<usize>>,
-    pub resp_credit_to: Vec<Option<usize>>,
-    /// Minimum cycles between any cross-region cause and its earliest
-    /// remote effect, over both fabrics; `u64::MAX` when nothing
-    /// crosses.
-    pub lookahead: u64,
-    /// Global initiator ordinal (build order) → (region, region-local
-    /// initiator ordinal).
-    pub initiator_map: Vec<(usize, usize)>,
 }
 
 impl fmt::Debug for Soc {

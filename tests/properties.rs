@@ -630,8 +630,13 @@ fn horizon_stepping_equals_dense_on_random_scenarios() {
                     .iter()
                     .map(|(_, log)| log.records().to_vec())
                     .collect();
+                // Report counters (fabric totals, per-master histograms
+                // and fingerprints) are simulated behaviour too; only the
+                // poll/pop accounting may differ between modes.
+                let r = sim.report();
+                let report = format!("fabric={:?} masters={:?}", r.fabric, r.masters);
                 let counters = (sim.horizon_polls(), sim.calendar_pops());
-                ((drained, sim.now(), logs), counters)
+                ((drained, sim.now(), logs, report), counters)
             };
             let (dense, _) = run(StepMode::Dense);
             let (horizon, (polls, pops)) = run(StepMode::Horizon);
@@ -832,7 +837,9 @@ fn trace_replay_is_identical_across_backends_and_modes() {
     };
     use std::io::Write;
 
-    let dir = std::env::temp_dir().join("noc-scenario-prop-trace");
+    // Per-process directory: concurrent runs of this test binary must
+    // not truncate each other's trace under a streaming cursor.
+    let dir = std::env::temp_dir().join(format!("noc-scenario-prop-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("prop.trace");
     let mut rng = SplitMix64::new(0x7AACE);
@@ -904,204 +911,6 @@ fn trace_replay_is_identical_across_backends_and_modes() {
         match &cross_backend {
             None => cross_backend = Some(records),
             Some(r) => assert_eq!(r, &records, "{backend} replays a different record sequence"),
-        }
-    }
-}
-
-/// Runs a spec on the NoC backend in one step mode and captures
-/// everything observable: drain flag, final cycle, every completion
-/// record (timestamps included), and the report counters — fabric
-/// totals, per-master histograms and fingerprints. Mode-dependent
-/// accounting (executed steps, poll/pop counters) is deliberately
-/// excluded: those measure *how* time advanced, not what the hardware
-/// did.
-#[cfg(test)]
-fn run_noc_observable(
-    spec: &noc_scenario::ScenarioSpec,
-    mode: noc_scenario::StepMode,
-) -> (bool, u64, Vec<Vec<noc_protocols::CompletionRecord>>, String) {
-    let mut sim = spec
-        .build(&noc_scenario::Backend::noc())
-        .expect("valid spec");
-    let drained = sim.run_until_with(3_000_000, mode);
-    let logs = sim
-        .logs()
-        .iter()
-        .map(|(_, log)| log.records().to_vec())
-        .collect();
-    let r = sim.report();
-    let counters = format!(
-        "cycles={} done={} fabric={:?} masters={:?}",
-        r.cycles, r.all_done, r.fabric, r.masters
-    );
-    (drained, sim.now(), logs, counters)
-}
-
-/// The tentpole determinism bar: conservative sharded execution must be
-/// record-for-record and counter-for-counter bit-identical to
-/// single-thread dense and horizon stepping, for *any* region count —
-/// including counts that do not divide the switch count and counts
-/// exceeding it (clamped). Random fixed-program scenarios alternate
-/// with stochastic (bursty/Zipf) ones so both feed paths cross the
-/// epoch barrier.
-#[test]
-fn sharded_stepping_equals_dense_and_horizon_on_random_scenarios() {
-    use noc_scenario::StepMode;
-
-    let mut rng = SplitMix64::new(0x5AA5D);
-    for case in 0..12 {
-        let spec = if case % 2 == 0 {
-            let clocked = rng.chance(0.4);
-            arb_scenario(&mut rng, clocked)
-        } else {
-            arb_stochastic_scenario(&mut rng)
-        };
-        let dense = run_noc_observable(&spec, StepMode::Dense);
-        assert!(dense.0, "case {case}: dense must drain");
-        let horizon = run_noc_observable(&spec, StepMode::Horizon);
-        assert_eq!(dense, horizon, "case {case}: horizon diverges from dense");
-        for threads in [2, 4, 7] {
-            let sharded = run_noc_observable(&spec, StepMode::Sharded { threads });
-            assert_eq!(
-                dense, sharded,
-                "case {case}: sharded({threads}) diverges from dense"
-            );
-        }
-    }
-}
-
-/// Sharded trace replay plus checkpointing under sharding: a snapshot
-/// taken mid-run of a sharded simulation — regions parked at the epoch
-/// frontier — must resume bit-identically, and so must the original it
-/// was forked from.
-#[test]
-fn sharded_trace_replay_and_snapshots_resume_identically() {
-    use noc_protocols::SocketCommand;
-    use noc_scenario::{
-        Backend, InitiatorSpec, MemorySpec, ScenarioSpec, SocketSpec, StepMode, TraceSpec,
-    };
-    use std::io::Write;
-
-    let dir = std::env::temp_dir().join("noc-scenario-prop-shard-trace");
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("shard.trace");
-    let mut rng = SplitMix64::new(0xC0FFEE5);
-    let mut f = std::fs::File::create(&path).expect("trace file");
-    let mut ts = 0u64;
-    for i in 0..200 {
-        ts += rng.next_below(50);
-        let addr = (rng.next_below(2) * 0x1000 + rng.next_below(0xF00)) & !0xF;
-        let op = if rng.chance(0.6) { "read" } else { "write" };
-        writeln!(f, "{ts} {op} {addr:#x} 4 4 {}", i % 2).unwrap();
-    }
-    drop(f);
-
-    let spec = ScenarioSpec::new()
-        .initiator(InitiatorSpec::new(
-            "replay",
-            SocketSpec::Ocp {
-                threads: 2,
-                per_thread: 4,
-            },
-            TraceSpec::new(path.to_str().expect("utf-8 temp path")),
-        ))
-        .initiator(InitiatorSpec::new(
-            "dma",
-            SocketSpec::Ahb,
-            vec![
-                SocketCommand::write(0x2000, 4, 0xD5),
-                SocketCommand::read(0x2040, 4).with_delay(9),
-            ],
-        ))
-        .memory(MemorySpec::new("m0", 0x0, 0x1000, 2))
-        .memory(MemorySpec::new("m1", 0x1000, 0x2000, 4))
-        .memory(MemorySpec::new("m2", 0x2000, 0x3000, 3))
-        .with_topology(noc_scenario::TopologySpec::Mesh {
-            width: 3,
-            height: 2,
-        });
-
-    let reference = run_noc_observable(&spec, StepMode::Dense);
-    assert!(reference.0, "dense trace replay must drain");
-    for threads in [2, 4] {
-        let sharded = run_noc_observable(&spec, StepMode::Sharded { threads });
-        assert_eq!(
-            reference, sharded,
-            "sharded({threads}) trace replay diverges"
-        );
-    }
-
-    // Snapshot/restore under sharding: stop a sharded run mid-flight,
-    // fork it, and finish both; each must land exactly on the
-    // single-thread run's records.
-    let mid = (reference.1 / 2).max(1);
-    let mut sim = spec.build(&Backend::noc()).expect("trace spec builds");
-    let stopped = sim.run_until_with(mid, StepMode::Sharded { threads: 3 });
-    assert!(!stopped, "the run must still be in flight at cycle {mid}");
-    let mut fork = sim.snapshot();
-    assert!(sim.run_until_with(3_000_000, StepMode::Sharded { threads: 3 }));
-    assert!(fork.run_until(3_000_000), "forked run must drain");
-    for (tag, finished) in [("original", &sim), ("fork", &fork)] {
-        let logs: Vec<Vec<noc_protocols::CompletionRecord>> = finished
-            .logs()
-            .iter()
-            .map(|(_, log)| log.records().to_vec())
-            .collect();
-        assert_eq!(
-            reference.2, logs,
-            "{tag}: sharded snapshot run diverges from the dense reference"
-        );
-        assert_eq!(reference.1, finished.now(), "{tag}: finish cycle differs");
-    }
-}
-
-/// Epoch-order invariance of the overlapped runner: the single-barrier
-/// protocol `StepMode::Sharded` drives (mailboxes published on send,
-/// per-region feeder refill inside the workers) must stay record- and
-/// counter-identical both to single-thread dense stepping and to the
-/// barrier-integrated reference runner it replaced
-/// ([`noc_scenario::NocSim::run_until_barrier`]: serial integration and
-/// refill under the barrier) — for region counts 2, 4 and 7, a prime
-/// count included so bands never align with the topology.
-#[test]
-fn overlapped_sharding_matches_dense_and_the_barrier_reference() {
-    use noc_scenario::{Simulation, StepMode};
-
-    let mut rng = SplitMix64::new(0xB0A7ED);
-    for case in 0..8 {
-        let spec = if case % 2 == 0 {
-            let clocked = rng.chance(0.4);
-            arb_scenario(&mut rng, clocked)
-        } else {
-            arb_stochastic_scenario(&mut rng)
-        };
-        let dense = run_noc_observable(&spec, StepMode::Dense);
-        assert!(dense.0, "case {case}: dense must drain");
-        for threads in [2, 4, 7] {
-            let overlapped = run_noc_observable(&spec, StepMode::Sharded { threads });
-            assert_eq!(
-                dense, overlapped,
-                "case {case}: overlapped sharded({threads}) diverges from dense"
-            );
-            let mut sim = spec
-                .build_noc(noc_system::NocConfig::new())
-                .expect("valid spec");
-            let drained = sim.run_until_barrier(3_000_000, threads);
-            let logs: Vec<Vec<noc_protocols::CompletionRecord>> = sim
-                .logs()
-                .iter()
-                .map(|(_, log)| log.records().to_vec())
-                .collect();
-            let r = sim.report();
-            let counters = format!(
-                "cycles={} done={} fabric={:?} masters={:?}",
-                r.cycles, r.all_done, r.fabric, r.masters
-            );
-            let barrier = (drained, sim.now(), logs, counters);
-            assert_eq!(
-                dense, barrier,
-                "case {case}: barrier-integrated oracle({threads}) diverges from dense"
-            );
         }
     }
 }

@@ -315,106 +315,65 @@ fn zero_clock_divisor_is_rejected() {
     assert!(matches!(e.kind, ParseErrorKind::BadValue { ref key, .. } if key == "clock_divisor"));
 }
 
-// ---------------------------------------------------------------------
-// Sharded-partition grammar: `[config] assignment` is validated against
-// the finalized topology at parse time, so malformed region maps fail
-// with the line and column of the `assignment` entry.
-// ---------------------------------------------------------------------
-
-/// A 2x2 mesh prologue plus one AHB initiator and one memory; `config`
-/// is spliced in whole so each test controls the partition knobs.
-fn assignment_scenario(config: &str) -> String {
-    format!(
-        "[topology]\nkind = \"mesh\"\nwidth = 2\nheight = 2\n\n[config]\n{config}\n\
-         [[initiator]]\nname = \"m\"\nsocket = \"ahb\"\ncmd = \"read 0x0 1x4\"\n\n\
-         [[memory]]\nname = \"a\"\nbase = 0\nend = 0x1000\nlatency = 1\n"
-    )
+/// The sharded-stepping grammar was removed with the engine; its keys
+/// and step strings are hostile input like any other and must fall
+/// through to the typed unknown-key / unknown-step-mode errors at the
+/// offending entry, never a panic or a silent accept.
+#[test]
+fn removed_sharded_grammar_is_rejected_in_place() {
+    let tail = "[[initiator]]\nname = \"m\"\nsocket = \"ahb\"\n\n\
+                [[memory]]\nname = \"a\"\nbase = 0\nend = 0x1000\nlatency = 1\n";
+    // (document head, expected line, expected column, key, bad value).
+    let cases = [
+        ("[config]\nshards = 4\n\n", 2, 1, "shards", None),
+        ("[config]\nbuffer_depth = 4\nassignment = [0, 0, 1, 1]\n\n", 3, 1, "assignment", None),
+        ("[sweep]\nstep = \"sharded\"\n\n[[sweep.point]]\nlabel = \"p\"\nbackend = \"noc\"\n\n", 2, 8, "step", Some("sharded")),
+        ("[sweep]\nstep = \"sharded(4)\"\n\n[[sweep.point]]\nlabel = \"p\"\nbackend = \"noc\"\n\n", 2, 8, "step", Some("sharded(4)")),
+        ("[[sweep.point]]\nlabel = \"p\"\nbackend = \"noc\"\nstep = \"sharded\"\n\n", 4, 8, "step", Some("sharded")),
+        ("[[sweep.point]]\nlabel = \"p\"\nbackend = \"noc\"\nstep = \"sharded(4)\"\n\n", 4, 8, "step", Some("sharded(4)")),
+    ];
+    for (head, line, column, key, bad_value) in cases {
+        let text = format!("{head}{tail}");
+        let result = if head.contains("sweep") {
+            Sweep::from_text(&text).map(drop)
+        } else {
+            ScenarioSpec::from_text(&text).map(drop)
+        };
+        let Err(ScenarioError::Parse(e)) = result else {
+            panic!("{head:?}: expected a parse error, got {result:?}");
+        };
+        assert_eq!((e.line, e.column), (line, column), "{head:?}: {e}");
+        match bad_value {
+            None => assert_eq!(e.kind, ParseErrorKind::UnknownKey(key.into()), "{head:?}"),
+            Some(value) => assert!(
+                matches!(e.kind, ParseErrorKind::BadValue { key: ref k, ref reason }
+                    if k == key && reason.contains("unknown step mode") && reason.contains(value)),
+                "{head:?}: {:?}",
+                e.kind
+            ),
+        }
+    }
 }
 
+/// The removed flags on the `scn` command line: the process exits
+/// non-zero with the usage text, before it touches any file.
 #[test]
-fn non_contiguous_assignment_reports_line_and_column() {
-    let e = parse_err(&assignment_scenario("assignment = [0, 1, 0, 1]\n"));
-    // Line 7 is the assignment entry; column 14 its value.
-    assert_eq!((e.line, e.column), (7, 14));
-    assert!(
-        matches!(e.kind, ParseErrorKind::BadValue { ref key, ref reason }
-            if key == "assignment" && reason.contains("contiguous")),
-        "{:?}",
-        e.kind
-    );
-}
-
-#[test]
-fn assignment_with_wrong_switch_count_is_rejected() {
-    let e = parse_err(&assignment_scenario("assignment = [0, 0, 1]\n"));
-    assert_eq!((e.line, e.column), (7, 14));
-    assert!(
-        matches!(e.kind, ParseErrorKind::BadValue { ref key, ref reason }
-            if key == "assignment" && reason.contains("lists 3 switches, topology has 4")),
-        "{:?}",
-        e.kind
-    );
-}
-
-#[test]
-fn assignment_region_out_of_range_is_rejected() {
-    // `shards = 2` fixes the region count; region 7 cannot exist.
-    let e = parse_err(&assignment_scenario(
-        "shards = 2\nassignment = [0, 0, 1, 7]\n",
-    ));
-    assert_eq!((e.line, e.column), (8, 14));
-    assert!(
-        matches!(e.kind, ParseErrorKind::BadValue { ref key, ref reason }
-            if key == "assignment"
-                && reason.contains("switch 3 assigned to region 7, but the run has 2 regions")),
-        "{:?}",
-        e.kind
-    );
-}
-
-#[test]
-fn assignment_disagreeing_with_shards_is_rejected() {
-    // The map uses 2 regions but the `shards` knob demands 3.
-    let e = parse_err(&assignment_scenario(
-        "shards = 3\nassignment = [0, 0, 1, 1]\n",
-    ));
-    assert_eq!((e.line, e.column), (8, 14));
-    assert!(
-        matches!(e.kind, ParseErrorKind::BadValue { ref key, ref reason }
-            if key == "assignment"
-                && reason.contains("uses 2 regions, but the run has 3 regions")),
-        "{:?}",
-        e.kind
-    );
-}
-
-/// A valid explicit assignment is a stepping knob, not a semantic one:
-/// the run must stay record-for-record bit-identical to the same
-/// scenario auto-partitioned, and to single-thread dense stepping.
-#[test]
-fn explicit_assignment_is_bit_identical_to_auto_partition() {
-    let body = "[[initiator]]\nname = \"g0\"\nsocket = \"ahb\"\nkind = \"zipf\"\nseed = 11\n\
-         commands = 60\nexponent_milli = 1500\n\n\
-         [[initiator]]\nname = \"g1\"\nsocket = \"ahb\"\nkind = \"bursty\"\nseed = 12\n\
-         commands = 60\nburst_len = 4\nidle_gap = 30\n\n\
-         [[memory]]\nname = \"a\"\nbase = 0\nend = 0x1000\nlatency = 4\n\n\
-         [[memory]]\nname = \"b\"\nbase = 0x1000\nend = 0x2000\nlatency = 2\n";
-    let prologue = "[topology]\nkind = \"mesh\"\nwidth = 2\nheight = 2\n\n";
-    let explicit = ScenarioSpec::from_text(&format!(
-        "{prologue}[config]\nshards = 2\nassignment = [0, 0, 0, 1]\n\n{body}"
-    ))
-    .expect("explicit assignment parses");
-    let auto = ScenarioSpec::from_text(&format!("{prologue}[config]\nshards = 2\n\n{body}"))
-        .expect("auto partition parses");
-    let backend = Backend::noc();
-    let dense = run(&auto, &backend, StepMode::Dense).expect("dense runs");
-    assert!(dense.0, "dense must drain");
-    for (label, spec) in [("auto", &auto), ("explicit", &explicit)] {
-        let sharded = run(spec, &backend, StepMode::Sharded { threads: 0 }).expect("sharded runs");
-        assert_eq!(
-            dense, sharded,
-            "{label}: sharded run diverges from the dense reference"
-        );
+fn removed_sharded_flags_exit_with_the_usage_error() {
+    let cases: [(&[&str], &str); 4] = [
+        (&["--shards", "2", "f.scn"], "usage: scn ["),
+        (&["--step", "sharded", "f.scn"], "usage: scn ["),
+        (&["serve", "--step", "sharded"], "usage: scn serve ["),
+        (&["serve", "--shards", "2"], "usage: scn serve ["),
+    ];
+    for (args, usage) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_scn"))
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("scn spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(usage), "{args:?}: {stderr}");
     }
 }
 

@@ -171,9 +171,14 @@ fn stochastic_spec() -> ScenarioSpec {
     use noc_scenario::{BurstySpec, InitiatorSpec, MemorySpec, SocketSpec, TraceSpec, ZipfSpec};
     use std::io::Write;
 
+    // One file per call: the callers run concurrently, and a streamed
+    // trace cursor re-reads its file mid-run, so a shared path would let
+    // one test truncate the trace under another.
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir().join("noc-scenario-snapshot-trace");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("snapshot.trace");
+    let path = dir.join(format!("snapshot-{}-{call}.trace", std::process::id()));
     let mut f = std::fs::File::create(&path).expect("trace file");
     let mut rng = noc_kernel::SplitMix64::new(0x5A17);
     let mut ts = 0u64;
