@@ -44,6 +44,19 @@ fn bench<T>(budget: Duration, mut f: impl FnMut() -> T) -> (f64, u64) {
     (total.as_nanos() as f64 / iters as f64, iters)
 }
 
+/// Fastest of `samples` individually timed calls of `f`, in ns. On a
+/// shared host interference only ever adds time, so the minimum is the
+/// statistic that repeats — what a gate between two cases should read.
+fn fastest_ns<T>(samples: u32, mut f: impl FnMut() -> T) -> f64 {
+    (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// One measured case, for the text table and the JSON artifact.
 struct CaseResult {
     group: String,
@@ -247,6 +260,31 @@ fn main() {
             );
         }
     }
+    // Build must stay linear in fabric size: one more scaling row past
+    // the stepped ones, and a gate on cost per switch between 16x16 and
+    // 32x32 (before routes were indexed: 9.3 vs 28.0 us/switch = 3.0x).
+    let build = |spec: &noc_scenario::ScenarioSpec| {
+        spec.build(&noc_scenario::Backend::noc())
+            .expect("consistent")
+            .now()
+    };
+    let mesh64 = noc_bench::scenarios::sparse_mesh_spec(64);
+    h.case("step_mode", "mesh_64x64_sparse_build_only", 200, || {
+        build(&mesh64)
+    });
+    let mesh16 = noc_bench::scenarios::sparse_mesh_spec(16);
+    let mesh32 = noc_bench::scenarios::sparse_mesh_32_spec();
+    let per_switch_16 = fastest_ns(20, || build(&mesh16)) / (16.0 * 16.0);
+    let per_switch_32 = fastest_ns(20, || build(&mesh32)) / (32.0 * 32.0);
+    println!(
+        "{:<22} {:<28} {per_switch_16:>11.0} vs {per_switch_32:.0} ns/switch",
+        "step_mode", "build_per_switch_16_vs_32"
+    );
+    assert!(
+        per_switch_32 <= 2.0 * per_switch_16,
+        "build is superlinear again: {per_switch_32:.0} ns/switch on 32x32 \
+         vs {per_switch_16:.0} ns/switch on 16x16"
+    );
     // The hotspot mesh: a congested 12-endpoint corner of an otherwise
     // idle 16x16 fabric, with its build cost pinned beside it.
     let hotspot = noc_bench::scenarios::zipf_hotspot_mesh16_spec();

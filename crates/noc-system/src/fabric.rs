@@ -26,7 +26,7 @@
 
 use noc_kernel::{Calendar, Horizon, WakeId};
 use noc_physical::{Link, LinkConfig};
-use noc_topology::{RouteAlgorithm, Topology};
+use noc_topology::{SwitchTables, Topology};
 use noc_transport::{Flit, PortId, RoutingTable, Switch, SwitchConfig, SwitchMode};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -166,33 +166,37 @@ pub struct Fabric {
 
 impl Fabric {
     /// Builds the fabric over `topology` with the given switch mode,
-    /// buffer depth, per-class link configurations and routing
-    /// algorithm. `link_cfg` shapes the switch-to-switch links,
-    /// `endpoint_link_cfg` the injection/ejection links — the two
-    /// physical link classes of the fabric.
+    /// buffer depth, per-class link configurations and the routing
+    /// `tables` computed for that topology. `link_cfg` shapes the
+    /// switch-to-switch links, `endpoint_link_cfg` the
+    /// injection/ejection links — the two physical link classes of the
+    /// fabric.
     ///
     /// Endpoint clock divisors (`node → divisor`) shape the injection and
     /// ejection links' CDC behaviour; switches run on the base clock.
     ///
-    /// # Errors
+    /// Each switch's routing row sits behind shared storage
+    /// ([`RoutingTable`]), so cloning the fabric — the second network of
+    /// a SoC, every snapshot — copies no routing state.
     ///
-    /// Propagates routing errors from the topology.
+    /// # Panics
+    ///
+    /// Panics if `tables` does not cover every switch of `topology`.
     pub fn new(
         topology: &Topology,
         mode: SwitchMode,
         buffer_depth: usize,
         link_cfg: LinkConfig,
         endpoint_link_cfg: LinkConfig,
-        routing: RouteAlgorithm,
+        tables: &SwitchTables,
         clock_of: &dyn Fn(u16) -> u64,
-    ) -> Result<Fabric, noc_topology::TopologyError> {
-        let tables = topology.compute_routes(routing)?;
-        let num_nodes = topology
-            .attachments()
-            .iter()
-            .map(|a| a.node as usize + 1)
-            .max()
-            .unwrap_or(0);
+    ) -> Fabric {
+        assert_eq!(
+            tables.num_switches(),
+            topology.num_switches(),
+            "routing tables computed for another topology"
+        );
+        let num_nodes = topology.num_nodes();
         // Instantiate switches.
         let mut switches = Vec::new();
         for s in 0..topology.num_switches() {
@@ -301,7 +305,7 @@ impl Fabric {
             // transactions); give ejection ports ample credit.
             fabric.switches[a.switch].set_output_credits(a.out_port as usize, u32::MAX / 2);
         }
-        Ok(fabric)
+        fabric
     }
 
     /// Adds a link and registers it with the wakeup calendar.

@@ -219,66 +219,42 @@ impl SocBuilder {
     /// Returns [`BuildError`] for unknown/duplicate nodes or routing
     /// failures.
     pub fn build(self) -> Result<Soc, BuildError> {
-        let mut seen = Vec::new();
-        for ep in &self.endpoints {
+        // Node number → index into `endpoints`: the duplicate check
+        // here, the divisor lookup below, ejection delivery in `step`.
+        let mut node_ep: Vec<Option<usize>> = vec![None; self.topology.num_nodes()];
+        for (i, ep) in self.endpoints.iter().enumerate() {
             if self.topology.attachment_of(ep.node).is_none() {
                 return Err(BuildError::UnknownNode { node: ep.node });
             }
-            if seen.contains(&ep.node) {
+            if node_ep[ep.node as usize].replace(i).is_some() {
                 return Err(BuildError::DuplicateNode { node: ep.node });
             }
-            seen.push(ep.node);
         }
-        let divisors: Vec<(u16, u64)> = self
-            .endpoints
-            .iter()
-            .map(|e| (e.node, e.clock_divisor))
-            .collect();
-        let clock_of = move |node: u16| -> u64 {
-            divisors
-                .iter()
-                .find(|(n, _)| *n == node)
-                .map(|&(_, d)| d)
-                .unwrap_or(1)
+        let clock_of = |node: u16| -> u64 {
+            node_ep[node as usize].map_or(1, |i| self.endpoints[i].clock_divisor)
         };
-        let endpoint_link = self.config.endpoint_link.unwrap_or(self.config.link);
+        // One route computation and one fabric per SoC: the request and
+        // response networks start out identical, so the second is a
+        // clone of the first and shares its routing tables.
+        let tables = self.topology.compute_routes(self.config.routing)?;
         let request = Fabric::new(
             &self.topology,
             self.config.mode,
             self.config.buffer_depth,
             self.config.link,
-            endpoint_link,
-            self.config.routing,
+            self.config.endpoint_link.unwrap_or(self.config.link),
+            &tables,
             &clock_of,
-        )?;
-        let response = Fabric::new(
-            &self.topology,
-            self.config.mode,
-            self.config.buffer_depth,
-            self.config.link,
-            endpoint_link,
-            self.config.routing,
-            &clock_of,
-        )?;
+        );
+        let response = request.clone();
         let mut clocks = ClockSet::new();
         let clock_ids: Vec<ClockId> = self
             .endpoints
             .iter()
             .map(|e| clocks.register(ClockDomain::new(e.clock_divisor)))
             .collect();
-        let num_nodes = self
-            .endpoints
-            .iter()
-            .map(|e| e.node as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut node_ep = vec![None; num_nodes];
         let mut ep_cal = Calendar::new();
-        let mut ep_wake = Vec::with_capacity(self.endpoints.len());
-        for (i, ep) in self.endpoints.iter().enumerate() {
-            node_ep[ep.node as usize] = Some(i);
-            ep_wake.push(ep_cal.register());
-        }
+        let ep_wake: Vec<WakeId> = self.endpoints.iter().map(|_| ep_cal.register()).collect();
         let num_endpoints = self.endpoints.len();
         let mut soc = Soc {
             endpoints: self.endpoints,
@@ -686,5 +662,113 @@ impl fmt::Debug for Soc {
             .field("endpoints", &self.endpoints.len())
             .field("done", &self.is_done())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use noc_niu::fe::AhbInitiator;
+    use noc_niu::{InitiatorNiu, InitiatorNiuConfig, MemoryTarget, TargetNiu, TargetNiuConfig};
+    use noc_protocols::ahb::AhbMaster;
+    use noc_protocols::{MemoryModel, SocketCommand};
+    use noc_transaction::{AddressMap, MstAddr, SlvAddr};
+
+    /// Memories on nodes 2 and 3 of a 2x2 mesh, 4 KiB each.
+    fn address_map() -> AddressMap {
+        let mut map = AddressMap::new();
+        map.add(0x0, 0x1000, SlvAddr::new(2)).unwrap();
+        map.add(0x1000, 0x2000, SlvAddr::new(3)).unwrap();
+        map
+    }
+
+    fn master(node: u16, base: u64) -> Box<dyn NocEndpoint> {
+        let program = (0..6)
+            .map(|i| {
+                let addr = (base + i * 0x840) % 0x2000;
+                if i % 2 == 0 {
+                    SocketCommand::write(addr, 4, i).with_delay(7 * i as u32)
+                } else {
+                    SocketCommand::read(addr, 4)
+                }
+            })
+            .collect();
+        let fe = AhbInitiator::new(AhbMaster::new(program));
+        let cfg = InitiatorNiuConfig::new(MstAddr::new(node));
+        Box::new(InitiatorNiu::new(fe, cfg, address_map()))
+    }
+
+    fn memory(node: u16) -> Box<dyn NocEndpoint> {
+        Box::new(TargetNiu::new(
+            MemoryTarget::new(MemoryModel::new(2), 4),
+            TargetNiuConfig::new(SlvAddr::new(node)),
+        ))
+    }
+
+    fn two_by_two() -> SocBuilder {
+        let config = NocConfig::new().with_routing(RouteAlgorithm::XyMesh {
+            width: 2,
+            height: 2,
+        });
+        SocBuilder::new(Topology::mesh(2, 2), config)
+            .initiator("cpu", 0, master(0, 0x0))
+            .initiator_clocked("dma", 1, master(1, 0x1000), 3)
+            .target("mem0", 2, memory(2))
+            .target_clocked("mem1", 3, memory(3), 2)
+    }
+
+    /// Everything a run leaves behind that two equal runs must agree on,
+    /// record for record and timestamp for timestamp.
+    fn outcome(soc: &Soc) -> impl PartialEq + std::fmt::Debug + '_ {
+        let report = soc.report();
+        let logs: Vec<_> = soc
+            .completion_logs()
+            .into_iter()
+            .map(|(name, log)| (name, log.records()))
+            .collect();
+        let counters = (soc.executed_steps(), soc.calendar_pops());
+        (
+            report.cycles,
+            report.all_done,
+            report.fabric,
+            logs,
+            counters,
+        )
+    }
+
+    #[test]
+    fn a_clone_shares_the_tables_but_not_the_behaviour() {
+        let mut original = two_by_two().build().unwrap();
+        let mut fork = original.clone();
+        original.advance_to(100_000);
+        assert!(original.is_done());
+        // Running the original moved nothing in the fork.
+        assert_eq!((fork.now(), fork.executed_steps()), (0, 0));
+        assert!(fork.completion_logs().iter().all(|(_, log)| log.is_empty()));
+        fork.advance_to(100_000);
+        assert!(fork.is_done());
+        assert_eq!(outcome(&original), outcome(&fork));
+        assert_eq!(original.completion_logs().len(), 2);
+        assert!(original.report().fabric.request_flits > 0);
+    }
+
+    #[test]
+    fn unknown_and_duplicate_nodes_are_typed_errors() {
+        let err = two_by_two().target("stray", 9, memory(9)).build();
+        assert!(matches!(err, Err(BuildError::UnknownNode { node: 9 })));
+        let err = two_by_two().target("twin", 2, memory(2)).build();
+        assert!(matches!(err, Err(BuildError::DuplicateNode { node: 2 })));
+        // A routing failure still surfaces after the endpoint checks.
+        let config = NocConfig::new().with_routing(RouteAlgorithm::XyMesh {
+            width: 3,
+            height: 3,
+        });
+        let err = SocBuilder::new(Topology::mesh(2, 2), config).build();
+        assert!(matches!(
+            err,
+            Err(BuildError::Topology(
+                TopologyError::AlgorithmMismatch { .. }
+            ))
+        ));
     }
 }

@@ -27,6 +27,7 @@ pub struct TopologyBuilder {
     num_switches: usize,
     edges: Vec<Edge>,
     attachments: Vec<Attachment>,
+    node_attachment: Vec<Option<usize>>,
     ports: Vec<PortCount>,
 }
 
@@ -42,6 +43,7 @@ impl TopologyBuilder {
             num_switches,
             edges: Vec::new(),
             attachments: Vec::new(),
+            node_attachment: Vec::new(),
             ports: vec![PortCount::default(); num_switches],
         }
     }
@@ -98,9 +100,14 @@ impl TopologyBuilder {
         if switch >= self.num_switches {
             return Err(TopologyError::BadSwitch { switch });
         }
-        if self.attachments.iter().any(|a| a.node == node) {
+        let slot = node as usize;
+        if self.node_attachment.len() <= slot {
+            self.node_attachment.resize(slot + 1, None);
+        }
+        if self.node_attachment[slot].is_some() {
             return Err(TopologyError::DuplicateNode { node });
         }
+        self.node_attachment[slot] = Some(self.attachments.len());
         let in_port = self.alloc_in(switch);
         let out_port = self.alloc_out(switch);
         self.attachments.push(Attachment {
@@ -118,6 +125,7 @@ impl TopologyBuilder {
             num_switches: self.num_switches,
             edges: self.edges,
             attachments: self.attachments,
+            node_attachment: self.node_attachment,
             ports: self.ports,
         }
     }

@@ -55,12 +55,7 @@ impl Topology {
                 .find(|&&(p, _)| p == port)
                 .map(|&(_, i)| i)
         };
-        let num_nodes = self
-            .attachments
-            .iter()
-            .map(|a| a.node as usize + 1)
-            .max()
-            .unwrap_or(0);
+        let num_nodes = self.num_nodes();
         let mut deps = std::collections::BTreeSet::new();
         // For each (edge a, destination node): the packet arrives at
         // a.to and continues via tables[a.to][node]; if that is another

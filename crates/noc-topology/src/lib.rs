@@ -128,6 +128,9 @@ pub struct Topology {
     pub(crate) num_switches: usize,
     pub(crate) edges: Vec<Edge>,
     pub(crate) attachments: Vec<Attachment>,
+    /// Node number → index into `attachments`; its length is the
+    /// number of destination nodes every routing table covers.
+    pub(crate) node_attachment: Vec<Option<usize>>,
     pub(crate) ports: Vec<PortCount>,
 }
 
@@ -159,7 +162,14 @@ impl Topology {
 
     /// Finds an endpoint's attachment by node number.
     pub fn attachment_of(&self, node: u16) -> Option<&Attachment> {
-        self.attachments.iter().find(|a| a.node == node)
+        let index = self.node_attachment.get(node as usize).copied().flatten()?;
+        Some(&self.attachments[index])
+    }
+
+    /// Destination nodes a routing table covers: the highest attached
+    /// node number plus one.
+    pub fn num_nodes(&self) -> usize {
+        self.node_attachment.len()
     }
 
     /// A `width` × `height` mesh with one endpoint per switch, node `i`

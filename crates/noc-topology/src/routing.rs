@@ -98,84 +98,53 @@ impl Topology {
 
     /// Reverse-BFS routing towards each destination. With `levels`
     /// provided, hops are restricted to the up*/down* rule relative to the
-    /// spanning-tree levels.
-    fn routes_bfs(&self, levels: Option<&Vec<usize>>) -> Result<SwitchTables, TopologyError> {
-        // Reverse adjacency: incoming edges per switch.
-        let mut radj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); self.num_switches];
-        for (i, e) in self.edges.iter().enumerate() {
-            radj[e.to].push((i, e.from));
+    /// spanning-tree levels. O(attachments · edges).
+    fn routes_bfs(&self, levels: Option<&[usize]>) -> Result<SwitchTables, TopologyError> {
+        // Reverse adjacency: per switch, its incoming edges as
+        // `(from, from_port, up)` ordered by source switch (declaration
+        // order among parallel edges) — the deterministic tie-break.
+        // `up` marks an edge that climbs toward the spanning-tree root
+        // (lower level) when walked forward; without `levels` no edge is.
+        let mut radj: Vec<Vec<(usize, u8, bool)>> = vec![Vec::new(); self.num_switches];
+        for e in &self.edges {
+            let up = levels.is_some_and(|lv| lv[e.to] < lv[e.from]);
+            radj[e.to].push((e.from, e.from_port, up));
         }
-        let num_nodes = self
-            .attachments
-            .iter()
-            .map(|a| a.node as usize + 1)
-            .max()
-            .unwrap_or(0);
-        let mut tables = vec![vec![None; num_nodes]; self.num_switches];
+        for preds in &mut radj {
+            preds.sort_by_key(|&(from, _, _)| from);
+        }
+        let mut tables = vec![vec![None; self.num_nodes()]; self.num_switches];
+        // dist[switch][phase]; a forward up*/down* route is up…up then
+        // down…down, so the backward walk from the destination crosses
+        // down edges first (phase 0) and, once it has crossed an up
+        // edge (phase 1), up edges only.
+        let mut dist = vec![[usize::MAX; 2]; self.num_switches];
+        let mut q: VecDeque<(usize, usize)> = VecDeque::new();
         for a in &self.attachments {
-            // BFS outward from the destination switch along reverse edges.
-            // phase: 0 = still descending when walked forward (down-phase
-            // near destination), 1 = up-phase allowed. For up*/down*:
-            // a forward route must be up...up, down...down. Walking
-            // backwards from the destination we first traverse "down"
-            // edges (from higher level to lower... i.e. forward edge goes
-            // parent→child direction), then "up" edges.
-            let mut dist = vec![[usize::MAX; 2]; self.num_switches];
-            let mut q: VecDeque<(usize, usize)> = VecDeque::new();
+            let node = a.node as usize;
+            dist.fill([usize::MAX; 2]);
             dist[a.switch][0] = 0;
             q.push_back((a.switch, 0));
-            tables[a.switch][a.node as usize] = Some(a.out_port);
+            tables[a.switch][node] = Some(a.out_port);
             while let Some((s, phase)) = q.pop_front() {
-                let mut preds: Vec<(usize, usize)> = radj[s].clone();
-                preds.sort_by_key(|&(_, from)| from);
-                for (edge_idx, from) in preds {
-                    let e = &self.edges[edge_idx];
-                    // Determine the forward direction class of this edge
-                    // under up*/down*: "up" = toward lower level.
-                    let allowed_phases: &[usize] = match levels {
-                        None => &[0],
-                        Some(lv) => {
-                            let up = lv[e.to] < lv[e.from];
-                            if up {
-                                // Forward "up" edge: only usable before any
-                                // down edge, i.e. backward walk must be in
-                                // phase 1 (or entering it).
-                                &[1]
-                            } else {
-                                // Forward "down" edge: backward phase 0
-                                // stays 0; from phase 1 it is illegal
-                                // (down-then-up forward).
-                                &[0]
-                            }
-                        }
-                    };
-                    for &p_edge in allowed_phases {
-                        // Backward walk: current phase must be <= edge
-                        // phase (once we've walked an up edge backwards,
-                        // we may continue with up edges only).
-                        let next_phase = p_edge.max(phase);
-                        if next_phase < phase {
-                            continue;
-                        }
-                        if levels.is_some() && phase == 1 && p_edge == 0 {
-                            continue; // down edge after up edge (backward) is illegal
-                        }
-                        if dist[from][next_phase] != usize::MAX {
-                            continue;
-                        }
-                        dist[from][next_phase] = dist[s][phase] + 1;
-                        // First writer wins → BFS shortest, deterministic.
-                        if tables[from][a.node as usize].is_none() {
-                            tables[from][a.node as usize] = Some(e.from_port);
-                        }
-                        q.push_back((from, next_phase));
+                for &(from, from_port, up) in &radj[s] {
+                    if phase == 1 && !up {
+                        continue; // forward down-then-up is illegal
                     }
+                    let next_phase = if up { 1 } else { phase };
+                    if dist[from][next_phase] != usize::MAX {
+                        continue;
+                    }
+                    dist[from][next_phase] = dist[s][phase] + 1;
+                    // First writer wins → BFS shortest, deterministic.
+                    if tables[from][node].is_none() {
+                        tables[from][node] = Some(from_port);
+                    }
+                    q.push_back((from, next_phase));
                 }
             }
             // Connectivity check for this destination.
-            if let Some(s) = (0..self.num_switches)
-                .find(|&s| dist[s][0] == usize::MAX && dist[s][1] == usize::MAX)
-            {
+            if let Some(s) = dist.iter().position(|d| *d == [usize::MAX; 2]) {
                 return Err(TopologyError::Disconnected {
                     from: s,
                     to: a.switch,
@@ -186,33 +155,32 @@ impl Topology {
     }
 
     /// Dimension-order routing for a row-major mesh (as built by
-    /// [`Topology::mesh`]).
+    /// [`Topology::mesh`]). O(attachments · switches): each hop is looked
+    /// up in the switch's own (at most four-entry) neighbour list.
     fn routes_xy(&self, width: usize, height: usize) -> Result<SwitchTables, TopologyError> {
-        if width * height != self.num_switches {
+        let switches = width.checked_mul(height);
+        if switches != Some(self.num_switches) {
+            let claimed = match switches {
+                Some(n) => format!("has {n} switches"),
+                None => "overflows the switch count".to_owned(),
+            };
             return Err(TopologyError::AlgorithmMismatch {
                 reason: format!(
-                    "mesh {}x{} has {} switches, topology has {}",
-                    width,
-                    height,
-                    width * height,
+                    "mesh {width}x{height} {claimed}, topology has {}",
                     self.num_switches
                 ),
             });
         }
-        let num_nodes = self
-            .attachments
-            .iter()
-            .map(|a| a.node as usize + 1)
-            .max()
-            .unwrap_or(0);
-        // Map (from, to) switch pairs to output ports.
+        // Output port towards a neighbouring switch; adjacency keeps
+        // declaration order, so the first declared edge wins.
+        let adj = self.adjacency();
         let port_towards = |from: usize, to: usize| -> Option<u8> {
-            self.edges
+            adj[from]
                 .iter()
-                .find(|e| e.from == from && e.to == to)
-                .map(|e| e.from_port)
+                .find(|&&(_, t)| t == to)
+                .map(|&(edge, _)| self.edges[edge].from_port)
         };
-        let mut tables = vec![vec![None; num_nodes]; self.num_switches];
+        let mut tables = vec![vec![None; self.num_nodes()]; self.num_switches];
         for a in &self.attachments {
             let (dx, dy) = (a.switch % width, a.switch / width);
             #[allow(clippy::needless_range_loop)] // s is also arithmetic, not just an index
@@ -237,6 +205,9 @@ impl Topology {
         Ok(SwitchTables { tables })
     }
 }
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -351,6 +322,26 @@ mod tests {
             }),
             Err(TopologyError::AlgorithmMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn xy_size_overflow_is_a_mismatch_not_a_panic() {
+        let t = Topology::mesh(2, 2);
+        let err = t
+            .compute_routes(RA::XyMesh {
+                width: usize::MAX,
+                height: 2,
+            })
+            .unwrap_err();
+        assert_eq!(
+            err,
+            TopologyError::AlgorithmMismatch {
+                reason: format!(
+                    "mesh {}x2 overflows the switch count, topology has 4",
+                    usize::MAX
+                )
+            }
+        );
     }
 
     #[test]

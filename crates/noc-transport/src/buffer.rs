@@ -11,6 +11,10 @@ use std::fmt;
 /// (tails seen minus tails consumed), which store-and-forward switches use
 /// to forward only whole packets, and a high-water mark for sizing.
 ///
+/// The backing store is allocated by the first push, not by `new`: a
+/// large fabric builds thousands of input buffers and a sparse run
+/// touches few of them.
+///
 /// # Examples
 ///
 /// ```
@@ -39,7 +43,7 @@ impl FlitFifo {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "fifo capacity must be non-zero");
         FlitFifo {
-            flits: VecDeque::with_capacity(capacity),
+            flits: VecDeque::new(),
             capacity,
             complete_packets: 0,
             high_water: 0,
@@ -96,6 +100,9 @@ impl FlitFifo {
         }
         if flit.is_tail() {
             self.complete_packets += 1;
+        }
+        if self.flits.capacity() == 0 {
+            self.flits.reserve_exact(self.capacity);
         }
         self.flits.push_back(flit);
         self.total_pushed += 1;
@@ -187,6 +194,25 @@ mod tests {
         f.push(ht(3));
         assert_eq!(f.high_water(), 2);
         assert_eq!(f.total_pushed(), 3);
+    }
+
+    #[test]
+    fn bounds_hold_while_the_store_is_allocated_on_first_push() {
+        let mut f = FlitFifo::new(3);
+        assert_eq!(f.flits.capacity(), 0, "nothing reserved before use");
+        assert_eq!((f.capacity(), f.free(), f.high_water()), (3, 3, 0));
+        assert!(!f.is_full() && f.is_empty());
+        assert!(f.push(ht(1)));
+        assert!(f.flits.capacity() >= 3, "one allocation covers the bound");
+        assert!(f.push(ht(2)) && f.push(ht(3)));
+        assert!(f.is_full());
+        assert!(!f.push(ht(4)), "the declared capacity still bounds pushes");
+        assert_eq!((f.len(), f.free(), f.high_water()), (3, 0, 3));
+        // A snapshot of a drained FIFO keeps the bound and the history.
+        while f.pop().is_some() {}
+        let mut g = f.clone();
+        assert_eq!((g.capacity(), g.high_water(), g.total_pushed()), (3, 3, 3));
+        assert!(g.push(ht(5)) && g.push(ht(6)) && g.push(ht(7)) && !g.push(ht(8)));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! of geometry — keeping the transport layer independent of topology.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// An output-port index on a switch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -48,6 +49,11 @@ impl std::error::Error for RouteError {}
 
 /// A dense destination → output-port table for one switch.
 ///
+/// The row sits behind shared immutable storage: clones (the second
+/// fabric, every SoC snapshot) share one copy, and [`RoutingTable::set`]
+/// on a shared table copies the row first, so no clone ever sees
+/// another's edit.
+///
 /// # Examples
 ///
 /// ```
@@ -61,14 +67,14 @@ impl std::error::Error for RouteError {}
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoutingTable {
-    next_hop: Vec<Option<PortId>>,
+    next_hop: Arc<[Option<PortId>]>,
 }
 
 impl RoutingTable {
     /// Creates an empty table covering destinations `0..num_nodes`.
     pub fn new(num_nodes: usize) -> Self {
         RoutingTable {
-            next_hop: vec![None; num_nodes],
+            next_hop: vec![None; num_nodes].into(),
         }
     }
 
@@ -88,7 +94,7 @@ impl RoutingTable {
     ///
     /// Panics if `dst` is outside the table.
     pub fn set(&mut self, dst: u16, port: PortId) {
-        self.next_hop[dst as usize] = Some(port);
+        Arc::make_mut(&mut self.next_hop)[dst as usize] = Some(port);
     }
 
     /// Looks up the output port for `dst`.
@@ -133,6 +139,26 @@ mod tests {
         t.set(1, PortId(0));
         t.set(1, PortId(1));
         assert_eq!(t.lookup(1), Ok(PortId(1)));
+    }
+
+    #[test]
+    fn set_on_a_clone_leaves_the_other_copy_unchanged() {
+        let mut a = RoutingTable::new(4);
+        a.set(1, PortId(0));
+        let mut b = a.clone();
+        assert!(
+            Arc::ptr_eq(&a.next_hop, &b.next_hop),
+            "clones share the row"
+        );
+        b.set(1, PortId(3));
+        b.set(2, PortId(1));
+        assert_eq!(a.lookup(1), Ok(PortId(0)));
+        assert_eq!(a.lookup(2), Err(RouteError { dst: 2 }));
+        assert_eq!(b.lookup(1), Ok(PortId(3)));
+        assert_eq!(b.lookup(2), Ok(PortId(1)));
+        // Editing the original does not reach the clone either.
+        a.set(3, PortId(2));
+        assert_eq!(b.lookup(3), Err(RouteError { dst: 3 }));
     }
 
     #[test]

@@ -509,6 +509,34 @@ fn clocked_spec_on_bus_backend_is_the_typed_build_error() {
 }
 
 #[test]
+fn overflowing_xy_routing_is_the_typed_build_error() {
+    // The dimensions parse (each fits a usize) but their product does
+    // not; whether they fit the fabric is the topology layer's check,
+    // and it must answer with its mismatch error, not an overflow panic
+    // (debug) or a wrapped product that happens to match (release).
+    let head = "[topology]\nkind = \"mesh\"\nwidth = 2\nheight = 1\n";
+    let tail = "[[initiator]]\nname = \"m\"\nsocket = \"ahb\"\ncmd = \"read 0x0 1x4\"\n\n\
+                [[memory]]\nname = \"mem\"\nbase = 0\nend = 0x1000\nlatency = 1\n";
+    for dims in ["4294967296x4294967296", "18446744073709551615x2"] {
+        let text = format!("{head}routing = \"xy:{dims}\"\n\n{tail}");
+        let spec = ScenarioSpec::from_text(&text).expect("each dimension is a valid integer");
+        match spec.build(&Backend::noc()) {
+            Err(ScenarioError::BadTopology { reason }) => assert!(
+                reason.contains(&format!("mesh {dims} overflows the switch count")),
+                "{reason}"
+            ),
+            other => panic!("expected BadTopology, got {:?}", other.map(|_| ())),
+        }
+    }
+    // One digit more no longer fits a dimension: a parse error in place.
+    let e = parse_err(&format!(
+        "{head}routing = \"xy:18446744073709551616x2\"\n\n{tail}"
+    ));
+    assert_eq!((e.line, e.column), (5, 11));
+    assert!(matches!(e.kind, ParseErrorKind::BadValue { ref key, .. } if key == "routing"));
+}
+
+#[test]
 fn errors_display_and_propagate_like_std_errors() {
     // `?`-friendly: both error types implement std::error::Error with
     // useful Display text, and ScenarioError::Parse exposes its source.
