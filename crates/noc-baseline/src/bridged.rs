@@ -1,15 +1,14 @@
 //! The Fig-2 bridged interconnect baseline: a central reference-socket
 //! crossbar with per-master protocol bridges.
 
-use crate::{AttachedMaster, Interconnect, SlaveTiming};
-use noc_kernel::{Calendar, Horizon, WakeId};
+use crate::{AttachedMaster, SlaveTiming};
+use noc_kernel::{Engine, Horizon};
 use noc_protocols::memory::access;
 use noc_protocols::{CompletionLog, MemoryModel};
 use noc_transaction::{
     AddressMap, ExclusiveMonitor, MstAddr, Opcode, RespStatus, SlvAddr, TransactionRequest,
     TransactionResponse,
 };
-use std::cell::Cell;
 use std::collections::VecDeque;
 
 /// Bridge and reference-socket parameters — the penalties the paper
@@ -106,11 +105,6 @@ pub struct BridgedInterconnect {
     now: u64,
     steps: u64,
     chopped: u64,
-    /// Wakeup calendar over the pipeline's event sources; see
-    /// [`BridgedInterconnect::refresh_calendar`] for the id layout.
-    cal: Calendar,
-    wakes: Vec<WakeId>,
-    polls: Cell<u64>,
 }
 
 impl BridgedInterconnect {
@@ -126,9 +120,6 @@ impl BridgedInterconnect {
             now: 0,
             steps: 0,
             chopped: 0,
-            cal: Calendar::new(),
-            wakes: Vec::new(),
-            polls: Cell::new(0),
         }
     }
 
@@ -170,18 +161,9 @@ impl BridgedInterconnect {
     /// Appends commands to the end of master `ordinal`'s socket program,
     /// mid-run (same contract as `Soc::append_commands` in
     /// `noc-system`): the appended tail extends the program without
-    /// disturbing in-flight state, and the master's wakeup is
-    /// re-registered so the calendar never sleeps past the new work.
+    /// disturbing in-flight state.
     pub fn append_commands(&mut self, ordinal: usize, tail: &[noc_protocols::SocketCommand]) {
-        let master = &mut self.masters[ordinal];
-        master.fe.append_commands(tail);
-        if ordinal < self.wakes.len() {
-            let idle = master.fe.idle_ticks();
-            let at = (idle != u64::MAX).then(|| self.now.saturating_add(idle));
-            self.cal.set(self.wakes[ordinal], at);
-        }
-        // Before the first step the calendar is cold and next_activity
-        // scans the masters directly, so no registration is needed.
+        self.masters[ordinal].fe.append_commands(tail);
     }
 
     /// Attaches a memory slave at crossbar port `node`, identified inside
@@ -215,49 +197,24 @@ impl BridgedInterconnect {
         self.chopped
     }
 
-    /// Re-registers every event source's wakeup after a step. Id layout:
-    /// masters `0..M` (idle countdowns expiring), `M + b` the front
-    /// sub-request of bridge `b` (its service time), `M + B + b` the
-    /// oldest in-flight parent of bridge `b` (its response delivery).
-    /// [`Calendar::set`] no-ops on unchanged cycles, so a step that
-    /// moved nothing costs only the comparisons. Cross-bridge staleness
-    /// — a slave's `busy_until` growing after another bridge's entry was
-    /// computed — only makes entries *early*, which costs a spurious
-    /// dense-identical step, never a missed event.
-    fn refresh_calendar(&mut self) {
-        let now = self.now;
-        let mcount = self.masters.len();
-        let bcount = self.bridges.len();
-        for (m, master) in self.masters.iter().enumerate() {
-            let idle = master.fe.idle_ticks();
-            let at = (idle != u64::MAX).then(|| now.saturating_add(idle));
-            self.cal.set(self.wakes[m], at);
-        }
-        for (b, bridge) in self.bridges.iter().enumerate() {
-            let front = bridge.subs.front().map(|front| {
-                // Decode misses are consumed (as DECERR) the first time
-                // any free slave's crossbar pass reaches them — `now`
-                // under-approximates that safely. Lock gating is also
-                // ignored: both can only make the entry early.
-                let slave_free_at = match self.map.decode(front.addr) {
-                    Ok(dst) => self
-                        .slaves
-                        .iter()
-                        .find(|s| s.node == dst)
-                        .map_or(now, |s| s.busy_until),
-                    Err(_) => now,
-                };
-                front.eligible_at.max(slave_free_at)
-            });
-            self.cal.set(self.wakes[mcount + b], front);
-            let respond = bridge.order.front().and_then(|&slot| {
-                bridge.inflight[slot]
-                    .as_ref()
-                    .filter(|p| p.remaining == 0)
-                    .map(|p| p.respond_at)
-            });
-            self.cal.set(self.wakes[mcount + bcount + b], respond);
-        }
+    /// Completion logs per master, in attachment order.
+    pub fn logs(&self) -> Vec<&CompletionLog> {
+        self.masters.iter().map(|m| m.fe.log()).collect()
+    }
+
+    /// Named completion logs per master, in attachment order.
+    pub fn completion_logs(&self) -> Vec<(&str, &CompletionLog)> {
+        self.masters
+            .iter()
+            .map(|m| (m.name.as_str(), m.fe.log()))
+            .collect()
+    }
+
+    /// Runs until done or `max_cycles` (horizon stepping); returns
+    /// whether every master drained.
+    pub fn run(&mut self, max_cycles: u64) -> bool {
+        self.advance_to(max_cycles);
+        self.is_done()
     }
 
     fn worst(a: RespStatus, b: RespStatus) -> RespStatus {
@@ -277,21 +234,10 @@ impl BridgedInterconnect {
     }
 }
 
-impl Interconnect for BridgedInterconnect {
+impl Engine for BridgedInterconnect {
     fn step(&mut self) {
         let now = self.now;
         self.steps += 1;
-        // First step: register the wakeup sources (masters and slaves
-        // are all attached by the time stepping starts).
-        if self.wakes.len() != self.masters.len() + 2 * self.bridges.len() {
-            self.cal = Calendar::new();
-            self.wakes = (0..self.masters.len() + 2 * self.bridges.len())
-                .map(|_| self.cal.register())
-                .collect();
-        }
-        // Retire due wakeups; the post-step refresh recomputes every
-        // source, so the fired ids themselves need no dispatch.
-        self.cal.pop_due(now, |_| {});
         for m in &mut self.masters {
             m.fe.tick(now);
         }
@@ -515,7 +461,6 @@ impl Interconnect for BridgedInterconnect {
             }
         }
         self.now += 1;
-        self.refresh_calendar();
     }
 
     fn is_done(&self) -> bool {
@@ -524,10 +469,6 @@ impl Interconnect for BridgedInterconnect {
                 .bridges
                 .iter()
                 .all(|b| b.subs.is_empty() && b.occupancy() == 0)
-    }
-
-    fn logs(&self) -> Vec<&CompletionLog> {
-        self.masters.iter().map(|m| m.fe.log()).collect()
     }
 
     fn now(&self) -> u64 {
@@ -539,35 +480,44 @@ impl Interconnect for BridgedInterconnect {
     }
 
     /// The true event horizon of the bridged pipeline — in-flight
-    /// traffic no longer forces dense stepping. Every event source
-    /// (`refresh_calendar`: master idle
-    /// countdowns, per-bridge front sub-request service times,
-    /// per-bridge oldest-parent response deliveries) re-registers its
-    /// wakeup after each step, so the answer is a calendar peek, not a
-    /// scan. Stale entries are early, never late; an early wakeup costs
-    /// one spurious dense-identical step. Before the first step the
-    /// calendar is cold (masters carry pre-loaded programs), so the one
-    /// cold poll recomputes the same sources directly.
+    /// traffic does not force dense stepping. Three kinds of source are
+    /// folded directly: master idle countdowns expiring, each bridge's
+    /// front sub-request becoming serviceable, and each bridge's oldest
+    /// in-flight parent delivering its response. The fold is a handful
+    /// of comparisons per master, so there is no scan for a calendar to
+    /// invert. Every bound is early, never late; an early answer costs
+    /// one dense-identical step.
     fn next_activity(&self) -> Option<u64> {
-        self.polls.set(self.polls.get() + 1);
-        if self.steps == 0 {
-            let mut horizon = Horizon::new();
-            for m in &self.masters {
-                horizon.merge_idle_ticks(self.now, m.fe.idle_ticks());
-            }
-            // Sub-requests and in-flight parents only exist once
-            // stepping has started, so masters are the only cold source.
-            return horizon.earliest_from(self.now);
+        let now = self.now;
+        let mut horizon = Horizon::new();
+        for m in &self.masters {
+            horizon.merge_idle_ticks(now, m.fe.idle_ticks());
         }
-        Horizon::from(self.cal.peek()).earliest_from(self.now)
-    }
-
-    fn horizon_polls(&self) -> u64 {
-        self.polls.get()
-    }
-
-    fn calendar_pops(&self) -> u64 {
-        self.cal.pops()
+        for bridge in &self.bridges {
+            if let Some(front) = bridge.subs.front() {
+                // Decode misses are consumed (as DECERR) the first time
+                // any free slave's crossbar pass reaches them — `now`
+                // under-approximates that safely. Lock gating is also
+                // ignored: both can only make the bound early.
+                let slave_free_at = match self.map.decode(front.addr) {
+                    Ok(dst) => self
+                        .slaves
+                        .iter()
+                        .find(|s| s.node == dst)
+                        .map_or(now, |s| s.busy_until),
+                    Err(_) => now,
+                };
+                horizon.merge_at(front.eligible_at.max(slave_free_at));
+            }
+            let respond = bridge.order.front().and_then(|&slot| {
+                bridge.inflight[slot]
+                    .as_ref()
+                    .filter(|p| p.remaining == 0)
+                    .map(|p| p.respond_at)
+            });
+            horizon.merge(respond);
+        }
+        horizon.earliest_from(now)
     }
 
     fn skip_to(&mut self, target: u64) {

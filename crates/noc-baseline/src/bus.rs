@@ -1,14 +1,13 @@
 //! The shared pipelined bus baseline.
 
-use crate::{AttachedMaster, Interconnect, SlaveTiming};
-use noc_kernel::{Calendar, Horizon, WakeId};
+use crate::{AttachedMaster, SlaveTiming};
+use noc_kernel::{Engine, Horizon};
 use noc_protocols::memory::access;
 use noc_protocols::{CompletionLog, MemoryModel};
 use noc_transaction::{
     AddressMap, ExclusiveMonitor, MstAddr, Opcode, RespStatus, TransactionRequest,
     TransactionResponse,
 };
-use std::cell::Cell;
 
 /// Bus timing parameters.
 #[derive(Debug, Clone, Copy)]
@@ -55,13 +54,6 @@ pub struct SharedBus {
     now: u64,
     steps: u64,
     granted: u64,
-    /// Wakeup calendar: ids `0..M` are the masters' idle countdowns,
-    /// id `M` the in-service transaction's completion cycle. Every
-    /// source re-registers after each step ([`Calendar::set`] no-ops on
-    /// unchanged cycles), so `next_activity` is a peek, not a scan.
-    cal: Calendar,
-    wakes: Vec<WakeId>,
-    polls: Cell<u64>,
 }
 
 impl SharedBus {
@@ -79,9 +71,6 @@ impl SharedBus {
             now: 0,
             steps: 0,
             granted: 0,
-            cal: Calendar::new(),
-            wakes: Vec::new(),
-            polls: Cell::new(0),
         }
     }
 
@@ -117,18 +106,9 @@ impl SharedBus {
     /// Appends commands to the end of master `ordinal`'s socket program,
     /// mid-run (same contract as `Soc::append_commands` in
     /// `noc-system`): the appended tail extends the program without
-    /// disturbing in-flight state, and the master's wakeup is
-    /// re-registered so the calendar never sleeps past the new work.
+    /// disturbing in-flight state.
     pub fn append_commands(&mut self, ordinal: usize, tail: &[noc_protocols::SocketCommand]) {
-        let master = &mut self.masters[ordinal];
-        master.fe.append_commands(tail);
-        if ordinal < self.wakes.len() {
-            let idle = master.fe.idle_ticks();
-            let at = (idle != u64::MAX).then(|| self.now.saturating_add(idle));
-            self.cal.set(self.wakes[ordinal], at);
-        }
-        // Before the first step the calendar is cold and next_activity
-        // scans the masters directly, so no registration is needed.
+        self.masters[ordinal].fe.append_commands(tail);
     }
 
     /// Attaches a memory slave serving the address range that the map
@@ -154,42 +134,38 @@ impl SharedBus {
         self.granted
     }
 
+    /// Completion logs per master, in attachment order.
+    pub fn logs(&self) -> Vec<&CompletionLog> {
+        self.masters.iter().map(|m| m.fe.log()).collect()
+    }
+
+    /// Named completion logs per master, in attachment order.
+    pub fn completion_logs(&self) -> Vec<(&str, &CompletionLog)> {
+        self.masters
+            .iter()
+            .map(|m| (m.name.as_str(), m.fe.log()))
+            .collect()
+    }
+
+    /// Runs until done or `max_cycles` (horizon stepping); returns
+    /// whether every master drained.
+    pub fn run(&mut self, max_cycles: u64) -> bool {
+        self.advance_to(max_cycles);
+        self.is_done()
+    }
+
     fn slave_for(&mut self, addr: u64) -> Option<&mut BusSlave> {
         // Identify by map: find the range containing addr, then the slave
         // whose base falls inside it.
         let range = self.map.iter().find(|(r, _)| r.contains(addr))?;
         self.slaves.iter_mut().find(|s| range.0.contains(s.base))
     }
-
-    /// Re-registers every event source's wakeup after a step; called on
-    /// every exit path of [`Interconnect::step`].
-    fn refresh_calendar(&mut self) {
-        let now = self.now;
-        for (m, master) in self.masters.iter().enumerate() {
-            let idle = master.fe.idle_ticks();
-            let at = (idle != u64::MAX).then(|| now.saturating_add(idle));
-            self.cal.set(self.wakes[m], at);
-        }
-        let busy_at = self.busy.as_ref().map(|&(_, _, done_at)| done_at);
-        self.cal.set(self.wakes[self.masters.len()], busy_at);
-    }
 }
 
-impl Interconnect for SharedBus {
+impl Engine for SharedBus {
     fn step(&mut self) {
         let now = self.now;
         self.steps += 1;
-        // First step: register the wakeup sources (all masters are
-        // attached by the time stepping starts).
-        if self.wakes.len() != self.masters.len() + 1 {
-            self.cal = Calendar::new();
-            self.wakes = (0..self.masters.len() + 1)
-                .map(|_| self.cal.register())
-                .collect();
-        }
-        // Retire due wakeups; the post-step refresh recomputes every
-        // source, so the fired ids themselves need no dispatch.
-        self.cal.pop_due(now, |_| {});
         for m in &mut self.masters {
             m.fe.tick(now);
         }
@@ -226,7 +202,6 @@ impl Interconnect for SharedBus {
                                     resp,
                                 );
                                 self.now += 1;
-                                self.refresh_calendar();
                                 return;
                             }
                             op if op.is_write() => {
@@ -313,15 +288,10 @@ impl Interconnect for SharedBus {
             }
         }
         self.now += 1;
-        self.refresh_calendar();
     }
 
     fn is_done(&self) -> bool {
         self.busy.is_none() && self.masters.iter().all(|m| m.fe.done())
-    }
-
-    fn logs(&self) -> Vec<&CompletionLog> {
-        self.masters.iter().map(|m| m.fe.log()).collect()
     }
 
     fn now(&self) -> u64 {
@@ -334,31 +304,17 @@ impl Interconnect for SharedBus {
 
     /// The nearest master self-activity (idle countdowns expiring) or
     /// the in-service transaction completing (`done_at`), whichever
-    /// comes first — answered from the wakeup calendar once stepping
-    /// has started. Before the first step the calendar is cold (masters
-    /// carry pre-loaded programs), so the one cold poll scans the same
-    /// sources directly.
+    /// comes first. A direct fold: with one source per master plus one
+    /// for the bus there is no scan for a calendar to invert.
     fn next_activity(&self) -> Option<u64> {
-        self.polls.set(self.polls.get() + 1);
-        if self.steps == 0 {
-            let mut horizon = Horizon::new();
-            for m in &self.masters {
-                horizon.merge_idle_ticks(self.now, m.fe.idle_ticks());
-            }
-            if let Some((_, _, done_at)) = self.busy {
-                horizon.merge_at(done_at);
-            }
-            return horizon.earliest_from(self.now);
+        let mut horizon = Horizon::new();
+        for m in &self.masters {
+            horizon.merge_idle_ticks(self.now, m.fe.idle_ticks());
         }
-        Horizon::from(self.cal.peek()).earliest_from(self.now)
-    }
-
-    fn horizon_polls(&self) -> u64 {
-        self.polls.get()
-    }
-
-    fn calendar_pops(&self) -> u64 {
-        self.cal.pops()
+        if let Some((_, _, done_at)) = self.busy {
+            horizon.merge_at(done_at);
+        }
+        horizon.earliest_from(self.now)
     }
 
     fn skip_to(&mut self, target: u64) {

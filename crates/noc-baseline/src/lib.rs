@@ -18,7 +18,9 @@
 //!
 //! Both baselines host the same [`SocketInitiator`] front ends and run
 //! the same programs as the NoC, so latency/throughput/fingerprint
-//! comparisons are apples-to-apples.
+//! comparisons are apples-to-apples. Both implement
+//! [`noc_kernel::Engine`], the workspace's one stepping contract, so the
+//! same advance loop that drives the NoC drives them.
 
 pub mod bridged;
 pub mod bus;
@@ -27,81 +29,6 @@ pub use bridged::{BridgeConfig, BridgedInterconnect};
 pub use bus::{BusConfig, SharedBus};
 
 use noc_niu::SocketInitiator;
-use noc_protocols::CompletionLog;
-
-/// Common reporting surface of the baselines.
-pub trait Interconnect {
-    /// Advances one cycle.
-    fn step(&mut self);
-    /// Returns `true` when all masters drained.
-    fn is_done(&self) -> bool;
-    /// Completion logs per master, in attachment order.
-    fn logs(&self) -> Vec<&CompletionLog>;
-    /// Cycles simulated so far.
-    fn now(&self) -> u64;
-    /// Cycles actually stepped, excluding the cycles horizon stepping
-    /// jumped over. Dense runs execute exactly [`Interconnect::now`]
-    /// steps, so the dense/horizon ratio measures the skip win; the
-    /// default (for backends without a skip path) reports just that.
-    fn executed_steps(&self) -> u64 {
-        self.now()
-    }
-
-    /// The earliest cycle at which the interconnect's state can
-    /// possibly change, or `None` when nothing will ever happen again.
-    /// The default claims activity on every cycle — always correct, and
-    /// exactly what dense stepping assumes; backends override it with
-    /// real activity horizons so [`Interconnect::advance_to`] can skip
-    /// dead time.
-    fn next_activity(&self) -> Option<u64> {
-        Some(self.now())
-    }
-
-    /// Times [`Interconnect::next_activity`] was polled — the scan-side
-    /// wakeup-discipline counter. The default (no instrumentation)
-    /// reports 0.
-    fn horizon_polls(&self) -> u64 {
-        0
-    }
-
-    /// Calendar wakeups retired while stepping (stale entries
-    /// included). The default (no calendar) reports 0.
-    fn calendar_pops(&self) -> u64 {
-        0
-    }
-
-    /// Jumps to `target`, accounting the skipped cycles so state stays
-    /// bit-identical to stepping them. Only meaningful when
-    /// [`Interconnect::next_activity`] proved every cycle in
-    /// `[now, target)` dead; the default (matching the default
-    /// `next_activity`, which never yields a future cycle) steps
-    /// densely.
-    fn skip_to(&mut self, target: u64) {
-        while self.now() < target {
-            self.step();
-        }
-    }
-
-    /// Advances until done or `horizon`, jumping over quiescent gaps
-    /// and stepping densely through active stretches.
-    fn advance_to(&mut self, horizon: u64) {
-        while self.now() < horizon && !self.is_done() {
-            match self.next_activity() {
-                Some(t) if t > self.now() => self.skip_to(t.min(horizon)),
-                Some(_) => self.step(),
-                // Nothing can ever happen again: dense stepping would
-                // burn no-op cycles to the horizon; jump in one hop.
-                None => self.skip_to(horizon),
-            }
-        }
-    }
-
-    /// Runs until done or `max_cycles` (horizon stepping).
-    fn run(&mut self, max_cycles: u64) -> bool {
-        self.advance_to(max_cycles);
-        self.is_done()
-    }
-}
 
 /// IP-side service timing of a baseline slave, beyond the backing
 /// memory's base latency.

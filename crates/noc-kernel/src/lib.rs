@@ -2,8 +2,11 @@
 //!
 //! This crate is the substrate under the cycle-stepped simulators in the
 //! rest of the workspace. It holds no event engine of its own: the
-//! systems step themselves and use these four pieces to decide *when*:
+//! systems step themselves and use these five pieces to decide *when*:
 //!
+//! - [`Engine`], the stepping contract (`step` / `next_activity` /
+//!   `skip_to`) every interconnect model implements, with the one
+//!   advance loop provided on top of it;
 //! - [`ClockDomain`] / [`ClockSet`], divisor-based clock domains so that
 //!   mixed-clock systems stay on one deterministic base timeline;
 //! - [`Horizon`], the min-combining accumulator for per-component event
@@ -39,10 +42,12 @@
 
 pub mod calendar;
 pub mod clock;
+pub mod engine;
 pub mod horizon;
 pub mod rng;
 
 pub use calendar::{Calendar, WakeId};
 pub use clock::{ClockDomain, ClockId, ClockSet};
+pub use engine::Engine;
 pub use horizon::Horizon;
 pub use rng::SplitMix64;

@@ -11,7 +11,8 @@
 //! bus, selected by a [`Backend`] value. Node numbers and the
 //! [`noc_transaction::AddressMap`] are derived automatically from the
 //! declaration order and the declared memory regions; all three
-//! realisations are driven through one [`Simulation`] trait.
+//! realisations are driven through one [`Simulation`] trait, implemented
+//! once by [`Sim`] over whichever [`noc_kernel::Engine`] the backend is.
 //!
 //! [`Sweep`] expands parameter grids (command counts, seeds, buffer
 //! depths, topologies, backends) into batched simulations for the
@@ -54,7 +55,9 @@ pub use program::{
     BurstySpec, Discipline, FeedSource, ProgramSpec, StochasticShape, TraceCursor, TraceSpec,
     Workload, ZipfSpec,
 };
-pub use sim::{BridgedSim, BusSim, NocSim, ScenarioReport, Simulation, StepMode};
+pub use sim::{
+    BridgedSim, BusSim, NocSim, ScenarioEngine, ScenarioReport, Sim, Simulation, StepMode,
+};
 pub use spec::{
     Backend, InitiatorSpec, LinkClassSpec, MemorySpec, NocConfigSpec, ScenarioError, ScenarioSpec,
     SocketSpec, TargetSpec, TopologySpec,

@@ -1,10 +1,10 @@
 //! The common simulation surface every backend realisation exposes.
 
 use crate::program::{FeedSource, Workload};
-use noc_baseline::{BridgedInterconnect, Interconnect, SharedBus};
+use noc_baseline::{BridgedInterconnect, SharedBus};
+use noc_kernel::Engine;
 use noc_protocols::{CompletionLog, Program, SocketCommand};
-use noc_stats::Histogram;
-use noc_system::{FabricReport, MasterReport, Soc, SocReport};
+use noc_system::{FabricReport, MasterReport, Soc};
 use noc_transaction::Fingerprint;
 use std::fmt;
 
@@ -160,9 +160,11 @@ impl fmt::Display for StepMode {
 
 /// A runnable realisation of a scenario, independent of the backend.
 ///
-/// All three interconnects — NoC, bridged, bus — implement this, so
-/// experiment code written against the trait runs unchanged on any of
-/// them: the paper's VC-neutrality claim, restated as an API.
+/// This is the type-erased surface [`crate::ScenarioSpec::build`]
+/// returns: experiment code written against it runs unchanged on the
+/// NoC, the bridged interconnect and the bus — the paper's
+/// VC-neutrality claim, restated as an API. It has one implementor,
+/// [`Sim`], generic over the backend's [`Engine`].
 ///
 /// Simulations are plain owned state: `Send` (a built simulation can
 /// move across threads) and checkpointable via
@@ -183,51 +185,26 @@ pub trait Simulation: Send {
 
     /// Base cycles actually stepped, excluding the cycles horizon
     /// stepping jumped over. A dense run executes exactly
-    /// [`Simulation::now`] steps (the default), so
+    /// [`Simulation::now`] steps, so
     /// `dense.executed_steps() / horizon.executed_steps()` is the
     /// executed-step collapse the horizon machinery buys on a workload.
-    fn executed_steps(&self) -> u64 {
-        self.now()
-    }
+    fn executed_steps(&self) -> u64;
 
-    /// The earliest base cycle at which the system's state can possibly
-    /// change, or `None` when no component will ever act again.
-    ///
-    /// The default claims activity on every cycle — always correct, and
-    /// exactly what dense stepping assumes. Backends override it with
-    /// real per-component event horizons (traffic-generator countdowns,
-    /// in-flight link arrivals, slave `busy_until` / bridge `respond_at`
-    /// stamps) min-combined so `advance_to` can skip dead time even
-    /// while traffic is in flight.
-    fn next_activity(&self) -> Option<u64> {
-        Some(self.now())
-    }
+    /// Times [`Simulation::advance_to`] polled the backend's
+    /// `next_activity` — one per advance-loop iteration, 0 for dense
+    /// runs, which never ask.
+    fn horizon_polls(&self) -> u64;
 
-    /// Times the advance machinery queried [`Simulation::next_activity`]
-    /// — the scan-side wakeup-discipline counter. With calendar-driven
-    /// stepping each poll is O(1); a backend stuck rescanning shows up
-    /// as polls vastly exceeding [`Simulation::calendar_pops`]. The
-    /// default (no instrumentation) reports 0.
-    fn horizon_polls(&self) -> u64 {
-        0
-    }
+    /// Calendar wakeups the backend retired while stepping (stale
+    /// entries included). Only the NoC keeps calendars — over fabric
+    /// links and endpoints, where they replace a scan of every
+    /// component; the baselines fold a few sources per master directly
+    /// and report 0.
+    fn calendar_pops(&self) -> u64;
 
-    /// Calendar wakeups the backend retired while answering those polls
-    /// (scheduled component wakeups popped, stale entries included).
-    /// The default (no calendar) reports 0.
-    fn calendar_pops(&self) -> u64 {
-        0
-    }
-
-    /// Advances until done or `horizon`, skipping provably-dead gaps
-    /// where the backend supports it. Must leave state bit-identical to
-    /// stepping every cycle. The default cannot prove any gap dead, so
-    /// it steps densely.
-    fn advance_to(&mut self, horizon: u64) {
-        while self.now() < horizon && !self.is_done() {
-            self.step();
-        }
-    }
+    /// Advances until done or `horizon`, skipping provably-dead gaps.
+    /// Leaves state bit-identical to stepping every cycle.
+    fn advance_to(&mut self, horizon: u64);
 
     /// Runs until done or `max_cycles` with the given step mode;
     /// returns whether the system drained.
@@ -374,348 +351,197 @@ impl fmt::Display for ScenarioReport {
     }
 }
 
-fn master_report_from_log(name: &str, node: u16, log: &CompletionLog) -> MasterReport {
-    let mut latency = Histogram::new();
-    for r in log.records() {
-        latency.record(r.latency());
+/// What a backend supplies beyond the [`Engine`] stepping contract so
+/// the scenario layer can load it, feed it and report on it. Everything
+/// else about running a scenario is [`Sim`], written once.
+pub trait ScenarioEngine: Engine + Clone + Send + 'static {
+    /// The backend label reports carry ("noc", "bridged", "bus").
+    const LABEL: &'static str;
+    /// Loads one socket program per master (declaration order) before
+    /// execution starts.
+    fn load_programs(&mut self, programs: &[Program]);
+    /// Appends commands to the `ordinal`-th master's program, mid-run.
+    fn append_commands(&mut self, ordinal: usize, tail: &[SocketCommand]);
+    /// Named per-master completion logs, in declaration order.
+    fn completion_logs(&self) -> Vec<(&str, &CompletionLog)>;
+    /// Fabric aggregates, for backends that have a fabric.
+    fn fabric_report(&self) -> Option<FabricReport>;
+    /// Calendar wakeups retired while stepping; 0 without a calendar.
+    fn calendar_pops(&self) -> u64;
+}
+
+impl ScenarioEngine for Soc {
+    const LABEL: &'static str = "noc";
+    fn load_programs(&mut self, programs: &[Program]) {
+        Soc::load_programs(self, programs)
     }
-    MasterReport {
-        name: name.to_owned(),
-        node,
-        completions: log.len(),
-        errors: log.errors(),
-        mean_latency: log.mean_latency(),
-        latency,
-        fingerprint: log.fingerprint(),
+    fn append_commands(&mut self, ordinal: usize, tail: &[SocketCommand]) {
+        Soc::append_commands(self, ordinal, tail)
     }
+    fn completion_logs(&self) -> Vec<(&str, &CompletionLog)> {
+        Soc::completion_logs(self)
+    }
+    fn fabric_report(&self) -> Option<FabricReport> {
+        Some(Soc::fabric_report(self))
+    }
+    fn calendar_pops(&self) -> u64 {
+        Soc::calendar_pops(self)
+    }
+}
+
+impl ScenarioEngine for BridgedInterconnect {
+    const LABEL: &'static str = "bridged";
+    fn load_programs(&mut self, programs: &[Program]) {
+        BridgedInterconnect::load_programs(self, programs)
+    }
+    fn append_commands(&mut self, ordinal: usize, tail: &[SocketCommand]) {
+        BridgedInterconnect::append_commands(self, ordinal, tail)
+    }
+    fn completion_logs(&self) -> Vec<(&str, &CompletionLog)> {
+        BridgedInterconnect::completion_logs(self)
+    }
+    fn fabric_report(&self) -> Option<FabricReport> {
+        None
+    }
+    fn calendar_pops(&self) -> u64 {
+        0
+    }
+}
+
+impl ScenarioEngine for SharedBus {
+    const LABEL: &'static str = "bus";
+    fn load_programs(&mut self, programs: &[Program]) {
+        SharedBus::load_programs(self, programs)
+    }
+    fn append_commands(&mut self, ordinal: usize, tail: &[SocketCommand]) {
+        SharedBus::append_commands(self, ordinal, tail)
+    }
+    fn completion_logs(&self) -> Vec<(&str, &CompletionLog)> {
+        SharedBus::completion_logs(self)
+    }
+    fn fabric_report(&self) -> Option<FabricReport> {
+        None
+    }
+    fn calendar_pops(&self) -> u64 {
+        0
+    }
+}
+
+/// A scenario running on engine `E`: the engine, the feeders streaming
+/// its generated and trace workloads, and the advance loop's poll count.
+/// The only [`Simulation`].
+#[derive(Debug, Clone)]
+pub struct Sim<E> {
+    engine: E,
+    feeders: FeederSet,
+    polls: u64,
 }
 
 /// The NoC realisation of a scenario (paper Fig 1).
-#[derive(Clone)]
-pub struct NocSim {
-    soc: Soc,
-    feeders: FeederSet,
-}
-
-impl NocSim {
-    pub(crate) fn new(soc: Soc) -> Self {
-        NocSim {
-            soc,
-            feeders: FeederSet::default(),
-        }
-    }
-
-    /// Installs the streamed-workload feeders and primes their first
-    /// window (fixed programs are already loaded into the masters).
-    pub(crate) fn attach_workloads(&mut self, workloads: &[Workload]) {
-        self.feeders = FeederSet::new(workloads);
-        let soc = &mut self.soc;
-        self.feeders.refill(soc.now(), |ordinal, tail| {
-            soc.append_commands(ordinal, tail)
-        });
-    }
-
-    /// The underlying SoC, for fabric-level inspection.
-    pub fn soc(&self) -> &Soc {
-        &self.soc
-    }
-
-    /// Unwraps into the lower-layer [`Soc`].
-    pub fn into_inner(self) -> Soc {
-        self.soc
-    }
-
-    /// The full NoC-native report (fabric counters included).
-    pub fn soc_report(&self) -> SocReport {
-        self.soc.report()
-    }
-}
-
-impl Simulation for NocSim {
-    fn step(&mut self) {
-        let soc = &mut self.soc;
-        self.feeders.refill(soc.now(), |ordinal, tail| {
-            soc.append_commands(ordinal, tail)
-        });
-        self.soc.step();
-    }
-    fn now(&self) -> u64 {
-        self.soc.now()
-    }
-    fn is_done(&self) -> bool {
-        self.feeders.exhausted() && self.soc.is_done()
-    }
-    fn logs(&self) -> Vec<(&str, &CompletionLog)> {
-        self.soc.completion_logs()
-    }
-    fn executed_steps(&self) -> u64 {
-        self.soc.executed_steps()
-    }
-    fn next_activity(&self) -> Option<u64> {
-        self.soc.next_activity()
-    }
-    fn advance_to(&mut self, horizon: u64) {
-        while self.soc.now() < horizon {
-            let soc = &mut self.soc;
-            self.feeders.refill(soc.now(), |ordinal, tail| {
-                soc.append_commands(ordinal, tail)
-            });
-            self.soc.advance_to(self.feeders.bound(horizon));
-            if Simulation::is_done(self) || self.soc.now() >= horizon {
-                break;
-            }
-        }
-    }
-    fn horizon_polls(&self) -> u64 {
-        self.soc.horizon_polls()
-    }
-    fn calendar_pops(&self) -> u64 {
-        self.soc.calendar_pops()
-    }
-    fn report(&self) -> ScenarioReport {
-        let r = self.soc.report();
-        ScenarioReport {
-            backend: "noc",
-            cycles: r.cycles,
-            steps: self.soc.executed_steps(),
-            all_done: r.all_done,
-            masters: r.masters,
-            fabric: Some(r.fabric),
-            horizon_polls: self.soc.horizon_polls(),
-            calendar_pops: self.soc.calendar_pops(),
-        }
-    }
-    fn snapshot(&self) -> Box<dyn Simulation> {
-        Box::new(self.clone())
-    }
-    fn load_programs(&mut self, workloads: &[Workload]) {
-        let heads: Vec<Program> = workloads.iter().map(Workload::head_program).collect();
-        self.soc.load_programs(&heads);
-        self.attach_workloads(workloads);
-    }
-}
-
-impl fmt::Debug for NocSim {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NocSim").field("soc", &self.soc).finish()
-    }
-}
-
-fn baseline_report<I: Interconnect>(
-    backend: &'static str,
-    ic: &I,
-    names: &[String],
-) -> ScenarioReport {
-    let masters = names
-        .iter()
-        .zip(ic.logs())
-        .enumerate()
-        .map(|(i, (name, log))| master_report_from_log(name, i as u16, log))
-        .collect();
-    ScenarioReport {
-        backend,
-        cycles: ic.now(),
-        steps: ic.executed_steps(),
-        all_done: ic.is_done(),
-        masters,
-        fabric: None,
-        horizon_polls: ic.horizon_polls(),
-        calendar_pops: ic.calendar_pops(),
-    }
-}
-
-fn baseline_logs<'a, I: Interconnect>(
-    ic: &'a I,
-    names: &'a [String],
-) -> Vec<(&'a str, &'a CompletionLog)> {
-    names.iter().map(String::as_str).zip(ic.logs()).collect()
-}
-
+pub type NocSim = Sim<Soc>;
 /// The Fig-2 bridged reference-socket realisation of a scenario.
-#[derive(Debug, Clone)]
-pub struct BridgedSim {
-    ic: BridgedInterconnect,
-    names: Vec<String>,
-    feeders: FeederSet,
-}
-
-impl BridgedSim {
-    pub(crate) fn new(ic: BridgedInterconnect, names: Vec<String>) -> Self {
-        BridgedSim {
-            ic,
-            names,
-            feeders: FeederSet::default(),
-        }
-    }
-
-    /// Installs the streamed-workload feeders and primes their first
-    /// window (fixed programs are already loaded into the masters).
-    pub(crate) fn attach_workloads(&mut self, workloads: &[Workload]) {
-        self.feeders = FeederSet::new(workloads);
-        let ic = &mut self.ic;
-        self.feeders.refill(Interconnect::now(ic), |ordinal, tail| {
-            ic.append_commands(ordinal, tail)
-        });
-    }
-
-    /// The underlying interconnect, for bridge-specific counters such as
-    /// [`BridgedInterconnect::chopped_bursts`].
-    pub fn inner(&self) -> &BridgedInterconnect {
-        &self.ic
-    }
-
-    /// Unwraps into the lower-layer interconnect.
-    pub fn into_inner(self) -> BridgedInterconnect {
-        self.ic
-    }
-}
-
-impl Simulation for BridgedSim {
-    fn step(&mut self) {
-        let ic = &mut self.ic;
-        self.feeders.refill(Interconnect::now(ic), |ordinal, tail| {
-            ic.append_commands(ordinal, tail)
-        });
-        Interconnect::step(&mut self.ic);
-    }
-    fn now(&self) -> u64 {
-        Interconnect::now(&self.ic)
-    }
-    fn is_done(&self) -> bool {
-        self.feeders.exhausted() && Interconnect::is_done(&self.ic)
-    }
-    fn logs(&self) -> Vec<(&str, &CompletionLog)> {
-        baseline_logs(&self.ic, &self.names)
-    }
-    fn executed_steps(&self) -> u64 {
-        self.ic.executed_steps()
-    }
-    fn next_activity(&self) -> Option<u64> {
-        self.ic.next_activity()
-    }
-    fn horizon_polls(&self) -> u64 {
-        self.ic.horizon_polls()
-    }
-    fn calendar_pops(&self) -> u64 {
-        self.ic.calendar_pops()
-    }
-    fn advance_to(&mut self, horizon: u64) {
-        while Interconnect::now(&self.ic) < horizon {
-            let ic = &mut self.ic;
-            self.feeders.refill(Interconnect::now(ic), |ordinal, tail| {
-                ic.append_commands(ordinal, tail)
-            });
-            self.ic.advance_to(self.feeders.bound(horizon));
-            if Simulation::is_done(self) || Interconnect::now(&self.ic) >= horizon {
-                break;
-            }
-        }
-    }
-    fn report(&self) -> ScenarioReport {
-        baseline_report("bridged", &self.ic, &self.names)
-    }
-    fn snapshot(&self) -> Box<dyn Simulation> {
-        Box::new(self.clone())
-    }
-    fn load_programs(&mut self, workloads: &[Workload]) {
-        let heads: Vec<Program> = workloads.iter().map(Workload::head_program).collect();
-        self.ic.load_programs(&heads);
-        self.attach_workloads(workloads);
-    }
-}
-
+pub type BridgedSim = Sim<BridgedInterconnect>;
 /// The shared-bus realisation of a scenario.
-#[derive(Debug, Clone)]
-pub struct BusSim {
-    bus: SharedBus,
-    names: Vec<String>,
-    feeders: FeederSet,
-}
+pub type BusSim = Sim<SharedBus>;
 
-impl BusSim {
-    pub(crate) fn new(bus: SharedBus, names: Vec<String>) -> Self {
-        BusSim {
-            bus,
-            names,
-            feeders: FeederSet::default(),
-        }
+impl<E: ScenarioEngine> Sim<E> {
+    /// Wraps an engine whose masters already hold their fixed programs
+    /// (or the head of their streamed ones), installing the feeders for
+    /// the streamed workloads and priming their first window.
+    pub(crate) fn new(engine: E, workloads: &[Workload]) -> Self {
+        let mut sim = Sim {
+            engine,
+            feeders: FeederSet::new(workloads),
+            polls: 0,
+        };
+        sim.refill();
+        sim
     }
 
-    /// Installs the streamed-workload feeders and primes their first
-    /// window (fixed programs are already loaded into the masters).
-    pub(crate) fn attach_workloads(&mut self, workloads: &[Workload]) {
-        self.feeders = FeederSet::new(workloads);
-        let bus = &mut self.bus;
-        self.feeders
-            .refill(Interconnect::now(bus), |ordinal, tail| {
-                bus.append_commands(ordinal, tail)
-            });
+    fn refill(&mut self) {
+        let engine = &mut self.engine;
+        self.feeders.refill(engine.now(), |ordinal, tail| {
+            engine.append_commands(ordinal, tail)
+        });
     }
 
-    /// The underlying bus, for bus-specific counters such as
-    /// [`SharedBus::grants`].
-    pub fn inner(&self) -> &SharedBus {
-        &self.bus
+    /// The underlying engine, for backend-specific inspection (fabric
+    /// counters, [`BridgedInterconnect::chopped_bursts`],
+    /// [`SharedBus::grants`]).
+    pub fn inner(&self) -> &E {
+        &self.engine
     }
 
-    /// Unwraps into the lower-layer bus.
-    pub fn into_inner(self) -> SharedBus {
-        self.bus
+    /// Unwraps into the lower-layer engine, dropping the feeders: only
+    /// meaningful when every workload is a fixed program.
+    pub fn into_inner(self) -> E {
+        self.engine
     }
 }
 
-impl Simulation for BusSim {
+impl<E: ScenarioEngine> Simulation for Sim<E> {
     fn step(&mut self) {
-        let bus = &mut self.bus;
-        self.feeders
-            .refill(Interconnect::now(bus), |ordinal, tail| {
-                bus.append_commands(ordinal, tail)
-            });
-        Interconnect::step(&mut self.bus);
+        self.refill();
+        self.engine.step();
     }
     fn now(&self) -> u64 {
-        Interconnect::now(&self.bus)
+        self.engine.now()
     }
     fn is_done(&self) -> bool {
-        self.feeders.exhausted() && Interconnect::is_done(&self.bus)
+        self.feeders.exhausted() && self.engine.is_done()
     }
     fn logs(&self) -> Vec<(&str, &CompletionLog)> {
-        baseline_logs(&self.bus, &self.names)
+        self.engine.completion_logs()
     }
     fn executed_steps(&self) -> u64 {
-        self.bus.executed_steps()
-    }
-    fn next_activity(&self) -> Option<u64> {
-        self.bus.next_activity()
+        self.engine.executed_steps()
     }
     fn horizon_polls(&self) -> u64 {
-        self.bus.horizon_polls()
+        self.polls
     }
     fn calendar_pops(&self) -> u64 {
-        self.bus.calendar_pops()
+        self.engine.calendar_pops()
     }
+    /// The feeder wrapper around [`Engine::advance_to`]: top the
+    /// streamed programs up, let the engine run to the feeders' bound,
+    /// repeat.
     fn advance_to(&mut self, horizon: u64) {
-        while Interconnect::now(&self.bus) < horizon {
-            let bus = &mut self.bus;
-            self.feeders
-                .refill(Interconnect::now(bus), |ordinal, tail| {
-                    bus.append_commands(ordinal, tail)
-                });
-            self.bus.advance_to(self.feeders.bound(horizon));
-            if Simulation::is_done(self) || Interconnect::now(&self.bus) >= horizon {
+        while self.engine.now() < horizon {
+            self.refill();
+            self.polls += self.engine.advance_to(self.feeders.bound(horizon));
+            if self.is_done() {
                 break;
             }
         }
     }
     fn report(&self) -> ScenarioReport {
-        baseline_report("bus", &self.bus, &self.names)
+        // The scenario layer numbers initiator nodes by declaration
+        // order, which is also log order on every backend.
+        let masters = self
+            .engine
+            .completion_logs()
+            .into_iter()
+            .enumerate()
+            .map(|(node, (name, log))| MasterReport::from_log(name, node as u16, log))
+            .collect();
+        ScenarioReport {
+            backend: E::LABEL,
+            cycles: self.engine.now(),
+            steps: self.engine.executed_steps(),
+            all_done: self.engine.is_done(),
+            masters,
+            fabric: self.engine.fabric_report(),
+            horizon_polls: self.polls,
+            calendar_pops: self.engine.calendar_pops(),
+        }
     }
     fn snapshot(&self) -> Box<dyn Simulation> {
         Box::new(self.clone())
     }
     fn load_programs(&mut self, workloads: &[Workload]) {
         let heads: Vec<Program> = workloads.iter().map(Workload::head_program).collect();
-        self.bus.load_programs(&heads);
-        self.attach_workloads(workloads);
+        self.engine.load_programs(&heads);
+        self.feeders = FeederSet::new(workloads);
+        self.refill();
     }
 }

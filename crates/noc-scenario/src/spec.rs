@@ -371,6 +371,12 @@ pub struct InitiatorSpec {
 }
 
 impl InitiatorSpec {
+    /// The largest NIU outstanding budget a scenario may declare. The
+    /// NIU allocates its transaction table up front, so an unbounded
+    /// budget from a scenario file is an allocation failure — an abort
+    /// no `catch_unwind` can turn into an error record.
+    pub const MAX_OUTSTANDING: u32 = 1 << 16;
+
     /// Declares an initiator. `program` accepts a plain
     /// [`Program`] (explicit commands) or any [`ProgramSpec`] kind.
     pub fn new(name: &str, socket: SocketSpec, program: impl Into<ProgramSpec>) -> Self {
@@ -667,12 +673,19 @@ pub enum TopologySpec {
 }
 
 impl TopologySpec {
-    /// Number of switches this shape builds.
+    /// The most switches a scenario may declare, whatever the shape:
+    /// fabrics are allocated up front, so a larger request from a
+    /// scenario file must be an error, not an allocation failure.
+    pub const MAX_SWITCHES: usize = 1 << 20;
+
+    /// Number of switches this shape builds (saturating, so an absurd
+    /// mesh reads as over [`TopologySpec::MAX_SWITCHES`] instead of
+    /// wrapping).
     pub fn switch_count(&self) -> usize {
         match self {
             TopologySpec::Crossbar => 1,
             TopologySpec::Ring { switches } => *switches,
-            TopologySpec::Mesh { width, height } => width * height,
+            TopologySpec::Mesh { width, height } => width.saturating_mul(*height),
             TopologySpec::Custom { switches, .. } => *switches,
         }
     }
@@ -842,6 +855,14 @@ pub enum ScenarioError {
         /// The rejected opcode.
         opcode: Opcode,
     },
+    /// An initiator's NIU outstanding budget exceeds
+    /// [`InitiatorSpec::MAX_OUTSTANDING`].
+    OutstandingTooLarge {
+        /// The declaring initiator.
+        initiator: String,
+        /// The declared budget.
+        outstanding: u32,
+    },
     /// A generated (stochastic or trace) program declaration is
     /// inconsistent: shape out of range, streams beyond the socket's
     /// capacity, a burst that cannot fit a declared region, …
@@ -915,6 +936,14 @@ impl fmt::Display for ScenarioError {
                 f,
                 "{initiator:?} sends {opcode} to {target:?}, which does not \
                  accept synchronisation traffic (declare the target exclusive)"
+            ),
+            ScenarioError::OutstandingTooLarge {
+                initiator,
+                outstanding,
+            } => write!(
+                f,
+                "{initiator:?} declares outstanding = {outstanding}, above the limit of {}",
+                InitiatorSpec::MAX_OUTSTANDING
             ),
             ScenarioError::BadProgram { initiator, reason } => {
                 write!(f, "{initiator:?}'s program: {reason}")
@@ -1039,7 +1068,8 @@ impl ScenarioSpec {
     ///
     /// Returns the first [`ScenarioError`] found: an empty scenario,
     /// duplicate endpoint names, empty or overlapping memory regions,
-    /// commands addressing unmapped bytes, or an unusable topology.
+    /// commands addressing unmapped bytes, an outstanding budget or
+    /// switch count over its limit, or an unusable topology.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.initiators.is_empty() || self.memories.is_empty() {
             return Err(ScenarioError::Empty);
@@ -1076,6 +1106,13 @@ impl ScenarioSpec {
             }
         }
         for ini in &self.initiators {
+            let over = |n: &u32| *n > InitiatorSpec::MAX_OUTSTANDING;
+            if let Some(outstanding) = ini.outstanding.filter(over) {
+                return Err(ScenarioError::OutstandingTooLarge {
+                    initiator: ini.name.clone(),
+                    outstanding,
+                });
+            }
             match &ini.program {
                 ProgramSpec::Explicit(program) => {
                     for cmd in program {
@@ -1134,6 +1171,15 @@ impl ScenarioSpec {
                     }
                 }
             }
+        }
+        let switches = self.topology.switch_count();
+        if switches > TopologySpec::MAX_SWITCHES {
+            return Err(ScenarioError::BadTopology {
+                reason: format!(
+                    "{switches} switches exceed the limit of {}",
+                    TopologySpec::MAX_SWITCHES
+                ),
+            });
         }
         self.topology.placement(self.num_endpoints())?;
         Ok(())
@@ -1281,11 +1327,6 @@ impl ScenarioSpec {
         Ok(map)
     }
 
-    /// Names of all masters in node order (= log order on every backend).
-    pub fn master_names(&self) -> Vec<String> {
-        self.initiators.iter().map(|i| i.name.clone()).collect()
-    }
-
     /// The per-initiator workloads, in declaration order — what a warm
     /// fork injects via [`Simulation::load_programs`]. Explicit programs
     /// become [`Workload::Fixed`]; stochastic and trace kinds become
@@ -1384,9 +1425,7 @@ impl ScenarioSpec {
         let soc = builder.build().map_err(|e| ScenarioError::BadTopology {
             reason: e.to_string(),
         })?;
-        let mut sim = NocSim::new(soc);
-        sim.attach_workloads(&self.programs());
-        Ok(sim)
+        Ok(NocSim::new(soc, &self.programs()))
     }
 
     /// Rejects specs that declare divided endpoint clocks, which the
@@ -1454,9 +1493,7 @@ impl ScenarioSpec {
                 mem.target.slave_timing(),
             );
         }
-        let mut sim = BridgedSim::new(ic, self.master_names());
-        sim.attach_workloads(&self.programs());
-        Ok(sim)
+        Ok(BridgedSim::new(ic, &self.programs()))
     }
 
     /// Compiles the spec onto the shared-bus baseline.
@@ -1486,9 +1523,7 @@ impl ScenarioSpec {
                 mem.target.slave_timing(),
             );
         }
-        let mut sim = BusSim::new(bus, self.master_names());
-        sim.attach_workloads(&self.programs());
-        Ok(sim)
+        Ok(BusSim::new(bus, &self.programs()))
     }
 }
 

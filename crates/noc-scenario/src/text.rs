@@ -1444,6 +1444,8 @@ fn parse_command(e: &Entry) -> Result<SocketCommand, ParseError> {
     Ok(cmd)
 }
 
+const MAX_SWITCHES: u64 = TopologySpec::MAX_SWITCHES as u64;
+
 fn finalize_topology(
     section: Option<Section>,
 ) -> Result<(TopologySpec, Option<RouteAlgorithm>), ParseError> {
@@ -1454,14 +1456,24 @@ fn finalize_topology(
     let topology = match kind_entry.str()? {
         "crossbar" => TopologySpec::Crossbar,
         "ring" => TopologySpec::Ring {
-            switches: sec.take_req("switches")?.nonzero(1 << 20)? as usize,
+            switches: sec.take_req("switches")?.nonzero(MAX_SWITCHES)? as usize,
         },
-        "mesh" => TopologySpec::Mesh {
-            width: sec.take_req("width")?.nonzero(1 << 16)? as usize,
-            height: sec.take_req("height")?.nonzero(1 << 16)? as usize,
-        },
+        "mesh" => {
+            let width = sec.take_req("width")?.nonzero(1 << 16)?;
+            let height_entry = sec.take_req("height")?;
+            let height = height_entry.nonzero(1 << 16)?;
+            if width * height > MAX_SWITCHES {
+                return Err(height_entry.bad(format!(
+                    "a {width}x{height} mesh exceeds the limit of {MAX_SWITCHES} switches"
+                )));
+            }
+            TopologySpec::Mesh {
+                width: width as usize,
+                height: height as usize,
+            }
+        }
         "custom" => {
-            let switches = sec.take_req("switches")?.nonzero(1 << 20)? as usize;
+            let switches = sec.take_req("switches")?.nonzero(MAX_SWITCHES)? as usize;
             let links_entry = sec.take_req("links")?;
             let links = links_entry
                 .pairs()?
@@ -1631,7 +1643,7 @@ fn finalize_initiator(mut sec: Section) -> Result<Named<InitiatorSpec>, ParseErr
         ini.ordering = Some(parse_ordering(&e)?);
     }
     if let Some(e) = sec.take("outstanding")? {
-        ini.outstanding = Some(e.nonzero(u32::MAX as u64)? as u32);
+        ini.outstanding = Some(e.nonzero(InitiatorSpec::MAX_OUTSTANDING as u64)? as u32);
     }
     if let Some(e) = sec.take("pressure")? {
         ini.pressure = Some(e.int_max(u8::MAX as u64)? as u8);

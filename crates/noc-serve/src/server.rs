@@ -470,6 +470,50 @@ queue = 4
     }
 
     #[test]
+    fn sizes_that_would_abort_the_allocator_are_error_records_and_serving_goes_on() {
+        // An allocation failure is an abort, not a panic: `catch_unwind`
+        // cannot save the server from it, so these must never reach
+        // `build`. Each is a parse error at its line; the request after
+        // them is served as usual.
+        let dir = std::env::temp_dir().join(format!("noc-serve-huge-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = scenario_text(0);
+        let huge_budget = good.replacen("socket = ", "outstanding = 4294967295\nsocket = ", 1);
+        assert_ne!(huge_budget, good);
+        let huge_mesh =
+            format!("[topology]\nkind = \"mesh\"\nwidth = 65536\nheight = 65536\n\n{good}");
+        for (name, text) in [
+            ("budget", &huge_budget),
+            ("mesh", &huge_mesh),
+            ("good", &good),
+        ] {
+            std::fs::write(dir.join(format!("{name}.scn")), text).unwrap();
+        }
+        let run = |id: &str| format!("run {id} {}\n", dir.join(format!("{id}.scn")).display());
+        let input = run("budget") + &run("mesh") + &run("good") + "shutdown\n";
+        let mut out = Vec::new();
+        let stats = serve(
+            ServeConfig {
+                max_cycles: 100_000,
+                ..ServeConfig::default()
+            },
+            Cursor::new(input),
+            &mut out,
+        )
+        .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!((stats.rejected, stats.requests, stats.points_ok), (2, 1, 3));
+        let lines = records(&out);
+        assert_eq!(lines.len(), 6, "{lines:#?}");
+        for (line, key) in lines[..2].iter().zip(["outstanding", "height"]) {
+            assert!(line.contains("\"status\":\"error\""), "{line}");
+            assert!(line.contains(key) && line.contains("line "), "{line}");
+        }
+        assert!(lines[5].contains("\"request\":\"good\""), "{}", lines[5]);
+        assert!(lines[5].contains("\"ok\":3"), "{}", lines[5]);
+    }
+
+    #[test]
     fn undrainable_points_become_error_records() {
         let dir = std::env::temp_dir().join(format!("noc-serve-drain-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

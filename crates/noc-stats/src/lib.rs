@@ -1,6 +1,5 @@
-//! Measurement utilities for NoC experiments: counters, running summaries,
-//! latency histograms with percentiles, utilization meters and ASCII table
-//! rendering.
+//! Measurement utilities for NoC experiments: running summaries, latency
+//! histograms with percentiles and ASCII table rendering.
 //!
 //! Every experiment binary in the workspace reports through these types so
 //! tables come out in one consistent format.
@@ -20,11 +19,9 @@
 //! ```
 
 pub mod histogram;
-pub mod meter;
 pub mod summary;
 pub mod table;
 
 pub use histogram::Histogram;
-pub use meter::{Counter, RateMeter, Utilization};
 pub use summary::Summary;
 pub use table::Table;

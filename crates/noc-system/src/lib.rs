@@ -14,6 +14,11 @@
 //! endpoint noticing (asserted by the `layering_invariance` integration
 //! suite via functional fingerprints).
 //!
+//! A built [`Soc`] is a [`noc_kernel::Engine`]: it supplies `step`,
+//! `next_activity` and `skip_to`, and time is advanced over it by the
+//! trait's one `advance_to` loop ([`Soc::run`] is that loop plus a
+//! report).
+//!
 //! # Examples
 //!
 //! ```

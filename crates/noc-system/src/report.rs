@@ -1,5 +1,6 @@
 //! Simulation reports.
 
+use noc_protocols::CompletionLog;
 use noc_stats::Histogram;
 use noc_transaction::Fingerprint;
 use std::fmt;
@@ -24,6 +25,23 @@ pub struct MasterReport {
 }
 
 impl MasterReport {
+    /// Summarises one master's completion log.
+    pub fn from_log(name: &str, node: u16, log: &CompletionLog) -> Self {
+        let mut latency = Histogram::new();
+        for r in log.records() {
+            latency.record(r.latency());
+        }
+        MasterReport {
+            name: name.to_owned(),
+            node,
+            completions: log.len(),
+            errors: log.errors(),
+            mean_latency: log.mean_latency(),
+            latency,
+            fingerprint: log.fingerprint(),
+        }
+    }
+
     /// The `q`-quantile of the latency distribution.
     pub fn latency_percentile(&self, q: f64) -> u64 {
         self.latency.percentile(q).unwrap_or(0)

@@ -2,13 +2,11 @@
 
 use crate::fabric::Fabric;
 use crate::report::{FabricReport, MasterReport, SocReport};
-use noc_kernel::{Calendar, ClockDomain, ClockId, ClockSet, WakeId};
+use noc_kernel::{Calendar, ClockDomain, ClockId, ClockSet, Engine, WakeId};
 use noc_niu::NocEndpoint;
 use noc_physical::LinkConfig;
-use noc_stats::Histogram;
 use noc_topology::{RouteAlgorithm, Topology, TopologyError};
 use noc_transport::SwitchMode;
-use std::cell::Cell;
 use std::fmt;
 
 /// Transport + physical configuration of a NoC instance — everything the
@@ -265,7 +263,6 @@ impl SocBuilder {
             node_ep,
             ep_cal,
             ep_wake,
-            polls: Cell::new(0),
             done: vec![false; num_endpoints],
             not_done: num_endpoints,
             now: 0,
@@ -305,9 +302,6 @@ pub struct Soc {
     /// its horizon *earlier*).
     ep_cal: Calendar,
     ep_wake: Vec<WakeId>,
-    /// `next_activity` invocations — the scan-side observability
-    /// counter (`Cell`: the query is `&self` but must still count).
-    polls: Cell<u64>,
     /// Cached [`NocEndpoint::is_done`] per endpoint plus the count of
     /// endpoints still working, refreshed by the same invalidation
     /// discipline as the calendar: done-ness can only flip when an
@@ -325,21 +319,16 @@ pub struct Soc {
     eject_scratch: Vec<(u16, noc_transport::Flit)>,
 }
 
-impl Soc {
-    /// Current base cycle.
-    pub fn now(&self) -> u64 {
+impl Engine for Soc {
+    fn now(&self) -> u64 {
         self.now
     }
 
-    /// Base cycles actually stepped, excluding the cycles horizon
-    /// stepping jumped over — dense runs execute exactly [`Soc::now`]
-    /// steps, so the dense/horizon ratio measures the skip win.
-    pub fn executed_steps(&self) -> u64 {
+    fn executed_steps(&self) -> u64 {
         self.steps
     }
 
-    /// Advances the whole system one base cycle.
-    pub fn step(&mut self) {
+    fn step(&mut self) {
         let now = self.now;
         self.steps += 1;
         // 0. Credit returns whose registered delay has elapsed become
@@ -353,7 +342,7 @@ impl Soc {
         // `touched`: its wakeup firing, a flit pulled from it, a flit
         // pushed into it. Clocked ticks *inside* a pending wakeup's
         // dead region are provably no-ops for the horizon — the same
-        // invariance that lets [`Soc::skip_to`] jump them — so merely
+        // invariance that lets `skip_to` jump them — so merely
         // being clocked does not require re-registration.
         let mut touched = std::mem::take(&mut self.touched_scratch);
         touched.clear();
@@ -414,12 +403,56 @@ impl Soc {
         self.touched_scratch = touched;
     }
 
+    /// Every endpoint is done and both fabrics idle. O(1): endpoint
+    /// done-ness is cached (see the `done` field) and the fabrics count
+    /// their active components.
+    fn is_done(&self) -> bool {
+        self.not_done == 0 && self.request.is_idle() && self.response.is_idle()
+    }
+
+    /// Does not scan components: each fabric answers in O(1)
+    /// (busy/stash sets pin it to `now`; otherwise its link calendar's
+    /// earliest scheduled arrival), and the endpoints' contribution is
+    /// the earliest wakeup they scheduled into the endpoint calendar
+    /// (`step` re-registers every endpoint whose horizon can have
+    /// moved). A calendar minimum may be stale — a component
+    /// rescheduled *later* and the old entry has not been retired — but
+    /// stale means early, and an early wakeup merely executes a step a
+    /// dense run executes anyway, so logs stay bit-identical.
+    fn next_activity(&self) -> Option<u64> {
+        let mut horizon = noc_kernel::Horizon::new();
+        horizon.merge(self.request.next_event_at(self.now));
+        horizon.merge(self.response.next_event_at(self.now));
+        horizon.merge(self.ep_cal.peek());
+        horizon.earliest_from(self.now)
+    }
+
+    /// For every endpoint the clock edges inside `[now, target)` are
+    /// accounted through [`NocEndpoint::skip_ticks`], and both fabrics
+    /// bulk-account their lock-idle statistics through
+    /// [`Fabric::skip_cycles`], leaving bit-identical state.
+    fn skip_to(&mut self, target: u64) {
+        for (i, ep) in self.endpoints.iter_mut().enumerate() {
+            let domain = self.clocks.domain(self.clock_ids[i]);
+            let ticks = domain.ticks_in(target) - domain.ticks_in(self.now);
+            if ticks > 0 {
+                ep.inner.skip_ticks(ticks);
+            }
+        }
+        let cycles = target - self.now;
+        self.request.skip_cycles(cycles);
+        self.response.skip_cycles(cycles);
+        self.now = target;
+    }
+}
+
+impl Soc {
     /// The endpoint's current horizon contribution: the earliest base
     /// cycle at which it can act, combining its local-tick countdown
     /// ([`NocEndpoint::idle_ticks`], mapped onto the base timeline
     /// through its clock domain) with the [`NocEndpoint::ready_at`]
     /// absolute refinement. Both are proofs of deadness, so the later
-    /// bound wins; both are invariant across [`Soc::skip_to`] (the
+    /// bound wins; both are invariant across [`Engine::skip_to`] (the
     /// countdown shrinks by exactly the skipped edges), so a scheduled
     /// wakeup stays valid through skips.
     fn endpoint_wake_at(&self, i: usize) -> Option<u64> {
@@ -456,85 +489,10 @@ impl Soc {
         }
     }
 
-    /// Returns `true` when every endpoint is done and both fabrics idle.
-    /// O(1): endpoint done-ness is cached (see the `done` field) and
-    /// the fabrics count their active components.
-    pub fn is_done(&self) -> bool {
-        self.not_done == 0 && self.request.is_idle() && self.response.is_idle()
-    }
-
-    /// The earliest base cycle at which the system's state can possibly
-    /// change, or `None` when no component will ever act again absent
-    /// external input.
-    ///
-    /// This no longer scans components: each fabric answers in O(1)
-    /// (busy/stash sets pin it to `now`; otherwise its link calendar's
-    /// earliest scheduled arrival), and the endpoints' contribution is
-    /// the earliest wakeup they scheduled into the endpoint calendar
-    /// ([`Soc::step`] re-registers every endpoint whose horizon can
-    /// have moved). A calendar minimum may be stale — a component
-    /// rescheduled *later* and the old entry has not been retired — but
-    /// stale means early, and an early wakeup merely executes a step a
-    /// dense run executes anyway, so logs stay bit-identical.
-    pub fn next_activity(&self) -> Option<u64> {
-        self.polls.set(self.polls.get() + 1);
-        let mut horizon = noc_kernel::Horizon::new();
-        horizon.merge(self.request.next_event_at(self.now));
-        horizon.merge(self.response.next_event_at(self.now));
-        horizon.merge(self.ep_cal.peek());
-        horizon.earliest_from(self.now)
-    }
-
-    /// Times [`Soc::next_activity`] was called — the poll-side
-    /// observability counter. With calendar stepping each poll is O(1);
-    /// the companion [`Soc::calendar_pops`] counts the wakeups that
-    /// drove those answers.
-    pub fn horizon_polls(&self) -> u64 {
-        self.polls.get()
-    }
-
     /// Total calendar wakeups retired across the endpoint calendar and
     /// both fabrics' link calendars.
     pub fn calendar_pops(&self) -> u64 {
         self.ep_cal.pops() + self.request.calendar_pops() + self.response.calendar_pops()
-    }
-
-    /// Jumps simulation time to `target` across a provably-dead gap: for
-    /// every endpoint the clock edges inside `[now, target)` are
-    /// accounted through [`NocEndpoint::skip_ticks`], and both fabrics
-    /// bulk-account their lock-idle statistics through
-    /// [`Fabric::skip_cycles`], leaving bit-identical state.
-    ///
-    /// Callers must only pass targets at or before the cycle returned by
-    /// [`Soc::next_activity`].
-    fn skip_to(&mut self, target: u64) {
-        for (i, ep) in self.endpoints.iter_mut().enumerate() {
-            let domain = self.clocks.domain(self.clock_ids[i]);
-            let ticks = domain.ticks_in(target) - domain.ticks_in(self.now);
-            if ticks > 0 {
-                ep.inner.skip_ticks(ticks);
-            }
-        }
-        let cycles = target - self.now;
-        self.request.skip_cycles(cycles);
-        self.response.skip_cycles(cycles);
-        self.now = target;
-    }
-
-    /// Advances until done or `horizon`, jumping over quiescent gaps and
-    /// stepping densely through active stretches. Bit-identical to
-    /// stepping every cycle.
-    pub fn advance_to(&mut self, horizon: u64) {
-        while self.now < horizon && !self.is_done() {
-            match self.next_activity() {
-                Some(t) if t > self.now => self.skip_to(t.min(horizon)),
-                Some(_) => self.step(),
-                // Nothing will ever happen again (deadlock with every
-                // component quiescent): dense stepping would burn no-op
-                // cycles to the horizon; jump there in one hop.
-                None => self.skip_to(horizon),
-            }
-        }
     }
 
     /// Runs until done or `max_cycles` (horizon stepping), then reports.
@@ -611,46 +569,39 @@ impl Soc {
 
     /// Builds a report from the current state.
     pub fn report(&self) -> SocReport {
-        let mut masters = Vec::new();
-        for ep in &self.endpoints {
-            if !ep.is_initiator {
-                continue;
-            }
-            let Some(log) = ep.inner.completion_log() else {
-                continue;
-            };
-            let mut latency = Histogram::new();
-            for r in log.records() {
-                latency.record(r.latency());
-            }
-            masters.push(MasterReport {
-                name: ep.name.clone(),
-                node: ep.node,
-                completions: log.len(),
-                errors: log.errors(),
-                mean_latency: log.mean_latency(),
-                latency,
-                fingerprint: log.fingerprint(),
-            });
-        }
-        let req = self.request.stats();
-        let resp = self.response.stats();
+        let masters = self
+            .endpoints
+            .iter()
+            .filter(|ep| ep.is_initiator)
+            .filter_map(|ep| {
+                let log = ep.inner.completion_log()?;
+                Some(MasterReport::from_log(&ep.name, ep.node, log))
+            })
+            .collect();
         SocReport {
             cycles: self.now,
             all_done: self.is_done(),
             masters,
-            fabric: FabricReport {
-                request_flits: self.request.delivered_flits(),
-                response_flits: self.response.delivered_flits(),
-                flits_forwarded: req.flits_forwarded + resp.flits_forwarded,
-                packets_forwarded: req.packets_forwarded + resp.packets_forwarded,
-                credit_stalls: req.credit_stalls + resp.credit_stalls,
-                arbitration_conflicts: req.arbitration_conflicts + resp.arbitration_conflicts,
-                lock_idle_cycles: req.lock_idle_cycles + resp.lock_idle_cycles,
-                mean_link_latency: (self.request.mean_link_latency()
-                    + self.response.mean_link_latency())
-                    / 2.0,
-            },
+            fabric: self.fabric_report(),
+        }
+    }
+
+    /// The fabric aggregates of [`Soc::report`], summed over the request
+    /// and response networks.
+    pub fn fabric_report(&self) -> FabricReport {
+        let req = self.request.stats();
+        let resp = self.response.stats();
+        FabricReport {
+            request_flits: self.request.delivered_flits(),
+            response_flits: self.response.delivered_flits(),
+            flits_forwarded: req.flits_forwarded + resp.flits_forwarded,
+            packets_forwarded: req.packets_forwarded + resp.packets_forwarded,
+            credit_stalls: req.credit_stalls + resp.credit_stalls,
+            arbitration_conflicts: req.arbitration_conflicts + resp.arbitration_conflicts,
+            lock_idle_cycles: req.lock_idle_cycles + resp.lock_idle_cycles,
+            mean_link_latency: (self.request.mean_link_latency()
+                + self.response.mean_link_latency())
+                / 2.0,
         }
     }
 }

@@ -13,10 +13,7 @@
 pub mod patterns;
 pub mod scenario;
 
-pub use patterns::{
-    bursty_program, hotspot_program, neighbour_program, uniform_program, zipf_program,
-    PatternConfig,
-};
+pub use patterns::{uniform_program, PatternConfig};
 pub use scenario::{SetTop, SetTopConfig};
 
 // Convenience: workload consumers almost always want the scenario API too.

@@ -1,7 +1,8 @@
-//! Synthetic traffic pattern generators.
+//! The synthetic traffic generator behind the set-top scenario.
 //!
-//! All patterns are deterministic functions of their seed (SplitMix64),
-//! producing [`Program`]s for protocol master agents.
+//! A program is a deterministic function of its seed (SplitMix64). The
+//! shaped workloads (bursty, Zipf hotspot, trace replay) are the
+//! streamed generators of `noc_scenario::program`.
 
 use noc_kernel::SplitMix64;
 use noc_protocols::{Program, SocketCommand};
@@ -63,12 +64,14 @@ impl PatternConfig {
     }
 }
 
-fn gen(cfg: &PatternConfig, mut pick_range: impl FnMut(&mut SplitMix64) -> (u64, u64)) -> Program {
+/// Uniform-random traffic over the given target ranges.
+pub fn uniform_program(cfg: &PatternConfig, ranges: &[(u64, u64)]) -> Program {
+    assert!(!ranges.is_empty(), "need at least one target range");
     let mut rng = SplitMix64::new(cfg.seed);
     let mut program = Vec::with_capacity(cfg.commands);
     let burst_bytes = (cfg.beats * cfg.beat_bytes) as u64;
     for i in 0..cfg.commands {
-        let (start, end) = pick_range(&mut rng);
+        let (start, end) = ranges[rng.next_below(ranges.len() as u64) as usize];
         let span = (end - start).saturating_sub(burst_bytes).max(1);
         let addr = start + (rng.next_below(span) & !(cfg.beat_bytes as u64 - 1));
         let is_read = rng.chance(cfg.read_fraction);
@@ -91,74 +94,6 @@ fn gen(cfg: &PatternConfig, mut pick_range: impl FnMut(&mut SplitMix64) -> (u64,
         program.push(cmd);
     }
     program
-}
-
-/// Uniform-random traffic over the given target ranges.
-pub fn uniform_program(cfg: &PatternConfig, ranges: &[(u64, u64)]) -> Program {
-    assert!(!ranges.is_empty(), "need at least one target range");
-    let ranges = ranges.to_vec();
-    gen(cfg, move |rng| {
-        ranges[rng.next_below(ranges.len() as u64) as usize]
-    })
-}
-
-/// Hotspot traffic: `hot_fraction` of commands hit `hot`, the rest are
-/// uniform over `ranges`.
-pub fn hotspot_program(
-    cfg: &PatternConfig,
-    ranges: &[(u64, u64)],
-    hot: (u64, u64),
-    hot_fraction: f64,
-) -> Program {
-    assert!(!ranges.is_empty(), "need at least one target range");
-    let ranges = ranges.to_vec();
-    gen(cfg, move |rng| {
-        if rng.chance(hot_fraction) {
-            hot
-        } else {
-            ranges[rng.next_below(ranges.len() as u64) as usize]
-        }
-    })
-}
-
-/// Neighbour traffic: master `index` talks to range `index % ranges.len()`
-/// only (spatial locality).
-pub fn neighbour_program(cfg: &PatternConfig, ranges: &[(u64, u64)], index: usize) -> Program {
-    assert!(!ranges.is_empty(), "need at least one target range");
-    let range = ranges[index % ranges.len()];
-    gen(cfg, move |_| range)
-}
-
-/// Materialises a streamed feed source into a complete program by
-/// pulling it dry. Chunk boundaries don't affect content, so the result
-/// is identical to what the simulation feeder would stream in.
-fn drain(mut source: noc_scenario::FeedSource) -> Program {
-    let mut program = Vec::new();
-    loop {
-        let chunk = source.pull(u64::MAX);
-        if chunk.is_empty() {
-            return program;
-        }
-        program.extend(chunk);
-    }
-}
-
-/// The full command list a [`noc_scenario::BurstySpec`] streams over the
-/// given target ranges — eager form for benches and offline analysis.
-pub fn bursty_program(spec: &noc_scenario::BurstySpec, ranges: &[(u64, u64)]) -> Program {
-    assert!(!ranges.is_empty(), "need at least one target range");
-    drain(noc_scenario::FeedSource::Bursty(
-        noc_scenario::program::BurstyGen::new(*spec, ranges.to_vec()),
-    ))
-}
-
-/// The full command list a [`noc_scenario::ZipfSpec`] streams over the
-/// given target ranges — eager form for benches and offline analysis.
-pub fn zipf_program(spec: &noc_scenario::ZipfSpec, ranges: &[(u64, u64)]) -> Program {
-    assert!(!ranges.is_empty(), "need at least one target range");
-    drain(noc_scenario::FeedSource::Zipf(
-        noc_scenario::program::ZipfGen::new(*spec, ranges.to_vec()),
-    ))
 }
 
 #[cfg(test)]
@@ -203,44 +138,6 @@ mod tests {
         let p = uniform_program(&cfg, &R);
         assert_eq!(p[0].stream, StreamId::new(0));
         assert_eq!(p[5].stream, StreamId::new(1));
-    }
-
-    #[test]
-    fn hotspot_concentrates_traffic() {
-        let cfg = PatternConfig::new(500, 5);
-        let p = hotspot_program(&cfg, &R, (0x8000, 0x9000), 0.8);
-        let hot = p.iter().filter(|c| c.addr >= 0x8000).count();
-        assert!(hot > 300, "hot hits: {hot}");
-    }
-
-    #[test]
-    fn neighbour_sticks_to_one_range() {
-        let cfg = PatternConfig::new(50, 9);
-        let p = neighbour_program(&cfg, &R, 1);
-        assert!(p.iter().all(|c| c.addr >= 0x1000 && c.addr < 0x2000));
-    }
-
-    #[test]
-    fn bursty_program_is_deterministic_and_complete() {
-        let spec = noc_scenario::BurstySpec::new(0xB0B, 48, 4, 12);
-        let a = bursty_program(&spec, &R);
-        assert_eq!(a.len(), 48);
-        assert_eq!(a, bursty_program(&spec, &R));
-        for cmd in &a {
-            let bytes = (cmd.beats * cmd.beat_bytes) as u64;
-            assert!(R
-                .iter()
-                .any(|(s, e)| cmd.addr >= *s && cmd.addr + bytes <= *e));
-        }
-    }
-
-    #[test]
-    fn zipf_program_concentrates_on_the_first_range() {
-        let spec = noc_scenario::ZipfSpec::new(0x21F, 400, 2500);
-        let p = zipf_program(&spec, &R);
-        assert_eq!(p.len(), 400);
-        let hot = p.iter().filter(|c| c.addr < 0x1000).count();
-        assert!(hot > 300, "rank-1 hits: {hot}/400");
     }
 
     #[test]

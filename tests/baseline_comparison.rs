@@ -4,7 +4,8 @@
 //! paper's qualitative claims quantitatively.
 
 use noc_area::{bridge_gates, bus_gates, niu_gates, switch_gates, NiuAreaConfig};
-use noc_baseline::{BridgedInterconnect, Interconnect, SharedBus};
+use noc_baseline::{BridgedInterconnect, SharedBus};
+use noc_kernel::Engine;
 use noc_protocols::ProtocolKind;
 use noc_system::Soc;
 use noc_workloads::{SetTop, SetTopConfig};

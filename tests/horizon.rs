@@ -9,11 +9,13 @@
 //! record (timestamps included) and every statistics counter stays
 //! bit-identical to dense stepping.
 
+use noc_baseline::{BridgeConfig, BusConfig};
 use noc_protocols::{CompletionRecord, SocketCommand};
 use noc_scenario::{
-    parse_document, Backend, Document, InitiatorSpec, MemorySpec, NocConfigSpec, ScenarioSpec,
-    SocketSpec, StepMode, TopologySpec,
+    parse_document, Backend, Document, InitiatorSpec, MemorySpec, NocConfigSpec, ScenarioEngine,
+    ScenarioSpec, SocketSpec, StepMode, TopologySpec,
 };
+use noc_system::NocConfig;
 use noc_transaction::BurstKind;
 use std::path::PathBuf;
 
@@ -222,4 +224,53 @@ fn lock_idle_statistics_survive_bulk_skip_accounting() {
         df.lock_idle_cycles > 0,
         "the locked scheme must actually exercise lock-idle accounting"
     );
+}
+
+/// The `skip_to` clause of the `Engine` contract, checked gap by gap
+/// rather than end to end: each time `next_activity` proves a gap dead,
+/// a clone that *steps* through the gap and the original that *skips*
+/// it must finish with identical logs and reports.
+fn skipping_a_proven_dead_gap_equals_stepping_it<E: ScenarioEngine>(mut engine: E) {
+    fn finish<E: ScenarioEngine>(mut engine: E) -> impl PartialEq + std::fmt::Debug {
+        engine.advance_to(5_000_000);
+        let logs: Vec<(String, Vec<CompletionRecord>)> = engine
+            .completion_logs()
+            .into_iter()
+            .map(|(name, log)| (name.to_owned(), log.records().to_vec()))
+            .collect();
+        (engine.now(), engine.is_done(), logs, engine.fabric_report())
+    }
+    let mut gaps = 0;
+    while gaps < 32 && !engine.is_done() {
+        match engine.next_activity() {
+            Some(t) if t > engine.now() => {
+                let mut stepped = engine.clone();
+                while stepped.now() < t {
+                    stepped.step();
+                }
+                engine.skip_to(t);
+                assert_eq!(
+                    finish(stepped),
+                    finish(engine.clone()),
+                    "{}: skipping to {t} diverges from stepping there",
+                    E::LABEL
+                );
+                gaps += 1;
+            }
+            Some(_) => engine.step(),
+            None => break,
+        }
+    }
+    assert_eq!(gaps, 32, "{}: deep_pipeline has dead gaps", E::LABEL);
+}
+
+#[test]
+fn every_engine_honours_the_skip_contract_on_its_first_32_gaps() {
+    let spec = ScenarioSpec::from_text(&corpus("deep_pipeline.scn")).expect("corpus parses");
+    let noc = spec.build_noc(NocConfig::new()).expect("builds");
+    skipping_a_proven_dead_gap_equals_stepping_it(noc.into_inner());
+    let bridged = spec.build_bridged(BridgeConfig::default()).expect("builds");
+    skipping_a_proven_dead_gap_equals_stepping_it(bridged.into_inner());
+    let bus = spec.build_bus(BusConfig::default()).expect("builds");
+    skipping_a_proven_dead_gap_equals_stepping_it(bus.into_inner());
 }

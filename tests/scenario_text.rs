@@ -11,7 +11,7 @@
 use noc_protocols::CompletionRecord;
 use noc_scenario::{
     parse_document, Backend, Document, ParseError, ParseErrorKind, ScenarioError, ScenarioSpec,
-    StepMode, Sweep,
+    StepMode, Sweep, TopologySpec,
 };
 use std::path::PathBuf;
 
@@ -313,6 +313,64 @@ fn zero_clock_divisor_is_rejected() {
     let e = parse_err("[[initiator]]\nname = \"m\"\nsocket = \"ahb\"\nclock_divisor = 0\n");
     assert_eq!(e.line, 4);
     assert!(matches!(e.kind, ParseErrorKind::BadValue { ref key, .. } if key == "clock_divisor"));
+}
+
+/// Sizes a file can name but a process cannot allocate are hostile
+/// input: an allocation failure aborts, which no `catch_unwind` in the
+/// serve layer can turn into an error record. Both known cases — an
+/// NIU outstanding budget of `u32::MAX` and a mesh whose sides each
+/// pass their own cap but whose product is 2^32 switches — must be
+/// typed errors, at line:col from text and from `validate` for specs
+/// built through the API.
+#[test]
+fn sizes_that_would_abort_the_allocator_are_rejected_in_place() {
+    let e = parse_err("[[initiator]]\nname = \"m\"\nsocket = \"ahb\"\noutstanding = 4294967295\n");
+    assert_eq!((e.line, e.column), (4, 15));
+    assert!(
+        matches!(e.kind, ParseErrorKind::BadValue { ref key, ref reason }
+            if key == "outstanding" && reason.contains("65536")),
+        "{:?}",
+        e.kind
+    );
+    let e = parse_err("[topology]\nkind = \"mesh\"\nwidth = 65536\nheight = 65536\n");
+    assert_eq!((e.line, e.column), (4, 10));
+    assert!(
+        matches!(e.kind, ParseErrorKind::BadValue { ref key, ref reason }
+            if key == "height" && reason.contains("1048576")),
+        "{:?}",
+        e.kind
+    );
+    // The largest legal values still parse (and are never built here).
+    let ok = "[topology]\nkind = \"mesh\"\nwidth = 1024\nheight = 1024\n\n\
+              [[initiator]]\nname = \"m\"\nsocket = \"ahb\"\noutstanding = 65536\n\n\
+              [[memory]]\nname = \"a\"\nbase = 0\nend = 0x1000\nlatency = 1\n";
+    let spec = ScenarioSpec::from_text(ok).expect("values at the limits parse");
+    assert_eq!(spec.validate(), Ok(()));
+
+    let mut hostile = spec.clone();
+    hostile.initiators[0].outstanding = Some(u32::MAX);
+    assert_eq!(
+        hostile.validate(),
+        Err(ScenarioError::OutstandingTooLarge {
+            initiator: "m".into(),
+            outstanding: u32::MAX
+        })
+    );
+    let hostile = spec.with_topology(TopologySpec::Mesh {
+        width: 1 << 16,
+        height: 1 << 16,
+    });
+    assert!(
+        matches!(hostile.validate(), Err(ScenarioError::BadTopology { ref reason })
+            if reason.contains("1048576")),
+        "{:?}",
+        hostile.validate()
+    );
+    // `build` validates first, so the fabric is never allocated.
+    assert!(matches!(
+        hostile.build(&Backend::noc()),
+        Err(ScenarioError::BadTopology { .. })
+    ));
 }
 
 /// The sharded-stepping grammar was removed with the engine; its keys
