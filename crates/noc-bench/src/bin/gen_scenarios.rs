@@ -1,8 +1,10 @@
 //! Regenerates the `tests/scenarios/` corpus from the shared experiment
 //! scenario builders. The checked-in files are exact emitter output, so
 //! `emit(parse(file)) == file` — asserted by `tests/scenario_text.rs`,
-//! which makes the corpus double as grammar-stability fixtures. Run this
-//! after changing a builder or the text format, then commit the diff.
+//! which makes the corpus double as grammar-stability fixtures. Also
+//! rewrites the grammar block of the README (between its two marker
+//! comments) with [`noc_scenario::grammar_reference`]. Run this after
+//! changing a builder or the text format, then commit the diff.
 
 use noc_bench::scenarios::{
     bursty_storm_spec, clocked_mixed_spec, deep_pipeline_spec, exclusive_sweep, ordering_sweep,
@@ -54,5 +56,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::fs::write(&path, &text)?;
         println!("wrote {} ({} lines)", path.display(), text.lines().count());
     }
+    let readme = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
+    let text = std::fs::read_to_string(&readme)?;
+    let (begin, end) = ("<!-- grammar:begin", "<!-- grammar:end -->");
+    let (Some(from), Some(to)) = (text.find(begin), text.find(end)) else {
+        return Err("README.md has lost its grammar markers".into());
+    };
+    let body = from + text[from..].find('\n').ok_or("unterminated marker")? + 1;
+    let grammar = noc_scenario::grammar_reference();
+    let text = format!("{}```toml\n{grammar}```\n{}", &text[..body], &text[to..]);
+    std::fs::write(&readme, text)?;
+    println!("wrote {} (grammar block)", readme.display());
     Ok(())
 }

@@ -76,12 +76,6 @@ use noc_stats::Table;
 use std::fmt::Write as _;
 
 #[derive(Clone, Copy, PartialEq)]
-enum BackendSel {
-    One(&'static str),
-    All,
-}
-
-#[derive(Clone, Copy, PartialEq)]
 enum StepSel {
     One(StepMode),
     Both,
@@ -89,7 +83,8 @@ enum StepSel {
 
 struct Options {
     files: Vec<String>,
-    backend: BackendSel,
+    /// `None` runs plain scenario files on every backend.
+    backend: Option<Backend>,
     /// `None` until `--step` is given: scenario files default to
     /// horizon, sweep files to their own settings.
     step: Option<StepSel>,
@@ -129,7 +124,7 @@ fn usage() -> &'static str {
 fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
     let mut opts = Options {
         files: Vec::new(),
-        backend: BackendSel::All,
+        backend: None,
         step: None,
         max_cycles: None,
         assert_fewer_steps: false,
@@ -140,20 +135,17 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--backend" => {
-                opts.backend = match args.next().as_deref() {
-                    Some("noc") => BackendSel::One("noc"),
-                    Some("bridged") => BackendSel::One("bridged"),
-                    Some("bus") => BackendSel::One("bus"),
-                    Some("all") => BackendSel::All,
-                    other => return Err(format!("bad --backend {other:?}\n{}", usage()).into()),
+                let v = args.next().unwrap_or_default();
+                opts.backend = match v.as_str() {
+                    "all" => None,
+                    name => Some(name.parse().map_err(|e| format!("{e}\n{}", usage()))?),
                 }
             }
             "--step" => {
-                opts.step = Some(match args.next().as_deref() {
-                    Some("dense") => StepSel::One(StepMode::Dense),
-                    Some("horizon") => StepSel::One(StepMode::Horizon),
-                    Some("both") => StepSel::Both,
-                    other => return Err(format!("bad --step {other:?}\n{}", usage()).into()),
+                let v = args.next().unwrap_or_default();
+                opts.step = Some(match v.as_str() {
+                    "both" => StepSel::Both,
+                    name => StepSel::One(name.parse().map_err(|e| format!("{e}\n{}", usage()))?),
                 })
             }
             "--max-cycles" => {
@@ -198,15 +190,6 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
         .into());
     }
     Ok(opts)
-}
-
-fn backend_by_label(label: &str) -> Backend {
-    match label {
-        "noc" => Backend::noc(),
-        "bridged" => Backend::bridged(),
-        "bus" => Backend::bus(),
-        _ => unreachable!("labels come from parse_args"),
-    }
 }
 
 /// The comparable part of a run (logs with timestamps) plus the
@@ -427,9 +410,9 @@ fn run_scenario_file(
     spec: &ScenarioSpec,
     opts: &Options,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let labels: &[&str] = match opts.backend {
-        BackendSel::One(label) => &[label],
-        BackendSel::All => &["noc", "bridged", "bus"],
+    let backends: Vec<Backend> = match opts.backend {
+        Some(backend) => vec![backend],
+        None => Backend::NAMES.iter().map(|(_, make)| make()).collect(),
     };
     let step = opts.step.unwrap_or(StepSel::One(StepMode::Horizon));
     let max_cycles = opts.max_cycles.unwrap_or(10_000_000);
@@ -445,10 +428,9 @@ fn run_scenario_file(
     ]);
     t.numeric();
     let mut target_rows = Vec::new();
-    for label in labels {
-        let backend = backend_by_label(label);
-        let skip = opts.backend == BackendSel::All;
-        if let Some((row, stats)) = run_spec(spec, &backend, step, max_cycles, skip, opts)? {
+    for backend in &backends {
+        let skip = opts.backend.is_none();
+        if let Some((row, stats)) = run_spec(spec, backend, step, max_cycles, skip, opts)? {
             t.row(&row);
             for (target, n, mean) in stats {
                 // A target nothing reached has no latency, not a zero
@@ -458,7 +440,7 @@ fn run_scenario_file(
                 } else {
                     format!("{mean:.1}")
                 };
-                target_rows.push(vec![label.to_string(), target, n.to_string(), mean_cell]);
+                target_rows.push(vec![backend.to_string(), target, n.to_string(), mean_cell]);
             }
         }
     }
@@ -583,11 +565,8 @@ fn run_serve(args: impl Iterator<Item = String>) -> Result<(), Box<dyn std::erro
                 config.max_cycles = v.parse().map_err(|_| format!("bad --max-cycles {v:?}"))?;
             }
             "--step" => {
-                config.step_mode = match args.next().as_deref() {
-                    Some("dense") => StepMode::Dense,
-                    Some("horizon") => StepMode::Horizon,
-                    other => return Err(format!("bad --step {other:?}\n{usage}").into()),
-                };
+                let v = args.next().unwrap_or_default();
+                config.step_mode = v.parse().map_err(|e| format!("{e}\n{usage}"))?;
             }
             "--poll-ms" => {
                 let v = args.next().ok_or("--poll-ms needs a number")?;

@@ -45,6 +45,7 @@
 //! # Ok::<(), noc_scenario::ScenarioError>(())
 //! ```
 
+pub mod names;
 pub mod program;
 pub mod sim;
 pub mod spec;
@@ -63,4 +64,4 @@ pub use spec::{
     SocketSpec, TargetSpec, TopologySpec,
 };
 pub use sweep::{Sweep, SweepPoint, SweepResult};
-pub use text::{parse_document, Document, ParseError, ParseErrorKind};
+pub use text::{grammar_reference, parse_document, Document, ParseError, ParseErrorKind};

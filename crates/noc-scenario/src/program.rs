@@ -16,6 +16,7 @@
 //! ever reads simulation time, which is what makes the feed timing
 //! unobservable and the dense ≡ horizon equivalence hold.
 
+use crate::names::{name_of, Names};
 use noc_kernel::SplitMix64;
 use noc_protocols::{Program, SocketCommand};
 use noc_transaction::{BurstKind, Opcode, StreamId};
@@ -52,12 +53,13 @@ pub enum Discipline {
 }
 
 impl Discipline {
+    /// The grammar spellings (`discipline = "…"`).
+    pub const NAMES: Names<Discipline> =
+        &[("open", Discipline::Open), ("closed", Discipline::Closed)];
+
     /// Grammar label ("open" / "closed").
     pub fn label(&self) -> &'static str {
-        match self {
-            Discipline::Open => "open",
-            Discipline::Closed => "closed",
-        }
+        name_of(Self::NAMES, |d| d == self)
     }
 }
 
@@ -84,16 +86,21 @@ pub struct StochasticShape {
     pub discipline: Discipline,
 }
 
+impl StochasticShape {
+    /// The shape a program declares when it names no shape key.
+    pub const DEFAULT: StochasticShape = StochasticShape {
+        read_pct: 70,
+        beats: 4,
+        beat_bytes: 4,
+        streams: 1,
+        gap: 2,
+        discipline: Discipline::Open,
+    };
+}
+
 impl Default for StochasticShape {
     fn default() -> Self {
-        StochasticShape {
-            read_pct: 70,
-            beats: 4,
-            beat_bytes: 4,
-            streams: 1,
-            gap: 2,
-            discipline: Discipline::Open,
-        }
+        StochasticShape::DEFAULT
     }
 }
 
@@ -116,13 +123,13 @@ pub struct BurstySpec {
 
 impl BurstySpec {
     /// A bursty program with the default shape.
-    pub fn new(seed: u64, commands: usize, burst_len: u32, idle_gap: u32) -> Self {
+    pub const fn new(seed: u64, commands: usize, burst_len: u32, idle_gap: u32) -> Self {
         BurstySpec {
             seed,
             commands,
             burst_len,
             idle_gap,
-            shape: StochasticShape::default(),
+            shape: StochasticShape::DEFAULT,
         }
     }
 }
@@ -152,12 +159,12 @@ impl ZipfSpec {
     pub const MAX_EXPONENT_MILLI: u32 = 8000;
 
     /// A Zipf program with the default shape.
-    pub fn new(seed: u64, commands: usize, exponent_milli: u32) -> Self {
+    pub const fn new(seed: u64, commands: usize, exponent_milli: u32) -> Self {
         ZipfSpec {
             seed,
             commands,
             exponent_milli,
-            shape: StochasticShape::default(),
+            shape: StochasticShape::DEFAULT,
         }
     }
 }
@@ -226,16 +233,6 @@ impl From<TraceSpec> for ProgramSpec {
 }
 
 impl ProgramSpec {
-    /// Short grammar label of the kind.
-    pub fn kind_label(&self) -> &'static str {
-        match self {
-            ProgramSpec::Explicit(_) => "explicit",
-            ProgramSpec::Bursty(_) => "bursty",
-            ProgramSpec::Zipf(_) => "zipf",
-            ProgramSpec::Trace(_) => "trace",
-        }
-    }
-
     /// The explicit command list, when this is an [`ProgramSpec::Explicit`]
     /// program.
     pub fn explicit(&self) -> Option<&Program> {
@@ -265,6 +262,16 @@ impl ProgramSpec {
         match self {
             ProgramSpec::Bursty(b) => Some(&b.shape),
             ProgramSpec::Zipf(z) => Some(&z.shape),
+            _ => None,
+        }
+    }
+
+    /// Mutable access to the command-shape parameters, for the
+    /// stochastic kinds.
+    pub fn shape_mut(&mut self) -> Option<&mut StochasticShape> {
+        match self {
+            ProgramSpec::Bursty(b) => Some(&mut b.shape),
+            ProgramSpec::Zipf(z) => Some(&mut z.shape),
             _ => None,
         }
     }
@@ -563,6 +570,22 @@ pub struct TraceRecord {
     pub stream: u16,
 }
 
+/// Parses an unsigned integer literal: decimal or `0x`/`0X` hex, with
+/// `_` separators among the digits and no sign. Every integer the trace
+/// and scenario text formats read goes through here.
+pub(crate) fn parse_int(s: &str) -> Option<u64> {
+    let (digits, radix) = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        Some(hex) => (hex, 16),
+        None => (s, 10),
+    };
+    let mut digits = digits.bytes().filter(|b| *b != b'_').peekable();
+    digits.peek()?;
+    digits.try_fold(0u64, |n, b| {
+        let digit = (b as char).to_digit(radix)?;
+        n.checked_mul(radix as u64)?.checked_add(digit as u64)
+    })
+}
+
 /// Parses one trace line: `cycle op addr beats beat_bytes [stream]`,
 /// where `op` is `read`/`r` or `write`/`w`, integers accept `0x` hex
 /// and `_` separators. Returns `Ok(None)` for blank and `#`-comment
@@ -580,15 +603,7 @@ pub fn parse_trace_line(line: &str) -> Result<Option<TraceRecord>, String> {
         ));
     }
     let int = |s: &str, what: &str| -> Result<u64, String> {
-        let clean: String = s.chars().filter(|c| *c != '_').collect();
-        let parsed = match clean
-            .strip_prefix("0x")
-            .or_else(|| clean.strip_prefix("0X"))
-        {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => clean.parse::<u64>(),
-        };
-        parsed.map_err(|_| format!("malformed {what} {s:?}"))
+        parse_int(s).ok_or_else(|| format!("malformed {what} {s:?}"))
     };
     let cycle = int(fields[0], "cycle")?;
     let opcode = match fields[1] {
@@ -625,19 +640,23 @@ pub fn parse_trace_line(line: &str) -> Result<Option<TraceRecord>, String> {
     }))
 }
 
-fn record_to_command(rec: &TraceRecord, prev_ts: u64, line_no: usize) -> SocketCommand {
-    SocketCommand {
-        opcode: rec.opcode,
-        addr: rec.addr,
-        beats: rec.beats,
-        beat_bytes: rec.beat_bytes,
-        burst_kind: BurstKind::Incr,
-        stream: StreamId::new(rec.stream),
-        // Deterministic per-record write data: the record's position and
-        // address (traces carry no payloads).
-        data_seed: (line_no as u64) << 32 ^ rec.addr,
-        delay_before: (rec.cycle - prev_ts) as u32,
-        pressure: 0,
+impl TraceRecord {
+    /// The command this record replays as, `line_no` lines into a file
+    /// whose previous record was stamped `prev_ts`.
+    pub fn command(&self, prev_ts: u64, line_no: usize) -> SocketCommand {
+        SocketCommand {
+            opcode: self.opcode,
+            addr: self.addr,
+            beats: self.beats,
+            beat_bytes: self.beat_bytes,
+            burst_kind: BurstKind::Incr,
+            stream: StreamId::new(self.stream),
+            // Deterministic per-record write data: the record's position
+            // and address (traces carry no payloads).
+            data_seed: (line_no as u64) << 32 ^ self.addr,
+            delay_before: (self.cycle - prev_ts) as u32,
+            pressure: 0,
+        }
     }
 }
 
@@ -717,7 +736,7 @@ impl TraceCursor {
                 self.path,
                 self.line_no
             );
-            let cmd = record_to_command(&rec, self.prev_ts, self.line_no);
+            let cmd = rec.command(self.prev_ts, self.line_no);
             self.prev_ts = rec.cycle;
             released += 1 + cmd.delay_before as u64;
             out.push(cmd);

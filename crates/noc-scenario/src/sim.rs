@@ -1,5 +1,6 @@
 //! The common simulation surface every backend realisation exposes.
 
+use crate::names::{name_of, named, Names};
 use crate::program::{FeedSource, Workload};
 use noc_baseline::{BridgedInterconnect, SharedBus};
 use noc_kernel::Engine;
@@ -149,12 +150,23 @@ pub enum StepMode {
     Horizon,
 }
 
+impl StepMode {
+    /// The grammar spellings (`step = "…"`, `--step …`).
+    pub const NAMES: Names<StepMode> =
+        &[("dense", StepMode::Dense), ("horizon", StepMode::Horizon)];
+}
+
 impl fmt::Display for StepMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StepMode::Dense => f.write_str("dense"),
-            StepMode::Horizon => f.write_str("horizon"),
-        }
+        f.write_str(name_of(Self::NAMES, |m| m == self))
+    }
+}
+
+impl std::str::FromStr for StepMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        named("step mode", Self::NAMES, s)
     }
 }
 

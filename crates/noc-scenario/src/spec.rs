@@ -1,5 +1,6 @@
 //! The declarative scenario description and its compilers.
 
+use crate::names::{name_of, named, Names};
 use crate::program::{ProgramSpec, StochasticShape, TraceCursor, Workload, ZipfSpec};
 use crate::sim::{BridgedSim, BusSim, NocSim, Simulation};
 use noc_baseline::{
@@ -18,11 +19,14 @@ use noc_protocols::axi::{AxiMaster, AxiSlave};
 use noc_protocols::ocp::OcpMaster;
 use noc_protocols::strm::StrmMaster;
 use noc_protocols::vci::{VciFlavor, VciMaster};
-use noc_protocols::{MemoryModel, Program, ProtocolKind};
+use noc_protocols::{MemoryModel, Program, ProtocolKind, SocketCommand};
 use noc_system::{NocConfig, SocBuilder};
 use noc_topology::{RouteAlgorithm, Topology, TopologyBuilder};
-use noc_transaction::{AddressMap, MstAddr, Opcode, OrderingModel, SlvAddr};
+use noc_transaction::{
+    AddressMap, Burst, BurstKind, MstAddr, Opcode, OrderingModel, SlvAddr, StreamId,
+};
 use std::fmt;
+use std::mem::discriminant;
 
 /// Which interconnect a [`ScenarioSpec`] compiles to.
 #[derive(Debug, Clone, Copy)]
@@ -51,13 +55,28 @@ impl Backend {
         Backend::Bus(BusConfig::default())
     }
 
+    /// The grammar spellings (`backend = "…"`, `--backend …`), each
+    /// with the constructor of its default configuration.
+    pub const NAMES: Names<fn() -> Backend> = &[
+        ("noc", Backend::noc),
+        ("bridged", Backend::bridged),
+        ("bus", Backend::bus),
+    ];
+
     /// A short label for tables and sweep rows.
     pub fn label(&self) -> &'static str {
-        match self {
-            Backend::Noc(_) => "noc",
-            Backend::Bridged(_) => "bridged",
-            Backend::Bus(_) => "bus",
-        }
+        name_of(Self::NAMES, |make| {
+            discriminant(&make()) == discriminant(self)
+        })
+    }
+}
+
+impl std::str::FromStr for Backend {
+    type Err = String;
+
+    /// The named backend with its default configuration.
+    fn from_str(s: &str) -> Result<Self, String> {
+        named("backend", Self::NAMES, s).map(|make| make())
     }
 }
 
@@ -107,7 +126,7 @@ pub enum SocketSpec {
 
 impl SocketSpec {
     /// OCP with 2 threads, 4 outstanding per thread.
-    pub fn ocp() -> Self {
+    pub const fn ocp() -> Self {
         SocketSpec::Ocp {
             threads: 2,
             per_thread: 4,
@@ -115,7 +134,7 @@ impl SocketSpec {
     }
 
     /// AXI with 4 IDs, 4 outstanding per ID, 16 total.
-    pub fn axi() -> Self {
+    pub const fn axi() -> Self {
         SocketSpec::Axi {
             tags: 4,
             per_id: 4,
@@ -124,12 +143,12 @@ impl SocketSpec {
     }
 
     /// STRM with 4 outstanding reads.
-    pub fn strm() -> Self {
+    pub const fn strm() -> Self {
         SocketSpec::Strm { read_limit: 4 }
     }
 
     /// Peripheral VCI (single outstanding, single beat).
-    pub fn pvci() -> Self {
+    pub const fn pvci() -> Self {
         SocketSpec::Vci {
             flavor: VciFlavor::Peripheral,
             pipeline: 1,
@@ -137,7 +156,7 @@ impl SocketSpec {
     }
 
     /// Basic VCI with a 2-deep request pipeline.
-    pub fn bvci() -> Self {
+    pub const fn bvci() -> Self {
         SocketSpec::Vci {
             flavor: VciFlavor::Basic,
             pipeline: 2,
@@ -145,7 +164,7 @@ impl SocketSpec {
     }
 
     /// Advanced VCI with 2 threads and a 2-deep request pipeline.
-    pub fn avci() -> Self {
+    pub const fn avci() -> Self {
         SocketSpec::Vci {
             flavor: VciFlavor::Advanced { threads: 2 },
             pipeline: 2,
@@ -204,6 +223,50 @@ impl SocketSpec {
                 _ => Some(1),
             },
             SocketSpec::Axi { .. } | SocketSpec::Strm { .. } => None,
+        }
+    }
+
+    /// Whether this socket — under the NIU `ordering` override, if any —
+    /// can carry `cmd`: the one capability rule explicit commands,
+    /// generated shapes and trace records are all held to. The master
+    /// agents and the NIU assert the same conditions, so a command this
+    /// admits cannot trip them.
+    ///
+    /// # Errors
+    ///
+    /// Returns why not: an illegal burst, a stream the socket (or a
+    /// `threaded:N` override) has no queue for, a multi-beat PVCI
+    /// transfer, or an opcode STRM cannot express.
+    pub fn admits(
+        &self,
+        ordering: Option<OrderingModel>,
+        cmd: &SocketCommand,
+    ) -> Result<(), String> {
+        Burst::new(cmd.burst_kind, cmd.beat_bytes, cmd.beats).map_err(|e| e.to_string())?;
+        let overridden = match ordering {
+            Some(OrderingModel::Threaded { threads }) => Some(threads as u16),
+            _ => None,
+        };
+        let streams = self.max_streams().into_iter().chain(overridden).min();
+        let stream = cmd.stream.raw();
+        if let Some(max) = streams.filter(|max| stream >= *max) {
+            let whose = "the socket (or its ordering override)";
+            return Err(format!(
+                "stream {stream} exceeds the {max} stream(s) of {whose}"
+            ));
+        }
+        let plain = matches!(
+            cmd.opcode,
+            Opcode::Read | Opcode::Write | Opcode::WritePosted
+        );
+        match self.kind() {
+            ProtocolKind::Pvci if cmd.beats != 1 => {
+                Err("PVCI sockets issue single-beat commands only".into())
+            }
+            ProtocolKind::Strm if !plain => {
+                Err(format!("STRM sockets cannot express {}", cmd.opcode))
+            }
+            _ => Ok(()),
         }
     }
 
@@ -480,11 +543,9 @@ pub enum TargetSpec {
 impl TargetSpec {
     /// Short grammar label ("memory", "axi", "service").
     pub fn label(&self) -> &'static str {
-        match self {
-            TargetSpec::Memory => "memory",
-            TargetSpec::AxiSlave { .. } => "axi",
-            TargetSpec::Service { .. } => "service",
-        }
+        name_of(crate::text::TARGETS, |(_, t)| {
+            discriminant(t) == discriminant(self)
+        })
     }
 
     /// Whether exclusive/locked (synchronisation) opcodes may address
@@ -1115,17 +1176,25 @@ impl ScenarioSpec {
             }
             match &ini.program {
                 ProgramSpec::Explicit(program) => {
-                    for cmd in program {
+                    // The target and stream of the lock this initiator holds.
+                    let mut locked = None;
+                    for (i, cmd) in program.iter().enumerate() {
+                        let bad = |reason| {
+                            self.bad_program(ini, format!("command {i} ({cmd}): {reason}"))
+                        };
+                        ini.socket.admits(ini.ordering, cmd).map_err(bad)?;
                         // Every beat of the burst must land in one declared
                         // region (bursts never cross region boundaries).
                         let region = self
                             .memories
                             .iter()
                             .find(|m| cmd.addr >= m.base && cmd.addr < m.end);
+                        let burst = cmd.burst();
                         let contained = region.is_some_and(|m| {
-                            cmd.burst()
-                                .beat_addresses(cmd.addr)
-                                .all(|a| a >= m.base && a + cmd.beat_bytes as u64 <= m.end)
+                            cmd.addr.checked_add(burst.total_bytes()).is_some()
+                                && burst
+                                    .beat_addresses(cmd.addr)
+                                    .all(|a| a >= m.base && a + cmd.beat_bytes as u64 <= m.end)
                         });
                         if !contained {
                             return Err(ScenarioError::UnmappedAddress {
@@ -1143,6 +1212,17 @@ impl ScenarioSpec {
                                     opcode: cmd.opcode,
                                 });
                             }
+                        }
+                        // An unlock releases the lock its initiator took:
+                        // the target NIU knows no other kind.
+                        let held = (region.map(|m| &m.name), cmd.stream);
+                        match cmd.opcode {
+                            Opcode::ReadLocked => locked = Some(held),
+                            Opcode::WriteUnlock if locked.take() != Some(held) => {
+                                let reason = "no read_locked of this target and stream to release";
+                                return Err(bad(reason.into()));
+                            }
+                            _ => {}
                         }
                     }
                 }
@@ -1207,31 +1287,17 @@ impl ScenarioSpec {
                 format!("read_pct {} out of range (0..=100)", shape.read_pct),
             ));
         }
-        if shape.beats == 0 {
-            return Err(self.bad_program(ini, "beats must be at least 1"));
-        }
-        if shape.beat_bytes == 0 || !shape.beat_bytes.is_power_of_two() {
-            return Err(self.bad_program(
-                ini,
-                format!("beat_bytes {} must be a power of two", shape.beat_bytes),
-            ));
-        }
         if shape.streams == 0 {
             return Err(self.bad_program(ini, "streams must be at least 1"));
         }
-        if let Some(max) = ini.socket.max_streams() {
-            if shape.streams > max {
-                return Err(self.bad_program(
-                    ini,
-                    format!(
-                        "streams {} exceeds the socket's {} stream(s)",
-                        shape.streams, max
-                    ),
-                ));
-            }
-        }
-        if matches!(ini.socket.kind(), ProtocolKind::Pvci) && shape.beats != 1 {
-            return Err(self.bad_program(ini, "PVCI sockets issue single-beat commands only"));
+        // Generators vary only address, direction and stream, so the
+        // socket admits every generated command iff it admits the one
+        // on the highest stream.
+        let widest = SocketCommand::read(0, shape.beat_bytes)
+            .with_burst(BurstKind::Incr, shape.beats)
+            .with_stream(StreamId::new(shape.streams - 1));
+        if let Err(reason) = ini.socket.admits(ini.ordering, &widest) {
+            return Err(self.bad_program(ini, reason));
         }
         // Generators may target any declared region, so every region
         // must be able to contain one whole burst.
@@ -1270,36 +1336,32 @@ impl ScenarioSpec {
     /// parses, timestamps are non-decreasing, and each record passes the
     /// containment and shape rules explicit commands are held to.
     /// Kept separate from [`ScenarioSpec::validate`] so validation of a
-    /// spec stays I/O-free; all three builders call this.
-    fn validate_traces(&self) -> Result<(), ScenarioError> {
+    /// spec stays I/O-free; all three builders call this, and so must
+    /// whoever loads trace programs into a simulation built without
+    /// them (the serve layer's checkpoint forks).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::Trace`] naming the file, line and reason.
+    pub fn validate_traces(&self) -> Result<(), ScenarioError> {
         for ini in &self.initiators {
             let ProgramSpec::Trace(t) = &ini.program else {
                 continue;
             };
-            let max_streams = ini.socket.max_streams();
-            let is_pvci = matches!(ini.socket.kind(), ProtocolKind::Pvci);
             TraceCursor::validate_file(&t.path, |rec| {
+                ini.socket
+                    .admits(ini.ordering, &rec.command(rec.cycle, 0))?;
                 let burst_bytes = rec.beats as u64 * rec.beat_bytes as u64;
+                let end = rec.addr.checked_add(burst_bytes);
                 let contained = self
                     .memories
                     .iter()
-                    .any(|m| rec.addr >= m.base && rec.addr + burst_bytes <= m.end);
+                    .any(|m| rec.addr >= m.base && end.is_some_and(|end| end <= m.end));
                 if !contained {
                     return Err(format!(
                         "{:#x}+{burst_bytes} lands outside every memory region",
                         rec.addr
                     ));
-                }
-                if let Some(max) = max_streams {
-                    if rec.stream >= max {
-                        return Err(format!(
-                            "stream {} exceeds the socket's {max} stream(s)",
-                            rec.stream
-                        ));
-                    }
-                }
-                if is_pvci && rec.beats != 1 {
-                    return Err("PVCI sockets issue single-beat commands only".into());
                 }
                 Ok(())
             })

@@ -58,10 +58,10 @@ pub struct SweepResult {
 /// A batch of scenario simulations expanded from a parameter grid.
 #[derive(Debug, Clone)]
 pub struct Sweep {
-    points: Vec<SweepPoint>,
-    max_cycles: u64,
-    step_mode: StepMode,
-    threads: Option<usize>,
+    pub(crate) points: Vec<SweepPoint>,
+    pub(crate) max_cycles: u64,
+    pub(crate) step_mode: StepMode,
+    pub(crate) threads: Option<usize>,
 }
 
 impl Sweep {

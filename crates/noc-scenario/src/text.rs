@@ -9,98 +9,17 @@
 //!
 //! # Grammar
 //!
-//! Line-oriented. `#` starts a comment (outside strings); blank lines are
-//! ignored. Integers may be decimal or `0x…` hex, with `_` separators.
+//! Line-oriented: `[section]` and `[[repeating section]]` headers, each
+//! followed by `key = value` lines. `#` starts a comment (outside
+//! strings); blank lines are ignored. Integers are decimal or `0x…` hex,
+//! with `_` separators, never signed.
 //!
-//! ```text
-//! [topology]                    # optional; defaults to a crossbar
-//! kind = "mesh"                 # crossbar | ring | mesh | custom
-//! width = 2                     # mesh only
-//! height = 2                    # mesh only
-//! # ring:   switches = N
-//! # custom: switches = N, links = [[0, 1], …], placement = [0, 0, 1, …]
-//! routing = "xy:2x2"            # optional: shortest | updown | xy:WxH
-//!
-//! [config]                      # optional NoC transport/physical knobs
-//! buffer_depth = 8              # switch input buffers, in flits
-//! link_pipeline = 9             # both link classes unless overridden:
-//! link_phits = 1                #   pipeline stages, phits per flit,
-//! link_cdc_latency = 2          #   CDC synchroniser depth, in-flight
-//! link_capacity = 16            #   capacity
-//! endpoint_pipeline = 2         # endpoint (injection/ejection) link
-//! # endpoint_phits / endpoint_cdc_latency / endpoint_capacity likewise
-//! # override the endpoint class; CDC *divisors* of that class come from
-//! # each endpoint's clock_divisor. NoC backend only (baselines have no
-//! # fabric), like `routing`.
-//!
-//! [[initiator]]
-//! name = "dma"
-//! socket = "axi"                # ahb | ocp | axi | strm | pvci | bvci | avci
-//! tags = 4                      # socket parameters; each socket has its own
-//! per_id = 4                    # (threads/per_thread, tags/per_id/total,
-//! total = 16                    #  read_limit, pipeline) — others are rejected
-//! ordering = "id:4"             # optional: ordered | threaded:N | id:N
-//! outstanding = 8               # optional NIU budget override
-//! pressure = 1                  # optional QoS class
-//! flit_bytes = 8                # optional packetisation width
-//! clock_divisor = 2             # optional, default 1
-//! cmd = "read 0x100 4x4"        # program, one command per line (see below)
-//! cmd = "write 0x200 1x8 seed=0xbeef stream=2 delay=3 pressure=1 kind=wrap"
-//!
-//! [[initiator]]                 # generated (streamed) programs carry a
-//! name = "cam"                  # kind instead of cmd lines — kind and
-//! socket = "axi"                # cmd together are rejected
-//! kind = "bursty"               # bursty | zipf | trace
-//! seed = 42                     # bursty/zipf: generator seed
-//! commands = 4000               # bursty/zipf: total commands
-//! burst_len = 8                 # bursty: mean burst length (commands)
-//! idle_gap = 400                # bursty: mean idle between bursts (cycles)
-//! # zipf instead takes: exponent_milli = 1500 (Zipf exponent ×1000,
-//! #   0..=8000; first declared memory = hottest rank)
-//! # trace instead takes: trace_file = "path.trace" (relative to the
-//! #   .scn file; records `cycle op addr beats beat_bytes [stream]`)
-//! read_pct = 70                 # shape, optional (defaults shown):
-//! beats = 4                     #   reads %, beats per burst, bytes per
-//! beat_bytes = 4                #   beat, socket streams to round-robin
-//! streams = 1                   #   over, mean in-burst gap, and the
-//! gap = 2                       #   open|closed injection discipline
-//! discipline = "open"           #   (closed floors every gap at 1 cycle)
-//!
-//! [[memory]]
-//! name = "dram"
-//! base = 0x0
-//! end = 0x1000
-//! latency = 8
-//! queue = 8                     # optional, default 8
-//! clock_divisor = 1             # optional, default 1
-//!
-//! [[target]]                    # non-memory target socket; [[memory]]
-//! name = "regs"                 # and [[target]] are interchangeable
-//! kind = "service"              # memory | axi | service
-//! base = 0x1000
-//! end = 0x2000
-//! latency = 1                   # read latency for service blocks
-//! write_latency = 3             # service only; defaults to latency
-//! exclusive = true              # service only; accepts sync traffic
-//! # axi instead takes: bank_stagger = N (banked-latency spread)
-//!
-//! [sweep]                       # sweep files only
-//! max_cycles = 2000000          # optional per-point budget
-//! threads = 4                   # optional worker cap
-//! step = "horizon"              # optional default step mode
-//!
-//! [[sweep.point]]               # each point carries its own scenario
-//! label = "row 1"
-//! backend = "noc"               # noc | bridged | bus (default configs)
-//! step = "dense"                # optional per-point override
-//! # …followed by this point's [topology] / [[initiator]] / [[memory]]
-//! ```
-//!
-//! A command is `OP ADDR BEATSxBYTES` plus optional `kind=`
-//! (`incr|wrap|fixed|stream`), `stream=`, `seed=`, `delay=` and
-//! `pressure=` fields. Ops: `read`, `write`, `write_posted`, `read_ex`,
-//! `write_ex`, `read_linked`, `write_cond`, `read_locked`,
-//! `write_unlock`, `broadcast`.
+//! Every key is one row of this module's field tables: value type and
+//! range, required or not, the sockets or kinds it applies to, getter,
+//! setter, doc line. Parser, emitter, error texts and the key-by-key
+//! reference [`grammar_reference`] prints (the README reproduces it) are
+//! derived from those rows, so they cannot drift apart, `emit(parse(f))
+//! == f` holds by construction, and adding a knob is adding a row.
 //!
 //! Backend *configurations* (transport, physical, bus timing) stay in
 //! code; the spec-level `routing` override covers the one knob the
@@ -133,18 +52,27 @@
 //! # Ok::<(), noc_scenario::ScenarioError>(())
 //! ```
 
-use crate::program::{BurstySpec, Discipline, ProgramSpec, StochasticShape, TraceSpec, ZipfSpec};
+use crate::names::{alternatives, name_of, named, Names};
+use crate::program::ProgramSpec::{Bursty, Trace, Zipf};
+use crate::program::{parse_int, BurstySpec, Discipline, ProgramSpec, TraceSpec, ZipfSpec};
 use crate::sim::StepMode;
+use crate::spec::SocketSpec::{Ahb, Axi, Ocp, Strm, Vci};
+use crate::spec::TargetSpec::{AxiSlave, Memory, Service};
+use crate::spec::TopologySpec::{Crossbar, Custom, Mesh, Ring};
 use crate::spec::{
-    Backend, InitiatorSpec, LinkClassSpec, MemorySpec, NocConfigSpec, ScenarioError, ScenarioSpec,
-    SocketSpec, TargetSpec, TopologySpec,
+    Backend, InitiatorSpec, MemorySpec, NocConfigSpec, ScenarioError, ScenarioSpec, SocketSpec,
+    TargetSpec, TopologySpec,
 };
 use crate::sweep::{Sweep, SweepPoint};
-use noc_protocols::vci::VciFlavor;
+use noc_protocols::vci::VciFlavor::Advanced;
 use noc_protocols::SocketCommand;
 use noc_topology::RouteAlgorithm;
-use noc_transaction::{BurstKind, Opcode, OrderingModel, StreamId};
-use std::fmt;
+use noc_transaction::{Burst, BurstKind, Opcode, OrderingModel, StreamId};
+use std::borrow::Cow;
+use std::collections::HashSet;
+use std::fmt::{self, Write as _};
+use std::mem::discriminant;
+use Field::{Cmds, Flag, Hex, Int, Ints, Name, Pairs, Text};
 
 /// What a scenario text error is about.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -300,7 +228,11 @@ impl ScenarioSpec {
         match parse_document(text)? {
             Document::Scenario(spec) => Ok(spec),
             Document::Sweep(_) => {
-                let line = first_sweep_line(text);
+                let sweeps = |l: &str| {
+                    let starts = |h: String| l.trim_start().starts_with(&h);
+                    starts(SWEEP.header()) || starts(POINT.header())
+                };
+                let line = text.lines().position(sweeps).map_or(1, |i| i + 1);
                 Err(ParseError::new(line, 1, ParseErrorKind::UnexpectedSweep).into())
             }
         }
@@ -356,25 +288,10 @@ impl Sweep {
     /// cannot round-trip.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        out.push_str("[sweep]\n");
-        out.push_str(&format!("max_cycles = {}\n", self.max_cycles()));
-        if let Some(t) = self.threads() {
-            out.push_str(&format!("threads = {t}\n"));
-        }
-        if self.step_mode() != StepMode::Horizon {
-            out.push_str(&format!("step = \"{}\"\n", step_name(self.step_mode())));
-        }
+        emit_section(&mut out, &SWEEP, self);
         for p in self.points() {
             out.push('\n');
-            out.push_str("[[sweep.point]]\n");
-            out.push_str(&format!(
-                "label = {}\n",
-                quoted("sweep point label", &p.label)
-            ));
-            out.push_str(&format!("backend = \"{}\"\n", p.backend.label()));
-            if let Some(step) = p.step {
-                out.push_str(&format!("step = \"{}\"\n", step_name(step)));
-            }
+            emit_section(&mut out, &POINT, p);
             out.push('\n');
             emit_scenario(&mut out, &p.spec);
         }
@@ -382,287 +299,704 @@ impl Sweep {
     }
 }
 
-fn first_sweep_line(text: &str) -> usize {
-    for (i, line) in text.lines().enumerate() {
-        let t = line.trim_start();
-        if t.starts_with("[sweep]") || t.starts_with("[[sweep.point]]") {
-            return i + 1;
-        }
-    }
-    1
+// ---------------------------------------------------------------------
+// Field tables: one row per key, one name table per enumeration
+// ---------------------------------------------------------------------
+
+/// Reads an integer field (`None`: not carried by the value's variant,
+/// or left out of emission) and writes it back.
+type IntAccess<T> = (fn(&T) -> Option<u64>, fn(&mut T, u64));
+/// Borrows a string or array field, likewise.
+type Borrow<T, V> = for<'a> fn(&'a T) -> Option<&'a V>;
+
+/// The value type of a key, with a getter (`None` leaves the key out of
+/// emission) and a setter for a parsed, type- and range-checked value.
+enum Field<T: 'static> {
+    /// An integer in `min..=max`, emitted in decimal.
+    Int(u64, u64, IntAccess<T>),
+    /// Any 64-bit integer, emitted in hex.
+    Hex(IntAccess<T>),
+    Flag(fn(&T) -> Option<bool>, fn(&mut T, bool)),
+    /// A free-form quoted string.
+    Text(Borrow<T, str>, fn(&mut T, &str)),
+    /// A quoted spelling from a name table: its `a|b|c` forms, the
+    /// value's spelling, and a setter that answers a spelling it does
+    /// not know with the error text.
+    Name(
+        fn() -> String,
+        fn(&T) -> Option<Cow<'static, str>>,
+        fn(&mut T, &str) -> Result<(), String>,
+    ),
+    Ints(Borrow<T, [usize]>, fn(&mut T, Vec<usize>)),
+    Pairs(Borrow<T, [(usize, usize)]>, fn(&mut T, Vec<(usize, usize)>)),
+    /// The repeatable `cmd` line; the setter refuses (`false`) a value
+    /// that cannot take explicit commands.
+    Cmds(
+        for<'a> fn(&'a T) -> &'a [SocketCommand],
+        fn(&mut T, SocketCommand) -> bool,
+    ),
 }
 
+/// One key of a section. Row order is canonical emission order, and the
+/// order setters run in: a row that depends on a variant follows the
+/// discriminator row that selects it.
+struct Row<T: 'static> {
+    key: &'static str,
+    /// The variant bits this key applies to ([`ANY`]: all of them).
+    when: u32,
+    required: bool,
+    field: Field<T>,
+    doc: &'static str,
+    /// A cross-field rule on the stored value; the text it returns
+    /// rejects the value in place.
+    rule: Option<fn(&T) -> Option<String>>,
+}
+
+#[rustfmt::skip]
+const fn opt<T>(key: &'static str, when: u32, field: Field<T>, doc: &'static str) -> Row<T> {
+    Row { key, when, required: false, field, doc, rule: None }
+}
+
+#[rustfmt::skip]
+const fn req<T>(key: &'static str, when: u32, field: Field<T>, doc: &'static str) -> Row<T> {
+    Row { required: true, ..opt(key, when, field, doc) }
+}
+
+#[rustfmt::skip]
+const fn ruled<T>(row: Row<T>, rule: fn(&T) -> Option<String>) -> Row<T> {
+    Row { rule: Some(rule), ..row }
+}
+
+/// An [`IntAccess`] pair: `at!(i.pressure: Option<u8>)`, `at!(m.queue:
+/// usize)`, a field only some variants of an enum bind, `at!(i.socket =>
+/// Axi { tags, .. }, tags: u8)`, or one behind an accessor pair,
+/// `at!(i.program.shape => gap: u32)` (`shape()` and `shape_mut()`).
+macro_rules! at {
+    ($t:ident.$($f:ident).+: Option<$ty:ty>) => {
+        (|$t| $t.$($f).+.map(|n| n as u64), |$t, n| $t.$($f).+ = Some(n as $ty))
+    };
+    ($t:ident.$($f:ident).+: $ty:ty) => {
+        (|$t| Some($t.$($f).+ as u64), |$t, n| $t.$($f).+ = n as $ty)
+    };
+    ($t:ident.$place:ident => $variant:pat, $f:ident: $ty:ty) => {(
+        |$t| match $t.$place { $variant => Some($f as u64), _ => None },
+        |$t, n| if let $variant = &mut $t.$place { *$f = n as $ty },
+    )};
+    ($t:ident.$place:ident.shape => $f:ident: $ty:ty) => {(
+        |$t| $t.$place.shape().map(|s| s.$f as u64),
+        |$t, n| if let Some(s) = $t.$place.shape_mut() { s.$f = n as $ty },
+    )};
+}
+
+/// One section of the grammar.
+struct Section<T: 'static> {
+    name: &'static str,
+    /// Whether the header takes double brackets (the section repeats).
+    repeats: bool,
+    about: &'static str,
+    rows: &'static [Row<T>],
+    /// The variant bits of a value — which gated rows apply to it —
+    /// valid once its discriminator rows are stored.
+    mask: fn(&T) -> u32,
+    /// The spellings of the variants whose bit is in `when`.
+    variants: fn(when: u32) -> Vec<&'static str>,
+}
+
+impl<T> Section<T> {
+    fn header(&self) -> String {
+        match self.repeats {
+            true => format!("[[{}]]", self.name),
+            false => format!("[{}]", self.name),
+        }
+    }
+}
+
+/// The spellings of a discriminator key: each names the variant's bit
+/// (0 when no row is specific to it) and its default value.
+type Variants<V> = Names<(u32, V)>;
+
+fn bit<V>(variants: Variants<V>, is: impl Fn(&V) -> bool) -> u32 {
+    let entry = variants.iter().find(|(_, (_, v))| is(v));
+    entry.map_or(0, |(_, (bit, _))| *bit)
+}
+
+fn spelled<V>(variants: Variants<V>, when: u32) -> Vec<&'static str> {
+    let gated = variants.iter().filter(|(_, (bit, _))| bit & when != 0);
+    gated.map(|(name, _)| *name).collect()
+}
+
+fn same<V>(a: &V, b: &V) -> bool {
+    discriminant(a) == discriminant(b)
+}
+
+const ANY: u32 = !0;
+const U8: u64 = u8::MAX as u64;
+const U16: u64 = u16::MAX as u64;
+const U32: u64 = u32::MAX as u64;
+const MAX_SWITCHES: u64 = TopologySpec::MAX_SWITCHES as u64;
+
+const RING: u32 = 1;
+const MESH: u32 = 2;
+const CUSTOM: u32 = 4;
+
+#[rustfmt::skip]
+const TOPOLOGIES: Variants<TopologySpec> = &[
+    ("crossbar", (0, Crossbar)),
+    ("ring", (RING, Ring { switches: 0 })),
+    ("mesh", (MESH, Mesh { width: 0, height: 0 })),
+    ("custom", (CUSTOM, Custom { switches: 0, links: Vec::new(), placement: Vec::new() })),
+];
+
+/// `routing` spellings; `W` and `H` stand for the mesh dimensions.
+#[rustfmt::skip]
+const ROUTINGS: Names<fn(usize, usize) -> RouteAlgorithm> = &[
+    ("shortest", |_, _| RouteAlgorithm::ShortestPath),
+    ("updown", |_, _| RouteAlgorithm::UpDown),
+    ("xy:WxH", |width, height| RouteAlgorithm::XyMesh { width, height }),
+];
+
+fn routing_name(r: RouteAlgorithm) -> String {
+    let (w, h) = match r {
+        RouteAlgorithm::XyMesh { width, height } => (width, height),
+        _ => (0, 0),
+    };
+    name_of(ROUTINGS, |make| make(w, h) == r).replace("WxH", &format!("{w}x{h}"))
+}
+
+fn parse_routing(s: &str) -> Result<RouteAlgorithm, String> {
+    let dim = |s: &str| parse_int(s.trim()).and_then(|n| usize::try_from(n).ok());
+    let dims = |prefix: &str| {
+        let (w, h) = s.strip_prefix(prefix)?.split_once('x')?;
+        Some((dim(w).filter(|n| *n > 0)?, dim(h).filter(|n| *n > 0)?))
+    };
+    let found = ROUTINGS
+        .iter()
+        .find_map(|(form, make)| match form.strip_suffix("WxH") {
+            None => (*form == s).then(|| make(0, 0)),
+            Some(prefix) => dims(prefix).map(|(w, h)| make(w, h)),
+        });
+    found.ok_or_else(|| format!("unknown routing {s:?} ({})", alternatives(ROUTINGS)))
+}
+
+#[rustfmt::skip] // one row per key: its field on the first line, its doc line on the second
+const TOPOLOGY: Section<ScenarioSpec> = Section {
+    name: "topology", repeats: false,
+    about: "optional: the NoC fabric (a crossbar when absent)",
+    mask: |s| bit(TOPOLOGIES, |t| same(t, &s.topology)),
+    variants: |when| spelled(TOPOLOGIES, when),
+    rows: &[
+        req("kind", ANY, Name(
+            || alternatives(TOPOLOGIES),
+            |s| Some(name_of(TOPOLOGIES, |(_, t)| same(t, &s.topology)).into()),
+            |s, v| named("topology kind", TOPOLOGIES, v).map(|(_, t)| s.topology = t)),
+            "fabric shape"),
+        req("switches", RING | CUSTOM, Int(1, MAX_SWITCHES,
+            at!(s.topology => Ring { switches } | Custom { switches, .. }, switches: usize)),
+            "switch count"),
+        req("width", MESH, Int(1, 1 << 16, at!(s.topology => Mesh { width, .. }, width: usize)),
+            "mesh columns"),
+        ruled(req("height", MESH,
+            Int(1, 1 << 16, at!(s.topology => Mesh { height, .. }, height: usize)),
+            "mesh rows"),
+            |s| match s.topology {
+                Mesh { width, height } if (width * height) as u64 > MAX_SWITCHES => Some(format!(
+                    "a {width}x{height} mesh exceeds the limit of {MAX_SWITCHES} switches")),
+                _ => None,
+            }),
+        req("links", CUSTOM, Pairs(
+            |s| match &s.topology { Custom { links, .. } => Some(&links[..]), _ => None },
+            |s, v| if let Custom { links, .. } = &mut s.topology { *links = v }),
+            "bidirectional switch pairs"),
+        req("placement", CUSTOM, Ints(
+            |s| match &s.topology { Custom { placement, .. } => Some(&placement[..]), _ => None },
+            |s, v| if let Custom { placement, .. } = &mut s.topology { *placement = v }),
+            "switch of each endpoint: initiators first, then memories"),
+        opt("routing", ANY, Name(
+            || alternatives(ROUTINGS),
+            |s| s.routing.map(|r| routing_name(r).into()),
+            |s, v| parse_routing(v).map(|r| s.routing = Some(r))),
+            "routing override (default: by fabric shape)"),
+    ],
+};
+
+#[rustfmt::skip]
+const CONFIG: Section<NocConfigSpec> = Section {
+    name: "config", repeats: false,
+    about: "optional: NoC link and buffer knobs (CDC divisors: each endpoint's clock_divisor)",
+    mask: |_| 0,
+    variants: |_| Vec::new(),
+    rows: &[
+        opt("buffer_depth", ANY, Int(1, 1 << 20, at!(c.buffer_depth: Option<usize>)),
+            "switch input buffers, in flits"),
+        opt("link_pipeline", ANY, Int(0, U32, at!(c.link.pipeline: Option<u32>)),
+            "pipeline stages, both link classes"),
+        opt("link_phits", ANY, Int(1, U32, at!(c.link.phits: Option<u32>)),
+            "phits per flit, both link classes"),
+        opt("link_cdc_latency", ANY, Int(0, U32, at!(c.link.cdc_latency: Option<u32>)),
+            "CDC synchroniser depth, both link classes"),
+        opt("link_capacity", ANY, Int(1, 1 << 20, at!(c.link.capacity: Option<usize>)),
+            "flits in flight per link, both link classes"),
+        opt("endpoint_pipeline", ANY, Int(0, U32, at!(c.endpoint.pipeline: Option<u32>)),
+            "pipeline stages, endpoint (injection/ejection) links only"),
+        opt("endpoint_phits", ANY, Int(1, U32, at!(c.endpoint.phits: Option<u32>)),
+            "phits per flit, endpoint links only"),
+        opt("endpoint_cdc_latency", ANY, Int(0, U32, at!(c.endpoint.cdc_latency: Option<u32>)),
+            "CDC synchroniser depth, endpoint links only"),
+        opt("endpoint_capacity", ANY, Int(1, 1 << 20, at!(c.endpoint.capacity: Option<usize>)),
+            "flits in flight per link, endpoint links only"),
+    ],
+};
+
+const OCP: u32 = 1;
+const AXI: u32 = 1 << 1;
+const STRM: u32 = 1 << 2;
+const PVCI: u32 = 1 << 3;
+const BVCI: u32 = 1 << 4;
+const AVCI: u32 = 1 << 5;
+const BURSTY: u32 = 1 << 8;
+const ZIPF: u32 = 1 << 9;
+const TRACE: u32 = 1 << 10;
+
+const SOCKETS: Variants<SocketSpec> = &[
+    ("ahb", (0, Ahb)),
+    ("ocp", (OCP, SocketSpec::ocp())),
+    ("axi", (AXI, SocketSpec::axi())),
+    ("strm", (STRM, SocketSpec::strm())),
+    ("pvci", (PVCI, SocketSpec::pvci())),
+    ("bvci", (BVCI, SocketSpec::bvci())),
+    ("avci", (AVCI, SocketSpec::avci())),
+];
+
+/// Generated program kinds; an initiator without `kind` runs the
+/// explicit program its `cmd` lines spell out.
+#[rustfmt::skip]
+const PROGRAMS: Variants<ProgramSpec> = &[
+    ("bursty", (BURSTY, Bursty(BurstySpec::new(0, 0, 1, 0)))),
+    ("zipf", (ZIPF, Zipf(ZipfSpec::new(0, 0, 0)))),
+    ("trace", (TRACE, Trace(TraceSpec { path: String::new() }))),
+];
+
+/// `ordering` spellings; `N` stands for a thread or tag count.
+const ORDERINGS: Names<fn(u8) -> OrderingModel> = &[
+    ("ordered", |_| OrderingModel::FullyOrdered),
+    ("threaded:N", |threads| OrderingModel::Threaded { threads }),
+    ("id:N", |tags| OrderingModel::IdBased { tags }),
+];
+
+fn ordering_name(o: OrderingModel) -> String {
+    let n = match o {
+        OrderingModel::FullyOrdered => 0,
+        OrderingModel::Threaded { threads: n } | OrderingModel::IdBased { tags: n } => n,
+    };
+    name_of(ORDERINGS, |make| make(n) == o).replace('N', &n.to_string())
+}
+
+fn parse_ordering(s: &str) -> Result<OrderingModel, String> {
+    let count = |prefix: &str| parse_int(s.strip_prefix(prefix)?).filter(|n| (1..=U8).contains(n));
+    let found = ORDERINGS
+        .iter()
+        .find_map(|(form, make)| match form.strip_suffix('N') {
+            None => (*form == s).then(|| make(0)),
+            Some(prefix) => count(prefix).map(|n| make(n as u8)),
+        });
+    found.ok_or_else(|| format!("unknown ordering {s:?} ({})", alternatives(ORDERINGS)))
+}
+
+const CLOCK_DIVISOR_DOC: &str = "endpoint clock = base clock / N (default 1; NoC backend only)";
+
+#[rustfmt::skip]
+const INITIATOR: Section<InitiatorSpec> = Section {
+    name: "initiator", repeats: true,
+    about: "one per master, in node order",
+    mask: |i| bit(SOCKETS, |s| s.kind() == i.socket.kind())
+        | bit(PROGRAMS, |p| same(p, &i.program)),
+    variants: |when| [spelled(SOCKETS, when), spelled(PROGRAMS, when)].concat(),
+    rows: &[
+        req("name", ANY, Text(|i| Some(i.name.as_str()), |i, v| i.name = v.to_owned()),
+            "unique endpoint name"),
+        req("socket", ANY, Name(
+            || alternatives(SOCKETS),
+            |i| Some(name_of(SOCKETS, |(_, s)| s.kind() == i.socket.kind()).into()),
+            |i, v| named("socket", SOCKETS, v).map(|(_, s)| i.socket = s)),
+            "socket protocol"),
+        opt("threads", OCP | AVCI, Int(1, U8, at!(
+            i.socket => Ocp { threads, .. } | Vci { flavor: Advanced { threads }, .. }, threads: u8)),
+            "socket threads (default 2)"),
+        opt("per_thread", OCP, Int(1, U32, at!(i.socket => Ocp { per_thread, .. }, per_thread: u32)),
+            "outstanding requests per thread (default 4)"),
+        opt("tags", AXI, Int(1, U8, at!(i.socket => Axi { tags, .. }, tags: u8)),
+            "NoC tag pool for ID renaming (default 4)"),
+        opt("per_id", AXI, Int(1, U32, at!(i.socket => Axi { per_id, .. }, per_id: u32)),
+            "outstanding requests per ID (default 4)"),
+        opt("total", AXI, Int(1, U32, at!(i.socket => Axi { total, .. }, total: u32)),
+            "outstanding requests overall (default 16)"),
+        opt("read_limit", STRM, Int(1, U32, at!(i.socket => Strm { read_limit }, read_limit: u32)),
+            "outstanding reads (default 4)"),
+        opt("pipeline", PVCI | BVCI | AVCI,
+            Int(1, U32, at!(i.socket => Vci { pipeline, .. }, pipeline: u32)),
+            "request pipeline depth (default 1 on pvci, else 2)"),
+        opt("ordering", ANY, Name(
+            || alternatives(ORDERINGS),
+            |i| i.ordering.map(|o| ordering_name(o).into()),
+            |i, v| parse_ordering(v).map(|o| i.ordering = Some(o))),
+            "NIU ordering override (default: the socket's own model)"),
+        opt("outstanding", ANY,
+            Int(1, InitiatorSpec::MAX_OUTSTANDING as u64, at!(i.outstanding: Option<u32>)),
+            "NIU outstanding budget (default: by socket)"),
+        opt("pressure", ANY, Int(0, U8, at!(i.pressure: Option<u8>)),
+            "QoS class of this initiator's packets"),
+        opt("flit_bytes", ANY, Int(1, 1 << 16, at!(i.flit_bytes: Option<usize>)),
+            "packetisation width"),
+        opt("clock_divisor", ANY, Int(1, u64::MAX, (
+            |i| (i.clock_divisor != 1).then_some(i.clock_divisor),
+            |i, n| i.clock_divisor = n)),
+            CLOCK_DIVISOR_DOC),
+        opt("kind", ANY, Name(
+            || alternatives(PROGRAMS),
+            |i| PROGRAMS.iter().find(|(_, (_, p))| same(p, &i.program)).map(|v| v.0.into()),
+            |i, v| named("program kind", PROGRAMS, v).map(|(_, p)| i.program = p)),
+            "a generated program, instead of cmd lines"),
+        opt("cmd", ANY, Cmds(
+            |i| i.program.explicit().map_or(&[], Vec::as_slice),
+            |i, cmd| i.program.explicit_mut().map(|p| p.push(cmd)).is_some()),
+            "one command of the explicit program; repeats (see below)"),
+        req("seed", BURSTY | ZIPF, Hex(at!(
+            i.program => Bursty(BurstySpec { seed, .. }) | Zipf(ZipfSpec { seed, .. }), seed: u64)),
+            "generator seed"),
+        req("commands", BURSTY | ZIPF, Int(0, u64::MAX, at!(
+            i.program => Bursty(BurstySpec { commands, .. }) | Zipf(ZipfSpec { commands, .. }),
+            commands: usize)),
+            "commands generated in total"),
+        req("burst_len", BURSTY, Int(1, U32,
+            at!(i.program => Bursty(BurstySpec { burst_len, .. }), burst_len: u32)),
+            "mean commands per burst"),
+        req("idle_gap", BURSTY, Int(0, U32,
+            at!(i.program => Bursty(BurstySpec { idle_gap, .. }), idle_gap: u32)),
+            "mean idle cycles between bursts"),
+        req("exponent_milli", ZIPF, Int(0, ZipfSpec::MAX_EXPONENT_MILLI as u64,
+            at!(i.program => Zipf(ZipfSpec { exponent_milli, .. }), exponent_milli: u32)),
+            "Zipf exponent x1000; the first declared memory is hottest"),
+        req("trace_file", TRACE, Text(
+            |i| match &i.program { Trace(t) => Some(t.path.as_str()), _ => None },
+            |i, v| if let Trace(t) = &mut i.program { t.path = v.to_owned() }),
+            "trace to replay, its path relative to the .scn file"),
+        opt("read_pct", BURSTY | ZIPF, Int(0, 100, at!(i.program.shape => read_pct: u8)),
+            "percentage of reads (default 70)"),
+        opt("beats", BURSTY | ZIPF,
+            Int(1, Burst::MAX_BEATS as u64, at!(i.program.shape => beats: u32)),
+            "beats per burst (default 4)"),
+        opt("beat_bytes", BURSTY | ZIPF,
+            Int(1, Burst::MAX_BEAT_BYTES as u64, at!(i.program.shape => beat_bytes: u32)),
+            "bytes per beat, a power of two (default 4)"),
+        opt("streams", BURSTY | ZIPF, Int(1, U16, at!(i.program.shape => streams: u16)),
+            "socket streams to round-robin over (default 1)"),
+        opt("gap", BURSTY | ZIPF, Int(0, U32, at!(i.program.shape => gap: u32)),
+            "mean idle cycles between commands (default 2)"),
+        opt("discipline", BURSTY | ZIPF, Name(
+            || alternatives(Discipline::NAMES),
+            |i| i.program.shape().map(|s| s.discipline.label().into()),
+            |i, v| named("discipline", Discipline::NAMES, v).map(|d| {
+                if let Some(s) = i.program.shape_mut() { s.discipline = d }
+            })),
+            "gap law (default open); closed floors every gap at 1 cycle"),
+    ],
+};
+
+const AXI_SLAVE: u32 = 1;
+const SERVICE: u32 = 2;
+
+/// Target kinds, shared with [`TargetSpec::label`].
+#[rustfmt::skip]
+pub(crate) const TARGETS: Variants<TargetSpec> = &[
+    ("memory", (0, Memory)),
+    ("axi", (AXI_SLAVE, AxiSlave { bank_stagger: 0 })),
+    ("service", (SERVICE, Service { write_latency: 0, exclusive: false })),
+];
+
+#[rustfmt::skip]
+const TARGET: Section<MemorySpec> = Section {
+    name: "target", repeats: true,
+    about: "one per target, nodes follow the initiators; [[memory]] is a synonym",
+    mask: |m| bit(TARGETS, |t| same(t, &m.target)),
+    variants: |when| spelled(TARGETS, when),
+    rows: &[
+        req("name", ANY, Text(|m| Some(m.name.as_str()), |m, v| m.name = v.to_owned()),
+            "unique endpoint name"),
+        opt("kind", ANY, Name(
+            || alternatives(TARGETS),
+            |m| (m.target != Memory).then(|| m.target.label().into()),
+            |m, v| named("target kind", TARGETS, v).map(|(_, t)| m.target = t)),
+            "target socket and IP model (default memory)"),
+        req("base", ANY, Hex(at!(m.base: u64)),
+            "first byte of the region"),
+        ruled(req("end", ANY, Hex(at!(m.end: u64)),
+            "one past the last byte; regions never overlap"),
+            |m| (m.base >= m.end)
+                .then(|| format!("empty region: end {:#x} <= base {:#x}", m.end, m.base))),
+        // Also the default of the service write path, which its own row
+        // (below, so applied later) overrides.
+        req("latency", ANY, Int(0, U32, (
+            |m| Some(m.latency as u64),
+            |m, n| {
+                m.latency = n as u32;
+                if let Service { write_latency, .. } = &mut m.target { *write_latency = n as u32 }
+            })),
+            "access latency in cycles (read latency of a service block)"),
+        opt("bank_stagger", AXI_SLAVE,
+            Int(0, U32, at!(m.target => AxiSlave { bank_stagger }, bank_stagger: u32)),
+            "extra latency per address bank, of four (default 0)"),
+        opt("write_latency", SERVICE,
+            Int(0, U32, at!(m.target => Service { write_latency, .. }, write_latency: u32)),
+            "write-path latency (default: latency)"),
+        opt("exclusive", SERVICE, Flag(
+            |m| matches!(m.target, Service { exclusive: true, .. }).then_some(true),
+            |m, v| if let Service { exclusive, .. } = &mut m.target { *exclusive = v }),
+            "accepts exclusive and locked opcodes (default false)"),
+        opt("queue", ANY, Int(1, 1 << 20, at!(m.queue: usize)),
+            "request queue depth (default 8)"),
+        opt("clock_divisor", ANY, Int(1, u64::MAX, (
+            |m| (m.clock_divisor != 1).then_some(m.clock_divisor),
+            |m, n| m.clock_divisor = n)),
+            CLOCK_DIVISOR_DOC),
+    ],
+};
+
+/// `[[memory]]`: the classic name of a `[[target]]` section, emitted
+/// for plain memories.
+const MEMORY: Section<MemorySpec> = Section {
+    name: "memory",
+    ..TARGET
+};
+
+#[rustfmt::skip]
+const SWEEP: Section<Sweep> = Section {
+    name: "sweep", repeats: false,
+    about: "sweep files only, before the first point; optional",
+    mask: |_| 0,
+    variants: |_| Vec::new(),
+    rows: &[
+        opt("max_cycles", ANY, Int(0, u64::MAX, at!(s.max_cycles: u64)),
+            "per-point cycle budget (default 10000000)"),
+        opt("threads", ANY, Int(1, 1 << 16, at!(s.threads: Option<usize>)),
+            "worker thread cap (default: one per core)"),
+        opt("step", ANY, Name(
+            || alternatives(StepMode::NAMES),
+            |s| (s.step_mode != StepMode::Horizon).then(|| s.step_mode.to_string().into()),
+            |s, v| v.parse().map(|mode| s.step_mode = mode)),
+            "step mode of every point (default horizon)"),
+    ],
+};
+
+#[rustfmt::skip]
+const POINT: Section<SweepPoint> = Section {
+    name: "sweep.point", repeats: true,
+    about: "one per point, followed by that point's own scenario sections",
+    mask: |_| 0,
+    variants: |_| Vec::new(),
+    rows: &[
+        req("label", ANY, Text(|p| Some(p.label.as_str()), |p, v| p.label = v.to_owned()),
+            "row label"),
+        req("backend", ANY, Name(
+            || alternatives(Backend::NAMES),
+            |p| Some(p.backend.label().into()),
+            |p, v| v.parse().map(|backend| p.backend = backend)),
+            "interconnect, in its default configuration"),
+        opt("step", ANY, Name(
+            || alternatives(StepMode::NAMES),
+            |p| p.step.map(|mode| mode.to_string().into()),
+            |p, v| v.parse().map(|mode| p.step = Some(mode))),
+            "step mode of this point only"),
+    ],
+};
+
+const OPCODES: Names<Opcode> = &[
+    ("read", Opcode::Read),
+    ("write", Opcode::Write),
+    ("write_posted", Opcode::WritePosted),
+    ("read_ex", Opcode::ReadExclusive),
+    ("write_ex", Opcode::WriteExclusive),
+    ("read_linked", Opcode::ReadLinked),
+    ("write_cond", Opcode::WriteConditional),
+    ("read_locked", Opcode::ReadLocked),
+    ("write_unlock", Opcode::WriteUnlock),
+    ("broadcast", Opcode::Broadcast),
+];
+
+/// The burst-kind suffix of a command (`incr` when absent).
+const BURST_KIND: &str = "kind";
+const BURST_KINDS: Names<BurstKind> = &[
+    ("incr", BurstKind::Incr),
+    ("wrap", BurstKind::Wrap),
+    ("fixed", BurstKind::Fixed),
+    ("stream", BurstKind::Stream),
+];
+
+/// The integer `FIELD=N` suffixes of a command, in emission order: name,
+/// largest value (an unbounded field is a bit pattern, emitted in hex),
+/// getter, setter. All default to 0, which is not emitted.
+#[rustfmt::skip]
+const CMD_FIELDS: &[(&str, u64, IntAccess<SocketCommand>)] = &[
+    ("stream", U16, (|c| Some(c.stream.raw() as u64), |c, n| c.stream = StreamId::new(n as u16))),
+    ("seed", u64::MAX, at!(c.data_seed: u64)),
+    ("delay", U32, at!(c.delay_before: u32)),
+    ("pressure", U8, at!(c.pressure: u8)),
+];
+
 // ---------------------------------------------------------------------
-// Emitter
+// Emitter and grammar reference
 // ---------------------------------------------------------------------
 
-/// Quotes a name or label for emission. The grammar has no string
+/// Quotes a string value for emission. The grammar has no string
 /// escapes, so a value the parser could never read back is a programmer
 /// error, reported eagerly instead of emitted as garbage.
-fn quoted(kind: &str, s: &str) -> String {
+fn quoted(key: &str, s: &str) -> String {
     assert!(
         !s.contains('"') && !s.contains('\n') && !s.contains('\r'),
-        "{kind} {s:?} cannot be serialized: the scenario text format has no string escapes \
+        "{key} {s:?} cannot be serialized: the scenario text format has no string escapes \
          (remove quotes and newlines)"
     );
     format!("\"{s}\"")
 }
 
-fn step_name(step: StepMode) -> &'static str {
-    match step {
-        StepMode::Dense => "dense",
-        StepMode::Horizon => "horizon",
+fn emit_command(out: &mut String, cmd: &SocketCommand) -> fmt::Result {
+    let op = name_of(OPCODES, |op| *op == cmd.opcode);
+    write!(out, "{op} {:#x} {}x{}", cmd.addr, cmd.beats, cmd.beat_bytes)?;
+    if cmd.burst_kind != BurstKind::Incr {
+        let kind = name_of(BURST_KINDS, |kind| *kind == cmd.burst_kind);
+        write!(out, " {BURST_KIND}={kind}")?;
     }
-}
-
-fn routing_name(r: RouteAlgorithm) -> String {
-    match r {
-        RouteAlgorithm::ShortestPath => "shortest".into(),
-        RouteAlgorithm::UpDown => "updown".into(),
-        RouteAlgorithm::XyMesh { width, height } => format!("xy:{width}x{height}"),
-    }
-}
-
-fn ordering_name(o: OrderingModel) -> String {
-    match o {
-        OrderingModel::FullyOrdered => "ordered".into(),
-        OrderingModel::Threaded { threads } => format!("threaded:{threads}"),
-        OrderingModel::IdBased { tags } => format!("id:{tags}"),
-    }
-}
-
-fn opcode_name(op: Opcode) -> &'static str {
-    match op {
-        Opcode::Read => "read",
-        Opcode::Write => "write",
-        Opcode::WritePosted => "write_posted",
-        Opcode::ReadExclusive => "read_ex",
-        Opcode::WriteExclusive => "write_ex",
-        Opcode::ReadLinked => "read_linked",
-        Opcode::WriteConditional => "write_cond",
-        Opcode::ReadLocked => "read_locked",
-        Opcode::WriteUnlock => "write_unlock",
-        Opcode::Broadcast => "broadcast",
-    }
-}
-
-fn emit_command(cmd: &SocketCommand) -> String {
-    let mut s = format!(
-        "{} {:#x} {}x{}",
-        opcode_name(cmd.opcode),
-        cmd.addr,
-        cmd.beats,
-        cmd.beat_bytes
-    );
-    match cmd.burst_kind {
-        BurstKind::Incr => {}
-        BurstKind::Wrap => s.push_str(" kind=wrap"),
-        BurstKind::Fixed => s.push_str(" kind=fixed"),
-        BurstKind::Stream => s.push_str(" kind=stream"),
-    }
-    if cmd.stream != StreamId::ZERO {
-        s.push_str(&format!(" stream={}", cmd.stream.raw()));
-    }
-    if cmd.data_seed != 0 {
-        s.push_str(&format!(" seed={:#x}", cmd.data_seed));
-    }
-    if cmd.delay_before != 0 {
-        s.push_str(&format!(" delay={}", cmd.delay_before));
-    }
-    if cmd.pressure != 0 {
-        s.push_str(&format!(" pressure={}", cmd.pressure));
-    }
-    s
-}
-
-/// Emits a program in canonical form: `cmd =` lines for explicit
-/// programs; a `kind` plus every parameter (defaults included) for
-/// generated kinds, so emitted files are self-describing and the
-/// emit ∘ parse round-trip is the identity.
-fn emit_program(out: &mut String, program: &ProgramSpec) {
-    let shape = |out: &mut String, shape: &StochasticShape| {
-        out.push_str(&format!("read_pct = {}\n", shape.read_pct));
-        out.push_str(&format!("beats = {}\n", shape.beats));
-        out.push_str(&format!("beat_bytes = {}\n", shape.beat_bytes));
-        out.push_str(&format!("streams = {}\n", shape.streams));
-        out.push_str(&format!("gap = {}\n", shape.gap));
-        out.push_str(&format!("discipline = \"{}\"\n", shape.discipline));
-    };
-    match program {
-        ProgramSpec::Explicit(cmds) => {
-            for cmd in cmds {
-                out.push_str(&format!("cmd = \"{}\"\n", emit_command(cmd)));
-            }
-        }
-        ProgramSpec::Bursty(b) => {
-            out.push_str("kind = \"bursty\"\n");
-            out.push_str(&format!("seed = {:#x}\n", b.seed));
-            out.push_str(&format!("commands = {}\n", b.commands));
-            out.push_str(&format!("burst_len = {}\n", b.burst_len));
-            out.push_str(&format!("idle_gap = {}\n", b.idle_gap));
-            shape(out, &b.shape);
-        }
-        ProgramSpec::Zipf(z) => {
-            out.push_str("kind = \"zipf\"\n");
-            out.push_str(&format!("seed = {:#x}\n", z.seed));
-            out.push_str(&format!("commands = {}\n", z.commands));
-            out.push_str(&format!("exponent_milli = {}\n", z.exponent_milli));
-            shape(out, &z.shape);
-        }
-        ProgramSpec::Trace(t) => {
-            out.push_str("kind = \"trace\"\n");
-            out.push_str(&format!("trace_file = {}\n", quoted("trace path", &t.path)));
+    for (name, max, (get, _)) in CMD_FIELDS {
+        match get(cmd) {
+            None | Some(0) => {}
+            Some(n) if *max == u64::MAX => write!(out, " {name}={n:#x}")?,
+            Some(n) => write!(out, " {name}={n}")?,
         }
     }
+    Ok(())
 }
 
-fn emit_link_class(out: &mut String, prefix: &str, class: &LinkClassSpec) {
-    if let Some(p) = class.pipeline {
-        out.push_str(&format!("{prefix}_pipeline = {p}\n"));
-    }
-    if let Some(p) = class.phits {
-        out.push_str(&format!("{prefix}_phits = {p}\n"));
-    }
-    if let Some(c) = class.cdc_latency {
-        out.push_str(&format!("{prefix}_cdc_latency = {c}\n"));
-    }
-    if let Some(c) = class.capacity {
-        out.push_str(&format!("{prefix}_capacity = {c}\n"));
+/// Emits the section's header and, in row order, every key that
+/// applies to `t` and whose getter yields a value.
+fn emit_section<T>(out: &mut String, section: &Section<T>, t: &T) {
+    out.push_str(&section.header());
+    out.push('\n');
+    let mask = (section.mask)(t);
+    for row in section.rows {
+        if row.when != ANY && row.when & mask == 0 {
+            continue;
+        }
+        let key = row.key;
+        let _ = match &row.field {
+            Int(_, _, (get, _)) => get(t).map_or(Ok(()), |n| writeln!(out, "{key} = {n}")),
+            Hex((get, _)) => get(t).map_or(Ok(()), |n| writeln!(out, "{key} = {n:#x}")),
+            Flag(get, _) => get(t).map_or(Ok(()), |v| writeln!(out, "{key} = {v}")),
+            Text(get, _) => get(t).map_or(Ok(()), |s| writeln!(out, "{key} = {}", quoted(key, s))),
+            Name(_, get, _) => get(t).map_or(Ok(()), |s| writeln!(out, "{key} = \"{s}\"")),
+            Ints(get, _) => get(t).map_or(Ok(()), |v| writeln!(out, "{key} = {v:?}")),
+            Pairs(get, _) => get(t).map_or(Ok(()), |v| {
+                let pairs: Vec<[usize; 2]> = v.iter().map(|&(a, b)| [a, b]).collect();
+                writeln!(out, "{key} = {pairs:?}")
+            }),
+            Cmds(get, _) => get(t).iter().try_for_each(|cmd| {
+                write!(out, "{key} = \"")?;
+                emit_command(out, cmd)?;
+                out.write_str("\"\n")
+            }),
+        };
     }
 }
 
 fn emit_scenario(out: &mut String, spec: &ScenarioSpec) {
-    out.push_str("[topology]\n");
-    match &spec.topology {
-        TopologySpec::Crossbar => out.push_str("kind = \"crossbar\"\n"),
-        TopologySpec::Ring { switches } => {
-            out.push_str("kind = \"ring\"\n");
-            out.push_str(&format!("switches = {switches}\n"));
-        }
-        TopologySpec::Mesh { width, height } => {
-            out.push_str("kind = \"mesh\"\n");
-            out.push_str(&format!("width = {width}\n"));
-            out.push_str(&format!("height = {height}\n"));
-        }
-        TopologySpec::Custom {
-            switches,
-            links,
-            placement,
-        } => {
-            out.push_str("kind = \"custom\"\n");
-            out.push_str(&format!("switches = {switches}\n"));
-            let links: Vec<String> = links.iter().map(|(a, b)| format!("[{a}, {b}]")).collect();
-            out.push_str(&format!("links = [{}]\n", links.join(", ")));
-            let places: Vec<String> = placement.iter().map(|p| p.to_string()).collect();
-            out.push_str(&format!("placement = [{}]\n", places.join(", ")));
-        }
-    }
-    if let Some(r) = spec.routing {
-        out.push_str(&format!("routing = \"{}\"\n", routing_name(r)));
-    }
+    emit_section(out, &TOPOLOGY, spec);
     if let Some(cfg) = &spec.config {
         out.push('\n');
-        out.push_str("[config]\n");
-        if let Some(depth) = cfg.buffer_depth {
-            out.push_str(&format!("buffer_depth = {depth}\n"));
-        }
-        emit_link_class(out, "link", &cfg.link);
-        emit_link_class(out, "endpoint", &cfg.endpoint);
+        emit_section(out, &CONFIG, cfg);
     }
     for ini in &spec.initiators {
         out.push('\n');
-        out.push_str("[[initiator]]\n");
-        out.push_str(&format!("name = {}\n", quoted("initiator name", &ini.name)));
-        match ini.socket {
-            SocketSpec::Ahb => out.push_str("socket = \"ahb\"\n"),
-            SocketSpec::Ocp {
-                threads,
-                per_thread,
-            } => {
-                out.push_str("socket = \"ocp\"\n");
-                out.push_str(&format!("threads = {threads}\n"));
-                out.push_str(&format!("per_thread = {per_thread}\n"));
-            }
-            SocketSpec::Axi {
-                tags,
-                per_id,
-                total,
-            } => {
-                out.push_str("socket = \"axi\"\n");
-                out.push_str(&format!("tags = {tags}\n"));
-                out.push_str(&format!("per_id = {per_id}\n"));
-                out.push_str(&format!("total = {total}\n"));
-            }
-            SocketSpec::Strm { read_limit } => {
-                out.push_str("socket = \"strm\"\n");
-                out.push_str(&format!("read_limit = {read_limit}\n"));
-            }
-            SocketSpec::Vci { flavor, pipeline } => {
-                match flavor {
-                    VciFlavor::Peripheral => out.push_str("socket = \"pvci\"\n"),
-                    VciFlavor::Basic => out.push_str("socket = \"bvci\"\n"),
-                    VciFlavor::Advanced { threads } => {
-                        out.push_str("socket = \"avci\"\n");
-                        out.push_str(&format!("threads = {threads}\n"));
-                    }
-                }
-                out.push_str(&format!("pipeline = {pipeline}\n"));
-            }
-        }
-        if let Some(o) = ini.ordering {
-            out.push_str(&format!("ordering = \"{}\"\n", ordering_name(o)));
-        }
-        if let Some(n) = ini.outstanding {
-            out.push_str(&format!("outstanding = {n}\n"));
-        }
-        if let Some(p) = ini.pressure {
-            out.push_str(&format!("pressure = {p}\n"));
-        }
-        if let Some(b) = ini.flit_bytes {
-            out.push_str(&format!("flit_bytes = {b}\n"));
-        }
-        if ini.clock_divisor != 1 {
-            out.push_str(&format!("clock_divisor = {}\n", ini.clock_divisor));
-        }
-        emit_program(out, &ini.program);
+        emit_section(out, &INITIATOR, ini);
     }
     for mem in &spec.memories {
         out.push('\n');
         // Plain memories keep the classic [[memory]] section; protocol
-        // targets are emitted as [[target]] blocks with a kind. The
-        // parser accepts both section names interchangeably.
-        match mem.target {
-            TargetSpec::Memory => out.push_str("[[memory]]\n"),
-            _ => out.push_str("[[target]]\n"),
+        // targets are [[target]] blocks with a kind.
+        let section = match mem.target {
+            Memory => &MEMORY,
+            _ => &TARGET,
+        };
+        emit_section(out, section, mem);
+    }
+}
+
+/// The key-by-key reference of the text format, rendered from the same
+/// field tables the parser and the emitter run on: per section, every
+/// key with its value type and range, the sockets or kinds it applies
+/// to, whether it is required, and its doc line.
+pub fn grammar_reference() -> String {
+    let mut out = String::from(
+        "# A file is one scenario, or a sweep: an optional [sweep] header, then one\n\
+         # full scenario per [[sweep.point]]. `#` starts a comment; integers are\n\
+         # decimal or 0x hex, `_` separators allowed, never signed.\n",
+    );
+    describe(&mut out, &TOPOLOGY);
+    describe(&mut out, &CONFIG);
+    describe(&mut out, &INITIATOR);
+    describe(&mut out, &TARGET);
+    describe(&mut out, &SWEEP);
+    describe(&mut out, &POINT);
+    let fields = CMD_FIELDS
+        .iter()
+        .map(|(name, max, ..)| format!("{name}={}", range(0, *max)));
+    let fields: Vec<String> = fields.collect();
+    let _ = write!(
+        out,
+        "\n# cmd = \"OP ADDR BEATSxBYTES [FIELD ...]\", every field defaulting to 0:\n\
+         #   OP     {}\n\
+         #   BEATS  1..={}; BYTES 1..={}, a power of two\n\
+         #   FIELD  {BURST_KIND}={} (wrap needs power-of-two BEATS)\n\
+         #          {}\n",
+        alternatives(OPCODES),
+        Burst::MAX_BEATS,
+        Burst::MAX_BEAT_BYTES,
+        alternatives(BURST_KINDS),
+        fields.join(" "),
+    );
+    out
+}
+
+/// `min..=max` as the reference prints it: `N` for any integer, large
+/// powers of two as such.
+fn range(min: u64, max: u64) -> String {
+    match max {
+        u64::MAX if min == 0 => "N".to_owned(),
+        u64::MAX => format!("{min}.."),
+        _ if max > 9999 && max.is_power_of_two() => format!("{min}..=2^{}", max.ilog2()),
+        _ if max > 9999 && (max + 1).is_power_of_two() => {
+            format!("{min}..=2^{}-1", max.ilog2() + 1)
         }
-        out.push_str(&format!("name = {}\n", quoted("target name", &mem.name)));
-        match mem.target {
-            TargetSpec::Memory => {}
-            TargetSpec::AxiSlave { .. } => out.push_str("kind = \"axi\"\n"),
-            TargetSpec::Service { .. } => out.push_str("kind = \"service\"\n"),
-        }
-        out.push_str(&format!("base = {:#x}\n", mem.base));
-        out.push_str(&format!("end = {:#x}\n", mem.end));
-        out.push_str(&format!("latency = {}\n", mem.latency));
-        match mem.target {
-            TargetSpec::Memory => {}
-            TargetSpec::AxiSlave { bank_stagger } => {
-                out.push_str(&format!("bank_stagger = {bank_stagger}\n"));
-            }
-            TargetSpec::Service {
-                write_latency,
-                exclusive,
-            } => {
-                out.push_str(&format!("write_latency = {write_latency}\n"));
-                if exclusive {
-                    out.push_str("exclusive = true\n");
-                }
-            }
-        }
-        out.push_str(&format!("queue = {}\n", mem.queue));
-        if mem.clock_divisor != 1 {
-            out.push_str(&format!("clock_divisor = {}\n", mem.clock_divisor));
-        }
+        _ => format!("{min}..={max}"),
+    }
+}
+
+fn describe<T>(out: &mut String, section: &Section<T>) {
+    let _ = writeln!(out, "\n{:<34} # {}", section.header(), section.about);
+    for row in section.rows {
+        let values = match &row.field {
+            Int(min, max, _) => range(*min, *max),
+            Hex(_) => range(0, u64::MAX),
+            Flag(..) => "true|false".to_owned(),
+            Text(..) | Cmds(..) => "\"...\"".to_owned(),
+            Name(forms, ..) => format!("\"{}\"", forms()),
+            Ints(..) => "[0, 1, ...]".to_owned(),
+            Pairs(..) => "[[0, 1], ...]".to_owned(),
+        };
+        let gate = match row.when {
+            ANY => String::new(),
+            when => format!("{} only; ", (section.variants)(when).join("/")),
+        };
+        let need = if row.required { "required; " } else { "" };
+        let entry = format!("{} = {values}", row.key);
+        let _ = writeln!(out, "{entry:<34} # {gate}{need}{}", row.doc);
     }
 }
 
@@ -670,214 +1004,345 @@ fn emit_scenario(out: &mut String, spec: &ScenarioSpec) {
 // Parser
 // ---------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
+enum Value<'a> {
     Int(u64),
     Bool(bool),
-    Str(String),
-    Ints(Vec<u64>),
-    Pairs(Vec<(u64, u64)>),
+    Str(&'a str),
+    Ints(Vec<usize>),
+    Pairs(Vec<(usize, usize)>),
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    key: String,
-    value: Value,
+/// One `key = value` line, borrowing its key and string from the input.
+struct Entry<'a> {
+    key: &'a str,
+    value: Value<'a>,
     line: usize,
     key_col: usize,
     val_col: usize,
 }
 
-impl Entry {
+impl Entry<'_> {
+    fn at_key(&self, kind: ParseErrorKind) -> ParseError {
+        ParseError::new(self.line, self.key_col, kind)
+    }
+
     fn bad(&self, reason: impl Into<String>) -> ParseError {
+        let (key, reason) = (self.key.to_owned(), reason.into());
         ParseError::new(
             self.line,
             self.val_col,
-            ParseErrorKind::BadValue {
-                key: self.key.clone(),
-                reason: reason.into(),
-            },
+            ParseErrorKind::BadValue { key, reason },
         )
     }
-
-    fn str(&self) -> Result<&str, ParseError> {
-        match &self.value {
-            Value::Str(s) => Ok(s),
-            _ => Err(self.bad("expected a quoted string")),
-        }
-    }
-
-    fn u64(&self) -> Result<u64, ParseError> {
-        match self.value {
-            Value::Int(n) => Ok(n),
-            _ => Err(self.bad("expected an integer")),
-        }
-    }
-
-    fn bool(&self) -> Result<bool, ParseError> {
-        match self.value {
-            Value::Bool(b) => Ok(b),
-            _ => Err(self.bad("expected true or false")),
-        }
-    }
-
-    fn int_max(&self, max: u64) -> Result<u64, ParseError> {
-        let n = self.u64()?;
-        if n > max {
-            return Err(self.bad(format!("must be at most {max}")));
-        }
-        Ok(n)
-    }
-
-    fn nonzero(&self, max: u64) -> Result<u64, ParseError> {
-        let n = self.int_max(max)?;
-        if n == 0 {
-            return Err(self.bad("must be at least 1"));
-        }
-        Ok(n)
-    }
-
-    fn ints(&self) -> Result<&[u64], ParseError> {
-        match &self.value {
-            Value::Ints(v) => Ok(v),
-            _ => Err(self.bad("expected an integer array like [0, 1, 2]")),
-        }
-    }
-
-    fn pairs(&self) -> Result<&[(u64, u64)], ParseError> {
-        match &self.value {
-            Value::Pairs(v) => Ok(v),
-            Value::Ints(v) if v.is_empty() => Ok(&[]),
-            _ => Err(self.bad("expected a pair array like [[0, 1], [1, 2]]")),
-        }
-    }
 }
 
-/// One parsed section with consumed-key tracking, so finalizers can
-/// report leftovers as unknown keys at their own line.
-#[derive(Debug)]
-struct Section {
-    name: &'static str,
+const NO_ROW: usize = usize::MAX;
+
+/// Parses the entries of one section into `t` by the section's table.
+///
+/// A key given twice is an error where it stands. The rows are then
+/// applied in table order — discriminators before the rows they gate —
+/// each entry type- and range-checked before its setter runs; a missing
+/// required row is reported at the header. An entry no applicable row
+/// claimed (unknown key, or a key of another variant) is reported last.
+/// Returns the line of the first row's entry, the key that names the
+/// section in document-level diagnostics.
+fn parse_section<T>(
+    section: &Section<T>,
+    name: &str,
     header_line: usize,
-    entries: Vec<Entry>,
-    used: Vec<bool>,
-}
-
-impl Section {
-    fn new(name: &'static str, header_line: usize) -> Self {
-        Section {
-            name,
-            header_line,
-            entries: Vec::new(),
-            used: Vec::new(),
+    entries: &[Entry<'_>],
+    t: &mut T,
+) -> Result<usize, ParseError> {
+    let rows = section.rows;
+    let mut first = vec![NO_ROW; rows.len()];
+    let mut unclaimed = NO_ROW;
+    let mut r = 0;
+    for (i, e) in entries.iter().enumerate() {
+        // Emitted files list their keys in row order (and `cmd` lines in
+        // runs), so the scan resumes where the last one ended.
+        let is = |row: &Row<T>| row.key == e.key;
+        let ahead = rows[r..].iter().position(is).map(|ahead| r + ahead);
+        let Some(found) = ahead.or_else(|| rows[..r].iter().position(is)) else {
+            unclaimed = unclaimed.min(i);
+            continue;
+        };
+        r = found;
+        if first[r] == NO_ROW {
+            first[r] = i;
+        } else if !matches!(rows[r].field, Cmds(..)) {
+            return Err(e.at_key(ParseErrorKind::DuplicateKey(e.key.to_owned())));
         }
     }
-
-    fn push(&mut self, entry: Entry) {
-        self.entries.push(entry);
-        self.used.push(false);
-    }
-
-    /// Takes a single-valued key; errors if it appears twice.
-    fn take(&mut self, key: &str) -> Result<Option<Entry>, ParseError> {
-        let mut found: Option<usize> = None;
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.key == key {
-                if let Some(first) = found {
-                    let _ = first;
-                    return Err(ParseError::new(
-                        e.line,
-                        e.key_col,
-                        ParseErrorKind::DuplicateKey(key.to_owned()),
-                    ));
+    let mut mask = (section.mask)(t);
+    for (r, row) in rows.iter().enumerate() {
+        let applies = row.when == ANY || row.when & mask != 0;
+        let Some(e) = entries.get(first[r]) else {
+            if row.required && applies {
+                let (section, key) = (name.to_owned(), row.key.to_owned());
+                let missing = ParseErrorKind::MissingKey { section, key };
+                return Err(ParseError::new(header_line, 1, missing));
+            }
+            continue;
+        };
+        if !applies {
+            unclaimed = unclaimed.min(first[r]);
+            continue;
+        }
+        match (&row.field, &e.value) {
+            (Int(_, max, _), Value::Int(n)) if n > max => {
+                return Err(e.bad(format!("must be at most {max}")));
+            }
+            (Int(min, ..), Value::Int(n)) if n < min => {
+                return Err(e.bad(format!("must be at least {min}")));
+            }
+            (Int(_, _, (_, set)) | Hex((_, set)), Value::Int(n)) => set(t, *n),
+            (Flag(_, set), Value::Bool(v)) => set(t, *v),
+            (Text(_, set), Value::Str(v)) => set(t, v),
+            (Name(_, _, set), Value::Str(v)) => {
+                set(t, v).map_err(|reason| e.bad(reason))?;
+                // Only a name can select another variant.
+                mask = (section.mask)(t);
+            }
+            (Ints(_, set), Value::Ints(v)) => set(t, v.clone()),
+            (Pairs(_, set), Value::Pairs(v)) => set(t, v.clone()),
+            (Pairs(_, set), Value::Ints(v)) if v.is_empty() => set(t, Vec::new()),
+            (Cmds(_, push), _) => {
+                for e in entries[first[r]..].iter().filter(|e| e.key == row.key) {
+                    if !push(t, parse_command(e)?) {
+                        let conflict = "cmd lines conflict with a generated program kind";
+                        return Err(syntax(e.line, e.key_col, conflict));
+                    }
                 }
-                found = Some(i);
             }
+            (Int(..) | Hex(_), _) => return Err(e.bad("expected an integer")),
+            (Flag(..), _) => return Err(e.bad("expected true or false")),
+            (Text(..) | Name(..), _) => return Err(e.bad("expected a quoted string")),
+            (Ints(..), _) => return Err(e.bad("expected an integer array like [0, 1, 2]")),
+            (Pairs(..), _) => return Err(e.bad("expected a pair array like [[0, 1], [1, 2]]")),
         }
-        Ok(found.map(|i| {
-            self.used[i] = true;
-            self.entries[i].clone()
-        }))
+        if let Some(reason) = row.rule.and_then(|rule| rule(t)) {
+            return Err(e.bad(reason));
+        }
     }
-
-    fn take_req(&mut self, key: &str) -> Result<Entry, ParseError> {
-        self.take(key)?.ok_or_else(|| {
-            ParseError::new(
-                self.header_line,
-                1,
-                ParseErrorKind::MissingKey {
-                    section: self.name.to_owned(),
-                    key: key.to_owned(),
-                },
-            )
-        })
+    match entries.get(unclaimed) {
+        Some(e) => Err(e.at_key(ParseErrorKind::UnknownKey(e.key.to_owned()))),
+        None => Ok(entries.get(first[0]).map_or(header_line, |e| e.line)),
     }
+}
 
-    /// Takes every occurrence of a repeatable key, in order.
-    fn take_all(&mut self, key: &str) -> Vec<Entry> {
-        let mut out = Vec::new();
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.key == key {
-                self.used[i] = true;
-                out.push(e.clone());
+fn parse_command(e: &Entry<'_>) -> Result<SocketCommand, ParseError> {
+    let Value::Str(text) = e.value else {
+        return Err(e.bad("expected a quoted string"));
+    };
+    // Columns point inside the quoted command string: value column + the
+    // opening quote + the token's offset.
+    let at = |tok: &str| e.val_col + 1 + (tok.as_ptr() as usize - text.as_ptr() as usize);
+    let err = |tok: &str, reason: String| {
+        let key = e.key.to_owned();
+        ParseError::new(e.line, at(tok), ParseErrorKind::BadValue { key, reason })
+    };
+    // `s` is `tok` or a piece of it; a malformed integer is reported at
+    // the token.
+    let int = |tok: &str, s: &str| {
+        parse_int(s).ok_or_else(|| syntax(e.line, at(tok), format!("malformed integer {s:?}")))
+    };
+    let mut toks = text.split_ascii_whitespace();
+    let (Some(op), Some(addr), Some(burst)) = (toks.next(), toks.next(), toks.next()) else {
+        let shape = "a command is \"OP ADDR BEATSxBYTES [field=…]\"";
+        return Err(err(text, shape.into()));
+    };
+    let opcode = named("command op", OPCODES, op).map_err(|reason| err(op, reason))?;
+    let addr = int(addr, addr)?;
+    let Some((beats, bytes)) = burst.split_once('x') else {
+        return Err(err(burst, format!("burst {burst:?} must be BEATSxBYTES")));
+    };
+    let dim = |s: &str, what: &str, max: u32| match int(burst, s)? {
+        0 => Err(err(burst, format!("{what} must be at least 1"))),
+        n if n > U32 => Err(err(burst, format!("{what} must fit in 32 bits"))),
+        n if n > max as u64 => Err(err(burst, format!("{what} must be at most {max}"))),
+        n => Ok(n as u32),
+    };
+    let beats = dim(beats, "beats", Burst::MAX_BEATS)?;
+    let beat_bytes = dim(bytes, "beat bytes", Burst::MAX_BEAT_BYTES)?;
+    let mut cmd = SocketCommand::read(addr, beat_bytes)
+        .with_opcode(opcode)
+        .with_burst(BurstKind::Incr, beats);
+    for tok in toks {
+        let Some((field, val)) = tok.split_once('=') else {
+            return Err(err(tok, format!("expected field=value, got {tok:?}")));
+        };
+        if field == BURST_KIND {
+            let kind = named("burst kind", BURST_KINDS, val);
+            cmd.burst_kind = kind.map_err(|reason| err(tok, reason))?;
+        } else if let Some((name, max, (_, set))) = CMD_FIELDS.iter().find(|f| f.0 == field) {
+            match int(tok, val)? {
+                n if n > *max => return Err(err(tok, format!("{name} must be at most {max}"))),
+                n => set(&mut cmd, n),
             }
+        } else {
+            return Err(err(tok, format!("unknown command field {field:?}")));
         }
-        out
     }
-
-    /// Rejects any key no finalizer consumed.
-    fn finish(&self) -> Result<(), ParseError> {
-        for (i, e) in self.entries.iter().enumerate() {
-            if !self.used[i] {
-                return Err(ParseError::new(
-                    e.line,
-                    e.key_col,
-                    ParseErrorKind::UnknownKey(e.key.clone()),
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The scenario sections of one document (a file, or one sweep point).
-#[derive(Debug, Default)]
-struct DocBuf {
-    topology: Option<Section>,
-    config: Option<Section>,
-    initiators: Vec<Section>,
-    memories: Vec<Section>,
-}
-
-impl DocBuf {
-    fn is_empty(&self) -> bool {
-        self.topology.is_none()
-            && self.config.is_none()
-            && self.initiators.is_empty()
-            && self.memories.is_empty()
-    }
-}
-
-#[derive(Debug)]
-struct PointBuf {
-    header: Section,
-    doc: DocBuf,
-}
-
-/// Where key/value lines currently land.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Cursor {
-    None,
-    Topology,
-    Config,
-    Initiator,
-    Memory,
-    Sweep,
-    Point,
+    Ok(cmd)
 }
 
 fn syntax(line: usize, col: usize, msg: impl Into<String>) -> ParseError {
     ParseError::new(line, col, ParseErrorKind::Syntax(msg.into()))
+}
+
+fn strip_comment(line: &str) -> &str {
+    let mut in_str = false;
+    let comment = |b: u8| {
+        in_str ^= b == b'"';
+        b == b'#' && !in_str
+    };
+    line.bytes().position(comment).map_or(line, |i| &line[..i])
+}
+
+fn parse_kv(line: &str, no: usize) -> Result<Entry<'_>, ParseError> {
+    let indent = |s: &str| s.len() - s.trim_start().len();
+    let Some(eq) = line.find('=') else {
+        return Err(syntax(no, indent(line) + 1, "expected `key = value`"));
+    };
+    let (key, key_col) = (line[..eq].trim(), indent(line) + 1);
+    if key.is_empty() || !key.bytes().all(|b| b.is_ascii_lowercase() || b == b'_') {
+        return Err(syntax(no, key_col, format!("malformed key {key:?}")));
+    }
+    let val = line[eq + 1..].trim();
+    let val_col = eq + 1 + indent(&line[eq + 1..]) + 1;
+    if val.is_empty() {
+        return Err(syntax(no, val_col, "missing value"));
+    }
+    let value = parse_value(val, no, val_col)?;
+    Ok(Entry {
+        key,
+        value,
+        line: no,
+        key_col,
+        val_col,
+    })
+}
+
+fn parse_value(s: &str, line: usize, col: usize) -> Result<Value<'_>, ParseError> {
+    let int =
+        |s: &str| parse_int(s).ok_or_else(|| syntax(line, col, format!("malformed integer {s:?}")));
+    if let Some(rest) = s.strip_prefix('"') {
+        return match rest.strip_suffix('"') {
+            None => Err(syntax(line, col, "unterminated string")),
+            Some(inner) if inner.contains('"') => {
+                Err(syntax(line, col, "strings cannot contain quotes"))
+            }
+            Some(inner) => Ok(Value::Str(inner)),
+        };
+    }
+    let Some(rest) = s.strip_prefix('[') else {
+        return match s {
+            "true" => Ok(Value::Bool(true)),
+            "false" => Ok(Value::Bool(false)),
+            _ => Ok(Value::Int(int(s)?)),
+        };
+    };
+    let Some(inner) = rest.strip_suffix(']').map(str::trim) else {
+        return Err(syntax(line, col, "unterminated array"));
+    };
+    if !inner.starts_with('[') {
+        let items = inner.split(',').filter(|_| !inner.is_empty());
+        let ints: Result<_, _> = items.map(|i| int(i.trim()).map(|n| n as usize)).collect();
+        return ints.map(Value::Ints);
+    }
+    // `[a, b], [c, d]`: one bracketed pair, then an optional comma.
+    let malformed = || syntax(line, col, format!("malformed pair array [{inner}]"));
+    let mut pairs = Vec::new();
+    let mut rest = inner;
+    while !rest.is_empty() {
+        let pair = rest.strip_prefix('[').and_then(|r| r.split_once(']'));
+        let (pair, tail) = pair.ok_or_else(malformed)?;
+        let (a, b) = pair.split_once(',').ok_or_else(malformed)?;
+        pairs.push((int(a.trim())? as usize, int(b.trim())? as usize));
+        rest = match tail.trim_start().strip_prefix(',') {
+            Some(next) => next.trim_start(),
+            None if tail.trim().is_empty() => "",
+            None => return Err(malformed()),
+        };
+    }
+    Ok(Value::Pairs(pairs))
+}
+
+/// What a section header opens.
+#[derive(Clone, Copy)]
+enum Opens {
+    Topology,
+    Config,
+    Initiator,
+    Target,
+    Sweep,
+    Point,
+}
+
+const HEADERS: &[(&str, bool, Opens)] = &[
+    (TOPOLOGY.name, TOPOLOGY.repeats, Opens::Topology),
+    (CONFIG.name, CONFIG.repeats, Opens::Config),
+    (INITIATOR.name, INITIATOR.repeats, Opens::Initiator),
+    (MEMORY.name, MEMORY.repeats, Opens::Target),
+    (TARGET.name, TARGET.repeats, Opens::Target),
+    (SWEEP.name, SWEEP.repeats, Opens::Sweep),
+    (POINT.name, POINT.repeats, Opens::Point),
+];
+
+/// Reads a `[name]` / `[[name]]` header: what it opens, and its name as
+/// written.
+fn parse_header(header: &str, line: usize, col: usize) -> Result<(Opens, &str), ParseError> {
+    let (inner, double) = match header.strip_prefix("[[") {
+        Some(rest) => (rest.strip_suffix("]]"), true),
+        None => (header[1..].strip_suffix(']'), false),
+    };
+    let legal = |b: u8| b.is_ascii_alphanumeric() || b == b'.' || b == b'_';
+    let Some(name) = inner
+        .map(str::trim)
+        .filter(|n| !n.is_empty() && n.bytes().all(legal))
+    else {
+        return Err(syntax(
+            line,
+            col,
+            format!("malformed section header {header:?}"),
+        ));
+    };
+    match HEADERS.iter().find(|h| h.0 == name) {
+        None => Err(ParseError::new(
+            line,
+            col,
+            ParseErrorKind::UnknownSection(name.to_owned()),
+        )),
+        Some(&(_, repeats, opens)) if repeats == double => Ok((opens, name)),
+        Some((_, true, _)) => Err(syntax(
+            line,
+            col,
+            format!("[[{name}]] takes double brackets (it repeats)"),
+        )),
+        Some(_) => Err(syntax(line, col, format!("[{name}] takes single brackets"))),
+    }
+}
+
+/// The scenario being assembled: a plain file's, or one sweep point's.
+#[derive(Default)]
+struct Draft {
+    spec: ScenarioSpec,
+    /// Scenario sections read so far.
+    sections: usize,
+    has_topology: bool,
+    names: HashSet<String>,
+}
+
+impl Draft {
+    /// Registers an endpoint name, declared on `line`.
+    fn declare(&mut self, name: &str, line: usize) -> Result<(), ParseError> {
+        if self.names.insert(name.to_owned()) {
+            return Ok(());
+        }
+        let twice = ParseErrorKind::DuplicateName(name.to_owned());
+        Err(ParseError::new(line, 1, twice))
+    }
 }
 
 /// Parses a whole scenario text file into a [`Document`].
@@ -886,878 +1351,109 @@ fn syntax(line: usize, col: usize, msg: impl Into<String>) -> ParseError {
 ///
 /// Returns a [`ParseError`] locating the first grammar violation.
 pub fn parse_document(text: &str) -> Result<Document, ParseError> {
-    let mut base = DocBuf::default();
-    let mut sweep_header: Option<Section> = None;
-    let mut points: Vec<PointBuf> = Vec::new();
-    let mut cursor = Cursor::None;
-
+    // Lines first: each header with where it stands and where its
+    // entries start.
+    let mut entries = Vec::new();
+    let mut headers = Vec::new();
     for (i, raw) in text.lines().enumerate() {
-        let no = i + 1;
         let line = strip_comment(raw);
         let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let col = line.len() - line.trim_start().len() + 1;
         if trimmed.starts_with('[') {
-            let (name, double) = parse_header(trimmed, no, col)?;
-            let doc = points.last_mut().map(|p| &mut p.doc).unwrap_or(&mut base);
-            cursor = match (name.as_str(), double) {
-                ("topology", false) => {
-                    if doc.topology.is_some() {
-                        return Err(syntax(no, col, "second [topology] section in one scenario"));
-                    }
-                    doc.topology = Some(Section::new("topology", no));
-                    Cursor::Topology
-                }
-                ("config", false) => {
-                    if doc.config.is_some() {
-                        return Err(syntax(no, col, "second [config] section in one scenario"));
-                    }
-                    doc.config = Some(Section::new("config", no));
-                    Cursor::Config
-                }
-                ("initiator", true) => {
-                    doc.initiators.push(Section::new("initiator", no));
-                    Cursor::Initiator
-                }
-                ("memory", true) => {
-                    doc.memories.push(Section::new("memory", no));
-                    Cursor::Memory
-                }
-                ("target", true) => {
-                    // [[target]] is [[memory]] with a protocol kind; both
-                    // names land in the same declaration list.
-                    doc.memories.push(Section::new("target", no));
-                    Cursor::Memory
-                }
-                ("sweep", false) => {
-                    if sweep_header.is_some() {
-                        return Err(syntax(no, col, "second [sweep] section"));
-                    }
-                    if !points.is_empty() {
-                        return Err(syntax(
-                            no,
-                            col,
-                            "[sweep] must precede every [[sweep.point]]",
-                        ));
-                    }
-                    sweep_header = Some(Section::new("sweep", no));
-                    Cursor::Sweep
-                }
-                ("sweep.point", true) => {
-                    if points.is_empty() && !base.is_empty() {
-                        return Err(syntax(
-                            no,
-                            col,
-                            "scenario sections must follow a [[sweep.point]] in a sweep file",
-                        ));
-                    }
-                    points.push(PointBuf {
-                        header: Section::new("sweep.point", no),
-                        doc: DocBuf::default(),
-                    });
-                    Cursor::Point
-                }
-                ("topology" | "config" | "sweep", true) => {
-                    return Err(syntax(no, col, format!("[{name}] takes single brackets")));
-                }
-                ("initiator" | "memory" | "target" | "sweep.point", false) => {
-                    return Err(syntax(
-                        no,
-                        col,
-                        format!("[[{name}]] takes double brackets (it repeats)"),
-                    ));
-                }
-                _ => {
-                    return Err(ParseError::new(
-                        no,
-                        col,
-                        ParseErrorKind::UnknownSection(name),
-                    ));
-                }
-            };
-            continue;
-        }
-        let entry = parse_kv(line, no)?;
-        let doc = points.last_mut().map(|p| &mut p.doc).unwrap_or(&mut base);
-        match cursor {
-            Cursor::None => {
-                return Err(syntax(no, entry.key_col, "key outside any section"));
+            let col = line.len() - line.trim_start().len() + 1;
+            headers.push((
+                parse_header(trimmed, i + 1, col)?,
+                i + 1,
+                col,
+                entries.len(),
+            ));
+        } else if !trimmed.is_empty() {
+            let entry = parse_kv(line, i + 1)?;
+            if headers.is_empty() {
+                return Err(syntax(i + 1, entry.key_col, "key outside any section"));
             }
-            Cursor::Topology => doc
-                .topology
-                .as_mut()
-                .expect("cursor points at a live section")
-                .push(entry),
-            Cursor::Config => doc
-                .config
-                .as_mut()
-                .expect("cursor points at a live section")
-                .push(entry),
-            Cursor::Initiator => doc
-                .initiators
-                .last_mut()
-                .expect("cursor points at a live section")
-                .push(entry),
-            Cursor::Memory => doc
-                .memories
-                .last_mut()
-                .expect("cursor points at a live section")
-                .push(entry),
-            Cursor::Sweep => sweep_header
-                .as_mut()
-                .expect("cursor points at a live section")
-                .push(entry),
-            Cursor::Point => points
-                .last_mut()
-                .expect("cursor points at a live section")
-                .header
-                .push(entry),
+            entries.push(entry);
         }
     }
-
-    if sweep_header.is_none() && points.is_empty() {
-        return Ok(Document::Scenario(finalize_doc(base)?));
+    // Then sections, each parsed by its table and filed in the scenario
+    // under assembly or the sweep around it.
+    let mut draft = Draft::default();
+    let mut sweep = Sweep::new();
+    let mut sweep_line = None;
+    let mut ends = headers.iter().skip(1).map(|h| h.3).chain([entries.len()]);
+    for &((opens, name), line, col, start) in &headers {
+        let entries = &mut entries[start..ends.next().unwrap_or(start)];
+        let refusal = match opens {
+            Opens::Topology if draft.has_topology => "second [topology] section in one scenario",
+            Opens::Config if draft.spec.config.is_some() => {
+                "second [config] section in one scenario"
+            }
+            Opens::Sweep if sweep_line.is_some() => "second [sweep] section",
+            Opens::Sweep if !sweep.points.is_empty() => {
+                "[sweep] must precede every [[sweep.point]]"
+            }
+            Opens::Point if sweep.points.is_empty() && draft.sections > 0 => {
+                "scenario sections must follow a [[sweep.point]] in a sweep file"
+            }
+            _ => "",
+        };
+        if !refusal.is_empty() {
+            return Err(syntax(line, col, refusal));
+        }
+        match opens {
+            Opens::Topology => {
+                draft.has_topology = true;
+                parse_section(&TOPOLOGY, name, line, entries, &mut draft.spec)?;
+            }
+            Opens::Config => {
+                let cfg = draft.spec.config.insert(NocConfigSpec::default());
+                parse_section(&CONFIG, name, line, entries, cfg)?;
+            }
+            Opens::Initiator => {
+                let mut ini = InitiatorSpec::new("", Ahb, Vec::new());
+                let named_at = parse_section(&INITIATOR, name, line, entries, &mut ini)?;
+                draft.declare(&ini.name, named_at)?;
+                draft.spec.initiators.push(ini);
+            }
+            Opens::Target => {
+                let mut mem = MemorySpec::new("", 0, 0, 0);
+                let named_at = parse_section(&TARGET, name, line, entries, &mut mem)?;
+                draft.declare(&mem.name, named_at)?;
+                let overlaps = |a: &&MemorySpec| a.base < mem.end && mem.base < a.end;
+                if let Some(a) = draft.spec.memories.iter().find(overlaps) {
+                    let (a, b) = (a.name.clone(), mem.name.clone());
+                    let kind = ParseErrorKind::OverlappingRegions { a, b };
+                    return Err(ParseError::new(named_at, 1, kind));
+                }
+                draft.spec.memories.push(mem);
+            }
+            Opens::Sweep => {
+                sweep_line = Some(line);
+                parse_section(&SWEEP, name, line, entries, &mut sweep)?;
+            }
+            Opens::Point => {
+                // The scenario assembled so far is the previous point's.
+                if let Some(previous) = sweep.points.last_mut() {
+                    previous.spec = std::mem::take(&mut draft).spec;
+                }
+                let mut point = SweepPoint::new("", ScenarioSpec::new(), Backend::noc());
+                parse_section(&POINT, name, line, entries, &mut point)?;
+                sweep.points.push(point);
+            }
+        }
+        draft.sections += !matches!(opens, Opens::Sweep | Opens::Point) as usize;
     }
-    if points.is_empty() {
-        let header = sweep_header.expect("checked above");
-        return Err(syntax(
-            header.header_line,
+    match (sweep.points.last_mut(), sweep_line) {
+        (None, None) => Ok(Document::Scenario(draft.spec)),
+        (None, Some(line)) => Err(syntax(
+            line,
             1,
             "a sweep file needs at least one [[sweep.point]]",
-        ));
-    }
-    let mut sweep = Sweep::new();
-    if let Some(mut header) = sweep_header {
-        if let Some(e) = header.take("max_cycles")? {
-            sweep = sweep.with_max_cycles(e.u64()?);
-        }
-        if let Some(e) = header.take("threads")? {
-            sweep = sweep.with_threads(e.nonzero(1 << 16)? as usize);
-        }
-        if let Some(e) = header.take("step")? {
-            sweep = sweep.with_step_mode(parse_step(&e)?);
-        }
-        header.finish()?;
-    }
-    for mut point in points {
-        let label = point.header.take_req("label")?.str()?.to_owned();
-        let backend_entry = point.header.take_req("backend")?;
-        let backend = parse_backend(&backend_entry)?;
-        let step = match point.header.take("step")? {
-            Some(e) => Some(parse_step(&e)?),
-            None => None,
-        };
-        point.header.finish()?;
-        let spec = finalize_doc(point.doc)?;
-        let mut sp = SweepPoint::new(&label, spec, backend);
-        sp.step = step;
-        sweep = sweep.with_point(sp);
-    }
-    Ok(Document::Sweep(sweep))
-}
-
-fn parse_header(trimmed: &str, line: usize, col: usize) -> Result<(String, bool), ParseError> {
-    let (inner, double) = if let Some(rest) = trimmed.strip_prefix("[[") {
-        let Some(inner) = rest.strip_suffix("]]") else {
-            return Err(syntax(line, col, "section header must end with ]]"));
-        };
-        (inner, true)
-    } else {
-        let rest = trimmed.strip_prefix('[').expect("caller checked '['");
-        let Some(inner) = rest.strip_suffix(']') else {
-            return Err(syntax(line, col, "section header must end with ]"));
-        };
-        if inner.ends_with(']') {
-            return Err(syntax(line, col, "unbalanced section brackets"));
-        }
-        (inner, false)
-    };
-    let name = inner.trim();
-    if name.is_empty()
-        || !name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || c == '.' || c == '_')
-    {
-        return Err(syntax(
-            line,
-            col,
-            format!("malformed section name {name:?}"),
-        ));
-    }
-    Ok((name.to_owned(), double))
-}
-
-fn parse_kv(line: &str, no: usize) -> Result<Entry, ParseError> {
-    let Some(eq) = line.find('=') else {
-        let col = line.len() - line.trim_start().len() + 1;
-        return Err(syntax(no, col, "expected `key = value`"));
-    };
-    let key_part = &line[..eq];
-    let key = key_part.trim();
-    let key_col = key_part.len() - key_part.trim_start().len() + 1;
-    if key.is_empty() || !key.chars().all(|c| c.is_ascii_lowercase() || c == '_') {
-        return Err(syntax(no, key_col, format!("malformed key {key:?}")));
-    }
-    let val_part = &line[eq + 1..];
-    let val_trim = val_part.trim();
-    let val_col = eq + 1 + (val_part.len() - val_part.trim_start().len()) + 1;
-    if val_trim.is_empty() {
-        return Err(syntax(no, val_col, "missing value"));
-    }
-    let value = parse_value(val_trim, no, val_col)?;
-    Ok(Entry {
-        key: key.to_owned(),
-        value,
-        line: no,
-        key_col,
-        val_col,
-    })
-}
-
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
+        )),
+        (Some(last), _) => {
+            last.spec = draft.spec;
+            Ok(Document::Sweep(sweep))
         }
     }
-    line
-}
-
-fn parse_value(s: &str, line: usize, col: usize) -> Result<Value, ParseError> {
-    if let Some(rest) = s.strip_prefix('"') {
-        let Some(inner) = rest.strip_suffix('"') else {
-            return Err(syntax(line, col, "unterminated string"));
-        };
-        if inner.contains('"') {
-            return Err(syntax(line, col, "strings cannot contain quotes"));
-        }
-        return Ok(Value::Str(inner.to_owned()));
-    }
-    if let Some(rest) = s.strip_prefix('[') {
-        let Some(inner) = rest.strip_suffix(']') else {
-            return Err(syntax(line, col, "unterminated array"));
-        };
-        let inner = inner.trim();
-        if inner.is_empty() {
-            return Ok(Value::Ints(Vec::new()));
-        }
-        if inner.starts_with('[') {
-            let mut pairs = Vec::new();
-            for chunk in split_top_level(inner) {
-                let chunk = chunk.trim();
-                let ok = chunk.strip_prefix('[').and_then(|c| c.strip_suffix(']'));
-                let Some(body) = ok else {
-                    return Err(syntax(line, col, format!("malformed pair {chunk:?}")));
-                };
-                let parts: Vec<&str> = body.split(',').map(str::trim).collect();
-                if parts.len() != 2 {
-                    return Err(syntax(line, col, format!("pair {chunk:?} needs two items")));
-                }
-                let a = parse_int(parts[0], line, col)?;
-                let b = parse_int(parts[1], line, col)?;
-                pairs.push((a, b));
-            }
-            return Ok(Value::Pairs(pairs));
-        }
-        let mut ints = Vec::new();
-        for item in inner.split(',') {
-            ints.push(parse_int(item.trim(), line, col)?);
-        }
-        return Ok(Value::Ints(ints));
-    }
-    match s {
-        "true" => Ok(Value::Bool(true)),
-        "false" => Ok(Value::Bool(false)),
-        _ => Ok(Value::Int(parse_int(s, line, col)?)),
-    }
-}
-
-/// Splits `[a, b], [c, d]` on commas outside brackets.
-fn split_top_level(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in s.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                out.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    out.push(&s[start..]);
-    out
-}
-
-fn parse_int(s: &str, line: usize, col: usize) -> Result<u64, ParseError> {
-    let clean: String = s.chars().filter(|c| *c != '_').collect();
-    let parsed = match clean
-        .strip_prefix("0x")
-        .or_else(|| clean.strip_prefix("0X"))
-    {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => clean.parse::<u64>(),
-    };
-    parsed.map_err(|_| syntax(line, col, format!("malformed integer {s:?}")))
-}
-
-fn parse_step(e: &Entry) -> Result<StepMode, ParseError> {
-    match e.str()? {
-        "dense" => Ok(StepMode::Dense),
-        "horizon" => Ok(StepMode::Horizon),
-        other => Err(e.bad(format!("unknown step mode {other:?} (dense|horizon)"))),
-    }
-}
-
-fn parse_backend(e: &Entry) -> Result<Backend, ParseError> {
-    match e.str()? {
-        "noc" => Ok(Backend::noc()),
-        "bridged" => Ok(Backend::bridged()),
-        "bus" => Ok(Backend::bus()),
-        other => Err(e.bad(format!("unknown backend {other:?} (noc|bridged|bus)"))),
-    }
-}
-
-fn parse_routing(e: &Entry) -> Result<RouteAlgorithm, ParseError> {
-    let s = e.str()?;
-    if s == "shortest" {
-        return Ok(RouteAlgorithm::ShortestPath);
-    }
-    if s == "updown" {
-        return Ok(RouteAlgorithm::UpDown);
-    }
-    if let Some(dims) = s.strip_prefix("xy:") {
-        if let Some((w, h)) = dims.split_once('x') {
-            let parse = |t: &str| t.trim().parse::<usize>().ok().filter(|n| *n > 0);
-            if let (Some(width), Some(height)) = (parse(w), parse(h)) {
-                return Ok(RouteAlgorithm::XyMesh { width, height });
-            }
-        }
-        return Err(e.bad(format!("malformed xy routing {s:?} (use \"xy:WxH\")")));
-    }
-    Err(e.bad(format!("unknown routing {s:?} (shortest|updown|xy:WxH)")))
-}
-
-fn parse_ordering(e: &Entry) -> Result<OrderingModel, ParseError> {
-    let s = e.str()?;
-    if s == "ordered" {
-        return Ok(OrderingModel::FullyOrdered);
-    }
-    let arg = |rest: &str| -> Option<u8> { rest.parse::<u8>().ok().filter(|n| *n > 0) };
-    if let Some(rest) = s.strip_prefix("threaded:") {
-        if let Some(threads) = arg(rest) {
-            return Ok(OrderingModel::Threaded { threads });
-        }
-    } else if let Some(rest) = s.strip_prefix("id:") {
-        if let Some(tags) = arg(rest) {
-            return Ok(OrderingModel::IdBased { tags });
-        }
-    }
-    Err(e.bad(format!("unknown ordering {s:?} (ordered|threaded:N|id:N)")))
-}
-
-fn parse_socket(sec: &mut Section, e: &Entry) -> Result<SocketSpec, ParseError> {
-    let opt_u8 = |sec: &mut Section, key: &str, default: u8| -> Result<u8, ParseError> {
-        match sec.take(key)? {
-            Some(e) => Ok(e.nonzero(u8::MAX as u64)? as u8),
-            None => Ok(default),
-        }
-    };
-    let opt_u32 = |sec: &mut Section, key: &str, default: u32| -> Result<u32, ParseError> {
-        match sec.take(key)? {
-            Some(e) => Ok(e.nonzero(u32::MAX as u64)? as u32),
-            None => Ok(default),
-        }
-    };
-    match e.str()? {
-        "ahb" => Ok(SocketSpec::Ahb),
-        "ocp" => Ok(SocketSpec::Ocp {
-            threads: opt_u8(sec, "threads", 2)?,
-            per_thread: opt_u32(sec, "per_thread", 4)?,
-        }),
-        "axi" => Ok(SocketSpec::Axi {
-            tags: opt_u8(sec, "tags", 4)?,
-            per_id: opt_u32(sec, "per_id", 4)?,
-            total: opt_u32(sec, "total", 16)?,
-        }),
-        "strm" => Ok(SocketSpec::Strm {
-            read_limit: opt_u32(sec, "read_limit", 4)?,
-        }),
-        "pvci" => Ok(SocketSpec::Vci {
-            flavor: VciFlavor::Peripheral,
-            pipeline: opt_u32(sec, "pipeline", 1)?,
-        }),
-        "bvci" => Ok(SocketSpec::Vci {
-            flavor: VciFlavor::Basic,
-            pipeline: opt_u32(sec, "pipeline", 2)?,
-        }),
-        "avci" => Ok(SocketSpec::Vci {
-            flavor: VciFlavor::Advanced {
-                threads: opt_u8(sec, "threads", 2)?,
-            },
-            pipeline: opt_u32(sec, "pipeline", 2)?,
-        }),
-        other => Err(e.bad(format!(
-            "unknown socket {other:?} (ahb|ocp|axi|strm|pvci|bvci|avci)"
-        ))),
-    }
-}
-
-fn token_spans(s: &str) -> Vec<(usize, &str)> {
-    let mut out = Vec::new();
-    let bytes = s.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i].is_ascii_whitespace() {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < bytes.len() && !bytes[i].is_ascii_whitespace() {
-            i += 1;
-        }
-        out.push((start, &s[start..i]));
-    }
-    out
-}
-
-fn parse_command(e: &Entry) -> Result<SocketCommand, ParseError> {
-    let text = e.str()?.to_owned();
-    // Columns point inside the quoted command string: value column + the
-    // opening quote + the token's offset.
-    let at = |off: usize| e.val_col + 1 + off;
-    let err = |off: usize, reason: String| {
-        ParseError::new(
-            e.line,
-            at(off),
-            ParseErrorKind::BadValue {
-                key: "cmd".into(),
-                reason,
-            },
-        )
-    };
-    let toks = token_spans(&text);
-    if toks.len() < 3 {
-        return Err(err(
-            0,
-            "a command is \"OP ADDR BEATSxBYTES [field=…]\"".into(),
-        ));
-    }
-    let opcode = match toks[0].1 {
-        "read" => Opcode::Read,
-        "write" => Opcode::Write,
-        "write_posted" => Opcode::WritePosted,
-        "read_ex" => Opcode::ReadExclusive,
-        "write_ex" => Opcode::WriteExclusive,
-        "read_linked" => Opcode::ReadLinked,
-        "write_cond" => Opcode::WriteConditional,
-        "read_locked" => Opcode::ReadLocked,
-        "write_unlock" => Opcode::WriteUnlock,
-        "broadcast" => Opcode::Broadcast,
-        other => return Err(err(toks[0].0, format!("unknown command op {other:?}"))),
-    };
-    let addr = parse_int(toks[1].1, e.line, at(toks[1].0))?;
-    let Some((beats_s, bytes_s)) = toks[2].1.split_once('x') else {
-        return Err(err(
-            toks[2].0,
-            format!("burst {:?} must be BEATSxBYTES", toks[2].1),
-        ));
-    };
-    let beats = parse_int(beats_s, e.line, at(toks[2].0))?;
-    let beat_bytes = parse_int(bytes_s, e.line, at(toks[2].0))?;
-    if beats == 0 || beat_bytes == 0 {
-        return Err(err(
-            toks[2].0,
-            "burst beats and bytes must be at least 1".into(),
-        ));
-    }
-    if beats > u32::MAX as u64 || beat_bytes > u32::MAX as u64 {
-        return Err(err(
-            toks[2].0,
-            "burst beats and bytes must fit in 32 bits".into(),
-        ));
-    }
-    let (beats, beat_bytes) = (beats as u32, beat_bytes as u32);
-    let mut cmd = SocketCommand {
-        opcode,
-        addr,
-        beats,
-        beat_bytes,
-        burst_kind: BurstKind::Incr,
-        stream: StreamId::ZERO,
-        data_seed: 0,
-        delay_before: 0,
-        pressure: 0,
-    };
-    for (off, tok) in &toks[3..] {
-        let Some((key, val)) = tok.split_once('=') else {
-            return Err(err(*off, format!("expected field=value, got {tok:?}")));
-        };
-        match key {
-            "kind" => {
-                cmd.burst_kind = match val {
-                    "incr" => BurstKind::Incr,
-                    "wrap" => BurstKind::Wrap,
-                    "fixed" => BurstKind::Fixed,
-                    "stream" => BurstKind::Stream,
-                    other => {
-                        return Err(err(
-                            *off,
-                            format!("unknown burst kind {other:?} (incr|wrap|fixed|stream)"),
-                        ))
-                    }
-                }
-            }
-            "stream" => {
-                let n = parse_int(val, e.line, at(*off))?;
-                if n > u16::MAX as u64 {
-                    return Err(err(*off, "stream id must fit in 16 bits".into()));
-                }
-                cmd.stream = StreamId::new(n as u16);
-            }
-            "seed" => cmd.data_seed = parse_int(val, e.line, at(*off))?,
-            "delay" => {
-                let n = parse_int(val, e.line, at(*off))?;
-                if n > u32::MAX as u64 {
-                    return Err(err(*off, "delay must fit in 32 bits".into()));
-                }
-                cmd.delay_before = n as u32;
-            }
-            "pressure" => {
-                let n = parse_int(val, e.line, at(*off))?;
-                if n > u8::MAX as u64 {
-                    return Err(err(*off, "pressure must fit in 8 bits".into()));
-                }
-                cmd.pressure = n as u8;
-            }
-            other => return Err(err(*off, format!("unknown command field {other:?}"))),
-        }
-    }
-    Ok(cmd)
-}
-
-const MAX_SWITCHES: u64 = TopologySpec::MAX_SWITCHES as u64;
-
-fn finalize_topology(
-    section: Option<Section>,
-) -> Result<(TopologySpec, Option<RouteAlgorithm>), ParseError> {
-    let Some(mut sec) = section else {
-        return Ok((TopologySpec::Crossbar, None));
-    };
-    let kind_entry = sec.take_req("kind")?;
-    let topology = match kind_entry.str()? {
-        "crossbar" => TopologySpec::Crossbar,
-        "ring" => TopologySpec::Ring {
-            switches: sec.take_req("switches")?.nonzero(MAX_SWITCHES)? as usize,
-        },
-        "mesh" => {
-            let width = sec.take_req("width")?.nonzero(1 << 16)?;
-            let height_entry = sec.take_req("height")?;
-            let height = height_entry.nonzero(1 << 16)?;
-            if width * height > MAX_SWITCHES {
-                return Err(height_entry.bad(format!(
-                    "a {width}x{height} mesh exceeds the limit of {MAX_SWITCHES} switches"
-                )));
-            }
-            TopologySpec::Mesh {
-                width: width as usize,
-                height: height as usize,
-            }
-        }
-        "custom" => {
-            let switches = sec.take_req("switches")?.nonzero(MAX_SWITCHES)? as usize;
-            let links_entry = sec.take_req("links")?;
-            let links = links_entry
-                .pairs()?
-                .iter()
-                .map(|&(a, b)| (a as usize, b as usize))
-                .collect();
-            let placement_entry = sec.take_req("placement")?;
-            let placement = placement_entry
-                .ints()?
-                .iter()
-                .map(|&p| p as usize)
-                .collect();
-            TopologySpec::Custom {
-                switches,
-                links,
-                placement,
-            }
-        }
-        other => {
-            return Err(kind_entry.bad(format!(
-                "unknown topology kind {other:?} (crossbar|ring|mesh|custom)"
-            )))
-        }
-    };
-    let routing = match sec.take("routing")? {
-        Some(e) => Some(parse_routing(&e)?),
-        None => None,
-    };
-    sec.finish()?;
-    Ok((topology, routing))
-}
-
-fn finalize_link_class(sec: &mut Section, prefix: &str) -> Result<LinkClassSpec, ParseError> {
-    let key = |suffix: &str| format!("{prefix}_{suffix}");
-    let mut class = LinkClassSpec::default();
-    if let Some(e) = sec.take(&key("pipeline"))? {
-        class.pipeline = Some(e.int_max(u32::MAX as u64)? as u32);
-    }
-    if let Some(e) = sec.take(&key("phits"))? {
-        class.phits = Some(e.nonzero(u32::MAX as u64)? as u32);
-    }
-    if let Some(e) = sec.take(&key("cdc_latency"))? {
-        class.cdc_latency = Some(e.int_max(u32::MAX as u64)? as u32);
-    }
-    if let Some(e) = sec.take(&key("capacity"))? {
-        class.capacity = Some(e.nonzero(1 << 20)? as usize);
-    }
-    Ok(class)
-}
-
-fn finalize_config(section: Option<Section>) -> Result<Option<NocConfigSpec>, ParseError> {
-    let Some(mut sec) = section else {
-        return Ok(None);
-    };
-    let mut cfg = NocConfigSpec::default();
-    if let Some(e) = sec.take("buffer_depth")? {
-        cfg.buffer_depth = Some(e.nonzero(1 << 20)? as usize);
-    }
-    cfg.link = finalize_link_class(&mut sec, "link")?;
-    cfg.endpoint = finalize_link_class(&mut sec, "endpoint")?;
-    sec.finish()?;
-    Ok(Some(cfg))
-}
-
-/// Finalized endpoint plus the line its name was declared on, for
-/// document-level duplicate/overlap diagnostics.
-struct Named<T> {
-    value: T,
-    name_line: usize,
-}
-
-fn parse_shape(sec: &mut Section) -> Result<StochasticShape, ParseError> {
-    let mut shape = StochasticShape::default();
-    if let Some(e) = sec.take("read_pct")? {
-        shape.read_pct = e.int_max(100)? as u8;
-    }
-    if let Some(e) = sec.take("beats")? {
-        shape.beats = e.nonzero(u32::MAX as u64)? as u32;
-    }
-    if let Some(e) = sec.take("beat_bytes")? {
-        shape.beat_bytes = e.nonzero(u32::MAX as u64)? as u32;
-    }
-    if let Some(e) = sec.take("streams")? {
-        shape.streams = e.nonzero(u16::MAX as u64)? as u16;
-    }
-    if let Some(e) = sec.take("gap")? {
-        shape.gap = e.int_max(u32::MAX as u64)? as u32;
-    }
-    if let Some(e) = sec.take("discipline")? {
-        shape.discipline = match e.str()? {
-            "open" => Discipline::Open,
-            "closed" => Discipline::Closed,
-            other => {
-                return Err(e.bad(format!("unknown discipline {other:?} (open|closed)")));
-            }
-        };
-    }
-    Ok(shape)
-}
-
-/// Parses an initiator's program: `cmd =` lines (explicit) or a
-/// `kind =` declaration (generated). The two are mutually exclusive.
-fn parse_program(sec: &mut Section) -> Result<ProgramSpec, ParseError> {
-    let kind = sec.take("kind")?;
-    let cmds = sec.take_all("cmd");
-    let Some(kind_entry) = kind else {
-        let mut program = Vec::new();
-        for cmd_entry in cmds {
-            program.push(parse_command(&cmd_entry)?);
-        }
-        return Ok(ProgramSpec::Explicit(program));
-    };
-    if let Some(first) = cmds.first() {
-        return Err(syntax(
-            first.line,
-            first.key_col,
-            "cmd lines conflict with a generated program kind",
-        ));
-    }
-    match kind_entry.str()? {
-        "bursty" => {
-            let seed = sec.take_req("seed")?.u64()?;
-            let commands = sec.take_req("commands")?.u64()? as usize;
-            let burst_len = sec.take_req("burst_len")?.nonzero(u32::MAX as u64)? as u32;
-            let idle_gap = sec.take_req("idle_gap")?.int_max(u32::MAX as u64)? as u32;
-            let shape = parse_shape(sec)?;
-            Ok(ProgramSpec::Bursty(BurstySpec {
-                seed,
-                commands,
-                burst_len,
-                idle_gap,
-                shape,
-            }))
-        }
-        "zipf" => {
-            let seed = sec.take_req("seed")?.u64()?;
-            let commands = sec.take_req("commands")?.u64()? as usize;
-            let exponent_entry = sec.take_req("exponent_milli")?;
-            let exponent_milli =
-                exponent_entry.int_max(ZipfSpec::MAX_EXPONENT_MILLI as u64)? as u32;
-            let shape = parse_shape(sec)?;
-            Ok(ProgramSpec::Zipf(ZipfSpec {
-                seed,
-                commands,
-                exponent_milli,
-                shape,
-            }))
-        }
-        "trace" => {
-            let path = sec.take_req("trace_file")?.str()?.to_owned();
-            Ok(ProgramSpec::Trace(TraceSpec { path }))
-        }
-        other => Err(kind_entry.bad(format!(
-            "unknown program kind {other:?} (bursty|zipf|trace)"
-        ))),
-    }
-}
-
-fn finalize_initiator(mut sec: Section) -> Result<Named<InitiatorSpec>, ParseError> {
-    let name_entry = sec.take_req("name")?;
-    let name = name_entry.str()?.to_owned();
-    let socket_entry = sec.take_req("socket")?;
-    let socket = parse_socket(&mut sec, &socket_entry)?;
-    let program = parse_program(&mut sec)?;
-    let mut ini = InitiatorSpec::new(&name, socket, program);
-    if let Some(e) = sec.take("ordering")? {
-        ini.ordering = Some(parse_ordering(&e)?);
-    }
-    if let Some(e) = sec.take("outstanding")? {
-        ini.outstanding = Some(e.nonzero(InitiatorSpec::MAX_OUTSTANDING as u64)? as u32);
-    }
-    if let Some(e) = sec.take("pressure")? {
-        ini.pressure = Some(e.int_max(u8::MAX as u64)? as u8);
-    }
-    if let Some(e) = sec.take("flit_bytes")? {
-        ini.flit_bytes = Some(e.nonzero(1 << 16)? as usize);
-    }
-    if let Some(e) = sec.take("clock_divisor")? {
-        ini.clock_divisor = e.nonzero(u64::MAX)?;
-    }
-    sec.finish()?;
-    Ok(Named {
-        value: ini,
-        name_line: name_entry.line,
-    })
-}
-
-fn finalize_memory(mut sec: Section) -> Result<Named<MemorySpec>, ParseError> {
-    let name_entry = sec.take_req("name")?;
-    let name = name_entry.str()?.to_owned();
-    let base = sec.take_req("base")?.u64()?;
-    let end_entry = sec.take_req("end")?;
-    let end = end_entry.u64()?;
-    if base >= end {
-        return Err(end_entry.bad(format!("empty region: end {end:#x} <= base {base:#x}")));
-    }
-    let latency = sec.take_req("latency")?.int_max(u32::MAX as u64)? as u32;
-    let target = match sec.take("kind")? {
-        None => TargetSpec::Memory,
-        Some(kind_entry) => match kind_entry.str()? {
-            "memory" => TargetSpec::Memory,
-            "axi" => TargetSpec::AxiSlave {
-                bank_stagger: match sec.take("bank_stagger")? {
-                    Some(e) => e.int_max(u32::MAX as u64)? as u32,
-                    None => 0,
-                },
-            },
-            "service" => TargetSpec::Service {
-                write_latency: match sec.take("write_latency")? {
-                    Some(e) => e.int_max(u32::MAX as u64)? as u32,
-                    None => latency,
-                },
-                exclusive: match sec.take("exclusive")? {
-                    Some(e) => e.bool()?,
-                    None => false,
-                },
-            },
-            other => {
-                return Err(kind_entry.bad(format!(
-                    "unknown target kind {other:?} (memory|axi|service)"
-                )))
-            }
-        },
-    };
-    let mut mem = MemorySpec::new(&name, base, end, latency).with_target(target);
-    if let Some(e) = sec.take("queue")? {
-        mem.queue = e.nonzero(1 << 20)? as usize;
-    }
-    if let Some(e) = sec.take("clock_divisor")? {
-        mem.clock_divisor = e.nonzero(u64::MAX)?;
-    }
-    sec.finish()?;
-    Ok(Named {
-        value: mem,
-        name_line: name_entry.line,
-    })
-}
-
-fn finalize_doc(doc: DocBuf) -> Result<ScenarioSpec, ParseError> {
-    let (topology, routing) = finalize_topology(doc.topology)?;
-    let mut spec = ScenarioSpec::new().with_topology(topology);
-    spec.routing = routing;
-    spec.config = finalize_config(doc.config)?;
-    let mut names: Vec<(String, usize)> = Vec::new();
-    let check_name = |name: &str, line: usize, names: &mut Vec<(String, usize)>| {
-        if names.iter().any(|(n, _)| n == name) {
-            return Err(ParseError::new(
-                line,
-                1,
-                ParseErrorKind::DuplicateName(name.to_owned()),
-            ));
-        }
-        names.push((name.to_owned(), line));
-        Ok(())
-    };
-    for sec in doc.initiators {
-        let named = finalize_initiator(sec)?;
-        check_name(&named.value.name, named.name_line, &mut names)?;
-        spec = spec.initiator(named.value);
-    }
-    let mut memories: Vec<Named<MemorySpec>> = Vec::new();
-    for sec in doc.memories {
-        let named = finalize_memory(sec)?;
-        check_name(&named.value.name, named.name_line, &mut names)?;
-        memories.push(named);
-    }
-    for (i, b) in memories.iter().enumerate() {
-        for a in &memories[..i] {
-            if a.value.base < b.value.end && b.value.base < a.value.end {
-                return Err(ParseError::new(
-                    b.name_line,
-                    1,
-                    ParseErrorKind::OverlappingRegions {
-                        a: a.value.name.clone(),
-                        b: b.value.name.clone(),
-                    },
-                ));
-            }
-        }
-    }
-    for named in memories {
-        spec = spec.memory(named.value);
-    }
-    Ok(spec)
 }
 
 #[cfg(test)]
@@ -2008,6 +1704,54 @@ mod tests {
         };
         assert_eq!(e.line, 1);
         assert!(matches!(e.kind, ParseErrorKind::Syntax(_)));
+    }
+
+    /// The tables' own well-formedness: what the drivers assume of
+    /// them, and that the rendered reference leaves no row out.
+    #[test]
+    fn field_tables_are_well_formed_and_fully_rendered() {
+        fn check<T>(section: &Section<T>, grammar: &str) {
+            let rendered = grammar
+                .split("\n\n")
+                .find(|block| block.starts_with(&section.header()))
+                .unwrap_or_else(|| panic!("[{}] is not rendered", section.name));
+            for (r, row) in section.rows.iter().enumerate() {
+                let (name, key) = (section.name, row.key);
+                let twice = section.rows[..r].iter().any(|earlier| earlier.key == key);
+                assert!(!twice, "[{name}] lists {key:?} twice");
+                assert!(
+                    !row.doc.trim().is_empty(),
+                    "[{name}] {key:?} has no doc line"
+                );
+                assert!(row.when != 0, "[{name}] {key:?} applies to nothing");
+                let line = rendered
+                    .lines()
+                    .find(|l| l.starts_with(&format!("{key} = ")));
+                let line = line.unwrap_or_else(|| panic!("[{name}] {key:?} is not rendered"));
+                assert!(line.ends_with(row.doc), "[{name}] {key:?}: {line}");
+                // A gated row names the variants it is gated on.
+                let gated = row.when != ANY;
+                assert_eq!(gated, line.contains(" only; "), "[{name}] {key:?}: {line}");
+                assert!(
+                    !gated || !(section.variants)(row.when).is_empty(),
+                    "[{name}] {key:?}"
+                );
+            }
+        }
+        let grammar = grammar_reference();
+        check(&TOPOLOGY, &grammar);
+        check(&CONFIG, &grammar);
+        check(&INITIATOR, &grammar);
+        check(&TARGET, &grammar);
+        check(&SWEEP, &grammar);
+        check(&POINT, &grammar);
+        assert_eq!(MEMORY.rows.len(), TARGET.rows.len());
+        // The reference is itself scenario-text comments and keys: every
+        // header it shows is one the parser knows.
+        for header in grammar.lines().filter(|l| l.starts_with('[')) {
+            let header = header.split('#').next().expect("first piece").trim();
+            parse_header(header, 1, 1).unwrap_or_else(|e| panic!("{header}: {e}"));
+        }
     }
 
     #[test]

@@ -77,9 +77,11 @@ impl CheckpointCache {
     /// (then cached) otherwise. Returns the simulation and whether it
     /// was a warm fork.
     ///
-    /// The *full* spec is validated first, so program-dependent errors
-    /// (say, an unmapped address) surface even when the platform itself
-    /// is already warm.
+    /// The *full* spec is validated first, trace files included, so
+    /// program-dependent errors (say, an unmapped address, or a trace
+    /// record the socket cannot carry) surface even when the platform
+    /// itself is already warm — the checkpoint is built without
+    /// programs and so never sees them.
     ///
     /// # Errors
     ///
@@ -90,6 +92,7 @@ impl CheckpointCache {
         point: &SweepPoint,
     ) -> Result<(Box<dyn Simulation>, bool), ScenarioError> {
         point.spec.validate()?;
+        point.spec.validate_traces()?;
         let key = point.spec.prefix_key(&point.backend);
         self.clock += 1;
         let clock = self.clock;

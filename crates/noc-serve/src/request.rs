@@ -148,8 +148,8 @@ impl Request {
                 let mut sweep = Sweep::new()
                     .with_max_cycles(max_cycles)
                     .with_step_mode(step);
-                for backend in [Backend::noc(), Backend::bridged(), Backend::bus()] {
-                    sweep = sweep.point(backend.label(), spec.clone(), backend);
+                for (label, make) in Backend::NAMES {
+                    sweep = sweep.point(label, spec.clone(), make());
                 }
                 sweep
             }

@@ -90,6 +90,11 @@ pub struct Burst {
 }
 
 impl Burst {
+    /// The most beats a burst may carry.
+    pub const MAX_BEATS: u32 = 256;
+    /// The widest beat, in bytes.
+    pub const MAX_BEAT_BYTES: u32 = 128;
+
     /// A single beat of `beat_bytes` bytes.
     ///
     /// # Errors
@@ -146,10 +151,10 @@ impl Burst {
     /// - [`BurstError::WrapNotPowerOfTwo`] for wrapping bursts with a
     ///   non-power-of-two beat count.
     pub fn new(kind: BurstKind, beat_bytes: u32, beats: u32) -> Result<Self, BurstError> {
-        if !(1..=128).contains(&beat_bytes) || !beat_bytes.is_power_of_two() {
+        if !(1..=Self::MAX_BEAT_BYTES).contains(&beat_bytes) || !beat_bytes.is_power_of_two() {
             return Err(BurstError::InvalidBeatSize(beat_bytes));
         }
-        if !(1..=256).contains(&beats) {
+        if !(1..=Self::MAX_BEATS).contains(&beats) {
             return Err(BurstError::InvalidBeatCount(beats));
         }
         if kind == BurstKind::Wrap && !beats.is_power_of_two() {

@@ -920,3 +920,121 @@ fn trace_replay_is_identical_across_backends_and_modes() {
         }
     }
 }
+
+/// No scenario text panics the stack. Every corpus file is mutated —
+/// bytes and lines deleted, duplicated, or overwritten with a splice
+/// from elsewhere in the file — and each mutant is driven the way
+/// `scn FILE` drives it: parse, validate, build on every backend, run.
+/// A mutant may be rejected (a parse error with its line and column, or
+/// a typed [`noc_scenario::ScenarioError`]) or may run; it may not
+/// panic.
+#[test]
+fn mutated_corpus_files_never_panic() {
+    use noc_scenario::{parse_document, Backend, Document};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    const CASES_PER_FILE: usize = 120;
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/scenarios");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .expect("tests/scenarios exists")
+        .map(|entry| entry.expect("readable dir entry").path())
+        .filter(|path| path.extension().is_some_and(|e| e == "scn"))
+        .collect();
+    files.sort();
+    let mut rng = SplitMix64::new(0x5CE9_A210);
+    let (mut cases, mut rejected, mut ran) = (0, 0, 0);
+    for path in &files {
+        let original = std::fs::read(path).expect("readable corpus file");
+        for case in 0..CASES_PER_FILE {
+            let mut bytes = original.clone();
+            for _ in 0..rng.next_range(1, 3) {
+                mutate(&mut rng, &mut bytes);
+            }
+            let text = String::from_utf8_lossy(&bytes).into_owned();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let mut doc = match parse_document(&text) {
+                    Ok(doc) => doc,
+                    Err(e) => {
+                        assert!(e.line >= 1 && e.column >= 1, "unplaced error {e}");
+                        return false;
+                    }
+                };
+                doc.resolve_trace_paths(&dir);
+                let runs: Vec<_> = match &doc {
+                    Document::Scenario(spec) => Backend::NAMES
+                        .iter()
+                        .map(|(_, make)| (spec, make()))
+                        .collect(),
+                    Document::Sweep(sweep) => {
+                        let points = sweep.points().iter();
+                        points.map(|p| (&p.spec, p.backend)).collect()
+                    }
+                };
+                let mut any = false;
+                for (spec, backend) in runs {
+                    // Fabric sizes a file may name but a test should
+                    // not allocate are the size limits' business.
+                    if spec.topology.switch_count() > 2048 {
+                        continue;
+                    }
+                    if let Ok(mut sim) = spec.build(&backend) {
+                        sim.run_until(2_000);
+                        any = true;
+                    }
+                }
+                any
+            }));
+            let name = path.file_name().expect("file name").to_string_lossy();
+            match outcome {
+                Ok(true) => ran += 1,
+                Ok(false) => rejected += 1,
+                Err(_) => panic!("{name} case {case} panicked on:\n{text}"),
+            }
+            cases += 1;
+        }
+    }
+    assert!(cases >= 2_000, "only {cases} cases");
+    // The mutations must exercise both sides: mutants that still run
+    // (the commands, knobs and sizes paths) and mutants that are
+    // refused (the error paths).
+    assert!(ran * 10 >= cases, "only {ran} of {cases} mutants ran");
+    assert!(
+        rejected * 10 >= cases,
+        "only {rejected} of {cases} mutants were rejected"
+    );
+}
+
+/// One random edit of `bytes`: a byte or a line deleted, duplicated, or
+/// overwritten by one picked elsewhere in the file.
+fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>) {
+    if bytes.is_empty() {
+        return;
+    }
+    let line_at = |bytes: &[u8], at: usize| {
+        let start = bytes[..at]
+            .iter()
+            .rposition(|b| *b == b'\n')
+            .map_or(0, |i| i + 1);
+        let end = bytes[at..]
+            .iter()
+            .position(|b| *b == b'\n')
+            .map_or(bytes.len(), |i| at + i + 1);
+        start..end
+    };
+    let at = rng.next_below(bytes.len() as u64) as usize;
+    let from = rng.next_below(bytes.len() as u64) as usize;
+    match rng.next_below(6) {
+        0 => drop(bytes.remove(at)),
+        1 => bytes.insert(at, bytes[at]),
+        2 => bytes[at] = bytes[from],
+        3 => drop(bytes.drain(line_at(bytes, at))),
+        4 => {
+            let line = bytes[line_at(bytes, at)].to_vec();
+            bytes.splice(at..at, line);
+        }
+        _ => {
+            let line = bytes[line_at(bytes, from)].to_vec();
+            bytes.splice(line_at(bytes, at), line);
+        }
+    }
+}

@@ -715,3 +715,172 @@ fn streams_beyond_the_socket_limit_fail_validation() {
         other => panic!("expected BadProgram, got {:?}", other.map(|_| ())),
     }
 }
+
+// ---------------------------------------------------------------------
+// Commands a socket cannot carry, and signed integer literals: typed
+// errors from the library, `scn` and a serve request — never a panic.
+// ---------------------------------------------------------------------
+
+/// What a rejected document must answer with.
+enum Rejected {
+    /// A parse error at this line and column.
+    At(usize, usize),
+    /// A validation error naming initiator `m`, its reason containing
+    /// this text.
+    Program(&'static str),
+    /// A trace-file error at this trace line.
+    TraceLine(usize),
+}
+
+/// An initiator `m` (the given lines) over one 64 KiB memory whose
+/// latency is written as `latency`.
+fn one_initiator(initiator: &str, latency: &str) -> String {
+    format!(
+        "[[initiator]]\nname = \"m\"\n{initiator}\n\n\
+         [[memory]]\nname = \"mem\"\nbase = 0x0\nend = 0x10000\nlatency = {latency}\n"
+    )
+}
+
+#[test]
+fn commands_a_socket_cannot_carry_and_signed_integers_are_typed_errors() {
+    let dir = std::env::temp_dir().join(format!("noc-scn-admits-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(dir.join("long.trace"), "0 read 0x0 300 4\n").expect("trace written");
+    let bursty = "kind = \"bursty\"\nseed = 1\ncommands = 10\nburst_len = 2\nidle_gap = 2";
+    let cases: Vec<(&str, String, Rejected)> = vec![
+        (
+            "pvci_multi_beat",
+            one_initiator("socket = \"pvci\"\ncmd = \"read 0x10 4x4\"", "1"),
+            Rejected::Program("single-beat"),
+        ),
+        (
+            "ocp_stream_beyond_threads",
+            one_initiator(
+                "socket = \"ocp\"\nthreads = 2\ncmd = \"read 0x10 1x4 stream=5\"",
+                "1",
+            ),
+            Rejected::Program("stream 5"),
+        ),
+        (
+            "strm_exclusive",
+            one_initiator("socket = \"strm\"\ncmd = \"read_ex 0x10 1x4\"", "1"),
+            Rejected::Program("STRM"),
+        ),
+        (
+            "beat_size_not_a_power_of_two",
+            one_initiator("socket = \"ahb\"\ncmd = \"read 0x10 1x3\"", "1"),
+            Rejected::Program("beat size 3"),
+        ),
+        (
+            "beat_count_u32_max",
+            one_initiator("socket = \"ahb\"\ncmd = \"read 0x0 4294967295x4\"", "1"),
+            Rejected::At(4, 17),
+        ),
+        (
+            "stream_beyond_ordering_override",
+            one_initiator(
+                "socket = \"ocp\"\nthreads = 4\nordering = \"threaded:1\"\n\
+                 cmd = \"read 0x10 1x4 stream=3\"",
+                "1",
+            ),
+            Rejected::Program("ordering override"),
+        ),
+        (
+            "bursty_300_beats",
+            one_initiator(&format!("socket = \"ahb\"\n{bursty}\nbeats = 300"), "1"),
+            Rejected::At(9, 9),
+        ),
+        (
+            "bursty_256_byte_beats",
+            one_initiator(
+                &format!("socket = \"ahb\"\n{bursty}\nbeat_bytes = 256"),
+                "1",
+            ),
+            Rejected::At(9, 14),
+        ),
+        (
+            "trace_300_beats",
+            one_initiator(
+                "socket = \"ahb\"\nkind = \"trace\"\ntrace_file = \"long.trace\"",
+                "1",
+            ),
+            Rejected::TraceLine(1),
+        ),
+        (
+            "signed_hex_address",
+            one_initiator("socket = \"ahb\"\ncmd = \"read 0x+20 1x4\"", "1"),
+            Rejected::At(4, 13),
+        ),
+        (
+            "signed_command_integers",
+            one_initiator("socket = \"ahb\"\ncmd = \"read +64 +1x+4\"", "1"),
+            Rejected::At(4, 13),
+        ),
+        (
+            "signed_key_value",
+            one_initiator("socket = \"ahb\"\ncmd = \"read 0x0 1x4\"", "+2"),
+            Rejected::At(10, 11),
+        ),
+    ];
+    let cache = std::sync::Mutex::new(noc_serve::CheckpointCache::new(4));
+    for (name, text, rejected) in &cases {
+        // The library: a typed error at parse time, or from validation
+        // on every backend.
+        match (parse_document(text), rejected) {
+            (Err(e), Rejected::At(line, column)) => {
+                assert_eq!((e.line, e.column), (*line, *column), "{name}: {e}");
+            }
+            (Ok(mut doc), Rejected::Program(_) | Rejected::TraceLine(_)) => {
+                doc.resolve_trace_paths(&dir);
+                let Document::Scenario(spec) = doc else {
+                    panic!("{name}: expected a scenario document");
+                };
+                for (label, make) in Backend::NAMES {
+                    match (spec.build(&make()).map(drop), rejected) {
+                        (
+                            Err(ScenarioError::BadProgram { initiator, reason }),
+                            Rejected::Program(why),
+                        ) => {
+                            assert_eq!(initiator, "m", "{name}/{label}");
+                            assert!(reason.contains(why), "{name}/{label}: {reason}");
+                        }
+                        (Err(ScenarioError::Trace { line, .. }), Rejected::TraceLine(at)) => {
+                            assert_eq!(line, *at, "{name}/{label}");
+                        }
+                        (other, _) => panic!("{name}/{label}: got {other:?}"),
+                    }
+                }
+            }
+            (other, _) => panic!("{name}: got {:?}", other.map(drop)),
+        }
+        // `scn FILE`: exit status 1 and a one-line error, not a panic's
+        // 101 and backtrace.
+        let file = dir.join(format!("{name}.scn"));
+        std::fs::write(&file, text).expect("scenario written");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_scn"))
+            .arg(&file)
+            .output()
+            .expect("scn spawns");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        // A serve request: rejected on load, or one error record per
+        // point that owes nothing to `catch_unwind`.
+        let Ok(request) = noc_serve::Request::load(name, &file) else {
+            assert!(matches!(rejected, Rejected::At(..)), "{name}");
+            continue;
+        };
+        let (config, mut records) = (noc_serve::ServeConfig::default(), Vec::new());
+        let mut stats = noc_serve::ServeStats::default();
+        noc_serve::server::execute_request(&request, &config, &cache, &mut records, &mut stats)
+            .expect("records written");
+        let records = String::from_utf8_lossy(&records);
+        assert_eq!(
+            (stats.points_ok, stats.points_failed),
+            (0, 3),
+            "{name}: {records}"
+        );
+        assert!(!records.contains("panic"), "{name}: {records}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
