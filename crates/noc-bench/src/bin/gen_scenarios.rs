@@ -2,9 +2,12 @@
 //! scenario builders. The checked-in files are exact emitter output, so
 //! `emit(parse(file)) == file` — asserted by `tests/scenario_text.rs`,
 //! which makes the corpus double as grammar-stability fixtures. Also
-//! rewrites the grammar block of the README (between its two marker
-//! comments) with [`noc_scenario::grammar_reference`]. Run this after
-//! changing a builder or the text format, then commit the diff.
+//! runs every file on every backend and writes the numbers to
+//! `GOLDEN.txt` beside them ([`noc_bench::golden`]), and rewrites the
+//! grammar block of the README (between its two marker comments) with
+//! [`noc_scenario::grammar_reference`]. Run this after changing a
+//! builder, the text format or anything a simulation's timing depends
+//! on, then commit the diff — a golden diff is a behaviour change.
 
 use noc_bench::scenarios::{
     bursty_storm_spec, clocked_mixed_spec, deep_pipeline_spec, exclusive_sweep, ordering_sweep,
@@ -51,11 +54,28 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // to the generator too.
         ("trace_replay.trace", trace_replay_trace()),
     ];
-    for (name, text) in files {
+    let mut docs = Vec::new();
+    for (name, text) in &files {
         let path = dir.join(name);
-        std::fs::write(&path, &text)?;
+        std::fs::write(&path, text)?;
         println!("wrote {} ({} lines)", path.display(), text.lines().count());
+        if name.ends_with(".scn") {
+            let mut doc = noc_scenario::parse_document(text)?;
+            doc.resolve_trace_paths(&dir);
+            docs.push((name.to_string(), doc));
+        }
     }
+    docs.sort_by(|(a, _), (b, _)| a.cmp(b));
+    let golden = noc_bench::golden::render(&docs, |_, _, spec, backend| {
+        noc_bench::golden::run(spec, backend, noc_scenario::StepMode::Horizon)
+    });
+    let path = dir.join(noc_bench::golden::FILE_NAME);
+    std::fs::write(&path, &golden)?;
+    println!(
+        "wrote {} ({} lines)",
+        path.display(),
+        golden.lines().count()
+    );
     let readme = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
     let text = std::fs::read_to_string(&readme)?;
     let (begin, end) = ("<!-- grammar:begin", "<!-- grammar:end -->");

@@ -1,0 +1,145 @@
+//! The corpus golden, `tests/scenarios/GOLDEN.txt`: one line per corpus
+//! file × sweep point × backend holding every host-independent number
+//! of the drained horizon run — so a timing, step-count, wake-up or
+//! record change anywhere in the stack is a diff in a committed file.
+//! `gen_scenarios` writes it; the corpus differential in
+//! `tests/scenario_text.rs` renders the same text from the runs it makes
+//! anyway and compares exactly ([`render`] serves both).
+
+use noc_protocols::CompletionRecord;
+use noc_scenario::{Backend, Document, ScenarioError, ScenarioReport, ScenarioSpec, StepMode};
+use std::fmt;
+
+/// The golden's file name, next to the corpus files it pins.
+pub const FILE_NAME: &str = "GOLDEN.txt";
+
+const HEADER: &str = "\
+# Generated by `cargo run -p noc-bench --bin gen_scenarios`; compared exactly by
+# tests/scenario_text.rs. One line per corpus file, sweep point (`-` for a plain
+# scenario) and backend: the drained horizon run's cycles, executed steps,
+# next_activity polls, calendar pops, completions, functional fingerprint and an
+# order-sensitive digest of every completion record's (master, index, status,
+# issued_at, completed_at). A diff here is a behaviour change to justify.
+";
+
+/// One drained run: the report its golden row is read from, and the
+/// per-master records the dense ≡ horizon differential compares in full.
+#[derive(Debug, Clone)]
+pub struct Run {
+    /// The backend-neutral report of the finished simulation.
+    pub report: ScenarioReport,
+    /// Every master's completion records, in declaration and log order.
+    pub logs: Vec<Vec<CompletionRecord>>,
+}
+
+impl Run {
+    /// Order-sensitive FNV-1a digest of every record's master ordinal,
+    /// `index`, `status`, `issued_at` and `completed_at`, in log order.
+    pub fn digest(&self) -> u64 {
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for (master, records) in self.logs.iter().enumerate() {
+            for r in records {
+                let status = u64::from(r.status.encode());
+                for word in [
+                    master as u64,
+                    r.index as u64,
+                    status,
+                    r.issued_at,
+                    r.completed_at,
+                ] {
+                    for byte in word.to_le_bytes() {
+                        digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        digest
+    }
+}
+
+/// The golden row: every host-independent number of the run.
+impl fmt::Display for Run {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let r = &self.report;
+        write!(
+            f,
+            "cycles={} steps={} polls={} pops={} completions={} {} digest={:016x}",
+            r.cycles,
+            r.steps,
+            r.horizon_polls,
+            r.calendar_pops,
+            r.total_completions(),
+            r.system_fingerprint(),
+            self.digest()
+        )
+    }
+}
+
+/// Builds `spec` on `backend` and drains it under `mode`, within
+/// `scn`'s default budget.
+///
+/// # Errors
+///
+/// Returns the backend's build error.
+///
+/// # Panics
+///
+/// Panics if the run does not drain.
+pub fn run(spec: &ScenarioSpec, backend: &Backend, mode: StepMode) -> Result<Run, ScenarioError> {
+    let mut sim = spec.build(backend)?;
+    assert!(
+        sim.run_until_with(10_000_000, mode),
+        "{backend} must drain under {mode} stepping"
+    );
+    let logs = sim
+        .logs()
+        .iter()
+        .map(|(_, log)| log.records().to_vec())
+        .collect();
+    Ok(Run {
+        report: sim.report(),
+        logs,
+    })
+}
+
+/// Renders the golden over `docs` — corpus documents sorted by file
+/// name, trace paths resolved — taking the run of each point × backend
+/// cell from `cell(file, point, spec, backend)`: `gen_scenarios` passes a
+/// plain horizon [`run`], the corpus test a closure that also checks the
+/// cell. A baseline's typed refusal of divided clocks or of a target
+/// kind becomes a `skipped:` line.
+///
+/// # Panics
+///
+/// Panics, naming the cell, on any other error.
+pub fn render(
+    docs: &[(String, Document)],
+    mut cell: impl FnMut(&str, &str, &ScenarioSpec, &Backend) -> Result<Run, ScenarioError>,
+) -> String {
+    let mut text = String::from(HEADER);
+    for (file, doc) in docs {
+        // A plain scenario is its own single point `-`.
+        let points: Vec<(&str, &ScenarioSpec)> = match doc {
+            Document::Scenario(spec) => vec![("-", spec)],
+            Document::Sweep(sweep) => {
+                let points = sweep.points().iter();
+                points.map(|p| (p.label.as_str(), &p.spec)).collect()
+            }
+        };
+        for (point, spec) in points {
+            for (_, make) in Backend::NAMES {
+                let backend = make();
+                let row = match cell(file, point, spec, &backend) {
+                    Ok(run) => run.to_string(),
+                    Err(
+                        e @ (ScenarioError::UnsupportedClock { .. }
+                        | ScenarioError::UnsupportedTarget { .. }),
+                    ) => format!("skipped: {e}"),
+                    Err(e) => panic!("{file} {point} {backend}: {e}"),
+                };
+                text.push_str(&format!("{file} {point} {backend} {row}\n"));
+            }
+        }
+    }
+    text
+}

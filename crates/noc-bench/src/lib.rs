@@ -1,16 +1,17 @@
 //! Host crate for the experiment binaries (`src/bin/exp_*`) that
-//! regenerate every paper figure/claim table, and the subsystem
-//! micro-benchmarks in `benches/`.
+//! regenerate every paper figure/claim table.
 //!
 //! The binaries drive scenarios through [`noc_scenario`]. The scenario
 //! and sweep builders each binary uses by default live in [`scenarios`]
 //! (also reused by `gen_scenarios` to produce the `tests/scenarios/`
-//! corpus), and every spec-driven binary accepts `--scenario FILE` to
-//! swap the built-in for a parsed scenario text file.
+//! corpus, whose run numbers [`golden`] pins), and every spec-driven
+//! binary accepts `--scenario FILE` to swap the built-in for a parsed
+//! scenario text file.
 
 use noc_scenario::{ScenarioSpec, Sweep};
 use std::path::{Path, PathBuf};
 
+pub mod golden;
 pub mod scenarios;
 
 /// The `--scenario FILE` argument, if present on the command line.

@@ -245,7 +245,7 @@ pub fn scale_sweep(widths: &[usize], commands: usize) -> Sweep {
 /// and memory map — and varies only the traffic programs. A warm
 /// `scn serve` process builds the platform once and forks every further
 /// point from the checkpoint cache; a one-shot runner rebuilds it per
-/// point. The serve benchmark group measures exactly that gap.
+/// point.
 pub fn serve_sweep(w: usize, points: usize) -> Sweep {
     let platform = scale_mesh_spec(w, 1);
     let slices = (w * w) / 2;
@@ -576,7 +576,7 @@ pub fn bursty_storm_spec() -> ScenarioSpec {
 /// slow first-declared memory. Blocking masters keep each request's
 /// latency attributable to its own target (no per-thread response
 /// chaining), so the hot target's service+queue wait shows up as a
-/// clean per-target latency spread (`scn --assert-target-spread`).
+/// clean per-target latency spread (the corpus test gates it at 2x).
 pub fn zipf_hotspot_spec() -> ScenarioSpec {
     let mut spec = ScenarioSpec::new();
     for (i, seed) in [0x21F0u64, 0x21F1, 0x21F2, 0x21F3, 0x21F4, 0x21F5]
@@ -671,4 +671,27 @@ pub fn trace_replay_trace() -> String {
         out.push_str(&format!("{cycle} {op} {addr:#x} {beats} 4 {stream}\n"));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    /// What `scn serve` exists for: one warm request for a 100-point
+    /// prefix-sharing sweep compiles the platform once and forks the
+    /// other 99 points from the checkpoint.
+    #[test]
+    fn a_warm_100_point_request_builds_the_platform_exactly_once() {
+        let text = super::serve_sweep(6, 100).to_text();
+        let request =
+            noc_serve::Request::from_text("warm", "warm.scn", &text).expect("emitter output");
+        let cache = std::sync::Mutex::new(noc_serve::CheckpointCache::new(8));
+        let config = noc_serve::ServeConfig {
+            threads: Some(1),
+            ..noc_serve::ServeConfig::default()
+        };
+        let (mut records, mut stats) = (Vec::new(), noc_serve::ServeStats::default());
+        noc_serve::server::execute_request(&request, &config, &cache, &mut records, &mut stats)
+            .expect("writes to a Vec");
+        assert_eq!((stats.points_ok, stats.points_failed), (100, 0));
+        assert_eq!(cache.lock().expect("no panic above").misses(), 1);
+    }
 }

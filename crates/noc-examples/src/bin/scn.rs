@@ -11,34 +11,14 @@
 //!                                   simulation twice, fails unless
 //!                                   the logs, timestamps included, are
 //!                                   identical, and reports per-backend
-//!                                   executed-step counts plus the
-//!                                   dense/horizon ratio. Default:
+//!                                   executed-step counts, the
+//!                                   dense/horizon ratio and the horizon
+//!                                   run's polls/pops. Default:
 //!                                   horizon for scenario files, the
 //!                                   file's own step settings for
 //!                                   sweeps (an explicit --step
 //!                                   overrides them, per-point
 //!                                   overrides included)
-//!   --assert-fewer-steps            with --step both: fail unless
-//!                                   horizon executed strictly fewer
-//!                                   steps than dense on every row (the
-//!                                   CI guard keeping the optimisation
-//!                                   from silently regressing to dense)
-//!   --assert-wakeup-discipline      with --step both: fail unless the
-//!                                   horizon run's next_activity polls
-//!                                   stay within a fixed factor of its
-//!                                   calendar pops on every noc row
-//!                                   (the CI guard keeping the advance
-//!                                   loop event-driven rather than
-//!                                   rescan-driven; bridged and bus
-//!                                   keep no calendar — pops are 0 —
-//!                                   and are not checked)
-//!   --assert-target-spread RATIO    fail unless the hottest target's
-//!                                   mean latency is at least RATIO× the
-//!                                   coldest trafficked target's on
-//!                                   every backend (the CI guard proving
-//!                                   hotspot workloads congest); a
-//!                                   per-target latency table is printed
-//!                                   for any multi-target scenario
 //!   --max-cycles N                  drain budget (default 10_000_000
 //!                                   for scenario files, the file's
 //!                                   budget for sweeps)
@@ -48,7 +28,10 @@
 //! target kinds a baseline cannot model are skipped (with a note) on
 //! the backends that reject them; naming such a backend explicitly is
 //! an error. Exit status is non-zero on parse errors, failed drains and
-//! dense/horizon divergence.
+//! dense/horizon divergence. A per-target latency table follows for any
+//! multi-target scenario. The tables are observability, not gates: the
+//! corpus's numbers are pinned by `tests/scenarios/GOLDEN.txt` and
+//! guarded by `tests/scenario_text.rs`.
 //!
 //! `scn serve` starts the long-running service instead: requests come
 //! in as `run <id> <path>` lines on stdin and/or `*.scn` files dropped
@@ -91,34 +74,11 @@ struct Options {
     /// `None` until `--max-cycles` is given: scenario files default to
     /// 10M cycles, sweep files to their own budget.
     max_cycles: Option<u64>,
-    /// With `--step both`: fail unless horizon executed strictly fewer
-    /// steps than dense on every row.
-    assert_fewer_steps: bool,
-    /// With `--step both`: fail unless the horizon run's poll count
-    /// stays within [`WAKEUP_POLL_FACTOR`]× its calendar pops (plus
-    /// [`WAKEUP_POLL_SLACK`]) on every NoC row.
-    assert_wakeup_discipline: bool,
-    /// Fail unless the hottest target's mean latency is at least this
-    /// factor above the coldest trafficked target's, on every backend —
-    /// the CI guard proving the hotspot workloads actually congest.
-    assert_target_spread: Option<f64>,
 }
-
-/// `--assert-wakeup-discipline` bound: every `next_activity` poll must
-/// be "paid for" by calendar traffic. One advance-loop iteration costs
-/// one poll and retires at least one event on the NoC, where calendars
-/// drive stepping, so a healthy run stays well under
-/// `polls <= pops * FACTOR + SLACK`; a regression to dense-style
-/// rescanning sends polls to O(cycles) while pops stay put. The
-/// baselines fold a few sources per master instead of keeping a
-/// calendar, so the bound does not apply to them.
-const WAKEUP_POLL_FACTOR: u64 = 4;
-const WAKEUP_POLL_SLACK: u64 = 64;
 
 fn usage() -> &'static str {
     "usage: scn [--backend noc|bridged|bus|all] [--step dense|horizon|both] \
-     [--assert-fewer-steps] [--assert-wakeup-discipline] \
-     [--assert-target-spread RATIO] [--max-cycles N] FILE..."
+     [--max-cycles N] FILE..."
 }
 
 fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
@@ -127,9 +87,6 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
         backend: None,
         step: None,
         max_cycles: None,
-        assert_fewer_steps: false,
-        assert_wakeup_discipline: false,
-        assert_target_spread: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -152,18 +109,6 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
                 let v = args.next().ok_or("--max-cycles needs a number")?;
                 opts.max_cycles = Some(v.parse().map_err(|_| format!("bad --max-cycles {v:?}"))?);
             }
-            "--assert-fewer-steps" => opts.assert_fewer_steps = true,
-            "--assert-wakeup-discipline" => opts.assert_wakeup_discipline = true,
-            "--assert-target-spread" => {
-                let v = args.next().ok_or("--assert-target-spread needs a ratio")?;
-                let ratio: f64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --assert-target-spread {v:?}"))?;
-                if ratio < 1.0 || ratio.is_nan() {
-                    return Err(format!("--assert-target-spread {v:?} must be >= 1").into());
-                }
-                opts.assert_target_spread = Some(ratio);
-            }
             "--help" | "-h" => {
                 println!("{}", usage());
                 std::process::exit(0);
@@ -176,18 +121,6 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
     }
     if opts.files.is_empty() {
         return Err(format!("no scenario files given\n{}", usage()).into());
-    }
-    // A guard that cannot guard is a misconfiguration: the step
-    // comparison only exists when both modes run.
-    if opts.assert_fewer_steps && opts.step != Some(StepSel::Both) {
-        return Err(format!("--assert-fewer-steps requires --step both\n{}", usage()).into());
-    }
-    if opts.assert_wakeup_discipline && opts.step != Some(StepSel::Both) {
-        return Err(format!(
-            "--assert-wakeup-discipline requires --step both\n{}",
-            usage()
-        )
-        .into());
     }
     Ok(opts)
 }
@@ -248,45 +181,6 @@ fn target_stats(spec: &ScenarioSpec, logs: &[Vec<CompletionRecord>]) -> Vec<(Str
         .collect()
 }
 
-/// Enforces `--assert-target-spread`: the hottest target's mean latency
-/// must be at least `ratio`× the coldest trafficked target's.
-fn check_target_spread(
-    backend: &Backend,
-    stats: &[(String, usize, f64)],
-    ratio: f64,
-) -> Result<(), Box<dyn std::error::Error>> {
-    let trafficked: Vec<_> = stats.iter().filter(|(_, n, _)| *n > 0).collect();
-    if trafficked.len() < 2 {
-        return Err(format!(
-            "{backend}: --assert-target-spread needs at least two targets with \
-             traffic, got {}",
-            trafficked.len()
-        )
-        .into());
-    }
-    let hot = trafficked
-        .iter()
-        .max_by(|a, b| a.2.total_cmp(&b.2))
-        .expect("non-empty");
-    let cold = trafficked
-        .iter()
-        .min_by(|a, b| a.2.total_cmp(&b.2))
-        .expect("non-empty");
-    if hot.2 < cold.2 * ratio {
-        return Err(format!(
-            "{backend}: hot target {} (mean {:.1} cy) is only {:.2}x the cold \
-             target {} (mean {:.1} cy); --assert-target-spread wants {ratio}x",
-            hot.0,
-            hot.2,
-            hot.2 / cold.2.max(f64::MIN_POSITIVE),
-            cold.0,
-            cold.2
-        )
-        .into());
-    }
-    Ok(())
-}
-
 /// Runs a spec on one backend under the step selection; returns the
 /// table cells plus per-target stats, or `None` when the backend
 /// rejects divided clocks and skipping is allowed.
@@ -297,7 +191,6 @@ fn run_spec(
     step: StepSel,
     max_cycles: u64,
     skip_unsupported: bool,
-    opts: &Options,
 ) -> Result<Option<(Vec<String>, Vec<(String, usize, f64)>)>, Box<dyn std::error::Error>> {
     let modes: Vec<StepMode> = match step {
         StepSel::One(mode) => vec![mode],
@@ -354,13 +247,6 @@ fn run_spec(
         .join("/");
     let ratio_cell = if outcomes.len() == 2 {
         let (dense, horizon) = (outcomes[0].steps, outcomes[1].steps);
-        if opts.assert_fewer_steps && horizon >= dense {
-            return Err(format!(
-                "{backend}: horizon executed {horizon} steps, dense {dense} — \
-                 the horizon machinery regressed to dense stepping"
-            )
-            .into());
-        }
         format!("{:.1}x", dense as f64 / horizon.max(1) as f64)
     } else {
         "-".to_owned()
@@ -371,26 +257,10 @@ fn run_spec(
     let horizon_ran = !matches!(step, StepSel::One(StepMode::Dense));
     let wake_cell = if horizon_ran {
         let o = outcomes.last().expect("at least one mode ran");
-        if opts.assert_wakeup_discipline && matches!(backend, Backend::Noc(_)) {
-            let bound = o.pops.saturating_mul(WAKEUP_POLL_FACTOR) + WAKEUP_POLL_SLACK;
-            if o.polls > bound {
-                return Err(format!(
-                    "{backend}: horizon polled next_activity {} times against {} \
-                     calendar pops (bound {bound}) — the advance loop is rescanning \
-                     instead of riding the calendar",
-                    o.polls, o.pops
-                )
-                .into());
-            }
-        }
         format!("{}/{}", o.polls, o.pops)
     } else {
         "-".to_owned()
     };
-    let stats = target_stats(spec, logs);
-    if let Some(ratio) = opts.assert_target_spread {
-        check_target_spread(backend, &stats, ratio)?;
-    }
     Ok(Some((
         vec![
             backend.label().to_owned(),
@@ -402,7 +272,7 @@ fn run_spec(
             ratio_cell,
             wake_cell,
         ],
-        stats,
+        target_stats(spec, logs),
     )))
 }
 
@@ -430,7 +300,7 @@ fn run_scenario_file(
     let mut target_rows = Vec::new();
     for backend in &backends {
         let skip = opts.backend.is_none();
-        if let Some((row, stats)) = run_spec(spec, backend, step, max_cycles, skip, opts)? {
+        if let Some((row, stats)) = run_spec(spec, backend, step, max_cycles, skip)? {
             t.row(&row);
             for (target, n, mean) in stats {
                 // A target nothing reached has no latency, not a zero
@@ -477,7 +347,7 @@ fn run_sweep_file(sweep: &Sweep, opts: &Options) -> Result<(), Box<dyn std::erro
         ]);
         t.numeric();
         for p in sweep.points() {
-            let (row, _) = run_spec(&p.spec, &p.backend, StepSel::Both, max_cycles, false, opts)?
+            let (row, _) = run_spec(&p.spec, &p.backend, StepSel::Both, max_cycles, false)?
                 .expect("skipping is disabled");
             let mut cells = vec![p.label.clone()];
             cells.extend(row);

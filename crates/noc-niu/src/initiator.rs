@@ -305,33 +305,11 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
             .services
             .check(services)
             .expect("socket requires a NoC service this configuration disables");
-        let req = req.with_services(services);
-        let req = if req.pressure() == 0 {
+        let mut req = req.with_services(services);
+        if req.pressure() == 0 {
             // apply NIU default pressure when the command carried none
-            let p = self.config.default_pressure;
-            if p > 0 {
-                TransactionRequest::builder(req.opcode())
-                    .address(req.address())
-                    .burst(req.burst())
-                    .source(req.src())
-                    .destination(req.dst())
-                    .tag(req.tag())
-                    .stream(req.stream())
-                    .services(req.services())
-                    .pressure(p)
-                    .data(if req.opcode().is_write() {
-                        req.data().to_vec()
-                    } else {
-                        Vec::new()
-                    })
-                    .build()
-                    .expect("rebuilding a valid request")
-            } else {
-                req
-            }
-        } else {
-            req
-        };
+            req = req.with_pressure(self.config.default_pressure);
+        }
         let packet = encode_request(&req);
         let id = (self.config.node.raw() as u64) << 48 | self.pkt_seq;
         self.pkt_seq += 1;

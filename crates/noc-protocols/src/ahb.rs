@@ -7,7 +7,9 @@
 //! a [`Opcode::ReadLocked`] and drops it with the matching
 //! [`Opcode::WriteUnlock`].
 
-use crate::command::{CompletionLog, CompletionRecord, Program, ProgramTail, SocketCommand};
+use crate::command::{
+    CompletionLog, CompletionRecord, Program, ProgramTail, ProtocolKind, SocketCommand,
+};
 use crate::handshake::Chan;
 use crate::memory::{access, MemoryModel};
 use noc_transaction::{Burst, MstAddr, Opcode, RespStatus, StreamId};
@@ -101,7 +103,16 @@ pub struct AhbMaster {
 
 impl AhbMaster {
     /// Creates a master that will execute `program`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program contains an opcode that is never answered:
+    /// a response is what retires an AHB command (see
+    /// [`ProtocolKind::expresses`]).
     pub fn new(program: Program) -> Self {
+        for (i, cmd) in program.iter().enumerate() {
+            ProtocolKind::Ahb.assert_expresses(i, cmd);
+        }
         AhbMaster {
             program: ProgramTail::new(program),
             pc: 0,
@@ -119,8 +130,13 @@ impl AhbMaster {
     /// with the full program up front. Feeding layers rely on that to
     /// stream unbounded workloads through a bounded window; the
     /// fully-retired prefix is reclaimed on each call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a command carries an opcode that is never answered.
     pub fn append_commands(&mut self, tail: &[SocketCommand]) {
         for cmd in tail {
+            ProtocolKind::Ahb.assert_expresses(self.program.len(), cmd);
             self.program.push(cmd.clone());
         }
         let live = self
@@ -335,6 +351,14 @@ mod tests {
             }
         }
         (master, slave)
+    }
+
+    #[test]
+    #[should_panic(expected = "AHB cannot express WritePosted (command 0)")]
+    fn posted_writes_are_refused_instead_of_parking_forever() {
+        AhbMaster::new(vec![
+            SocketCommand::write(0, 4, 1).with_opcode(Opcode::WritePosted)
+        ]);
     }
 
     #[test]

@@ -38,6 +38,39 @@ impl ProtocolKind {
         ProtocolKind::Avci,
         ProtocolKind::Strm,
     ];
+
+    /// Whether a master agent of this socket can carry `opcode` to
+    /// completion — the one statement of it: scenario validation reads
+    /// it, and the AHB, VCI and STRM masters assert it on every command
+    /// they are handed. AHB and VCI retire a command on its response,
+    /// so an opcode that is never answered (a posted write, a
+    /// broadcast) would park there forever; STRM moves plain reads and
+    /// writes only; OCP and AXI carry the whole vocabulary.
+    pub const fn expresses(self, opcode: Opcode) -> bool {
+        match self {
+            ProtocolKind::Ocp | ProtocolKind::Axi => true,
+            ProtocolKind::Strm => {
+                matches!(opcode, Opcode::Read | Opcode::Write | Opcode::WritePosted)
+            }
+            ProtocolKind::Ahb | ProtocolKind::Pvci | ProtocolKind::Bvci | ProtocolKind::Avci => {
+                opcode.expects_response()
+            }
+        }
+    }
+
+    /// Asserts [`ProtocolKind::expresses`] for command `index` of a
+    /// program handed to a master agent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the socket cannot express the command's opcode.
+    pub(crate) fn assert_expresses(self, index: usize, cmd: &SocketCommand) {
+        assert!(
+            self.expresses(cmd.opcode),
+            "{self} cannot express {:?} (command {index})",
+            cmd.opcode
+        );
+    }
 }
 
 impl fmt::Display for ProtocolKind {

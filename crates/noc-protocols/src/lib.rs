@@ -12,8 +12,11 @@
 //!   (AHB: single outstanding, fully ordered; OCP: per-thread order;
 //!   AXI: per-ID order with independent read/write channels; VCI per
 //!   flavour);
-//! - a *slave agent* backed by a [`MemoryModel`] (used for direct
-//!   loopback tests and by the bridged/bus baselines);
+//! - a *slave agent* backed by a [`MemoryModel`]: the loopback
+//!   reference the master's unit tests and doc examples run against.
+//!   Only `AxiSlave` has a product user (the NIU's `AxiTargetFe`); the
+//!   bridged/bus baselines serve targets through [`MemoryModel`] and
+//!   [`memory::access`] directly;
 //! - log-level *checkers* ([`checker`]) asserting each protocol's
 //!   ordering contract over completion logs.
 //!

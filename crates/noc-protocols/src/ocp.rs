@@ -353,8 +353,6 @@ pub struct OcpSlave {
     /// Pending responses: (ready_at, accept_order, response precomputed).
     pending: Vec<(u64, u64, OcpResp)>,
     accepts: u64,
-    /// Per-thread: responses must leave in per-thread acceptance order.
-    last_sent_per_thread: Vec<u64>,
 }
 
 impl OcpSlave {
@@ -367,7 +365,6 @@ impl OcpSlave {
             bank_stagger,
             pending: Vec::new(),
             accepts: 0,
-            last_sent_per_thread: vec![0; 256],
         }
     }
 
@@ -435,8 +432,7 @@ impl OcpSlave {
                 };
             }
             if let Some(i) = best {
-                let (_, order, resp) = self.pending.remove(i);
-                self.last_sent_per_thread[resp.thread as usize] = order;
+                let (_, _, resp) = self.pending.remove(i);
                 port.resp.offer(resp);
             }
         }

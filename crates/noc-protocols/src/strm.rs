@@ -11,7 +11,9 @@
 //!   feature supported per paper §2 by adding packet bits, not by
 //!   touching the fabric.
 
-use crate::command::{CompletionLog, CompletionRecord, Program, ProgramTail, SocketCommand};
+use crate::command::{
+    CompletionLog, CompletionRecord, Program, ProgramTail, ProtocolKind, SocketCommand,
+};
 use crate::handshake::Chan;
 use crate::memory::{access, MemoryModel};
 use noc_transaction::{Burst, MstAddr, Opcode, RespStatus, StreamId};
@@ -123,14 +125,7 @@ impl StrmMaster {
     pub fn new(program: Program, read_limit: u32) -> Self {
         assert!(read_limit > 0, "read limit must be non-zero");
         for (i, cmd) in program.iter().enumerate() {
-            assert!(
-                matches!(
-                    cmd.opcode,
-                    Opcode::Read | Opcode::WritePosted | Opcode::Write
-                ),
-                "STRM cannot express {:?} (command {i})",
-                cmd.opcode
-            );
+            ProtocolKind::Strm.assert_expresses(i, cmd);
         }
         StrmMaster {
             program: ProgramTail::new(program),
@@ -152,14 +147,7 @@ impl StrmMaster {
     pub fn append_commands(&mut self, tail: &[SocketCommand]) {
         for cmd in tail {
             let i = self.program.len();
-            assert!(
-                matches!(
-                    cmd.opcode,
-                    Opcode::Read | Opcode::WritePosted | Opcode::Write
-                ),
-                "STRM cannot express {:?} (command {i})",
-                cmd.opcode
-            );
+            ProtocolKind::Strm.assert_expresses(i, cmd);
             self.program.push(cmd.clone());
         }
         let live = self

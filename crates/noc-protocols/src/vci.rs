@@ -9,7 +9,9 @@
 //!   responses across threads — the paper groups its ordering model with
 //!   AXI's ID-based one.
 
-use crate::command::{CompletionLog, CompletionRecord, Program, ProgramTail, SocketCommand};
+use crate::command::{
+    CompletionLog, CompletionRecord, Program, ProgramTail, ProtocolKind, SocketCommand,
+};
 use crate::handshake::Chan;
 use crate::memory::{access, MemoryModel};
 use noc_transaction::{Burst, ExclusiveMonitor, MstAddr, RespStatus};
@@ -36,6 +38,15 @@ impl VciFlavor {
         match self {
             VciFlavor::Peripheral | VciFlavor::Basic => 1,
             VciFlavor::Advanced { threads } => threads,
+        }
+    }
+
+    /// The socket protocol this flavour is.
+    pub fn kind(self) -> ProtocolKind {
+        match self {
+            VciFlavor::Peripheral => ProtocolKind::Pvci,
+            VciFlavor::Basic => ProtocolKind::Bvci,
+            VciFlavor::Advanced { .. } => ProtocolKind::Avci,
         }
     }
 }
@@ -140,14 +151,16 @@ impl VciMaster {
     ///
     /// # Panics
     ///
-    /// Panics if a PVCI program contains multi-beat bursts, if a command's
-    /// stream exceeds the flavour's thread count, or if `pipeline_depth`
-    /// is zero.
+    /// Panics if a command's opcode is never answered (a response is what
+    /// retires a VCI command — see [`ProtocolKind::expresses`]), if a PVCI
+    /// program contains multi-beat bursts, if a command's stream exceeds
+    /// the flavour's thread count, or if `pipeline_depth` is zero.
     pub fn new(program: Program, flavor: VciFlavor, pipeline_depth: u32) -> Self {
         assert!(pipeline_depth > 0, "pipeline depth must be non-zero");
         let threads = flavor.threads() as usize;
         let mut queues = vec![VecDeque::new(); threads];
         for (i, cmd) in program.iter().enumerate() {
+            flavor.kind().assert_expresses(i, cmd);
             if flavor == VciFlavor::Peripheral {
                 assert_eq!(
                     cmd.beats, 1,
@@ -192,12 +205,14 @@ impl VciMaster {
     ///
     /// # Panics
     ///
-    /// Panics if a command violates the flavour's constraints (multi-beat
-    /// bursts on PVCI, stream beyond the thread count).
+    /// Panics if a command violates the flavour's constraints (an
+    /// unanswered opcode, multi-beat bursts on PVCI, stream beyond the
+    /// thread count).
     pub fn append_commands(&mut self, tail: &[SocketCommand]) {
         let threads = self.queues.len();
         for cmd in tail {
             let i = self.program.len();
+            self.flavor.kind().assert_expresses(i, cmd);
             if self.flavor == VciFlavor::Peripheral {
                 assert_eq!(
                     cmd.beats, 1,
@@ -514,6 +529,13 @@ mod tests {
             VciFlavor::Peripheral,
             1,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "BVCI cannot express Broadcast (command 1)")]
+    fn appended_opcodes_no_response_answers_are_refused() {
+        let mut m = VciMaster::new(vec![SocketCommand::read(0, 4)], VciFlavor::Basic, 1);
+        m.append_commands(&[SocketCommand::write(0, 4, 1).with_opcode(Opcode::Broadcast)]);
     }
 
     #[test]

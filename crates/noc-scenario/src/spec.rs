@@ -178,11 +178,7 @@ impl SocketSpec {
             SocketSpec::Ocp { .. } => ProtocolKind::Ocp,
             SocketSpec::Axi { .. } => ProtocolKind::Axi,
             SocketSpec::Strm { .. } => ProtocolKind::Strm,
-            SocketSpec::Vci { flavor, .. } => match flavor {
-                VciFlavor::Peripheral => ProtocolKind::Pvci,
-                VciFlavor::Basic => ProtocolKind::Bvci,
-                VciFlavor::Advanced { .. } => ProtocolKind::Avci,
-            },
+            SocketSpec::Vci { flavor, .. } => flavor.kind(),
         }
     }
 
@@ -236,7 +232,8 @@ impl SocketSpec {
     ///
     /// Returns why not: an illegal burst, a stream the socket (or a
     /// `threaded:N` override) has no queue for, a multi-beat PVCI
-    /// transfer, or an opcode STRM cannot express.
+    /// transfer, or an opcode the socket cannot express
+    /// ([`ProtocolKind::expresses`]).
     pub fn admits(
         &self,
         ordering: Option<OrderingModel>,
@@ -255,16 +252,12 @@ impl SocketSpec {
                 "stream {stream} exceeds the {max} stream(s) of {whose}"
             ));
         }
-        let plain = matches!(
-            cmd.opcode,
-            Opcode::Read | Opcode::Write | Opcode::WritePosted
-        );
         match self.kind() {
             ProtocolKind::Pvci if cmd.beats != 1 => {
                 Err("PVCI sockets issue single-beat commands only".into())
             }
-            ProtocolKind::Strm if !plain => {
-                Err(format!("STRM sockets cannot express {}", cmd.opcode))
+            kind if !kind.expresses(cmd.opcode) => {
+                Err(format!("{kind} sockets cannot express {}", cmd.opcode))
             }
             _ => Ok(()),
         }

@@ -948,10 +948,24 @@ pub fn grammar_reference() -> String {
         .iter()
         .map(|(name, max, ..)| format!("{name}={}", range(0, *max)));
     let fields: Vec<String> = fields.collect();
+    // What `ProtocolKind::expresses` denies, socket by socket.
+    let mut lacking = String::new();
+    for (socket, (_, spec)) in SOCKETS {
+        let denied = OPCODES.iter().filter(|(_, op)| !spec.kind().expresses(*op));
+        let ops: Vec<&str> = denied.map(|(name, _)| *name).collect();
+        if !ops.is_empty() {
+            let _ = writeln!(
+                lacking,
+                "#          {socket} sockets cannot express {}",
+                ops.join("|")
+            );
+        }
+    }
     let _ = write!(
         out,
         "\n# cmd = \"OP ADDR BEATSxBYTES [FIELD ...]\", every field defaulting to 0:\n\
          #   OP     {}\n\
+         {lacking}\
          #   BEATS  1..={}; BYTES 1..={}, a power of two\n\
          #   FIELD  {BURST_KIND}={} (wrap needs power-of-two BEATS)\n\
          #          {}\n",

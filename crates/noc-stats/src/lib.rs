@@ -1,5 +1,5 @@
-//! Measurement utilities for NoC experiments: running summaries, latency
-//! histograms with percentiles and ASCII table rendering.
+//! Measurement utilities for NoC experiments: latency histograms with
+//! percentiles and ASCII table rendering.
 //!
 //! Every experiment binary in the workspace reports through these types so
 //! tables come out in one consistent format.
@@ -7,7 +7,7 @@
 //! # Examples
 //!
 //! ```
-//! use noc_stats::{Histogram, Summary};
+//! use noc_stats::Histogram;
 //! let mut h = Histogram::new();
 //! for v in [10, 12, 11, 40, 13] {
 //!     h.record(v);
@@ -19,9 +19,7 @@
 //! ```
 
 pub mod histogram;
-pub mod summary;
 pub mod table;
 
 pub use histogram::Histogram;
-pub use summary::Summary;
 pub use table::Table;

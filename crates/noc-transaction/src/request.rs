@@ -173,6 +173,14 @@ impl TransactionRequest {
         self.services = self.services.union(services);
         self
     }
+
+    /// Sets the QoS pressure (used by NIUs applying their default to
+    /// commands that carried none).
+    #[must_use]
+    pub fn with_pressure(mut self, pressure: u8) -> Self {
+        self.pressure = pressure;
+        self
+    }
 }
 
 /// Builder for [`TransactionRequest`]. Created by
@@ -574,11 +582,13 @@ mod tests {
             .build()
             .unwrap()
             .with_route(MstAddr::new(3), SlvAddr::new(4), Tag::new(2))
-            .with_services(ServiceBits::EXCLUSIVE);
+            .with_services(ServiceBits::EXCLUSIVE)
+            .with_pressure(3);
         assert_eq!(req.src(), MstAddr::new(3));
         assert_eq!(req.dst(), SlvAddr::new(4));
         assert_eq!(req.tag(), Tag::new(2));
         assert!(req.services().contains(ServiceBits::EXCLUSIVE));
+        assert_eq!(req.pressure(), 3);
     }
 
     #[test]

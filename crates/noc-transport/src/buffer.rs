@@ -9,7 +9,7 @@ use std::fmt;
 ///
 /// Besides capacity it tracks the number of buffered *complete packets*
 /// (tails seen minus tails consumed), which store-and-forward switches use
-/// to forward only whole packets, and a high-water mark for sizing.
+/// to forward only whole packets.
 ///
 /// The backing store is allocated by the first push, not by `new`: a
 /// large fabric builds thousands of input buffers and a sparse run
@@ -30,8 +30,6 @@ pub struct FlitFifo {
     flits: VecDeque<Flit>,
     capacity: usize,
     complete_packets: usize,
-    high_water: usize,
-    total_pushed: u64,
 }
 
 impl FlitFifo {
@@ -46,8 +44,6 @@ impl FlitFifo {
             flits: VecDeque::new(),
             capacity,
             complete_packets: 0,
-            high_water: 0,
-            total_pushed: 0,
         }
     }
 
@@ -81,16 +77,6 @@ impl FlitFifo {
         self.complete_packets
     }
 
-    /// Highest occupancy observed.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Total flits ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
-    }
-
     /// Pushes a flit; returns `false` (and drops nothing) when full —
     /// callers must only push when credits say there is space, so a
     /// `false` return indicates a flow-control bug upstream.
@@ -105,8 +91,6 @@ impl FlitFifo {
             self.flits.reserve_exact(self.capacity);
         }
         self.flits.push_back(flit);
-        self.total_pushed += 1;
-        self.high_water = self.high_water.max(self.flits.len());
         true
     }
 
@@ -186,32 +170,21 @@ mod tests {
     }
 
     #[test]
-    fn high_water_and_totals() {
-        let mut f = FlitFifo::new(4);
-        f.push(ht(1));
-        f.push(ht(2));
-        f.pop();
-        f.push(ht(3));
-        assert_eq!(f.high_water(), 2);
-        assert_eq!(f.total_pushed(), 3);
-    }
-
-    #[test]
     fn bounds_hold_while_the_store_is_allocated_on_first_push() {
         let mut f = FlitFifo::new(3);
         assert_eq!(f.flits.capacity(), 0, "nothing reserved before use");
-        assert_eq!((f.capacity(), f.free(), f.high_water()), (3, 3, 0));
+        assert_eq!((f.capacity(), f.free()), (3, 3));
         assert!(!f.is_full() && f.is_empty());
         assert!(f.push(ht(1)));
         assert!(f.flits.capacity() >= 3, "one allocation covers the bound");
         assert!(f.push(ht(2)) && f.push(ht(3)));
         assert!(f.is_full());
         assert!(!f.push(ht(4)), "the declared capacity still bounds pushes");
-        assert_eq!((f.len(), f.free(), f.high_water()), (3, 0, 3));
-        // A snapshot of a drained FIFO keeps the bound and the history.
+        assert_eq!((f.len(), f.free()), (3, 0));
+        // A snapshot of a drained FIFO keeps the bound.
         while f.pop().is_some() {}
         let mut g = f.clone();
-        assert_eq!((g.capacity(), g.high_water(), g.total_pushed()), (3, 3, 3));
+        assert_eq!(g.capacity(), 3);
         assert!(g.push(ht(5)) && g.push(ht(6)) && g.push(ht(7)) && !g.push(ht(8)));
     }
 

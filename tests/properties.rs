@@ -317,8 +317,7 @@ fn arb_scenario(rng: &mut SplitMix64, clocked: bool) -> noc_scenario::ScenarioSp
             _ => SocketSpec::avci(),
         };
         let single_beat = matches!(socket, SocketSpec::Vci { .. });
-        // Streams must fit the socket's thread/ID space; posted writes
-        // are an OCP/STRM feature.
+        // Streams must fit the socket's thread/ID space.
         let streams = match socket {
             SocketSpec::Ocp { threads, .. } => threads as u64,
             SocketSpec::Axi { tags, .. } => tags as u64,
@@ -328,7 +327,6 @@ fn arb_scenario(rng: &mut SplitMix64, clocked: bool) -> noc_scenario::ScenarioSp
             } => threads as u64,
             _ => 1,
         };
-        let posted_ok = matches!(socket, SocketSpec::Ocp { .. } | SocketSpec::Strm { .. });
         let program: Vec<SocketCommand> = (0..n_cmds)
             .map(|i| {
                 let addr = (base + 0x40 + rng.next_below(0xE00)) & !0x3F;
@@ -356,8 +354,12 @@ fn arb_scenario(rng: &mut SplitMix64, clocked: bool) -> noc_scenario::ScenarioSp
                     .with_burst(kind, beats)
                     .with_delay(delay)
                     .with_stream(StreamId::new(rng.next_below(streams) as u16));
-                if posted_ok && cmd.opcode == Opcode::Write && rng.chance(0.3) {
-                    cmd = cmd.with_opcode(Opcode::WritePosted);
+                // Posted writes, wherever the socket can express them.
+                if cmd.opcode == Opcode::Write && rng.chance(0.3) {
+                    let posted = cmd.clone().with_opcode(Opcode::WritePosted);
+                    if socket.admits(None, &posted).is_ok() {
+                        cmd = posted;
+                    }
                 }
                 cmd
             })
@@ -646,7 +648,7 @@ fn horizon_stepping_equals_dense_on_random_scenarios() {
             // NoC; the baselines fold their few sources directly): the
             // advance loop must be paying for its next_activity polls
             // with calendar traffic, the same bound
-            // `scn --assert-wakeup-discipline` enforces on the corpus.
+            // `tests/scenario_text.rs` enforces on the corpus.
             // A rescan-style loop polls once per cycle and blows
             // through this immediately.
             if matches!(backend, Backend::Noc(_)) {
