@@ -313,20 +313,14 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
         let packet = encode_request(&req);
         let id = (self.config.node.raw() as u64) << 48 | self.pkt_seq;
         self.pkt_seq += 1;
-        for flit in packet.to_flits_with_id(self.config.flit_bytes, id) {
-            self.egress.push_back(flit);
-        }
+        self.egress
+            .extend(packet.into_flits_with_id(self.config.flit_bytes, id));
         self.stats.requests_sent += 1;
     }
 
     /// Takes the next flit bound for the request network.
     pub fn pull_flit(&mut self) -> Option<Flit> {
         self.egress.pop_front()
-    }
-
-    /// Returns a refused flit to the head of the egress queue.
-    pub fn unpull_flit(&mut self, flit: Flit) {
-        self.egress.push_front(flit);
     }
 
     /// Delivers a response-network flit.
@@ -392,9 +386,6 @@ impl<FE: SocketInitiator + Clone + 'static> crate::NocEndpoint for InitiatorNiu<
     }
     fn pull_flit(&mut self) -> Option<Flit> {
         InitiatorNiu::pull_flit(self)
-    }
-    fn unpull_flit(&mut self, flit: Flit) {
-        InitiatorNiu::unpull_flit(self, flit);
     }
     fn push_flit(&mut self, flit: Flit) {
         InitiatorNiu::push_flit(self, flit);

@@ -45,9 +45,6 @@ pub trait NocEndpoint: Send {
     fn tick(&mut self, cycle: u64);
     /// Takes the next flit destined for the fabric, if any.
     fn pull_flit(&mut self) -> Option<noc_transport::Flit>;
-    /// Returns the flit to the endpoint's egress queue (the link refused
-    /// it this cycle — no credit). Must be re-pulled later.
-    fn unpull_flit(&mut self, flit: noc_transport::Flit);
     /// Delivers a flit arriving from the fabric.
     fn push_flit(&mut self, flit: noc_transport::Flit);
     /// Returns `true` once the endpoint has no further work.

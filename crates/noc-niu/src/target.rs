@@ -280,19 +280,13 @@ impl<T: SocketTarget> TargetNiu<T> {
         let packet = encode_response(&resp, self.config.response_pressure);
         let id = (self.config.node.raw() as u64) << 48 | 0x8000_0000_0000 | self.pkt_seq;
         self.pkt_seq += 1;
-        for flit in packet.to_flits_with_id(self.config.flit_bytes, id) {
-            self.egress.push_back(flit);
-        }
+        self.egress
+            .extend(packet.into_flits_with_id(self.config.flit_bytes, id));
     }
 
     /// Takes the next flit bound for the response network.
     pub fn pull_flit(&mut self) -> Option<Flit> {
         self.egress.pop_front()
-    }
-
-    /// Returns a refused flit to the head of the egress queue.
-    pub fn unpull_flit(&mut self, flit: Flit) {
-        self.egress.push_front(flit);
     }
 
     /// Delivers a request-network flit.
@@ -364,9 +358,6 @@ impl<T: SocketTarget + Clone + 'static> crate::NocEndpoint for TargetNiu<T> {
     }
     fn pull_flit(&mut self) -> Option<Flit> {
         TargetNiu::pull_flit(self)
-    }
-    fn unpull_flit(&mut self, flit: Flit) {
-        TargetNiu::unpull_flit(self, flit);
     }
     fn push_flit(&mut self, flit: Flit) {
         TargetNiu::push_flit(self, flit);

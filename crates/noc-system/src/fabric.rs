@@ -1,6 +1,17 @@
 //! One direction of the NoC: switches plus physical links, wired from a
 //! topology, with end-to-end credit flow control.
 //!
+//! # What moves, and what it costs
+//!
+//! A flit is a small record moved by value — through an NIU's egress
+//! queue, a [`Link`], a switch input FIFO, an output stash, the ejection
+//! buffer — and only a packet's *head* flit owns heap memory: the payload
+//! buffer the sending NIU allocated, which the receiving NIU's assembler
+//! hands back untouched (see [`noc_transport::Flit`]). The fabric itself
+//! allocates nothing per flit-hop: credit returns wait in a fixed ring of
+//! reusable slots ([`CreditRing`]), the sets of components that can act
+//! are bitsets ([`ActiveSet`]), and every per-tick buffer is reused.
+//!
 //! # O(active) ticking
 //!
 //! The fabric tracks exactly which components can act on a given cycle,
@@ -20,15 +31,16 @@
 //!   bit-identical to the dense tick's per-output increment);
 //! - stashes with flits live in a `stashed` set.
 //!
-//! Active sets are iterated in ascending switch/link index order — the
+//! An [`ActiveSet`] iterates in ascending switch/link index order — the
 //! dense loop's order restricted to the members that can act — so the
-//! resulting logs and counters are bit-identical to dense ticking.
+//! resulting logs and counters are bit-identical to dense ticking, with
+//! no per-tick sort.
 
 use noc_kernel::{Calendar, Horizon, WakeId};
 use noc_physical::{Link, LinkConfig};
 use noc_topology::{SwitchTables, Topology};
 use noc_transport::{Flit, PortId, RoutingTable, Switch, SwitchConfig, SwitchMode};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Where a link terminates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,52 +66,174 @@ struct FabricLink {
     dst: LinkEnd,
 }
 
-/// A set of switch indices with O(1) insert/membership and iteration
-/// proportional to the members, used for the busy/locked/stashed
-/// tracking that makes fabric ticks O(active).
-#[derive(Clone, Default)]
-struct ActiveSet {
-    member: Vec<bool>,
-    list: Vec<usize>,
+/// A set of small indices (switches, links, endpoints) as a bitset: O(1)
+/// insert, remove and emptiness, and iteration in *ascending* index
+/// order — the order a dense scan over all components visits them — at
+/// one `trailing_zeros` per member.
+///
+/// # Examples
+///
+/// ```
+/// use noc_system::ActiveSet;
+/// let mut set = ActiveSet::with_capacity(200);
+/// set.insert(130);
+/// set.insert(7);
+/// set.insert(130); // already a member
+/// assert_eq!(set.iter().collect::<Vec<_>>(), [7, 130]);
+/// set.remove(7);
+/// assert_eq!((set.len(), set.next_from(0)), (1, Some(130)));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ActiveSet {
+    words: Vec<u64>,
+    len: usize,
 }
 
 impl ActiveSet {
-    fn with_capacity(n: usize) -> ActiveSet {
+    /// An empty set over the indices `0..n`.
+    pub fn with_capacity(n: usize) -> ActiveSet {
         ActiveSet {
-            member: vec![false; n],
-            list: Vec::new(),
+            words: vec![0; n.div_ceil(64)],
+            len: 0,
         }
     }
 
-    fn insert(&mut self, i: usize) {
-        if !self.member[i] {
-            self.member[i] = true;
-            self.list.push(i);
+    /// Adds `i` (a no-op for a member).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is beyond the capacity.
+    pub fn insert(&mut self, i: usize) {
+        let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        self.len += usize::from(*word & bit == 0);
+        *word |= bit;
+    }
+
+    /// Removes `i` (a no-op for a non-member).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is beyond the capacity.
+    pub fn remove(&mut self, i: usize) {
+        let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        self.len -= usize::from(*word & bit != 0);
+        *word &= !bit;
+    }
+
+    /// Removes every member.
+    pub fn clear(&mut self) {
+        if self.len > 0 {
+            self.words.fill(0);
+            self.len = 0;
         }
     }
 
-    fn remove(&mut self, i: usize) {
-        if self.member[i] {
-            self.member[i] = false;
-            let pos = self
-                .list
-                .iter()
-                .position(|&m| m == i)
-                .expect("flag implies membership");
-            self.list.swap_remove(pos);
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` when the set has no members.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The smallest member at or above `from`, if any. Stepping with
+    /// `next_from(member + 1)` visits the set in ascending order and
+    /// tolerates removing the member just visited — how the tick loops
+    /// retire components as they go idle. O(1) on an empty set.
+    pub fn next_from(&self, from: usize) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let mut w = from / 64;
+        let mut bits = *self.words.get(w)? & (!0u64 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The members in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next_from(0), |&i| self.next_from(i + 1))
+    }
+}
+
+/// In-flight credit returns: a ring of reusable slots, one per due cycle.
+///
+/// A credit released at cycle `t` over a return wire of latency `lat`
+/// (`1..=max_latency`) is pushed for cycle `t + lat`, and
+/// [`CreditRing::drain_due`] hands out every credit whose cycle has been
+/// reached. All pending due cycles lie in a window of `max_latency`
+/// cycles past the last drain, so `max_latency + 1` slots indexed by
+/// `due % len` never alias, and a slot's `Vec` keeps its capacity from
+/// one lap to the next: no map, no allocation per cycle.
+///
+/// # Examples
+///
+/// ```
+/// use noc_system::CreditRing;
+/// let mut ring = CreditRing::new(3);
+/// ring.drain_due(10, |_| unreachable!("nothing pending"));
+/// ring.push(11, 4); // released at 10, one-cycle wire
+/// ring.push(13, 9); // released at 10, three-cycle wire
+/// let mut due = Vec::new();
+/// ring.drain_due(12, |link| due.push(link));
+/// assert_eq!(due, [4]);
+/// ring.drain_due(5_000, |link| due.push(link)); // a long horizon skip
+/// assert_eq!(due, [4, 9]);
+/// ```
+#[derive(Debug, Clone)]
+pub struct CreditRing {
+    slots: Vec<Vec<u32>>,
+    /// The first cycle not drained yet.
+    next: u64,
+}
+
+impl CreditRing {
+    /// A ring for return wires of at most `max_latency` cycles.
+    pub fn new(max_latency: u64) -> CreditRing {
+        let slots = usize::try_from(max_latency + 1).expect("credit latency fits in memory");
+        CreditRing {
+            slots: vec![Vec::new(); slots],
+            next: 0,
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.list.is_empty()
+    /// Registers `id`'s credit to become visible at cycle `due`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `due` is not within `max_latency` cycles after the last
+    /// drained cycle — an earlier cycle would never be handed out, a
+    /// later one would alias a slot and be handed out early.
+    pub fn push(&mut self, due: u64, id: u32) {
+        let len = self.slots.len() as u64;
+        assert!(
+            due >= self.next && due - self.next < len,
+            "credit due at {due} outside the ring's window {}..{}",
+            self.next,
+            self.next + len
+        );
+        self.slots[(due % len) as usize].push(id);
     }
 
-    /// Copies the members into `out` in ascending index order — the
-    /// dense iteration order restricted to the set.
-    fn sorted_into(&self, out: &mut Vec<usize>) {
-        out.clear();
-        out.extend_from_slice(&self.list);
-        out.sort_unstable();
+    /// Hands every credit due at or before `now` to `apply` and empties
+    /// their slots. Draining walks the cycles since the last drain, at
+    /// most one lap: after a skip longer than the ring every slot is due.
+    pub fn drain_due(&mut self, now: u64, mut apply: impl FnMut(u32)) {
+        if now < self.next {
+            return;
+        }
+        let len = self.slots.len() as u64;
+        for cycle in self.next..self.next + (now - self.next + 1).min(len) {
+            self.slots[(cycle % len) as usize]
+                .drain(..)
+                .for_each(&mut apply);
+        }
+        self.next = now + 1;
     }
 }
 
@@ -156,11 +290,10 @@ pub struct Fabric {
     /// next executed step is observation-equivalent to applying it at
     /// its due cycle (and any component that could consume it is itself
     /// keeping the system non-idle).
-    pending_credits: BTreeMap<u64, Vec<u32>>,
-    /// Tick-loop scratch buffers (due links, active-set iteration order,
-    /// per-switch tick result), reused so the hot path allocates nothing.
-    due_scratch: Vec<usize>,
-    order_scratch: Vec<usize>,
+    pending_credits: CreditRing,
+    /// Tick-loop scratch (the links due this cycle, the per-switch tick
+    /// result), reused so the hot path allocates nothing.
+    due_links: ActiveSet,
     tick_scratch: noc_transport::SwitchTick,
 }
 
@@ -243,9 +376,9 @@ impl Fabric {
             in_flight: 0,
             delivered_flits: 0,
             credit_lat: Vec::new(),
-            pending_credits: BTreeMap::new(),
-            due_scratch: Vec::new(),
-            order_scratch: Vec::new(),
+            // Sized below, once every link (and its latency) is known.
+            pending_credits: CreditRing::new(0),
+            due_links: ActiveSet::default(),
             tick_scratch: noc_transport::SwitchTick::default(),
         };
         // Inter-switch links (base clock on both ends).
@@ -305,6 +438,9 @@ impl Fabric {
             // transactions); give ejection ports ample credit.
             fabric.switches[a.switch].set_output_credits(a.out_port as usize, u32::MAX / 2);
         }
+        let max_credit_lat = fabric.credit_lat.iter().copied().max().unwrap_or(0);
+        fabric.pending_credits = CreditRing::new(max_credit_lat);
+        fabric.due_links = ActiveSet::with_capacity(fabric.links.len());
         fabric
     }
 
@@ -386,11 +522,11 @@ impl Fabric {
         // returns `None` this cycle (the calendar entry *is*
         // `Link::next_event_at`, re-registered on every send/deliver).
         // Ascending link order = the dense scan restricted to movers.
-        let mut due = std::mem::take(&mut self.due_scratch);
-        due.clear();
-        self.link_cal.pop_due(now, |id| due.push(id.index()));
-        due.sort_unstable();
-        for &li in &due {
+        let due = &mut self.due_links;
+        self.link_cal.pop_due(now, |id| due.insert(id.index()));
+        let mut next = self.due_links.next_from(0);
+        while let Some(li) = next {
+            next = self.due_links.next_from(li + 1);
             if let Some(flit) = self.links[li].link.deliver(now) {
                 self.in_flight -= 1;
                 match self.links[li].dst {
@@ -405,24 +541,23 @@ impl Fabric {
                     }
                 }
             }
-            let next = self.links[li].link.next_event_at(now);
-            self.link_cal.set(self.link_wake[li], next);
+            let at = self.links[li].link.next_event_at(now);
+            self.link_cal.set(self.link_wake[li], at);
         }
-        self.due_scratch = due;
+        self.due_links.clear();
         // 1b. Idle switches pinned by locked sequences accrue their
         // lock-idle statistic for this executed cycle in bulk — exactly
         // what a dense tick's empty allocation pass would have counted.
         // (Switches that just turned busy in step 1 left the set and
         // will count it themselves in step 3.)
-        for i in 0..self.locked.list.len() {
-            let s = self.locked.list[i];
+        for s in self.locked.iter() {
             self.switches[s].skip_cycles(1);
         }
         // 2. Drain output stashes into links (stash-holding switches
         // only).
-        let mut order = std::mem::take(&mut self.order_scratch);
-        self.stashed.sorted_into(&mut order);
-        for &s in &order {
+        let mut next = self.stashed.next_from(0);
+        while let Some(s) = next {
+            next = self.stashed.next_from(s + 1);
             for p in 0..self.stash[s].len() {
                 if self.stash[s][p].is_empty() {
                     continue;
@@ -442,10 +577,12 @@ impl Fabric {
             }
         }
         // 3. Switch cycles (busy switches only; an idle switch's tick
-        // moves nothing and releases nothing).
-        self.busy.sorted_into(&mut order);
+        // moves nothing and releases nothing). Flits reach a switch only
+        // in step 1, so the busy set gains no member while it is walked.
         let mut tick = std::mem::take(&mut self.tick_scratch);
-        for &s in &order {
+        let mut next = self.busy.next_from(0);
+        while let Some(s) = next {
+            next = self.busy.next_from(s + 1);
             self.switches[s].tick_into(&mut tick);
             for (port, flit) in tick.sent.drain(..) {
                 let p = port.index();
@@ -464,8 +601,8 @@ impl Fabric {
             // this cycle.
             for input in tick.credits_released.drain(..) {
                 let li = self.in_wire[s][input].expect("every switch input is wired");
-                let due = now + self.credit_lat[li];
-                self.pending_credits.entry(due).or_default().push(li as u32);
+                self.pending_credits
+                    .push(now + self.credit_lat[li], li as u32);
             }
             if self.switches[s].is_idle() {
                 self.busy.remove(s);
@@ -475,7 +612,6 @@ impl Fabric {
             }
         }
         self.tick_scratch = tick;
-        self.order_scratch = order;
     }
 
     /// Applies every credit return whose due cycle has been reached.
@@ -484,22 +620,16 @@ impl Fabric {
     /// cycle `d` is visible to everything that executes at `d` — and to
     /// nothing earlier.
     pub(crate) fn apply_due_credits(&mut self, now: u64) {
-        while let Some(entry) = self.pending_credits.first_entry() {
-            if *entry.key() > now {
-                break;
-            }
-            for li in entry.remove() {
-                match self.links[li as usize].src {
-                    LinkEnd::Switch { switch, port } => {
-                        self.switches[switch].add_output_credit(port);
-                    }
-                    LinkEnd::Endpoint { node } => {
-                        let i = self.node_inj[node as usize].expect("injection entry exists");
-                        self.injection[i].2 += 1;
-                    }
+        self.pending_credits
+            .drain_due(now, |li| match self.links[li as usize].src {
+                LinkEnd::Switch { switch, port } => {
+                    self.switches[switch].add_output_credit(port);
                 }
-            }
-        }
+                LinkEnd::Endpoint { node } => {
+                    let i = self.node_inj[node as usize].expect("injection entry exists");
+                    self.injection[i].2 += 1;
+                }
+            });
     }
 
     /// Returns `true` when no flit is buffered or in flight. In-flight
@@ -541,8 +671,7 @@ impl Fabric {
     /// dead.
     pub fn skip_cycles(&mut self, cycles: u64) {
         debug_assert!(self.busy.is_empty(), "skipping a fabric holding flits");
-        for i in 0..self.locked.list.len() {
-            let s = self.locked.list[i];
+        for s in self.locked.iter() {
             self.switches[s].skip_cycles(cycles);
         }
     }

@@ -54,6 +54,6 @@ pub mod fabric;
 pub mod report;
 pub mod soc;
 
-pub use fabric::Fabric;
+pub use fabric::{ActiveSet, CreditRing, Fabric};
 pub use report::{FabricReport, MasterReport, SocReport};
 pub use soc::{BuildError, NocConfig, Soc, SocBuilder};

@@ -1,6 +1,6 @@
 //! The assembled SoC and its builder.
 
-use crate::fabric::Fabric;
+use crate::fabric::{ActiveSet, Fabric};
 use crate::report::{FabricReport, MasterReport, SocReport};
 use noc_kernel::{Calendar, ClockDomain, ClockId, ClockSet, Engine, WakeId};
 use noc_niu::NocEndpoint;
@@ -267,7 +267,7 @@ impl SocBuilder {
             not_done: num_endpoints,
             now: 0,
             steps: 0,
-            touched_scratch: Vec::new(),
+            touched: ActiveSet::with_capacity(num_endpoints),
             eject_scratch: Vec::new(),
         };
         // Prime the calendar and done cache: every endpoint registers
@@ -313,9 +313,9 @@ pub struct Soc {
     now: u64,
     /// Base cycles actually executed (skipped cycles excluded).
     steps: u64,
-    /// Step-loop scratch buffers (touched endpoints, ejected flits),
-    /// reused so the hot path allocates nothing.
-    touched_scratch: Vec<usize>,
+    /// Step-loop scratch (touched endpoints, ejected flits), empty
+    /// between steps and reused so the hot path allocates nothing.
+    touched: ActiveSet,
     eject_scratch: Vec<(u16, noc_transport::Flit)>,
 }
 
@@ -340,13 +340,14 @@ impl Engine for Soc {
         // Retire due endpoint wakeups. Everything that can move an
         // endpoint's horizon (or done-ness) this cycle lands in
         // `touched`: its wakeup firing, a flit pulled from it, a flit
-        // pushed into it. Clocked ticks *inside* a pending wakeup's
-        // dead region are provably no-ops for the horizon — the same
-        // invariance that lets `skip_to` jump them — so merely
-        // being clocked does not require re-registration.
-        let mut touched = std::mem::take(&mut self.touched_scratch);
-        touched.clear();
-        self.ep_cal.pop_due(now, |id| touched.push(id.index()));
+        // pushed into it — routinely two or three of those for one
+        // endpoint, which the set folds into one refresh. Clocked ticks
+        // *inside* a pending wakeup's dead region are provably no-ops
+        // for the horizon — the same invariance that lets `skip_to`
+        // jump them — so merely being clocked does not require
+        // re-registration.
+        let touched = &mut self.touched;
+        self.ep_cal.pop_due(now, |id| touched.insert(id.index()));
         // 1. Endpoint compute on their clock edges, then injection:
         //    initiators feed the request network, targets the response
         //    network (one flit per endpoint per local cycle). Endpoints
@@ -367,7 +368,7 @@ impl Engine for Soc {
             if fabric.can_inject(ep.node, now) {
                 if let Some(flit) = ep.inner.pull_flit() {
                     fabric.inject(ep.node, flit, now);
-                    touched.push(i);
+                    touched.insert(i);
                 }
             }
         }
@@ -382,25 +383,25 @@ impl Engine for Soc {
             let i = self.node_ep[node as usize].expect("request network ejects at targets");
             debug_assert!(!self.endpoints[i].is_initiator);
             self.endpoints[i].inner.push_flit(flit);
-            touched.push(i);
+            self.touched.insert(i);
         }
         self.response.tick(now, &mut eject);
         for (node, flit) in eject.drain(..) {
             let i = self.node_ep[node as usize].expect("response network ejects at initiators");
             debug_assert!(self.endpoints[i].is_initiator);
             self.endpoints[i].inner.push_flit(flit);
-            touched.push(i);
+            self.touched.insert(i);
         }
         self.eject_scratch = eject;
         self.now += 1;
         // 3. Invalidation discipline: every touched endpoint
-        //    re-registers its wakeup and refreshes its done cache.
-        //    Duplicates are harmless (unchanged horizons are calendar
-        //    no-ops).
-        for &i in &touched {
+        //    re-registers its wakeup and refreshes its done cache, once.
+        let mut next = self.touched.next_from(0);
+        while let Some(i) = next {
+            next = self.touched.next_from(i + 1);
             self.refresh_endpoint(i);
         }
-        self.touched_scratch = touched;
+        self.touched.clear();
     }
 
     /// Every endpoint is done and both fabrics idle. O(1): endpoint

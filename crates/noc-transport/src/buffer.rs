@@ -154,10 +154,10 @@ mod tests {
     fn complete_packet_tracking() {
         let mut f = FlitFifo::new(8);
         let h = Header::request(0, 0, 0);
-        f.push(Flit::head(1, h));
-        f.push(Flit::body(1, vec![0]));
+        f.push(Flit::head(1, h, vec![0, 0]));
+        f.push(Flit::body(1, 1));
         assert_eq!(f.complete_packets(), 0);
-        f.push(Flit::tail(1, vec![0]));
+        f.push(Flit::tail(1, 1));
         assert_eq!(f.complete_packets(), 1);
         f.push(ht(2));
         assert_eq!(f.complete_packets(), 2);

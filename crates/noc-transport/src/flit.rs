@@ -155,26 +155,42 @@ pub enum FlitType {
 
 /// The unit the fabric moves: one flit per link per cycle.
 ///
-/// Only head flits carry the [`Header`]; body/tail flits carry payload
-/// bytes and follow the path their head allocated (wormhole) or travel
-/// with their packet (store-and-forward).
+/// A flit is a *record*, not a byte carrier. The head flit carries the
+/// [`Header`] and — by move — the packet's whole payload buffer; body and
+/// tail flits carry only their position, their packet id and the number
+/// of payload bytes they stand for on the wire, and own no heap memory.
+/// They follow the path their head allocated (wormhole) or travel with
+/// their packet (store-and-forward). Payload is opaque to transport
+/// (paper §1), so transport never touches it: the buffer an NIU hands to
+/// [`crate::Packet::into_flits_with_id`] is the buffer
+/// [`crate::PacketAssembler`] hands back at the far end, after checking
+/// that the byte counts of the flits that followed the head add up to it.
+///
+/// Cloning a head flit clones the payload it carries (snapshots do
+/// this); moving one copies nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Flit {
     kind: FlitType,
     /// Packet id, unique per source NIU — debug/assembly aid, not wires.
     packet_id: u64,
+    /// Payload bytes this flit stands for (zero on head flits).
+    bytes: u32,
     header: Option<Header>,
+    /// The packet's payload, on its head flit only; empty — and so
+    /// unallocated — on every other flit.
     payload: Vec<u8>,
 }
 
 impl Flit {
-    /// Creates a head flit carrying `header`.
-    pub fn head(packet_id: u64, header: Header) -> Self {
+    /// Creates the head flit of a multi-flit packet, carrying `header`
+    /// and the packet's whole `payload`.
+    pub fn head(packet_id: u64, header: Header, payload: Vec<u8>) -> Self {
         Flit {
             kind: FlitType::Head,
             packet_id,
+            bytes: 0,
             header: Some(header),
-            payload: Vec::new(),
+            payload,
         }
     }
 
@@ -182,29 +198,34 @@ impl Flit {
     pub fn head_tail(packet_id: u64, header: Header) -> Self {
         Flit {
             kind: FlitType::HeadTail,
+            ..Flit::head(packet_id, header, Vec::new())
+        }
+    }
+
+    /// Creates a body flit standing for `bytes` payload bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` does not fit in 32 bits.
+    pub fn body(packet_id: u64, bytes: usize) -> Self {
+        Flit {
+            kind: FlitType::Body,
             packet_id,
-            header: Some(header),
+            bytes: u32::try_from(bytes).expect("flit payload width fits in 32 bits"),
+            header: None,
             payload: Vec::new(),
         }
     }
 
-    /// Creates a body flit.
-    pub fn body(packet_id: u64, payload: Vec<u8>) -> Self {
-        Flit {
-            kind: FlitType::Body,
-            packet_id,
-            header: None,
-            payload,
-        }
-    }
-
-    /// Creates a tail flit.
-    pub fn tail(packet_id: u64, payload: Vec<u8>) -> Self {
+    /// Creates a tail flit standing for `bytes` payload bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` does not fit in 32 bits.
+    pub fn tail(packet_id: u64, bytes: usize) -> Self {
         Flit {
             kind: FlitType::Tail,
-            packet_id,
-            header: None,
-            payload,
+            ..Flit::body(packet_id, bytes)
         }
     }
 
@@ -223,9 +244,17 @@ impl Flit {
         self.header.as_ref()
     }
 
-    /// Payload bytes (body/tail flits).
-    pub fn payload(&self) -> &[u8] {
-        &self.payload
+    /// The header and payload buffer a head flit carries (`None` for body
+    /// and tail flits) — the assembler's way of taking the buffer back out.
+    pub(crate) fn into_head(self) -> Option<(Header, Vec<u8>)> {
+        Some((self.header?, self.payload))
+    }
+
+    /// Payload bytes this flit stands for on the wire: its chunk's length
+    /// on body/tail flits, zero on head flits (which carry the buffer,
+    /// not a share of its wire time).
+    pub fn payload_len(&self) -> usize {
+        self.bytes as usize
     }
 
     /// Returns `true` for `Head` and `HeadTail` flits.
@@ -244,12 +273,8 @@ impl fmt::Display for Flit {
         match (&self.kind, &self.header) {
             (FlitType::Head, Some(h)) => write!(f, "H[{h}] pkt{}", self.packet_id),
             (FlitType::HeadTail, Some(h)) => write!(f, "HT[{h}] pkt{}", self.packet_id),
-            (FlitType::Body, _) => {
-                write!(f, "B[{}B] pkt{}", self.payload.len(), self.packet_id)
-            }
-            (FlitType::Tail, _) => {
-                write!(f, "T[{}B] pkt{}", self.payload.len(), self.packet_id)
-            }
+            (FlitType::Body, _) => write!(f, "B[{}B] pkt{}", self.bytes, self.packet_id),
+            (FlitType::Tail, _) => write!(f, "T[{}B] pkt{}", self.bytes, self.packet_id),
             _ => write!(f, "?flit pkt{}", self.packet_id),
         }
     }
@@ -291,31 +316,35 @@ mod tests {
     #[test]
     fn flit_predicates() {
         let h = Header::request(0, 0, 0);
-        assert!(Flit::head(0, h).is_head());
-        assert!(!Flit::head(0, h).is_tail());
+        assert!(Flit::head(0, h, vec![1]).is_head());
+        assert!(!Flit::head(0, h, vec![1]).is_tail());
         assert!(Flit::head_tail(0, h).is_head());
         assert!(Flit::head_tail(0, h).is_tail());
-        assert!(!Flit::body(0, vec![]).is_head());
-        assert!(Flit::tail(0, vec![]).is_tail());
+        assert!(!Flit::body(0, 0).is_head());
+        assert!(Flit::tail(0, 0).is_tail());
     }
 
     #[test]
     fn flit_payload_and_header_access() {
         let h = Header::request(9, 8, 7);
-        let head = Flit::head(42, h);
+        let head = Flit::head(42, h, vec![1, 2, 3]);
         assert_eq!(head.header().unwrap().dst, 9);
         assert_eq!(head.packet_id(), 42);
-        let body = Flit::body(42, vec![1, 2, 3]);
-        assert_eq!(body.payload(), &[1, 2, 3]);
+        assert_eq!(head.payload, [1, 2, 3]);
+        assert_eq!(head.payload_len(), 0);
+        let body = Flit::body(42, 3);
+        assert_eq!(body.payload_len(), 3);
         assert!(body.header().is_none());
+        // Only a head owns heap memory.
+        assert_eq!(body.payload.capacity(), 0);
     }
 
     #[test]
     fn displays() {
         let h = Header::request(1, 2, 3).with_pressure(1);
         assert_eq!(h.to_string(), "req 2→1 T3 p1");
-        assert!(Flit::head(5, h).to_string().contains("pkt5"));
-        assert!(Flit::body(5, vec![0; 4]).to_string().contains("4B"));
+        assert!(Flit::head(5, h, vec![0; 4]).to_string().contains("pkt5"));
+        assert!(Flit::body(5, 4).to_string().contains("4B"));
         assert_eq!(Direction::Response.to_string(), "resp");
     }
 }

@@ -46,6 +46,6 @@ pub mod switch;
 pub use arbiter::{Arbiter, RoundRobinArbiter};
 pub use buffer::FlitFifo;
 pub use flit::{Direction, Flit, FlitType, Header, LOCKED_BIT, MAX_PRESSURE};
-pub use packet::{Packet, PacketAssembler, ReassemblyError};
+pub use packet::{IntoFlits, Packet, PacketAssembler, ReassemblyError};
 pub use routing::{PortId, RouteError, RoutingTable};
 pub use switch::{Switch, SwitchConfig, SwitchMode, SwitchStats, SwitchTick};

@@ -5,6 +5,13 @@ use std::fmt;
 
 /// A transport packet: one header plus a byte payload.
 ///
+/// A packet crosses the fabric as flits, and its payload crosses it
+/// *once*: [`Packet::into_flits_with_id`] moves the payload buffer onto
+/// the head flit, the body and tail flits behind it are plain records of
+/// how many bytes each stands for, and [`PacketAssembler`] hands the same
+/// buffer back on the tail. The borrowing [`Packet::to_flits`] family
+/// clones the packet once and then does exactly that.
+///
 /// # Examples
 ///
 /// ```
@@ -43,14 +50,30 @@ impl Packet {
         }
     }
 
-    /// Serialises into flits: a head flit carrying the header, then
-    /// payload chunks, the last marked tail. Payload-less packets become a
-    /// single head-tail flit.
+    /// Serialises into flits: a head flit carrying the header and the
+    /// payload buffer, then one body flit per `flit_bytes` of payload,
+    /// the last marked tail. Payload-less packets become a single
+    /// head-tail flit. Consumes the packet — nothing is copied and
+    /// nothing is allocated; NIUs extend their egress queue straight
+    /// from the iterator.
     ///
-    /// `packet_id` disambiguation is the header's `(src, …)` plus a source
-    /// sequence number maintained by the sending NIU; here we derive a
-    /// stable id from the header fields for tests, callers may override
-    /// via [`Packet::to_flits_with_id`].
+    /// `packet_id` is the sending NIU's sequence number for the packet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flit_bytes` is zero.
+    pub fn into_flits_with_id(self, flit_bytes: usize, packet_id: u64) -> IntoFlits {
+        assert!(flit_bytes > 0, "flit payload width must be non-zero");
+        IntoFlits {
+            remaining: self.payload.len(),
+            head: Some((self.header, self.payload)),
+            packet_id,
+            flit_bytes,
+        }
+    }
+
+    /// [`Packet::to_flits_with_id`] with a stable id derived from the
+    /// header fields — for tests and probes; NIUs number their packets.
     ///
     /// # Panics
     ///
@@ -62,30 +85,20 @@ impl Packet {
         self.to_flits_with_id(flit_bytes, id)
     }
 
-    /// Serialises with an explicit packet id.
+    /// Borrowing form of [`Packet::into_flits_with_id`]: clones the
+    /// packet (the one payload copy), then moves it into flits.
     ///
     /// # Panics
     ///
     /// Panics if `flit_bytes` is zero.
     pub fn to_flits_with_id(&self, flit_bytes: usize, packet_id: u64) -> Vec<Flit> {
-        assert!(flit_bytes > 0, "flit payload width must be non-zero");
-        if self.payload.is_empty() {
-            return vec![Flit::head_tail(packet_id, self.header)];
-        }
-        let mut flits = vec![Flit::head(packet_id, self.header)];
-        let chunks: Vec<&[u8]> = self.payload.chunks(flit_bytes).collect();
-        let last = chunks.len() - 1;
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            if i == last {
-                flits.push(Flit::tail(packet_id, chunk.to_vec()));
-            } else {
-                flits.push(Flit::body(packet_id, chunk.to_vec()));
-            }
-        }
-        flits
+        self.clone()
+            .into_flits_with_id(flit_bytes, packet_id)
+            .collect()
     }
 
-    /// Reassembles a packet from a complete, ordered flit sequence.
+    /// Reassembles a packet from a complete, ordered flit sequence
+    /// (cloning each flit into a [`PacketAssembler`]).
     ///
     /// # Errors
     ///
@@ -104,6 +117,49 @@ impl Packet {
         done.ok_or(ReassemblyError::Incomplete)
     }
 }
+
+/// The flits of one packet, in wire order — see
+/// [`Packet::into_flits_with_id`].
+#[derive(Debug, Clone)]
+pub struct IntoFlits {
+    /// Header and payload buffer, until the head flit takes them.
+    head: Option<(Header, Vec<u8>)>,
+    packet_id: u64,
+    flit_bytes: usize,
+    /// Payload bytes no body/tail flit stands for yet.
+    remaining: usize,
+}
+
+impl Iterator for IntoFlits {
+    type Item = Flit;
+
+    fn next(&mut self) -> Option<Flit> {
+        if let Some((header, payload)) = self.head.take() {
+            return Some(if payload.is_empty() {
+                Flit::head_tail(self.packet_id, header)
+            } else {
+                Flit::head(self.packet_id, header, payload)
+            });
+        }
+        if self.remaining == 0 {
+            return None;
+        }
+        let bytes = self.remaining.min(self.flit_bytes);
+        self.remaining -= bytes;
+        Some(if self.remaining == 0 {
+            Flit::tail(self.packet_id, bytes)
+        } else {
+            Flit::body(self.packet_id, bytes)
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = usize::from(self.head.is_some()) + self.remaining.div_ceil(self.flit_bytes);
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for IntoFlits {}
 
 impl fmt::Display for Packet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -126,6 +182,15 @@ pub enum ReassemblyError {
         /// The intruding flit's id.
         got: u64,
     },
+    /// A tail arrived whose packet's body and tail byte counts do not add
+    /// up to the payload buffer its head carried (a truncated or
+    /// over-long flit stream).
+    LengthMismatch {
+        /// Bytes in the buffer the head flit carried.
+        expected: usize,
+        /// Bytes the body and tail flits stood for.
+        got: usize,
+    },
     /// The flit slice ended before a tail.
     Incomplete,
     /// Flits continued after the tail.
@@ -142,6 +207,12 @@ impl fmt::Display for ReassemblyError {
             ReassemblyError::UnexpectedHead => write!(f, "head flit while packet open"),
             ReassemblyError::InterleavedPacket { expected, got } => {
                 write!(f, "flit of packet {got} interleaved into packet {expected}")
+            }
+            ReassemblyError::LengthMismatch { expected, got } => {
+                write!(
+                    f,
+                    "flits stand for {got} payload bytes, head carried {expected}"
+                )
             }
             ReassemblyError::Incomplete => write!(f, "flit stream ended before tail"),
             ReassemblyError::TrailingFlit { index } => {
@@ -160,6 +231,13 @@ impl std::error::Error for ReassemblyError {}
 /// allocates per-packet, store-and-forward moves whole packets), a single
 /// open packet suffices.
 ///
+/// Reassembly moves, it does not copy: the head flit's payload buffer is
+/// held while the body flits are counted, and the tail releases *that
+/// buffer* as the packet's payload once the counted bytes equal its
+/// length ([`ReassemblyError::LengthMismatch`] otherwise). A flit the
+/// assembler rejects leaves it exactly as it was — the packet in progress
+/// is not lost to a stray flit.
+///
 /// # Examples
 ///
 /// ```
@@ -175,7 +253,17 @@ impl std::error::Error for ReassemblyError {}
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PacketAssembler {
-    open: Option<(u64, Header, Vec<u8>)>,
+    open: Option<OpenPacket>,
+}
+
+/// The packet in progress: what its head carried and how many payload
+/// bytes the flits behind it have stood for so far.
+#[derive(Debug, Clone)]
+struct OpenPacket {
+    id: u64,
+    header: Header,
+    payload: Vec<u8>,
+    received: usize,
 }
 
 impl PacketAssembler {
@@ -193,42 +281,45 @@ impl PacketAssembler {
     ///
     /// # Errors
     ///
-    /// Returns a [`ReassemblyError`] on protocol violations.
+    /// Returns a [`ReassemblyError`] on protocol violations; the
+    /// assembler's state is then unchanged.
     pub fn push(&mut self, flit: Flit) -> Result<Option<Packet>, ReassemblyError> {
-        match flit.kind() {
-            FlitType::HeadTail => {
-                if self.open.is_some() {
-                    return Err(ReassemblyError::UnexpectedHead);
-                }
-                let header = *flit.header().expect("head flit carries header");
-                Ok(Some(Packet::new(header, Vec::new())))
+        let (kind, id, bytes) = (flit.kind(), flit.packet_id(), flit.payload_len());
+        if let Some((header, payload)) = flit.into_head() {
+            if self.open.is_some() {
+                return Err(ReassemblyError::UnexpectedHead);
             }
-            FlitType::Head => {
-                if self.open.is_some() {
-                    return Err(ReassemblyError::UnexpectedHead);
-                }
-                let header = *flit.header().expect("head flit carries header");
-                self.open = Some((flit.packet_id(), header, Vec::new()));
-                Ok(None)
+            if kind == FlitType::HeadTail {
+                return Ok(Some(Packet::new(header, payload)));
             }
-            FlitType::Body | FlitType::Tail => {
-                let (id, header, mut payload) =
-                    self.open.take().ok_or(ReassemblyError::OrphanFlit)?;
-                if id != flit.packet_id() {
-                    return Err(ReassemblyError::InterleavedPacket {
-                        expected: id,
-                        got: flit.packet_id(),
-                    });
-                }
-                payload.extend_from_slice(flit.payload());
-                if flit.kind() == FlitType::Tail {
-                    Ok(Some(Packet::new(header, payload)))
-                } else {
-                    self.open = Some((id, header, payload));
-                    Ok(None)
-                }
-            }
+            self.open = Some(OpenPacket {
+                id,
+                header,
+                payload,
+                received: 0,
+            });
+            return Ok(None);
         }
+        let open = self.open.as_mut().ok_or(ReassemblyError::OrphanFlit)?;
+        if open.id != id {
+            return Err(ReassemblyError::InterleavedPacket {
+                expected: open.id,
+                got: id,
+            });
+        }
+        let received = open.received + bytes;
+        if kind != FlitType::Tail {
+            open.received = received;
+            return Ok(None);
+        }
+        if received != open.payload.len() {
+            return Err(ReassemblyError::LengthMismatch {
+                expected: open.payload.len(),
+                got: received,
+            });
+        }
+        let open = self.open.take().expect("checked open above");
+        Ok(Some(Packet::new(open.header, open.payload)))
     }
 }
 
@@ -265,7 +356,8 @@ mod tests {
         let p = Packet::new(hdr(), vec![1, 2, 3, 4, 5]);
         let flits = p.to_flits(4);
         assert_eq!(flits.len(), 3);
-        assert_eq!(flits[2].payload(), &[5]);
+        assert_eq!(flits[1].payload_len(), 4);
+        assert_eq!(flits[2].payload_len(), 1);
         assert_eq!(Packet::from_flits(&flits).unwrap(), p);
     }
 
@@ -289,23 +381,23 @@ mod tests {
     #[test]
     fn orphan_flit_rejected() {
         let mut asm = PacketAssembler::new();
-        let e = asm.push(Flit::body(1, vec![0])).unwrap_err();
+        let e = asm.push(Flit::body(1, 1)).unwrap_err();
         assert_eq!(e, ReassemblyError::OrphanFlit);
     }
 
     #[test]
     fn double_head_rejected() {
         let mut asm = PacketAssembler::new();
-        asm.push(Flit::head(1, hdr())).unwrap();
-        let e = asm.push(Flit::head(2, hdr())).unwrap_err();
+        asm.push(Flit::head(1, hdr(), vec![7])).unwrap();
+        let e = asm.push(Flit::head(2, hdr(), vec![8])).unwrap_err();
         assert_eq!(e, ReassemblyError::UnexpectedHead);
     }
 
     #[test]
     fn interleaved_packet_rejected() {
         let mut asm = PacketAssembler::new();
-        asm.push(Flit::head(1, hdr())).unwrap();
-        let e = asm.push(Flit::body(9, vec![0])).unwrap_err();
+        asm.push(Flit::head(1, hdr(), vec![7])).unwrap();
+        let e = asm.push(Flit::body(9, 1)).unwrap_err();
         assert_eq!(
             e,
             ReassemblyError::InterleavedPacket {
@@ -327,7 +419,7 @@ mod tests {
     fn trailing_flit_detected() {
         let p = Packet::new(hdr(), vec![0; 4]);
         let mut flits = p.to_flits(4);
-        flits.push(Flit::body(0, vec![1]));
+        flits.push(Flit::body(0, 1));
         assert!(matches!(
             Packet::from_flits(&flits),
             Err(ReassemblyError::TrailingFlit { index: 2 })
@@ -338,10 +430,53 @@ mod tests {
     fn assembler_in_progress_state() {
         let mut asm = PacketAssembler::new();
         assert!(!asm.in_progress());
-        asm.push(Flit::head(1, hdr())).unwrap();
+        asm.push(Flit::head(1, hdr(), vec![0])).unwrap();
         assert!(asm.in_progress());
-        asm.push(Flit::tail(1, vec![0])).unwrap();
+        asm.push(Flit::tail(1, 1)).unwrap();
         assert!(!asm.in_progress());
+    }
+
+    #[test]
+    fn a_rejected_flit_leaves_the_open_packet_intact() {
+        let p = Packet::new(hdr(), vec![1, 2, 3, 4, 5, 6]);
+        let mut flits = p.to_flits_with_id(4, 1).into_iter();
+        let mut asm = PacketAssembler::new();
+        asm.push(flits.next().unwrap()).unwrap();
+        asm.push(flits.next().unwrap()).unwrap();
+        // An intruder, a second head and a tail of the wrong length are
+        // each refused...
+        assert!(matches!(
+            asm.push(Flit::body(9, 2)),
+            Err(ReassemblyError::InterleavedPacket { .. })
+        ));
+        assert_eq!(
+            asm.push(Flit::head(2, hdr(), vec![0])),
+            Err(ReassemblyError::UnexpectedHead)
+        );
+        assert_eq!(
+            asm.push(Flit::tail(1, 3)),
+            Err(ReassemblyError::LengthMismatch {
+                expected: 6,
+                got: 7
+            })
+        );
+        // ...and the packet in progress still completes.
+        assert!(asm.in_progress());
+        assert_eq!(asm.push(flits.next().unwrap()), Ok(Some(p)));
+    }
+
+    #[test]
+    fn into_flits_moves_the_payload_buffer_through() {
+        let payload = vec![0xEE; 21];
+        let buffer = payload.as_ptr();
+        let flits = Packet::new(hdr(), payload).into_flits_with_id(8, 5);
+        assert_eq!(flits.len(), 4);
+        let mut asm = PacketAssembler::new();
+        let mut out = None;
+        for flit in flits {
+            out = asm.push(flit).unwrap();
+        }
+        assert_eq!(out.unwrap().payload.as_ptr(), buffer);
     }
 
     #[test]
@@ -356,5 +491,10 @@ mod tests {
         assert!(ReassemblyError::TrailingFlit { index: 4 }
             .to_string()
             .contains('4'));
+        let mismatch = ReassemblyError::LengthMismatch {
+            expected: 8,
+            got: 5,
+        };
+        assert!(mismatch.to_string().contains("5 payload bytes"));
     }
 }

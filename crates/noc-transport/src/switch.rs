@@ -110,6 +110,23 @@ pub struct SwitchTick {
     /// Input ports that drained one flit (their upstream regains a
     /// credit).
     pub credits_released: Vec<usize>,
+    /// Allocation scratch: this cycle's request table. It lives in the
+    /// caller-owned result, not in the switch, so a fabric of thousands
+    /// of switches shares one.
+    requests: Vec<Request>,
+}
+
+/// One row of a cycle's request table: an idle input whose FIFO front is
+/// a head flit eligible to claim `output`.
+#[derive(Debug, Clone, Copy)]
+struct Request {
+    input: usize,
+    output: usize,
+    pressure: u8,
+    /// The head's LOCKED service bit: granting pins the output.
+    locked: bool,
+    /// The head ends a locked sequence: its tail releases the pin.
+    lock_release: bool,
 }
 
 /// An input-buffered NoC switch.
@@ -146,9 +163,13 @@ pub struct Switch {
     out_credits: Vec<u32>,
     arbiters: Vec<RoundRobinArbiter>,
     stats: SwitchStats,
-    /// Allocation-request scratch (one slot per input), reused across
-    /// ticks so the per-output arbitration pass allocates nothing.
+    /// Arbiter input scratch (one slot per input, all `None` between
+    /// arbitrations), reused so allocation allocates nothing.
     req_scratch: Vec<Option<u8>>,
+    /// Flits buffered across all inputs and inputs holding an output:
+    /// both zero is [`Switch::is_idle`], without scanning.
+    buffered: usize,
+    allocated: usize,
 }
 
 impl Switch {
@@ -177,6 +198,8 @@ impl Switch {
             config,
             table,
             stats: SwitchStats::default(),
+            buffered: 0,
+            allocated: 0,
         }
     }
 
@@ -203,7 +226,9 @@ impl Switch {
     /// Pushes a flit into input `port`. Returns `false` when the buffer is
     /// full (a flow-control violation by the caller).
     pub fn accept(&mut self, port: usize, flit: Flit) -> bool {
-        self.inputs[port].push(flit)
+        let accepted = self.inputs[port].push(flit);
+        self.buffered += usize::from(accepted);
+        accepted
     }
 
     /// Sets the credit count of output `port` (downstream buffer space).
@@ -238,7 +263,7 @@ impl Switch {
 
     /// Returns `true` if the switch holds no flits and no allocations.
     pub fn is_idle(&self) -> bool {
-        self.inputs.iter().all(|f| f.is_empty()) && self.in_alloc.iter().all(|a| a.is_none())
+        self.buffered == 0 && self.allocated == 0
     }
 
     /// The switch's event horizon: the earliest base cycle at or after
@@ -285,57 +310,62 @@ impl Switch {
     pub fn tick_into(&mut self, tick: &mut SwitchTick) {
         tick.sent.clear();
         tick.credits_released.clear();
-        self.allocate();
+        self.allocate(&mut tick.requests);
         self.forward(tick);
     }
 
     /// Output allocation: for every free output, competing head flits are
     /// arbitrated by pressure-aware round-robin.
-    fn allocate(&mut self) {
+    ///
+    /// One pass over the inputs builds the cycle's request table — each
+    /// idle input's head flit is looked at, routed and filtered exactly
+    /// once — and each free output then arbitrates over its rows. A head
+    /// requests one output only and a grant changes nothing another
+    /// output's candidates depend on, so evaluating every filter up front
+    /// selects the same candidates as re-scanning the inputs per output.
+    fn allocate(&mut self, requests: &mut Vec<Request>) {
+        requests.clear();
+        for (input, fifo) in self.inputs.iter().enumerate() {
+            if self.in_alloc[input].is_some() {
+                continue;
+            }
+            let Some(header) = fifo.peek().and_then(Flit::header) else {
+                continue;
+            };
+            let Ok(port) = self.table.lookup(header.dst) else {
+                continue;
+            };
+            let output = port.index();
+            if output >= self.config.outputs {
+                continue;
+            }
+            if self.config.mode == SwitchMode::StoreAndForward && fifo.complete_packets() == 0 {
+                continue;
+            }
+            // Lock pinning: a locked output only admits its owner.
+            if self.out_lock[output].is_some_and(|owner| owner != input) {
+                continue;
+            }
+            requests.push(Request {
+                input,
+                output,
+                pressure: header.pressure,
+                locked: header.is_locked(),
+                lock_release: header.lock_release,
+            });
+        }
         for o in 0..self.config.outputs {
             // An output is free for (re)allocation when no input is
             // actively streaming to it.
-            let streaming = self.out_owner[o]
-                .map(|i| self.in_alloc[i] == Some(o))
-                .unwrap_or(false);
+            let streaming = self.out_owner[o].is_some_and(|i| self.in_alloc[i] == Some(o));
             if streaming {
                 continue;
             }
-            // Candidates: idle inputs whose head flit routes to o.
-            self.req_scratch.fill(None);
-            #[allow(clippy::needless_range_loop)] // i indexes three parallel arrays
-            for i in 0..self.config.inputs {
-                if self.in_alloc[i].is_some() {
-                    continue;
-                }
-                let Some(flit) = self.inputs[i].peek() else {
-                    continue;
-                };
-                if !flit.is_head() {
-                    continue;
-                }
-                let header = flit.header().expect("head flit carries header");
-                let Ok(port) = self.table.lookup(header.dst) else {
-                    continue;
-                };
-                if port.index() != o {
-                    continue;
-                }
-                if self.config.mode == SwitchMode::StoreAndForward
-                    && self.inputs[i].complete_packets() == 0
-                {
-                    continue;
-                }
-                // Lock pinning: a locked output only admits its owner.
-                if let Some(lock_owner) = self.out_lock[o] {
-                    if lock_owner != i {
-                        continue;
-                    }
-                }
-                let pressure = header.pressure;
-                self.req_scratch[i] = Some(pressure);
+            let mut n_req = 0;
+            for r in requests.iter().filter(|r| r.output == o) {
+                self.req_scratch[r.input] = Some(r.pressure);
+                n_req += 1;
             }
-            let n_req = self.req_scratch.iter().flatten().count();
             if n_req == 0 {
                 if self.out_lock[o].is_some() {
                     self.stats.lock_idle_cycles += 1;
@@ -348,16 +378,18 @@ impl Switch {
             let winner = self.arbiters[o]
                 .pick(&self.req_scratch)
                 .expect("candidates exist, arbiter must grant");
-            self.in_alloc[winner] = Some(o);
-            self.out_owner[o] = Some(winner);
-            let header = self.inputs[winner]
-                .peek()
-                .and_then(|f| f.header())
-                .expect("winner head flit");
-            self.in_lock_release[winner] = header.lock_release;
-            if header.is_locked() {
+            self.req_scratch.fill(None);
+            let grant = requests
+                .iter()
+                .find(|r| r.input == winner)
+                .expect("the winner requested");
+            self.in_lock_release[winner] = grant.lock_release;
+            if grant.locked {
                 self.out_lock[o] = Some(winner);
             }
+            self.in_alloc[winner] = Some(o);
+            self.out_owner[o] = Some(winner);
+            self.allocated += 1;
         }
     }
 
@@ -380,6 +412,7 @@ impl Switch {
                 continue;
             }
             let flit = self.inputs[i].pop().expect("peeked flit must pop");
+            self.buffered -= 1;
             self.out_credits[o] -= 1;
             self.stats.flits_forwarded += 1;
             tick.credits_released.push(i);
@@ -388,6 +421,7 @@ impl Switch {
             if is_tail {
                 self.stats.packets_forwarded += 1;
                 self.in_alloc[i] = None;
+                self.allocated -= 1;
                 match self.out_lock[o] {
                     Some(owner) if owner == i => {
                         if self.in_lock_release[i] {

@@ -272,6 +272,372 @@ fn endianness_is_involution() {
     }
 }
 
+/// The packet → flits → assembler path moves the payload, it does not
+/// copy it: for every payload length and flit width the buffer that
+/// went in is the buffer that comes out (same allocation), the flit
+/// kinds and count are what `flit_count` promises, and a stream whose
+/// body flits do not add up to the carried buffer — one dropped, one
+/// duplicated — is a typed error that leaves the packet open.
+#[test]
+fn payload_buffer_travels_once_through_flits_and_assembler() {
+    use noc_transport::{FlitType, PacketAssembler, ReassemblyError};
+
+    for len in 0..=64usize {
+        for width in 1..=16usize {
+            let payload: Vec<u8> = (0..len as u8).collect();
+            let buffer = payload.as_ptr();
+            let packet = Packet::new(Header::request(1, 2, 3), payload);
+            let (reference, count) = (packet.clone(), packet.flit_count(width));
+            let flits: Vec<Flit> = packet.into_flits_with_id(width, 77).collect();
+            assert_eq!(flits.len(), count, "len {len} width {width}");
+            for (i, flit) in flits.iter().enumerate() {
+                let expect = match (i, len) {
+                    (0, 0) => FlitType::HeadTail,
+                    (0, _) => FlitType::Head,
+                    _ if i == count - 1 => FlitType::Tail,
+                    _ => FlitType::Body,
+                };
+                assert_eq!(flit.kind(), expect, "len {len} width {width} flit {i}");
+                assert!(flit.payload_len() <= width);
+            }
+            let carried: usize = flits.iter().map(Flit::payload_len).sum();
+            assert_eq!(carried, len, "len {len} width {width}");
+
+            // Malformed variants first (they clone), while `flits` is whole.
+            if count >= 3 {
+                let mut asm = PacketAssembler::new();
+                let mut short = flits.clone();
+                let dropped = short.remove(1).payload_len();
+                let last = short.pop().expect("tail");
+                for flit in short {
+                    assert_eq!(asm.push(flit), Ok(None));
+                }
+                let (expected, got) = (len, len - dropped);
+                assert_eq!(
+                    asm.push(last.clone()),
+                    Err(ReassemblyError::LengthMismatch { expected, got }),
+                    "truncated: len {len} width {width}"
+                );
+                // Rejected, not dropped: the missing flit still completes it.
+                assert_eq!(asm.push(flits[1].clone()), Ok(None));
+                assert_eq!(asm.push(last), Ok(Some(reference.clone())));
+
+                let mut long = flits.clone();
+                long.insert(1, flits[1].clone());
+                let got = len + flits[1].payload_len();
+                assert_eq!(
+                    Packet::from_flits(&long),
+                    Err(ReassemblyError::LengthMismatch { expected, got }),
+                    "over-long: len {len} width {width}"
+                );
+            }
+
+            let mut asm = PacketAssembler::new();
+            let mut out = None;
+            for flit in flits {
+                assert!(out.is_none(), "completed before the tail");
+                out = asm.push(flit).expect("well-formed stream");
+            }
+            let out = out.expect("tail completes the packet");
+            assert_eq!(out, reference, "len {len} width {width}");
+            if len > 0 {
+                assert_eq!(out.payload.as_ptr(), buffer, "len {len} width {width}");
+            }
+        }
+    }
+}
+
+/// The switch as it allocated before the one-pass request table: every
+/// free output re-scans every input, peeks its FIFO, routes its head and
+/// applies every filter again. Kept here as the oracle the product
+/// switch is compared against; forwarding is the shared rule.
+struct OracleSwitch {
+    mode: noc_transport::SwitchMode,
+    depth: usize,
+    table: noc_transport::RoutingTable,
+    inputs: Vec<std::collections::VecDeque<Flit>>,
+    in_alloc: Vec<Option<usize>>,
+    in_lock_release: Vec<bool>,
+    out_owner: Vec<Option<usize>>,
+    out_lock: Vec<Option<usize>>,
+    out_credits: Vec<u32>,
+    arbiters: Vec<noc_transport::RoundRobinArbiter>,
+    stats: noc_transport::SwitchStats,
+}
+
+impl OracleSwitch {
+    fn new(config: noc_transport::SwitchConfig, table: noc_transport::RoutingTable) -> Self {
+        OracleSwitch {
+            mode: config.mode,
+            depth: config.buffer_depth,
+            table,
+            inputs: vec![Default::default(); config.inputs],
+            in_alloc: vec![None; config.inputs],
+            in_lock_release: vec![false; config.inputs],
+            out_owner: vec![None; config.outputs],
+            out_lock: vec![None; config.outputs],
+            out_credits: vec![0; config.outputs],
+            arbiters: vec![Default::default(); config.outputs],
+            stats: Default::default(),
+        }
+    }
+
+    fn accept(&mut self, port: usize, flit: Flit) -> bool {
+        let space = self.inputs[port].len() < self.depth;
+        if space {
+            self.inputs[port].push_back(flit);
+        }
+        space
+    }
+
+    fn allocate(&mut self) {
+        use noc_transport::{Arbiter, SwitchMode};
+        for o in 0..self.out_owner.len() {
+            if self.out_owner[o].is_some_and(|i| self.in_alloc[i] == Some(o)) {
+                continue;
+            }
+            let requests: Vec<Option<u8>> = (0..self.inputs.len())
+                .map(|i| {
+                    let header = self.inputs[i].front()?.header()?;
+                    let whole_packet = self.inputs[i].iter().any(Flit::is_tail);
+                    (self.in_alloc[i].is_none()
+                        && self.table.lookup(header.dst).ok()?.index() == o
+                        && (self.mode == SwitchMode::Wormhole || whole_packet)
+                        && self.out_lock[o].is_none_or(|owner| owner == i))
+                    .then_some(header.pressure)
+                })
+                .collect();
+            let n_req = requests.iter().flatten().count();
+            if n_req == 0 {
+                self.stats.lock_idle_cycles += u64::from(self.out_lock[o].is_some());
+                continue;
+            }
+            self.stats.arbitration_conflicts += u64::from(n_req > 1);
+            let winner = self.arbiters[o].pick(&requests).expect("a requester");
+            self.in_alloc[winner] = Some(o);
+            self.out_owner[o] = Some(winner);
+            let header = *self.inputs[winner].front().and_then(Flit::header).unwrap();
+            self.in_lock_release[winner] = header.lock_release;
+            if header.is_locked() {
+                self.out_lock[o] = Some(winner);
+            }
+        }
+    }
+
+    fn tick(&mut self) -> (Vec<(noc_transport::PortId, Flit)>, Vec<usize>) {
+        self.allocate();
+        let (mut sent, mut released) = (Vec::new(), Vec::new());
+        for o in 0..self.out_owner.len() {
+            let Some(i) = self.out_owner[o] else { continue };
+            if self.in_alloc[i] != Some(o) || self.inputs[i].is_empty() {
+                continue;
+            }
+            if self.out_credits[o] == 0 {
+                self.stats.credit_stalls += 1;
+                continue;
+            }
+            let flit = self.inputs[i].pop_front().expect("checked non-empty");
+            self.out_credits[o] -= 1;
+            self.stats.flits_forwarded += 1;
+            released.push(i);
+            if flit.is_tail() {
+                self.stats.packets_forwarded += 1;
+                self.in_alloc[i] = None;
+                let releases = self.in_lock_release[i];
+                if self.out_lock[o] != Some(i) || releases {
+                    self.out_owner[o] = None;
+                }
+                if self.out_lock[o] == Some(i) && releases {
+                    self.out_lock[o] = None;
+                }
+                self.in_lock_release[i] = false;
+            }
+            sent.push((noc_transport::PortId(o as u8), flit));
+        }
+        (sent, released)
+    }
+}
+
+/// One-pass output allocation ≡ the per-output re-scan it replaced, tick
+/// for tick, over random switches: both switching modes, locked
+/// sequences with and without their releasing packet, mixed pressures,
+/// packets arriving a flit at a time (heads ahead of their bodies),
+/// outputs starved of credit, an unroutable destination now and then.
+#[test]
+fn one_pass_allocation_equals_the_per_output_scan() {
+    use noc_transport::{PortId, RoutingTable, Switch, SwitchConfig, SwitchMode, LOCKED_BIT};
+
+    let mut rng = SplitMix64::new(0xA110C);
+    for case in 0..CASES {
+        let (inputs, outputs) = (rng.next_range(1, 5) as usize, rng.next_range(1, 5) as usize);
+        let config = SwitchConfig {
+            inputs,
+            outputs,
+            mode: if rng.chance(0.5) {
+                SwitchMode::Wormhole
+            } else {
+                SwitchMode::StoreAndForward
+            },
+            buffer_depth: rng.next_range(4, 8) as usize,
+        };
+        const NODES: u16 = 8;
+        let mut table = RoutingTable::new(NODES as usize);
+        for dst in 0..NODES {
+            if rng.chance(0.95) {
+                table.set(dst, PortId(rng.next_below(outputs as u64) as u8));
+            }
+        }
+        let mut switch = Switch::new(config, table.clone());
+        let mut oracle = OracleSwitch::new(config, table);
+        // Per input: the flits of packets still on their way in.
+        let mut arriving: Vec<std::collections::VecDeque<Flit>> = vec![Default::default(); inputs];
+        let mut next_id = 0u64;
+        for tick in 0..rng.next_range(20, 80) {
+            for (i, queue) in arriving.iter_mut().enumerate() {
+                if queue.is_empty() && rng.chance(0.5) {
+                    let mut header =
+                        Header::request(rng.next_below(NODES as u64) as u16, i as u16, 0)
+                            .with_pressure(rng.next_below(4) as u8);
+                    if rng.chance(0.2) {
+                        header = header.with_services(LOCKED_BIT);
+                        header.lock_release = rng.chance(0.5);
+                    }
+                    // At most 1 + 3 flits: a whole packet fits the
+                    // shallowest buffer, as store-and-forward needs.
+                    let payload = vec![0; rng.next_below(13) as usize];
+                    queue.extend(Packet::new(header, payload).into_flits_with_id(4, next_id));
+                    next_id += 1;
+                }
+                if !queue.is_empty() && rng.chance(0.7) && switch.can_accept(i) {
+                    let flit = queue.pop_front().expect("checked non-empty");
+                    assert!(oracle.accept(i, flit.clone()), "case {case} tick {tick}");
+                    assert!(switch.accept(i, flit), "case {case} tick {tick}");
+                }
+            }
+            for o in 0..outputs {
+                if rng.chance(0.4) {
+                    switch.add_output_credit(o);
+                    oracle.out_credits[o] += 1;
+                }
+            }
+            let got = switch.tick();
+            let (sent, released) = oracle.tick();
+            assert_eq!(got.sent, sent, "case {case} tick {tick}");
+            assert_eq!(got.credits_released, released, "case {case} tick {tick}");
+            assert_eq!(*switch.stats(), oracle.stats, "case {case} tick {tick}");
+            let oracle_idle = oracle.inputs.iter().all(|q| q.is_empty())
+                && oracle.in_alloc.iter().all(Option::is_none);
+            assert_eq!(switch.is_idle(), oracle_idle, "case {case} tick {tick}");
+        }
+    }
+}
+
+/// The credit ring ≡ a `due cycle → links` map under random release /
+/// apply sequences, including horizon skips far longer than the ring
+/// (every slot due at once) and repeated applies of one cycle.
+#[test]
+fn credit_ring_equals_a_due_cycle_map() {
+    use noc_system::CreditRing;
+    use std::collections::BTreeMap;
+
+    let mut rng = SplitMix64::new(0xC4ED);
+    for case in 0..CASES {
+        let max_latency = rng.next_range(1, 6);
+        let mut ring = CreditRing::new(max_latency);
+        let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        let mut now = 0u64;
+        for op in 0..rng.next_range(10, 150) {
+            // A step applies the credits due, then releases new ones —
+            // the order `Soc::step` runs the fabric in.
+            let mut applied = Vec::new();
+            ring.drain_due(now, |link| applied.push(link));
+            let mut expect = Vec::new();
+            while let Some(entry) = model.first_entry().filter(|e| *e.key() <= now) {
+                expect.extend(entry.remove());
+            }
+            applied.sort_unstable();
+            expect.sort_unstable();
+            assert_eq!(applied, expect, "case {case} op {op} now {now}");
+            if rng.chance(0.2) {
+                ring.drain_due(now, |link| panic!("case {case}: link {link} applied twice"));
+            }
+            for _ in 0..rng.next_below(4) {
+                let (due, link) = (
+                    now + rng.next_range(1, max_latency),
+                    rng.next_below(50) as u32,
+                );
+                ring.push(due, link);
+                model.entry(due).or_default().push(link);
+            }
+            now += match rng.next_below(10) {
+                0 => rng.next_range(max_latency, 20 * max_latency), // a long skip
+                1..=3 => rng.next_range(2, max_latency + 1),
+                _ => 1,
+            };
+        }
+    }
+}
+
+/// The bitset `ActiveSet` ≡ an ordered-set model: membership, length,
+/// ascending iteration, `next_from` at arbitrary cursors, and the walk
+/// the tick loops do — visit ascending, retiring some members as they
+/// are visited.
+#[test]
+fn active_set_equals_an_ordered_set_model() {
+    use noc_system::ActiveSet;
+    use std::collections::BTreeSet;
+
+    let mut rng = SplitMix64::new(0xAC71);
+    for case in 0..CASES {
+        let capacity = rng.next_range(1, 300) as usize;
+        let mut set = ActiveSet::with_capacity(capacity);
+        let mut model = BTreeSet::new();
+        for op in 0..rng.next_range(10, 200) {
+            let i = rng.next_below(capacity as u64) as usize;
+            match rng.next_below(10) {
+                0..=4 => {
+                    set.insert(i);
+                    model.insert(i);
+                }
+                5..=7 => {
+                    set.remove(i);
+                    model.remove(&i);
+                }
+                8 => {
+                    let mut visited = Vec::new();
+                    let mut next = set.next_from(0);
+                    while let Some(m) = next {
+                        next = set.next_from(m + 1);
+                        visited.push(m);
+                        if rng.chance(0.5) {
+                            set.remove(m);
+                        }
+                    }
+                    assert!(
+                        visited.iter().copied().eq(model.iter().copied()),
+                        "case {case} op {op}"
+                    );
+                    model.retain(|&m| set.next_from(m) == Some(m));
+                }
+                _ => {
+                    if rng.chance(0.3) {
+                        set.clear();
+                        model.clear();
+                    }
+                }
+            }
+            assert_eq!((set.len(), set.is_empty()), (model.len(), model.is_empty()));
+            assert!(set.iter().eq(model.iter().copied()), "case {case} op {op}");
+            let from = rng.next_below(capacity as u64 + 70) as usize;
+            assert_eq!(
+                set.next_from(from),
+                model.range(from..).next().copied(),
+                "case {case} op {op} from {from}"
+            );
+        }
+    }
+}
+
 /// A random valid scenario exercising every serializable knob: socket
 /// mixes and parameters, target kinds (memory, AXI slave, service
 /// block), ordering/outstanding/pressure/flit overrides, clock
