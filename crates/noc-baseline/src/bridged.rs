@@ -257,7 +257,7 @@ impl Engine for BridgedInterconnect {
                     .position(|s| s.is_none())
                     .expect("occupancy checked");
                 bridge.inflight[slot] = Some(InflightParent {
-                    req: req.clone(),
+                    req,
                     collected: Vec::new(),
                     worst: RespStatus::Okay,
                     remaining: chunks.len(),
@@ -318,13 +318,13 @@ impl Engine for BridgedInterconnect {
                 break;
             }
             if let Some((midx, sub)) = chosen {
-                let parent_req = self.bridges[midx].inflight[sub.parent_slot]
+                let parent_req = &self.bridges[midx].inflight[sub.parent_slot]
                     .as_ref()
                     .expect("sub references live parent")
-                    .req
-                    .clone();
+                    .req;
                 let master = MstAddr::new(midx as u16);
-                let opcode = parent_req.opcode();
+                let (opcode, parent_addr) = (parent_req.opcode(), parent_req.address());
+                let parent_beat_bytes = parent_req.burst().beat_bytes() as u64;
                 // Legacy lock emulation: the READEX/LOCK sequence pins
                 // the target until the unlocking write completes.
                 match opcode {
@@ -343,7 +343,7 @@ impl Engine for BridgedInterconnect {
                 // exclusive pairs.
                 match opcode {
                     Opcode::ReadExclusive | Opcode::ReadLinked => {
-                        self.monitor.arm(master, parent_req.address());
+                        self.monitor.arm(master, parent_addr);
                     }
                     Opcode::WriteExclusive | Opcode::WriteConditional => {
                         let decided = self.bridges[midx].inflight[sub.parent_slot]
@@ -352,7 +352,7 @@ impl Engine for BridgedInterconnect {
                             .exclusive_ok;
                         let ok = decided.unwrap_or_else(|| {
                             self.monitor
-                                .try_exclusive_write(master, parent_req.address())
+                                .try_exclusive_write(master, parent_addr)
                                 .is_success()
                         });
                         let parent = self.bridges[midx].inflight[sub.parent_slot]
@@ -380,34 +380,34 @@ impl Engine for BridgedInterconnect {
                     _ => {}
                 }
                 let slave = &mut self.slaves[sidx];
-                let plain = match opcode {
-                    Opcode::ReadExclusive | Opcode::ReadLinked | Opcode::ReadLocked => Opcode::Read,
-                    Opcode::WriteExclusive | Opcode::WriteConditional | Opcode::WriteUnlock => {
-                        Opcode::Write
-                    }
-                    op => op,
-                };
-                let wdata: Vec<u8> = if plain.is_write() {
+                let parent = self.bridges[midx].inflight[sub.parent_slot]
+                    .as_mut()
+                    .expect("sub references live parent");
+                let plain = opcode.plain();
+                let zeros;
+                let wdata: &[u8] = if plain.is_write() {
                     // slice of parent data corresponding to this chunk
-                    let off = (sub.addr.wrapping_sub(
-                        parent_req.address() & !(parent_req.burst().beat_bytes() as u64 - 1),
-                    )) as usize;
+                    let off = sub
+                        .addr
+                        .wrapping_sub(parent_addr & !(parent_beat_bytes - 1))
+                        as usize;
                     let len = sub.burst.total_bytes() as usize;
-                    let data = parent_req.data();
+                    let data = parent.req.data();
                     if off + len <= data.len() {
-                        data[off..off + len].to_vec()
+                        &data[off..off + len]
                     } else {
-                        vec![0; len]
+                        zeros = vec![0; len];
+                        &zeros
                     }
                 } else {
-                    Vec::new()
+                    &[]
                 };
                 let (mut status, data) = access(
                     &mut slave.mem,
                     plain,
                     sub.addr,
                     sub.burst,
-                    &wdata,
+                    wdata,
                     None,
                     master,
                 );
@@ -421,10 +421,12 @@ impl Engine for BridgedInterconnect {
                         .latency_for(slave.mem.latency(), opcode, sub.addr)
                     + sub.burst.beats() as u64;
                 let busy_until = slave.busy_until;
-                let parent = self.bridges[midx].inflight[sub.parent_slot]
-                    .as_mut()
-                    .expect("sub references live parent");
-                parent.collected.extend_from_slice(&data);
+                if parent.collected.is_empty() {
+                    // The first chunk's buffer is the response's buffer.
+                    parent.collected = data;
+                } else {
+                    parent.collected.extend_from_slice(&data);
+                }
                 parent.worst = Self::worst(parent.worst, status);
                 parent.remaining -= 1;
                 if parent.remaining == 0 {

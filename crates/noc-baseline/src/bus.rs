@@ -170,10 +170,9 @@ impl Engine for SharedBus {
             m.fe.tick(now);
         }
         // Complete the in-service transaction.
-        if let Some((midx, req, done_at)) = &self.busy {
-            if now >= *done_at {
-                let (midx, req) = (*midx, req.clone());
-                self.busy = None;
+        if let Some(&(_, _, done_at)) = self.busy.as_ref() {
+            if now >= done_at {
+                let (midx, req, _) = self.busy.take().expect("matched in service");
                 let master = MstAddr::new(midx as u16);
                 let (status, data) = match self.map.decode(req.address()) {
                     Err(_) => (RespStatus::DecErr, Vec::new()),
@@ -211,15 +210,7 @@ impl Engine for SharedBus {
                             }
                             _ => {}
                         }
-                        let plain = match req.opcode() {
-                            Opcode::ReadExclusive | Opcode::ReadLinked | Opcode::ReadLocked => {
-                                Opcode::Read
-                            }
-                            Opcode::WriteExclusive
-                            | Opcode::WriteConditional
-                            | Opcode::WriteUnlock => Opcode::Write,
-                            op => op,
-                        };
+                        let plain = req.opcode().plain();
                         match self.slave_for(req.address()) {
                             Some(slave) => {
                                 let (st, data) = access(
@@ -259,11 +250,11 @@ impl Engine for SharedBus {
         // Grant the bus (round-robin, lock owner has absolute priority).
         if self.busy.is_none() {
             let n = self.masters.len();
-            let order: Vec<usize> = match self.lock_owner {
-                Some(owner) => vec![owner],
-                None => (0..n).map(|k| (self.rr + k) % n).collect(),
+            let (first, candidates) = match self.lock_owner {
+                Some(owner) => (owner, 1),
+                None => (self.rr, n),
             };
-            for midx in order {
+            for midx in (0..candidates).map(|k| (first + k) % n) {
                 if let Some(req) = self.masters[midx].fe.pull_request() {
                     let beats = req.burst().beats();
                     let (opcode, addr) = (req.opcode(), req.address());

@@ -3,6 +3,11 @@
 //! This is the *only* place where transaction-layer meaning is written
 //! into (and read back out of) the transport layer's opaque header
 //! fields — the codec is what keeps both layers ignorant of each other.
+//!
+//! Each direction has a by-move form (`*_into_*`), which hands the
+//! payload buffer from transaction to packet or back without copying and
+//! is what the NIUs call, and a borrowing form (`encode_*` / `decode_*`)
+//! that clones first, for callers that keep their input.
 
 use noc_transaction::{
     Burst, BurstKind, MstAddr, Opcode, RespStatus, ServiceBits, SlvAddr, Tag, TransactionRequest,
@@ -72,11 +77,12 @@ fn unpack_burst(packed: u32) -> Result<Burst, CodecError> {
     Burst::new(kind, beat_bytes, beats).map_err(|_| CodecError::BadBurst(packed))
 }
 
-/// Encodes a request transaction as a request-network packet.
+/// Encodes a request transaction as a request-network packet, moving
+/// the write payload's buffer into the packet.
 ///
 /// The write payload rides as packet payload; reads produce header-only
 /// packets.
-pub fn encode_request(req: &TransactionRequest) -> Packet {
+pub fn request_into_packet(req: TransactionRequest) -> Packet {
     let mut header = Header::request(req.dst().raw(), req.src().raw(), req.tag().raw());
     header.opcode = req.opcode().encode();
     header.address = req.address();
@@ -85,23 +91,30 @@ pub fn encode_request(req: &TransactionRequest) -> Packet {
     header.pressure = req.pressure().min(noc_transport::MAX_PRESSURE);
     header.lock_release = req.opcode() == Opcode::WriteUnlock;
     header.sideband = req.stream().raw() as u32;
-    Packet::new(header, req.data().to_vec())
+    Packet::new(header, req.into_data())
 }
 
-/// Decodes a request-network packet back into a transaction.
+/// Borrowing form of [`request_into_packet`]: clones the payload, then
+/// moves it. The NIUs use the by-move form.
+pub fn encode_request(req: &TransactionRequest) -> Packet {
+    request_into_packet(req.clone())
+}
+
+/// Decodes a request-network packet back into a transaction, moving the
+/// packet's payload buffer into the request.
 ///
 /// # Errors
 ///
 /// Returns a [`CodecError`] on malformed headers (possible only through
 /// fabric corruption — NIUs always encode valid packets).
-pub fn decode_request(pkt: &Packet) -> Result<TransactionRequest, CodecError> {
-    let h = &pkt.header;
+pub fn packet_into_request(pkt: Packet) -> Result<TransactionRequest, CodecError> {
+    let Packet { header: h, payload } = pkt;
     let opcode = Opcode::decode(h.opcode).ok_or(CodecError::BadOpcode(h.opcode))?;
     let burst = unpack_burst(h.burst)?;
-    if opcode.is_write() && pkt.payload.len() as u64 != burst.total_bytes() {
+    if opcode.is_write() && payload.len() as u64 != burst.total_bytes() {
         return Err(CodecError::PayloadMismatch {
             expected: burst.total_bytes(),
-            got: pkt.payload.len(),
+            got: payload.len(),
         });
     }
     let mut builder = TransactionRequest::builder(opcode)
@@ -114,34 +127,59 @@ pub fn decode_request(pkt: &Packet) -> Result<TransactionRequest, CodecError> {
         .services(ServiceBits::from_bits(h.services))
         .pressure(h.pressure);
     if opcode.is_write() {
-        builder = builder.data(pkt.payload.clone());
+        builder = builder.data(payload);
     }
     builder.build().map_err(|_| CodecError::BadBurst(h.burst))
 }
 
-/// Encodes a response transaction as a response-network packet.
-pub fn encode_response(resp: &TransactionResponse, pressure: u8) -> Packet {
+/// Borrowing form of [`packet_into_request`] (clone, then move).
+///
+/// # Errors
+///
+/// As [`packet_into_request`].
+pub fn decode_request(pkt: &Packet) -> Result<TransactionRequest, CodecError> {
+    packet_into_request(pkt.clone())
+}
+
+/// Encodes a response transaction as a response-network packet, moving
+/// the read payload's buffer into the packet.
+pub fn response_into_packet(resp: TransactionResponse, pressure: u8) -> Packet {
     let mut header = Header::response(resp.dst().raw(), resp.origin().raw(), resp.tag().raw());
     header.status = resp.status().encode();
     header.pressure = pressure.min(noc_transport::MAX_PRESSURE);
-    Packet::new(header, resp.data().to_vec())
+    Packet::new(header, resp.into_data())
 }
 
-/// Decodes a response-network packet.
+/// Borrowing form of [`response_into_packet`] (clone, then move).
+pub fn encode_response(resp: &TransactionResponse, pressure: u8) -> Packet {
+    response_into_packet(resp.clone(), pressure)
+}
+
+/// Decodes a response-network packet, moving the packet's payload buffer
+/// into the response.
 ///
 /// # Errors
 ///
 /// Returns [`CodecError::BadStatus`] on unassigned status bits.
-pub fn decode_response(pkt: &Packet) -> Result<TransactionResponse, CodecError> {
-    let h = &pkt.header;
+pub fn packet_into_response(pkt: Packet) -> Result<TransactionResponse, CodecError> {
+    let Packet { header: h, payload } = pkt;
     let status = RespStatus::decode(h.status).ok_or(CodecError::BadStatus(h.status))?;
     Ok(TransactionResponse::new(
         status,
         MstAddr::new(h.dst),
         SlvAddr::new(h.src),
         Tag::new(h.tag),
-        pkt.payload.clone(),
+        payload,
     ))
+}
+
+/// Borrowing form of [`packet_into_response`] (clone, then move).
+///
+/// # Errors
+///
+/// As [`packet_into_response`].
+pub fn decode_response(pkt: &Packet) -> Result<TransactionResponse, CodecError> {
+    packet_into_response(pkt.clone())
 }
 
 #[cfg(test)]

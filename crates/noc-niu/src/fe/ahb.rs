@@ -64,7 +64,7 @@ impl SocketInitiator for AhbInitiator {
             s => s,
         };
         let data = if opcode.is_read() {
-            resp.data().to_vec()
+            resp.into_data()
         } else {
             Vec::new()
         };

@@ -84,7 +84,7 @@ impl SocketInitiator for AxiInitiator {
             self.r_queue.push_back(AxiR {
                 id: stream.raw(),
                 status: resp.status(),
-                data: resp.data().to_vec(),
+                data: resp.into_data(),
             });
         } else {
             self.b_queue.push_back(AxiB {

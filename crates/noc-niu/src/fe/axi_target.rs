@@ -25,7 +25,6 @@ pub struct AxiTargetFe {
     /// (Local AXI ID, is-read) → pending (src, origin, tag) FIFOs.
     pending: HashMap<(u16, bool), PendingFifo>,
     out: VecDeque<TransactionResponse>,
-    retry: Option<TransactionRequest>,
 }
 
 impl AxiTargetFe {
@@ -36,7 +35,6 @@ impl AxiTargetFe {
             port: AxiPort::new(),
             pending: HashMap::new(),
             out: VecDeque::new(),
-            retry: None,
         }
     }
 
@@ -50,47 +48,10 @@ impl AxiTargetFe {
     fn local_id(src: MstAddr, tag: Tag) -> u16 {
         ((src.raw() & 0xFF) << 8) | tag.raw() as u16
     }
-
-    fn try_issue(&mut self, req: TransactionRequest) -> Option<TransactionRequest> {
-        let id = Self::local_id(req.src(), req.tag());
-        let ok = if req.opcode().is_read() {
-            self.port.ar.offer(AxiAr {
-                id,
-                addr: req.address(),
-                burst: req.burst(),
-                exclusive: false,
-            })
-        } else {
-            self.port.aw.offer(AxiAw {
-                id,
-                addr: req.address(),
-                burst: req.burst(),
-                data: req.data().to_vec(),
-                exclusive: false,
-            })
-        };
-        if ok {
-            self.pending
-                .entry((id, req.opcode().is_read()))
-                .or_default()
-                .push_back((
-                    req.src(),
-                    req.dst(),
-                    req.tag(),
-                    req.opcode().expects_response(),
-                ));
-            None
-        } else {
-            Some(req)
-        }
-    }
 }
 
 impl SocketTarget for AxiTargetFe {
     fn tick(&mut self, cycle: u64) {
-        if let Some(req) = self.retry.take() {
-            self.retry = self.try_issue(req);
-        }
         self.slave.tick(cycle, &mut self.port);
         if let Some(r) = self.port.r.take() {
             let (src, origin, tag, expects) = self
@@ -121,12 +82,42 @@ impl SocketTarget for AxiTargetFe {
         }
     }
 
-    fn push_request(&mut self, req: TransactionRequest) -> bool {
-        if self.retry.is_some() {
-            return false;
+    fn push_request(&mut self, req: TransactionRequest) -> Result<(), TransactionRequest> {
+        let is_read = req.opcode().is_read();
+        let ready = if is_read {
+            self.port.ar.ready()
+        } else {
+            self.port.aw.ready()
+        };
+        if !ready {
+            return Err(req);
         }
-        self.retry = self.try_issue(req);
-        self.retry.is_none()
+        let id = Self::local_id(req.src(), req.tag());
+        self.pending.entry((id, is_read)).or_default().push_back((
+            req.src(),
+            req.dst(),
+            req.tag(),
+            req.opcode().expects_response(),
+        ));
+        let (addr, burst) = (req.address(), req.burst());
+        let accepted = if is_read {
+            self.port.ar.offer(AxiAr {
+                id,
+                addr,
+                burst,
+                exclusive: false,
+            })
+        } else {
+            self.port.aw.offer(AxiAw {
+                id,
+                addr,
+                burst,
+                data: req.into_data(),
+                exclusive: false,
+            })
+        };
+        debug_assert!(accepted, "the channel was ready");
+        Ok(())
     }
 
     fn pull_response(&mut self) -> Option<TransactionResponse> {
@@ -137,8 +128,7 @@ impl SocketTarget for AxiTargetFe {
         // The pending FIFOs mirror the slave's in-service set, so with
         // them and every buffer drained the slave tick has nothing to
         // accept or emit: a pure no-op until a new request arrives.
-        let empty = self.retry.is_none()
-            && self.out.is_empty()
+        let empty = self.out.is_empty()
             && self.pending.values().all(|q| q.is_empty())
             && self.port.ar.is_empty()
             && self.port.aw.is_empty()

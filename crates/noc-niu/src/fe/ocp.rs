@@ -48,14 +48,15 @@ impl SocketInitiator for OcpInitiator {
     }
 
     fn push_response(&mut self, stream: StreamId, opcode: Opcode, resp: TransactionResponse) {
+        let status = resp.status();
         let data = if opcode.is_read() {
-            resp.data().to_vec()
+            resp.into_data()
         } else {
             Vec::new()
         };
         self.resp_queue.push_back(OcpResp {
             thread: stream.raw() as u8,
-            status: resp.status(),
+            status,
             data,
         });
     }

@@ -69,8 +69,8 @@ impl SocketInitiator for StrmInitiator {
     fn push_response(&mut self, _stream: StreamId, opcode: Opcode, resp: TransactionResponse) {
         debug_assert!(opcode.is_read(), "STRM only expects read responses");
         self.rdata_queue.push_back(StrmReadData {
-            data: resp.data().to_vec(),
             status: resp.status(),
+            data: resp.into_data(),
         });
     }
 

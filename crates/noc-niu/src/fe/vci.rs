@@ -54,14 +54,15 @@ impl SocketInitiator for VciInitiator {
     }
 
     fn push_response(&mut self, stream: StreamId, opcode: Opcode, resp: TransactionResponse) {
+        let status = resp.status();
         let data = if opcode.is_read() {
-            resp.data().to_vec()
+            resp.into_data()
         } else {
             Vec::new()
         };
         self.resp_queue.push_back(VciResp {
             thread: stream.raw() as u8,
-            status: resp.status(),
+            status,
             data,
         });
     }

@@ -1,6 +1,6 @@
 //! The protocol-neutral initiator NIU back end.
 
-use crate::codec::{decode_response, encode_request};
+use crate::codec::{packet_into_response, request_into_packet};
 use noc_protocols::{CompletionLog, Program};
 use noc_transaction::{
     AddressMap, MstAddr, Opcode, OrderingModel, OrderingPolicy, RespStatus, ServiceBits,
@@ -310,7 +310,7 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
             // apply NIU default pressure when the command carried none
             req = req.with_pressure(self.config.default_pressure);
         }
-        let packet = encode_request(&req);
+        let packet = request_into_packet(req);
         let id = (self.config.node.raw() as u64) << 48 | self.pkt_seq;
         self.pkt_seq += 1;
         self.egress
@@ -338,7 +338,7 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
         else {
             return;
         };
-        let resp = decode_response(&packet).expect("well-formed response packet");
+        let resp = packet_into_response(packet).expect("well-formed response packet");
         let entry_id = self
             .table
             .match_response(resp.tag())

@@ -21,13 +21,46 @@
 //! Supporting a new socket means writing a front end only; the back ends,
 //! the packet format and the entire fabric stay untouched — that is the
 //! paper's §2 claim, and this crate is its proof by construction.
+//!
+//! # What moves, and what it costs
+//!
+//! The transaction layer is a hand-off, and the payload is handed, not
+//! copied (`noc_system::fabric` has the transport half of this note).
+//!
+//! - **A write's bytes are allocated once, by the socket master**, when
+//!   its request channel is ready to take them. The front end moves that
+//!   buffer into a [`Request`]; [`InitiatorNiu`] re-stamps the request
+//!   in place and [`request_into_packet`] moves the buffer into the
+//!   packet, whose head flit carries it across the fabric;
+//!   [`packet_into_request`] moves it into the request the [`TargetNiu`]
+//!   queues; [`SocketTarget::push_request`] takes the request by value —
+//!   re-labelled with [`Opcode::plain`](noc_transaction::Opcode::plain),
+//!   not rebuilt — and the memory stores from the buffer, which is freed
+//!   there. A target that refuses hands the same request back, so
+//!   back-pressure costs no copy however long it lasts.
+//! - **A read's bytes are allocated once, by the memory**
+//!   ([`noc_protocols::memory::access`] fills one buffer per burst). It
+//!   travels in the [`Response`], through [`response_into_packet`], the
+//!   fabric and [`packet_into_response`], into
+//!   [`SocketInitiator::push_response`], which moves it
+//!   ([`Response::into_data`](noc_transaction::TransactionResponse::into_data))
+//!   onto the socket's response channel; the master moves it into its
+//!   [`CompletionRecord`](noc_protocols::CompletionRecord), where it
+//!   stays.
+//!
+//! The borrowing codec forms (`encode_*` / `decode_*`) clone, then move;
+//! the NIUs never call them. `tests/alloc_budget.rs` gates the result as
+//! heap allocations per completed transaction.
 
 pub mod codec;
 pub mod fe;
 pub mod initiator;
 pub mod target;
 
-pub use codec::{decode_request, decode_response, encode_request, encode_response, CodecError};
+pub use codec::{
+    decode_request, decode_response, encode_request, encode_response, packet_into_request,
+    packet_into_response, request_into_packet, response_into_packet, CodecError,
+};
 pub use initiator::{InitiatorNiu, InitiatorNiuConfig, NiuStats, SocketInitiator};
 pub use target::{MemoryTarget, ServiceTarget, SocketTarget, TargetNiu, TargetNiuConfig};
 

@@ -2,7 +2,7 @@
 //! monitor and legacy lock state — the "state information in the NIU"
 //! of paper §3.
 
-use crate::codec::{decode_request, encode_response};
+use crate::codec::{packet_into_request, response_into_packet};
 use noc_transaction::{
     ExclusiveMonitor, LockArbiter, Opcode, RespStatus, SlvAddr, TransactionRequest,
     TransactionResponse,
@@ -23,9 +23,12 @@ use std::fmt;
 pub trait SocketTarget: Send {
     /// Advances the IP/slave model one cycle.
     fn tick(&mut self, cycle: u64);
-    /// Offers a request; returns `false` when the target cannot accept
-    /// this cycle (back-pressure).
-    fn push_request(&mut self, req: TransactionRequest) -> bool;
+    /// Offers a request. A target that cannot accept this cycle
+    /// (back-pressure) hands the request back, unchanged and with no
+    /// side effect, as the `Err` — the caller keeps it and offers it
+    /// again, so a refusal costs no copy and a request can never be
+    /// issued twice.
+    fn push_request(&mut self, req: TransactionRequest) -> Result<(), TransactionRequest>;
     /// Takes the next completed response (with `dst`, `origin`, `tag`
     /// echoed from the request).
     fn pull_response(&mut self) -> Option<TransactionResponse>;
@@ -209,45 +212,24 @@ impl<T: SocketTarget> TargetNiu<T> {
                 }
                 _ => {}
             }
-            // Hand to the IP (as a plain opcode: the IP never sees NoC
-            // service semantics).
-            let mut plain = self.ingress.front().cloned().expect("head exists");
-            let downgraded = match opcode {
-                Opcode::ReadExclusive | Opcode::ReadLinked | Opcode::ReadLocked => Opcode::Read,
-                Opcode::WriteExclusive | Opcode::WriteConditional | Opcode::WriteUnlock => {
-                    Opcode::Write
+            // Hand the head itself to the IP, labelled with the plain
+            // opcode (the IP never sees NoC service semantics); a
+            // back-pressuring IP hands it back and it waits at the head
+            // again under its own label.
+            let req = self.ingress.pop_front().expect("head exists");
+            match self.target.push_request(req.with_opcode(opcode.plain())) {
+                Ok(()) => {
+                    self.requests_served += 1;
+                    if opcode.expects_response() {
+                        self.inflight.push_back(opcode);
+                    }
+                    if opcode == Opcode::WriteUnlock {
+                        self.lock
+                            .unlock(master)
+                            .expect("unlock from the lock owner");
+                    }
                 }
-                other => other,
-            };
-            if downgraded != opcode {
-                plain = TransactionRequest::builder(downgraded)
-                    .address(plain.address())
-                    .burst(plain.burst())
-                    .source(plain.src())
-                    .destination(plain.dst())
-                    .tag(plain.tag())
-                    .stream(plain.stream())
-                    .pressure(plain.pressure())
-                    .data(if downgraded.is_write() {
-                        plain.data().to_vec()
-                    } else {
-                        Vec::new()
-                    })
-                    .build()
-                    .expect("rebuilding valid request");
-            }
-            let expects_response = opcode.expects_response();
-            if self.target.push_request(plain) {
-                self.ingress.pop_front();
-                self.requests_served += 1;
-                if expects_response {
-                    self.inflight.push_back(opcode);
-                }
-                if opcode == Opcode::WriteUnlock {
-                    self.lock
-                        .unlock(master)
-                        .expect("unlock from the lock owner");
-                }
+                Err(refused) => self.ingress.push_front(refused.with_opcode(opcode)),
             }
         }
         // Collect IP responses, restore exclusive/lock status semantics.
@@ -265,19 +247,19 @@ impl<T: SocketTarget> TargetNiu<T> {
                 }
                 (_, s) => s,
             };
-            let resp = TransactionResponse::new(
+            let (dst, tag) = (resp.dst(), resp.tag());
+            self.respond(TransactionResponse::new(
                 status,
-                resp.dst(),
+                dst,
                 self.config.node,
-                resp.tag(),
-                resp.data().to_vec(),
-            );
-            self.respond(resp);
+                tag,
+                resp.into_data(),
+            ));
         }
     }
 
     fn respond(&mut self, resp: TransactionResponse) {
-        let packet = encode_response(&resp, self.config.response_pressure);
+        let packet = response_into_packet(resp, self.config.response_pressure);
         let id = (self.config.node.raw() as u64) << 48 | 0x8000_0000_0000 | self.pkt_seq;
         self.pkt_seq += 1;
         self.egress
@@ -302,7 +284,7 @@ impl<T: SocketTarget> TargetNiu<T> {
         else {
             return;
         };
-        let req = decode_request(&packet).expect("well-formed request packet");
+        let req = packet_into_request(packet).expect("well-formed request packet");
         self.ingress.push_back(req);
     }
 
@@ -457,9 +439,9 @@ impl SocketTarget for MemoryTarget {
         self.now = cycle;
     }
 
-    fn push_request(&mut self, req: TransactionRequest) -> bool {
+    fn push_request(&mut self, req: TransactionRequest) -> Result<(), TransactionRequest> {
         if self.pending.len() >= self.capacity {
-            return false;
+            return Err(req);
         }
         let (status, data) = noc_protocols::memory::access(
             &mut self.mem,
@@ -477,7 +459,7 @@ impl SocketTarget for MemoryTarget {
                 TransactionResponse::new(status, req.src(), req.dst(), req.tag(), data),
             );
         }
-        true
+        Ok(())
     }
 
     fn pull_response(&mut self) -> Option<TransactionResponse> {
@@ -548,10 +530,10 @@ impl SocketTarget for ServiceTarget {
         self.now = cycle;
     }
 
-    fn push_request(&mut self, req: TransactionRequest) -> bool {
+    fn push_request(&mut self, req: TransactionRequest) -> Result<(), TransactionRequest> {
         // Serial service: one access in flight at a time.
         if self.now < self.busy_until || self.pending.len() >= self.capacity {
-            return false;
+            return Err(req);
         }
         let (status, data) = noc_protocols::memory::access(
             &mut self.regs,
@@ -575,7 +557,7 @@ impl SocketTarget for ServiceTarget {
                 TransactionResponse::new(status, req.src(), req.dst(), req.tag(), data),
             );
         }
-        true
+        Ok(())
     }
 
     fn pull_response(&mut self) -> Option<TransactionResponse> {

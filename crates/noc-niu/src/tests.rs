@@ -6,7 +6,7 @@ use crate::fe::{
     AhbInitiator, AxiInitiator, AxiTargetFe, OcpInitiator, StrmInitiator, VciInitiator,
 };
 use crate::initiator::{InitiatorNiu, InitiatorNiuConfig, SocketInitiator};
-use crate::target::{MemoryTarget, TargetNiu, TargetNiuConfig};
+use crate::target::{MemoryTarget, SocketTarget, TargetNiu, TargetNiuConfig};
 use noc_protocols::ahb::AhbMaster;
 use noc_protocols::axi::{AxiMaster, AxiSlave};
 use noc_protocols::checker::{check_ahb_order, check_axi_order, check_ocp_order};
@@ -15,7 +15,8 @@ use noc_protocols::strm::StrmMaster;
 use noc_protocols::vci::{VciFlavor, VciMaster};
 use noc_protocols::{MemoryModel, Program, SocketCommand};
 use noc_transaction::{
-    AddressMap, BurstKind, MstAddr, Opcode, OrderingModel, RespStatus, SlvAddr, StreamId,
+    AddressMap, Burst, BurstKind, MstAddr, Opcode, OrderingModel, RespStatus, SlvAddr, StreamId,
+    Tag, TransactionRequest, TransactionResponse,
 };
 
 fn map_one() -> AddressMap {
@@ -313,4 +314,144 @@ fn cross_protocol_same_memory_coherent_values() {
         write_prog[0].payload(),
         "AXI read observes OCP-written bytes"
     );
+}
+
+/// An IP that back-pressures: refuses the first `refusals` offers, then
+/// accepts, answering at once. Records every offer and what it accepted.
+#[derive(Clone, Default)]
+struct RefusingTarget {
+    refusals: usize,
+    /// (opcode, payload buffer address) of every offer, refused or not.
+    offers: Vec<(Opcode, usize)>,
+    accepted: Vec<TransactionRequest>,
+    responses: std::collections::VecDeque<TransactionResponse>,
+}
+
+impl SocketTarget for RefusingTarget {
+    fn tick(&mut self, _cycle: u64) {}
+
+    fn push_request(&mut self, req: TransactionRequest) -> Result<(), TransactionRequest> {
+        self.offers
+            .push((req.opcode(), req.data().as_ptr() as usize));
+        if self.offers.len() <= self.refusals {
+            return Err(req);
+        }
+        self.responses.push_back(TransactionResponse::new(
+            RespStatus::Okay,
+            req.src(),
+            req.dst(),
+            req.tag(),
+            Vec::new(),
+        ));
+        self.accepted.push(req);
+        Ok(())
+    }
+
+    fn pull_response(&mut self) -> Option<TransactionResponse> {
+        self.responses.pop_front()
+    }
+}
+
+/// A refused request is handed back and offered again: however often the
+/// IP refuses, it is issued exactly once and as the one buffer that
+/// arrived (the double-issue a parked `retry` copy allowed cannot
+/// happen), and the NIU's accounting while it waits is what it always
+/// was — the head keeps the NIU dense, counts no lock stall, is served
+/// once, and the legacy lock follows the label the request came with,
+/// not the plain one the IP is shown.
+#[test]
+fn refused_request_is_handed_back_and_issued_exactly_once() {
+    for refusals in [0usize, 1, 5] {
+        for opcode in [Opcode::Write, Opcode::ReadLocked] {
+            let target = RefusingTarget {
+                refusals,
+                ..RefusingTarget::default()
+            };
+            let mut tgt = TargetNiu::new(target, TargetNiuConfig::new(SlvAddr::new(0)));
+            let request = |opcode: Opcode, master: u16| {
+                TransactionRequest::builder(opcode)
+                    .address(0x40)
+                    .burst(Burst::incr(4, 4).unwrap())
+                    .source(MstAddr::new(master))
+                    .tag(Tag::new(1))
+                    .build()
+                    .unwrap()
+            };
+            let sent = request(opcode, 3);
+            for flit in crate::request_into_packet(sent.clone()).into_flits_with_id(8, 1) {
+                tgt.push_flit(flit);
+            }
+
+            for cycle in 0..refusals {
+                tgt.tick(cycle as u64);
+                assert_eq!(tgt.target().offers.len(), cycle + 1, "one offer a cycle");
+                assert_eq!(tgt.requests_served(), 0, "{opcode} refusal {cycle}");
+                assert_eq!(tgt.idle_ticks(), 0, "a waiting head keeps the NIU dense");
+                assert!(!tgt.is_done());
+            }
+            tgt.tick(refusals as u64);
+
+            let ip = tgt.target();
+            assert_eq!(ip.offers.len(), refusals + 1);
+            assert!(
+                ip.offers.iter().all(|&offer| offer == ip.offers[0]),
+                "{opcode}: every offer is the same plain-labelled buffer: {:?}",
+                ip.offers
+            );
+            assert_eq!(ip.accepted, [sent.with_opcode(opcode.plain())]);
+            assert_eq!(tgt.requests_served(), 1);
+            assert_eq!(tgt.lock_stall_cycles(), 0);
+            let response_flits = std::iter::from_fn(|| tgt.pull_flit()).count();
+            assert_eq!(response_flits, 1, "{opcode}: one header-only response");
+            assert!(tgt.is_done());
+
+            // Another master's read stalls exactly when a lock was taken.
+            for flit in
+                crate::request_into_packet(request(Opcode::Read, 4)).into_flits_with_id(8, 2)
+            {
+                tgt.push_flit(flit);
+            }
+            tgt.tick(refusals as u64 + 1);
+            let locked = opcode == Opcode::ReadLocked;
+            assert_eq!(tgt.lock_stall_cycles(), u64::from(locked), "{opcode}");
+            assert_eq!(
+                tgt.requests_served(),
+                if locked { 1 } else { 2 },
+                "{opcode}"
+            );
+        }
+    }
+}
+
+/// The AXI front end on a full AW channel hands the request back and
+/// keeps nothing: offered again it is issued once (parking a copy while
+/// also refusing would write three times here, not two).
+#[test]
+fn axi_target_fe_refuses_on_a_full_channel_without_keeping_the_request() {
+    let mut fe = AxiTargetFe::new(AxiSlave::new(MemoryModel::new(1), 0));
+    let write = |tag: u8| {
+        TransactionRequest::builder(Opcode::Write)
+            .address(0x10 * u64::from(tag))
+            .source(MstAddr::new(2))
+            .tag(Tag::new(tag))
+            .data(vec![tag; 4])
+            .build()
+            .unwrap()
+    };
+    assert_eq!(fe.push_request(write(0)), Ok(()));
+    // AW is a one-beat channel the slave has not drained yet.
+    let refused = fe.push_request(write(1)).unwrap_err();
+    assert_eq!(refused, write(1));
+    assert_eq!(fe.idle_ticks(), 0);
+    fe.tick(0);
+    assert_eq!(fe.push_request(refused), Ok(()));
+    let mut responses = Vec::new();
+    for cycle in 1..20 {
+        fe.tick(cycle);
+        responses.extend(fe.pull_response());
+    }
+    let tags: Vec<Tag> = responses.iter().map(|r| r.tag()).collect();
+    assert_eq!(tags, [Tag::new(0), Tag::new(1)]);
+    assert_eq!(fe.slave().memory().write_count(), 2);
+    assert_eq!(fe.idle_ticks(), u64::MAX);
 }

@@ -244,6 +244,9 @@ impl AhbMaster {
             *wait -= 1;
             return;
         }
+        if !port.req.ready() {
+            return; // the offer would be refused: build no payload for it
+        }
         let cmd = self.program.get(self.pc);
         let locked_now = self.locked || cmd.opcode == Opcode::ReadLocked;
         let req = AhbReq {

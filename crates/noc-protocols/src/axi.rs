@@ -302,6 +302,14 @@ impl AxiMaster {
         if q.get(&id).map_or(0, |v| v.len()) as u32 >= self.per_id_limit {
             return;
         }
+        let ready = if is_read {
+            port.ar.ready()
+        } else {
+            port.aw.ready()
+        };
+        if !ready {
+            return; // the offer would be refused: build no payload for it
+        }
         let accepted = if is_read {
             port.ar.offer(AxiAr {
                 id,

@@ -4,10 +4,62 @@ use noc_transaction::{Burst, ExclusiveMonitor, MstAddr, Opcode, RespStatus};
 use std::collections::HashMap;
 use std::fmt;
 
+/// Bytes per storage page. A power of two so a byte address splits into
+/// page number and offset by shift and mask.
+const PAGE_BYTES: usize = 256;
+
+/// One page of written bytes: the values plus one written-bit per byte.
+#[derive(Debug, Clone)]
+struct Page {
+    data: [u8; PAGE_BYTES],
+    written: [u64; PAGE_BYTES / 64],
+}
+
+impl Page {
+    const EMPTY: Page = Page {
+        data: [0; PAGE_BYTES],
+        written: [0; PAGE_BYTES / 64],
+    };
+
+    fn is_written(&self, offset: usize) -> bool {
+        self.written[offset / 64] >> (offset % 64) & 1 != 0
+    }
+
+    /// Stores `data` at `offset`; returns how many of those bytes had
+    /// never been written before.
+    fn store(&mut self, offset: usize, data: &[u8]) -> usize {
+        self.data[offset..offset + data.len()].copy_from_slice(data);
+        let mut fresh = 0;
+        let (mut at, end) = (offset, offset + data.len());
+        while at < end {
+            let word = at / 64;
+            let stop = end.min((word + 1) * 64);
+            // Bits [at % 64, stop - word * 64) of this mask word.
+            let span = (u64::MAX >> (64 - (stop - at))) << (at % 64);
+            fresh += (span & !self.written[word]).count_ones() as usize;
+            self.written[word] |= span;
+            at = stop;
+        }
+        fresh
+    }
+}
+
 /// Sparse memory with configurable access latency.
 ///
 /// Unwritten locations read as a deterministic address-derived pattern
 /// (not zero) so that tests catch reads routed to the wrong address.
+///
+/// # Storage
+///
+/// Written bytes live in fixed 256-byte pages keyed by page number
+/// (`addr / 256`): a page is allocated on the first write that touches
+/// it, and every access costs one page lookup per page it spans — not
+/// one hash per byte. Each page carries a written-bit per byte, for two
+/// reasons: [`MemoryModel::written_bytes`] counts *distinct* written
+/// bytes, and the unwritten bytes of a partly written page must still
+/// read as the background pattern — pre-filling a page with it would
+/// charge 256 pattern evaluations to the first small write of every
+/// page. A span that reaches past `u64::MAX` continues at address 0.
 ///
 /// # Examples
 ///
@@ -20,7 +72,12 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemoryModel {
-    bytes: HashMap<u64, u8>,
+    /// Page number → index into `pages`.
+    index: HashMap<u64, u32>,
+    /// Page storage, in first-write order: cloning a memory copies one
+    /// contiguous block, not one allocation per page.
+    pages: Vec<Page>,
+    written: usize,
     latency: u32,
     reads: u64,
     writes: u64,
@@ -31,7 +88,9 @@ impl MemoryModel {
     /// request acceptance to response validity).
     pub fn new(latency: u32) -> Self {
         MemoryModel {
-            bytes: HashMap::new(),
+            index: HashMap::new(),
+            pages: Vec::new(),
+            written: 0,
             latency,
             reads: 0,
             writes: 0,
@@ -51,31 +110,64 @@ impl MemoryModel {
         (z ^ (z >> 31)) as u8
     }
 
+    /// Splits `len` bytes at `addr` into per-page pieces: (page number,
+    /// offset in the page, piece length).
+    fn page_spans(addr: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize)> {
+        let (mut addr, mut left) = (addr, len);
+        std::iter::from_fn(move || {
+            if left == 0 {
+                return None;
+            }
+            let offset = (addr % PAGE_BYTES as u64) as usize;
+            let piece = left.min(PAGE_BYTES - offset);
+            let span = (addr / PAGE_BYTES as u64, offset, piece);
+            // Wraps only when the span ends at (or crosses) `u64::MAX`.
+            addr = addr.wrapping_add(piece as u64);
+            left -= piece;
+            Some(span)
+        })
+    }
+
     /// Reads `len` bytes at `addr`.
     pub fn read(&mut self, addr: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        self.read_into(addr, len, &mut out);
+        out
+    }
+
+    /// Reads `len` bytes at `addr`, appending them to `out` — one read
+    /// access, like [`MemoryModel::read`], without a buffer of its own,
+    /// so a burst collects all its beats in a single allocation.
+    pub fn read_into(&mut self, addr: u64, len: usize, out: &mut Vec<u8>) {
         self.reads += 1;
-        (0..len as u64)
-            .map(|i| {
-                let a = addr + i;
-                self.bytes
-                    .get(&a)
-                    .copied()
-                    .unwrap_or_else(|| Self::background(a))
-            })
-            .collect()
+        for (number, offset, piece) in Self::page_spans(addr, len) {
+            let base = number * PAGE_BYTES as u64 + offset as u64;
+            let page = self.index.get(&number).map(|&i| &self.pages[i as usize]);
+            out.extend((0..piece).map(|i| match page {
+                Some(page) if page.is_written(offset + i) => page.data[offset + i],
+                _ => Self::background(base + i as u64),
+            }));
+        }
     }
 
     /// Writes `data` at `addr`.
     pub fn write(&mut self, addr: u64, data: &[u8]) {
         self.writes += 1;
-        for (i, &b) in data.iter().enumerate() {
-            self.bytes.insert(addr + i as u64, b);
+        let mut data = data;
+        for (number, offset, piece) in Self::page_spans(addr, data.len()) {
+            let (head, rest) = data.split_at(piece);
+            let slot = *self.index.entry(number).or_insert_with(|| {
+                self.pages.push(Page::EMPTY);
+                u32::try_from(self.pages.len() - 1).expect("under 2^32 pages (1 TiB written)")
+            });
+            self.written += self.pages[slot as usize].store(offset, head);
+            data = rest;
         }
     }
 
     /// Bytes explicitly written so far.
     pub fn written_bytes(&self) -> usize {
-        self.bytes.len()
+        self.written
     }
 
     /// Read accesses performed.
@@ -122,7 +214,7 @@ pub fn access(
     if opcode.is_read() {
         let mut data = Vec::with_capacity(burst.total_bytes() as usize);
         for a in burst.beat_addresses(addr) {
-            data.extend_from_slice(&mem.read(a, beat));
+            mem.read_into(a, beat, &mut data);
         }
         let status = match opcode {
             Opcode::ReadExclusive | Opcode::ReadLinked => {
@@ -181,10 +273,7 @@ impl fmt::Display for MemoryModel {
         write!(
             f,
             "mem lat={} ({} bytes, {}r/{}w)",
-            self.latency,
-            self.bytes.len(),
-            self.reads,
-            self.writes
+            self.latency, self.written, self.reads, self.writes
         )
     }
 }

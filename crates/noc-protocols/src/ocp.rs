@@ -294,6 +294,9 @@ impl OcpMaster {
                 *wait -= 1;
                 continue;
             }
+            if !port.req.ready() {
+                continue; // the offer would be refused: build no payload for it
+            }
             let cmd = self.program.get(idx);
             let req = OcpReq {
                 opcode: cmd.opcode,

@@ -263,6 +263,9 @@ impl StrmMaster {
                 self.wait = None;
             }
         } else {
+            if !port.tx.ready() {
+                return; // the offer would be refused: build no payload for it
+            }
             let w = StrmWrite {
                 addr: cmd.addr,
                 burst: cmd.burst(),

@@ -348,6 +348,9 @@ impl VciMaster {
                 *wait -= 1;
                 continue;
             }
+            if !port.req.ready() {
+                continue; // the offer would be refused: build no payload for it
+            }
             let cmd = self.program.get(idx);
             let req = VciReq {
                 opcode: cmd.opcode,

@@ -11,6 +11,8 @@
 //! allocates nothing per flit-hop: credit returns wait in a fixed ring of
 //! reusable slots ([`CreditRing`]), the sets of components that can act
 //! are bitsets ([`ActiveSet`]), and every per-tick buffer is reused.
+//! Who allocates that buffer and who frees it — the half of this note
+//! above transport — is in [`noc_niu`]'s crate documentation.
 //!
 //! # O(active) ticking
 //!

@@ -111,6 +111,21 @@ impl Opcode {
         )
     }
 
+    /// The opcode an IP behind a target sees once the interconnect has
+    /// served the synchronisation semantics itself: the exclusive, linked
+    /// and locked reads are a [`Opcode::Read`], the exclusive,
+    /// conditional and unlocking writes a [`Opcode::Write`], everything
+    /// else is unchanged. Direction is always preserved.
+    pub const fn plain(self) -> Opcode {
+        match self {
+            Opcode::ReadExclusive | Opcode::ReadLinked | Opcode::ReadLocked => Opcode::Read,
+            Opcode::WriteExclusive | Opcode::WriteConditional | Opcode::WriteUnlock => {
+                Opcode::Write
+            }
+            other => other,
+        }
+    }
+
     /// Compact 4-bit encoding used in packet headers.
     pub const fn encode(self) -> u8 {
         match self {
@@ -267,6 +282,18 @@ mod tests {
         assert!(Opcode::WritePosted.is_posted());
         assert!(Opcode::Broadcast.is_posted());
         assert!(Opcode::Write.expects_response());
+    }
+
+    #[test]
+    fn plain_drops_synchronisation_and_keeps_direction() {
+        for op in Opcode::ALL {
+            let plain = op.plain();
+            assert_eq!(plain.is_read(), op.is_read(), "{op}");
+            assert_eq!(plain.expects_response(), op.expects_response(), "{op}");
+            assert!(!plain.is_exclusive() && !plain.is_locking(), "{op}");
+            assert_eq!(plain.plain(), plain, "{op}: idempotent");
+        }
+        assert_eq!(Opcode::WritePosted.plain(), Opcode::WritePosted);
     }
 
     #[test]

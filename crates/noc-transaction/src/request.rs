@@ -143,6 +143,13 @@ impl TransactionRequest {
         &self.data
     }
 
+    /// Consumes the request, handing over the write payload's buffer
+    /// (empty for reads) — how a payload crosses a layer boundary
+    /// without being copied.
+    pub fn into_data(self) -> Vec<u8> {
+        self.data
+    }
+
     /// Total payload bytes of the burst.
     pub fn total_bytes(&self) -> u64 {
         self.burst.total_bytes()
@@ -164,6 +171,28 @@ impl TransactionRequest {
         self.src = src;
         self.dst = dst;
         self.tag = tag;
+        self
+    }
+
+    /// Re-labels the opcode, keeping everything else — payload buffer
+    /// included — in place (used by target NIUs, which present exclusive
+    /// and locked accesses to their IP as [plain](Opcode::plain) reads
+    /// and writes, and restore the label when the IP hands the request
+    /// back).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `opcode` moves data the other way: the payload would no
+    /// longer match the request.
+    #[must_use]
+    pub fn with_opcode(mut self, opcode: Opcode) -> Self {
+        assert_eq!(
+            opcode.is_write(),
+            self.opcode.is_write(),
+            "re-labelling {} as {opcode} would change direction",
+            self.opcode
+        );
+        self.opcode = opcode;
         self
     }
 
@@ -386,6 +415,12 @@ impl TransactionResponse {
     pub fn data(&self) -> &[u8] {
         &self.data
     }
+
+    /// Consumes the response, handing over the read payload's buffer
+    /// (empty for writes).
+    pub fn into_data(self) -> Vec<u8> {
+        self.data
+    }
 }
 
 impl fmt::Display for TransactionResponse {
@@ -589,6 +624,45 @@ mod tests {
         assert_eq!(req.tag(), Tag::new(2));
         assert!(req.services().contains(ServiceBits::EXCLUSIVE));
         assert_eq!(req.pressure(), 3);
+    }
+
+    #[test]
+    fn relabelling_and_into_data_keep_the_payload_buffer() {
+        let data = vec![7u8; 8];
+        let buffer = data.as_ptr();
+        let req = TransactionRequest::builder(Opcode::WriteExclusive)
+            .burst(Burst::incr(2, 4).unwrap())
+            .services(ServiceBits::EXCLUSIVE)
+            .data(data)
+            .build()
+            .unwrap()
+            .with_opcode(Opcode::Write);
+        assert_eq!(req.opcode(), Opcode::Write);
+        assert!(req.services().contains(ServiceBits::EXCLUSIVE));
+        let req = req.with_opcode(Opcode::WriteExclusive);
+        assert_eq!(req.opcode(), Opcode::WriteExclusive);
+        let data = req.into_data();
+        assert_eq!(data.as_ptr(), buffer);
+
+        let resp = TransactionResponse::new(
+            RespStatus::Okay,
+            MstAddr::new(0),
+            SlvAddr::new(0),
+            Tag::ZERO,
+            vec![1, 2, 3],
+        );
+        let buffer = resp.data().as_ptr();
+        let data = resp.into_data();
+        assert_eq!(data.as_ptr(), buffer);
+    }
+
+    #[test]
+    #[should_panic(expected = "change direction")]
+    fn relabelling_across_direction_panics() {
+        let _ = TransactionRequest::builder(Opcode::Read)
+            .build()
+            .unwrap()
+            .with_opcode(Opcode::Write);
     }
 
     #[test]

@@ -1,26 +1,44 @@
-//! The fabric data path's allocation budget, as a host-independent gate.
+//! The data path's allocation budget — fabric and transaction layer —
+//! as a host-independent gate.
 //!
 //! A counting global allocator wraps the system one, so this file holds
 //! exactly one test: nothing else may allocate on another thread while
 //! the count is taken.
 //!
-//! What is counted is every heap allocation made while a built NoC steps
-//! `zipf_hotspot_mesh16.scn` (16×16 mesh, eight generators, 1 200
-//! four-beat transactions) to completion. Transport contributes none —
-//! a packet's payload rides its head flit by move, body and tail flits
-//! own no heap memory, credits wait in a ring, active sets are bitsets —
-//! so what remains is the socket and NIU layers' payload handling above
-//! it (≈ 8 per transaction). The budget leaves that room and no more:
-//! one `to_vec` per flit anywhere on the path breaks it (the same run
-//! made 26.2 allocations per transaction when flits owned their bytes).
+//! What is counted is every heap allocation made while a built
+//! interconnect steps a corpus scenario to completion, per completed
+//! transaction. Transport contributes none — a packet's payload rides
+//! its head flit by move, body and tail flits own no heap memory, credits
+//! wait in a ring, active sets are bitsets — and the layers above it
+//! move the same buffer: a write's bytes are allocated once by the socket
+//! master (plus once for its completion record), a read's once by the
+//! memory, which stores pages, not bytes. The budgets leave that room and
+//! little more: one `to_vec` per transaction at any socket / NIU / codec
+//! boundary, on the NoC or in a baseline, breaks its row (the NoC row
+//! made 8.1 allocations per transaction when every boundary copied, 26.2
+//! when flits owned their bytes too).
 
 use noc_scenario::{Backend, ScenarioSpec, StepMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Heap allocations per completed transaction the run may make.
-const BUDGET_PER_COMPLETION: f64 = 14.0;
+/// (corpus file, backend, heap allocations per completed transaction the
+/// run may make).
+type Row = (&'static str, fn() -> Backend, f64);
+
+/// Each budget sits just above the figure measured when
+/// this table was written — 1.47, 2.15, 4.21 (the bridge chops bursts:
+/// one read buffer per chunk, one chunk list per transaction) and 1.69.
+/// The count repeats exactly from run to run, so the room is small on
+/// purpose: one copy per write transaction has to show (cloning the
+/// request per bus grant, as the bus once did, fails its row).
+const BUDGETS: [Row; 4] = [
+    ("zipf_hotspot_mesh16.scn", Backend::noc, 1.6),
+    ("set_top.scn", Backend::noc, 2.3),
+    ("set_top.scn", Backend::bridged, 4.4),
+    ("set_top.scn", Backend::bus, 1.85),
+];
 
 struct CountingAllocator;
 
@@ -52,27 +70,33 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 #[test]
-fn stepping_the_noc_stays_within_its_allocation_budget() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/scenarios/zipf_hotspot_mesh16.scn");
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    let spec = ScenarioSpec::from_text(&text).expect("corpus parses");
-    let mut sim = spec
-        .build(&Backend::noc())
-        .expect("the NoC builds the corpus");
+fn stepping_stays_within_the_allocation_budget_on_every_backend() {
+    for (file, backend, budget) in BUDGETS {
+        let backend = backend();
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/scenarios")
+            .join(file);
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let spec = ScenarioSpec::from_text(&text).expect("corpus parses");
+        let mut sim = spec.build(&backend).expect("the backend builds the corpus");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let drained = sim.run_until_with(10_000_000, StepMode::Horizon);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let drained = sim.run_until_with(10_000_000, StepMode::Horizon);
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
 
-    assert!(drained, "the corpus scenario drains");
-    let completions = sim.report().total_completions();
-    assert_eq!(completions, 1200, "the corpus golden's completion count");
-    let per_completion = allocations as f64 / completions as f64;
-    assert!(
-        per_completion <= BUDGET_PER_COMPLETION,
-        "{allocations} heap allocations while stepping {completions} transactions = \
-         {per_completion:.1} per transaction, over the budget of {BUDGET_PER_COMPLETION}: \
-         something on the flit path allocates again"
-    );
+        assert!(drained, "{file} drains on {backend:?}");
+        let completions = sim.report().total_completions();
+        assert!(completions > 0, "{file} completes transactions");
+        let per_completion = allocations as f64 / completions as f64;
+        eprintln!(
+            "MEASURED {file} {backend:?}: {allocations} / {completions} = {per_completion:.2}"
+        );
+        assert!(
+            per_completion <= budget,
+            "{file} on {backend:?}: {allocations} heap allocations while stepping {completions} \
+             transactions = {per_completion:.2} per transaction, over the budget of {budget}: \
+             a payload is copied or a queue is rebuilt per transaction again"
+        );
+    }
 }

@@ -6,7 +6,10 @@
 //! index pinpoints the case.
 
 use noc_kernel::SplitMix64;
-use noc_niu::{decode_request, decode_response, encode_request, encode_response};
+use noc_niu::{
+    decode_request, decode_response, encode_request, encode_response, packet_into_request,
+    packet_into_response, request_into_packet, response_into_packet,
+};
 use noc_transaction::{
     AddressMap, Burst, BurstKind, Fingerprint, MstAddr, Opcode, OrderingModel, OrderingPolicy,
     RespStatus, ServiceBits, SlvAddr, StreamId, Tag, TransactionRequest, TransactionResponse,
@@ -110,6 +113,11 @@ fn request_codec_round_trips() {
         let packet = encode_request(&req);
         let back = decode_request(&packet).expect("decodes");
         assert_eq!(back, req, "case {case}");
+        // The by-move forms agree, and hand the same buffer through.
+        let buffer = req.data().as_ptr();
+        let moved = packet_into_request(request_into_packet(req)).expect("decodes");
+        assert_eq!(moved, back, "case {case}");
+        assert_eq!(moved.data().as_ptr(), buffer, "case {case}");
     }
 }
 
@@ -131,6 +139,10 @@ fn response_codec_round_trips() {
             let resp = TransactionResponse::new(status, dst, origin, tag, data.clone());
             let back = decode_response(&encode_response(&resp, 0)).expect("decodes");
             assert_eq!(back, resp, "case {case}");
+            let buffer = resp.data().as_ptr();
+            let moved = packet_into_response(response_into_packet(resp, 0)).expect("decodes");
+            assert_eq!(moved, back, "case {case}");
+            assert_eq!(moved.data().as_ptr(), buffer, "case {case}");
         }
     }
 }
@@ -343,6 +355,324 @@ fn payload_buffer_travels_once_through_flits_and_assembler() {
             if len > 0 {
                 assert_eq!(out.payload.as_ptr(), buffer, "len {len} width {width}");
             }
+        }
+    }
+}
+
+/// A socket front end that notes the payload buffer (its address) of
+/// every request it hands the NIU; everything else is the wrapped front
+/// end's.
+#[derive(Clone)]
+struct SpyInitiator {
+    fe: Box<dyn noc_niu::SocketInitiator>,
+    pulled: Vec<usize>,
+}
+
+impl noc_niu::SocketInitiator for SpyInitiator {
+    fn tick(&mut self, cycle: u64) {
+        self.fe.tick(cycle);
+    }
+    fn pull_request(&mut self) -> Option<TransactionRequest> {
+        let req = self.fe.pull_request()?;
+        self.pulled.push(req.data().as_ptr() as usize);
+        Some(req)
+    }
+    fn push_response(&mut self, stream: StreamId, opcode: Opcode, resp: TransactionResponse) {
+        self.fe.push_response(stream, opcode, resp);
+    }
+    fn done(&self) -> bool {
+        self.fe.done()
+    }
+    fn log(&self) -> &noc_protocols::CompletionLog {
+        self.fe.log()
+    }
+    fn load_program(&mut self, program: noc_protocols::Program) {
+        self.fe.load_program(program);
+    }
+    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand]) {
+        self.fe.append_commands(tail);
+    }
+    fn clone_box(&self) -> Box<dyn noc_niu::SocketInitiator> {
+        Box::new(self.clone())
+    }
+}
+
+/// A memory target that notes the payload buffer of every request it is
+/// handed and of every response it hands out.
+struct SpyTarget {
+    mem: noc_niu::MemoryTarget,
+    pushed: Vec<usize>,
+    pulled: Vec<usize>,
+}
+
+impl noc_niu::SocketTarget for SpyTarget {
+    fn tick(&mut self, cycle: u64) {
+        self.mem.tick(cycle);
+    }
+    fn push_request(&mut self, req: TransactionRequest) -> Result<(), TransactionRequest> {
+        self.pushed.push(req.data().as_ptr() as usize);
+        self.mem.push_request(req)
+    }
+    fn pull_response(&mut self) -> Option<TransactionResponse> {
+        let resp = self.mem.pull_response()?;
+        self.pulled.push(resp.data().as_ptr() as usize);
+        Some(resp)
+    }
+}
+
+/// One layer above the flit property: through socket front end, NIU
+/// back ends, codec and fabric-less flit exchange, a payload is moved,
+/// never copied. For every socket protocol, the buffer a write leaves
+/// the front end with (what `InitiatorNiu::emit` packetises) is the
+/// buffer `MemoryTarget::push_request` stores from, and the buffer the
+/// memory read into is the buffer in the initiator's `CompletionRecord`.
+#[test]
+fn payload_buffer_travels_once_from_socket_to_memory_and_back() {
+    use noc_niu::fe::{AhbInitiator, AxiInitiator, OcpInitiator, StrmInitiator, VciInitiator};
+    use noc_niu::{
+        InitiatorNiu, InitiatorNiuConfig, MemoryTarget, SocketInitiator, TargetNiu, TargetNiuConfig,
+    };
+    use noc_protocols::ahb::AhbMaster;
+    use noc_protocols::axi::AxiMaster;
+    use noc_protocols::ocp::OcpMaster;
+    use noc_protocols::strm::StrmMaster;
+    use noc_protocols::vci::{VciFlavor, VciMaster};
+    use noc_protocols::{MemoryModel, SocketCommand};
+
+    let write = SocketCommand::write(0x100, 4, 11).with_burst(BurstKind::Incr, 4);
+    let read = SocketCommand::read(0x100, 4)
+        .with_burst(BurstKind::Incr, 4)
+        .with_delay(40);
+    let program = vec![write.clone(), read.clone()];
+    let posted = vec![write.with_opcode(Opcode::WritePosted), read];
+    let sockets: [(&str, Box<dyn SocketInitiator>, OrderingModel); 5] = [
+        (
+            "ahb",
+            Box::new(AhbInitiator::new(AhbMaster::new(program.clone()))),
+            OrderingModel::FullyOrdered,
+        ),
+        (
+            "ocp",
+            Box::new(OcpInitiator::new(OcpMaster::new(program.clone(), 1, 2))),
+            OrderingModel::Threaded { threads: 1 },
+        ),
+        (
+            "axi",
+            Box::new(AxiInitiator::new(AxiMaster::new(program.clone(), 2, 4))),
+            OrderingModel::IdBased { tags: 2 },
+        ),
+        (
+            "bvci",
+            Box::new(VciInitiator::new(VciMaster::new(
+                program,
+                VciFlavor::Basic,
+                2,
+            ))),
+            OrderingModel::FullyOrdered,
+        ),
+        (
+            "strm",
+            Box::new(StrmInitiator::new(StrmMaster::new(posted, 4))),
+            OrderingModel::FullyOrdered,
+        ),
+    ];
+    for (socket, fe, ordering) in sockets {
+        let mut map = AddressMap::new();
+        map.add(0x0, 0x1_0000, SlvAddr::new(0)).expect("one range");
+        let spy = SpyInitiator {
+            fe,
+            pulled: Vec::new(),
+        };
+        let config = InitiatorNiuConfig::new(MstAddr::new(0)).with_ordering(ordering);
+        let mut ini = InitiatorNiu::new(spy, config, map);
+        let mut tgt = TargetNiu::new(
+            SpyTarget {
+                mem: MemoryTarget::new(MemoryModel::new(2), 8),
+                pushed: Vec::new(),
+                pulled: Vec::new(),
+            },
+            TargetNiuConfig::new(SlvAddr::new(0)),
+        );
+        for cycle in 0..2000 {
+            ini.tick(cycle);
+            tgt.tick(cycle);
+            if let Some(flit) = ini.pull_flit() {
+                tgt.push_flit(flit);
+            }
+            if let Some(flit) = tgt.pull_flit() {
+                ini.push_flit(flit);
+            }
+            if ini.is_done() && tgt.is_done() {
+                break;
+            }
+        }
+        assert!(ini.is_done() && tgt.is_done(), "{socket} drains");
+
+        // Request 0 is the write, request 1 the read that follows it.
+        let (at_emit, at_memory) = (&ini.fe().pulled, &tgt.target().pushed);
+        assert_eq!(at_emit.len(), 2, "{socket}");
+        assert_eq!(at_emit[0], at_memory[0], "{socket}: write payload copied");
+        let records = ini.fe().log().records();
+        let read = records.iter().find(|r| r.index == 1).expect("read done");
+        assert_eq!(read.data.len(), 16, "{socket}");
+        let from_memory = *tgt.target().pulled.last().expect("read answered");
+        assert_eq!(
+            read.data.as_ptr() as usize,
+            from_memory,
+            "{socket}: read data copied"
+        );
+    }
+}
+
+/// The memory as it was stored before pages: one hash entry per written
+/// byte. Kept here as the oracle the paged store is compared against.
+#[derive(Clone, Default)]
+struct ByteMapMemory {
+    bytes: std::collections::HashMap<u64, u8>,
+    reads: u64,
+    writes: u64,
+}
+
+impl ByteMapMemory {
+    fn background(addr: u64) -> u8 {
+        let mut z = addr.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        (z ^ (z >> 31)) as u8
+    }
+
+    fn read(&mut self, addr: u64, len: usize) -> Vec<u8> {
+        self.reads += 1;
+        (0..len as u64)
+            .map(|i| {
+                let a = addr + i;
+                self.bytes
+                    .get(&a)
+                    .copied()
+                    .unwrap_or_else(|| Self::background(a))
+            })
+            .collect()
+    }
+
+    fn write(&mut self, addr: u64, data: &[u8]) {
+        self.writes += 1;
+        for (i, &b) in data.iter().enumerate() {
+            self.bytes.insert(addr + i as u64, b);
+        }
+    }
+
+    /// `noc_protocols::memory::access` without a monitor, beat by beat.
+    fn access(&mut self, opcode: Opcode, addr: u64, burst: Burst, wdata: &[u8]) -> Vec<u8> {
+        let beat = burst.beat_bytes() as usize;
+        let mut data = Vec::new();
+        for (i, a) in burst.beat_addresses(addr).enumerate() {
+            if opcode.is_read() {
+                data.extend(self.read(a, beat));
+            } else {
+                self.write(a, &wdata[i * beat..(i + 1) * beat]);
+            }
+        }
+        data
+    }
+}
+
+/// The paged `MemoryModel` is the per-byte map, observably: over seeded
+/// random `write` / `read` / `access` sequences — unaligned and
+/// page-straddling spans, partial overwrites, every burst kind,
+/// zero-length accesses, spans whose last byte is address `u64::MAX` —
+/// both return equal bytes and count equal accesses and equal distinct
+/// written bytes; and a clone taken mid-sequence keeps what it had.
+#[test]
+fn paged_memory_equals_a_per_byte_map() {
+    use noc_protocols::memory::{access, MemoryModel};
+
+    let mut rng = SplitMix64::new(0x9A6ED);
+    for case in 0..40 {
+        let mut mem = MemoryModel::new(1);
+        let mut oracle = ByteMapMemory::default();
+        let mut snapshot: Option<(MemoryModel, ByteMapMemory)> = None;
+        // A few neighbourhoods, so spans overlap, straddle page
+        // boundaries (multiples of 256) and reach the top of the space.
+        let bases = [
+            0u64,
+            0xF0,
+            0x1_0000 - 7,
+            rng.next_below(1 << 40),
+            rng.next_below(1 << 40) | 0xFF,
+        ];
+        let check = |mem: &MemoryModel, oracle: &ByteMapMemory, what: &str| {
+            assert_eq!(mem.written_bytes(), oracle.bytes.len(), "{what}: written");
+            assert_eq!(mem.read_count(), oracle.reads, "{what}: reads");
+            assert_eq!(mem.write_count(), oracle.writes, "{what}: writes");
+        };
+        for op in 0..120 {
+            let what = format!("case {case} op {op}");
+            let len = match rng.next_below(4) {
+                0 => rng.next_below(4) as usize,
+                1 | 2 => rng.next_below(40) as usize,
+                _ => rng.next_below(700) as usize,
+            };
+            let addr = if rng.chance(0.1) {
+                // The span ends exactly at the last address there is.
+                u64::MAX - len as u64 + u64::from(len > 0)
+            } else {
+                bases[rng.next_below(bases.len() as u64) as usize] + rng.next_below(600)
+            };
+            match rng.next_below(4) {
+                0 => {
+                    let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    mem.write(addr, &data);
+                    oracle.write(addr, &data);
+                }
+                1 => assert_eq!(mem.read(addr, len), oracle.read(addr, len), "{what}"),
+                2 => {
+                    // `read_into` appends, and is one access like `read`.
+                    let mut out = vec![0xEE];
+                    mem.read_into(addr, len, &mut out);
+                    assert_eq!(out[0], 0xEE, "{what}");
+                    assert_eq!(out[1..], oracle.read(addr, len), "{what}");
+                }
+                _ => {
+                    let burst = loop {
+                        let burst = arb_burst(&mut rng);
+                        if burst.total_bytes() <= 1024 {
+                            break burst;
+                        }
+                    };
+                    let addr = addr.min(1 << 41);
+                    let (opcode, wdata) = if rng.chance(0.5) {
+                        (Opcode::Read, Vec::new())
+                    } else {
+                        let n = burst.total_bytes() as usize;
+                        (
+                            Opcode::Write,
+                            (0..n).map(|_| rng.next_u64() as u8).collect(),
+                        )
+                    };
+                    let (status, data) =
+                        access(&mut mem, opcode, addr, burst, &wdata, None, MstAddr::new(0));
+                    assert_eq!(status, RespStatus::Okay, "{what}");
+                    assert_eq!(
+                        data,
+                        oracle.access(opcode, addr, burst, &wdata),
+                        "{what}: {burst:?}"
+                    );
+                }
+            }
+            check(&mem, &oracle, &what);
+            if op == 60 {
+                snapshot = Some((mem.clone(), oracle.clone()));
+            }
+        }
+        // The clone saw none of the original's later writes.
+        let (mut mem, mut oracle) = snapshot.expect("taken at op 60");
+        check(&mem, &oracle, &format!("case {case} snapshot"));
+        for base in bases {
+            assert_eq!(
+                mem.read(base, 1200),
+                oracle.read(base, 1200),
+                "case {case} snapshot at {base:#x}"
+            );
         }
     }
 }
