@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 
 /// Bridge and reference-socket parameters — the penalties the paper
 /// attributes to Fig 2.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BridgeConfig {
     /// Pipeline cycles a request spends inside a bridge.
     pub request_latency: u32,

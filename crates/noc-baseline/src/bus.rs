@@ -10,7 +10,7 @@ use noc_transaction::{
 };
 
 /// Bus timing parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusConfig {
     /// Cycles from grant to address-phase completion.
     pub arbitration_cycles: u32,

@@ -92,7 +92,10 @@ pub trait NocEndpoint: Send {
     /// endpoint must be ticked densely; `u64::MAX` means it is quiescent
     /// until new input arrives. Callers that skip ticks must account
     /// them through [`NocEndpoint::skip_ticks`] and resume dense ticking
-    /// as soon as any input reaches the endpoint.
+    /// as soon as any input reaches the endpoint. The system assembler
+    /// executes *only* the ticks this hook does not cover, in every step
+    /// mode, so a claim that is too long is a late wakeup, not a slow
+    /// path: `tests/horizon.rs`'s replay adapter is the oracle.
     fn idle_ticks(&self) -> u64 {
         0
     }
@@ -100,6 +103,14 @@ pub trait NocEndpoint: Send {
     /// [`NocEndpoint::idle_ticks`] contract: afterwards the endpoint is
     /// in exactly the state that many dense no-op ticks would have left
     /// it in.
+    ///
+    /// Callers may settle lazily: the skipped ticks need not be accounted
+    /// when they pass, only before the endpoint is next touched — always
+    /// before its next [`NocEndpoint::tick`], [`NocEndpoint::push_flit`]
+    /// or [`NocEndpoint::append_commands`], and before
+    /// [`NocEndpoint::idle_ticks`] is read to schedule it again. Between
+    /// those moments its countdown is stale by the unaccounted ticks and
+    /// nothing else about it is.
     fn skip_ticks(&mut self, _ticks: u64) {}
     /// Absolute-time refinement of [`NocEndpoint::idle_ticks`]: when the
     /// endpoint's next self-activity is pinned to a *base cycle* rather

@@ -138,9 +138,14 @@ impl FeederSet {
 /// How [`Simulation::run_until`] advances base time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepMode {
-    /// Poll every component on every base cycle. The reference
-    /// semantics, and the escape hatch when debugging a backend's
-    /// quiescence bookkeeping.
+    /// Execute every base cycle: nothing is skipped, so
+    /// `executed_steps == now`. The reference semantics, and the escape
+    /// hatch when debugging a backend's horizon bookkeeping. It does not
+    /// promise that every component is polled on every cycle — the NoC
+    /// clocks, in an executed cycle of either mode, only the endpoints,
+    /// switches and links whose wakeup or work is due, and charges an
+    /// endpoint the clock edges it was passed over on through
+    /// `skip_ticks` before it is next looked at.
     Dense,
     /// Jump simulation time across provably-dead gaps (idle countdowns,
     /// drained fabrics) via [`Simulation::advance_to`]. Bit-identical to

@@ -29,7 +29,7 @@ use std::fmt;
 use std::mem::discriminant;
 
 /// Which interconnect a [`ScenarioSpec`] compiles to.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Backend {
     /// The layered NoC of paper Fig 1 (sockets behind NIUs).
     Noc(NocConfig),
@@ -427,6 +427,28 @@ pub struct InitiatorSpec {
 }
 
 impl InitiatorSpec {
+    /// Equality in everything but the program.
+    fn same_shape(&self, other: &InitiatorSpec) -> bool {
+        // Destructured so that a new field cannot be forgotten here.
+        let InitiatorSpec {
+            name,
+            socket,
+            program: _,
+            ordering,
+            outstanding,
+            pressure,
+            flit_bytes,
+            clock_divisor,
+        } = self;
+        *name == other.name
+            && *socket == other.socket
+            && *ordering == other.ordering
+            && *outstanding == other.outstanding
+            && *pressure == other.pressure
+            && *flit_bytes == other.flit_bytes
+            && *clock_divisor == other.clock_divisor
+    }
+
     /// The largest NIU outstanding budget a scenario may declare. The
     /// NIU allocates its transaction table up front, so an unbounded
     /// budget from a scenario file is an allocation failure — an abort
@@ -1410,14 +1432,30 @@ impl ScenarioSpec {
         stripped
     }
 
-    /// A stable key identifying the compiled prefix this spec shares
-    /// with other grid points on `backend`: the program-stripped spec's
-    /// canonical text plus the backend's full configuration. Equal keys
-    /// guarantee that [`ScenarioSpec::without_programs`] compiles to
-    /// identical simulations, so a checkpoint cache may serve either
-    /// point from one warmed entry.
-    pub fn prefix_key(&self, backend: &Backend) -> String {
-        format!("{:?}\n{}", backend, self.without_programs().to_text())
+    /// Whether `other` declares the same platform: equal in everything
+    /// but the initiators' programs. Two such specs have equal
+    /// [`ScenarioSpec::without_programs`], which compile to identical
+    /// simulations on one backend, so a checkpoint cache may serve either
+    /// from one warmed entry — and can tell without stripping, cloning or
+    /// printing the spec it is handed.
+    pub fn same_platform(&self, other: &ScenarioSpec) -> bool {
+        // Destructured so that a new field cannot be forgotten here.
+        let ScenarioSpec {
+            initiators,
+            memories,
+            topology,
+            routing,
+            config,
+        } = self;
+        initiators.len() == other.initiators.len()
+            && initiators
+                .iter()
+                .zip(&other.initiators)
+                .all(|(a, b)| a.same_shape(b))
+            && *memories == other.memories
+            && *topology == other.topology
+            && *routing == other.routing
+            && *config == other.config
     }
 
     /// Compiles the spec for the given backend.

@@ -1,25 +1,28 @@
-//! Prefix-keyed checkpoint cache: build each platform once, fork per
+//! Platform-keyed checkpoint cache: build each platform once, fork per
 //! point.
 //!
 //! Points of a parameter study usually share everything except their
 //! traffic programs: same topology, same `[config]`, same socket
-//! shapes, same memory map. That shared part is the *prefix*
-//! ([`noc_scenario::ScenarioSpec::prefix_key`]); the programs are the
-//! tail. The cache stores one never-ticked, program-less simulation per
-//! distinct prefix and serves each request point by snapshotting that
-//! checkpoint and loading the point's programs into the fork —
-//! construction cost is paid once per platform instead of once per
-//! point.
+//! shapes, same memory map. That shared part is the *platform*
+//! ([`noc_scenario::ScenarioSpec::same_platform`] on one backend); the
+//! programs are the tail. The cache stores one never-ticked,
+//! program-less simulation per distinct platform and serves each
+//! request point by snapshotting that checkpoint and loading the
+//! point's programs into the fork — construction cost is paid once per
+//! platform instead of once per point.
 //!
 //! Forking is exact, not approximate: masters load programs through
 //! their constructors against pristine pre-tick state, so a forked
 //! simulation is indistinguishable from one built from the full spec
 //! (pinned by this module's tests).
 
-use noc_scenario::{ScenarioError, Simulation, SweepPoint};
+use noc_scenario::{Backend, ScenarioError, ScenarioSpec, Simulation, SweepPoint};
 
 struct Entry {
-    key: String,
+    /// What the checkpoint was built from: the program-less spec and the
+    /// backend, compared by value against each point.
+    platform: ScenarioSpec,
+    backend: Backend,
     checkpoint: Box<dyn Simulation>,
     last_used: u64,
 }
@@ -73,7 +76,7 @@ impl CheckpointCache {
     }
 
     /// Produces a ready-to-run simulation for `point`, forked from a
-    /// cached checkpoint when one matches the point's prefix and built
+    /// cached checkpoint when one matches the point's platform and built
     /// (then cached) otherwise. Returns the simulation and whether it
     /// was a warm fork.
     ///
@@ -93,10 +96,13 @@ impl CheckpointCache {
     ) -> Result<(Box<dyn Simulation>, bool), ScenarioError> {
         point.spec.validate()?;
         point.spec.validate_traces()?;
-        let key = point.spec.prefix_key(&point.backend);
         self.clock += 1;
         let clock = self.clock;
-        if let Some(entry) = self.entries.iter_mut().find(|e| e.key == key) {
+        let warm = self
+            .entries
+            .iter_mut()
+            .find(|e| e.backend == point.backend && e.platform.same_platform(&point.spec));
+        if let Some(entry) = warm {
             entry.last_used = clock;
             self.hits += 1;
             let mut sim = entry.checkpoint.snapshot();
@@ -104,7 +110,8 @@ impl CheckpointCache {
             return Ok((sim, true));
         }
         self.misses += 1;
-        let checkpoint = point.spec.without_programs().build(&point.backend)?;
+        let platform = point.spec.without_programs();
+        let checkpoint = platform.build(&point.backend)?;
         let mut sim = checkpoint.snapshot();
         sim.load_programs(&point.spec.programs());
         if self.entries.len() == self.capacity {
@@ -118,7 +125,8 @@ impl CheckpointCache {
             self.entries.swap_remove(lru);
         }
         self.entries.push(Entry {
-            key,
+            platform,
+            backend: point.backend,
             checkpoint,
             last_used: clock,
         });
@@ -169,7 +177,7 @@ queue = 4
 
     #[test]
     fn same_prefix_hits_different_prefix_misses() {
-        let mut cache = CheckpointCache::new(4);
+        let mut cache = CheckpointCache::new(16);
         for backend in [Backend::noc(), Backend::bridged(), Backend::bus()] {
             let a = SweepPoint::new("a", spec(1, 0), backend);
             let b = SweepPoint::new("b", spec(3, 7), backend);
@@ -178,9 +186,21 @@ queue = 4
             // Different programs, same platform: warm fork.
             let (_, warm) = cache.checkout(&b).unwrap();
             assert!(warm, "second {} point forks", backend.label());
+            // Same programs, but one initiator knob or one memory differs:
+            // another platform.
+            let mut knob = spec(3, 7);
+            knob.initiators[0].outstanding = Some(2);
+            let mut slower = spec(3, 7);
+            slower.memories[0].latency += 1;
+            for other in [knob, slower] {
+                let (_, warm) = cache
+                    .checkout(&SweepPoint::new("c", other, backend))
+                    .unwrap();
+                assert!(!warm, "another {} platform builds", backend.label());
+            }
         }
-        assert_eq!(cache.len(), 3);
-        assert_eq!((cache.hits(), cache.misses()), (3, 3));
+        assert_eq!(cache.len(), 9);
+        assert_eq!((cache.hits(), cache.misses()), (3, 9));
     }
 
     #[test]

@@ -43,6 +43,7 @@ use noc_physical::{Link, LinkConfig};
 use noc_topology::{SwitchTables, Topology};
 use noc_transport::{Flit, PortId, RoutingTable, Switch, SwitchConfig, SwitchMode};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Where a link terminates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,11 +62,37 @@ pub enum LinkEnd {
     },
 }
 
-#[derive(Clone)]
-struct FabricLink {
-    link: Link<Flit>,
-    src: LinkEnd,
-    dst: LinkEnd,
+/// Everything [`Fabric::new`] wires and nothing changes afterwards: link
+/// ends, port-to-link maps, credit-return latencies. It sits behind one
+/// `Arc`, so the second fabric of a SoC and every snapshot share it.
+///
+/// Per-port tables are flat: the ports of switch `s` occupy
+/// `base[s]..base[s + 1]` of their array.
+struct Wiring {
+    /// Per link: where it starts and where it ends.
+    ends: Vec<(LinkEnd, LinkEnd)>,
+    /// Per link: its handle in the wakeup calendar.
+    link_wake: Vec<WakeId>,
+    /// Per link: credit-return latency in base cycles (the wire plus one
+    /// register per forward pipeline stage). A credit released by a
+    /// downstream input at cycle `t` becomes visible to the upstream
+    /// sender at `t + credit_lat` — never within the releasing cycle —
+    /// so credit visibility cannot depend on switch iteration order.
+    /// (The dense loop used to apply releases immediately, letting a
+    /// same-cycle consumer see them iff its index was higher than the
+    /// releaser's: an ordering bug.)
+    credit_lat: Vec<u64>,
+    /// Per switch: where its output ports start in `out_wire` (and in the
+    /// fabric's stash array), plus one entry past the last switch.
+    out_base: Vec<usize>,
+    /// Per switch output port: link index.
+    out_wire: Vec<Option<usize>>,
+    /// Per switch: where its input ports start in `in_wire`.
+    in_base: Vec<usize>,
+    /// Per switch input port: feeding link index.
+    in_wire: Vec<Option<usize>>,
+    /// Per node: its injection link, for attached nodes.
+    inj_link: Vec<Option<usize>>,
 }
 
 /// A set of small indices (switches, links, endpoints) as a bitset: O(1)
@@ -84,6 +111,7 @@ struct FabricLink {
 /// assert_eq!(set.iter().collect::<Vec<_>>(), [7, 130]);
 /// set.remove(7);
 /// assert_eq!((set.len(), set.next_from(0)), (1, Some(130)));
+/// assert!(set.contains(130) && !set.contains(7));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ActiveSet {
@@ -120,6 +148,15 @@ impl ActiveSet {
         let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
         self.len -= usize::from(*word & bit != 0);
         *word &= !bit;
+    }
+
+    /// Returns `true` when `i` is a member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is beyond the capacity.
+    pub fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1u64 << (i % 64)) != 0
     }
 
     /// Removes every member.
@@ -239,6 +276,17 @@ impl CreditRing {
     }
 }
 
+/// Where each switch's ports start in a flat per-port array — the running
+/// totals of the per-switch `counts`, from 0 — plus the grand total.
+fn offsets(counts: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut next = 0;
+    let running = counts.map(|count| {
+        next += count;
+        next
+    });
+    std::iter::once(0).chain(running).collect()
+}
+
 /// One packet network (request or response): switches, links and credit
 /// bookkeeping.
 ///
@@ -246,23 +294,16 @@ impl CreditRing {
 /// between endpoints and the fabric's injection/ejection links each cycle.
 #[derive(Clone)]
 pub struct Fabric {
+    wiring: Arc<Wiring>,
     switches: Vec<Switch>,
-    links: Vec<FabricLink>,
-    /// Per endpoint node: injection link index and current credits into
-    /// the first switch.
-    injection: Vec<(u16, usize, u32)>,
-    /// Node number → index into `injection`.
-    node_inj: Vec<Option<usize>>,
-    /// Per switch output port: link index.
-    out_wire: Vec<Vec<Option<usize>>>,
-    /// Per switch input port: feeding link index.
-    in_wire: Vec<Vec<Option<usize>>>,
-    /// Output-register stash per (switch, out port): absorbs flits while
-    /// a serialising link is busy.
-    stash: Vec<Vec<VecDeque<Flit>>>,
-    /// Wakeup calendar over links; `link_wake[i]` is link `i`'s handle.
+    links: Vec<Link<Flit>>,
+    /// Per node: current injection credits into its first switch.
+    inj_credits: Vec<u32>,
+    /// Output-register stash per (switch, out port), flat like
+    /// `Wiring::out_wire`: absorbs flits while a serialising link is busy.
+    stash: Vec<VecDeque<Flit>>,
+    /// Wakeup calendar over links.
     link_cal: Calendar,
-    link_wake: Vec<WakeId>,
     /// Switches currently holding flits or allocations.
     busy: ActiveSet,
     /// Idle switches with ≥ 1 output pinned by a locked sequence (they
@@ -275,15 +316,6 @@ pub struct Fabric {
     /// Flits in flight on links (send minus deliver).
     in_flight: usize,
     delivered_flits: u64,
-    /// Per link: credit-return latency in base cycles (the wire plus one
-    /// register per forward pipeline stage). A credit released by a
-    /// downstream input at cycle `t` becomes visible to the upstream
-    /// sender at `t + credit_lat` — never within the releasing cycle —
-    /// so credit visibility cannot depend on switch iteration order.
-    /// (The dense loop used to apply releases immediately, letting a
-    /// same-cycle consumer see them iff its index was higher than the
-    /// releaser's: an ordering bug.)
-    credit_lat: Vec<u64>,
     /// In-flight credit returns: due cycle → link indices, applied
     /// by [`Fabric::apply_due_credits`] at the top of each SoC step.
     /// Deliberately excluded from [`Fabric::is_idle`] and
@@ -310,9 +342,11 @@ impl Fabric {
     /// Endpoint clock divisors (`node → divisor`) shape the injection and
     /// ejection links' CDC behaviour; switches run on the base clock.
     ///
-    /// Each switch's routing row sits behind shared storage
-    /// ([`RoutingTable`]), so cloning the fabric — the second network of
-    /// a SoC, every snapshot — copies no routing state.
+    /// What never changes after construction — the routing rows of all
+    /// switches ([`RoutingTable::rows`]), the wiring, the credit-return
+    /// latencies — sits behind shared storage, so cloning the fabric (the
+    /// second network of a SoC, every snapshot) copies none of it; what
+    /// does change is two arrays per switch and a handful per fabric.
     ///
     /// # Panics
     ///
@@ -326,50 +360,126 @@ impl Fabric {
         tables: &SwitchTables,
         clock_of: &dyn Fn(u16) -> u64,
     ) -> Fabric {
+        let num_switches = topology.num_switches();
         assert_eq!(
             tables.num_switches(),
-            topology.num_switches(),
+            num_switches,
             "routing tables computed for another topology"
         );
         let num_nodes = topology.num_nodes();
-        // Instantiate switches.
-        let mut switches = Vec::new();
-        for s in 0..topology.num_switches() {
-            let ports = topology.ports()[s];
-            let mut table = RoutingTable::new(num_nodes);
-            for (node, port) in tables.switch_table(s).iter().enumerate() {
-                if let Some(p) = port {
-                    table.set(node as u16, PortId(*p));
-                }
-            }
-            let cfg = SwitchConfig {
-                inputs: ports.inputs as usize,
-                outputs: ports.outputs as usize,
-                mode,
-                buffer_depth,
-            };
-            switches.push(Switch::new(cfg, table));
+        let ports = topology.ports();
+        let matrix = (0..num_switches)
+            .flat_map(|s| tables.switch_table(s).iter().map(|port| port.map(PortId)))
+            .collect();
+        let mut switches: Vec<Switch> = RoutingTable::rows(matrix, num_nodes)
+            .zip(ports)
+            .map(|(table, ports)| {
+                let cfg = SwitchConfig {
+                    inputs: ports.inputs as usize,
+                    outputs: ports.outputs as usize,
+                    mode,
+                    buffer_depth,
+                };
+                Switch::new(cfg, table)
+            })
+            .collect();
+        let out_base = offsets(ports.iter().map(|p| p.outputs as usize));
+        let in_base = offsets(ports.iter().map(|p| p.inputs as usize));
+        let num_links = topology.edges().len() + 2 * topology.attachments().len();
+        let mut wiring = Wiring {
+            ends: Vec::with_capacity(num_links),
+            link_wake: Vec::with_capacity(num_links),
+            credit_lat: Vec::with_capacity(num_links),
+            out_wire: vec![None; out_base[num_switches]],
+            in_wire: vec![None; in_base[num_switches]],
+            out_base,
+            in_base,
+            inj_link: vec![None; num_nodes],
+        };
+        let mut links = Vec::with_capacity(num_links);
+        let mut link_cal = Calendar::new();
+        // Adds a link and registers it with the wakeup calendar.
+        let mut add_link = |wiring: &mut Wiring, cfg: LinkConfig, src: LinkEnd, dst: LinkEnd| {
+            let idx = links.len();
+            // The credit-return wire is registered like the forward path:
+            // one base cycle of wire plus one source-clock cycle per
+            // forward pipeline stage.
+            wiring
+                .credit_lat
+                .push(1 + cfg.pipeline as u64 * cfg.src_divisor);
+            wiring.ends.push((src, dst));
+            links.push(Link::new(cfg));
+            let wake = link_cal.register();
+            debug_assert_eq!(wake.index(), idx);
+            wiring.link_wake.push(wake);
+            idx
+        };
+        // Inter-switch links (base clock on both ends).
+        for e in topology.edges() {
+            let (from_port, to_port) = (e.from_port as usize, e.to_port as usize);
+            let idx = add_link(
+                &mut wiring,
+                link_cfg,
+                LinkEnd::Switch {
+                    switch: e.from,
+                    port: from_port,
+                },
+                LinkEnd::Switch {
+                    switch: e.to,
+                    port: to_port,
+                },
+            );
+            wiring.out_wire[wiring.out_base[e.from] + from_port] = Some(idx);
+            wiring.in_wire[wiring.in_base[e.to] + to_port] = Some(idx);
+            switches[e.from].set_output_credits(from_port, buffer_depth as u32);
         }
-        let num_switches = switches.len();
-        let mut fabric = Fabric {
-            out_wire: switches
-                .iter()
-                .map(|sw| vec![None; sw.config().outputs])
-                .collect(),
-            in_wire: switches
-                .iter()
-                .map(|sw| vec![None; sw.config().inputs])
-                .collect(),
-            stash: switches
-                .iter()
-                .map(|sw| (0..sw.config().outputs).map(|_| VecDeque::new()).collect())
-                .collect(),
+        // Endpoint attachments: injection (endpoint → switch) and
+        // ejection (switch → endpoint) links, with CDC per endpoint clock.
+        let mut inj_credits = vec![0; num_nodes];
+        for a in topology.attachments() {
+            let div = clock_of(a.node);
+            let (in_port, out_port) = (a.in_port as usize, a.out_port as usize);
+            let inj_idx = add_link(
+                &mut wiring,
+                LinkConfig {
+                    src_divisor: div,
+                    dst_divisor: 1,
+                    ..endpoint_link_cfg
+                },
+                LinkEnd::Endpoint { node: a.node },
+                LinkEnd::Switch {
+                    switch: a.switch,
+                    port: in_port,
+                },
+            );
+            wiring.in_wire[wiring.in_base[a.switch] + in_port] = Some(inj_idx);
+            wiring.inj_link[a.node as usize] = Some(inj_idx);
+            inj_credits[a.node as usize] = buffer_depth as u32;
+            let ej_idx = add_link(
+                &mut wiring,
+                LinkConfig {
+                    src_divisor: 1,
+                    dst_divisor: div,
+                    ..endpoint_link_cfg
+                },
+                LinkEnd::Switch {
+                    switch: a.switch,
+                    port: out_port,
+                },
+                LinkEnd::Endpoint { node: a.node },
+            );
+            wiring.out_wire[wiring.out_base[a.switch] + out_port] = Some(ej_idx);
+            // Endpoint ingress is unbounded (NIUs bound it by outstanding
+            // transactions); give ejection ports ample credit.
+            switches[a.switch].set_output_credits(out_port, u32::MAX / 2);
+        }
+        let max_credit_lat = wiring.credit_lat.iter().copied().max().unwrap_or(0);
+        Fabric {
+            stash: vec![VecDeque::new(); wiring.out_wire.len()],
+            wiring: Arc::new(wiring),
             switches,
-            links: Vec::new(),
-            injection: Vec::new(),
-            node_inj: vec![None; num_nodes],
-            link_cal: Calendar::new(),
-            link_wake: Vec::new(),
+            inj_credits,
+            link_cal,
             busy: ActiveSet::with_capacity(num_switches),
             locked: ActiveSet::with_capacity(num_switches),
             stashed: ActiveSet::with_capacity(num_switches),
@@ -377,106 +487,27 @@ impl Fabric {
             total_stashed: 0,
             in_flight: 0,
             delivered_flits: 0,
-            credit_lat: Vec::new(),
-            // Sized below, once every link (and its latency) is known.
-            pending_credits: CreditRing::new(0),
-            due_links: ActiveSet::default(),
+            pending_credits: CreditRing::new(max_credit_lat),
+            due_links: ActiveSet::with_capacity(links.len()),
+            links,
             tick_scratch: noc_transport::SwitchTick::default(),
-        };
-        // Inter-switch links (base clock on both ends).
-        for e in topology.edges() {
-            let idx = fabric.add_link(
-                Link::new(link_cfg),
-                LinkEnd::Switch {
-                    switch: e.from,
-                    port: e.from_port as usize,
-                },
-                LinkEnd::Switch {
-                    switch: e.to,
-                    port: e.to_port as usize,
-                },
-            );
-            fabric.out_wire[e.from][e.from_port as usize] = Some(idx);
-            fabric.in_wire[e.to][e.to_port as usize] = Some(idx);
-            fabric.switches[e.from].set_output_credits(e.from_port as usize, buffer_depth as u32);
         }
-        // Endpoint attachments: injection (endpoint → switch) and
-        // ejection (switch → endpoint) links, with CDC per endpoint clock.
-        for a in topology.attachments() {
-            let div = clock_of(a.node);
-            let inj_cfg = LinkConfig {
-                src_divisor: div,
-                dst_divisor: 1,
-                ..endpoint_link_cfg
-            };
-            let ej_cfg = LinkConfig {
-                src_divisor: 1,
-                dst_divisor: div,
-                ..endpoint_link_cfg
-            };
-            let inj_idx = fabric.add_link(
-                Link::new(inj_cfg),
-                LinkEnd::Endpoint { node: a.node },
-                LinkEnd::Switch {
-                    switch: a.switch,
-                    port: a.in_port as usize,
-                },
-            );
-            fabric.in_wire[a.switch][a.in_port as usize] = Some(inj_idx);
-            fabric.node_inj[a.node as usize] = Some(fabric.injection.len());
-            fabric
-                .injection
-                .push((a.node, inj_idx, buffer_depth as u32));
-            let ej_idx = fabric.add_link(
-                Link::new(ej_cfg),
-                LinkEnd::Switch {
-                    switch: a.switch,
-                    port: a.out_port as usize,
-                },
-                LinkEnd::Endpoint { node: a.node },
-            );
-            fabric.out_wire[a.switch][a.out_port as usize] = Some(ej_idx);
-            // Endpoint ingress is unbounded (NIUs bound it by outstanding
-            // transactions); give ejection ports ample credit.
-            fabric.switches[a.switch].set_output_credits(a.out_port as usize, u32::MAX / 2);
-        }
-        let max_credit_lat = fabric.credit_lat.iter().copied().max().unwrap_or(0);
-        fabric.pending_credits = CreditRing::new(max_credit_lat);
-        fabric.due_links = ActiveSet::with_capacity(fabric.links.len());
-        fabric
-    }
-
-    /// Adds a link and registers it with the wakeup calendar.
-    fn add_link(&mut self, link: Link<Flit>, src: LinkEnd, dst: LinkEnd) -> usize {
-        let idx = self.links.len();
-        // The credit-return wire is registered like the forward path:
-        // one base cycle of wire plus one source-clock cycle per forward
-        // pipeline stage.
-        let cfg = link.config();
-        self.credit_lat
-            .push(1 + cfg.pipeline as u64 * cfg.src_divisor);
-        self.links.push(FabricLink { link, src, dst });
-        let wake = self.link_cal.register();
-        debug_assert_eq!(wake.index(), idx);
-        self.link_wake.push(wake);
-        idx
     }
 
     /// Sends `flit` on link `li` and reschedules the link's arrival
     /// wakeup. Every send in the fabric funnels through here so no
     /// horizon change can escape the calendar.
     fn send_on_link(&mut self, li: usize, flit: Flit, now: u64) {
-        self.links[li]
-            .link
-            .send(flit, now)
-            .expect("can_send checked");
+        let link = &mut self.links[li];
+        link.send(flit, now).expect("can_send checked");
         self.in_flight += 1;
-        let next = self.links[li].link.next_event_at(now);
-        self.link_cal.set(self.link_wake[li], next);
+        let next = link.next_event_at(now);
+        self.link_cal.set(self.wiring.link_wake[li], next);
     }
 
-    fn stash_push(&mut self, s: usize, p: usize, flit: Flit) {
-        self.stash[s][p].push_back(flit);
+    /// Stashes `flit` at flat output slot `slot` of switch `s`.
+    fn stash_push(&mut self, s: usize, slot: usize, flit: Flit) {
+        self.stash[slot].push_back(flit);
         self.stash_flits[s] += 1;
         self.total_stashed += 1;
         self.stashed.insert(s);
@@ -491,15 +522,12 @@ impl Fabric {
 
     /// Returns `true` when `node` can inject a flit this base cycle.
     pub fn can_inject(&self, node: u16, now: u64) -> bool {
-        self.node_inj
-            .get(node as usize)
-            .copied()
-            .flatten()
-            .map(|i| {
-                let (_, link, credits) = self.injection[i];
-                credits > 0 && self.links[link].link.can_send(now)
-            })
-            .unwrap_or(false)
+        match self.wiring.inj_link.get(node as usize) {
+            Some(&Some(link)) => {
+                self.inj_credits[node as usize] > 0 && self.links[link].can_send(now)
+            }
+            _ => false,
+        }
     }
 
     /// Injects a flit from `node`.
@@ -508,10 +536,10 @@ impl Fabric {
     ///
     /// Panics if [`Fabric::can_inject`] is false (caller must check).
     pub fn inject(&mut self, node: u16, flit: Flit, now: u64) {
-        let i = self.node_inj[node as usize].expect("node attached to fabric");
-        assert!(self.injection[i].2 > 0, "injection without credit");
-        self.injection[i].2 -= 1;
-        let link = self.injection[i].1;
+        let link = self.wiring.inj_link[node as usize].expect("node attached to fabric");
+        let credits = &mut self.inj_credits[node as usize];
+        assert!(*credits > 0, "injection without credit");
+        *credits -= 1;
         self.send_on_link(link, flit, now);
     }
 
@@ -529,9 +557,9 @@ impl Fabric {
         let mut next = self.due_links.next_from(0);
         while let Some(li) = next {
             next = self.due_links.next_from(li + 1);
-            if let Some(flit) = self.links[li].link.deliver(now) {
+            if let Some(flit) = self.links[li].deliver(now) {
                 self.in_flight -= 1;
-                match self.links[li].dst {
+                match self.wiring.ends[li].1 {
                     LinkEnd::Switch { switch, port } => {
                         let ok = self.switches[switch].accept(port, flit);
                         assert!(ok, "credit flow control must prevent overflow");
@@ -543,8 +571,8 @@ impl Fabric {
                     }
                 }
             }
-            let at = self.links[li].link.next_event_at(now);
-            self.link_cal.set(self.link_wake[li], at);
+            let at = self.links[li].next_event_at(now);
+            self.link_cal.set(self.wiring.link_wake[li], at);
         }
         self.due_links.clear();
         // 1b. Idle switches pinned by locked sequences accrue their
@@ -560,15 +588,15 @@ impl Fabric {
         let mut next = self.stashed.next_from(0);
         while let Some(s) = next {
             next = self.stashed.next_from(s + 1);
-            for p in 0..self.stash[s].len() {
-                if self.stash[s][p].is_empty() {
+            for slot in self.wiring.out_base[s]..self.wiring.out_base[s + 1] {
+                if self.stash[slot].is_empty() {
                     continue;
                 }
-                let Some(li) = self.out_wire[s][p] else {
+                let Some(li) = self.wiring.out_wire[slot] else {
                     continue;
                 };
-                if self.links[li].link.can_send(now) {
-                    let flit = self.stash[s][p].pop_front().expect("checked non-empty");
+                if self.links[li].can_send(now) {
+                    let flit = self.stash[slot].pop_front().expect("checked non-empty");
                     self.stash_flits[s] -= 1;
                     self.total_stashed -= 1;
                     if self.stash_flits[s] == 0 {
@@ -587,14 +615,14 @@ impl Fabric {
             next = self.busy.next_from(s + 1);
             self.switches[s].tick_into(&mut tick);
             for (port, flit) in tick.sent.drain(..) {
-                let p = port.index();
-                let Some(li) = self.out_wire[s][p] else {
+                let slot = self.wiring.out_base[s] + port.index();
+                let Some(li) = self.wiring.out_wire[slot] else {
                     continue; // unreachable: every routed port is wired
                 };
-                if self.stash[s][p].is_empty() && self.links[li].link.can_send(now) {
+                if self.stash[slot].is_empty() && self.links[li].can_send(now) {
                     self.send_on_link(li, flit, now);
                 } else {
-                    self.stash_push(s, p, flit);
+                    self.stash_push(s, slot, flit);
                 }
             }
             // 4. Credit returns to upstream, registered onto the return
@@ -602,9 +630,10 @@ impl Fabric {
             // (applied by [`Fabric::apply_due_credits`]), never within
             // this cycle.
             for input in tick.credits_released.drain(..) {
-                let li = self.in_wire[s][input].expect("every switch input is wired");
+                let li = self.wiring.in_wire[self.wiring.in_base[s] + input]
+                    .expect("every switch input is wired");
                 self.pending_credits
-                    .push(now + self.credit_lat[li], li as u32);
+                    .push(now + self.wiring.credit_lat[li], li as u32);
             }
             if self.switches[s].is_idle() {
                 self.busy.remove(s);
@@ -623,14 +652,11 @@ impl Fabric {
     /// nothing earlier.
     pub(crate) fn apply_due_credits(&mut self, now: u64) {
         self.pending_credits
-            .drain_due(now, |li| match self.links[li as usize].src {
+            .drain_due(now, |li| match self.wiring.ends[li as usize].0 {
                 LinkEnd::Switch { switch, port } => {
                     self.switches[switch].add_output_credit(port);
                 }
-                LinkEnd::Endpoint { node } => {
-                    let i = self.node_inj[node as usize].expect("injection entry exists");
-                    self.injection[i].2 += 1;
-                }
+                LinkEnd::Endpoint { node } => self.inj_credits[node as usize] += 1,
             });
     }
 
@@ -711,10 +737,10 @@ impl Fabric {
     /// Mean link latency across all links that delivered flits.
     pub fn mean_link_latency(&self) -> f64 {
         let (mut sum, mut n) = (0.0, 0u64);
-        for l in &self.links {
-            if l.link.delivered() > 0 {
-                sum += l.link.mean_latency() * l.link.delivered() as f64;
-                n += l.link.delivered();
+        for link in &self.links {
+            if link.delivered() > 0 {
+                sum += link.mean_latency() * link.delivered() as f64;
+                n += link.delivered();
             }
         }
         if n == 0 {

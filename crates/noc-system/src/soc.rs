@@ -11,7 +11,7 @@ use std::fmt;
 
 /// Transport + physical configuration of a NoC instance — everything the
 /// paper says can change without the transaction layer noticing.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NocConfig {
     /// Switching discipline.
     pub mode: SwitchMode,
@@ -254,8 +254,13 @@ impl SocBuilder {
         let mut ep_cal = Calendar::new();
         let ep_wake: Vec<WakeId> = self.endpoints.iter().map(|_| ep_cal.register()).collect();
         let num_endpoints = self.endpoints.len();
+        let initiators = (0..num_endpoints)
+            .filter(|&i| self.endpoints[i].is_initiator)
+            .collect();
         let mut soc = Soc {
             endpoints: self.endpoints,
+            initiators,
+            settled: vec![0; num_endpoints],
             clock_ids,
             clocks,
             request,
@@ -288,6 +293,20 @@ impl SocBuilder {
 #[derive(Clone)]
 pub struct Soc {
     endpoints: Vec<Endpoint>,
+    /// Indices into `endpoints` of the initiators, in build order — the
+    /// order programs are loaded and appended in.
+    initiators: Vec<usize>,
+    /// Per endpoint: the base cycle up to which (exclusive) every edge of
+    /// its clock has been accounted — ticked for real, or charged through
+    /// [`NocEndpoint::skip_ticks`]. `step` ticks only the endpoints whose
+    /// wakeup is due, in dense and horizon runs alike; the edges it passes
+    /// over are proven no-ops by the endpoint's own pending wakeup, and
+    /// they are charged in one `skip_ticks` call the next time anything
+    /// looks at the endpoint ([`Soc::settle`]): before its next real
+    /// tick, before a flit is pushed into it, before commands are
+    /// appended, before its wakeup is recomputed. Between those moments
+    /// its countdown is stale by exactly the edges in `settled[i]..now`.
+    settled: Vec<u64>,
     /// Per-endpoint clock domain, index-aligned with `endpoints`.
     clock_ids: Vec<ClockId>,
     clocks: ClockSet,
@@ -296,18 +315,18 @@ pub struct Soc {
     /// Node number → index into `endpoints` (nodes are unique).
     node_ep: Vec<Option<usize>>,
     /// Wakeup calendar over endpoints; `ep_wake[i]` is endpoint `i`'s
-    /// handle. Each endpoint re-registers whenever its horizon can have
-    /// changed: after any cycle it was clocked on, and whenever a flit
-    /// is pushed into it (the response/request arrival that can move
-    /// its horizon *earlier*).
+    /// handle. The wakeups due at a cycle are the endpoints `step` clocks
+    /// on it. Each endpoint re-registers whenever its horizon can have
+    /// changed: after any cycle it was clocked on, whenever a flit is
+    /// pushed into it (the response/request arrival that can move its
+    /// horizon *earlier*), and when its program is loaded or extended.
     ep_cal: Calendar,
     ep_wake: Vec<WakeId>,
     /// Cached [`NocEndpoint::is_done`] per endpoint plus the count of
     /// endpoints still working, refreshed by the same invalidation
     /// discipline as the calendar: done-ness can only flip when an
     /// endpoint's state actually changes (its wakeup fired, a flit was
-    /// pulled from it or pushed into it, a program was loaded) — ticks
-    /// inside a proven-dead region are no-ops by construction.
+    /// pushed into it, a program was loaded or extended).
     done: Vec<bool>,
     not_done: usize,
     now: u64,
@@ -337,28 +356,36 @@ impl Engine for Soc {
         //    fabric ticks).
         self.request.apply_due_credits(now);
         self.response.apply_due_credits(now);
-        // Retire due endpoint wakeups. Everything that can move an
-        // endpoint's horizon (or done-ness) this cycle lands in
-        // `touched`: its wakeup firing, a flit pulled from it, a flit
-        // pushed into it — routinely two or three of those for one
-        // endpoint, which the set folds into one refresh. Clocked ticks
-        // *inside* a pending wakeup's dead region are provably no-ops
-        // for the horizon — the same invariance that lets `skip_to`
-        // jump them — so merely being clocked does not require
-        // re-registration.
+        // Retire due endpoint wakeups: the calendar *is* the set of
+        // endpoints to clock this cycle. An endpoint's wakeup is the
+        // first of its clock edges that is not provably a no-op — the
+        // very next edge while a request is pending or its egress holds
+        // flits — so every edge before it is left unexecuted, in dense
+        // and horizon runs alike, and charged later in bulk (see the
+        // `settled` field). Everything that can move an endpoint's
+        // horizon (or done-ness) this cycle lands in `touched`: its
+        // wakeup firing here, a flit pushed into it below.
         let touched = &mut self.touched;
         self.ep_cal.pop_due(now, |id| touched.insert(id.index()));
-        // 1. Endpoint compute on their clock edges, then injection:
-        //    initiators feed the request network, targets the response
-        //    network (one flit per endpoint per local cycle). Endpoints
-        //    only interact through the fabrics — an endpoint's tick
-        //    reads no fabric state and each node injects on its own
+        #[cfg(debug_assertions)]
+        self.assert_no_late_wake(now);
+        // 1. Endpoint compute, then injection: initiators feed the
+        //    request network, targets the response network (one flit per
+        //    endpoint per local cycle), in ascending endpoint order.
+        //    Endpoints only interact through the fabrics — an endpoint's
+        //    tick reads no fabric state and each node injects on its own
         //    link — so folding injection into the tick pass reorders
         //    nothing observable versus two full passes.
-        for (i, ep) in self.endpoints.iter_mut().enumerate() {
-            if !self.clocks.is_active(self.clock_ids[i], now) {
-                continue;
-            }
+        let mut next = self.touched.next_from(0);
+        while let Some(i) = next {
+            next = self.touched.next_from(i + 1);
+            debug_assert!(
+                self.clocks.is_active(self.clock_ids[i], now),
+                "wakeups are scheduled on the endpoint's own clock edges"
+            );
+            self.settle(i, now);
+            self.settled[i] = now + 1;
+            let ep = &mut self.endpoints[i];
             ep.inner.tick(now);
             let fabric = if ep.is_initiator {
                 &mut self.request
@@ -368,30 +395,16 @@ impl Engine for Soc {
             if fabric.can_inject(ep.node, now) {
                 if let Some(flit) = ep.inner.pull_flit() {
                     fabric.inject(ep.node, flit, now);
-                    touched.insert(i);
                 }
             }
         }
-        // 2. Fabric cycles; ejections are delivered immediately. A
-        //    pushed flit can move the receiving endpoint's horizon
-        //    *earlier*, so those endpoints must re-register even when
-        //    they were not clocked this cycle.
+        // 2. Fabric cycles; ejections are delivered immediately.
         let mut eject = std::mem::take(&mut self.eject_scratch);
         eject.clear();
         self.request.tick(now, &mut eject);
-        for (node, flit) in eject.drain(..) {
-            let i = self.node_ep[node as usize].expect("request network ejects at targets");
-            debug_assert!(!self.endpoints[i].is_initiator);
-            self.endpoints[i].inner.push_flit(flit);
-            self.touched.insert(i);
-        }
+        self.deliver(&mut eject, now);
         self.response.tick(now, &mut eject);
-        for (node, flit) in eject.drain(..) {
-            let i = self.node_ep[node as usize].expect("response network ejects at initiators");
-            debug_assert!(self.endpoints[i].is_initiator);
-            self.endpoints[i].inner.push_flit(flit);
-            self.touched.insert(i);
-        }
+        self.deliver(&mut eject, now);
         self.eject_scratch = eject;
         self.now += 1;
         // 3. Invalidation discipline: every touched endpoint
@@ -428,18 +441,12 @@ impl Engine for Soc {
         horizon.earliest_from(self.now)
     }
 
-    /// For every endpoint the clock edges inside `[now, target)` are
-    /// accounted through [`NocEndpoint::skip_ticks`], and both fabrics
-    /// bulk-account their lock-idle statistics through
-    /// [`Fabric::skip_cycles`], leaving bit-identical state.
+    /// Both fabrics bulk-account their lock-idle statistics through
+    /// [`Fabric::skip_cycles`], leaving bit-identical state. Endpoints
+    /// need nothing here: the clock edges inside `[now, target)` are
+    /// charged when each endpoint is next settled, exactly like the
+    /// edges `step` passes over.
     fn skip_to(&mut self, target: u64) {
-        for (i, ep) in self.endpoints.iter_mut().enumerate() {
-            let domain = self.clocks.domain(self.clock_ids[i]);
-            let ticks = domain.ticks_in(target) - domain.ticks_in(self.now);
-            if ticks > 0 {
-                ep.inner.skip_ticks(ticks);
-            }
-        }
         let cycles = target - self.now;
         self.request.skip_cycles(cycles);
         self.response.skip_cycles(cycles);
@@ -448,35 +455,86 @@ impl Engine for Soc {
 }
 
 impl Soc {
+    /// Charges endpoint `i` the clock edges in `settled[i]..upto` that
+    /// were never executed, as one [`NocEndpoint::skip_ticks`] call (the
+    /// endpoint's wakeup proved each of them a no-op).
+    fn settle(&mut self, i: usize, upto: u64) {
+        let domain = self.clocks.domain(self.clock_ids[i]);
+        let ticks = domain.ticks_in(upto) - domain.ticks_in(self.settled[i]);
+        if ticks > 0 {
+            self.endpoints[i].inner.skip_ticks(ticks);
+        }
+        self.settled[i] = upto;
+    }
+
+    /// Hands the flits a fabric ejected this cycle to their endpoints. A
+    /// pushed flit can move the receiving endpoint's horizon *earlier*,
+    /// so it joins `touched` even though it was not clocked. The endpoint
+    /// is settled through `now + 1` first: a dense run would have put its
+    /// (no-op) tick of this cycle before the delivery.
+    fn deliver(&mut self, ejected: &mut Vec<(u16, noc_transport::Flit)>, now: u64) {
+        for (node, flit) in ejected.drain(..) {
+            let i = self.node_ep[node as usize].expect("a fabric ejects at attached endpoints");
+            self.settle(i, now + 1);
+            self.endpoints[i].inner.push_flit(flit);
+            self.touched.insert(i);
+        }
+    }
+
+    /// The invalidation discipline, checked where it would break: an
+    /// endpoint `step` is about to pass over must not have a wakeup at or
+    /// before `now`. The wakeup is recomputed from the endpoint's
+    /// `settled` cycle, not from `now` — an unsettled countdown is stale
+    /// by exactly the unsettled edges.
+    #[cfg(debug_assertions)]
+    fn assert_no_late_wake(&self, now: u64) {
+        for (i, ep) in self.endpoints.iter().enumerate() {
+            if self.touched.contains(i) {
+                continue;
+            }
+            let wake = self.endpoint_wake_at(i);
+            assert!(
+                wake.is_none_or(|at| at > now),
+                "endpoint {} is not clocked at cycle {now}, but its wakeup (settled through \
+                 {}) was due at {wake:?}: a state change escaped `refresh_endpoint`",
+                ep.name,
+                self.settled[i]
+            );
+        }
+    }
+
     /// The endpoint's current horizon contribution: the earliest base
     /// cycle at which it can act, combining its local-tick countdown
-    /// ([`NocEndpoint::idle_ticks`], mapped onto the base timeline
-    /// through its clock domain) with the [`NocEndpoint::ready_at`]
-    /// absolute refinement. Both are proofs of deadness, so the later
-    /// bound wins; both are invariant across [`Engine::skip_to`] (the
-    /// countdown shrinks by exactly the skipped edges), so a scheduled
-    /// wakeup stays valid through skips.
+    /// ([`NocEndpoint::idle_ticks`], counted from its `settled` cycle and
+    /// mapped onto the base timeline through its clock domain) with the
+    /// [`NocEndpoint::ready_at`] absolute refinement. Both are proofs of
+    /// deadness, so the later bound wins; both name an absolute cycle
+    /// that settling does not move (the countdown shrinks by exactly the
+    /// edges charged), so a scheduled wakeup stays valid until the
+    /// endpoint's state changes.
     fn endpoint_wake_at(&self, i: usize) -> Option<u64> {
         let ep = &self.endpoints[i];
         let domain = self.clocks.domain(self.clock_ids[i]);
-        let edge = domain.next_active(self.now);
+        let from = self.settled[i];
+        let edge = domain.next_active(from);
         let idle = ep.inner.idle_ticks();
         let from_idle =
             (idle != u64::MAX).then(|| edge.saturating_add(idle.saturating_mul(domain.divisor())));
         let from_ready = ep
             .inner
             .ready_at()
-            .map(|ready| domain.next_active(ready.max(self.now)));
+            .map(|ready| domain.next_active(ready.max(from)));
         match (from_idle, from_ready) {
             (Some(a), Some(b)) => Some(a.max(b)),
             (a, b) => a.or(b),
         }
     }
 
-    /// Re-registers endpoint `i`'s wakeup and refreshes its cached
-    /// done-ness — the invalidation hook called for every endpoint
-    /// whose state changed this cycle.
+    /// Settles endpoint `i` through `now`, re-registers its wakeup and
+    /// refreshes its cached done-ness — the invalidation hook called for
+    /// every endpoint whose state changed this cycle.
     fn refresh_endpoint(&mut self, i: usize) {
+        self.settle(i, self.now);
         let at = self.endpoint_wake_at(i);
         self.ep_cal.set(self.ep_wake[i], at);
         let done = self.endpoints[i].inner.is_done();
@@ -516,18 +574,16 @@ impl Soc {
             self.now == 0 && self.steps == 0,
             "programs can only be loaded before execution starts"
         );
-        let mut programs = programs.iter();
-        for ep in self.endpoints.iter_mut().filter(|e| e.is_initiator) {
-            let program = programs.next().expect("one program per initiator endpoint");
-            ep.inner.load_program(program.clone());
-        }
-        assert!(
-            programs.next().is_none(),
-            "more programs than initiator endpoints"
+        assert_eq!(
+            programs.len(),
+            self.initiators.len(),
+            "one program per initiator endpoint"
         );
-        // Loading a program moves initiator horizons from "quiescent"
-        // to their first command's cycle — re-register everyone.
-        for i in 0..self.endpoints.len() {
+        // Loading a program moves an initiator's horizon from
+        // "quiescent" to its first command's cycle: re-register it.
+        for (k, program) in programs.iter().enumerate() {
+            let i = self.initiators[k];
+            self.endpoints[i].inner.load_program(program.clone());
             self.refresh_endpoint(i);
         }
     }
@@ -547,14 +603,11 @@ impl Soc {
     /// Panics if `ordinal` exceeds the initiator count or a command
     /// violates the socket's constraints.
     pub fn append_commands(&mut self, ordinal: usize, tail: &[noc_protocols::SocketCommand]) {
-        let i = self
-            .endpoints
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.is_initiator)
-            .nth(ordinal)
-            .map(|(i, _)| i)
+        let i = *self
+            .initiators
+            .get(ordinal)
             .expect("initiator ordinal out of range");
+        self.settle(i, self.now);
         self.endpoints[i].inner.append_commands(tail);
         self.refresh_endpoint(i);
     }

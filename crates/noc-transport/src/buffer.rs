@@ -87,8 +87,10 @@ impl FlitFifo {
         if flit.is_tail() {
             self.complete_packets += 1;
         }
-        if self.flits.capacity() == 0 {
-            self.flits.reserve_exact(self.capacity);
+        // One allocation covers the bound — also for a clone taken
+        // mid-run, whose store is only as large as what it held.
+        if self.flits.capacity() < self.capacity {
+            self.flits.reserve_exact(self.capacity - self.flits.len());
         }
         self.flits.push_back(flit);
         true
@@ -181,6 +183,15 @@ mod tests {
         assert!(f.is_full());
         assert!(!f.push(ht(4)), "the declared capacity still bounds pushes");
         assert_eq!((f.len(), f.free()), (3, 0));
+        // A snapshot taken mid-run regrows once, not by doubling.
+        let mut h = FlitFifo::new(8);
+        assert!(h.push(ht(1)) && h.push(ht(2)));
+        let mut h = h.clone();
+        assert!(h.push(ht(3)));
+        let store = h.flits.capacity();
+        assert!(store >= 8, "the first push after a clone covers the bound");
+        while h.push(ht(4)) {}
+        assert_eq!((h.len(), h.flits.capacity()), (8, store));
         // A snapshot of a drained FIFO keeps the bound.
         while f.pop().is_some() {}
         let mut g = f.clone();

@@ -50,7 +50,8 @@ impl std::error::Error for RouteError {}
 /// A dense destination → output-port table for one switch.
 ///
 /// The row sits behind shared immutable storage: clones (the second
-/// fabric, every SoC snapshot) share one copy, and [`RoutingTable::set`]
+/// fabric, every SoC snapshot) share one copy — as do all the tables cut
+/// from one matrix by [`RoutingTable::rows`] — and [`RoutingTable::set`]
 /// on a shared table copies the row first, so no clone ever sees
 /// another's edit.
 ///
@@ -65,27 +66,73 @@ impl std::error::Error for RouteError {}
 /// assert!(t.lookup(2).is_err());
 /// # Ok::<(), noc_transport::RouteError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct RoutingTable {
-    next_hop: Arc<[Option<PortId>]>,
+    /// Shared storage; this table is `hops[start..start + len]`.
+    hops: Arc<[Option<PortId>]>,
+    start: usize,
+    len: usize,
 }
 
 impl RoutingTable {
     /// Creates an empty table covering destinations `0..num_nodes`.
     pub fn new(num_nodes: usize) -> Self {
         RoutingTable {
-            next_hop: vec![None; num_nodes].into(),
+            hops: vec![None; num_nodes].into(),
+            start: 0,
+            len: num_nodes,
         }
+    }
+
+    /// Cuts a row-major `matrix` of `num_nodes` destinations per row into
+    /// one table per row, all sharing a single copy of it: a fabric of
+    /// thousands of switches holds its routing state in one allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `matrix` is not a whole number of rows.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use noc_transport::{PortId, RoutingTable};
+    /// let matrix = vec![Some(PortId(0)), None, None, Some(PortId(2))];
+    /// let rows: Vec<RoutingTable> = RoutingTable::rows(matrix, 2).collect();
+    /// assert_eq!(rows.len(), 2);
+    /// assert_eq!(rows[1].lookup(1)?, PortId(2));
+    /// assert!(rows[1].lookup(0).is_err());
+    /// # Ok::<(), noc_transport::RouteError>(())
+    /// ```
+    pub fn rows(
+        matrix: Vec<Option<PortId>>,
+        num_nodes: usize,
+    ) -> impl Iterator<Item = RoutingTable> {
+        let rows = matrix.len().checked_div(num_nodes).unwrap_or(0);
+        assert_eq!(
+            rows * num_nodes,
+            matrix.len(),
+            "routing matrix is not a whole number of rows"
+        );
+        let hops: Arc<[Option<PortId>]> = matrix.into();
+        (0..rows).map(move |r| RoutingTable {
+            hops: Arc::clone(&hops),
+            start: r * num_nodes,
+            len: num_nodes,
+        })
+    }
+
+    fn row(&self) -> &[Option<PortId>] {
+        &self.hops[self.start..self.start + self.len]
     }
 
     /// Number of destinations the table covers.
     pub fn len(&self) -> usize {
-        self.next_hop.len()
+        self.len
     }
 
     /// Returns `true` if the table covers no destinations.
     pub fn is_empty(&self) -> bool {
-        self.next_hop.is_empty()
+        self.len == 0
     }
 
     /// Sets the output port for destination `dst`.
@@ -94,7 +141,12 @@ impl RoutingTable {
     ///
     /// Panics if `dst` is outside the table.
     pub fn set(&mut self, dst: u16, port: PortId) {
-        Arc::make_mut(&mut self.next_hop)[dst as usize] = Some(port);
+        if self.len != self.hops.len() {
+            // A row of a shared matrix: edit a private copy of the row.
+            self.hops = self.row().into();
+            self.start = 0;
+        }
+        Arc::make_mut(&mut self.hops)[dst as usize] = Some(port);
     }
 
     /// Looks up the output port for `dst`.
@@ -103,7 +155,7 @@ impl RoutingTable {
     ///
     /// Returns [`RouteError`] when the destination is not mapped.
     pub fn lookup(&self, dst: u16) -> Result<PortId, RouteError> {
-        self.next_hop
+        self.row()
             .get(dst as usize)
             .copied()
             .flatten()
@@ -112,13 +164,22 @@ impl RoutingTable {
 
     /// Destinations that have routes, in ascending order.
     pub fn mapped_destinations(&self) -> Vec<u16> {
-        self.next_hop
+        self.row()
             .iter()
             .enumerate()
             .filter_map(|(i, p)| p.map(|_| i as u16))
             .collect()
     }
 }
+
+/// Tables are equal when they route alike, wherever their rows are stored.
+impl PartialEq for RoutingTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.row() == other.row()
+    }
+}
+
+impl Eq for RoutingTable {}
 
 #[cfg(test)]
 mod tests {
@@ -146,10 +207,7 @@ mod tests {
         let mut a = RoutingTable::new(4);
         a.set(1, PortId(0));
         let mut b = a.clone();
-        assert!(
-            Arc::ptr_eq(&a.next_hop, &b.next_hop),
-            "clones share the row"
-        );
+        assert!(Arc::ptr_eq(&a.hops, &b.hops), "clones share the row");
         b.set(1, PortId(3));
         b.set(2, PortId(1));
         assert_eq!(a.lookup(1), Ok(PortId(0)));
@@ -159,6 +217,29 @@ mod tests {
         // Editing the original does not reach the clone either.
         a.set(3, PortId(2));
         assert_eq!(b.lookup(3), Err(RouteError { dst: 3 }));
+    }
+
+    #[test]
+    fn rows_share_one_matrix_until_one_is_edited() {
+        let matrix = vec![Some(PortId(0)), None, None, Some(PortId(1)), None, None];
+        let mut rows: Vec<RoutingTable> = RoutingTable::rows(matrix, 2).collect();
+        assert_eq!(rows.len(), 3);
+        assert!(Arc::ptr_eq(&rows[0].hops, &rows[2].hops));
+        assert_eq!(rows[0].lookup(0), Ok(PortId(0)));
+        assert_eq!(rows[1].lookup(1), Ok(PortId(1)));
+        assert_eq!(rows[1].lookup(2), Err(RouteError { dst: 2 }), "a row ends");
+        assert_eq!((rows[2].len(), rows[2].mapped_destinations()), (2, vec![]));
+        // Editing one row leaves its neighbours' storage alone.
+        rows[1].set(0, PortId(4));
+        assert_eq!(rows[1].lookup(0), Ok(PortId(4)));
+        assert_eq!(rows[1].lookup(1), Ok(PortId(1)));
+        assert_eq!(rows[0].lookup(0), Ok(PortId(0)));
+        assert_eq!(rows[2].lookup(0), Err(RouteError { dst: 0 }));
+        let mut same = RoutingTable::new(2);
+        same.set(0, PortId(4));
+        same.set(1, PortId(1));
+        assert_eq!(rows[1], same, "equality is by routes, not by storage");
+        assert_eq!(RoutingTable::rows(Vec::new(), 0).count(), 0);
     }
 
     #[test]

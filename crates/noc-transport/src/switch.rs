@@ -110,10 +110,12 @@ pub struct SwitchTick {
     /// Input ports that drained one flit (their upstream regains a
     /// credit).
     pub credits_released: Vec<usize>,
-    /// Allocation scratch: this cycle's request table. It lives in the
-    /// caller-owned result, not in the switch, so a fabric of thousands
-    /// of switches shares one.
+    /// Allocation scratch: this cycle's request table, and the arbiter's
+    /// input (one slot per input, all `None` between arbitrations). They
+    /// live in the caller-owned result, not in the switch, so a fabric of
+    /// thousands of switches shares one of each.
     requests: Vec<Request>,
+    req_scratch: Vec<Option<u8>>,
 }
 
 /// One row of a cycle's request table: an idle input whose FIFO front is
@@ -150,26 +152,35 @@ struct Request {
 pub struct Switch {
     config: SwitchConfig,
     table: RoutingTable,
-    inputs: Vec<FlitFifo>,
-    /// Which output each input's in-flight packet owns.
-    in_alloc: Vec<Option<usize>>,
-    /// Whether each input's in-flight packet releases a lock at its tail.
-    in_lock_release: Vec<bool>,
-    /// Which input owns each output (persists across packets while
-    /// locked).
-    out_owner: Vec<Option<usize>>,
-    /// Lock pinning: output reserved for one input across packets.
-    out_lock: Vec<Option<usize>>,
-    out_credits: Vec<u32>,
-    arbiters: Vec<RoundRobinArbiter>,
+    /// Per-port state, one record per port: a switch is two arrays,
+    /// however many ports it has.
+    inputs: Vec<InputPort>,
+    outputs: Vec<OutputPort>,
     stats: SwitchStats,
-    /// Arbiter input scratch (one slot per input, all `None` between
-    /// arbitrations), reused so allocation allocates nothing.
-    req_scratch: Vec<Option<u8>>,
     /// Flits buffered across all inputs and inputs holding an output:
     /// both zero is [`Switch::is_idle`], without scanning.
     buffered: usize,
     allocated: usize,
+}
+
+#[derive(Debug, Clone)]
+struct InputPort {
+    fifo: FlitFifo,
+    /// Which output this input's in-flight packet owns.
+    alloc: Option<usize>,
+    /// Whether the in-flight packet releases a lock at its tail.
+    lock_release: bool,
+}
+
+#[derive(Debug, Clone, Default)]
+struct OutputPort {
+    /// Which input owns this output (persists across packets while
+    /// locked).
+    owner: Option<usize>,
+    /// Lock pinning: the input this output is reserved for across packets.
+    lock: Option<usize>,
+    credits: u32,
+    arbiter: RoundRobinArbiter,
 }
 
 impl Switch {
@@ -184,17 +195,13 @@ impl Switch {
         assert!(config.buffer_depth > 0, "switch needs buffering");
         Switch {
             inputs: (0..config.inputs)
-                .map(|_| FlitFifo::new(config.buffer_depth))
+                .map(|_| InputPort {
+                    fifo: FlitFifo::new(config.buffer_depth),
+                    alloc: None,
+                    lock_release: false,
+                })
                 .collect(),
-            in_alloc: vec![None; config.inputs],
-            in_lock_release: vec![false; config.inputs],
-            out_owner: vec![None; config.outputs],
-            out_lock: vec![None; config.outputs],
-            out_credits: vec![0; config.outputs],
-            arbiters: (0..config.outputs)
-                .map(|_| RoundRobinArbiter::new())
-                .collect(),
-            req_scratch: vec![None; config.inputs],
+            outputs: (0..config.outputs).map(|_| OutputPort::default()).collect(),
             config,
             table,
             stats: SwitchStats::default(),
@@ -215,41 +222,41 @@ impl Switch {
 
     /// Free space in input `port`'s FIFO (credits to advertise upstream).
     pub fn input_free(&self, port: usize) -> usize {
-        self.inputs[port].free()
+        self.inputs[port].fifo.free()
     }
 
     /// Returns `true` if input `port` can accept a flit this cycle.
     pub fn can_accept(&self, port: usize) -> bool {
-        !self.inputs[port].is_full()
+        !self.inputs[port].fifo.is_full()
     }
 
     /// Pushes a flit into input `port`. Returns `false` when the buffer is
     /// full (a flow-control violation by the caller).
     pub fn accept(&mut self, port: usize, flit: Flit) -> bool {
-        let accepted = self.inputs[port].push(flit);
+        let accepted = self.inputs[port].fifo.push(flit);
         self.buffered += usize::from(accepted);
         accepted
     }
 
     /// Sets the credit count of output `port` (downstream buffer space).
     pub fn set_output_credits(&mut self, port: usize, credits: u32) {
-        self.out_credits[port] = credits;
+        self.outputs[port].credits = credits;
     }
 
     /// Returns one credit to output `port` (downstream freed a slot).
     pub fn add_output_credit(&mut self, port: usize) {
-        self.out_credits[port] += 1;
+        self.outputs[port].credits += 1;
     }
 
     /// Current credits of output `port`.
     pub fn output_credits(&self, port: usize) -> u32 {
-        self.out_credits[port]
+        self.outputs[port].credits
     }
 
     /// Returns `true` if output `port` is currently pinned by a locked
     /// sequence.
     pub fn is_output_locked(&self, port: usize) -> bool {
-        self.out_lock[port].is_some()
+        self.outputs[port].lock.is_some()
     }
 
     /// Returns `true` if any output is pinned by a locked sequence.
@@ -258,7 +265,7 @@ impl Switch {
     /// skip ticking idle switches must keep accounting for these via
     /// [`Switch::skip_cycles`].
     pub fn has_locked_output(&self) -> bool {
-        self.out_lock.iter().any(|l| l.is_some())
+        self.outputs.iter().any(|o| o.lock.is_some())
     }
 
     /// Returns `true` if the switch holds no flits and no allocations.
@@ -293,7 +300,7 @@ impl Switch {
     /// `None`.
     pub fn skip_cycles(&mut self, cycles: u64) {
         debug_assert!(self.is_idle(), "skipping a switch that holds flits");
-        let locked = self.out_lock.iter().filter(|l| l.is_some()).count() as u64;
+        let locked = self.outputs.iter().filter(|o| o.lock.is_some()).count() as u64;
         self.stats.lock_idle_cycles += locked * cycles;
     }
 
@@ -310,7 +317,7 @@ impl Switch {
     pub fn tick_into(&mut self, tick: &mut SwitchTick) {
         tick.sent.clear();
         tick.credits_released.clear();
-        self.allocate(&mut tick.requests);
+        self.allocate(&mut tick.requests, &mut tick.req_scratch);
         self.forward(tick);
     }
 
@@ -323,27 +330,31 @@ impl Switch {
     /// requests one output only and a grant changes nothing another
     /// output's candidates depend on, so evaluating every filter up front
     /// selects the same candidates as re-scanning the inputs per output.
-    fn allocate(&mut self, requests: &mut Vec<Request>) {
+    fn allocate(&mut self, requests: &mut Vec<Request>, req_scratch: &mut Vec<Option<u8>>) {
         requests.clear();
-        for (input, fifo) in self.inputs.iter().enumerate() {
-            if self.in_alloc[input].is_some() {
+        for (input, port) in self.inputs.iter().enumerate() {
+            if port.alloc.is_some() {
                 continue;
             }
-            let Some(header) = fifo.peek().and_then(Flit::header) else {
+            let Some(header) = port.fifo.peek().and_then(Flit::header) else {
                 continue;
             };
-            let Ok(port) = self.table.lookup(header.dst) else {
+            let Ok(out) = self.table.lookup(header.dst) else {
                 continue;
             };
-            let output = port.index();
+            let output = out.index();
             if output >= self.config.outputs {
                 continue;
             }
-            if self.config.mode == SwitchMode::StoreAndForward && fifo.complete_packets() == 0 {
+            if self.config.mode == SwitchMode::StoreAndForward && port.fifo.complete_packets() == 0
+            {
                 continue;
             }
             // Lock pinning: a locked output only admits its owner.
-            if self.out_lock[output].is_some_and(|owner| owner != input) {
+            if self.outputs[output]
+                .lock
+                .is_some_and(|owner| owner != input)
+            {
                 continue;
             }
             requests.push(Request {
@@ -354,20 +365,22 @@ impl Switch {
                 lock_release: header.lock_release,
             });
         }
-        for o in 0..self.config.outputs {
+        // The arbiter rotates over exactly this switch's inputs.
+        req_scratch.resize(self.config.inputs, None);
+        for (o, out) in self.outputs.iter_mut().enumerate() {
             // An output is free for (re)allocation when no input is
             // actively streaming to it.
-            let streaming = self.out_owner[o].is_some_and(|i| self.in_alloc[i] == Some(o));
+            let streaming = out.owner.is_some_and(|i| self.inputs[i].alloc == Some(o));
             if streaming {
                 continue;
             }
             let mut n_req = 0;
             for r in requests.iter().filter(|r| r.output == o) {
-                self.req_scratch[r.input] = Some(r.pressure);
+                req_scratch[r.input] = Some(r.pressure);
                 n_req += 1;
             }
             if n_req == 0 {
-                if self.out_lock[o].is_some() {
+                if out.lock.is_some() {
                     self.stats.lock_idle_cycles += 1;
                 }
                 continue;
@@ -375,20 +388,22 @@ impl Switch {
             if n_req > 1 {
                 self.stats.arbitration_conflicts += 1;
             }
-            let winner = self.arbiters[o]
-                .pick(&self.req_scratch)
+            let winner = out
+                .arbiter
+                .pick(req_scratch)
                 .expect("candidates exist, arbiter must grant");
-            self.req_scratch.fill(None);
+            req_scratch.fill(None);
             let grant = requests
                 .iter()
                 .find(|r| r.input == winner)
                 .expect("the winner requested");
-            self.in_lock_release[winner] = grant.lock_release;
             if grant.locked {
-                self.out_lock[o] = Some(winner);
+                out.lock = Some(winner);
             }
-            self.in_alloc[winner] = Some(o);
-            self.out_owner[o] = Some(winner);
+            out.owner = Some(winner);
+            let input = &mut self.inputs[winner];
+            input.lock_release = grant.lock_release;
+            input.alloc = Some(o);
             self.allocated += 1;
         }
     }
@@ -396,46 +411,44 @@ impl Switch {
     /// Forwarding: each output streams one flit from its allocated input,
     /// credit permitting.
     fn forward(&mut self, tick: &mut SwitchTick) {
-        for o in 0..self.config.outputs {
-            let Some(i) = self.out_owner[o] else {
+        for (o, out) in self.outputs.iter_mut().enumerate() {
+            let Some(i) = out.owner else {
                 continue;
             };
-            if self.in_alloc[i] != Some(o) {
+            let input = &mut self.inputs[i];
+            if input.alloc != Some(o) {
                 continue; // output locked-idle between packets of a sequence
             }
-            let flit_ready = self.inputs[i].peek().is_some();
-            if !flit_ready {
+            if input.fifo.peek().is_none() {
                 continue; // wormhole bubble: body flits not here yet
             }
-            if self.out_credits[o] == 0 {
+            if out.credits == 0 {
                 self.stats.credit_stalls += 1;
                 continue;
             }
-            let flit = self.inputs[i].pop().expect("peeked flit must pop");
+            let flit = input.fifo.pop().expect("peeked flit must pop");
             self.buffered -= 1;
-            self.out_credits[o] -= 1;
+            out.credits -= 1;
             self.stats.flits_forwarded += 1;
             tick.credits_released.push(i);
             let is_tail = flit.is_tail();
             tick.sent.push((PortId(o as u8), flit));
             if is_tail {
                 self.stats.packets_forwarded += 1;
-                self.in_alloc[i] = None;
+                input.alloc = None;
                 self.allocated -= 1;
-                match self.out_lock[o] {
+                match out.lock {
                     Some(owner) if owner == i => {
-                        if self.in_lock_release[i] {
+                        if input.lock_release {
                             // Unlocking packet: release pin and ownership.
-                            self.out_lock[o] = None;
-                            self.out_owner[o] = None;
+                            out.lock = None;
+                            out.owner = None;
                         }
-                        // else: keep out_owner pinned for the sequence.
+                        // else: keep the owner pinned for the sequence.
                     }
-                    _ => {
-                        self.out_owner[o] = None;
-                    }
+                    _ => out.owner = None,
                 }
-                self.in_lock_release[i] = false;
+                input.lock_release = false;
             }
         }
     }

@@ -1,5 +1,6 @@
-//! The data path's allocation budget — fabric and transaction layer —
-//! as a host-independent gate.
+//! Allocation budgets — the data path's (fabric and transaction layer)
+//! and the platform's (construction and forking) — as a host-independent
+//! gate.
 //!
 //! A counting global allocator wraps the system one, so this file holds
 //! exactly one test: nothing else may allocate on another thread while
@@ -17,6 +18,10 @@
 //! boundary, on the NoC or in a baseline, breaks its row (the NoC row
 //! made 8.1 allocations per transaction when every boundary copied, 26.2
 //! when flits owned their bytes too).
+//!
+//! The last row counts something else: the allocations that *building*
+//! a 1 024-switch platform and taking one *snapshot* of it make — see
+//! [`PLATFORM`].
 
 use noc_scenario::{Backend, ScenarioSpec, StepMode};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -28,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 type Row = (&'static str, fn() -> Backend, f64);
 
 /// Each budget sits just above the figure measured when
-/// this table was written — 1.47, 2.15, 4.21 (the bridge chops bursts:
+/// this table was last measured — 1.47, 2.17, 4.21 (the bridge chops bursts:
 /// one read buffer per chunk, one chunk list per transaction) and 1.69.
 /// The count repeats exactly from run to run, so the room is small on
 /// purpose: one copy per write transaction has to show (cloning the
@@ -39,6 +44,17 @@ const BUDGETS: [Row; 4] = [
     ("set_top.scn", Backend::bridged, 4.4),
     ("set_top.scn", Backend::bus, 1.85),
 ];
+
+/// Construction and forking of a large idle platform — the costs that
+/// scale with platform size, not traffic: (corpus file, heap allocations
+/// building it on the NoC may make, allocations one snapshot may make).
+/// A 32x32 mesh is 1 024 switches in each of two fabrics, and a switch is
+/// two arrays (its input-port and its output-port records); wiring,
+/// routing and link ends are immutable and shared, so a snapshot is those
+/// 4 096 arrays plus a hundred-odd for endpoints, links and calendars
+/// (measured 6 356 / 4 202; 26 864 / 22 643 when a switch was eight `Vec`s
+/// and the fabric kept three more per switch).
+const PLATFORM: (&str, u64, u64) = ("mesh_32x32_sparse.scn", 9_000, 4_500);
 
 struct CountingAllocator;
 
@@ -69,21 +85,30 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+fn corpus(file: &str) -> ScenarioSpec {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/scenarios")
+        .join(file);
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    ScenarioSpec::from_text(&text).expect("corpus parses")
+}
+
+/// Runs `work` and returns its result with the heap allocations it made.
+fn counted<T>(work: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let result = work();
+    (result, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
 #[test]
 fn stepping_stays_within_the_allocation_budget_on_every_backend() {
     for (file, backend, budget) in BUDGETS {
         let backend = backend();
-        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-            .join("../../tests/scenarios")
-            .join(file);
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let spec = ScenarioSpec::from_text(&text).expect("corpus parses");
-        let mut sim = spec.build(&backend).expect("the backend builds the corpus");
+        let mut sim = corpus(file)
+            .build(&backend)
+            .expect("the backend builds the corpus");
 
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let drained = sim.run_until_with(10_000_000, StepMode::Horizon);
-        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        let (drained, allocations) = counted(|| sim.run_until_with(10_000_000, StepMode::Horizon));
 
         assert!(drained, "{file} drains on {backend:?}");
         let completions = sim.report().total_completions();
@@ -99,4 +124,24 @@ fn stepping_stays_within_the_allocation_budget_on_every_backend() {
              a payload is copied or a queue is rebuilt per transaction again"
         );
     }
+
+    let (file, build_budget, snapshot_budget) = PLATFORM;
+    let spec = corpus(file);
+    let (sim, build) = counted(|| {
+        spec.build(&Backend::noc())
+            .expect("the NoC builds the corpus")
+    });
+    let (_fork, snapshot) = counted(|| sim.snapshot());
+    eprintln!("MEASURED {file} Noc: build {build}, snapshot {snapshot}");
+    assert!(
+        build <= build_budget,
+        "{file} build on the NoC: {build} heap allocations, over the budget of {build_budget}: \
+         a switch, a link or the wiring owns a small heap object of its own again"
+    );
+    assert!(
+        snapshot <= snapshot_budget,
+        "{file} snapshot on the NoC: {snapshot} heap allocations, over the budget of \
+         {snapshot_budget}: state that never changes after build is copied per fork, or \
+         per-port state left its switch's two arrays"
+    );
 }

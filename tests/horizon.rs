@@ -274,3 +274,277 @@ fn every_engine_honours_the_skip_contract_on_its_first_32_gaps() {
     let bus = spec.build_bus(BusConfig::default()).expect("builds");
     skipping_a_proven_dead_gap_equals_stepping_it(bus.into_inner());
 }
+
+/// The `idle_ticks` / `skip_ticks` oracle for NoC endpoints.
+///
+/// `Soc::step` never executes an endpoint tick its wake proved a no-op:
+/// it accounts the edge through `skip_ticks`, lazily, in dense and
+/// horizon runs alike — so dense ≡ horizon no longer checks any
+/// endpoint's quiescence claim. This adapter does: it knows its clock
+/// divisor, replays `skip_ticks(n)` as `n` real `inner.tick(edge)`
+/// calls, and asserts that every real `tick` arrives on the next clock
+/// edge nobody accounted yet. An `idle_ticks` that promises too much
+/// makes a replayed tick *do* something (a command issues early, a
+/// response moves), a `skip_ticks` that disagrees with ticking leaves a
+/// different countdown, an edge settled twice or not at all trips the
+/// assertion — each shows up as diverging records or counters.
+mod replay {
+    use noc_kernel::Engine;
+    use noc_niu::fe::{
+        AhbInitiator, AxiInitiator, AxiTargetFe, OcpInitiator, StrmInitiator, VciInitiator,
+    };
+    use noc_niu::{
+        InitiatorNiu, InitiatorNiuConfig, MemoryTarget, NocEndpoint, ServiceTarget,
+        SocketInitiator, SocketTarget, TargetNiu, TargetNiuConfig,
+    };
+    use noc_protocols::ahb::AhbMaster;
+    use noc_protocols::axi::{AxiMaster, AxiSlave};
+    use noc_protocols::ocp::OcpMaster;
+    use noc_protocols::strm::StrmMaster;
+    use noc_protocols::vci::{VciFlavor, VciMaster};
+    use noc_protocols::{CompletionLog, CompletionRecord, MemoryModel, Program, SocketCommand};
+    use noc_system::{FabricReport, NocConfig, Soc, SocBuilder};
+    use noc_topology::{RouteAlgorithm, Topology};
+    use noc_transaction::{AddressMap, MstAddr, OrderingModel, SlvAddr, StreamId};
+    use noc_transport::Flit;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    struct Replay {
+        inner: Box<dyn NocEndpoint>,
+        divisor: u64,
+        /// The first clock edge neither ticked nor replayed yet.
+        next_edge: u64,
+        replayed: Arc<AtomicU64>,
+    }
+
+    impl NocEndpoint for Replay {
+        fn tick(&mut self, cycle: u64) {
+            assert_eq!(
+                cycle, self.next_edge,
+                "a real tick must land on the first unsettled clock edge"
+            );
+            self.inner.tick(cycle);
+            self.next_edge += self.divisor;
+        }
+        fn skip_ticks(&mut self, ticks: u64) {
+            for _ in 0..ticks {
+                self.inner.tick(self.next_edge);
+                self.next_edge += self.divisor;
+            }
+            self.replayed.fetch_add(ticks, Ordering::Relaxed);
+        }
+        fn pull_flit(&mut self) -> Option<Flit> {
+            self.inner.pull_flit()
+        }
+        fn push_flit(&mut self, flit: Flit) {
+            self.inner.push_flit(flit);
+        }
+        fn is_done(&self) -> bool {
+            self.inner.is_done()
+        }
+        fn completion_log(&self) -> Option<&CompletionLog> {
+            self.inner.completion_log()
+        }
+        fn idle_ticks(&self) -> u64 {
+            self.inner.idle_ticks()
+        }
+        fn ready_at(&self) -> Option<u64> {
+            self.inner.ready_at()
+        }
+        fn load_program(&mut self, program: Program) {
+            self.inner.load_program(program);
+        }
+        fn append_commands(&mut self, tail: &[SocketCommand]) {
+            self.inner.append_commands(tail);
+        }
+        fn clone_box(&self) -> Box<dyn NocEndpoint> {
+            Box::new(Replay {
+                inner: self.inner.clone_box(),
+                divisor: self.divisor,
+                next_edge: self.next_edge,
+                replayed: Arc::clone(&self.replayed),
+            })
+        }
+    }
+
+    /// Memory (node 5), service block (6) and AXI slave (7), 4 KiB each.
+    fn address_map() -> AddressMap {
+        let mut map = AddressMap::new();
+        for (k, node) in [5u16, 6, 7].into_iter().enumerate() {
+            let base = 0x1000 * k as u64;
+            map.add(base, base + 0x1000, SlvAddr::new(node)).unwrap();
+        }
+        map
+    }
+
+    /// Reads and writes that walk all three targets from a window private
+    /// to master `m`, with idle gaps long enough to be skipped.
+    fn program(m: u64, streams: u16) -> Program {
+        (0..24u64)
+            .map(|i| {
+                let addr = 0x1000 * ((i + m) % 3) + 0x100 * m + 8 * (i / 3);
+                let cmd = if i % 2 == 0 {
+                    SocketCommand::write(addr, 4, m << 16 | i)
+                } else {
+                    SocketCommand::read(addr, 4)
+                };
+                cmd.with_stream(StreamId::new(i as u16 % streams))
+                    .with_delay((5 + 11 * ((i + m) % 6)) as u32)
+            })
+            .collect()
+    }
+
+    /// All five socket front ends against all three target kinds on a
+    /// 3x3 mesh, with divided clocks on both sides; `wrap` decides what
+    /// the builder is handed for each endpoint.
+    fn build(wrap: &dyn Fn(Box<dyn NocEndpoint>, u64) -> Box<dyn NocEndpoint>) -> Soc {
+        fn initiator<FE: SocketInitiator + Clone + 'static>(
+            fe: FE,
+            config: InitiatorNiuConfig,
+        ) -> Box<dyn NocEndpoint> {
+            Box::new(InitiatorNiu::new(fe, config, address_map()))
+        }
+        fn target<T: SocketTarget + Clone + 'static>(ip: T, node: u16) -> Box<dyn NocEndpoint> {
+            Box::new(TargetNiu::new(ip, TargetNiuConfig::new(SlvAddr::new(node))))
+        }
+        let node = |n: u16| InitiatorNiuConfig::new(MstAddr::new(n));
+        let config = NocConfig::new().with_routing(RouteAlgorithm::XyMesh {
+            width: 3,
+            height: 3,
+        });
+        let initiators = [
+            (
+                "ahb",
+                1,
+                initiator(AhbInitiator::new(AhbMaster::new(program(0, 1))), node(0)),
+            ),
+            (
+                "ocp",
+                2,
+                initiator(
+                    OcpInitiator::new(OcpMaster::new(program(1, 2), 2, 2)),
+                    node(1)
+                        .with_ordering(OrderingModel::Threaded { threads: 2 })
+                        .with_outstanding(4),
+                ),
+            ),
+            (
+                "axi",
+                1,
+                initiator(
+                    AxiInitiator::new(AxiMaster::new(program(2, 4), 2, 8)),
+                    node(2)
+                        .with_ordering(OrderingModel::IdBased { tags: 4 })
+                        .with_outstanding(8),
+                ),
+            ),
+            (
+                "vci",
+                3,
+                initiator(
+                    VciInitiator::new(VciMaster::new(program(3, 1), VciFlavor::Basic, 2)),
+                    node(3),
+                ),
+            ),
+            (
+                "strm",
+                1,
+                initiator(
+                    StrmInitiator::new(StrmMaster::new(program(4, 1), 2)),
+                    node(4),
+                ),
+            ),
+        ];
+        let targets = [
+            (
+                "mem",
+                2,
+                target(MemoryTarget::new(MemoryModel::new(6), 4), 5),
+            ),
+            (
+                "svc",
+                1,
+                target(ServiceTarget::new(MemoryModel::new(3), 9, 4), 6),
+            ),
+            (
+                "axis",
+                3,
+                target(AxiTargetFe::new(AxiSlave::new(MemoryModel::new(4), 2)), 7),
+            ),
+        ];
+        let mut builder = SocBuilder::new(Topology::mesh(3, 3), config);
+        for (n, (name, divisor, ep)) in initiators.into_iter().enumerate() {
+            builder = builder.initiator_clocked(name, n as u16, wrap(ep, divisor), divisor);
+        }
+        for (n, (name, divisor, ep)) in targets.into_iter().enumerate() {
+            builder = builder.target_clocked(name, 5 + n as u16, wrap(ep, divisor), divisor);
+        }
+        builder.build().expect("valid wiring")
+    }
+
+    type Outcome = (
+        u64,
+        Vec<(String, Vec<CompletionRecord>)>,
+        FabricReport,
+        u64,
+        u64,
+    );
+
+    fn run(mut soc: Soc, every_cycle: bool) -> Outcome {
+        if every_cycle {
+            while !soc.is_done() {
+                assert!(soc.now() < 1_000_000, "the system drains");
+                soc.step();
+            }
+        } else {
+            soc.advance_to(1_000_000);
+        }
+        assert!(soc.is_done(), "the system drains");
+        let logs = soc
+            .completion_logs()
+            .into_iter()
+            .map(|(name, log)| (name.to_owned(), log.records().to_vec()))
+            .collect();
+        (
+            soc.now(),
+            logs,
+            soc.fabric_report(),
+            soc.executed_steps(),
+            soc.calendar_pops(),
+        )
+    }
+
+    #[test]
+    fn replaying_every_skipped_endpoint_tick_for_real_changes_nothing() {
+        for every_cycle in [false, true] {
+            let replayed = Arc::new(AtomicU64::new(0));
+            let wrapped = build(&|inner, divisor| {
+                Box::new(Replay {
+                    inner,
+                    divisor,
+                    next_edge: 0,
+                    replayed: Arc::clone(&replayed),
+                })
+            });
+            let plain = run(build(&|ep, _| ep), every_cycle);
+            assert_eq!(
+                plain,
+                run(wrapped, every_cycle),
+                "every_cycle={every_cycle}: replaying skipped ticks diverges from skipping them"
+            );
+            let completions: usize = plain.1.iter().map(|(_, records)| records.len()).sum();
+            assert_eq!(completions, 5 * 24, "every command completes");
+            assert!(
+                replayed.load(Ordering::Relaxed) > 0,
+                "every_cycle={every_cycle}: no endpoint tick was ever skipped"
+            );
+            eprintln!(
+                "every_cycle={every_cycle}: {} ticks replayed, {} steps over {} cycles",
+                replayed.load(Ordering::Relaxed),
+                plain.3,
+                plain.0
+            );
+        }
+    }
+}
