@@ -28,11 +28,11 @@ pub struct AxiTargetFe {
 }
 
 impl AxiTargetFe {
-    /// Creates the front end around an AXI slave agent.
+    /// Creates the front end around an AXI slave IP.
     pub fn new(slave: AxiSlave) -> Self {
         AxiTargetFe {
             slave,
-            port: AxiPort::new(),
+            port: AxiPort::default(),
             pending: HashMap::new(),
             out: VecDeque::new(),
         }
@@ -100,23 +100,24 @@ impl SocketTarget for AxiTargetFe {
             req.opcode().expects_response(),
         ));
         let (addr, burst) = (req.address(), req.burst());
-        let accepted = if is_read {
-            self.port.ar.offer(AxiAr {
+        if is_read {
+            let ar = AxiAr {
                 id,
                 addr,
                 burst,
                 exclusive: false,
-            })
+            };
+            self.port.ar.offer(ar).expect("ready was checked");
         } else {
-            self.port.aw.offer(AxiAw {
+            let aw = AxiAw {
                 id,
                 addr,
                 burst,
                 data: req.into_data(),
                 exclusive: false,
-            })
-        };
-        debug_assert!(accepted, "the channel was ready");
+            };
+            self.port.aw.offer(aw).expect("ready was checked");
+        }
         Ok(())
     }
 

@@ -13,8 +13,10 @@ use std::fmt;
 /// The protocol-specific front half of an initiator NIU: a socket master
 /// agent plus the logic converting its beats to neutral transactions.
 ///
-/// Implementations live in [`crate::fe`]; writing one of these is *all*
-/// it takes to plug a new socket protocol into the NoC (paper §2).
+/// The one implementation is [`crate::fe::Initiator`], generic over the
+/// socket; a [`Socket`](noc_protocols::Socket) impl is *all* it takes to
+/// plug a new socket protocol into the NoC (paper §2). The trait is what
+/// the baselines hold a heterogeneous set of front ends behind.
 ///
 /// Front ends are plain owned state (`Send`), so built simulations can
 /// be checkpointed and moved across threads — the enabler for snapshot/
@@ -44,8 +46,9 @@ pub trait SocketInitiator: Send {
     /// Accounts `ticks` skipped no-op ticks (see
     /// [`crate::NocEndpoint::skip_ticks`]).
     fn skip_ticks(&mut self, _ticks: u64) {}
-    /// Replaces the socket's program before execution starts (see the
-    /// per-master `load_program` methods for the contract). Warm-state
+    /// Replaces the socket's program before execution starts (see
+    /// [`Agent::load_program`](noc_protocols::Agent::load_program) for
+    /// the contract). Warm-state
     /// forking loads real workloads into checkpointed programless front
     /// ends through this hook.
     ///

@@ -6,10 +6,10 @@
 //!
 //! Every NIU splits into:
 //!
-//! - a protocol-specific **front end** ([`SocketInitiator`] /
-//!   [`SocketTarget`] implementations in [`fe`]) that speaks the socket's
-//!   beat-level language and produces/consumes neutral
-//!   [`Request`]s and [`Response`]s; and
+//! - a protocol-specific **front end** ([`fe::Initiator`], generic over
+//!   the socket, behind [`SocketInitiator`]; [`SocketTarget`]
+//!   implementations) that speaks the socket's beat-level language and
+//!   produces/consumes neutral [`Request`]s and [`Response`]s; and
 //! - a protocol-neutral **back end** ([`InitiatorNiu`] / [`TargetNiu`])
 //!   that owns the paper's machinery: the address decoder (`SlvAddr`
 //!   assignment), the [ordering policy](noc_transaction::OrderingPolicy)
@@ -18,9 +18,11 @@
 //!   the target side — the [exclusive
 //!   monitor](noc_transaction::ExclusiveMonitor) plus legacy lock state.
 //!
-//! Supporting a new socket means writing a front end only; the back ends,
-//! the packet format and the entire fabric stay untouched — that is the
-//! paper's §2 claim, and this crate is its proof by construction.
+//! Supporting a new socket means one [`noc_protocols::Socket`] impl —
+//! the front end is generic over it; the back ends, the packet format
+//! and the entire fabric stay untouched — that is the paper's §2 claim,
+//! and this crate is its proof by construction (its tests add a sixth
+//! socket that way).
 //!
 //! # What moves, and what it costs
 //!

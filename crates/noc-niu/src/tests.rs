@@ -3,7 +3,7 @@
 //! every socket protocol.
 
 use crate::fe::{
-    AhbInitiator, AxiInitiator, AxiTargetFe, OcpInitiator, StrmInitiator, VciInitiator,
+    AhbInitiator, AxiInitiator, AxiTargetFe, Initiator, OcpInitiator, StrmInitiator, VciInitiator,
 };
 use crate::initiator::{InitiatorNiu, InitiatorNiuConfig, SocketInitiator};
 use crate::target::{MemoryTarget, SocketTarget, TargetNiu, TargetNiuConfig};
@@ -13,7 +13,7 @@ use noc_protocols::checker::{check_ahb_order, check_axi_order, check_ocp_order};
 use noc_protocols::ocp::OcpMaster;
 use noc_protocols::strm::StrmMaster;
 use noc_protocols::vci::{VciFlavor, VciMaster};
-use noc_protocols::{MemoryModel, Program, SocketCommand};
+use noc_protocols::{Agent, Chan, MemoryModel, Program, ProtocolKind, Socket, SocketCommand};
 use noc_transaction::{
     AddressMap, Burst, BurstKind, MstAddr, Opcode, OrderingModel, RespStatus, SlvAddr, StreamId,
     Tag, TransactionRequest, TransactionResponse,
@@ -153,12 +153,12 @@ fn exclusive_write_without_reservation_fails_locally() {
 
 #[test]
 fn bvci_and_pvci_through_noc() {
-    for flavor in [VciFlavor::Peripheral, VciFlavor::Basic] {
+    for (flavor, depth) in [(VciFlavor::Peripheral, 1), (VciFlavor::Basic, 2)] {
         let program = vec![
             SocketCommand::write(0x40, 4, 3),
             SocketCommand::read(0x40, 4),
         ];
-        let fe = VciInitiator::new(VciMaster::new(program, flavor, 2));
+        let fe = VciInitiator::new(VciMaster::new(program, flavor, depth));
         let ini = InitiatorNiu::new(fe, InitiatorNiuConfig::new(MstAddr::new(0)), map_one());
         let (ini, _) = loopback(ini, mem_target(), 2000);
         assert!(ini.is_done(), "{flavor} loopback must drain");
@@ -454,4 +454,117 @@ fn axi_target_fe_refuses_on_a_full_channel_without_keeping_the_request() {
     assert_eq!(tags, [Tag::new(0), Tag::new(1)]);
     assert_eq!(fe.slave().memory().write_count(), 2);
     assert_eq!(fe.idle_ticks(), u64::MAX);
+}
+
+/// A sixth socket, written here and nowhere else: a WISHBONE-classic-like
+/// bus cycle (`CYC`/`STB` with `WE`, `ADR`, `DAT_O`; answered by `ACK` or
+/// `ERR` with `DAT_I`), one cycle outstanding. This impl and its port are
+/// all the socket costs: the agent, the NIU front end and back end, the
+/// packet format and the fabric are the ones every other socket uses.
+#[derive(Debug, Clone, Copy)]
+struct Wishbone;
+
+#[derive(Debug, Clone)]
+struct WbCycle {
+    we: bool,
+    adr: u64,
+    burst: Burst,
+    dat_o: Vec<u8>,
+}
+
+#[derive(Debug, Clone)]
+struct WbAck {
+    err: bool,
+    dat_i: Vec<u8>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct WbPort {
+    cycle: Chan<WbCycle>,
+    ack: Chan<WbAck>,
+}
+
+impl Socket for Wishbone {
+    type Port = WbPort;
+
+    /// An `ACK` is what retires a cycle: AHB's opcode vocabulary.
+    fn kind(&self) -> ProtocolKind {
+        ProtocolKind::Ahb
+    }
+
+    fn max_depth(&self) -> u32 {
+        1
+    }
+
+    fn ready(&self, port: &WbPort, _cmd: &SocketCommand) -> bool {
+        port.cycle.ready()
+    }
+
+    fn drive(&mut self, port: &mut WbPort, cmd: &SocketCommand) {
+        let we = cmd.opcode.is_write();
+        let cycle = WbCycle {
+            we,
+            adr: cmd.addr,
+            burst: cmd.burst(),
+            dat_o: if we { cmd.payload() } else { Vec::new() },
+        };
+        port.cycle.offer(cycle).expect("ready was checked");
+    }
+
+    fn sample(port: &mut WbPort, mut retire: impl FnMut(u32, RespStatus, Vec<u8>)) {
+        if let Some(ack) = port.ack.take() {
+            let status = if ack.err {
+                RespStatus::SlvErr
+            } else {
+                RespStatus::Okay
+            };
+            retire(0, status, ack.dat_i);
+        }
+    }
+
+    fn accept(port: &mut WbPort) -> Option<TransactionRequest> {
+        let c = port.cycle.take()?;
+        let opcode = if c.we { Opcode::Write } else { Opcode::Read };
+        let builder = TransactionRequest::builder(opcode)
+            .address(c.adr)
+            .burst(c.burst)
+            .data(c.dat_o);
+        Some(builder.build().expect("agent produces valid requests"))
+    }
+
+    fn respond(port: &mut WbPort, _stream: StreamId, _opcode: Opcode, resp: TransactionResponse) {
+        let ack = WbAck {
+            err: resp.status().is_err(),
+            dat_i: resp.into_data(),
+        };
+        port.ack.offer(ack).expect("the master samples every cycle");
+    }
+
+    fn quiet(port: &WbPort) -> bool {
+        port.cycle.is_empty() && port.ack.is_empty()
+    }
+}
+
+#[test]
+fn a_sixth_socket_costs_one_socket_impl() {
+    let program = vec![
+        SocketCommand::write(0x100, 4, 21).with_burst(BurstKind::Incr, 4),
+        SocketCommand::read(0x100, 4).with_burst(BurstKind::Incr, 4),
+        SocketCommand::write(0x40, 4, 22).with_delay(9),
+        SocketCommand::read(0x40, 4),
+        SocketCommand::read(0x2_0000, 4), // decodes nowhere: ERR
+    ];
+    let master = Agent::with_shape(Wishbone, program.clone(), 1, 1, u32::MAX);
+    let config = InitiatorNiuConfig::new(MstAddr::new(0));
+    let ini = InitiatorNiu::new(Initiator::new(master), config, map_one());
+    let (ini, tgt) = loopback(ini, mem_target(), 2000);
+    assert!(ini.is_done() && tgt.is_done(), "the sixth socket drains");
+    let log = ini.fe().log();
+    assert!(check_ahb_order(log).is_ok());
+    let recs = log.records();
+    assert_eq!(recs.len(), 5);
+    assert_eq!(recs[1].data, program[0].payload(), "burst read-back");
+    assert_eq!(recs[3].data, program[2].payload(), "single read-back");
+    assert!(recs[..4].iter().all(|r| r.status == RespStatus::Okay));
+    assert_eq!(recs[4].status, RespStatus::SlvErr, "DECERR arrives as ERR");
 }

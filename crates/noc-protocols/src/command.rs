@@ -1,8 +1,8 @@
 //! Socket-neutral command programs and completion logs.
 //!
-//! Workload generators emit [`Program`]s of [`SocketCommand`]s; each
-//! protocol's master agent executes a program under its own ordering
-//! rules and records [`CompletionRecord`]s, from which experiments compute
+//! Workload generators emit [`Program`]s of [`SocketCommand`]s; the
+//! master agent executes a program under its socket's ordering rules
+//! and records [`CompletionRecord`]s, from which experiments compute
 //! latency statistics and functional fingerprints.
 
 use noc_transaction::{Burst, BurstKind, Fingerprint, Opcode, RespStatus, StreamId};
@@ -41,8 +41,8 @@ impl ProtocolKind {
 
     /// Whether a master agent of this socket can carry `opcode` to
     /// completion — the one statement of it: scenario validation reads
-    /// it, and the AHB, VCI and STRM masters assert it on every command
-    /// they are handed. AHB and VCI retire a command on its response,
+    /// it, and the master agent asserts it on every command it is
+    /// handed. AHB and VCI retire a command on its response,
     /// so an opcode that is never answered (a posted write, a
     /// broadcast) would park there forever; STRM moves plain reads and
     /// writes only; OCP and AXI carry the whole vocabulary.
@@ -56,20 +56,6 @@ impl ProtocolKind {
                 opcode.expects_response()
             }
         }
-    }
-
-    /// Asserts [`ProtocolKind::expresses`] for command `index` of a
-    /// program handed to a master agent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the socket cannot express the command's opcode.
-    pub(crate) fn assert_expresses(self, index: usize, cmd: &SocketCommand) {
-        assert!(
-            self.expresses(cmd.opcode),
-            "{self} cannot express {:?} (command {index})",
-            cmd.opcode
-        );
     }
 }
 
@@ -178,6 +164,7 @@ impl SocketCommand {
     ///
     /// Panics if the command's burst parameters are invalid — programs are
     /// produced by generators that must only emit valid bursts.
+    #[inline]
     pub fn burst(&self) -> Burst {
         Burst::new(self.burst_kind, self.beat_bytes, self.beats)
             .expect("socket command carries a valid burst")
@@ -244,6 +231,7 @@ impl ProgramTail {
     }
 
     /// The virtual length: total commands ever held, compacted included.
+    #[inline]
     pub fn len(&self) -> usize {
         self.base + self.cmds.len()
     }
@@ -253,16 +241,12 @@ impl ProgramTail {
         self.len() == 0
     }
 
-    /// The lowest virtual index still held.
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
     /// The command at virtual index `idx`.
     ///
     /// # Panics
     ///
     /// Panics if `idx` was compacted away or is out of bounds.
+    #[inline]
     pub fn get(&self, idx: usize) -> &SocketCommand {
         assert!(
             idx >= self.base,
@@ -286,17 +270,6 @@ impl ProgramTail {
             self.cmds.drain(..keep_from - self.base);
             self.base = keep_from;
         }
-    }
-
-    /// Iterates the retained (non-compacted) commands in order.
-    pub fn iter_live(&self) -> impl Iterator<Item = &SocketCommand> {
-        self.cmds.iter()
-    }
-}
-
-impl From<Program> for ProgramTail {
-    fn from(program: Program) -> Self {
-        ProgramTail::new(program)
     }
 }
 
@@ -365,6 +338,7 @@ impl CompletionLog {
     }
 
     /// Appends a record.
+    #[inline]
     pub fn push(&mut self, record: CompletionRecord) {
         self.records.push(record);
     }

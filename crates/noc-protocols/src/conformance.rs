@@ -1,0 +1,126 @@
+//! The contract every socket's [`Agent`] instantiation shares, checked
+//! once over all seven flavours against the generic [`Loopback`].
+
+use crate::agent::{Agent, Socket};
+use crate::ahb::AhbMaster;
+use crate::axi::AxiMaster;
+use crate::checker::{check_ahb_order, check_axi_order, check_ocp_order, OrderingViolation};
+use crate::command::{CompletionLog, CompletionRecord, Program, SocketCommand};
+use crate::loopback::Loopback;
+use crate::memory::MemoryModel;
+use crate::ocp::OcpMaster;
+use crate::strm::StrmMaster;
+use crate::vci::{VciFlavor, VciMaster};
+use noc_transaction::StreamId;
+
+/// Reads and writes over `streams` streams, spread across the loopback's
+/// banks, with issue delays from none to longer than a round trip.
+fn program(streams: u16) -> Program {
+    (0..24u64)
+        .map(|i| {
+            let addr = 0x100 * (i % 5) + 4 * i;
+            let cmd = if i % 3 == 0 {
+                SocketCommand::write(addr, 4, i)
+            } else {
+                SocketCommand::read(addr, 4)
+            };
+            cmd.with_stream(StreamId::new(i as u16 % streams))
+                .with_delay([0, 0, 7, 1, 19, 0, 3][i as usize % 7])
+        })
+        .collect()
+}
+
+/// Runs `master` to completion against a slow, bank-staggered loopback,
+/// appending each `(cycle, tail)` of `feeds` on its cycle. With `skip`,
+/// the master is ticked only when its `idle_ticks` claim has run out or
+/// the port carries input, and the cycles passed over are charged through
+/// one `skip_ticks` before it is next touched — the way `Soc::step`
+/// drives an endpoint.
+fn run<S: Socket>(
+    mut master: Agent<S>,
+    skip: bool,
+    feeds: &[(u64, &[SocketCommand])],
+) -> Vec<CompletionRecord> {
+    let mut slave = Loopback::<S>::new(MemoryModel::new(6), 3);
+    let mut port = S::Port::default();
+    let (mut settled, mut wake) = (0u64, 0u64);
+    for cycle in 0..10_000 {
+        let feed = feeds.iter().find(|(at, _)| *at == cycle);
+        if !skip || feed.is_some() || cycle >= wake || !S::quiet(&port) {
+            master.skip_ticks(cycle - settled);
+            if let Some((_, tail)) = feed {
+                assert!(!master.done(), "{master}: appends land mid-run");
+                master.append_commands(tail);
+            }
+            master.tick(cycle, &mut port);
+            settled = cycle + 1;
+            wake = settled.saturating_add(master.idle_ticks());
+        }
+        slave.tick(cycle, &mut port);
+        if master.done() {
+            assert_eq!(master.idle_ticks(), u64::MAX, "drained is quiescent");
+            return master.log().records().to_vec();
+        }
+    }
+    panic!("{master} did not drain");
+}
+
+fn conforms<S: Socket>(
+    make: impl Fn(Program) -> Agent<S>,
+    streams: u16,
+    order: fn(&CompletionLog) -> Result<(), OrderingViolation>,
+) {
+    let program = program(streams);
+    let dense = run(make(program.clone()), false, &[]);
+    let name = make(vec![]).to_string();
+    assert_eq!(
+        dense.len(),
+        program.len(),
+        "{name}: every command completes"
+    );
+
+    let mut log = CompletionLog::new();
+    dense.iter().for_each(|r| log.push(r.clone()));
+    assert_eq!(order(&log), Ok(()), "{name}: ordering contract");
+
+    // `skip_ticks(n)` is `n` dense no-op ticks, and `idle_ticks` never
+    // promises a tick that would have done something.
+    let skipped = run(make(program.clone()), true, &[]);
+    assert_eq!(skipped, dense, "{name}: skipping idle ticks");
+
+    // `load_program` is `new`.
+    let mut loaded = make(vec![]);
+    loaded.load_program(program.clone());
+    assert_eq!(run(loaded, false, &[]), dense, "{name}: load_program");
+
+    // Appending mid-run, while every lane still has commands to issue,
+    // is the full program up front — through prefix reclaim, dense or
+    // skipping.
+    let feeds = [(5, &program[8..16]), (25, &program[16..])];
+    for skip in [false, true] {
+        let fed = run(make(program[..8].to_vec()), skip, &feeds);
+        assert_eq!(fed, dense, "{name}: append_commands (skip: {skip})");
+    }
+}
+
+#[test]
+fn every_socket_honours_the_shared_agent_contract() {
+    conforms(AhbMaster::new, 1, check_ahb_order);
+    conforms(|p| AxiMaster::new(p, 1, 3), 4, check_axi_order);
+    conforms(|p| OcpMaster::new(p, 3, 2), 3, check_ocp_order);
+    conforms(
+        |p| VciMaster::new(p, VciFlavor::Peripheral, 1),
+        1,
+        check_ahb_order,
+    );
+    conforms(
+        |p| VciMaster::new(p, VciFlavor::Basic, 2),
+        1,
+        check_ahb_order,
+    );
+    let avci = VciFlavor::Advanced { threads: 2 };
+    conforms(|p| VciMaster::new(p, avci, 2), 2, check_ocp_order);
+    // STRM orders its reads among themselves; a posted write completes at
+    // accept, ahead of reads still in flight: AXI's per-direction rule.
+    conforms(|p| StrmMaster::new(p, 2), 1, check_axi_order);
+}

@@ -1,97 +1,81 @@
-//! Bounded handshake channels modelling valid/ready socket wiring.
+//! Handshake channels modelling valid/ready socket wiring.
 
-use std::collections::VecDeque;
 use std::fmt;
 
-/// A bounded FIFO channel standing in for a valid/ready handshake bundle.
+/// A one-slot register standing in for an unregistered valid/ready
+/// handshake bundle: valid while it holds an item, ready while it does
+/// not.
 ///
-/// A producer [`Chan::offer`]s an item when the channel has space (ready
-/// high); the consumer [`Chan::take`]s from the head. Capacity 1 models an
-/// unregistered handshake; larger capacities model register slices /
-/// skid buffers.
+/// A producer [`Chan::offer`]s an item when the channel is ready; the
+/// consumer [`Chan::take`]s it.
 ///
 /// # Examples
 ///
 /// ```
 /// use noc_protocols::Chan;
-/// let mut ch: Chan<u32> = Chan::new(1);
-/// assert!(ch.offer(7));
-/// assert!(!ch.offer(8)); // back-pressure
+/// let mut ch: Chan<u32> = Chan::new();
+/// assert_eq!(ch.offer(7), Ok(()));
+/// assert_eq!(ch.offer(8), Err(8)); // back-pressure: the item comes back
 /// assert_eq!(ch.take(), Some(7));
-/// assert!(ch.offer(8));
+/// assert_eq!(ch.offer(8), Ok(()));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Chan<T> {
-    items: VecDeque<T>,
-    capacity: usize,
-    accepted: u64,
-}
+pub struct Chan<T>(Option<T>);
 
 impl<T> Chan<T> {
-    /// Creates a channel with the given capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "channel capacity must be non-zero");
-        Chan {
-            items: VecDeque::with_capacity(capacity),
-            capacity,
-            accepted: 0,
-        }
+    /// Creates an empty channel.
+    pub fn new() -> Self {
+        Chan(None)
     }
 
     /// Returns `true` while the channel can accept an item (ready).
     pub fn ready(&self) -> bool {
-        self.items.len() < self.capacity
+        self.0.is_none()
     }
 
-    /// Returns `true` when an item is available (valid).
-    pub fn valid(&self) -> bool {
-        !self.items.is_empty()
-    }
-
-    /// Offers an item; returns `false` (item NOT consumed — the caller
-    /// keeps it and retries) when full.
-    pub fn offer(&mut self, item: T) -> bool {
-        if !self.ready() {
-            return false;
+    /// Offers an item.
+    ///
+    /// # Errors
+    ///
+    /// Hands the item back when the channel still holds one: the
+    /// producer keeps it and retries.
+    pub fn offer(&mut self, item: T) -> Result<(), T> {
+        if self.0.is_some() {
+            return Err(item);
         }
-        self.items.push_back(item);
-        self.accepted += 1;
-        true
+        self.0 = Some(item);
+        Ok(())
     }
 
-    /// Takes the head item.
+    /// Takes the item.
     pub fn take(&mut self) -> Option<T> {
-        self.items.pop_front()
+        self.0.take()
     }
 
-    /// Peeks at the head item.
+    /// Peeks at the item.
     pub fn peek(&self) -> Option<&T> {
-        self.items.front()
+        self.0.as_ref()
     }
 
-    /// Items currently queued.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Returns `true` when nothing is queued.
+    /// Returns `true` when the channel holds nothing (valid is low).
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.0.is_none()
     }
+}
 
-    /// Total items ever accepted (handshake count).
-    pub fn accepted(&self) -> u64 {
-        self.accepted
+impl<T> Default for Chan<T> {
+    fn default() -> Self {
+        Chan::new()
     }
 }
 
 impl<T> fmt::Display for Chan<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "chan {}/{}", self.items.len(), self.capacity)
+        f.write_str(if self.ready() {
+            "chan ready"
+        } else {
+            "chan valid"
+        })
     }
 }
 
@@ -101,43 +85,38 @@ mod tests {
 
     #[test]
     fn offer_take_fifo() {
-        let mut ch = Chan::new(2);
-        assert!(ch.offer(1));
-        assert!(ch.offer(2));
-        assert!(!ch.offer(3));
+        let mut ch = Chan::new();
+        assert_eq!(ch.offer(1), Ok(()));
+        assert_eq!(ch.offer(2), Err(2), "a refused item is handed back");
         assert_eq!(ch.take(), Some(1));
+        assert_eq!(ch.offer(2), Ok(()));
         assert_eq!(ch.take(), Some(2));
         assert_eq!(ch.take(), None);
-        assert_eq!(ch.accepted(), 2);
     }
 
     #[test]
     fn valid_ready_flags() {
-        let mut ch: Chan<u8> = Chan::new(1);
+        let mut ch: Chan<u8> = Chan::new();
         assert!(ch.ready());
-        assert!(!ch.valid());
-        ch.offer(9);
+        assert!(ch.is_empty());
+        ch.offer(9).unwrap();
         assert!(!ch.ready());
-        assert!(ch.valid());
+        assert!(!ch.is_empty());
     }
 
     #[test]
     fn peek_non_destructive() {
-        let mut ch = Chan::new(1);
-        ch.offer(5u8);
+        let mut ch = Chan::new();
+        ch.offer(5u8).unwrap();
         assert_eq!(ch.peek(), Some(&5));
-        assert_eq!(ch.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_capacity_panics() {
-        Chan::<u8>::new(0);
+        assert!(!ch.is_empty());
     }
 
     #[test]
     fn display() {
-        let ch: Chan<u8> = Chan::new(3);
-        assert_eq!(ch.to_string(), "chan 0/3");
+        let mut ch: Chan<u8> = Chan::new();
+        assert_eq!(ch.to_string(), "chan ready");
+        ch.offer(1).unwrap();
+        assert_eq!(ch.to_string(), "chan valid");
     }
 }

@@ -3,22 +3,28 @@
 //! flavours (PVCI / BVCI / AVCI) and a **proprietary streaming** socket
 //! (`STRM`).
 //!
-//! Each protocol module provides:
+//! The crate is one machine and five signal shims:
 //!
-//! - beat-level request/response types and a port struct built from
-//!   bounded [`Chan`] handshake channels;
-//! - a *master agent* that executes a [`Program`] of [`SocketCommand`]s
-//!   while obeying the protocol's ordering and outstanding rules
-//!   (AHB: single outstanding, fully ordered; OCP: per-thread order;
-//!   AXI: per-ID order with independent read/write channels; VCI per
-//!   flavour);
-//! - a *slave agent* backed by a [`MemoryModel`]: the loopback
-//!   reference the master's unit tests and doc examples run against.
-//!   Only `AxiSlave` has a product user (the NIU's `AxiTargetFe`); the
-//!   bridged/bus baselines serve targets through [`MemoryModel`] and
-//!   [`memory::access`] directly;
-//! - log-level *checkers* ([`checker`]) asserting each protocol's
-//!   ordering contract over completion logs.
+//! - [`Agent<S>`] is the one *master agent*: it executes a [`Program`]
+//!   of [`SocketCommand`]s — issue lanes, delay countdowns, outstanding
+//!   limits, completion log, the `idle_ticks` / `skip_ticks` quiescence
+//!   contract — and is monomorphised per socket;
+//! - each protocol module ([`ahb`], [`axi`], [`ocp`], [`vci`], [`strm`])
+//!   provides beat-level request/response types, a port struct built
+//!   from [`Chan`] handshake registers, and one [`Socket`] impl: the
+//!   lane shape (AHB: one lane of depth one, fully ordered; OCP:
+//!   per-thread order; AXI: per-ID order with independent read/write
+//!   channels; VCI per flavour) plus the mapping between the port's
+//!   signals and the neutral transaction, master side and slave side.
+//!   `AhbMaster` … `VciMaster` are aliases of `Agent<_>` carrying the
+//!   per-protocol constructors;
+//! - [`Loopback<S>`] is the one *slave agent*, a [`MemoryModel`] behind
+//!   any socket: the reference the master's unit tests and doc examples
+//!   run against. Products serve targets through [`MemoryModel`] and
+//!   [`memory::access`] directly; [`axi::AxiSlave`], an AXI slave *driven
+//!   by* neutral transactions, backs the NIU's `AxiTargetFe`;
+//! - log-level *checkers* ([`checker`]) assert each protocol's ordering
+//!   contract over completion logs.
 //!
 //! ## Modelling granularity
 //!
@@ -30,19 +36,25 @@
 //! Ordering, threading, ID, exclusive and locking semantics are modelled
 //! exactly; those are what the paper's transaction layer is about.
 
+pub mod agent;
 pub mod ahb;
 pub mod axi;
 pub mod checker;
 pub mod command;
+#[cfg(test)]
+mod conformance;
 pub mod handshake;
+pub mod loopback;
 pub mod memory;
 pub mod ocp;
 pub mod strm;
 pub mod vci;
 
+pub use agent::{Agent, Socket};
 pub use checker::{check_ahb_order, check_axi_order, check_ocp_order, OrderingViolation};
 pub use command::{
     gen_data, CompletionLog, CompletionRecord, Program, ProgramTail, ProtocolKind, SocketCommand,
 };
 pub use handshake::Chan;
+pub use loopback::Loopback;
 pub use memory::MemoryModel;

@@ -1,4 +1,4 @@
-//! A sparse byte-addressable memory model shared by all slave agents.
+//! A sparse byte-addressable memory model shared by every target.
 
 use noc_transaction::{Burst, ExclusiveMonitor, MstAddr, Opcode, RespStatus};
 use std::collections::HashMap;
@@ -183,7 +183,8 @@ impl MemoryModel {
 
 /// Performs one canonical transaction against a memory, honouring burst
 /// address progression and (optionally) an exclusive monitor — the single
-/// semantic kernel shared by every slave agent and target NIU.
+/// semantic kernel shared by the loopback slave, the baselines and every
+/// target NIU.
 ///
 /// Returns the response status and the read data (empty for writes).
 /// Failed exclusive/conditional writes perform **no** memory update.

@@ -11,14 +11,12 @@
 //!   feature supported per paper §2 by adding packet bits, not by
 //!   touching the fabric.
 
-use crate::command::{
-    CompletionLog, CompletionRecord, Program, ProgramTail, ProtocolKind, SocketCommand,
-};
+use crate::agent::{neutral, Agent, Socket};
+use crate::command::{Program, ProtocolKind, SocketCommand};
 use crate::handshake::Chan;
-use crate::memory::{access, MemoryModel};
-use noc_transaction::{Burst, MstAddr, Opcode, RespStatus, StreamId};
-use std::collections::VecDeque;
-use std::fmt;
+use noc_transaction::{
+    Burst, Opcode, RespStatus, StreamId, TransactionRequest, TransactionResponse,
+};
 
 /// A posted streaming write burst.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +52,7 @@ pub struct StrmReadData {
 }
 
 /// The STRM port.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StrmPort {
     /// Posted write stream.
     pub tx: Chan<StrmWrite>,
@@ -64,20 +62,88 @@ pub struct StrmPort {
     pub rdata: Chan<StrmReadData>,
 }
 
-impl StrmPort {
-    /// Creates a port with capacity-1 channels.
-    pub fn new() -> Self {
-        StrmPort {
-            tx: Chan::new(1),
-            rreq: Chan::new(1),
-            rdata: Chan::new(1),
+/// The STRM socket: one lane; writes complete at accept on `tx`, reads
+/// wait on the one `rdata` key once their countdown has run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Strm;
+
+impl Socket for Strm {
+    type Port = StrmPort;
+
+    fn kind(&self) -> ProtocolKind {
+        ProtocolKind::Strm
+    }
+
+    #[inline]
+    fn stream(&self, _cmd: &SocketCommand) -> StreamId {
+        StreamId::ZERO // STRM has no stream signal
+    }
+
+    #[inline]
+    fn posted(&self, opcode: Opcode) -> bool {
+        opcode.is_write()
+    }
+
+    #[inline]
+    fn ready(&self, port: &StrmPort, cmd: &SocketCommand) -> bool {
+        if cmd.opcode.is_read() {
+            port.rreq.ready()
+        } else {
+            port.tx.ready()
         }
     }
-}
 
-impl Default for StrmPort {
-    fn default() -> Self {
-        StrmPort::new()
+    #[inline]
+    fn drive(&mut self, port: &mut StrmPort, cmd: &SocketCommand) {
+        let (addr, burst, urgency) = (cmd.addr, cmd.burst(), cmd.pressure);
+        if cmd.opcode.is_read() {
+            let req = StrmReadReq {
+                addr,
+                burst,
+                urgency,
+            };
+            port.rreq.offer(req).expect("ready was checked");
+        } else {
+            let data = cmd.payload();
+            let write = StrmWrite {
+                addr,
+                burst,
+                data,
+                urgency,
+            };
+            port.tx.offer(write).expect("ready was checked");
+        }
+    }
+
+    fn sample(port: &mut StrmPort, mut retire: impl FnMut(u32, RespStatus, Vec<u8>)) {
+        if let Some(rd) = port.rdata.take() {
+            retire(0, rd.status, rd.data);
+        }
+    }
+
+    fn accept(port: &mut StrmPort) -> Option<TransactionRequest> {
+        let (opcode, addr, burst, data, urgency) = if let Some(w) = port.tx.take() {
+            (Opcode::WritePosted, w.addr, w.burst, w.data, w.urgency)
+        } else {
+            let r = port.rreq.take()?;
+            (Opcode::Read, r.addr, r.burst, Vec::new(), r.urgency)
+        };
+        Some(neutral(opcode, addr, burst, StreamId::ZERO, data).with_pressure(urgency))
+    }
+
+    fn respond(port: &mut StrmPort, _stream: StreamId, opcode: Opcode, resp: TransactionResponse) {
+        debug_assert!(opcode.is_read(), "STRM only expects read responses");
+        let rd = StrmReadData {
+            status: resp.status(),
+            data: resp.into_data(),
+        };
+        let offer = port.rdata.offer(rd);
+        offer.expect("the master samples every cycle");
+    }
+
+    #[inline]
+    fn quiet(port: &StrmPort) -> bool {
+        port.tx.is_empty() && port.rreq.is_empty() && port.rdata.is_empty()
     }
 }
 
@@ -87,8 +153,8 @@ impl Default for StrmPort {
 /// # Examples
 ///
 /// ```
-/// use noc_protocols::strm::{StrmMaster, StrmPort, StrmSlave};
-/// use noc_protocols::{MemoryModel, SocketCommand};
+/// use noc_protocols::strm::{Strm, StrmMaster};
+/// use noc_protocols::{Loopback, MemoryModel, SocketCommand};
 /// use noc_transaction::Opcode;
 ///
 /// let program = vec![
@@ -96,26 +162,12 @@ impl Default for StrmPort {
 ///     SocketCommand::read(0x0, 4),
 /// ];
 /// let mut master = StrmMaster::new(program, 4);
-/// let mut slave = StrmSlave::new(MemoryModel::new(1));
-/// let mut port = StrmPort::new();
-/// for cycle in 0..100 {
-///     master.tick(cycle, &mut port);
-///     slave.tick(cycle, &mut port);
-///     if master.done() { break; }
-/// }
+/// Loopback::<Strm>::new(MemoryModel::new(1), 0).run(&mut master, 100);
 /// assert!(master.done());
 /// ```
-#[derive(Debug, Clone)]
-pub struct StrmMaster {
-    program: ProgramTail,
-    pc: usize,
-    wait: Option<u32>,
-    outstanding_reads: VecDeque<(usize, u64)>,
-    read_limit: u32,
-    log: CompletionLog,
-}
+pub type StrmMaster = Agent<Strm>;
 
-impl StrmMaster {
+impl Agent<Strm> {
     /// Creates a master allowing `read_limit` outstanding reads.
     ///
     /// # Panics
@@ -123,236 +175,7 @@ impl StrmMaster {
     /// Panics if `read_limit` is zero or the program contains opcodes the
     /// socket cannot express (anything but reads and posted writes).
     pub fn new(program: Program, read_limit: u32) -> Self {
-        assert!(read_limit > 0, "read limit must be non-zero");
-        for (i, cmd) in program.iter().enumerate() {
-            ProtocolKind::Strm.assert_expresses(i, cmd);
-        }
-        StrmMaster {
-            program: ProgramTail::new(program),
-            pc: 0,
-            wait: None,
-            outstanding_reads: VecDeque::new(),
-            read_limit,
-            log: CompletionLog::new(),
-        }
-    }
-
-    /// Appends commands to the end of the program, mid-run — see
-    /// [`AhbMaster::append_commands`](crate::ahb::AhbMaster::append_commands)
-    /// for the contract. The fully-retired prefix is reclaimed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a command carries an opcode the socket cannot express.
-    pub fn append_commands(&mut self, tail: &[SocketCommand]) {
-        for cmd in tail {
-            let i = self.program.len();
-            ProtocolKind::Strm.assert_expresses(i, cmd);
-            self.program.push(cmd.clone());
-        }
-        let live = self
-            .outstanding_reads
-            .front()
-            .map_or(self.pc, |&(idx, _)| idx.min(self.pc));
-        self.program.compact_to(live);
-    }
-
-    /// Replaces the program of a master that has not started executing,
-    /// keeping the read limit. Equivalent to constructing the master with
-    /// `program` in the first place — warm-state forking relies on that
-    /// equivalence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the master already issued or completed a command, or if
-    /// the new program contains opcodes the socket cannot express.
-    pub fn load_program(&mut self, program: Program) {
-        assert!(
-            self.pc == 0 && self.outstanding_reads.is_empty() && self.log.is_empty(),
-            "programs can only be loaded before execution starts"
-        );
-        *self = StrmMaster::new(program, self.read_limit);
-    }
-
-    /// Returns `true` when every command has completed.
-    pub fn done(&self) -> bool {
-        self.pc >= self.program.len() && self.outstanding_reads.is_empty()
-    }
-
-    /// The completion log.
-    pub fn log(&self) -> &CompletionLog {
-        &self.log
-    }
-
-    /// Number of immediately upcoming socket ticks that are provably
-    /// no-ops, assuming no read data reaches the port meanwhile
-    /// (`u64::MAX` = quiescent until new input).
-    pub fn idle_ticks(&self) -> u64 {
-        if self.pc >= self.program.len() {
-            return u64::MAX;
-        }
-        let w = self
-            .wait
-            .map(u64::from)
-            .unwrap_or(self.program.get(self.pc).delay_before as u64);
-        if w > 0 {
-            return w;
-        }
-        if self.program.get(self.pc).opcode.is_read()
-            && self.outstanding_reads.len() as u32 >= self.read_limit
-        {
-            u64::MAX // unblocks only when read data retires
-        } else {
-            0
-        }
-    }
-
-    /// Accounts `ticks` socket cycles skipped under the
-    /// [`idle_ticks`](StrmMaster::idle_ticks) contract.
-    pub fn skip_ticks(&mut self, ticks: u64) {
-        if self.pc >= self.program.len() {
-            return;
-        }
-        let wait = self
-            .wait
-            .get_or_insert(self.program.get(self.pc).delay_before);
-        *wait = wait.saturating_sub(ticks.min(u32::MAX as u64) as u32);
-    }
-
-    /// Advances one socket cycle.
-    pub fn tick(&mut self, cycle: u64, port: &mut StrmPort) {
-        if let Some(rd) = port.rdata.take() {
-            let (idx, issued_at) = self
-                .outstanding_reads
-                .pop_front()
-                .expect("read data with nothing outstanding");
-            let cmd = self.program.get(idx);
-            self.log.push(CompletionRecord {
-                index: idx,
-                opcode: cmd.opcode,
-                addr: cmd.addr,
-                status: rd.status,
-                data: rd.data,
-                stream: StreamId::ZERO,
-                issued_at,
-                completed_at: cycle,
-            });
-        }
-        if self.pc >= self.program.len() {
-            return;
-        }
-        let delay = self.program.get(self.pc).delay_before;
-        let wait = self.wait.get_or_insert(delay);
-        if *wait > 0 {
-            *wait -= 1;
-            return;
-        }
-        let cmd = self.program.get(self.pc);
-        if cmd.opcode.is_read() {
-            if self.outstanding_reads.len() as u32 >= self.read_limit {
-                return;
-            }
-            let req = StrmReadReq {
-                addr: cmd.addr,
-                burst: cmd.burst(),
-                urgency: cmd.pressure,
-            };
-            if port.rreq.offer(req) {
-                self.outstanding_reads.push_back((self.pc, cycle));
-                self.pc += 1;
-                self.wait = None;
-            }
-        } else {
-            if !port.tx.ready() {
-                return; // the offer would be refused: build no payload for it
-            }
-            let w = StrmWrite {
-                addr: cmd.addr,
-                burst: cmd.burst(),
-                data: cmd.payload(),
-                urgency: cmd.pressure,
-            };
-            if port.tx.offer(w) {
-                // Posted: completes at accept.
-                self.log.push(CompletionRecord {
-                    index: self.pc,
-                    opcode: cmd.opcode,
-                    addr: cmd.addr,
-                    status: RespStatus::Okay,
-                    data: cmd.payload(),
-                    stream: StreamId::ZERO,
-                    issued_at: cycle,
-                    completed_at: cycle,
-                });
-                self.pc += 1;
-                self.wait = None;
-            }
-        }
-    }
-}
-
-impl fmt::Display for StrmMaster {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "strm-master pc={}/{}", self.pc, self.program.len())
-    }
-}
-
-/// A STRM slave agent (FIFO semantics over a memory).
-#[derive(Debug, Clone)]
-pub struct StrmSlave {
-    mem: MemoryModel,
-    pending: VecDeque<(u64, StrmReadData)>,
-}
-
-impl StrmSlave {
-    /// Creates a slave over `mem`.
-    pub fn new(mem: MemoryModel) -> Self {
-        StrmSlave {
-            mem,
-            pending: VecDeque::new(),
-        }
-    }
-
-    /// The backing memory.
-    pub fn memory(&self) -> &MemoryModel {
-        &self.mem
-    }
-
-    /// Advances one socket cycle.
-    pub fn tick(&mut self, cycle: u64, port: &mut StrmPort) {
-        if let Some(w) = port.tx.take() {
-            let _ = access(
-                &mut self.mem,
-                Opcode::WritePosted,
-                w.addr,
-                w.burst,
-                &w.data,
-                None,
-                MstAddr::new(0),
-            );
-        }
-        if let Some(r) = port.rreq.take() {
-            let ready = cycle + self.mem.latency() as u64 + r.burst.beats() as u64;
-            let (status, data) = access(
-                &mut self.mem,
-                Opcode::Read,
-                r.addr,
-                r.burst,
-                &[],
-                None,
-                MstAddr::new(0),
-            );
-            self.pending
-                .push_back((ready, StrmReadData { data, status }));
-        }
-        if port.rdata.ready() {
-            if let Some(&(ready, _)) = self.pending.front() {
-                if ready <= cycle {
-                    let (_, rd) = self.pending.pop_front().expect("front exists");
-                    port.rdata.offer(rd);
-                }
-            }
-        }
+        Agent::with_shape(Strm, program, 1, u32::MAX, read_limit)
     }
 }
 
@@ -360,20 +183,14 @@ impl StrmSlave {
 mod tests {
     use super::*;
     use crate::checker::check_ahb_order;
-    use crate::command::SocketCommand;
+    use crate::loopback::Loopback;
+    use crate::memory::MemoryModel;
     use noc_transaction::BurstKind;
 
-    fn run(program: Program, cycles: u64) -> (StrmMaster, StrmSlave) {
+    fn run(program: Program, cycles: u64) -> (StrmMaster, Loopback<Strm>) {
         let mut master = StrmMaster::new(program, 4);
-        let mut slave = StrmSlave::new(MemoryModel::new(1));
-        let mut port = StrmPort::new();
-        for cycle in 0..cycles {
-            master.tick(cycle, &mut port);
-            slave.tick(cycle, &mut port);
-            if master.done() {
-                break;
-            }
-        }
+        let mut slave = Loopback::new(MemoryModel::new(1), 0);
+        slave.run(&mut master, cycles);
         (master, slave)
     }
 
@@ -424,7 +241,7 @@ mod tests {
     #[test]
     fn urgency_is_carried() {
         let mut master = StrmMaster::new(vec![SocketCommand::read(0, 4).with_pressure(3)], 4);
-        let mut port = StrmPort::new();
+        let mut port = StrmPort::default();
         master.tick(0, &mut port);
         assert_eq!(port.rreq.peek().unwrap().urgency, 3);
     }
@@ -441,6 +258,6 @@ mod tests {
     #[test]
     fn display() {
         let m = StrmMaster::new(vec![], 1);
-        assert!(m.to_string().contains("strm-master"));
+        assert!(m.to_string().starts_with("STRM master"));
     }
 }

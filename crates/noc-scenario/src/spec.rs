@@ -10,8 +10,8 @@ use noc_niu::fe::{
     AhbInitiator, AxiInitiator, AxiTargetFe, OcpInitiator, StrmInitiator, VciInitiator,
 };
 use noc_niu::{
-    InitiatorNiu, InitiatorNiuConfig, MemoryTarget, ServiceTarget, SocketInitiator, TargetNiu,
-    TargetNiuConfig,
+    InitiatorNiu, InitiatorNiuConfig, MemoryTarget, NocEndpoint, ServiceTarget, SocketInitiator,
+    TargetNiu, TargetNiuConfig,
 };
 use noc_physical::LinkConfig;
 use noc_protocols::ahb::AhbMaster;
@@ -19,7 +19,7 @@ use noc_protocols::axi::{AxiMaster, AxiSlave};
 use noc_protocols::ocp::OcpMaster;
 use noc_protocols::strm::StrmMaster;
 use noc_protocols::vci::{VciFlavor, VciMaster};
-use noc_protocols::{MemoryModel, Program, ProtocolKind, SocketCommand};
+use noc_protocols::{MemoryModel, Program, ProtocolKind, Socket, SocketCommand};
 use noc_system::{NocConfig, SocBuilder};
 use noc_topology::{RouteAlgorithm, Topology, TopologyBuilder};
 use noc_transaction::{
@@ -122,6 +122,40 @@ pub enum SocketSpec {
         /// Request pipeline depth of the master agent.
         pipeline: u32,
     },
+}
+
+/// Builds the front end of socket `$spec` over `$program` as its concrete
+/// `Initiator<S>` and evaluates `$body` with it bound to `$fe`, once per
+/// socket arm — so what `$body` wraps it in is monomorphised, not boxed
+/// twice.
+macro_rules! with_front_end {
+    ($spec:expr, $program:expr, $fe:ident => $body:expr) => {
+        match *$spec {
+            SocketSpec::Ahb => {
+                let $fe = AhbInitiator::new(AhbMaster::new($program));
+                $body
+            }
+            SocketSpec::Ocp {
+                threads,
+                per_thread,
+            } => {
+                let $fe = OcpInitiator::new(OcpMaster::new($program, threads, per_thread));
+                $body
+            }
+            SocketSpec::Axi { per_id, total, .. } => {
+                let $fe = AxiInitiator::new(AxiMaster::new($program, per_id, total));
+                $body
+            }
+            SocketSpec::Strm { read_limit } => {
+                let $fe = StrmInitiator::new(StrmMaster::new($program, read_limit));
+                $body
+            }
+            SocketSpec::Vci { flavor, pipeline } => {
+                let $fe = VciInitiator::new(VciMaster::new($program, flavor, pipeline));
+                $body
+            }
+        }
+    };
 }
 
 impl SocketSpec {
@@ -252,38 +286,50 @@ impl SocketSpec {
                 "stream {stream} exceeds the {max} stream(s) of {whose}"
             ));
         }
-        match self.kind() {
-            ProtocolKind::Pvci if cmd.beats != 1 => {
-                Err("PVCI sockets issue single-beat commands only".into())
+        let kind = self.kind();
+        match self {
+            SocketSpec::Vci { flavor, .. } if cmd.beats > flavor.max_beats() => {
+                Err(format!("{kind} sockets issue single-beat commands only"))
             }
-            kind if !kind.expresses(cmd.opcode) => {
+            _ if !kind.expresses(cmd.opcode) => {
                 Err(format!("{kind} sockets cannot express {}", cmd.opcode))
             }
             _ => Ok(()),
         }
     }
 
-    /// Instantiates the socket master agent plus its NIU front end over
-    /// `program`.
-    pub fn build_fe(&self, program: Program) -> Box<dyn SocketInitiator> {
-        match *self {
-            SocketSpec::Ahb => Box::new(AhbInitiator::new(AhbMaster::new(program))),
-            SocketSpec::Ocp {
-                threads,
-                per_thread,
-            } => Box::new(OcpInitiator::new(OcpMaster::new(
-                program, threads, per_thread,
-            ))),
-            SocketSpec::Axi { per_id, total, .. } => {
-                Box::new(AxiInitiator::new(AxiMaster::new(program, per_id, total)))
-            }
-            SocketSpec::Strm { read_limit } => {
-                Box::new(StrmInitiator::new(StrmMaster::new(program, read_limit)))
-            }
-            SocketSpec::Vci { flavor, pipeline } => {
-                Box::new(VciInitiator::new(VciMaster::new(program, flavor, pipeline)))
-            }
+    /// Whether the socket's own knobs are ones its protocol allows.
+    ///
+    /// # Errors
+    ///
+    /// Returns why not: a `pipeline` deeper than the VCI flavour's
+    /// [`Socket::max_depth`] (PVCI has no pipelining).
+    fn check(&self) -> Result<(), String> {
+        match self {
+            SocketSpec::Vci { flavor, pipeline } if *pipeline > flavor.max_depth() => Err(format!(
+                "{} is single-outstanding: pipeline must be {}",
+                self.kind(),
+                flavor.max_depth()
+            )),
+            _ => Ok(()),
         }
+    }
+
+    /// Instantiates the socket master agent plus its NIU front end over
+    /// `program`, behind the object-safe interface the baselines attach.
+    pub fn build_fe(&self, program: Program) -> Box<dyn SocketInitiator> {
+        with_front_end!(self, program, fe => Box::new(fe))
+    }
+
+    /// Instantiates the whole initiator NIU — master agent, front end
+    /// and back end — as one statically dispatched endpoint.
+    fn build_niu(
+        &self,
+        program: Program,
+        config: InitiatorNiuConfig,
+        map: AddressMap,
+    ) -> Box<dyn NocEndpoint> {
+        with_front_end!(self, program, fe => Box::new(InitiatorNiu::new(fe, config, map)))
     }
 }
 
@@ -939,6 +985,14 @@ pub enum ScenarioError {
         /// The declared budget.
         outstanding: u32,
     },
+    /// An initiator's socket is given a knob value its protocol does not
+    /// allow: a PVCI `pipeline` above 1.
+    BadSocket {
+        /// The declaring initiator.
+        initiator: String,
+        /// Why.
+        reason: String,
+    },
     /// A generated (stochastic or trace) program declaration is
     /// inconsistent: shape out of range, streams beyond the socket's
     /// capacity, a burst that cannot fit a declared region, …
@@ -1021,6 +1075,9 @@ impl fmt::Display for ScenarioError {
                 "{initiator:?} declares outstanding = {outstanding}, above the limit of {}",
                 InitiatorSpec::MAX_OUTSTANDING
             ),
+            ScenarioError::BadSocket { initiator, reason } => {
+                write!(f, "{initiator:?}'s socket: {reason}")
+            }
             ScenarioError::BadProgram { initiator, reason } => {
                 write!(f, "{initiator:?}'s program: {reason}")
             }
@@ -1145,7 +1202,8 @@ impl ScenarioSpec {
     /// Returns the first [`ScenarioError`] found: an empty scenario,
     /// duplicate endpoint names, empty or overlapping memory regions,
     /// commands addressing unmapped bytes, an outstanding budget or
-    /// switch count over its limit, or an unusable topology.
+    /// switch count over its limit, a socket knob its protocol does not
+    /// allow, or an unusable topology.
     pub fn validate(&self) -> Result<(), ScenarioError> {
         if self.initiators.is_empty() || self.memories.is_empty() {
             return Err(ScenarioError::Empty);
@@ -1189,6 +1247,12 @@ impl ScenarioSpec {
                     outstanding,
                 });
             }
+            ini.socket
+                .check()
+                .map_err(|reason| ScenarioError::BadSocket {
+                    initiator: ini.name.clone(),
+                    reason,
+                })?;
             match &ini.program {
                 ProgramSpec::Explicit(program) => {
                     // The target and stream of the lock this initiator holds.
@@ -1503,12 +1567,11 @@ impl ScenarioSpec {
         let mut builder = SocBuilder::new(topology, config);
         for (i, ini) in self.initiators.iter().enumerate() {
             let node = self.initiator_node(i);
-            let niu = InitiatorNiu::new(
-                BoxedFe(ini.socket.build_fe(ini.program.head_program())),
-                ini.niu_config(node),
-                map.clone(),
-            );
-            builder = builder.initiator_clocked(&ini.name, node, Box::new(niu), ini.clock_divisor);
+            let program = ini.program.head_program();
+            let niu = ini
+                .socket
+                .build_niu(program, ini.niu_config(node), map.clone());
+            builder = builder.initiator_clocked(&ini.name, node, niu, ini.clock_divisor);
         }
         for (i, mem) in self.memories.iter().enumerate() {
             let node = self.memory_node(i);
@@ -1617,48 +1680,5 @@ impl ScenarioSpec {
             );
         }
         Ok(BusSim::new(bus, &self.programs()))
-    }
-}
-
-/// Adapter: a boxed front end is itself a front end, letting one code
-/// path build heterogeneous NIUs.
-#[derive(Clone)]
-struct BoxedFe(Box<dyn SocketInitiator>);
-
-impl SocketInitiator for BoxedFe {
-    fn tick(&mut self, cycle: u64) {
-        self.0.tick(cycle)
-    }
-    fn pull_request(&mut self) -> Option<noc_transaction::TransactionRequest> {
-        self.0.pull_request()
-    }
-    fn push_response(
-        &mut self,
-        stream: noc_transaction::StreamId,
-        opcode: Opcode,
-        resp: noc_transaction::TransactionResponse,
-    ) {
-        self.0.push_response(stream, opcode, resp)
-    }
-    fn done(&self) -> bool {
-        self.0.done()
-    }
-    fn log(&self) -> &noc_protocols::CompletionLog {
-        self.0.log()
-    }
-    fn idle_ticks(&self) -> u64 {
-        self.0.idle_ticks()
-    }
-    fn skip_ticks(&mut self, ticks: u64) {
-        self.0.skip_ticks(ticks)
-    }
-    fn load_program(&mut self, program: Program) {
-        self.0.load_program(program)
-    }
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand]) {
-        self.0.append_commands(tail)
-    }
-    fn clone_box(&self) -> Box<dyn SocketInitiator> {
-        Box::new(BoxedFe(self.0.clone_box()))
     }
 }

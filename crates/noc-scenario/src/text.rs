@@ -634,7 +634,7 @@ const INITIATOR: Section<InitiatorSpec> = Section {
             "outstanding reads (default 4)"),
         opt("pipeline", PVCI | BVCI | AVCI,
             Int(1, U32, at!(i.socket => Vci { pipeline, .. }, pipeline: u32)),
-            "request pipeline depth (default 1 on pvci, else 2)"),
+            "request pipeline depth (default 1 on pvci, which admits only 1; else 2)"),
         opt("ordering", ANY, Name(
             || alternatives(ORDERINGS),
             |i| i.ordering.map(|o| ordering_name(o).into()),

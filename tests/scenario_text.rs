@@ -831,6 +831,9 @@ enum Rejected {
     /// A validation error naming initiator `m`, its reason containing
     /// this text.
     Program(String),
+    /// A validation error naming initiator `m`'s socket, with exactly
+    /// this reason.
+    Socket(&'static str),
     /// A trace-file error at this trace line.
     TraceLine(usize),
 }
@@ -855,6 +858,15 @@ fn commands_a_socket_cannot_carry_and_signed_integers_are_typed_errors() {
             "pvci_multi_beat",
             one_initiator("socket = \"pvci\"\ncmd = \"read 0x10 4x4\"", "1"),
             Rejected::Program("single-beat".into()),
+        ),
+        (
+            // Accepted, re-emitted and run as `pipeline = 1` before.
+            "pvci_pipelined",
+            one_initiator(
+                "socket = \"pvci\"\npipeline = 5\ncmd = \"read 0x10 1x4\"",
+                "1",
+            ),
+            Rejected::Socket("PVCI is single-outstanding: pipeline must be 1"),
         ),
         (
             "ocp_stream_beyond_threads",
@@ -950,7 +962,7 @@ fn commands_a_socket_cannot_carry_and_signed_integers_are_typed_errors() {
             (Err(e), Rejected::At(line, column)) => {
                 assert_eq!((e.line, e.column), (*line, *column), "{name}: {e}");
             }
-            (Ok(mut doc), Rejected::Program(_) | Rejected::TraceLine(_)) => {
+            (Ok(mut doc), Rejected::Program(_) | Rejected::Socket(_) | Rejected::TraceLine(_)) => {
                 doc.resolve_trace_paths(&dir);
                 let Document::Scenario(spec) = doc else {
                     panic!("{name}: expected a scenario document");
@@ -964,6 +976,10 @@ fn commands_a_socket_cannot_carry_and_signed_integers_are_typed_errors() {
                             assert_eq!(initiator, "m", "{name}/{label}");
                             assert!(reason.contains(why.as_str()), "{name}/{label}: {reason}");
                         }
+                        (
+                            Err(ScenarioError::BadSocket { initiator, reason }),
+                            Rejected::Socket(why),
+                        ) => assert_eq!((initiator.as_str(), reason.as_str()), ("m", *why)),
                         (Err(ScenarioError::Trace { line, .. }), Rejected::TraceLine(at)) => {
                             assert_eq!(line, *at, "{name}/{label}");
                         }
