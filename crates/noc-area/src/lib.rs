@@ -238,6 +238,9 @@ mod tests {
         );
         // roughly linear: 16x outstanding must stay under 16x total area
         assert!(g[4] < g[0] * 16);
+        // The figures `ordering_sweep.scn`'s outstanding axis trades
+        // cycles against (paper §3).
+        assert_eq!(g, [4592, 5316, 6764, 9660, 15452]);
     }
 
     #[test]

@@ -1,19 +1,20 @@
-//! Regenerates the `tests/scenarios/` corpus from the shared experiment
-//! scenario builders. The checked-in files are exact emitter output, so
+//! Regenerates the `tests/scenarios/` corpus from the builders in
+//! [`noc_examples::scenarios`]. The checked-in files are exact emitter output, so
 //! `emit(parse(file)) == file` — asserted by `tests/scenario_text.rs`,
 //! which makes the corpus double as grammar-stability fixtures. Also
 //! runs every file on every backend and writes the numbers to
-//! `GOLDEN.txt` beside them ([`noc_bench::golden`]), and rewrites the
+//! `GOLDEN.txt` beside them ([`noc_examples::golden`]), and rewrites the
 //! grammar block of the README (between its two marker comments) with
 //! [`noc_scenario::grammar_reference`]. Run this after changing a
 //! builder, the text format or anything a simulation's timing depends
 //! on, then commit the diff — a golden diff is a behaviour change.
 
-use noc_bench::scenarios::{
-    bursty_storm_spec, clocked_mixed_spec, deep_pipeline_spec, exclusive_sweep, ordering_sweep,
-    qos_spec, ring_mixed_spec, scale_sweep, serve_sweep, services_spec, sparse_mesh_32_spec,
-    sparse_mesh_spec, trace_replay_spec, trace_replay_trace, zipf_hotspot_mesh16_spec,
-    zipf_hotspot_spec,
+use noc_examples::golden;
+use noc_examples::scenarios::{
+    bursty_storm_spec, clocked_mixed_spec, deep_pipeline_spec, exclusive_sweep, layering_sweep,
+    ordering_sweep, qos_sweep, ring_mixed_spec, scale_sweep, serve_sweep, services_spec,
+    sparse_mesh_32_spec, sparse_mesh_spec, trace_replay_spec, trace_replay_trace,
+    zipf_hotspot_mesh16_spec, zipf_hotspot_spec,
 };
 use noc_workloads::{SetTop, SetTopConfig};
 use std::path::Path;
@@ -26,13 +27,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "set_top.scn",
             SetTop::new(SetTopConfig::new(32, 2005)).scenario_text(),
         ),
-        (
-            "layering_settop.scn",
-            SetTop::new(SetTopConfig::new(24, 777)).scenario_text(),
-        ),
-        ("qos_classes.scn", qos_spec([3, 1, 0]).to_text()),
+        ("layering_settop.scn", layering_sweep().to_text()),
+        ("qos_classes.scn", qos_sweep().to_text()),
         ("ordering_sweep.scn", ordering_sweep().to_text()),
-        ("scale_mesh.scn", scale_sweep(&[2, 3], 24).to_text()),
+        ("scale_mesh.scn", scale_sweep(&[2, 3, 4, 6], 24).to_text()),
         ("clocked_mixed.scn", clocked_mixed_spec().to_text()),
         ("ring_mixed.scn", ring_mixed_spec().to_text()),
         ("deep_pipeline.scn", deep_pipeline_spec().to_text()),
@@ -66,16 +64,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     docs.sort_by(|(a, _), (b, _)| a.cmp(b));
-    let golden = noc_bench::golden::render(&docs, |_, _, spec, backend| {
-        noc_bench::golden::run(spec, backend, noc_scenario::StepMode::Horizon)
+    let rows = golden::render(&docs, |_, _, spec, backend| {
+        golden::run(
+            spec,
+            backend,
+            noc_scenario::StepMode::Horizon,
+            golden::MAX_CYCLES,
+        )
     });
-    let path = dir.join(noc_bench::golden::FILE_NAME);
-    std::fs::write(&path, &golden)?;
-    println!(
-        "wrote {} ({} lines)",
-        path.display(),
-        golden.lines().count()
-    );
+    let path = dir.join(golden::FILE_NAME);
+    std::fs::write(&path, &rows)?;
+    println!("wrote {} ({} lines)", path.display(), rows.lines().count());
     let readme = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../README.md");
     let text = std::fs::read_to_string(&readme)?;
     let (begin, end) = ("<!-- grammar:begin", "<!-- grammar:end -->");

@@ -24,13 +24,22 @@
 //!                                   budget for sweeps)
 //! ```
 //!
+//! A scenario file runs as one point per backend, a sweep file as its
+//! declared points; both print the same tables from each run's
+//! `ScenarioReport`: one row per run (cycles, completions, mean latency,
+//! executed steps, dense/horizon ratio, polls/pops, and the fabric's
+//! flits forwarded and lock-idle cycles — `-` on the baselines), one row
+//! per master (completions, errors, mean and p95 latency — `-` for a
+//! master that completed nothing) and, for multi-target specs, one row
+//! per target. The paper's experiments are corpus files read through
+//! these tables (README, "The paper's experiments").
+//!
 //! With `--backend all`, scenarios that declare divided clocks or
 //! target kinds a baseline cannot model are skipped (with a note) on
 //! the backends that reject them; naming such a backend explicitly is
 //! an error. Exit status is non-zero on parse errors, failed drains and
-//! dense/horizon divergence. A per-target latency table follows for any
-//! multi-target scenario. The tables are observability, not gates: the
-//! corpus's numbers are pinned by `tests/scenarios/GOLDEN.txt` and
+//! dense/horizon divergence. The tables are observability, not gates:
+//! the corpus's numbers are pinned by `tests/scenarios/GOLDEN.txt` and
 //! guarded by `tests/scenario_text.rs`.
 //!
 //! `scn serve` starts the long-running service instead: requests come
@@ -51,12 +60,13 @@
 //!   --poll-ms N        spool scan interval in milliseconds (50)
 //! ```
 
+use noc_examples::golden::{self, Run};
 use noc_protocols::CompletionRecord;
 use noc_scenario::{
-    parse_document, Backend, Document, ScenarioError, ScenarioSpec, StepMode, Sweep,
+    parse_document, Backend, Document, ScenarioError, ScenarioSpec, StepMode, Sweep, SweepPoint,
 };
 use noc_stats::Table;
-use std::fmt::Write as _;
+use std::fmt::Display;
 
 #[derive(Clone, Copy, PartialEq)]
 enum StepSel {
@@ -125,35 +135,11 @@ fn parse_args() -> Result<Options, Box<dyn std::error::Error>> {
     Ok(opts)
 }
 
-/// The comparable part of a run (logs with timestamps) plus the
-/// per-mode accounting — executed steps and the horizon machinery's
-/// poll/pop counters — which legitimately differs between step modes.
-struct RunOutcome {
-    compared: (bool, u64, Vec<Vec<CompletionRecord>>),
-    steps: u64,
-    polls: u64,
-    pops: u64,
-}
-
-fn run_once(
-    spec: &ScenarioSpec,
-    backend: &Backend,
-    mode: StepMode,
-    max_cycles: u64,
-) -> Result<RunOutcome, ScenarioError> {
-    let mut sim = spec.build(backend)?;
-    let drained = sim.run_until_with(max_cycles, mode);
-    let logs = sim
-        .logs()
-        .iter()
-        .map(|(_, log)| log.records().to_vec())
-        .collect();
-    Ok(RunOutcome {
-        compared: (drained, sim.now(), logs),
-        steps: sim.executed_steps(),
-        polls: sim.horizon_polls(),
-        pops: sim.calendar_pops(),
-    })
+/// A table cell for a statistic that may have no sample behind it: a
+/// master or target nothing completed on has no latency, not a zero one,
+/// so it prints `-` (mirrors the serve layer's `null`).
+fn cell(value: Option<impl Display>) -> String {
+    value.map_or_else(|| "-".to_owned(), |v| v.to_string())
 }
 
 /// Per-target completion stats from one run's logs: for each memory
@@ -174,168 +160,52 @@ fn target_stats(spec: &ScenarioSpec, logs: &[Vec<CompletionRecord>]) -> Vec<(Str
     spec.memories
         .iter()
         .zip(acc)
-        .map(|(m, (n, sum))| {
-            let mean = if n == 0 { 0.0 } else { sum as f64 / n as f64 };
-            (m.name.clone(), n, mean)
-        })
+        .map(|(m, (n, sum))| (m.name.clone(), n, sum as f64 / n as f64))
         .collect()
 }
 
-/// Runs a spec on one backend under the step selection; returns the
-/// table cells plus per-target stats, or `None` when the backend
-/// rejects divided clocks and skipping is allowed.
-#[allow(clippy::type_complexity)]
-fn run_spec(
-    spec: &ScenarioSpec,
-    backend: &Backend,
-    step: StepSel,
-    max_cycles: u64,
-    skip_unsupported: bool,
-) -> Result<Option<(Vec<String>, Vec<(String, usize, f64)>)>, Box<dyn std::error::Error>> {
-    let modes: Vec<StepMode> = match step {
-        StepSel::One(mode) => vec![mode],
-        StepSel::Both => vec![StepMode::Dense, StepMode::Horizon],
-    };
-    let mut outcomes = Vec::new();
-    for mode in &modes {
-        match run_once(spec, backend, *mode, max_cycles) {
-            Ok(outcome) => outcomes.push(outcome),
-            Err(
-                e @ (ScenarioError::UnsupportedClock { .. }
-                | ScenarioError::UnsupportedTarget { .. }),
-            ) if skip_unsupported => {
-                println!("  {backend}: skipped ({e})");
-                return Ok(None);
-            }
-            Err(e) => return Err(e.into()),
-        }
-    }
-    if outcomes.len() == 2 && outcomes[0].compared != outcomes[1].compared {
-        return Err(format!("{backend}: {} and {} stepping diverge", modes[0], modes[1]).into());
-    }
-    let (drained, cycles, logs) = &outcomes[0].compared;
-    if !drained {
-        return Err(format!("{backend}: failed to drain in {max_cycles} cycles").into());
-    }
-    let completions: usize = logs.iter().map(Vec::len).sum();
-    // No completions means no latency sample at all; the cell shows "-"
-    // rather than a fabricated 0.0 (mirrors the serve layer's `null`).
-    let mean_cell = if completions == 0 {
-        "-".to_owned()
-    } else {
-        let mean = logs
-            .iter()
-            .flatten()
-            .map(|r| r.latency() as f64)
-            .sum::<f64>()
-            / completions as f64;
-        format!("{mean:.1}")
-    };
-    let mut step_cell = String::new();
-    for (i, mode) in modes.iter().enumerate() {
-        if i > 0 {
-            step_cell.push('=');
-        }
-        let _ = write!(step_cell, "{mode}");
-    }
-    // Executed-step accounting: one count per mode, plus the
-    // dense/horizon collapse ratio when both ran.
-    let steps_cell = outcomes
-        .iter()
-        .map(|o| o.steps.to_string())
-        .collect::<Vec<_>>()
-        .join("/");
-    let ratio_cell = if outcomes.len() == 2 {
-        let (dense, horizon) = (outcomes[0].steps, outcomes[1].steps);
-        format!("{:.1}x", dense as f64 / horizon.max(1) as f64)
-    } else {
-        "-".to_owned()
-    };
-    // Wakeup accounting comes from the horizon run (the last outcome:
-    // `modes` lists dense first under Both); dense stepping never
-    // polls, so its counters carry no signal.
-    let horizon_ran = !matches!(step, StepSel::One(StepMode::Dense));
-    let wake_cell = if horizon_ran {
-        let o = outcomes.last().expect("at least one mode ran");
-        format!("{}/{}", o.polls, o.pops)
-    } else {
-        "-".to_owned()
-    };
-    Ok(Some((
-        vec![
-            backend.label().to_owned(),
-            step_cell,
-            cycles.to_string(),
-            completions.to_string(),
-            mean_cell,
-            steps_cell,
-            ratio_cell,
-            wake_cell,
-        ],
-        target_stats(spec, logs),
-    )))
+/// A table whose rows start with the point label on sweep files.
+fn table(sweep_file: bool, headers: &[&str]) -> Table {
+    let point = sweep_file.then_some("point");
+    let headers: Vec<&str> = point.into_iter().chain(headers.iter().copied()).collect();
+    let mut t = Table::new(&headers);
+    t.numeric();
+    t
 }
 
-fn run_scenario_file(
-    spec: &ScenarioSpec,
+/// Runs every point of `sweep` — a plain scenario file is the sweep of
+/// one point per backend — under the step selection and prints the
+/// per-run, per-master and (where traffic can spread) per-target
+/// tables. Each point runs through [`golden::run`], the runs the corpus
+/// golden pins.
+fn run_sweep(
+    sweep: &Sweep,
+    sweep_file: bool,
     opts: &Options,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let backends: Vec<Backend> = match opts.backend {
-        Some(backend) => vec![backend],
-        None => Backend::NAMES.iter().map(|(_, make)| make()).collect(),
+    let max_cycles = opts.max_cycles.unwrap_or(sweep.max_cycles());
+    // Only a scenario file run on every backend may skip a backend that
+    // cannot model it; a named backend or a sweep point must run.
+    let skip_unsupported = !sweep_file && opts.backend.is_none();
+    let modes = |p: &SweepPoint| match opts.step {
+        Some(StepSel::Both) => vec![StepMode::Dense, StepMode::Horizon],
+        Some(StepSel::One(mode)) => vec![mode],
+        None => vec![p.step.unwrap_or(sweep.step_mode())],
     };
-    let step = opts.step.unwrap_or(StepSel::One(StepMode::Horizon));
-    let max_cycles = opts.max_cycles.unwrap_or(10_000_000);
-    let mut t = Table::new(&[
-        "backend",
-        "step",
-        "cycles",
-        "completions",
-        "mean lat (cy)",
-        "steps",
-        "dense/horizon",
-        "polls/pops",
-    ]);
-    t.numeric();
-    let mut target_rows = Vec::new();
-    for backend in &backends {
-        let skip = opts.backend.is_none();
-        if let Some((row, stats)) = run_spec(spec, backend, step, max_cycles, skip)? {
-            t.row(&row);
-            for (target, n, mean) in stats {
-                // A target nothing reached has no latency, not a zero
-                // one — print "-" rather than a fabricated 0.0.
-                let mean_cell = if n == 0 {
-                    "-".to_owned()
-                } else {
-                    format!("{mean:.1}")
-                };
-                target_rows.push(vec![backend.to_string(), target, n.to_string(), mean_cell]);
-            }
-        }
-    }
-    println!("{t}");
-    // The per-target breakdown only says something when traffic can
-    // actually spread over more than one target.
-    if spec.memories.len() > 1 {
-        let mut pt = Table::new(&["backend", "target", "completions", "mean lat (cy)"]);
-        pt.numeric();
-        for row in &target_rows {
-            pt.row(row);
-        }
-        println!("per-target latency:");
-        println!("{pt}");
-    }
-    Ok(())
-}
-
-fn run_sweep_file(sweep: &Sweep, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let max_cycles = opts.max_cycles.unwrap_or_else(|| sweep.max_cycles());
-    if opts.step == Some(StepSel::Both) {
-        // Differential mode: drive each point by hand so dense and
-        // horizon logs can be compared record-for-record.
-        let mut t = Table::new(&[
-            "point",
+    let mut outcomes = Vec::new();
+    sweep.run_streaming_with(
+        |_, p| {
+            let run = |mode| golden::run(&p.spec, &p.backend, mode, max_cycles);
+            modes(p)
+                .into_iter()
+                .map(run)
+                .collect::<Result<Vec<Run>, _>>()
+        },
+        |_, outcome| outcomes.push(outcome),
+    );
+    let mut runs = table(
+        sweep_file,
+        &[
             "backend",
             "step",
             "cycles",
@@ -344,64 +214,111 @@ fn run_sweep_file(sweep: &Sweep, opts: &Options) -> Result<(), Box<dyn std::erro
             "steps",
             "dense/horizon",
             "polls/pops",
-        ]);
-        t.numeric();
-        for p in sweep.points() {
-            let (row, _) = run_spec(&p.spec, &p.backend, StepSel::Both, max_cycles, false)?
-                .expect("skipping is disabled");
-            let mut cells = vec![p.label.clone()];
-            cells.extend(row);
-            t.row(&cells);
+            "flits",
+            "lock-idle",
+        ],
+    );
+    let mut masters = table(
+        sweep_file,
+        &[
+            "backend",
+            "master",
+            "completions",
+            "errors",
+            "mean lat (cy)",
+            "p95 (cy)",
+        ],
+    );
+    let mut targets = table(
+        sweep_file,
+        &["backend", "target", "completions", "mean lat (cy)"],
+    );
+    for (p, outcome) in sweep.points().iter().zip(outcomes) {
+        let backend = p.backend.label();
+        let at = if sweep_file {
+            format!("{} on {backend}", p.label)
+        } else {
+            backend.to_owned()
+        };
+        let outcome = match outcome {
+            Err(
+                e @ (ScenarioError::UnsupportedClock { .. }
+                | ScenarioError::UnsupportedTarget { .. }),
+            ) if skip_unsupported => {
+                println!("  {backend}: skipped ({e})");
+                continue;
+            }
+            outcome => outcome.map_err(|e| format!("{at}: {e}"))?,
+        };
+        let modes = modes(p);
+        if let [a, b] = &outcome[..] {
+            if (a.drained, a.report.cycles, &a.logs) != (b.drained, b.report.cycles, &b.logs) {
+                return Err(format!("{at}: {} and {} stepping diverge", modes[0], modes[1]).into());
+            }
         }
-        println!("{t}");
-        return Ok(());
-    }
-    // An explicit --step or --max-cycles overrides the file's settings
-    // (per-point step overrides included); otherwise the file rules.
-    let mut sweep = sweep.clone();
-    if opts.max_cycles.is_some() {
-        sweep = sweep.with_max_cycles(max_cycles);
-    }
-    if let Some(StepSel::One(mode)) = opts.step {
-        let points: Vec<_> = sweep.points().to_vec();
-        let mut forced = Sweep::new()
-            .with_max_cycles(sweep.max_cycles())
-            .with_step_mode(mode);
-        if let Some(threads) = sweep.threads() {
-            forced = forced.with_threads(threads);
+        // Everything printed comes from the last run: the horizon one
+        // under `both` (its polls/pops are the ones that carry signal).
+        let last = outcome.last().expect("at least one mode ran");
+        if !last.drained {
+            return Err(format!("{at}: failed to drain in {max_cycles} cycles").into());
         }
-        for mut p in points {
-            p.step = None;
-            forced = forced.with_point(p);
+        let r = &last.report;
+        let point = sweep_file.then(|| p.label.clone());
+        let row = |cells: Vec<String>| point.iter().cloned().chain(cells).collect::<Vec<_>>();
+        let steps: Vec<String> = outcome.iter().map(|o| o.report.steps.to_string()).collect();
+        let ratio = (outcome.len() == 2).then(|| {
+            let (dense, horizon) = (outcome[0].report.steps, r.steps);
+            format!("{:.1}x", dense as f64 / horizon.max(1) as f64)
+        });
+        // Dense stepping never polls, so its counters carry no signal.
+        let horizon_ran = modes.last() == Some(&StepMode::Horizon);
+        let wake = horizon_ran.then(|| format!("{}/{}", r.horizon_polls, r.calendar_pops));
+        let modes: Vec<String> = modes.iter().map(StepMode::to_string).collect();
+        let mean = (r.total_completions() > 0).then(|| format!("{:.1}", r.mean_latency()));
+        runs.row(&row(vec![
+            backend.to_owned(),
+            modes.join("="),
+            r.cycles.to_string(),
+            r.total_completions().to_string(),
+            cell(mean),
+            steps.join("/"),
+            cell(ratio),
+            cell(wake),
+            cell(r.fabric.as_ref().map(|f| f.flits_forwarded)),
+            cell(r.fabric.as_ref().map(|f| f.lock_idle_cycles)),
+        ]));
+        for m in &r.masters {
+            let sampled = m.completions > 0;
+            masters.row(&row(vec![
+                backend.to_owned(),
+                m.name.clone(),
+                m.completions.to_string(),
+                m.errors.to_string(),
+                cell(sampled.then(|| format!("{:.1}", m.mean_latency))),
+                cell(sampled.then(|| m.latency_percentile(0.95))),
+            ]));
         }
-        sweep = forced;
+        // The per-target breakdown only says something when traffic can
+        // actually spread over more than one target.
+        if p.spec.memories.len() > 1 {
+            for (target, n, mean) in target_stats(&p.spec, &last.logs) {
+                let mean = (n > 0).then(|| format!("{mean:.1}"));
+                targets.row(&row(vec![
+                    backend.to_owned(),
+                    target,
+                    n.to_string(),
+                    cell(mean),
+                ]));
+            }
+        }
     }
-    let mut t = Table::new(&[
-        "point",
-        "backend",
-        "cycles",
-        "completions",
-        "mean lat (cy)",
-        "steps",
-    ]);
-    t.numeric();
-    // Stream results into the table as points finish (in declaration
-    // order) instead of buffering the whole grid first.
-    sweep.run_streaming(|i, r| {
-        t.row(&[
-            r.label.clone(),
-            sweep.points()[i].backend.label().to_owned(),
-            r.report.cycles.to_string(),
-            r.report.total_completions().to_string(),
-            if r.report.total_completions() == 0 {
-                "-".to_owned()
-            } else {
-                format!("{:.1}", r.report.mean_latency())
-            },
-            r.report.steps.to_string(),
-        ]);
-    })?;
-    println!("{t}");
+    println!("{runs}");
+    println!("per-master latency:");
+    println!("{masters}");
+    if !targets.is_empty() {
+        println!("per-target latency:");
+        println!("{targets}");
+    }
     Ok(())
 }
 
@@ -483,20 +400,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // the process working directory — the same rule the serve layer
         // applies to stdin and spool requests.
         doc.resolve_trace_paths_from(std::path::Path::new(file));
-        match doc {
+        let (sweep, sweep_file) = match doc {
             Document::Scenario(spec) => {
                 println!(
                     "{file}: scenario ({} initiators, {} memories)",
                     spec.initiators.len(),
                     spec.memories.len()
                 );
-                run_scenario_file(&spec, &opts).map_err(|e| format!("{file}: {e}"))?;
+                let backends: Vec<Backend> = match opts.backend {
+                    Some(backend) => vec![backend],
+                    None => Backend::NAMES.iter().map(|(_, make)| make()).collect(),
+                };
+                let point = |b: Backend| (b.label().to_owned(), spec.clone(), b);
+                let sweep = Sweep::over(backends, point).with_max_cycles(golden::MAX_CYCLES);
+                (sweep, false)
             }
             Document::Sweep(sweep) => {
                 println!("{file}: sweep ({} points)", sweep.points().len());
-                run_sweep_file(&sweep, &opts).map_err(|e| format!("{file}: {e}"))?;
+                (sweep, true)
             }
-        }
+        };
+        run_sweep(&sweep, sweep_file, &opts).map_err(|e| format!("{file}: {e}"))?;
     }
     Ok(())
 }

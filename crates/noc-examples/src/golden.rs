@@ -4,7 +4,9 @@
 //! record change anywhere in the stack is a diff in a committed file.
 //! `gen_scenarios` writes it; the corpus differential in
 //! `tests/scenario_text.rs` renders the same text from the runs it makes
-//! anyway and compares exactly ([`render`] serves both).
+//! anyway and compares exactly ([`render`] serves both). [`run`] is also
+//! the one way `scn` runs a spec, so its tables and the golden read the
+//! same runs.
 
 use noc_protocols::CompletionRecord;
 use noc_scenario::{Backend, Document, ScenarioError, ScenarioReport, ScenarioSpec, StepMode};
@@ -14,7 +16,7 @@ use std::fmt;
 pub const FILE_NAME: &str = "GOLDEN.txt";
 
 const HEADER: &str = "\
-# Generated by `cargo run -p noc-bench --bin gen_scenarios`; compared exactly by
+# Generated by `cargo run -p noc-examples --bin gen_scenarios`; compared exactly by
 # tests/scenario_text.rs. One line per corpus file, sweep point (`-` for a plain
 # scenario) and backend: the drained horizon run's cycles, executed steps,
 # next_activity polls, calendar pops, completions, functional fingerprint and an
@@ -22,10 +24,17 @@ const HEADER: &str = "\
 # issued_at, completed_at). A diff here is a behaviour change to justify.
 ";
 
-/// One drained run: the report its golden row is read from, and the
-/// per-master records the dense ≡ horizon differential compares in full.
+/// The drain budget of a golden row, and `scn`'s default for plain
+/// scenario files.
+pub const MAX_CYCLES: u64 = 10_000_000;
+
+/// One run: the report its golden row and `scn`'s tables are read from,
+/// and the per-master records the dense ≡ horizon differential compares
+/// in full.
 #[derive(Debug, Clone)]
 pub struct Run {
+    /// Whether the simulation drained within its budget.
+    pub drained: bool,
     /// The backend-neutral report of the finished simulation.
     pub report: ScenarioReport,
     /// Every master's completion records, in declaration and log order.
@@ -75,28 +84,27 @@ impl fmt::Display for Run {
     }
 }
 
-/// Builds `spec` on `backend` and drains it under `mode`, within
-/// `scn`'s default budget.
+/// Builds `spec` on `backend` and runs it under `mode` until it drains
+/// or reaches `max_cycles`.
 ///
 /// # Errors
 ///
 /// Returns the backend's build error.
-///
-/// # Panics
-///
-/// Panics if the run does not drain.
-pub fn run(spec: &ScenarioSpec, backend: &Backend, mode: StepMode) -> Result<Run, ScenarioError> {
+pub fn run(
+    spec: &ScenarioSpec,
+    backend: &Backend,
+    mode: StepMode,
+    max_cycles: u64,
+) -> Result<Run, ScenarioError> {
     let mut sim = spec.build(backend)?;
-    assert!(
-        sim.run_until_with(10_000_000, mode),
-        "{backend} must drain under {mode} stepping"
-    );
+    let drained = sim.run_until_with(max_cycles, mode);
     let logs = sim
         .logs()
         .iter()
         .map(|(_, log)| log.records().to_vec())
         .collect();
     Ok(Run {
+        drained,
         report: sim.report(),
         logs,
     })
@@ -111,7 +119,8 @@ pub fn run(spec: &ScenarioSpec, backend: &Backend, mode: StepMode) -> Result<Run
 ///
 /// # Panics
 ///
-/// Panics, naming the cell, on any other error.
+/// Panics, naming the cell, on any other error and on a run that did
+/// not drain.
 pub fn render(
     docs: &[(String, Document)],
     mut cell: impl FnMut(&str, &str, &ScenarioSpec, &Backend) -> Result<Run, ScenarioError>,
@@ -130,7 +139,10 @@ pub fn render(
             for (_, make) in Backend::NAMES {
                 let backend = make();
                 let row = match cell(file, point, spec, &backend) {
-                    Ok(run) => run.to_string(),
+                    Ok(run) if run.drained => run.to_string(),
+                    Ok(_) => {
+                        panic!("{file} {point} {backend}: failed to drain in {MAX_CYCLES} cycles")
+                    }
                     Err(
                         e @ (ScenarioError::UnsupportedClock { .. }
                         | ScenarioError::UnsupportedTarget { .. }),

@@ -1,2 +1,11 @@
-//! Host crate for the workspace examples located in the repository-level
-//! `examples/` directory.
+//! Host crate for everything that runs the library from the outside:
+//! the `scn` runner, the `gen_scenarios` corpus generator, the
+//! repository-level `examples/` and the integration suites in `tests/`.
+//!
+//! The paper's experiments are corpus files, not code: [`scenarios`]
+//! holds the builders `gen_scenarios` serializes into `tests/scenarios/`,
+//! `scn FILE` prints each file's tables, and [`golden`] pins every
+//! host-independent number of those runs in `tests/scenarios/GOLDEN.txt`.
+
+pub mod golden;
+pub mod scenarios;

@@ -1,6 +1,6 @@
-//! The default scenarios and sweeps of the experiment binaries, shared
-//! so `gen_scenarios` can serialize the exact same configurations into
-//! the `tests/scenarios/` corpus.
+//! The builders of the `tests/scenarios/` corpus: `gen_scenarios`
+//! serializes each into its file, and the paper's experiments are those
+//! files — `scn FILE` prints their tables.
 
 use noc_protocols::{Program, SocketCommand};
 use noc_scenario::{
@@ -9,9 +9,10 @@ use noc_scenario::{
 };
 use noc_topology::RouteAlgorithm;
 use noc_transaction::{BurstKind, Opcode, StreamId};
+use noc_workloads::{SetTop, SetTopConfig};
 
-/// The `exp_qos` scenario: three streaming classes with the given
-/// pressures hammering one hotspot target.
+/// Three streaming classes with the given pressures hammering one
+/// hotspot target.
 pub fn qos_spec(pressures: [u8; 3]) -> ScenarioSpec {
     let mut spec = ScenarioSpec::new();
     for (node, pressure) in pressures.into_iter().enumerate() {
@@ -30,6 +31,46 @@ pub fn qos_spec(pressures: [u8; 3]) -> ScenarioSpec {
     spec.memory(MemorySpec::new("mem", 0x0, 0x10_0000, 4))
 }
 
+/// `qos_classes.scn`: transport-layer QoS under hotspot congestion, the
+/// three classes at equal pressure (`0/0/0`) and differentiated
+/// (`3/1/0`).
+pub fn qos_sweep() -> Sweep {
+    Sweep::over([[0, 0, 0], [3, 1, 0]], |p: [u8; 3]| {
+        let label = format!("{}/{}/{}", p[0], p[1], p[2]);
+        (label, qos_spec(p), Backend::noc())
+    })
+    .with_max_cycles(2_000_000)
+}
+
+/// `layering_settop.scn`: paper §1, transport and physical choices are
+/// invisible at the transaction layer — the Fig-1 set-top SoC at full
+/// link width, on half-width links, on 3-stage pipelined links and with
+/// 32-flit switch buffers, each point one `[config]` section.
+pub fn layering_sweep() -> Sweep {
+    let spec = SetTop::new(SetTopConfig::new(24, 777)).spec();
+    let mut half_width = NocConfigSpec::new();
+    half_width.link.phits = Some(2);
+    let configs = [
+        ("full_width", None),
+        ("half_width", Some(half_width)),
+        (
+            "pipelined_3",
+            Some(NocConfigSpec::new().with_link_pipeline(3)),
+        ),
+        (
+            "buffers_32",
+            Some(NocConfigSpec::new().with_buffer_depth(32)),
+        ),
+    ];
+    Sweep::over(configs, |(label, config)| {
+        let spec = ScenarioSpec {
+            config,
+            ..spec.clone()
+        };
+        (label.to_owned(), spec, Backend::noc())
+    })
+}
+
 fn ordering_workload(n: usize) -> Program {
     (0..n)
         .map(|i| {
@@ -39,8 +80,8 @@ fn ordering_workload(n: usize) -> Program {
         .collect()
 }
 
-/// One `exp_ordering` point: an AXI master with the given outstanding
-/// budget against a fast and a slow target.
+/// One `ordering_sweep.scn` point: an AXI master with the given
+/// outstanding budget against a fast and a slow target.
 pub fn ordering_spec(outstanding: u32) -> ScenarioSpec {
     ScenarioSpec::new()
         .initiator(
@@ -59,9 +100,9 @@ pub fn ordering_spec(outstanding: u32) -> ScenarioSpec {
         .memory(MemorySpec::new("slow", 0x1000, 0x2000, 30))
 }
 
-/// The `exp_ordering` outstanding-capacity sweep. The first (reference)
-/// point carries a dense step override, exercising the per-point
-/// [`StepMode`] mix in one grid.
+/// `ordering_sweep.scn`: paper §3, outstanding capacity trades NIU
+/// gates for cycles. The first (reference) point carries a dense step
+/// override, exercising the per-point [`StepMode`] mix in one grid.
 pub fn ordering_sweep() -> Sweep {
     let mut sweep = Sweep::new().with_max_cycles(2_000_000);
     for outstanding in [1u32, 2, 4, 8, 16] {
@@ -80,7 +121,7 @@ pub fn ordering_sweep() -> Sweep {
 
 const SLICE: u64 = 0x1_0000;
 
-/// One `exp_scale` point: a `w` x `w` mesh with AXI masters on even
+/// One `scale_mesh.scn` point: a `w` x `w` mesh with AXI masters on even
 /// switches, memory slices on odd switches, and uniform random reads.
 pub fn scale_mesh_spec(w: usize, commands: usize) -> ScenarioSpec {
     let n = w * w;
@@ -228,7 +269,8 @@ pub fn sparse_mesh_32_spec() -> ScenarioSpec {
     sparse_mesh_spec(32).with_config(NocConfigSpec::new().with_link_pipeline(2))
 }
 
-/// The `exp_scale` mesh-size sweep over the given widths.
+/// `scale_mesh.scn`: transport-layer scalability, the mesh-size sweep
+/// over the given widths under uniform random traffic.
 pub fn scale_sweep(widths: &[usize], commands: usize) -> Sweep {
     Sweep::over(widths.iter().copied(), |w| {
         (
@@ -315,7 +357,7 @@ pub fn clocked_mixed_spec() -> ScenarioSpec {
         })
 }
 
-/// The `exp_services` scenario: three socket protocols driving all
+/// `services.scn`: three socket protocols driving all
 /// three declarative target kinds — a plain memory, an AXI-slave DRAM
 /// controller with banked latency, and a register/service block with a
 /// slow write path. Every initiator owns private sub-ranges of every
@@ -371,11 +413,11 @@ pub fn services_spec() -> ScenarioSpec {
         .memory(MemorySpec::service("regs", 0x8000, 0x9000, 1, 3))
 }
 
-/// Semaphore address of the `exp_exclusive` schemes.
+/// Semaphore address of the `exclusive_locks.scn` schemes.
 const SEM: u64 = 0x40;
 
-/// One `exp_exclusive` point: a synchronising master running the given
-/// scheme against a declarative semaphore service block, with a
+/// One `exclusive_locks.scn` point: a synchronising master running the
+/// given scheme against a declarative semaphore service block, with a
 /// bystander hammering a separate memory through the same fabric.
 ///
 /// The semaphore is a `service` target with the `exclusive` flag — the
@@ -424,7 +466,7 @@ pub fn exclusive_scheme_spec(scheme: &str) -> ScenarioSpec {
         )
 }
 
-/// The `exp_exclusive` scheme sweep: bystander latency and fabric
+/// `exclusive_locks.scn`, paper §3: bystander latency and fabric
 /// lock-idle cycles under an idle, exclusive-access and READEX/LOCK
 /// neighbour (NoC backend — the experiment reads fabric counters).
 pub fn exclusive_sweep() -> Sweep {
@@ -651,7 +693,7 @@ pub fn trace_replay_spec() -> ScenarioSpec {
 pub fn trace_replay_trace() -> String {
     let mut rng = noc_kernel::SplitMix64::new(0x7124CE);
     let mut out = String::from(
-        "# trace_replay.trace -- written by `cargo run -p noc-bench --bin gen_scenarios`\n\
+        "# trace_replay.trace -- written by `cargo run -p noc-examples --bin gen_scenarios`\n\
          # format: cycle op addr beats beat_bytes [stream]\n",
     );
     let mut cycle = 0u64;

@@ -15,8 +15,9 @@
 //! once by [`Sim`] over whichever [`noc_kernel::Engine`] the backend is.
 //!
 //! [`Sweep`] expands parameter grids (command counts, seeds, buffer
-//! depths, topologies, backends) into batched simulations for the
-//! experiment binaries.
+//! depths, topologies, backends) into batched simulations — the shape
+//! of every experiment in the `tests/scenarios/` corpus, which the
+//! `scn` runner prints.
 //!
 //! Scenarios and sweeps also round-trip through a zero-dependency text
 //! format (see [`text`]): [`ScenarioSpec::from_text`]/[`ScenarioSpec::to_text`]

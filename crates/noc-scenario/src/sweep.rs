@@ -1,9 +1,10 @@
 //! Batched simulation sweeps over parameter grids.
 //!
-//! The experiment binaries all share one shape: build N scenario
-//! variants (different command counts, seeds, buffer depths, topologies
-//! or backends), run each to completion, and tabulate the reports.
-//! [`Sweep`] captures that shape once. Points are independent, so the
+//! The paper's experiments all share one shape: build N scenario
+//! variants (different command counts, seeds, link and buffer
+//! configurations, topologies or backends), run each to completion, and
+//! tabulate the reports. [`Sweep`] captures that shape once, and a sweep
+//! file in the `tests/scenarios/` corpus states one experiment. Points are independent, so the
 //! runner fans them out across OS threads and reassembles the results
 //! in declaration order.
 

@@ -21,9 +21,10 @@
 //! derived from those rows, so they cannot drift apart, `emit(parse(f))
 //! == f` holds by construction, and adding a knob is adding a row.
 //!
-//! Backend *configurations* (transport, physical, bus timing) stay in
-//! code; the spec-level `routing` override covers the one knob the
-//! corpus needs. Parsing reports precise line/column [`ParseError`]s;
+//! Link and buffer knobs are `[config]` keys and routing is the
+//! topology's `routing` key; only the switching mode and the bus and
+//! bridge timing stay in code (a point's `backend` is that backend's
+//! default configuration). Parsing reports precise line/column [`ParseError`]s;
 //! [`ScenarioSpec::from_text`] wraps them in
 //! [`ScenarioError::Parse`].
 //!
@@ -279,7 +280,7 @@ impl Sweep {
     /// Emits the sweep in the scenario text format. Backend
     /// configurations are not part of the format: every point is emitted
     /// with its backend's *default* configuration (spec-level knobs such
-    /// as `routing` are preserved).
+    /// as `routing` and the `[config]` section are preserved).
     ///
     /// # Panics
     ///

@@ -1,8 +1,8 @@
 //! Measurement utilities for NoC experiments: latency histograms with
 //! percentiles and ASCII table rendering.
 //!
-//! Every experiment binary in the workspace reports through these types so
-//! tables come out in one consistent format.
+//! The `scn` runner reports through these types so its tables come out
+//! in one consistent format.
 //!
 //! # Examples
 //!

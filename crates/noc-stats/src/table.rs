@@ -1,4 +1,4 @@
-//! ASCII table rendering for experiment output.
+//! ASCII table rendering for `scn` output.
 
 use std::fmt;
 
@@ -12,8 +12,8 @@ pub enum Align {
     Right,
 }
 
-/// A simple ASCII table builder used by every experiment binary, so all
-/// reproduced tables share one format.
+/// A simple ASCII table builder used by `scn`, so all reproduced tables
+/// share one format.
 ///
 /// # Examples
 ///

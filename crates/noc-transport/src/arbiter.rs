@@ -23,8 +23,9 @@ pub trait Arbiter {
 /// fairly and no requester starves within its class.
 ///
 /// Lower classes *can* starve under sustained higher-pressure load — that
-/// is the intended QoS semantics, demonstrated by the `exp_qos`
-/// experiment.
+/// is the intended QoS semantics, shown end to end by the two points of
+/// `tests/scenarios/qos_classes.scn` (`scn` prints them; the corpus suite
+/// asserts the latency shift).
 ///
 /// # Examples
 ///

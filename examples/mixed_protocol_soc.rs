@@ -32,8 +32,12 @@ fn main() {
         makespans.push(report.cycles);
     }
 
-    println!(
-        "makespans: NoC {} < bridged {} < bus {}",
-        makespans[0], makespans[1], makespans[2]
+    let [noc, bridged, bus] = makespans[..] else {
+        unreachable!("three backends ran");
+    };
+    assert!(
+        noc < bridged && bridged < bus,
+        "expected NoC < bridged < bus, got {noc} / {bridged} / {bus}"
     );
+    println!("makespans: NoC {noc} < bridged {bridged} < bus {bus}");
 }

@@ -8,6 +8,8 @@ use noc_baseline::{BridgedInterconnect, SharedBus};
 use noc_kernel::Engine;
 use noc_protocols::ProtocolKind;
 use noc_system::Soc;
+use noc_transaction::{ServiceBits, ServiceConfig};
+use noc_transport::Header;
 use noc_workloads::{SetTop, SetTopConfig};
 
 fn build_noc(cfg: SetTopConfig) -> Soc {
@@ -151,20 +153,27 @@ fn adaptation_area_noc_vs_bridges() {
     // Per-socket adaptation logic: NIU (NoC) vs bridge (Fig 2). The
     // bridge needs two protocol front ends plus packet buffering, so per
     // socket it costs more than the matching NIU of modest capacity.
+    // Each row: socket, NIU outstanding budget, and the gate counts of
+    // the NIU and of the bridge to the BVCI reference socket.
     let sockets = [
-        (ProtocolKind::Ahb, 2u32),
-        (ProtocolKind::Ocp, 8),
-        (ProtocolKind::Axi, 8),
-        (ProtocolKind::Strm, 2),
-        (ProtocolKind::Pvci, 1),
-        (ProtocolKind::Bvci, 2),
-        (ProtocolKind::Avci, 4),
+        (ProtocolKind::Ahb, 2u32, 3460u64, 7146u64),
+        (ProtocolKind::Ocp, 8, 7812, 7946),
+        (ProtocolKind::Axi, 8, 9660, 8546),
+        (ProtocolKind::Strm, 2, 3060, 6746),
+        (ProtocolKind::Pvci, 1, 2536, 6646),
+        (ProtocolKind::Bvci, 2, 3560, 7246),
+        (ProtocolKind::Avci, 4, 6364, 8146),
     ];
     let mut niu_total = 0u64;
     let mut bridge_total = 0u64;
-    for (proto, outstanding) in sockets {
-        niu_total += niu_gates(&NiuAreaConfig::new(proto, outstanding)).total();
-        bridge_total += bridge_gates(proto, ProtocolKind::Bvci, 8, 4).total();
+    for (proto, outstanding, niu, bridge) in sockets {
+        let gates = (
+            niu_gates(&NiuAreaConfig::new(proto, outstanding)).total(),
+            bridge_gates(proto, ProtocolKind::Bvci, 8, 4).total(),
+        );
+        assert_eq!(gates, (niu, bridge), "{proto} NIU / bridge gates");
+        niu_total += niu;
+        bridge_total += bridge;
     }
     // Fabric side: 4 switches (NoC) vs central crossbar + bus glue.
     let noc_fabric: u64 = (0..4).map(|_| switch_gates(5, 5, 72, 8).total()).sum();
@@ -183,4 +192,33 @@ fn adaptation_area_noc_vs_bridges() {
     // plausible, positive and of the same order of magnitude.
     assert!(noc_total > 0 && fig2_total > 0);
     assert!(noc_total < fig2_total * 4 && fig2_total < noc_total * 4);
+    // Paper §2: each optional NoC service costs packet header bits and
+    // AXI,8 NIU gates; the 5x5 switch is the same at every step.
+    let (excl, secure) = (ServiceBits::EXCLUSIVE, ServiceBits::SECURE);
+    let steps: [(&[ServiceBits], u32, u64); 4] = [
+        (&[], 112, 9638),
+        (&[excl], 113, 9660),
+        (&[excl, secure], 114, 9682),
+        (
+            &[excl, secure, ServiceBits::USER0, ServiceBits::USER1],
+            116,
+            9726,
+        ),
+    ];
+    for (services, header, niu) in steps {
+        let bits = services
+            .iter()
+            .fold(ServiceConfig::new(), |cfg, &s| cfg.enable(s))
+            .header_bits();
+        let niu_cfg = NiuAreaConfig::new(ProtocolKind::Axi, 8).with_service_bits(bits);
+        assert_eq!(
+            (
+                Header::wire_bits(bits),
+                niu_gates(&niu_cfg).total(),
+                switch_gates(5, 5, 72, 8).total()
+            ),
+            (header, niu, 25110),
+            "services {services:?}"
+        );
+    }
 }

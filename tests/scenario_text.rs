@@ -8,10 +8,10 @@
 //! under dense *and* horizon stepping with record-identical logs — the
 //! corpus doubles as a regression battery for the whole stack. The
 //! numbers of those runs are pinned too: `tests/scenarios/GOLDEN.txt`
-//! (`noc_bench::golden`) must match them exactly, and the horizon
+//! (`noc_examples::golden`) must match them exactly, and the horizon
 //! machinery's guards are stated over the same rows.
 
-use noc_bench::golden;
+use noc_examples::golden;
 use noc_protocols::CompletionRecord;
 use noc_scenario::{
     parse_document, Backend, Document, ParseError, ParseErrorKind, ScenarioError, ScenarioSpec,
@@ -77,7 +77,7 @@ fn corpus_files_are_exact_emitter_output() {
         };
         assert_eq!(
             emitted, text,
-            "{name}: stale corpus file — rerun `cargo run -p noc-bench --bin gen_scenarios`"
+            "{name}: stale corpus file — rerun `cargo run -p noc-examples --bin gen_scenarios`"
         );
     }
 }
@@ -163,11 +163,12 @@ fn corpus_runs_identically_dense_and_horizon_on_all_backends() {
     let docs: Vec<(String, Document)> = corpus_files().into_iter().map(parse).collect();
     let actual = golden::render(&docs, |file, point, spec, backend| {
         let at = format!("{file}/{point} on {backend}");
-        let dense = golden::run(spec, backend, StepMode::Dense).inspect_err(|e| {
-            let noc = matches!(backend, Backend::Noc(_));
-            assert!(!noc, "{at}: the NoC must accept every declarable spec: {e}");
-        })?;
-        let horizon = golden::run(spec, backend, StepMode::Horizon)?;
+        let dense =
+            golden::run(spec, backend, StepMode::Dense, golden::MAX_CYCLES).inspect_err(|e| {
+                let noc = matches!(backend, Backend::Noc(_));
+                assert!(!noc, "{at}: the NoC must accept every declarable spec: {e}");
+            })?;
+        let horizon = golden::run(spec, backend, StepMode::Horizon, golden::MAX_CYCLES)?;
         let (d, h) = (&dense.report, &horizon.report);
         assert_eq!(
             (d.cycles, &dense.logs),
@@ -220,7 +221,7 @@ fn corpus_runs_identically_dense_and_horizon_on_all_backends() {
     assert!(
         actual == committed,
         "GOLDEN.txt (-) differs from this build's runs (+). A golden diff is a \
-         behaviour change: justify it, then rerun `cargo run -p noc-bench --bin \
+         behaviour change: justify it, then rerun `cargo run -p noc-examples --bin \
          gen_scenarios` and commit.\n{}",
         moved.join("\n")
     );
@@ -233,8 +234,8 @@ fn corpus_runs_identically_dense_and_horizon_on_all_backends() {
         let results = sweep.run().expect("corpus sweep runs");
         assert_eq!(results.len(), sweep.points().len());
         for (p, r) in sweep.points().iter().zip(&results) {
-            let reference =
-                golden::run(&p.spec, &p.backend, StepMode::Dense).expect("point compiles");
+            let reference = golden::run(&p.spec, &p.backend, StepMode::Dense, golden::MAX_CYCLES)
+                .expect("point compiles");
             assert_eq!(
                 (r.report.cycles, r.report.total_completions()),
                 (
@@ -268,11 +269,44 @@ fn build_cost_per_switch_on_32x32_is_within_2x_of_16x16() {
             .expect("20 samples");
         fastest.as_nanos() as f64 / switches
     };
-    let on_16 = per_switch_ns(&noc_bench::scenarios::sparse_mesh_spec(16), 256.0);
-    let on_32 = per_switch_ns(&noc_bench::scenarios::sparse_mesh_32_spec(), 1024.0);
+    let on_16 = per_switch_ns(&noc_examples::scenarios::sparse_mesh_spec(16), 256.0);
+    let on_32 = per_switch_ns(&noc_examples::scenarios::sparse_mesh_32_spec(), 1024.0);
     assert!(
         on_32 <= 2.0 * on_16,
         "build is superlinear again: {on_32:.0} ns/switch on 32x32 vs {on_16:.0} on 16x16"
+    );
+}
+
+/// Transport-layer QoS holds end to end: on `qos_classes.scn`, raising
+/// `class0`'s pressure (`3/1/0` against `0/0/0`) lowers its mean latency
+/// and `class2`, left at 0 behind two higher classes, pays for it. Class
+/// order alone cannot pass this — `class0` already beats `class2` at
+/// equal pressure — so an arbiter that ignores pressure fails it.
+#[test]
+fn qos_pressure_moves_latency_between_classes_end_to_end() {
+    let text = std::fs::read_to_string(corpus_dir().join("qos_classes.scn")).expect("corpus file");
+    let sweep = Sweep::from_text(&text).expect("qos_classes.scn is a sweep");
+    let means: Vec<(String, f64, f64)> = sweep
+        .run()
+        .expect("the QoS points compile")
+        .into_iter()
+        .map(|r| {
+            let mean = |class| r.report.master(class).expect("declared").mean_latency;
+            (r.label, mean("class0"), mean("class2"))
+        })
+        .collect();
+    let [(equal, class0_equal, class2_equal), (pressured, class0, class2)] = &means[..] else {
+        panic!("qos_classes.scn has two points, got {means:?}");
+    };
+    assert_eq!((equal.as_str(), pressured.as_str()), ("0/0/0", "3/1/0"));
+    assert!(
+        class0 < class0_equal,
+        "class0 at pressure 3 ({class0:.1}) must beat pressure 0 ({class0_equal:.1})"
+    );
+    assert!(
+        class2 > class2_equal,
+        "class2 behind two pressured classes ({class2:.1}) must lose to equal pressure \
+         ({class2_equal:.1})"
     );
 }
 
