@@ -13,7 +13,8 @@
 //!   horizons used by quiescence-aware stepping;
 //! - [`Calendar`], the wakeup queue that inverts horizon polling:
 //!   components schedule their next-activity cycle once and the advance
-//!   loop pops the earliest instead of rescanning every component;
+//!   loop pops the earliest instead of rescanning every component (a
+//!   timing wheel: O(1) per wakeup within 64 cycles of now);
 //! - [`SplitMix64`], a tiny deterministic RNG used to seed all stochastic
 //!   behaviour in the workspace.
 //!

@@ -1226,9 +1226,9 @@ fn scenario_text_round_trips_and_runs_identically() {
 
 /// The calendar queue against a linear-scan model: across random
 /// register/set/advance sequences, `pop_due` must fire exactly the set
-/// of wakeups scheduled at or before `now` (each at most once — heap
-/// delivery order is (cycle, id), so callers sort; the set is what
-/// matters), `scheduled` must mirror the model's slot state, and `peek`
+/// of wakeups scheduled at or before `now` (each at most once —
+/// delivery order is (cycle, id), so this test sorts; the set is what
+/// matters here, the order is `wheel_calendar_equals_the_heap_oracle`'s), `scheduled` must mirror the model's slot state, and `peek`
 /// must never exceed the true earliest pending wakeup — lazy
 /// cancellation may surface a stale *early* minimum, but a late one
 /// would let the advance loop sleep through work.
@@ -1274,7 +1274,7 @@ fn calendar_fires_exactly_the_due_set_and_never_peeks_late() {
             let true_min = model.iter().flatten().min().copied();
             match (cal.peek(), true_min) {
                 // A peek may be stale-early (a cancelled or rescheduled
-                // entry still in the heap) but never later than the
+                // entry still filed) but never later than the
                 // earliest live wakeup.
                 (Some(peeked), Some(min)) => {
                     assert!(peeked <= min, "case {case} op {op}: {peeked} > {min}")
@@ -1283,6 +1283,173 @@ fn calendar_fires_exactly_the_due_set_and_never_peeks_late() {
                 _ => {}
             }
         }
+    }
+}
+
+/// The calendar as it was before the timing wheel: a binary min-heap over
+/// `(cycle, id)` with the same lazy cancellation. Kept here as the oracle
+/// the wheel is compared against, entry for entry; ids are plain indices
+/// because a `WakeId` can only come from `Calendar::register`.
+#[derive(Clone, Default)]
+struct OracleCalendar {
+    pending: Vec<u64>,
+    heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, u32)>>,
+    pops: u64,
+}
+
+impl OracleCalendar {
+    const NONE: u64 = u64::MAX;
+
+    fn register(&mut self) {
+        self.pending.push(Self::NONE);
+    }
+
+    fn set(&mut self, id: usize, at: Option<u64>) {
+        let slot = &mut self.pending[id];
+        let at = at.unwrap_or(Self::NONE);
+        if *slot == at {
+            return;
+        }
+        *slot = at;
+        if at != Self::NONE {
+            self.heap.push(std::cmp::Reverse((at, id as u32)));
+        }
+    }
+
+    fn scheduled(&self, id: usize) -> Option<u64> {
+        let at = self.pending[id];
+        (at != Self::NONE).then_some(at)
+    }
+
+    fn peek(&self) -> Option<u64> {
+        self.heap.peek().map(|&std::cmp::Reverse((at, _))| at)
+    }
+
+    fn pop_due(&mut self, now: u64, mut wake: impl FnMut(usize)) {
+        while let Some(&std::cmp::Reverse((at, id))) = self.heap.peek() {
+            if at > now {
+                break;
+            }
+            self.heap.pop();
+            self.pops += 1;
+            let slot = &mut self.pending[id as usize];
+            if *slot == at {
+                *slot = Self::NONE;
+                wake(id as usize);
+            }
+        }
+    }
+}
+
+/// The calendar under test and its heap oracle, driven in lockstep.
+#[derive(Clone)]
+struct CalendarPair {
+    cal: noc_kernel::Calendar,
+    ids: Vec<noc_kernel::WakeId>,
+    oracle: OracleCalendar,
+    /// The latest cycle `pop_due` has drained.
+    now: u64,
+}
+
+impl CalendarPair {
+    fn new(slots: u64) -> Self {
+        let mut pair = CalendarPair {
+            cal: noc_kernel::Calendar::new(),
+            ids: Vec::new(),
+            oracle: OracleCalendar::default(),
+            now: 0,
+        };
+        for _ in 0..slots {
+            pair.register();
+        }
+        pair
+    }
+
+    fn register(&mut self) {
+        self.ids.push(self.cal.register());
+        self.oracle.register();
+    }
+
+    /// Runs `ops` random operations on both and requires, after every
+    /// one, the same fired sequence (order included), `peek`,
+    /// `scheduled` for every id and `pops`. The wakeups drawn cover the
+    /// wheel's window edges (64 cycles past the last drained cycle, and
+    /// its neighbours) and far beyond it, cycles already drained,
+    /// `u64::MAX - 1` and the `u64::MAX` alias of "none", reschedules
+    /// earlier and later, and cancels; the advances cover single cycles,
+    /// jumps inside the window, to its end and far past it, `pop_due` at
+    /// an earlier cycle and `pop_due(u64::MAX)`.
+    fn drive(&mut self, rng: &mut SplitMix64, ops: u64, what: &str) {
+        const W: u64 = 64; // the wheel's width in cycles
+        for op in 0..ops {
+            let now = self.now;
+            let what = format!("{what} op {op} now {now}");
+            match rng.next_below(20) {
+                0 => self.register(),
+                1..=11 => {
+                    let i = rng.next_below(self.ids.len() as u64) as usize;
+                    let at = match rng.next_below(12) {
+                        0 => None,
+                        1..=4 => Some(now.saturating_add(rng.next_range(1, 8))),
+                        5 | 6 => Some(now.saturating_add(W + rng.next_range(0, 3) - 1)),
+                        7 => Some(now.saturating_add(rng.next_range(W + 3, 40 * W))),
+                        8 => Some(now.saturating_sub(rng.next_below(2 * W))),
+                        9 => Some(u64::MAX - rng.next_range(1, 2)),
+                        10 => Some(u64::MAX),
+                        _ => Some(now.saturating_add(rng.next_below(W))),
+                    };
+                    self.cal.set(self.ids[i], at);
+                    self.oracle.set(i, at);
+                }
+                step => {
+                    let at = match step {
+                        12 if rng.chance(0.05) => u64::MAX,
+                        12 => now.saturating_sub(rng.next_below(W)), // earlier than drained
+                        13 => now.saturating_add(W + rng.next_range(0, 2) - 1),
+                        14 => now.saturating_add(rng.next_range(W + 2, 60 * W)),
+                        15 => now,
+                        16 => now.saturating_add(rng.next_range(2, W - 2)),
+                        _ => now.saturating_add(1),
+                    };
+                    self.now = at.max(now);
+                    let (mut fired, mut expect) = (Vec::new(), Vec::new());
+                    self.cal.pop_due(at, |id| fired.push(id.index()));
+                    self.oracle.pop_due(at, |id| expect.push(id));
+                    assert_eq!(fired, expect, "{what}: pop_due({at}) fired");
+                }
+            }
+            assert_eq!(self.cal.peek(), self.oracle.peek(), "{what}: peek");
+            assert_eq!(self.cal.pops(), self.oracle.pops, "{what}: pops");
+            for (i, &id) in self.ids.iter().enumerate() {
+                let scheduled = self.oracle.scheduled(i);
+                assert_eq!(self.cal.scheduled(id), scheduled, "{what}: id {i}");
+            }
+        }
+    }
+}
+
+/// The timing-wheel calendar ≡ the binary-heap calendar it replaced:
+/// same wakeups in the same order, same (possibly stale) peek, same
+/// retired-entry count — which is what keeps every step, poll and pop in
+/// `GOLDEN.txt` unchanged. A clone taken mid-sequence continues
+/// independently of its original, each against its own oracle.
+#[test]
+fn wheel_calendar_equals_the_heap_oracle() {
+    let mut rng = SplitMix64::new(0x7EE1);
+    for case in 0..CASES {
+        // A few ids contend for the same cycles; a hundred-odd spread a
+        // bucket's ids over several words of the wheel's sort bitset.
+        let slots = if rng.chance(0.7) {
+            rng.next_range(1, 12)
+        } else {
+            rng.next_range(60, 200)
+        };
+        let mut pair = CalendarPair::new(slots);
+        pair.drive(&mut rng, 40, &format!("case {case} before the clone"));
+        let mut fork = pair.clone();
+        let ops = rng.next_range(20, 160);
+        pair.drive(&mut rng, ops, &format!("case {case} original"));
+        fork.drive(&mut rng.fork(1), ops, &format!("case {case} clone"));
     }
 }
 
