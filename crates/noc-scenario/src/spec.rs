@@ -21,7 +21,7 @@ use noc_protocols::strm::StrmMaster;
 use noc_protocols::vci::{VciFlavor, VciMaster};
 use noc_protocols::{MemoryModel, Program, ProtocolKind, Socket, SocketCommand};
 use noc_system::{NocConfig, SocBuilder};
-use noc_topology::{RouteAlgorithm, Topology, TopologyBuilder};
+use noc_topology::{PortCount, RouteAlgorithm, Topology, TopologyBuilder, TopologyError};
 use noc_transaction::{
     AddressMap, Burst, BurstKind, MstAddr, Opcode, OrderingModel, SlvAddr, StreamId,
 };
@@ -879,6 +879,39 @@ impl TopologySpec {
         Ok(b.build())
     }
 
+    /// Refuses a custom link list that gives a switch more ports than a
+    /// switch can have: a [`TopologyBuilder`] link cannot fail, so the
+    /// list is counted before anything is built. (Endpoints that overflow
+    /// a switch are refused by the builder itself.)
+    fn check_links(&self) -> Result<(), ScenarioError> {
+        let TopologySpec::Custom {
+            switches, links, ..
+        } = self
+        else {
+            return Ok(());
+        };
+        // Every link end is one input and one output port of its switch
+        // (a missing switch is the builder's error to report).
+        let mut ports = vec![0usize; *switches];
+        for &(a, z) in links {
+            for s in [a, z] {
+                if let Some(count) = ports.get_mut(s) {
+                    *count += 1;
+                }
+            }
+        }
+        match ports.iter().position(|&n| n > PortCount::MAX) {
+            Some(switch) => Err(ScenarioError::BadTopology {
+                reason: TopologyError::TooManyPorts {
+                    switch,
+                    ports: ports[switch],
+                }
+                .to_string(),
+            }),
+            None => Ok(()),
+        }
+    }
+
     fn placement(&self, endpoints: usize) -> Result<Vec<usize>, ScenarioError> {
         match self {
             TopologySpec::Custom {
@@ -1341,7 +1374,7 @@ impl ScenarioSpec {
             });
         }
         self.topology.placement(self.num_endpoints())?;
-        Ok(())
+        self.topology.check_links()
     }
 
     fn bad_program(&self, ini: &InitiatorSpec, reason: impl Into<String>) -> ScenarioError {

@@ -48,27 +48,32 @@ impl TopologyBuilder {
         }
     }
 
-    fn alloc_out(&mut self, switch: usize) -> u8 {
-        let p = self.ports[switch].outputs;
-        self.ports[switch].outputs += 1;
-        p
-    }
-
-    fn alloc_in(&mut self, switch: usize) -> u8 {
-        let p = self.ports[switch].inputs;
-        self.ports[switch].inputs += 1;
-        p
+    /// The number of the next port on a side of `switch` that has
+    /// `count` ports.
+    fn next_port(count: u8, switch: usize) -> Result<u8, TopologyError> {
+        if usize::from(count) == PortCount::MAX {
+            return Err(TopologyError::TooManyPorts {
+                switch,
+                ports: PortCount::MAX + 1,
+            });
+        }
+        Ok(count)
     }
 
     /// Adds a unidirectional link `from → to`.
     ///
     /// # Panics
     ///
-    /// Panics if either switch index is out of range.
+    /// Panics if either switch index is out of range, or if the link
+    /// would give `from` or `to` more than [`PortCount::MAX`] ports a
+    /// side ([`TopologyError::TooManyPorts`]).
     pub fn connect(&mut self, from: usize, to: usize) -> &mut Self {
         assert!(from < self.num_switches && to < self.num_switches);
-        let from_port = self.alloc_out(from);
-        let to_port = self.alloc_in(to);
+        let port = |r: Result<u8, TopologyError>| r.unwrap_or_else(|e| panic!("{e}"));
+        let from_port = port(Self::next_port(self.ports[from].outputs, from));
+        let to_port = port(Self::next_port(self.ports[to].inputs, to));
+        self.ports[from].outputs += 1;
+        self.ports[to].inputs += 1;
         self.edges.push(Edge {
             from,
             from_port,
@@ -94,12 +99,17 @@ impl TopologyBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::BadSwitch`] or
-    /// [`TopologyError::DuplicateNode`].
+    /// Returns [`TopologyError::BadSwitch`],
+    /// [`TopologyError::DuplicateNode`], or
+    /// [`TopologyError::TooManyPorts`] when `switch` already has
+    /// [`PortCount::MAX`] ports a side.
     pub fn attach(&mut self, node: u16, switch: usize) -> Result<&mut Self, TopologyError> {
         if switch >= self.num_switches {
             return Err(TopologyError::BadSwitch { switch });
         }
+        let ports = self.ports[switch];
+        let in_port = Self::next_port(ports.inputs, switch)?;
+        let out_port = Self::next_port(ports.outputs, switch)?;
         let slot = node as usize;
         if self.node_attachment.len() <= slot {
             self.node_attachment.resize(slot + 1, None);
@@ -108,8 +118,8 @@ impl TopologyBuilder {
             return Err(TopologyError::DuplicateNode { node });
         }
         self.node_attachment[slot] = Some(self.attachments.len());
-        let in_port = self.alloc_in(switch);
-        let out_port = self.alloc_out(switch);
+        self.ports[switch].inputs += 1;
+        self.ports[switch].outputs += 1;
         self.attachments.push(Attachment {
             node,
             switch,
@@ -167,6 +177,39 @@ mod tests {
             b.attach(0, 5).unwrap_err(),
             TopologyError::BadSwitch { switch: 5 }
         );
+    }
+
+    #[test]
+    fn a_full_switch_refuses_another_port_by_name() {
+        let mut b = TopologyBuilder::new(2);
+        b.connect(0, 1);
+        for node in 0..PortCount::MAX as u16 - 1 {
+            b.attach(node, 0).unwrap();
+        }
+        let full = TopologyError::TooManyPorts {
+            switch: 0,
+            ports: 256,
+        };
+        assert_eq!(b.attach(999, 0).unwrap_err(), full);
+        assert_eq!(
+            b.clone().build().ports()[0].outputs,
+            255,
+            "nothing half-added"
+        );
+        b.attach(999, 1).expect("the other switch has room");
+        assert_eq!(
+            full.to_string(),
+            "switch 0 needs 256 ports, more than the 255 a switch can have"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "switch 0 needs 256 ports")]
+    fn a_link_into_a_full_switch_panics_by_name() {
+        let mut b = TopologyBuilder::new(2);
+        for _ in 0..=PortCount::MAX {
+            b.connect(0, 1);
+        }
     }
 
     #[test]

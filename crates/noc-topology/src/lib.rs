@@ -72,6 +72,12 @@ pub struct PortCount {
     pub outputs: u8,
 }
 
+impl PortCount {
+    /// The most ports a switch has on either side: port numbers are
+    /// `u8`s.
+    pub const MAX: usize = u8::MAX as usize;
+}
+
 /// Errors from topology construction or routing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TopologyError {
@@ -97,6 +103,14 @@ pub enum TopologyError {
         /// Explanation.
         reason: String,
     },
+    /// A switch would need more ports on one side than
+    /// [`PortCount::MAX`].
+    TooManyPorts {
+        /// The switch.
+        switch: usize,
+        /// The ports it would need on that side.
+        ports: usize,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -112,6 +126,11 @@ impl fmt::Display for TopologyError {
             TopologyError::AlgorithmMismatch { reason } => {
                 write!(f, "routing algorithm mismatch: {reason}")
             }
+            TopologyError::TooManyPorts { switch, ports } => write!(
+                f,
+                "switch {switch} needs {ports} ports, more than the {} a switch can have",
+                PortCount::MAX
+            ),
         }
     }
 }
@@ -237,12 +256,12 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero.
+    /// Panics if `n` is zero or over [`PortCount::MAX`].
     pub fn crossbar(n: usize) -> Topology {
         assert!(n > 0, "crossbar needs at least one endpoint");
         let mut b = TopologyBuilder::new(1);
         for node in 0..n {
-            b.attach(node as u16, 0).expect("switch 0 exists");
+            b.attach(node as u16, 0).unwrap_or_else(|e| panic!("{e}"));
         }
         b.build()
     }
@@ -252,7 +271,8 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `arity` is zero or `levels` is zero.
+    /// Panics if `arity` is zero or `levels` is zero, or if a switch
+    /// would need more than [`PortCount::MAX`] ports a side.
     pub fn tree(arity: usize, levels: usize) -> Topology {
         assert!(arity > 0 && levels > 0, "degenerate tree");
         // Switch count: arity^0 + ... + arity^(levels-1)
@@ -283,7 +303,7 @@ impl Topology {
         let mut node = 0u16;
         for leaf in leaf_start..total {
             for _ in 0..arity {
-                b.attach(node, leaf).expect("leaf exists");
+                b.attach(node, leaf).unwrap_or_else(|e| panic!("{e}"));
                 node += 1;
             }
         }
@@ -371,6 +391,12 @@ mod tests {
         // corner switch: 2 mesh links (bidir) + endpoint = 3 in, 3 out
         assert_eq!(t.ports()[0].inputs, 3);
         assert_eq!(t.ports()[0].outputs, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "switch 0 needs 256 ports, more than the 255 a switch can have")]
+    fn a_crossbar_wider_than_its_port_numbers_panics_by_name() {
+        Topology::crossbar(PortCount::MAX + 1);
     }
 
     #[test]

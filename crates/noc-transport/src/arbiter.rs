@@ -54,6 +54,15 @@ impl RoundRobinArbiter {
     pub fn grants(&self) -> u64 {
         self.grants
     }
+
+    /// Grants `winner`, the only requester: exactly what
+    /// [`Arbiter::pick`] does when `winner` holds the one `Some` of its
+    /// input, pointer and grant count included, without building the
+    /// input.
+    pub(crate) fn grant_sole(&mut self, winner: usize) {
+        self.last = Some(winner);
+        self.grants += 1;
+    }
 }
 
 impl Arbiter for RoundRobinArbiter {
@@ -136,6 +145,21 @@ mod tests {
         assert_eq!(arb.pick(&[None, None]), None);
         // pointer unchanged by idle cycle
         assert_eq!(arb.pick(&[Some(0), Some(0)]), Some(1));
+    }
+
+    #[test]
+    fn a_sole_grant_is_the_pick_of_a_sole_request() {
+        let (mut picked, mut granted) = (RoundRobinArbiter::new(), RoundRobinArbiter::new());
+        for (winner, pressure) in [(2, 0), (0, 3), (2, 1), (1, 0)] {
+            let mut requests = [None; 4];
+            requests[winner] = Some(pressure);
+            assert_eq!(picked.pick(&requests), Some(winner));
+            granted.grant_sole(winner);
+            assert_eq!(granted.to_string(), picked.to_string());
+            // The pointer moved alike: the next contest resolves alike.
+            let all = [Some(0); 4];
+            assert_eq!(granted.clone().pick(&all), picked.clone().pick(&all));
+        }
     }
 
     #[test]

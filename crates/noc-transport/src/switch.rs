@@ -105,21 +105,21 @@ pub struct SwitchStats {
 /// Result of one switch cycle.
 #[derive(Debug, Clone, Default)]
 pub struct SwitchTick {
-    /// Flits emitted this cycle, one per output at most.
+    /// Flits emitted this cycle, one per output at most, in ascending
+    /// output order.
     pub sent: Vec<(PortId, Flit)>,
     /// Input ports that drained one flit (their upstream regains a
-    /// credit).
+    /// credit), in the order of `sent`.
     pub credits_released: Vec<usize>,
-    /// Allocation scratch: this cycle's request table, and the arbiter's
-    /// input (one slot per input, all `None` between arbitrations). They
-    /// live in the caller-owned result, not in the switch, so a fabric of
-    /// thousands of switches shares one of each.
+    /// Allocation scratch: this cycle's request table, one row per
+    /// waiting input whose head may claim a free output. It lives in the
+    /// caller-owned result, not in the switch, so a fabric of thousands
+    /// of switches shares one.
     requests: Vec<Request>,
-    req_scratch: Vec<Option<u8>>,
 }
 
-/// One row of a cycle's request table: an idle input whose FIFO front is
-/// a head flit eligible to claim `output`.
+/// One row of a cycle's request table: a waiting input whose FIFO front
+/// is a head flit eligible to claim the free `output`.
 #[derive(Debug, Clone, Copy)]
 struct Request {
     input: usize,
@@ -131,7 +131,111 @@ struct Request {
     lock_release: bool,
 }
 
+/// A set of port indices below [`PortSet::CAPACITY`] — every port a
+/// [`PortId`] can name — kept inline: four bitmap words and a byte
+/// marking the non-empty ones. Emptiness is one byte test, and a walk
+/// visits only the words holding members, in ascending index order, at
+/// one `trailing_zeros` per member: a five-port switch reads one word,
+/// and a wide crossbar the words its members sit in.
+///
+/// A walk is two loops — [`PortSet::words`], then [`PortSet::word`] —
+/// each over a copy of one integer, so the owner may edit the set while
+/// walking it: a word's members are read when the walk reaches the word.
+#[derive(Debug, Clone, Copy, Default)]
+struct PortSet {
+    words: [u64; 4],
+    /// Bit `w` set exactly when `words[w]` is non-zero.
+    occupied: u8,
+}
+
+impl PortSet {
+    /// Ports a set can hold: one per value of a `u8`.
+    const CAPACITY: usize = 256;
+
+    /// Port `i`'s word and bit.
+    fn slot(i: usize) -> (usize, u64) {
+        debug_assert!(i < Self::CAPACITY, "port {i} beyond a port set");
+        ((i >> 6) & 3, 1 << (i & 63))
+    }
+
+    fn insert(&mut self, i: usize) {
+        let (w, bit) = Self::slot(i);
+        self.words[w] |= bit;
+        self.occupied |= 1 << w;
+    }
+
+    /// Removes port `i` (a no-op for a non-member).
+    fn remove(&mut self, i: usize) {
+        let (w, bit) = Self::slot(i);
+        self.words[w] &= !bit;
+        self.occupied &= !(u8::from(self.words[w] == 0) << w);
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        let (w, bit) = Self::slot(i);
+        self.words[w] & bit != 0
+    }
+
+    fn is_empty(&self) -> bool {
+        self.occupied == 0
+    }
+
+    /// The words holding members, ascending.
+    fn words(&self) -> Bits {
+        Bits {
+            bits: u64::from(self.occupied),
+            base: 0,
+        }
+    }
+
+    /// The members in word `w`, ascending.
+    fn word(&self, w: usize) -> Bits {
+        Bits {
+            bits: self.words[w],
+            base: w * 64,
+        }
+    }
+}
+
+/// The set bits of one word, ascending, offset by `base`.
+struct Bits {
+    bits: u64,
+    base: usize,
+}
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.bits == 0 {
+            return None;
+        }
+        let i = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(i)
+    }
+}
+
 /// An input-buffered NoC switch.
+///
+/// A cycle costs what its events cost, not what its port count costs.
+/// Besides one record per port, the switch keeps three things up to date
+/// as flits arrive, win an output and leave:
+///
+/// - the **waiting** inputs — holding flits but no output — which
+///   [`Switch::accept`], a grant and a tail that leaves flits behind
+///   update, and which are the only inputs allocation reads;
+/// - the **streaming** outputs — whose owner is mid-packet — which a
+///   grant and a tail update, and which are the only outputs forwarding
+///   reads;
+/// - the number of outputs pinned by a locked sequence, and how many of
+///   those sit between packets: [`Switch::has_locked_output`],
+///   [`Switch::skip_cycles`] and the per-cycle
+///   [`SwitchStats::lock_idle_cycles`] read the counts instead of
+///   scanning the outputs.
+///
+/// Both sets are inline bitmaps over the 256 ports a [`PortId`] can
+/// name, so a switch is still two heap arrays however many ports it has.
 ///
 /// # Examples
 ///
@@ -157,17 +261,25 @@ pub struct Switch {
     inputs: Vec<InputPort>,
     outputs: Vec<OutputPort>,
     stats: SwitchStats,
-    /// Flits buffered across all inputs and inputs holding an output:
-    /// both zero is [`Switch::is_idle`], without scanning.
+    /// Flits buffered across all inputs: zero with no output streaming
+    /// is [`Switch::is_idle`], without scanning.
     buffered: usize,
-    allocated: usize,
+    /// Inputs holding flits but no output.
+    waiting: PortSet,
+    /// Outputs whose owner is mid-packet.
+    streaming: PortSet,
+    /// Outputs pinned by a locked sequence.
+    locked: usize,
+    /// Pinned outputs whose owner is between packets: each counts one
+    /// lock-idle cycle per cycle it is not granted again.
+    locked_idle: usize,
 }
 
 #[derive(Debug, Clone)]
 struct InputPort {
     fifo: FlitFifo,
-    /// Which output this input's in-flight packet owns.
-    alloc: Option<usize>,
+    /// Whether this input's in-flight packet owns an output.
+    allocated: bool,
     /// Whether the in-flight packet releases a lock at its tail.
     lock_release: bool,
 }
@@ -176,9 +288,9 @@ struct InputPort {
 struct OutputPort {
     /// Which input owns this output (persists across packets while
     /// locked).
-    owner: Option<usize>,
+    owner: Option<u8>,
     /// Lock pinning: the input this output is reserved for across packets.
-    lock: Option<usize>,
+    lock: Option<u8>,
     credits: u32,
     arbiter: RoundRobinArbiter,
 }
@@ -188,16 +300,24 @@ impl Switch {
     ///
     /// # Panics
     ///
-    /// Panics on a zero-port or zero-buffer configuration.
+    /// Panics on a zero-port or zero-buffer configuration, and on more
+    /// than 256 ports a side: a [`PortId`] is a `u8`.
     pub fn new(config: SwitchConfig, table: RoutingTable) -> Self {
         assert!(config.inputs > 0, "switch needs at least one input");
         assert!(config.outputs > 0, "switch needs at least one output");
         assert!(config.buffer_depth > 0, "switch needs buffering");
+        assert!(
+            config.inputs <= PortSet::CAPACITY && config.outputs <= PortSet::CAPACITY,
+            "a switch has at most {} ports a side, not {}x{}",
+            PortSet::CAPACITY,
+            config.inputs,
+            config.outputs
+        );
         Switch {
             inputs: (0..config.inputs)
                 .map(|_| InputPort {
                     fifo: FlitFifo::new(config.buffer_depth),
-                    alloc: None,
+                    allocated: false,
                     lock_release: false,
                 })
                 .collect(),
@@ -206,7 +326,10 @@ impl Switch {
             table,
             stats: SwitchStats::default(),
             buffered: 0,
-            allocated: 0,
+            waiting: PortSet::default(),
+            streaming: PortSet::default(),
+            locked: 0,
+            locked_idle: 0,
         }
     }
 
@@ -220,11 +343,6 @@ impl Switch {
         &self.stats
     }
 
-    /// Free space in input `port`'s FIFO (credits to advertise upstream).
-    pub fn input_free(&self, port: usize) -> usize {
-        self.inputs[port].fifo.free()
-    }
-
     /// Returns `true` if input `port` can accept a flit this cycle.
     pub fn can_accept(&self, port: usize) -> bool {
         !self.inputs[port].fifo.is_full()
@@ -233,8 +351,12 @@ impl Switch {
     /// Pushes a flit into input `port`. Returns `false` when the buffer is
     /// full (a flow-control violation by the caller).
     pub fn accept(&mut self, port: usize, flit: Flit) -> bool {
-        let accepted = self.inputs[port].fifo.push(flit);
+        let input = &mut self.inputs[port];
+        let accepted = input.fifo.push(flit);
         self.buffered += usize::from(accepted);
+        if accepted && !input.allocated {
+            self.waiting.insert(port);
+        }
         accepted
     }
 
@@ -248,29 +370,18 @@ impl Switch {
         self.outputs[port].credits += 1;
     }
 
-    /// Current credits of output `port`.
-    pub fn output_credits(&self, port: usize) -> u32 {
-        self.outputs[port].credits
-    }
-
-    /// Returns `true` if output `port` is currently pinned by a locked
-    /// sequence.
-    pub fn is_output_locked(&self, port: usize) -> bool {
-        self.outputs[port].lock.is_some()
-    }
-
     /// Returns `true` if any output is pinned by a locked sequence.
     /// Idle-but-locked switches still accrue
     /// [`SwitchStats::lock_idle_cycles`] every cycle, so callers that
     /// skip ticking idle switches must keep accounting for these via
     /// [`Switch::skip_cycles`].
     pub fn has_locked_output(&self) -> bool {
-        self.outputs.iter().any(|o| o.lock.is_some())
+        self.locked > 0
     }
 
     /// Returns `true` if the switch holds no flits and no allocations.
     pub fn is_idle(&self) -> bool {
-        self.buffered == 0 && self.allocated == 0
+        self.buffered == 0 && self.streaming.is_empty()
     }
 
     /// The switch's event horizon: the earliest base cycle at or after
@@ -300,8 +411,7 @@ impl Switch {
     /// `None`.
     pub fn skip_cycles(&mut self, cycles: u64) {
         debug_assert!(self.is_idle(), "skipping a switch that holds flits");
-        let locked = self.outputs.iter().filter(|o| o.lock.is_some()).count() as u64;
-        self.stats.lock_idle_cycles += locked * cycles;
+        self.stats.lock_idle_cycles += self.locked as u64 * cycles;
     }
 
     /// Advances the switch one cycle: allocates outputs to waiting heads,
@@ -317,140 +427,148 @@ impl Switch {
     pub fn tick_into(&mut self, tick: &mut SwitchTick) {
         tick.sent.clear();
         tick.credits_released.clear();
-        self.allocate(&mut tick.requests, &mut tick.req_scratch);
+        if !self.waiting.is_empty() {
+            self.allocate(&mut tick.requests);
+        }
+        // Pinned outputs their owner did not claim again idle this cycle.
+        self.stats.lock_idle_cycles += self.locked_idle as u64;
         self.forward(tick);
     }
 
-    /// Output allocation: for every free output, competing head flits are
-    /// arbitrated by pressure-aware round-robin.
+    /// Output allocation: each free output goes to one of the heads that
+    /// claim it, by pressure-aware round-robin.
     ///
-    /// One pass over the inputs builds the cycle's request table — each
-    /// idle input's head flit is looked at, routed and filtered exactly
-    /// once — and each free output then arbitrates over its rows. A head
-    /// requests one output only and a grant changes nothing another
-    /// output's candidates depend on, so evaluating every filter up front
-    /// selects the same candidates as re-scanning the inputs per output.
-    fn allocate(&mut self, requests: &mut Vec<Request>, req_scratch: &mut Vec<Option<u8>>) {
+    /// Only waiting inputs are read: each one's head flit is routed and
+    /// filtered once into the cycle's request table, and a head whose
+    /// output is streaming makes no request. A head requests one output
+    /// only, so a grant changes nothing another output's candidates
+    /// depend on, and the outputs may be granted in any order — here, the
+    /// table sorted by output. An output with a sole requester grants it
+    /// directly, exactly as [`RoundRobinArbiter::pick`] would, pointer and
+    /// grant count included; only an output two or more heads contend for
+    /// builds the arbiter's input.
+    fn allocate(&mut self, requests: &mut Vec<Request>) {
         requests.clear();
-        for (input, port) in self.inputs.iter().enumerate() {
-            if port.alloc.is_some() {
-                continue;
+        for w in self.waiting.words() {
+            for input in self.waiting.word(w) {
+                requests.extend(self.request(input));
             }
-            let Some(header) = port.fifo.peek().and_then(Flit::header) else {
-                continue;
-            };
-            let Ok(out) = self.table.lookup(header.dst) else {
-                continue;
-            };
-            let output = out.index();
-            if output >= self.config.outputs {
-                continue;
-            }
-            if self.config.mode == SwitchMode::StoreAndForward && port.fifo.complete_packets() == 0
-            {
-                continue;
-            }
-            // Lock pinning: a locked output only admits its owner.
-            if self.outputs[output]
-                .lock
-                .is_some_and(|owner| owner != input)
-            {
-                continue;
-            }
-            requests.push(Request {
-                input,
-                output,
-                pressure: header.pressure,
-                locked: header.is_locked(),
-                lock_release: header.lock_release,
-            });
         }
-        // The arbiter rotates over exactly this switch's inputs.
-        req_scratch.resize(self.config.inputs, None);
-        for (o, out) in self.outputs.iter_mut().enumerate() {
-            // An output is free for (re)allocation when no input is
-            // actively streaming to it.
-            let streaming = out.owner.is_some_and(|i| self.inputs[i].alloc == Some(o));
-            if streaming {
-                continue;
-            }
-            let mut n_req = 0;
-            for r in requests.iter().filter(|r| r.output == o) {
-                req_scratch[r.input] = Some(r.pressure);
-                n_req += 1;
-            }
-            if n_req == 0 {
-                if out.lock.is_some() {
-                    self.stats.lock_idle_cycles += 1;
-                }
-                continue;
-            }
-            if n_req > 1 {
+        // Each output's requesters side by side.
+        requests.sort_unstable_by_key(|r| r.output);
+        for claims in requests.chunk_by(|a, b| a.output == b.output) {
+            let arbiter = &mut self.outputs[claims[0].output].arbiter;
+            let grant = if let [sole] = claims {
+                arbiter.grant_sole(sole.input);
+                *sole
+            } else {
                 self.stats.arbitration_conflicts += 1;
-            }
-            let winner = out
-                .arbiter
-                .pick(req_scratch)
-                .expect("candidates exist, arbiter must grant");
-            req_scratch.fill(None);
-            let grant = requests
-                .iter()
-                .find(|r| r.input == winner)
-                .expect("the winner requested");
-            if grant.locked {
-                out.lock = Some(winner);
-            }
-            out.owner = Some(winner);
-            let input = &mut self.inputs[winner];
-            input.lock_release = grant.lock_release;
-            input.alloc = Some(o);
-            self.allocated += 1;
+                // The arbiter rotates over exactly this switch's inputs.
+                let mut pressures = [None; PortSet::CAPACITY];
+                for r in claims {
+                    pressures[r.input] = Some(r.pressure);
+                }
+                let winner = arbiter
+                    .pick(&pressures[..self.inputs.len()])
+                    .expect("candidates exist, arbiter must grant");
+                *claims
+                    .iter()
+                    .find(|r| r.input == winner)
+                    .expect("the winner requested")
+            };
+            self.grant(grant);
         }
     }
 
-    /// Forwarding: each output streams one flit from its allocated input,
-    /// credit permitting.
+    /// The request waiting input `input` makes this cycle, if any: its
+    /// FIFO front is a head flit routed to a free output that admits it.
+    fn request(&self, input: usize) -> Option<Request> {
+        let port = &self.inputs[input];
+        let header = port.fifo.peek()?.header()?;
+        let output = self.table.lookup(header.dst).ok()?.index();
+        let free = output < self.outputs.len() && !self.streaming.contains(output);
+        // Lock pinning: a locked output only admits its owner.
+        let admitted = free
+            && self.outputs[output]
+                .lock
+                .is_none_or(|owner| usize::from(owner) == input);
+        let whole = self.config.mode == SwitchMode::Wormhole || port.fifo.complete_packets() > 0;
+        (admitted && whole).then_some(Request {
+            input,
+            output,
+            pressure: header.pressure,
+            locked: header.is_locked(),
+            lock_release: header.lock_release,
+        })
+    }
+
+    /// Hands `r.output` to `r.input` for one packet.
+    fn grant(&mut self, r: Request) {
+        let out = &mut self.outputs[r.output];
+        if out.lock.is_some() {
+            self.locked_idle -= 1; // the owner resumes its sequence
+        } else if r.locked {
+            self.locked += 1;
+        }
+        if r.locked {
+            out.lock = Some(r.input as u8);
+        }
+        out.owner = Some(r.input as u8);
+        self.streaming.insert(r.output);
+        self.waiting.remove(r.input);
+        let input = &mut self.inputs[r.input];
+        input.allocated = true;
+        input.lock_release = r.lock_release;
+    }
+
+    /// Forwarding: each streaming output, in ascending order, moves one
+    /// flit from its owner, credit permitting.
     fn forward(&mut self, tick: &mut SwitchTick) {
-        for (o, out) in self.outputs.iter_mut().enumerate() {
-            let Some(i) = out.owner else {
-                continue;
-            };
-            let input = &mut self.inputs[i];
-            if input.alloc != Some(o) {
-                continue; // output locked-idle between packets of a sequence
-            }
-            if input.fifo.peek().is_none() {
-                continue; // wormhole bubble: body flits not here yet
-            }
-            if out.credits == 0 {
-                self.stats.credit_stalls += 1;
-                continue;
-            }
-            let flit = input.fifo.pop().expect("peeked flit must pop");
-            self.buffered -= 1;
-            out.credits -= 1;
-            self.stats.flits_forwarded += 1;
-            tick.credits_released.push(i);
-            let is_tail = flit.is_tail();
-            tick.sent.push((PortId(o as u8), flit));
-            if is_tail {
-                self.stats.packets_forwarded += 1;
-                input.alloc = None;
-                self.allocated -= 1;
-                match out.lock {
-                    Some(owner) if owner == i => {
-                        if input.lock_release {
-                            // Unlocking packet: release pin and ownership.
-                            out.lock = None;
-                            out.owner = None;
-                        }
-                        // else: keep the owner pinned for the sequence.
-                    }
-                    _ => out.owner = None,
-                }
-                input.lock_release = false;
+        for w in self.streaming.words() {
+            for o in self.streaming.word(w) {
+                self.forward_from(o, tick);
             }
         }
+    }
+
+    /// Moves one flit out of streaming output `o`, credit permitting.
+    fn forward_from(&mut self, o: usize, tick: &mut SwitchTick) {
+        let out = &mut self.outputs[o];
+        let i = usize::from(out.owner.expect("a streaming output has an owner"));
+        let input = &mut self.inputs[i];
+        if input.fifo.is_empty() {
+            return; // wormhole bubble: body flits not here yet
+        }
+        if out.credits == 0 {
+            self.stats.credit_stalls += 1;
+            return;
+        }
+        let flit = input.fifo.pop().expect("checked non-empty");
+        self.buffered -= 1;
+        out.credits -= 1;
+        self.stats.flits_forwarded += 1;
+        tick.credits_released.push(i);
+        let is_tail = flit.is_tail();
+        tick.sent.push((PortId(o as u8), flit));
+        if !is_tail {
+            return;
+        }
+        self.stats.packets_forwarded += 1;
+        self.streaming.remove(o);
+        input.allocated = false;
+        if !input.fifo.is_empty() {
+            self.waiting.insert(i);
+        }
+        debug_assert!(out.lock.is_none_or(|owner| usize::from(owner) == i));
+        if out.lock.is_some() && !input.lock_release {
+            // Keep the owner pinned for the rest of the sequence.
+            self.locked_idle += 1;
+        } else {
+            // The unlocking packet releases the pin, with ownership.
+            self.locked -= usize::from(out.lock.take().is_some());
+            out.owner = None;
+        }
+        input.lock_release = false;
     }
 }
 
@@ -651,15 +769,27 @@ mod tests {
         // Only the locked packet's 2 flits got through; input 1 is blocked.
         assert_eq!(sent.len(), 2);
         assert!(sent.iter().all(|(_, f)| f.packet_id() != 0x200));
-        assert!(sw.is_output_locked(0));
+        // The pin holds however long the owner pauses: input 1 still gets
+        // nothing, and output 0 counts one lock-idle cycle per tick.
+        let idle = sw.stats().lock_idle_cycles;
+        assert!(drain(&mut sw, 4).is_empty());
+        assert_eq!(sw.stats().lock_idle_cycles, idle + 4);
+        assert!(sw.has_locked_output());
         // The unlock packet releases the pin, after which input 1 finally
         // proceeds: 2 unlock flits + 1 blocked flit.
         inject(&mut sw, 0, &locked_packet(0, 1, true));
         let sent = drain(&mut sw, 6);
-        assert!(!sw.is_output_locked(0));
         assert_eq!(sent.len(), 3);
         assert_eq!(sent.last().unwrap().1.packet_id(), 0x200);
         assert!(sw.is_idle());
+        assert!(!sw.has_locked_output());
+        let idle = sw.stats().lock_idle_cycles;
+        let _ = drain(&mut sw, 4);
+        assert_eq!(
+            sw.stats().lock_idle_cycles,
+            idle,
+            "released: no more lock-idle"
+        );
     }
 
     #[test]
@@ -689,7 +819,7 @@ mod tests {
         inject(&mut dense, 0, &locked_packet(0, 1, false));
         let _ = drain(&mut dense, 3); // locked packet fully forwarded
         assert!(dense.is_idle());
-        assert!(dense.is_output_locked(0));
+        assert!(dense.has_locked_output());
         assert_eq!(dense.next_event_at(5), None, "idle lock is skippable");
         let mut skipped = dense.clone();
         for _ in 0..17 {
@@ -721,6 +851,47 @@ mod tests {
             },
             RoutingTable::new(1),
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 256 ports a side")]
+    fn more_ports_than_a_port_id_names_panic() {
+        Switch::new(SwitchConfig::wormhole(257, 2), RoutingTable::new(1));
+    }
+
+    #[test]
+    fn port_set_walks_its_members_in_ascending_order() {
+        let members =
+            |set: &PortSet| -> Vec<usize> { set.words().flat_map(|w| set.word(w)).collect() };
+        let mut set = PortSet::default();
+        assert!(set.is_empty() && members(&set).is_empty());
+        for i in [255, 64, 3, 63, 128, 3] {
+            set.insert(i);
+        }
+        set.insert(64); // already a member
+        assert_eq!(members(&set), [3, 63, 64, 128, 255]);
+        set.remove(64);
+        set.remove(128);
+        set.remove(7); // not a member
+        assert!(!set.contains(64) && set.contains(63) && set.contains(255));
+        assert_eq!(set.occupied, 0b1001, "emptied words leave the summary");
+        assert_eq!(set.words().collect::<Vec<_>>(), [0, 3]);
+        assert_eq!(members(&set), [3, 63, 255]);
+        // A walk may edit the set: each word is read when reached.
+        let mut walked = Vec::new();
+        for w in set.words() {
+            for i in set.word(w) {
+                walked.push(i);
+                set.remove(i);
+                set.insert(i - 1);
+            }
+        }
+        assert_eq!(walked, [3, 63, 255]);
+        for i in [2, 62, 254] {
+            assert!(set.contains(i), "{i}");
+            set.remove(i);
+        }
+        assert!(set.is_empty());
     }
 
     #[test]

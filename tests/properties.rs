@@ -677,10 +677,11 @@ fn paged_memory_equals_a_per_byte_map() {
     }
 }
 
-/// The switch as it allocated before the one-pass request table: every
-/// free output re-scans every input, peeks its FIFO, routes its head and
-/// applies every filter again. Kept here as the oracle the product
-/// switch is compared against; forwarding is the shared rule.
+/// The switch as it first allocated, with no request table and no port
+/// sets: every free output re-scans every input, peeks its FIFO, routes
+/// its head and applies every filter again; forwarding and lock
+/// accounting scan every output. Kept here as the oracle the product
+/// switch is compared against.
 struct OracleSwitch {
     mode: noc_transport::SwitchMode,
     depth: usize,
@@ -786,20 +787,63 @@ impl OracleSwitch {
         }
         (sent, released)
     }
+
+    fn has_locked_output(&self) -> bool {
+        self.out_lock.iter().any(Option::is_some)
+    }
+
+    fn is_idle(&self) -> bool {
+        self.inputs.iter().all(|q| q.is_empty()) && self.in_alloc.iter().all(Option::is_none)
+    }
 }
 
-/// One-pass output allocation ≡ the per-output re-scan it replaced, tick
-/// for tick, over random switches: both switching modes, locked
-/// sequences with and without their releasing packet, mixed pressures,
-/// packets arriving a flit at a time (heads ahead of their bodies),
-/// outputs starved of credit, an unroutable destination now and then.
+/// A port count for the switch oracle: mostly 1–5, as a mesh has, and
+/// otherwise one that straddles a word boundary of the switch's port
+/// sets (64, 128) or reaches the most ports a `PortId` names (256).
+fn arb_port_count(rng: &mut SplitMix64) -> usize {
+    let (lo, hi) = match rng.next_below(8) {
+        0 => (60, 70),
+        1 => (125, 131),
+        2 => (250, 256),
+        _ => (1, 5),
+    };
+    rng.next_range(lo, hi) as usize
+}
+
+/// A port of `0..count`, drawn to sit on a set-word edge as often as
+/// anywhere else.
+fn arb_port(rng: &mut SplitMix64, count: usize) -> usize {
+    const EDGES: [usize; 9] = [0, 62, 63, 64, 65, 126, 127, 128, 129];
+    if rng.chance(0.5) {
+        let edge = EDGES[rng.next_below(EDGES.len() as u64) as usize];
+        if edge < count {
+            return edge;
+        }
+    }
+    if rng.chance(0.3) {
+        return count - 1;
+    }
+    rng.next_below(count as u64) as usize
+}
+
+/// Per-event allocation and forwarding ≡ the per-output re-scan they
+/// replaced, tick for tick, over random switches: both switching modes,
+/// locked sequences with and without their releasing packet, mixed
+/// pressures, packets arriving a flit at a time (heads ahead of their
+/// bodies), outputs starved of credit, an unroutable destination now and
+/// then; port counts of 1–5 and across every word boundary of the port
+/// sets (60–70, 125–131, 250–256), with traffic on the ports at the
+/// edges. After every tick the flits sent, the credits released, the
+/// counters, `is_idle` and `has_locked_output` must match; quiet spells
+/// let the switch drain, and an idle switch — pinned by a lock or not —
+/// then skips cycles in bulk against the oracle's dense ticks.
 #[test]
 fn one_pass_allocation_equals_the_per_output_scan() {
     use noc_transport::{PortId, RoutingTable, Switch, SwitchConfig, SwitchMode, LOCKED_BIT};
 
     let mut rng = SplitMix64::new(0xA110C);
     for case in 0..CASES {
-        let (inputs, outputs) = (rng.next_range(1, 5) as usize, rng.next_range(1, 5) as usize);
+        let (inputs, outputs) = (arb_port_count(&mut rng), arb_port_count(&mut rng));
         let config = SwitchConfig {
             inputs,
             outputs,
@@ -810,21 +854,37 @@ fn one_pass_allocation_equals_the_per_output_scan() {
             },
             buffer_depth: rng.next_range(4, 8) as usize,
         };
-        const NODES: u16 = 8;
+        const NODES: u16 = 16;
         let mut table = RoutingTable::new(NODES as usize);
         for dst in 0..NODES {
             if rng.chance(0.95) {
-                table.set(dst, PortId(rng.next_below(outputs as u64) as u8));
+                table.set(dst, PortId(arb_port(&mut rng, outputs) as u8));
             }
         }
         let mut switch = Switch::new(config, table.clone());
         let mut oracle = OracleSwitch::new(config, table);
+        // The inputs that send: all of a small switch's, a dozen of a
+        // wide one's, most of them on word edges.
+        let mut senders: Vec<usize> = if inputs <= 5 {
+            (0..inputs).collect()
+        } else {
+            (0..12).map(|_| arb_port(&mut rng, inputs)).collect()
+        };
+        senders.sort_unstable();
+        senders.dedup();
         // Per input: the flits of packets still on their way in.
         let mut arriving: Vec<std::collections::VecDeque<Flit>> = vec![Default::default(); inputs];
         let mut next_id = 0u64;
+        // Ticks left in a quiet spell, when no new packet starts.
+        let mut quiet = 0;
         for tick in 0..rng.next_range(20, 80) {
-            for (i, queue) in arriving.iter_mut().enumerate() {
-                if queue.is_empty() && rng.chance(0.5) {
+            if quiet == 0 && rng.chance(0.1) {
+                quiet = rng.next_range(4, 16);
+            }
+            quiet = quiet.saturating_sub(1);
+            for &i in &senders {
+                let queue = &mut arriving[i];
+                if queue.is_empty() && quiet == 0 && rng.chance(0.5) {
                     let mut header =
                         Header::request(rng.next_below(NODES as u64) as u16, i as u16, 0)
                             .with_pressure(rng.next_below(4) as u8);
@@ -850,14 +910,28 @@ fn one_pass_allocation_equals_the_per_output_scan() {
                     oracle.out_credits[o] += 1;
                 }
             }
+            let what = format!("case {case} ({inputs}x{outputs}) tick {tick}");
             let got = switch.tick();
             let (sent, released) = oracle.tick();
-            assert_eq!(got.sent, sent, "case {case} tick {tick}");
-            assert_eq!(got.credits_released, released, "case {case} tick {tick}");
-            assert_eq!(*switch.stats(), oracle.stats, "case {case} tick {tick}");
-            let oracle_idle = oracle.inputs.iter().all(|q| q.is_empty())
-                && oracle.in_alloc.iter().all(Option::is_none);
-            assert_eq!(switch.is_idle(), oracle_idle, "case {case} tick {tick}");
+            assert_eq!(got.sent, sent, "{what}");
+            assert_eq!(got.credits_released, released, "{what}");
+            assert_eq!(*switch.stats(), oracle.stats, "{what}");
+            assert_eq!(switch.is_idle(), oracle.is_idle(), "{what}");
+            assert_eq!(
+                switch.has_locked_output(),
+                oracle.has_locked_output(),
+                "{what}"
+            );
+            // An idle switch skips cycles in bulk where the oracle ticks
+            // densely; a pinned lock counts its lock-idle cycles either way.
+            if switch.is_idle() && rng.chance(0.5) {
+                let cycles = rng.next_range(1, 20);
+                switch.skip_cycles(cycles);
+                for _ in 0..cycles {
+                    assert!(oracle.tick().0.is_empty(), "{what}: an idle oracle sent");
+                }
+                assert_eq!(*switch.stats(), oracle.stats, "{what}: skip {cycles}");
+            }
         }
     }
 }

@@ -12,10 +12,10 @@
 //! machinery's guards are stated over the same rows.
 
 use noc_examples::golden;
-use noc_protocols::CompletionRecord;
+use noc_protocols::{CompletionRecord, SocketCommand};
 use noc_scenario::{
-    parse_document, Backend, Document, ParseError, ParseErrorKind, ScenarioError, ScenarioSpec,
-    StepMode, Sweep, TopologySpec,
+    parse_document, Backend, Document, InitiatorSpec, MemorySpec, ParseError, ParseErrorKind,
+    ScenarioError, ScenarioSpec, SocketSpec, StepMode, Sweep, TopologySpec,
 };
 use std::path::PathBuf;
 
@@ -275,6 +275,48 @@ fn build_cost_per_switch_on_32x32_is_within_2x_of_16x16() {
         on_32 <= 2.0 * on_16,
         "build is superlinear again: {on_32:.0} ns/switch on 32x32 vs {on_16:.0} on 16x16"
     );
+}
+
+/// A crossbar wider than one word of the switch's port sets: 40 AXI
+/// initiators with one 4-byte read each of their own memory, 40
+/// two-cycle memories, one 80-port switch — built here rather than in the
+/// corpus, so the golden gains no row. All 40 heads wait at once, on inputs in both set
+/// words, and every response leaves on an output in the other word from
+/// its memory's. Dense and horizon runs must agree record for record, and
+/// the NoC must give the numbers the switch gave when it scanned every
+/// port.
+#[test]
+fn a_wide_crossbar_runs_identically_dense_and_horizon() {
+    const PAIRS: u64 = 40;
+    let spec = (0..PAIRS).fold(ScenarioSpec::new(), |spec, i| {
+        let read = vec![SocketCommand::read(i * 0x100, 4)];
+        spec.initiator(InitiatorSpec::new(
+            &format!("m{i}"),
+            SocketSpec::axi(),
+            read,
+        ))
+    });
+    let spec = (0..PAIRS).fold(spec, |spec, i| {
+        spec.memory(MemorySpec::new(
+            &format!("mem{i}"),
+            i * 0x100,
+            (i + 1) * 0x100,
+            2,
+        ))
+    });
+    let run = |mode| golden::run(&spec, &Backend::noc(), mode, 1_000).expect("builds");
+    let (dense, horizon) = (run(StepMode::Dense), run(StepMode::Horizon));
+    assert!(dense.drained && horizon.drained);
+    assert_eq!(dense.logs, horizon.logs);
+    assert_eq!(dense.report.cycles, horizon.report.cycles);
+    let r = &horizon.report;
+    let fabric = r.fabric.as_ref().expect("the NoC reports its fabric");
+    assert_eq!(
+        (r.cycles, r.steps, r.horizon_polls, r.calendar_pops),
+        (11, 9, 10, 440)
+    );
+    assert_eq!((fabric.flits_forwarded, r.total_completions()), (120, 40));
+    assert_eq!(format!("{:.1}", r.mean_latency()), "10.0");
 }
 
 /// Transport-layer QoS holds end to end: on `qos_classes.scn`, raising
@@ -870,6 +912,12 @@ enum Rejected {
     Socket(&'static str),
     /// A trace-file error at this trace line.
     TraceLine(usize),
+    /// A validation error on every backend: a topology whose reason
+    /// contains this text.
+    Topology(&'static str),
+    /// The NoC's topology error, whose reason contains this text; the
+    /// baselines, which build no switch, run the scenario.
+    NocTopology(&'static str),
 }
 
 /// An initiator `m` (the given lines) over one 64 KiB memory whose
@@ -988,6 +1036,37 @@ fn commands_a_socket_cannot_carry_and_signed_integers_are_typed_errors() {
             cases.push((format!("{socket}_{tag}"), text, Rejected::Program(why)));
         }
     }
+    // Switches with more ports than a port number can name: a custom
+    // link list the validation counts, and a crossbar of 260 endpoints
+    // the NoC's topology builder refuses (both used to panic, the
+    // crossbar with an index out of bounds while wiring the fabric).
+    let links = vec!["[0, 1]"; 256].join(", ");
+    let custom = format!(
+        "[topology]\nkind = \"custom\"\nswitches = 2\nlinks = [{links}]\nplacement = [0, 1]\n\n{}",
+        one_initiator("socket = \"ahb\"\ncmd = \"read 0x0 1x4\"", "1")
+    );
+    cases.push((
+        "custom_links_over_a_switch_s_ports".into(),
+        custom,
+        Rejected::Topology("switch 0 needs 256 ports, more than the 255 a switch can have"),
+    ));
+    let mut crossbar = String::new();
+    for i in 0..130 {
+        let cmd = format!("read {:#x} 1x4", i * 0x100);
+        crossbar +=
+            &format!("[[initiator]]\nname = \"m{i}\"\nsocket = \"ahb\"\ncmd = \"{cmd}\"\n\n");
+    }
+    for i in 0..130 {
+        let (base, end) = (i * 0x100, (i + 1) * 0x100);
+        crossbar += &format!(
+            "[[memory]]\nname = \"mem{i}\"\nbase = {base:#x}\nend = {end:#x}\nlatency = 1\n\n"
+        );
+    }
+    cases.push((
+        "crossbar_of_260_endpoints".into(),
+        crossbar,
+        Rejected::NocTopology("node 255: switch 0 needs 256 ports, more than the 255"),
+    ));
     let cache = std::sync::Mutex::new(noc_serve::CheckpointCache::new(4));
     for (name, text, rejected) in &cases {
         // The library: a typed error at parse time, or from validation
@@ -996,7 +1075,7 @@ fn commands_a_socket_cannot_carry_and_signed_integers_are_typed_errors() {
             (Err(e), Rejected::At(line, column)) => {
                 assert_eq!((e.line, e.column), (*line, *column), "{name}: {e}");
             }
-            (Ok(mut doc), Rejected::Program(_) | Rejected::Socket(_) | Rejected::TraceLine(_)) => {
+            (Ok(mut doc), _) => {
                 doc.resolve_trace_paths(&dir);
                 let Document::Scenario(spec) = doc else {
                     panic!("{name}: expected a scenario document");
@@ -1016,6 +1095,24 @@ fn commands_a_socket_cannot_carry_and_signed_integers_are_typed_errors() {
                         ) => assert_eq!((initiator.as_str(), reason.as_str()), ("m", *why)),
                         (Err(ScenarioError::Trace { line, .. }), Rejected::TraceLine(at)) => {
                             assert_eq!(line, *at, "{name}/{label}");
+                        }
+                        (Err(ScenarioError::BadTopology { reason }), Rejected::Topology(why)) => {
+                            assert!(reason.contains(why), "{name}/{label}: {reason}");
+                        }
+                        (outcome, Rejected::NocTopology(why)) if *label != "noc" => {
+                            assert!(outcome.is_ok(), "{name}/{label}: {outcome:?}");
+                            let Err(ScenarioError::BadTopology { reason }) =
+                                spec.build(&Backend::noc()).map(drop)
+                            else {
+                                panic!("{name}: the NoC builds");
+                            };
+                            assert!(reason.contains(why), "{name}: {reason}");
+                        }
+                        (
+                            Err(ScenarioError::BadTopology { reason }),
+                            Rejected::NocTopology(why),
+                        ) => {
+                            assert!(reason.contains(why), "{name}/{label}: {reason}");
                         }
                         (other, _) => panic!("{name}/{label}: got {other:?}"),
                     }
@@ -1045,9 +1142,14 @@ fn commands_a_socket_cannot_carry_and_signed_integers_are_typed_errors() {
         noc_serve::server::execute_request(&request, &config, &cache, &mut records, &mut stats)
             .expect("records written");
         let records = String::from_utf8_lossy(&records);
+        let failed = if matches!(rejected, Rejected::NocTopology(_)) {
+            1
+        } else {
+            3
+        };
         assert_eq!(
             (stats.points_ok, stats.points_failed),
-            (0, 3),
+            (3 - failed, failed),
             "{name}: {records}"
         );
         assert!(!records.contains("panic"), "{name}: {records}");
