@@ -2,7 +2,8 @@
 //!
 //! This crate is the substrate under the cycle-stepped simulators in the
 //! rest of the workspace. It holds no event engine of its own: the
-//! systems step themselves and use these five pieces to decide *when*:
+//! systems step themselves and use these pieces to decide *when*, and
+//! one to hold what they buffer:
 //!
 //! - [`Engine`], the stepping contract (`step` / `next_activity` /
 //!   `skip_to`) every interconnect model implements, with the one
@@ -16,7 +17,9 @@
 //!   loop pops the earliest instead of rescanning every component (a
 //!   timing wheel: O(1) per wakeup within 64 cycles of now);
 //! - [`SplitMix64`], a tiny deterministic RNG used to seed all stochastic
-//!   behaviour in the workspace.
+//!   behaviour in the workspace;
+//! - [`Slab`], one node store for many FIFO [`Queue`]s, so a model with
+//!   thousands of mostly empty buffers holds them in one allocation.
 //!
 //! Reproducibility matters more than wall-clock speed for architecture
 //! studies: every experiment in the workspace must be replayable
@@ -46,9 +49,11 @@ pub mod clock;
 pub mod engine;
 pub mod horizon;
 pub mod rng;
+pub mod slab;
 
 pub use calendar::{Calendar, WakeId};
 pub use clock::{ClockDomain, ClockId, ClockSet};
 pub use engine::Engine;
 pub use horizon::Horizon;
 pub use rng::SplitMix64;
+pub use slab::{Queue, Slab};

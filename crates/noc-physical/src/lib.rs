@@ -21,6 +21,11 @@
 //! analytically at send time (deterministic, exact for FIFO links), and
 //! in-flight capacity is bounded so back-pressure is physical too.
 //!
+//! A link's state is a plain record, [`LinkState`], whose in-flight items
+//! sit in a [`noc_kernel::Slab`] its owner keeps: a standalone [`Link`]
+//! owns one, and a fabric keeps every link's items (and every buffered
+//! flit) in one.
+//!
 //! # Examples
 //!
 //! ```
@@ -41,4 +46,4 @@ pub mod delay;
 pub mod link;
 
 pub use delay::DelayLine;
-pub use link::{Link, LinkConfig, LinkFull};
+pub use link::{Link, LinkConfig, LinkFull, LinkState};

@@ -1,6 +1,14 @@
 //! The configurable physical link.
+//!
+//! The link model is one record, [`LinkState`], whose methods carry the
+//! timing arithmetic (serialisation, pipeline, CDC alignment, FIFO order,
+//! one delivery per destination edge) exactly once. Its in-flight items
+//! sit in a [`Slab`] the caller passes in, and its [`LinkConfig`] too: a
+//! fabric keeps thousands of these records in one array over one shared
+//! slab, and [`Link`] is the same record owning its configuration, a
+//! slab and its delivery counters.
 
-use std::collections::VecDeque;
+use noc_kernel::{Queue, Slab};
 use std::fmt;
 
 /// Physical parameters of a link.
@@ -60,22 +68,6 @@ impl LinkConfig {
         self
     }
 
-    /// Sets the clock divisors of the two endpoints.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either divisor is zero.
-    #[must_use]
-    pub fn with_clocks(mut self, src_divisor: u64, dst_divisor: u64) -> Self {
-        assert!(
-            src_divisor > 0 && dst_divisor > 0,
-            "divisors must be non-zero"
-        );
-        self.src_divisor = src_divisor;
-        self.dst_divisor = dst_divisor;
-        self
-    }
-
     /// Sets the synchroniser depth.
     #[must_use]
     pub fn with_cdc_latency(mut self, stages: u32) -> Self {
@@ -98,13 +90,6 @@ impl LinkConfig {
     /// Returns `true` when the endpoints run on different clocks.
     pub fn is_asynchronous(&self) -> bool {
         self.src_divisor != self.dst_divisor
-    }
-
-    /// Zero-load latency in base cycles for a flit sent at a source edge:
-    /// serialisation + pipeline (+ CDC alignment, computed per-send since
-    /// it depends on phase).
-    pub fn min_latency(&self) -> u64 {
-        self.phits_per_flit as u64 * self.src_divisor + self.pipeline as u64 * self.src_divisor
     }
 }
 
@@ -140,18 +125,160 @@ impl fmt::Display for LinkFull {
 
 impl std::error::Error for LinkFull {}
 
+/// `LinkState::last_delivery` before the first delivery.
+const NEVER: u64 = u64::MAX;
+
+/// One link's state as a plain record: when its serialiser frees up, its
+/// last delivery, its *class* — the owner's index of the [`LinkConfig`]
+/// it runs on — and the [`Queue`] of its in-flight items in a [`Slab`]
+/// that the record's owner keeps, each item stamped with its arrival
+/// cycle. The configuration is passed in, so a fabric of thousands of
+/// links keeps one configuration per class and one slab for every item
+/// it holds, and building or cloning it costs no heap object per link.
+/// Counting deliveries and latencies is the owner's business too
+/// ([`LinkState::send`] returns each item's latency): a fabric keeps one
+/// total for all its links, and every byte here is copied by every fork.
+///
+/// This is the link model: [`Link`] is a record, a configuration, a slab
+/// and two counters of its own, and every method forwards here.
+#[derive(Debug, Clone, Copy)]
+pub struct LinkState {
+    busy_until: u64,
+    /// The last base cycle [`LinkState::deliver`] handed out an item, or
+    /// `NEVER`.
+    last_delivery: u64,
+    in_flight: Queue,
+    class: u32,
+}
+
+impl LinkState {
+    /// An idle link of class `class`.
+    pub fn new(class: u32) -> Self {
+        LinkState {
+            busy_until: 0,
+            last_delivery: NEVER,
+            in_flight: Queue::default(),
+            class,
+        }
+    }
+
+    /// The owner's index of this link's configuration.
+    pub fn class(&self) -> u32 {
+        self.class
+    }
+
+    /// Returns `true` if an item can be accepted at base cycle `now`
+    /// (which must be a source-clock edge for the send itself).
+    pub fn can_send(&self, config: &LinkConfig, now: u64) -> bool {
+        now >= self.busy_until && self.in_flight.len() < config.capacity
+    }
+
+    /// Number of items currently in flight.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight.len()
+    }
+
+    /// Sends `item` at base cycle `now`, queueing it in `slab`, and
+    /// returns its latency: the base cycles from `now` to its arrival.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinkFull`] when the serialiser is occupied or the wire is
+    /// at capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` is not a source-clock edge — the caller drives the
+    /// link from its clock domain, so this is a wiring bug.
+    pub fn send<T>(
+        &mut self,
+        config: &LinkConfig,
+        slab: &mut Slab<T>,
+        item: T,
+        now: u64,
+    ) -> Result<u64, LinkFull> {
+        assert_eq!(
+            now % config.src_divisor,
+            0,
+            "send must occur on a source clock edge"
+        );
+        if !self.can_send(config, now) {
+            return Err(LinkFull {
+                retry_at: self.busy_until,
+            });
+        }
+        let ser = config.phits_per_flit as u64 * config.src_divisor;
+        let pipe = config.pipeline as u64 * config.src_divisor;
+        self.busy_until = now + ser;
+        let mut arrival = now + ser + pipe;
+        if config.is_asynchronous() {
+            arrival += config.cdc_latency as u64 * config.dst_divisor;
+        }
+        // Align to the next destination clock edge at or after arrival.
+        let rem = arrival % config.dst_divisor;
+        if rem != 0 {
+            arrival += config.dst_divisor - rem;
+        }
+        // FIFO: never deliver before the previously queued item.
+        if let Some(prev) = slab.back_stamp(&self.in_flight) {
+            arrival = arrival.max(prev + config.dst_divisor);
+        }
+        slab.push(&mut self.in_flight, arrival, item);
+        Ok(arrival - now)
+    }
+
+    /// Delivers the next item from `slab` if one has arrived by base
+    /// cycle `now`. At most one item per destination-clock edge.
+    pub fn deliver<T>(&mut self, config: &LinkConfig, slab: &mut Slab<T>, now: u64) -> Option<T> {
+        if !now.is_multiple_of(config.dst_divisor) || self.last_delivery == now {
+            return None;
+        }
+        if slab.front_stamp(&self.in_flight)? > now {
+            return None;
+        }
+        let (_, item) = slab.pop(&mut self.in_flight).expect("front exists");
+        self.last_delivery = now;
+        Some(item)
+    }
+
+    /// The link's event horizon: the earliest base cycle at or after
+    /// `now` at which [`LinkState::deliver`] can return an item, or
+    /// `None` when nothing is in flight. Until that cycle, polling the
+    /// link is provably a no-op — an item nine pipeline stages deep
+    /// yields a nine-cycle skip instead of nine empty polls, and a CDC
+    /// crossing's horizon lands on a destination-clock edge because
+    /// arrivals are aligned to one at send time.
+    pub fn next_event_at<T>(&self, config: &LinkConfig, slab: &Slab<T>, now: u64) -> Option<u64> {
+        let mut t = slab.front_stamp(&self.in_flight)?.max(now);
+        // Deliveries only happen on destination-clock edges (arrivals
+        // are edge-aligned at send time; the rounding here also covers
+        // direct callers probing from an off-edge `now`).
+        let rem = t % config.dst_divisor;
+        if rem != 0 {
+            t += config.dst_divisor - rem;
+        }
+        // At most one delivery per destination edge.
+        if self.last_delivery == t {
+            t += config.dst_divisor;
+        }
+        Some(t)
+    }
+}
+
 /// A unidirectional physical link carrying items of type `T` (flits — the
 /// link is payload-agnostic, underscoring layer independence).
 ///
 /// Items are delivered in FIFO order; [`Link::deliver`] returns at most one
-/// item per destination-clock edge.
+/// item per destination-clock edge. A `Link` is a [`LinkState`] that owns
+/// its configuration, a slab and its delivery counters; a fabric keeps
+/// the same records over one shared slab instead.
 #[derive(Debug, Clone)]
 pub struct Link<T> {
     config: LinkConfig,
-    busy_until: u64,
-    in_flight: VecDeque<(u64, T)>,
-    last_delivery: Option<u64>,
+    state: LinkState,
+    slab: Slab<T>,
     delivered: u64,
+    /// Latencies of every item sent so far.
     total_latency: u64,
 }
 
@@ -160,9 +287,8 @@ impl<T> Link<T> {
     pub fn new(config: LinkConfig) -> Self {
         Link {
             config,
-            busy_until: 0,
-            in_flight: VecDeque::new(),
-            last_delivery: None,
+            state: LinkState::new(0),
+            slab: Slab::new(),
             delivered: 0,
             total_latency: 0,
         }
@@ -176,12 +302,12 @@ impl<T> Link<T> {
     /// Returns `true` if a flit can be accepted at base cycle `now`
     /// (which must be a source-clock edge for the send itself).
     pub fn can_send(&self, now: u64) -> bool {
-        now >= self.busy_until && self.in_flight.len() < self.config.capacity
+        self.state.can_send(&self.config, now)
     }
 
     /// Number of flits currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.state.in_flight()
     }
 
     /// Flits delivered so far.
@@ -198,7 +324,7 @@ impl<T> Link<T> {
         }
     }
 
-    /// Sends a flit at base cycle `now`.
+    /// Sends a flit at base cycle `now` (see [`LinkState::send`]).
     ///
     /// # Errors
     ///
@@ -207,88 +333,24 @@ impl<T> Link<T> {
     ///
     /// # Panics
     ///
-    /// Panics if `now` is not a source-clock edge — the caller drives the
-    /// link from its clock domain, so this is a wiring bug.
+    /// Panics if `now` is not a source-clock edge.
     pub fn send(&mut self, item: T, now: u64) -> Result<(), LinkFull> {
-        assert_eq!(
-            now % self.config.src_divisor,
-            0,
-            "send must occur on a source clock edge"
-        );
-        if !self.can_send(now) {
-            return Err(LinkFull {
-                retry_at: self.busy_until,
-            });
-        }
-        let ser = self.config.phits_per_flit as u64 * self.config.src_divisor;
-        let pipe = self.config.pipeline as u64 * self.config.src_divisor;
-        self.busy_until = now + ser;
-        let mut arrival = now + ser + pipe;
-        if self.config.is_asynchronous() {
-            arrival += self.config.cdc_latency as u64 * self.config.dst_divisor;
-        }
-        // Align to the next destination clock edge at or after arrival.
-        let rem = arrival % self.config.dst_divisor;
-        if rem != 0 {
-            arrival += self.config.dst_divisor - rem;
-        }
-        // FIFO: never deliver before the previously queued item.
-        if let Some(&(prev, _)) = self.in_flight.back() {
-            arrival = arrival.max(prev + self.config.dst_divisor);
-        }
-        self.total_latency += arrival - now;
-        self.in_flight.push_back((arrival, item));
+        let latency = self.state.send(&self.config, &mut self.slab, item, now)?;
+        self.total_latency += latency;
         Ok(())
     }
 
     /// Delivers the next flit if one has arrived by base cycle `now`.
     /// At most one flit per destination-clock edge.
     pub fn deliver(&mut self, now: u64) -> Option<T> {
-        if !now.is_multiple_of(self.config.dst_divisor) {
-            return None;
-        }
-        if self.last_delivery == Some(now) {
-            return None;
-        }
-        match self.in_flight.front() {
-            Some(&(at, _)) if at <= now => {
-                let (_, item) = self.in_flight.pop_front().expect("front exists");
-                self.last_delivery = Some(now);
-                self.delivered += 1;
-                Some(item)
-            }
-            _ => None,
-        }
+        let item = self.state.deliver(&self.config, &mut self.slab, now)?;
+        self.delivered += 1;
+        Some(item)
     }
 
-    /// Base cycle at which the earliest undelivered flit becomes ready,
-    /// if any (for event-driven callers).
-    pub fn next_arrival(&self) -> Option<u64> {
-        self.in_flight.front().map(|&(at, _)| at)
-    }
-
-    /// The link's event horizon: the earliest base cycle at or after
-    /// `now` at which [`Link::deliver`] can return an item, or `None`
-    /// when nothing is in flight. Until that cycle, polling the link is
-    /// provably a no-op — a flit nine pipeline stages deep yields a
-    /// nine-cycle skip instead of nine empty polls, and a CDC crossing's
-    /// horizon lands on a destination-clock edge because arrivals are
-    /// aligned to one at send time.
+    /// The link's event horizon (see [`LinkState::next_event_at`]).
     pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        let &(at, _) = self.in_flight.front()?;
-        let mut t = at.max(now);
-        // Deliveries only happen on destination-clock edges (arrivals
-        // are edge-aligned at send time; the rounding here also covers
-        // direct callers probing from an off-edge `now`).
-        let rem = t % self.config.dst_divisor;
-        if rem != 0 {
-            t += self.config.dst_divisor - rem;
-        }
-        // At most one delivery per destination edge.
-        if self.last_delivery == Some(t) {
-            t += self.config.dst_divisor;
-        }
-        Some(t)
+        self.state.next_event_at(&self.config, &self.slab, now)
     }
 }
 
@@ -298,8 +360,8 @@ impl<T> fmt::Display for Link<T> {
             f,
             "{} [{} in flight, {} delivered]",
             self.config,
-            self.in_flight.len(),
-            self.delivered
+            self.in_flight(),
+            self.delivered()
         )
     }
 }
@@ -307,6 +369,15 @@ impl<T> fmt::Display for Link<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A default link between endpoints on the given clock divisors.
+    fn clocks(src_divisor: u64, dst_divisor: u64) -> LinkConfig {
+        LinkConfig {
+            src_divisor,
+            dst_divisor,
+            ..LinkConfig::new()
+        }
+    }
 
     #[test]
     fn full_width_synchronous_latency_one() {
@@ -339,7 +410,8 @@ mod tests {
         assert!(link.can_send(1));
         assert_eq!(link.deliver(3), None);
         assert_eq!(link.deliver(4), Some(7));
-        assert_eq!(cfg.min_latency(), 4);
+        // zero-load latency: 1 (serialisation) + 3 (pipeline)
+        assert!((link.mean_latency() - 4.0).abs() < 1e-12);
     }
 
     #[test]
@@ -377,36 +449,36 @@ mod tests {
     #[test]
     fn cdc_crossing_aligns_to_destination_clock() {
         // src at base rate, dst at /3, 2-stage synchroniser
-        let cfg = LinkConfig::new().with_clocks(1, 3).with_cdc_latency(2);
+        let cfg = clocks(1, 3).with_cdc_latency(2);
         let mut link: Link<u8> = Link::new(cfg);
         link.send(9, 0).unwrap();
         // arrival = 0 + 1 (ser) + 0 + 6 (cdc: 2*3) = 7 → aligned up to 9
-        assert_eq!(link.next_arrival(), Some(9));
+        assert_eq!(link.next_event_at(0), Some(9));
         assert_eq!(link.deliver(7), None); // not a dst edge
         assert_eq!(link.deliver(9), Some(9));
     }
 
     #[test]
     fn slow_to_fast_crossing() {
-        let cfg = LinkConfig::new().with_clocks(4, 1).with_cdc_latency(2);
+        let cfg = clocks(4, 1).with_cdc_latency(2);
         let mut link: Link<u8> = Link::new(cfg);
         link.send(1, 4).unwrap();
         // ser = 1*4 → 8, cdc = 2*1 → 10; dst divisor 1 aligns trivially
-        assert_eq!(link.next_arrival(), Some(10));
+        assert_eq!(link.next_event_at(4), Some(10));
         assert_eq!(link.deliver(10), Some(1));
     }
 
     #[test]
     #[should_panic(expected = "source clock edge")]
     fn send_off_edge_panics() {
-        let cfg = LinkConfig::new().with_clocks(2, 2);
+        let cfg = clocks(2, 2);
         let mut link: Link<u8> = Link::new(cfg);
         let _ = link.send(1, 3);
     }
 
     #[test]
     fn one_delivery_per_destination_edge() {
-        let cfg = LinkConfig::new().with_clocks(1, 2);
+        let cfg = clocks(1, 2);
         let mut link: Link<u8> = Link::new(cfg);
         link.send(1, 0).unwrap();
         link.send(2, 1).unwrap();
@@ -459,7 +531,7 @@ mod tests {
 
     #[test]
     fn next_event_at_lands_on_destination_edges() {
-        let cfg = LinkConfig::new().with_clocks(1, 3).with_cdc_latency(2);
+        let cfg = clocks(1, 3).with_cdc_latency(2);
         let mut link: Link<u8> = Link::new(cfg);
         link.send(9, 0).unwrap();
         // arrival 7 aligned up to the /3 edge at 9 (see the CDC test)
@@ -475,7 +547,7 @@ mod tests {
 
     #[test]
     fn config_accessors_and_display() {
-        let cfg = LinkConfig::new().with_phits_per_flit(2).with_clocks(1, 2);
+        let cfg = clocks(1, 2).with_phits_per_flit(2);
         assert!(cfg.is_asynchronous());
         assert!(!LinkConfig::new().is_asynchronous());
         assert!(cfg.to_string().contains("1/2 width"));

@@ -4,15 +4,50 @@
 //! # What moves, and what it costs
 //!
 //! A flit is a small record moved by value — through an NIU's egress
-//! queue, a [`Link`], a switch input FIFO, an output stash, the ejection
+//! queue, a link, a switch input FIFO, an output stash, the ejection
 //! buffer — and only a packet's *head* flit owns heap memory: the payload
 //! buffer the sending NIU allocated, which the receiving NIU's assembler
-//! hands back untouched (see [`noc_transport::Flit`]). The fabric itself
-//! allocates nothing per flit-hop: credit returns wait in a fixed ring of
-//! reusable slots ([`CreditRing`]), the sets of components that can act
-//! are bitsets ([`ActiveSet`]), and every per-tick buffer is reused.
-//! Who allocates that buffer and who frees it — the half of this note
-//! above transport — is in [`noc_niu`]'s crate documentation.
+//! hands back untouched (see [`noc_transport::Flit`]). Who allocates that
+//! buffer and who frees it — the half of this note above transport — is
+//! in [`noc_niu`]'s crate documentation.
+//!
+//! Inside the fabric every flit lives in one slab
+//! ([`noc_transport::FlitSlab`]): an input FIFO, an output stash and a
+//! link's in-flight queue are each a 12-byte list handle into it, and
+//! freed slab nodes are reused. A stash holds what a switch output sent
+//! while its link could not take it: the serialiser of a multi-phit link
+//! still busy, or a link at its in-flight capacity (a deep pipeline, or
+//! an ejection link whose endpoint runs on a divided clock). The rest of
+//! the fabric is a fixed number of flat arrays of plain records — one
+//! [`SwitchState`] per switch, one [`InputPort`] / [`OutputPort`] record
+//! and one stash handle per port (indexed by the port offsets in the
+//! shared wiring), one [`LinkState`] per link — plus one [`SwitchStats`]
+//! all switches add to and one pair of link latency totals, while what
+//! never changes after building (link ends, one [`LinkConfig`] per link
+//! class, routing rows) sits behind one `Arc` every copy shares. So:
+//!
+//! - **building** a fabric makes a fixed number of allocations, however
+//!   many switches, ports and links it has;
+//! - **cloning** one (the response network, every snapshot) is a
+//!   `memcpy` of each array plus a clone of each flit it holds — bytes
+//!   per port, not a container per port — and **dropping** one releases
+//!   the same handful of arrays;
+//! - the arrays that scale with the platform (`Records`) are kept for
+//!   reuse when a fabric is dropped, a few sets per thread, and the next
+//!   build or clone on that thread fills them in place: arrays of
+//!   hundreds of kilobytes that went back to the allocator came back as
+//!   freshly faulted pages, which cost more than copying them;
+//! - storage grows with the flits held at once, not with the buffer
+//!   depth or the port count;
+//! - **stepping** allocates nothing per flit-hop: the slab recycles its
+//!   nodes, credit returns wait in per-latency lanes ([`CreditRing`]),
+//!   the sets of components that can act are bitsets ([`ActiveSet`]),
+//!   and every per-tick buffer is reused.
+//!
+//! A switch is ticked through [`SwitchMut`], a borrow of its record, its
+//! slices of the port arrays, the slab and its routing row — the same
+//! code a standalone [`noc_transport::Switch`] runs over arrays of its
+//! own; links likewise run [`LinkState`]'s one copy of the link timing.
 //!
 //! # O(active) ticking
 //!
@@ -29,70 +64,87 @@
 //!   switches are ticked — ticking an idle switch is a no-op except for
 //!   [`noc_transport::SwitchStats::lock_idle_cycles`], which idle
 //!   switches pinned by locked sequences accrue in bulk via the
-//!   `locked` set (one [`Switch::skip_cycles`] per executed cycle,
+//!   `locked` set (one [`SwitchState::skip_cycles`] per executed cycle,
 //!   bit-identical to the dense tick's per-output increment);
-//! - stashes with flits live in a `stashed` set.
+//! - output ports whose stash holds flits live in a `stashing` set, so
+//!   draining stashes visits only those, in port order.
 //!
 //! An [`ActiveSet`] iterates in ascending switch/link index order — the
 //! dense loop's order restricted to the members that can act — so the
 //! resulting logs and counters are bit-identical to dense ticking, with
-//! no per-tick sort.
+//! no per-tick sort. None of this reads the port arrays of a switch that
+//! has no work.
 
-use noc_kernel::{Calendar, Horizon, WakeId};
-use noc_physical::{Link, LinkConfig};
+use noc_kernel::{Calendar, Horizon, Queue, WakeId};
+use noc_physical::{LinkConfig, LinkState};
 use noc_topology::{SwitchTables, Topology};
-use noc_transport::{Flit, PortId, RoutingTable, Switch, SwitchConfig, SwitchMode};
+use noc_transport::{
+    Flit, FlitSlab, InputPort, OutputPort, PortId, RoutingTable, SwitchConfig, SwitchMode,
+    SwitchMut, SwitchState, SwitchStats, SwitchTick,
+};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Where a link terminates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkEnd {
-    /// A switch input/output port.
-    Switch {
-        /// Switch index.
-        switch: usize,
-        /// Port index on that switch.
-        port: usize,
-    },
-    /// An endpoint (NIU), identified by its node number.
-    Endpoint {
-        /// Node number.
-        node: u16,
-    },
+enum LinkEnd {
+    /// Port `port` of switch `switch`.
+    Switch { switch: u32, port: u8 },
+    /// The endpoint (NIU) of node `node`.
+    Endpoint { node: u16 },
+}
+
+/// One link's wiring: its two ends and its wakeup handle.
+#[derive(Debug, Clone, Copy)]
+struct Wire {
+    from: LinkEnd,
+    to: LinkEnd,
+    wake: WakeId,
 }
 
 /// Everything [`Fabric::new`] wires and nothing changes afterwards: link
-/// ends, port-to-link maps, credit-return latencies. It sits behind one
+/// ends and classes, port-to-link maps, routing rows. It sits behind one
 /// `Arc`, so the second fabric of a SoC and every snapshot share it.
 ///
 /// Per-port tables are flat: the ports of switch `s` occupy
-/// `base[s]..base[s + 1]` of their array.
+/// `base[s]..base[s + 1]` of their array — and of the fabric's port
+/// record arrays.
 struct Wiring {
-    /// Per link: where it starts and where it ends.
-    ends: Vec<(LinkEnd, LinkEnd)>,
-    /// Per link: its handle in the wakeup calendar.
-    link_wake: Vec<WakeId>,
-    /// Per link: credit-return latency in base cycles (the wire plus one
-    /// register per forward pipeline stage). A credit released by a
-    /// downstream input at cycle `t` becomes visible to the upstream
-    /// sender at `t + credit_lat` — never within the releasing cycle —
-    /// so credit visibility cannot depend on switch iteration order.
-    /// (The dense loop used to apply releases immediately, letting a
-    /// same-cycle consumer see them iff its index was higher than the
-    /// releaser's: an ordering bug.)
-    credit_lat: Vec<u64>,
-    /// Per switch: where its output ports start in `out_wire` (and in the
-    /// fabric's stash array), plus one entry past the last switch.
+    /// Per link.
+    wires: Vec<Wire>,
+    /// Per link class: its configuration, indexed by
+    /// [`LinkState::class`]. Links of one class share it (every
+    /// switch-to-switch link is one class, and the injection or ejection
+    /// links of endpoints on one clock divisor another).
+    classes: Vec<LinkConfig>,
+    /// Per switch: where its output ports start in `out_wire`, plus one
+    /// entry past the last switch.
     out_base: Vec<usize>,
     /// Per switch output port: link index.
-    out_wire: Vec<Option<usize>>,
+    out_wire: Vec<Option<u32>>,
     /// Per switch: where its input ports start in `in_wire`.
     in_base: Vec<usize>,
     /// Per switch input port: feeding link index.
-    in_wire: Vec<Option<usize>>,
+    in_wire: Vec<Option<u32>>,
     /// Per node: its injection link, for attached nodes.
-    inj_link: Vec<Option<usize>>,
+    inj_link: Vec<Option<u32>>,
+    /// Per switch: its routing row, all cut from one shared matrix.
+    routes: Vec<RoutingTable>,
+    /// Every switch's switching discipline.
+    mode: SwitchMode,
+}
+
+/// Credit-return latency in base cycles of a link of configuration
+/// `cfg`: the wire plus one register per forward pipeline stage, in
+/// source-clock cycles. A credit released by a downstream input at cycle
+/// `t` becomes visible to the upstream sender at `t + latency` — never
+/// within the releasing cycle — so credit visibility cannot depend on
+/// switch iteration order. (The dense loop used to apply releases
+/// immediately, letting a same-cycle consumer see them iff its index was
+/// higher than the releaser's: an ordering bug.)
+fn credit_latency(cfg: &LinkConfig) -> u64 {
+    1 + cfg.pipeline as u64 * cfg.src_divisor
 }
 
 /// A set of small indices (switches, links, endpoints) as a bitset: O(1)
@@ -200,79 +252,104 @@ impl ActiveSet {
     }
 }
 
-/// In-flight credit returns: a ring of reusable slots, one per due cycle.
+/// In-flight credit returns: one FIFO lane per return-wire latency.
 ///
 /// A credit released at cycle `t` over a return wire of latency `lat`
-/// (`1..=max_latency`) is pushed for cycle `t + lat`, and
-/// [`CreditRing::drain_due`] hands out every credit whose cycle has been
-/// reached. All pending due cycles lie in a window of `max_latency`
-/// cycles past the last drain, so `max_latency + 1` slots indexed by
-/// `due % len` never alias, and a slot's `Vec` keeps its capacity from
-/// one lap to the next: no map, no allocation per cycle.
+/// falls due at `t + lat`, and [`CreditRing::drain_due`] hands out every
+/// credit whose cycle has been reached. Releases come in time order, so
+/// on one latency they also fall due in order: each lane is a FIFO of
+/// `(due, id)` whose front is its earliest credit, and a drain pops each
+/// lane's front until it lies in the future. Storage is proportional to
+/// the credits in flight, however long a wire is, and a lane keeps its
+/// capacity from one use to the next: no map, no allocation per cycle.
+/// Credits within one drain come out lane by lane; whoever applies them
+/// as counter increments cannot tell the order.
 ///
 /// # Examples
 ///
 /// ```
 /// use noc_system::CreditRing;
-/// let mut ring = CreditRing::new(3);
+/// let mut ring = CreditRing::new();
 /// ring.drain_due(10, |_| unreachable!("nothing pending"));
-/// ring.push(11, 4); // released at 10, one-cycle wire
-/// ring.push(13, 9); // released at 10, three-cycle wire
+/// ring.push(10, 1, 4); // released at 10, one-cycle wire
+/// ring.push(10, 3, 9); // released at 10, three-cycle wire
 /// let mut due = Vec::new();
 /// ring.drain_due(12, |link| due.push(link));
 /// assert_eq!(due, [4]);
+/// ring.push(12, 1_000_000_000, 7); // a deep wire costs one entry
 /// ring.drain_due(5_000, |link| due.push(link)); // a long horizon skip
 /// assert_eq!(due, [4, 9]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CreditRing {
-    slots: Vec<Vec<u32>>,
+    /// Per distinct latency: that latency and its credits in due order.
+    lanes: Vec<(u64, VecDeque<(u64, u32)>)>,
+    /// Credits pending across all lanes.
+    pending: usize,
     /// The first cycle not drained yet.
     next: u64,
 }
 
 impl CreditRing {
-    /// A ring for return wires of at most `max_latency` cycles.
-    pub fn new(max_latency: u64) -> CreditRing {
-        let slots = usize::try_from(max_latency + 1).expect("credit latency fits in memory");
-        CreditRing {
-            slots: vec![Vec::new(); slots],
-            next: 0,
-        }
+    /// An empty set of lanes; a lane is added by the first credit on its
+    /// latency.
+    pub fn new() -> CreditRing {
+        CreditRing::default()
     }
 
-    /// Registers `id`'s credit to become visible at cycle `due`.
+    /// Registers `id`'s credit, released at cycle `released` onto a wire
+    /// of `latency` cycles: it becomes visible at `released + latency`.
     ///
     /// # Panics
     ///
-    /// Panics if `due` is not within `max_latency` cycles after the last
-    /// drained cycle — an earlier cycle would never be handed out, a
-    /// later one would alias a slot and be handed out early.
-    pub fn push(&mut self, due: u64, id: u32) {
-        let len = self.slots.len() as u64;
+    /// Panics if that cycle has already been drained (it would never be
+    /// handed out), or if it precedes an earlier release on the same
+    /// latency (releases must come in time order).
+    #[inline]
+    pub fn push(&mut self, released: u64, latency: u64, id: u32) {
+        let due = released + latency;
         assert!(
-            due >= self.next && due - self.next < len,
-            "credit due at {due} outside the ring's window {}..{}",
-            self.next,
-            self.next + len
+            due >= self.next,
+            "credit due at {due}, but cycles before {} are drained",
+            self.next
         );
-        self.slots[(due % len) as usize].push(id);
+        let lane = match self.lanes.iter().position(|&(lat, _)| lat == latency) {
+            Some(lane) => lane,
+            None => {
+                self.lanes.push((latency, VecDeque::new()));
+                self.lanes.len() - 1
+            }
+        };
+        let lane = &mut self.lanes[lane].1;
+        assert!(
+            lane.back().is_none_or(|&(last, _)| last <= due),
+            "credits on a {latency}-cycle wire released out of time order"
+        );
+        lane.push_back((due, id));
+        self.pending += 1;
     }
 
-    /// Hands every credit due at or before `now` to `apply` and empties
-    /// their slots. Draining walks the cycles since the last drain, at
-    /// most one lap: after a skip longer than the ring every slot is due.
+    /// Hands every credit due at or before `now` to `apply`. A drain
+    /// costs the credits it hands out plus one look per lane, however
+    /// many cycles it covers.
     pub fn drain_due(&mut self, now: u64, mut apply: impl FnMut(u32)) {
         if now < self.next {
             return;
         }
-        let len = self.slots.len() as u64;
-        for cycle in self.next..self.next + (now - self.next + 1).min(len) {
-            self.slots[(cycle % len) as usize]
-                .drain(..)
-                .for_each(&mut apply);
-        }
         self.next = now + 1;
+        if self.pending == 0 {
+            return;
+        }
+        for (_, lane) in &mut self.lanes {
+            while let Some(&(due, id)) = lane.front() {
+                if due > now {
+                    break;
+                }
+                lane.pop_front();
+                self.pending -= 1;
+                apply(id);
+            }
+        }
     }
 }
 
@@ -288,20 +365,28 @@ fn offsets(counts: impl Iterator<Item = usize>) -> Vec<usize> {
 }
 
 /// One packet network (request or response): switches, links and credit
-/// bookkeeping.
+/// bookkeeping, as a handful of flat arrays.
 ///
 /// Endpoints are *not* owned by the fabric; the [`crate::Soc`] moves flits
 /// between endpoints and the fabric's injection/ejection links each cycle.
 #[derive(Clone)]
 pub struct Fabric {
     wiring: Arc<Wiring>,
-    switches: Vec<Switch>,
-    links: Vec<Link<Flit>>,
+    /// Every flit the fabric holds: in an input FIFO, an output stash or
+    /// in flight on a link.
+    slab: FlitSlab,
+    /// The switch, port, stash and link records.
+    records: Records,
+    /// What every switch's cycles add up to.
+    stats: SwitchStats,
+    /// The output ports whose stash holds flits.
+    stashing: ActiveSet,
+    /// Latencies of every flit sent on a link, and the link deliveries
+    /// so far: what [`Fabric::mean_link_latency`] reports.
+    link_latency: u64,
+    link_deliveries: u64,
     /// Per node: current injection credits into its first switch.
     inj_credits: Vec<u32>,
-    /// Output-register stash per (switch, out port), flat like
-    /// `Wiring::out_wire`: absorbs flits while a serialising link is busy.
-    stash: Vec<VecDeque<Flit>>,
     /// Wakeup calendar over links.
     link_cal: Calendar,
     /// Switches currently holding flits or allocations.
@@ -309,26 +394,22 @@ pub struct Fabric {
     /// Idle switches with ≥ 1 output pinned by a locked sequence (they
     /// accrue lock-idle statistics every cycle, executed or skipped).
     locked: ActiveSet,
-    /// Switches with ≥ 1 stashed flit, plus per-switch flit counts.
-    stashed: ActiveSet,
-    stash_flits: Vec<usize>,
-    total_stashed: usize,
     /// Flits in flight on links (send minus deliver).
     in_flight: usize,
     delivered_flits: u64,
-    /// In-flight credit returns: due cycle → link indices, applied
-    /// by [`Fabric::apply_due_credits`] at the top of each SoC step.
-    /// Deliberately excluded from [`Fabric::is_idle`] and
-    /// [`Fabric::next_event_at`]: a pending credit only raises a counter
-    /// that nothing reads between steps, so applying it lazily at the
-    /// next executed step is observation-equivalent to applying it at
-    /// its due cycle (and any component that could consume it is itself
-    /// keeping the system non-idle).
+    /// In-flight credit returns, applied by [`Fabric::apply_due_credits`]
+    /// at the top of each SoC step. Deliberately excluded from
+    /// [`Fabric::is_idle`] and [`Fabric::next_event_at`]: a pending
+    /// credit only raises a counter that nothing reads between steps, so
+    /// applying it lazily at the next executed step is
+    /// observation-equivalent to applying it at its due cycle (and any
+    /// component that could consume it is itself keeping the system
+    /// non-idle).
     pending_credits: CreditRing,
     /// Tick-loop scratch (the links due this cycle, the per-switch tick
     /// result), reused so the hot path allocates nothing.
     due_links: ActiveSet,
-    tick_scratch: noc_transport::SwitchTick,
+    tick_scratch: SwitchTick,
 }
 
 impl Fabric {
@@ -343,14 +424,16 @@ impl Fabric {
     /// ejection links' CDC behaviour; switches run on the base clock.
     ///
     /// What never changes after construction — the routing rows of all
-    /// switches ([`RoutingTable::rows`]), the wiring, the credit-return
-    /// latencies — sits behind shared storage, so cloning the fabric (the
-    /// second network of a SoC, every snapshot) copies none of it; what
-    /// does change is two arrays per switch and a handful per fabric.
+    /// switches ([`RoutingTable::rows`]), the wiring, one [`LinkConfig`]
+    /// per distinct link class — sits behind shared storage, so cloning
+    /// the fabric (the second network of a SoC, every snapshot) copies
+    /// none of it; what does change is a fixed number of flat arrays of
+    /// plain records, plus one slab holding the flits.
     ///
     /// # Panics
     ///
-    /// Panics if `tables` does not cover every switch of `topology`.
+    /// Panics if `tables` does not cover every switch of `topology`, and
+    /// on a switch [`SwitchConfig::append_ports`] refuses.
     pub fn new(
         topology: &Topology,
         mode: SwitchMode,
@@ -371,47 +454,60 @@ impl Fabric {
         let matrix = (0..num_switches)
             .flat_map(|s| tables.switch_table(s).iter().map(|port| port.map(PortId)))
             .collect();
-        let mut switches: Vec<Switch> = RoutingTable::rows(matrix, num_nodes)
-            .zip(ports)
-            .map(|(table, ports)| {
-                let cfg = SwitchConfig {
-                    inputs: ports.inputs as usize,
-                    outputs: ports.outputs as usize,
-                    mode,
-                    buffer_depth,
-                };
-                Switch::new(cfg, table)
-            })
-            .collect();
         let out_base = offsets(ports.iter().map(|p| p.outputs as usize));
         let in_base = offsets(ports.iter().map(|p| p.inputs as usize));
+        let mut records = Records::spare();
+        let Records {
+            switches,
+            inputs,
+            outputs,
+            stashes,
+            links,
+        } = &mut records;
+        inputs.clear();
+        outputs.clear();
+        for p in ports {
+            let cfg = SwitchConfig {
+                inputs: p.inputs as usize,
+                outputs: p.outputs as usize,
+                mode,
+                buffer_depth,
+            };
+            cfg.append_ports(inputs, outputs);
+        }
         let num_links = topology.edges().len() + 2 * topology.attachments().len();
+        links.clear();
+        links.reserve(num_links);
         let mut wiring = Wiring {
-            ends: Vec::with_capacity(num_links),
-            link_wake: Vec::with_capacity(num_links),
-            credit_lat: Vec::with_capacity(num_links),
+            wires: Vec::with_capacity(num_links),
+            classes: Vec::new(),
             out_wire: vec![None; out_base[num_switches]],
             in_wire: vec![None; in_base[num_switches]],
             out_base,
             in_base,
             inj_link: vec![None; num_nodes],
+            routes: RoutingTable::rows(matrix, num_nodes).collect(),
+            mode,
         };
-        let mut links = Vec::with_capacity(num_links);
         let mut link_cal = Calendar::new();
-        // Adds a link and registers it with the wakeup calendar.
-        let mut add_link = |wiring: &mut Wiring, cfg: LinkConfig, src: LinkEnd, dst: LinkEnd| {
-            let idx = links.len();
-            // The credit-return wire is registered like the forward path:
-            // one base cycle of wire plus one source-clock cycle per
-            // forward pipeline stage.
-            wiring
-                .credit_lat
-                .push(1 + cfg.pipeline as u64 * cfg.src_divisor);
-            wiring.ends.push((src, dst));
-            links.push(Link::new(cfg));
+        // Adds a link of configuration `cfg` and registers it with the
+        // wakeup calendar.
+        let mut add_link = |wiring: &mut Wiring, cfg: LinkConfig, from: LinkEnd, to: LinkEnd| {
+            let idx = u32::try_from(wiring.wires.len()).expect("link count fits in u32");
+            let class = wiring
+                .classes
+                .iter()
+                .position(|c| *c == cfg)
+                .unwrap_or_else(|| {
+                    wiring.classes.push(cfg);
+                    wiring.classes.len() - 1
+                });
             let wake = link_cal.register();
-            debug_assert_eq!(wake.index(), idx);
-            wiring.link_wake.push(wake);
+            debug_assert_eq!(wake.index(), idx as usize);
+            wiring.wires.push(Wire { from, to, wake });
+            links.push(LinkState::new(
+                u32::try_from(class).expect("link classes fit in u32"),
+            ));
             idx
         };
         // Inter-switch links (base clock on both ends).
@@ -421,17 +517,18 @@ impl Fabric {
                 &mut wiring,
                 link_cfg,
                 LinkEnd::Switch {
-                    switch: e.from,
-                    port: from_port,
+                    switch: e.from as u32,
+                    port: e.from_port,
                 },
                 LinkEnd::Switch {
-                    switch: e.to,
-                    port: to_port,
+                    switch: e.to as u32,
+                    port: e.to_port,
                 },
             );
-            wiring.out_wire[wiring.out_base[e.from] + from_port] = Some(idx);
+            let out = wiring.out_base[e.from] + from_port;
+            wiring.out_wire[out] = Some(idx);
             wiring.in_wire[wiring.in_base[e.to] + to_port] = Some(idx);
-            switches[e.from].set_output_credits(from_port, buffer_depth as u32);
+            outputs[out].set_credits(buffer_depth as u32);
         }
         // Endpoint attachments: injection (endpoint → switch) and
         // ejection (switch → endpoint) links, with CDC per endpoint clock.
@@ -448,8 +545,8 @@ impl Fabric {
                 },
                 LinkEnd::Endpoint { node: a.node },
                 LinkEnd::Switch {
-                    switch: a.switch,
-                    port: in_port,
+                    switch: a.switch as u32,
+                    port: a.in_port,
                 },
             );
             wiring.in_wire[wiring.in_base[a.switch] + in_port] = Some(inj_idx);
@@ -463,54 +560,88 @@ impl Fabric {
                     ..endpoint_link_cfg
                 },
                 LinkEnd::Switch {
-                    switch: a.switch,
-                    port: out_port,
+                    switch: a.switch as u32,
+                    port: a.out_port,
                 },
                 LinkEnd::Endpoint { node: a.node },
             );
-            wiring.out_wire[wiring.out_base[a.switch] + out_port] = Some(ej_idx);
+            let out = wiring.out_base[a.switch] + out_port;
+            wiring.out_wire[out] = Some(ej_idx);
             // Endpoint ingress is unbounded (NIUs bound it by outstanding
             // transactions); give ejection ports ample credit.
-            switches[a.switch].set_output_credits(out_port, u32::MAX / 2);
+            outputs[out].set_credits(u32::MAX / 2);
         }
-        let max_credit_lat = wiring.credit_lat.iter().copied().max().unwrap_or(0);
+        switches.clear();
+        switches.resize(num_switches, SwitchState::default());
+        stashes.clear();
+        stashes.resize(outputs.len(), Queue::default());
+        let stashing = ActiveSet::with_capacity(outputs.len());
         Fabric {
-            stash: vec![VecDeque::new(); wiring.out_wire.len()],
+            slab: FlitSlab::new(),
+            records,
+            stats: SwitchStats::default(),
+            stashing,
+            link_latency: 0,
+            link_deliveries: 0,
             wiring: Arc::new(wiring),
-            switches,
             inj_credits,
             link_cal,
             busy: ActiveSet::with_capacity(num_switches),
             locked: ActiveSet::with_capacity(num_switches),
-            stashed: ActiveSet::with_capacity(num_switches),
-            stash_flits: vec![0; num_switches],
-            total_stashed: 0,
             in_flight: 0,
             delivered_flits: 0,
-            pending_credits: CreditRing::new(max_credit_lat),
-            due_links: ActiveSet::with_capacity(links.len()),
-            links,
-            tick_scratch: noc_transport::SwitchTick::default(),
+            pending_credits: CreditRing::new(),
+            due_links: ActiveSet::with_capacity(num_links),
+            tick_scratch: SwitchTick::default(),
         }
+    }
+
+    /// Switch `s`, borrowed out of the fabric's arrays.
+    #[inline(always)]
+    fn switch_mut(&mut self, s: usize) -> SwitchMut<'_> {
+        let wiring = &*self.wiring;
+        SwitchMut {
+            state: &mut self.records.switches[s],
+            stats: &mut self.stats,
+            inputs: &mut self.records.inputs[wiring.in_base[s]..wiring.in_base[s + 1]],
+            outputs: &mut self.records.outputs[wiring.out_base[s]..wiring.out_base[s + 1]],
+            slab: &mut self.slab,
+            table: &wiring.routes[s],
+            mode: wiring.mode,
+        }
+    }
+
+    /// Link `li`'s record, its class's configuration and the slab its
+    /// flits are in.
+    #[inline]
+    fn link_mut(&mut self, li: usize) -> (&mut LinkState, &LinkConfig, &mut FlitSlab) {
+        let link = &mut self.records.links[li];
+        let cfg = &self.wiring.classes[link.class() as usize];
+        (link, cfg, &mut self.slab)
+    }
+
+    /// Link `li`'s class configuration.
+    #[inline]
+    fn link_config(&self, li: usize) -> &LinkConfig {
+        &self.wiring.classes[self.records.links[li].class() as usize]
+    }
+
+    /// Returns `true` if link `li` can take a flit at cycle `now`.
+    #[inline]
+    fn can_send(&self, li: usize, now: u64) -> bool {
+        self.records.links[li].can_send(self.link_config(li), now)
     }
 
     /// Sends `flit` on link `li` and reschedules the link's arrival
     /// wakeup. Every send in the fabric funnels through here so no
     /// horizon change can escape the calendar.
     fn send_on_link(&mut self, li: usize, flit: Flit, now: u64) {
-        let link = &mut self.links[li];
-        link.send(flit, now).expect("can_send checked");
+        let (link, cfg, slab) = self.link_mut(li);
+        let latency = link.send(cfg, slab, flit, now).expect("can_send checked");
+        let next = link.next_event_at(cfg, slab, now);
         self.in_flight += 1;
-        let next = link.next_event_at(now);
-        self.link_cal.set(self.wiring.link_wake[li], next);
-    }
-
-    /// Stashes `flit` at flat output slot `slot` of switch `s`.
-    fn stash_push(&mut self, s: usize, slot: usize, flit: Flit) {
-        self.stash[slot].push_back(flit);
-        self.stash_flits[s] += 1;
-        self.total_stashed += 1;
-        self.stashed.insert(s);
+        self.link_latency += latency;
+        self.link_cal.set(self.wiring.wires[li].wake, next);
     }
 
     /// Marks a switch as holding work; it leaves the busy set when a
@@ -524,7 +655,7 @@ impl Fabric {
     pub fn can_inject(&self, node: u16, now: u64) -> bool {
         match self.wiring.inj_link.get(node as usize) {
             Some(&Some(link)) => {
-                self.inj_credits[node as usize] > 0 && self.links[link].can_send(now)
+                self.inj_credits[node as usize] > 0 && self.can_send(link as usize, now)
             }
             _ => false,
         }
@@ -536,7 +667,7 @@ impl Fabric {
     ///
     /// Panics if [`Fabric::can_inject`] is false (caller must check).
     pub fn inject(&mut self, node: u16, flit: Flit, now: u64) {
-        let link = self.wiring.inj_link[node as usize].expect("node attached to fabric");
+        let link = self.wiring.inj_link[node as usize].expect("node attached to fabric") as usize;
         let credits = &mut self.inj_credits[node as usize];
         assert!(*credits > 0, "injection without credit");
         *credits -= 1;
@@ -550,18 +681,22 @@ impl Fabric {
         // 1. Link deliveries into switches / endpoints. Only links whose
         // scheduled arrival is due can deliver; everything else provably
         // returns `None` this cycle (the calendar entry *is*
-        // `Link::next_event_at`, re-registered on every send/deliver).
-        // Ascending link order = the dense scan restricted to movers.
+        // `LinkState::next_event_at`, re-registered on every
+        // send/deliver). Ascending link order = the dense scan restricted
+        // to movers.
         let due = &mut self.due_links;
         self.link_cal.pop_due(now, |id| due.insert(id.index()));
         let mut next = self.due_links.next_from(0);
         while let Some(li) = next {
             next = self.due_links.next_from(li + 1);
-            if let Some(flit) = self.links[li].deliver(now) {
+            let (link, cfg, slab) = self.link_mut(li);
+            if let Some(flit) = link.deliver(cfg, slab, now) {
                 self.in_flight -= 1;
-                match self.wiring.ends[li].1 {
+                self.link_deliveries += 1;
+                match self.wiring.wires[li].to {
                     LinkEnd::Switch { switch, port } => {
-                        let ok = self.switches[switch].accept(port, flit);
+                        let switch = switch as usize;
+                        let ok = self.switch_mut(switch).accept(port.into(), flit);
                         assert!(ok, "credit flow control must prevent overflow");
                         self.mark_busy(switch);
                     }
@@ -571,8 +706,9 @@ impl Fabric {
                     }
                 }
             }
-            let at = self.links[li].next_event_at(now);
-            self.link_cal.set(self.wiring.link_wake[li], at);
+            let (link, cfg, slab) = self.link_mut(li);
+            let at = link.next_event_at(cfg, slab, now);
+            self.link_cal.set(self.wiring.wires[li].wake, at);
         }
         self.due_links.clear();
         // 1b. Idle switches pinned by locked sequences accrue their
@@ -581,29 +717,21 @@ impl Fabric {
         // (Switches that just turned busy in step 1 left the set and
         // will count it themselves in step 3.)
         for s in self.locked.iter() {
-            self.switches[s].skip_cycles(1);
+            self.records.switches[s].skip_cycles(1, &mut self.stats);
         }
-        // 2. Drain output stashes into links (stash-holding switches
-        // only).
-        let mut next = self.stashed.next_from(0);
-        while let Some(s) = next {
-            next = self.stashed.next_from(s + 1);
-            for slot in self.wiring.out_base[s]..self.wiring.out_base[s + 1] {
-                if self.stash[slot].is_empty() {
-                    continue;
+        // 2. Drain output stashes into links, in ascending port order —
+        // the order of a scan over every switch's every output.
+        let mut next = self.stashing.next_from(0);
+        while let Some(slot) = next {
+            next = self.stashing.next_from(slot + 1);
+            let li = self.wiring.out_wire[slot].expect("a stash feeds a link") as usize;
+            if self.can_send(li, now) {
+                let stash = &mut self.records.stashes[slot];
+                let (_, flit) = self.slab.pop(stash).expect("a stashing port holds flits");
+                if stash.is_empty() {
+                    self.stashing.remove(slot);
                 }
-                let Some(li) = self.wiring.out_wire[slot] else {
-                    continue;
-                };
-                if self.links[li].can_send(now) {
-                    let flit = self.stash[slot].pop_front().expect("checked non-empty");
-                    self.stash_flits[s] -= 1;
-                    self.total_stashed -= 1;
-                    if self.stash_flits[s] == 0 {
-                        self.stashed.remove(s);
-                    }
-                    self.send_on_link(li, flit, now);
-                }
+                self.send_on_link(li, flit, now);
             }
         }
         // 3. Switch cycles (busy switches only; an idle switch's tick
@@ -613,31 +741,34 @@ impl Fabric {
         let mut next = self.busy.next_from(0);
         while let Some(s) = next {
             next = self.busy.next_from(s + 1);
-            self.switches[s].tick_into(&mut tick);
+            self.switch_mut(s).tick_into(&mut tick);
             for (port, flit) in tick.sent.drain(..) {
                 let slot = self.wiring.out_base[s] + port.index();
                 let Some(li) = self.wiring.out_wire[slot] else {
                     continue; // unreachable: every routed port is wired
                 };
-                if self.stash[slot].is_empty() && self.links[li].can_send(now) {
+                let li = li as usize;
+                if self.records.stashes[slot].is_empty() && self.can_send(li, now) {
                     self.send_on_link(li, flit, now);
                 } else {
-                    self.stash_push(s, slot, flit);
+                    self.slab.push(&mut self.records.stashes[slot], 0, flit);
+                    self.stashing.insert(slot);
                 }
             }
             // 4. Credit returns to upstream, registered onto the return
-            // wire: visible to the sender `credit_lat` cycles from now
-            // (applied by [`Fabric::apply_due_credits`]), never within
-            // this cycle.
+            // wire: visible to the sender `credit_latency` cycles from
+            // now (applied by [`Fabric::apply_due_credits`]), never
+            // within this cycle.
             for input in tick.credits_released.drain(..) {
                 let li = self.wiring.in_wire[self.wiring.in_base[s] + input]
                     .expect("every switch input is wired");
-                self.pending_credits
-                    .push(now + self.wiring.credit_lat[li], li as u32);
+                let latency = credit_latency(self.link_config(li as usize));
+                self.pending_credits.push(now, latency, li);
             }
-            if self.switches[s].is_idle() {
+            let switch = &self.records.switches[s];
+            if switch.is_idle() {
                 self.busy.remove(s);
-                if self.switches[s].has_locked_output() {
+                if switch.has_locked_output() {
                     self.locked.insert(s);
                 }
             }
@@ -651,10 +782,12 @@ impl Fabric {
     /// cycle `d` is visible to everything that executes at `d` — and to
     /// nothing earlier.
     pub(crate) fn apply_due_credits(&mut self, now: u64) {
+        let wiring = &*self.wiring;
         self.pending_credits
-            .drain_due(now, |li| match self.wiring.ends[li as usize].0 {
+            .drain_due(now, |li| match wiring.wires[li as usize].from {
                 LinkEnd::Switch { switch, port } => {
-                    self.switches[switch].add_output_credit(port);
+                    self.records.outputs[wiring.out_base[switch as usize] + usize::from(port)]
+                        .add_credit();
                 }
                 LinkEnd::Endpoint { node } => self.inj_credits[node as usize] += 1,
             });
@@ -664,7 +797,7 @@ impl Fabric {
     /// credit returns deliberately don't count (see the
     /// `pending_credits` field).
     pub fn is_idle(&self) -> bool {
-        self.busy.is_empty() && self.total_stashed == 0 && self.in_flight == 0
+        self.busy.is_empty() && self.stashing.is_empty() && self.in_flight == 0
     }
 
     /// The fabric's event horizon: the earliest base cycle at or after
@@ -680,7 +813,7 @@ impl Fabric {
     /// their per-cycle lock-idle statistics are bulk-accounted by
     /// [`Fabric::skip_cycles`] and [`Fabric::tick`].
     pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        if !self.busy.is_empty() || self.total_stashed > 0 {
+        if !self.busy.is_empty() || !self.stashing.is_empty() {
             return Some(now);
         }
         // A stale calendar minimum is never later than the true earliest
@@ -691,16 +824,16 @@ impl Fabric {
 
     /// Accounts `cycles` skipped fabric ticks: forwards the bulk
     /// lock-idle accounting to every idle switch still pinned by a
-    /// locked sequence (see [`Switch::skip_cycles`]). Links and stashes
-    /// need nothing — their state is timestamped, not counted per cycle
-    /// — and unpinned idle switches have nothing to count.
+    /// locked sequence (see [`SwitchState::skip_cycles`]). Links and
+    /// stashes need nothing — their state is timestamped, not counted
+    /// per cycle — and unpinned idle switches have nothing to count.
     ///
     /// Callers must only skip cycles [`Fabric::next_event_at`] proved
     /// dead.
     pub fn skip_cycles(&mut self, cycles: u64) {
         debug_assert!(self.busy.is_empty(), "skipping a fabric holding flits");
         for s in self.locked.iter() {
-            self.switches[s].skip_cycles(cycles);
+            self.records.switches[s].skip_cycles(cycles, &mut self.stats);
         }
     }
 
@@ -711,17 +844,8 @@ impl Fabric {
     }
 
     /// Aggregate switch statistics.
-    pub fn stats(&self) -> noc_transport::SwitchStats {
-        let mut total = noc_transport::SwitchStats::default();
-        for s in &self.switches {
-            let st = s.stats();
-            total.flits_forwarded += st.flits_forwarded;
-            total.packets_forwarded += st.packets_forwarded;
-            total.credit_stalls += st.credit_stalls;
-            total.arbitration_conflicts += st.arbitration_conflicts;
-            total.lock_idle_cycles += st.lock_idle_cycles;
-        }
-        total
+    pub fn stats(&self) -> SwitchStats {
+        self.stats
     }
 
     /// Total flits delivered to endpoints.
@@ -731,31 +855,122 @@ impl Fabric {
 
     /// Number of switches.
     pub fn num_switches(&self) -> usize {
-        self.switches.len()
+        self.records.switches.len()
     }
 
-    /// Mean link latency across all links that delivered flits.
+    /// Mean link latency in base cycles: the latencies of the flits sent
+    /// on the fabric's links over their deliveries (0 before the first
+    /// delivery). On a drained fabric every flit sent was delivered.
     pub fn mean_link_latency(&self) -> f64 {
-        let (mut sum, mut n) = (0.0, 0u64);
-        for link in &self.links {
-            if link.delivered() > 0 {
-                sum += link.mean_latency() * link.delivered() as f64;
-                n += link.delivered();
-            }
-        }
-        if n == 0 {
+        if self.link_deliveries == 0 {
             0.0
         } else {
-            sum / n as f64
+            self.link_latency as f64 / self.link_deliveries as f64
         }
+    }
+}
+
+/// A fabric's switch, port, stash and link records: the arrays whose
+/// size scales with the platform. Cloning a set fills a spare one, and
+/// dropping one keeps it as a spare, on the same thread, for the next
+/// build or clone there.
+///
+/// On a large platform each array is tens to hundreds of kilobytes, and
+/// glibc hands memory that large back to the kernel when it is freed (a
+/// mapping of its own, or a trim of the heap top). Building a platform
+/// again then faults every page back in: ≈ 250 minor faults per build of
+/// the 32x32 corpus mesh and ≈ 210 per snapshot, measured on a 2-core
+/// VM — more time than the copies. Filling a spare set with `clone_from`
+/// or `resize` reuses pages that are already mapped. A thread keeps at
+/// most [`Records::SPARES`] sets and [`Records::SPARE_BYTES`] in all, so
+/// what a run of small platforms after a large one holds on to is
+/// bounded.
+#[derive(Default)]
+struct Records {
+    /// Per switch: its own record (active port sets, lock counts).
+    switches: Vec<SwitchState>,
+    /// Per switch input port, flat like `Wiring::in_wire`.
+    inputs: Vec<InputPort>,
+    /// Per switch output port, flat like `Wiring::out_wire`.
+    outputs: Vec<OutputPort>,
+    /// Per switch output port, flat like `outputs`: its output-register
+    /// stash, which holds the flits the switch sent while the port's link
+    /// could not take them (its serialiser busy, or its in-flight
+    /// capacity reached).
+    stashes: Vec<Queue>,
+    /// Per link: its state record.
+    links: Vec<LinkState>,
+}
+
+thread_local! {
+    static SPARES: RefCell<Vec<Records>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Records {
+    /// Sets kept per thread: a simulation, a checkpoint and a fork of it
+    /// hold two fabrics each.
+    const SPARES: usize = 8;
+    /// Bytes kept per thread across all sets.
+    const SPARE_BYTES: usize = 16 << 20;
+
+    /// A kept set (contents stale), or empty arrays.
+    fn spare() -> Records {
+        SPARES
+            .try_with(|spares| spares.borrow_mut().pop())
+            .ok()
+            .flatten()
+            .unwrap_or_default()
+    }
+
+    fn bytes(&self) -> usize {
+        fn of<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        of(&self.switches)
+            + of(&self.inputs)
+            + of(&self.outputs)
+            + of(&self.stashes)
+            + of(&self.links)
+    }
+}
+
+impl Clone for Records {
+    fn clone(&self) -> Self {
+        let mut copy = Records::spare();
+        copy.switches.clone_from(&self.switches);
+        copy.inputs.clone_from(&self.inputs);
+        copy.outputs.clone_from(&self.outputs);
+        copy.stashes.clone_from(&self.stashes);
+        copy.links.clone_from(&self.links);
+        copy
+    }
+}
+
+impl Drop for Records {
+    /// Keeps the arrays as a spare set if the thread has room; frees them
+    /// otherwise (and during thread teardown, when the spares are gone).
+    fn drop(&mut self) {
+        let _ = SPARES.try_with(|spares| {
+            let mut spares = spares.borrow_mut();
+            let kept: usize = spares.iter().map(Records::bytes).sum();
+            if spares.len() < Records::SPARES && kept + self.bytes() <= Records::SPARE_BYTES {
+                spares.push(Records {
+                    switches: std::mem::take(&mut self.switches),
+                    inputs: std::mem::take(&mut self.inputs),
+                    outputs: std::mem::take(&mut self.outputs),
+                    stashes: std::mem::take(&mut self.stashes),
+                    links: std::mem::take(&mut self.links),
+                });
+            }
+        });
     }
 }
 
 impl std::fmt::Debug for Fabric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fabric")
-            .field("switches", &self.switches.len())
-            .field("links", &self.links.len())
+            .field("switches", &self.records.switches.len())
+            .field("links", &self.records.links.len())
             .field("idle", &self.is_idle())
             .finish()
     }

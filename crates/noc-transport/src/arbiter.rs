@@ -38,9 +38,11 @@ pub trait Arbiter {
 /// // higher pressure wins outright
 /// assert_eq!(arb.pick(&[Some(0), Some(3)]), Some(1));
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RoundRobinArbiter {
-    last: Option<usize>,
+    /// The last winner: a port index, so a `u32` (a switch output holds
+    /// one arbiter, and a fabric thousands).
+    last: Option<u32>,
     grants: u64,
 }
 
@@ -55,12 +57,16 @@ impl RoundRobinArbiter {
         self.grants
     }
 
+    fn index(winner: usize) -> u32 {
+        u32::try_from(winner).expect("requester index fits in u32")
+    }
+
     /// Grants `winner`, the only requester: exactly what
     /// [`Arbiter::pick`] does when `winner` holds the one `Some` of its
     /// input, pointer and grant count included, without building the
     /// input.
     pub(crate) fn grant_sole(&mut self, winner: usize) {
-        self.last = Some(winner);
+        self.last = Some(Self::index(winner));
         self.grants += 1;
     }
 }
@@ -70,11 +76,11 @@ impl Arbiter for RoundRobinArbiter {
         let top = requests.iter().flatten().max()?;
         let n = requests.len();
         // Rotate starting just after the last winner (from 0 when fresh).
-        let start = self.last.map_or(0, |l| l + 1);
+        let start = self.last.map_or(0, |l| l as usize + 1);
         let winner = (0..n)
             .map(|k| (start + k) % n)
             .find(|&i| requests[i] == Some(*top))?;
-        self.last = Some(winner);
+        self.last = Some(Self::index(winner));
         self.grants += 1;
         Some(winner)
     }

@@ -1,35 +1,45 @@
-//! Bounded flit FIFOs — the input buffers of switches and NIUs, and the
-//! unit of credit-based flow control.
+//! Bounded flit FIFOs — the input buffers of switches, and the unit of
+//! credit-based flow control.
+//!
+//! A FIFO does not own its flits. It is a small record — a [`Queue`]
+//! handle, its bound and its count of whole packets — over a
+//! [`FlitSlab`] that its owner keeps: a fabric keeps one slab for every
+//! flit it holds (input FIFOs, output stashes, links), so its thousands
+//! of buffers cost bytes in its port arrays, not a heap object each, and
+//! their storage grows with the flits held, not with their depth.
 
 use crate::flit::Flit;
-use std::collections::VecDeque;
+use noc_kernel::{Queue, Slab};
 use std::fmt;
 
-/// A bounded FIFO of flits.
+/// The store the flits of [`FlitFifo`]s (and of links and stashes) live in.
+pub type FlitSlab = Slab<Flit>;
+
+/// A bounded FIFO of flits, held in a [`FlitSlab`].
 ///
 /// Besides capacity it tracks the number of buffered *complete packets*
 /// (tails seen minus tails consumed), which store-and-forward switches use
 /// to forward only whole packets.
 ///
-/// The backing store is allocated by the first push, not by `new`: a
-/// large fabric builds thousands of input buffers and a sparse run
-/// touches few of them.
+/// Every operation that reads or moves flits takes the slab; a FIFO is
+/// only meaningful with the slab its flits were pushed into.
 ///
 /// # Examples
 ///
 /// ```
-/// use noc_transport::{Flit, FlitFifo, Header};
+/// use noc_transport::{Flit, FlitFifo, FlitSlab, Header};
+/// let mut slab = FlitSlab::new();
 /// let mut fifo = FlitFifo::new(4);
-/// assert!(fifo.push(Flit::head_tail(0, Header::request(1, 0, 0))));
+/// assert!(fifo.push(&mut slab, Flit::head_tail(0, Header::request(1, 0, 0))));
 /// assert_eq!(fifo.complete_packets(), 1);
-/// assert!(fifo.pop().is_some());
+/// assert!(fifo.pop(&mut slab).is_some());
 /// assert!(fifo.is_empty());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct FlitFifo {
-    flits: VecDeque<Flit>,
-    capacity: usize,
-    complete_packets: usize,
+    flits: Queue,
+    capacity: u32,
+    complete_packets: u32,
 }
 
 impl FlitFifo {
@@ -37,19 +47,19 @@ impl FlitFifo {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity` is zero.
+    /// Panics if `capacity` is zero or does not fit in a `u32`.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "fifo capacity must be non-zero");
         FlitFifo {
-            flits: VecDeque::new(),
-            capacity,
+            flits: Queue::default(),
+            capacity: u32::try_from(capacity).expect("fifo capacity fits in u32"),
             complete_packets: 0,
         }
     }
 
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.capacity as usize
     }
 
     /// Flits currently buffered.
@@ -64,46 +74,44 @@ impl FlitFifo {
 
     /// Returns `true` when the FIFO cannot accept another flit.
     pub fn is_full(&self) -> bool {
-        self.flits.len() >= self.capacity
+        self.len() >= self.capacity()
     }
 
     /// Free slots (the credits this buffer grants upstream).
     pub fn free(&self) -> usize {
-        self.capacity - self.flits.len()
+        self.capacity() - self.len()
     }
 
     /// Number of whole packets buffered (tail flits present).
     pub fn complete_packets(&self) -> usize {
-        self.complete_packets
+        self.complete_packets as usize
     }
 
-    /// Pushes a flit; returns `false` (and drops nothing) when full —
-    /// callers must only push when credits say there is space, so a
-    /// `false` return indicates a flow-control bug upstream.
-    pub fn push(&mut self, flit: Flit) -> bool {
+    /// Pushes a flit into `slab`; returns `false` (and drops nothing) when
+    /// full — callers must only push when credits say there is space, so
+    /// a `false` return indicates a flow-control bug upstream.
+    #[inline]
+    pub fn push(&mut self, slab: &mut FlitSlab, flit: Flit) -> bool {
         if self.is_full() {
             return false;
         }
         if flit.is_tail() {
             self.complete_packets += 1;
         }
-        // One allocation covers the bound — also for a clone taken
-        // mid-run, whose store is only as large as what it held.
-        if self.flits.capacity() < self.capacity {
-            self.flits.reserve_exact(self.capacity - self.flits.len());
-        }
-        self.flits.push_back(flit);
+        slab.push(&mut self.flits, 0, flit);
         true
     }
 
     /// The flit at the head, if any.
-    pub fn peek(&self) -> Option<&Flit> {
-        self.flits.front()
+    #[inline]
+    pub fn peek<'s>(&self, slab: &'s FlitSlab) -> Option<&'s Flit> {
+        slab.front(&self.flits).map(|(_, flit)| flit)
     }
 
     /// Pops the head flit.
-    pub fn pop(&mut self) -> Option<Flit> {
-        let flit = self.flits.pop_front()?;
+    #[inline]
+    pub fn pop(&mut self, slab: &mut FlitSlab) -> Option<Flit> {
+        let (_, flit) = slab.pop(&mut self.flits)?;
         if flit.is_tail() {
             self.complete_packets -= 1;
         }
@@ -116,7 +124,7 @@ impl fmt::Display for FlitFifo {
         write!(
             f,
             "fifo {}/{} ({} pkts)",
-            self.flits.len(),
+            self.len(),
             self.capacity,
             self.complete_packets
         )
@@ -134,19 +142,21 @@ mod tests {
 
     #[test]
     fn push_pop_fifo_order() {
+        let mut s = FlitSlab::new();
         let mut f = FlitFifo::new(3);
-        f.push(ht(1));
-        f.push(ht(2));
-        assert_eq!(f.pop().unwrap().packet_id(), 1);
-        assert_eq!(f.pop().unwrap().packet_id(), 2);
-        assert!(f.pop().is_none());
+        f.push(&mut s, ht(1));
+        f.push(&mut s, ht(2));
+        assert_eq!(f.pop(&mut s).unwrap().packet_id(), 1);
+        assert_eq!(f.pop(&mut s).unwrap().packet_id(), 2);
+        assert!(f.pop(&mut s).is_none());
     }
 
     #[test]
     fn full_rejects_push() {
+        let mut s = FlitSlab::new();
         let mut f = FlitFifo::new(1);
-        assert!(f.push(ht(1)));
-        assert!(!f.push(ht(2)));
+        assert!(f.push(&mut s, ht(1)));
+        assert!(!f.push(&mut s, ht(2)));
         assert_eq!(f.len(), 1);
         assert!(f.is_full());
         assert_eq!(f.free(), 0);
@@ -154,56 +164,62 @@ mod tests {
 
     #[test]
     fn complete_packet_tracking() {
+        let mut s = FlitSlab::new();
         let mut f = FlitFifo::new(8);
         let h = Header::request(0, 0, 0);
-        f.push(Flit::head(1, h, vec![0, 0]));
-        f.push(Flit::body(1, 1));
+        f.push(&mut s, Flit::head(1, h, vec![0, 0]));
+        f.push(&mut s, Flit::body(1, 1));
         assert_eq!(f.complete_packets(), 0);
-        f.push(Flit::tail(1, 1));
+        f.push(&mut s, Flit::tail(1, 1));
         assert_eq!(f.complete_packets(), 1);
-        f.push(ht(2));
+        f.push(&mut s, ht(2));
         assert_eq!(f.complete_packets(), 2);
         // draining first packet decrements only at its tail
-        f.pop();
-        f.pop();
+        f.pop(&mut s);
+        f.pop(&mut s);
         assert_eq!(f.complete_packets(), 2);
-        f.pop();
+        f.pop(&mut s);
         assert_eq!(f.complete_packets(), 1);
     }
 
     #[test]
     fn bounds_hold_while_the_store_is_allocated_on_first_push() {
+        // Declaring a deep FIFO reserves nothing: storage is the slab's,
+        // and it grows with the flits held, not with the bound.
+        let mut s = FlitSlab::new();
+        let mut deep = FlitFifo::new(1 << 20);
+        assert_eq!((s.slots(), deep.free()), (0, 1 << 20));
+        assert!(deep.push(&mut s, ht(1)) && deep.push(&mut s, ht(2)));
+        assert_eq!(s.slots(), 2, "two flits, two nodes");
         let mut f = FlitFifo::new(3);
-        assert_eq!(f.flits.capacity(), 0, "nothing reserved before use");
         assert_eq!((f.capacity(), f.free()), (3, 3));
         assert!(!f.is_full() && f.is_empty());
-        assert!(f.push(ht(1)));
-        assert!(f.flits.capacity() >= 3, "one allocation covers the bound");
-        assert!(f.push(ht(2)) && f.push(ht(3)));
+        assert!(f.push(&mut s, ht(1)) && f.push(&mut s, ht(2)) && f.push(&mut s, ht(3)));
         assert!(f.is_full());
-        assert!(!f.push(ht(4)), "the declared capacity still bounds pushes");
+        assert!(
+            !f.push(&mut s, ht(4)),
+            "the declared capacity still bounds pushes"
+        );
         assert_eq!((f.len(), f.free()), (3, 0));
-        // A snapshot taken mid-run regrows once, not by doubling.
-        let mut h = FlitFifo::new(8);
-        assert!(h.push(ht(1)) && h.push(ht(2)));
-        let mut h = h.clone();
-        assert!(h.push(ht(3)));
-        let store = h.flits.capacity();
-        assert!(store >= 8, "the first push after a clone covers the bound");
-        while h.push(ht(4)) {}
-        assert_eq!((h.len(), h.flits.capacity()), (8, store));
-        // A snapshot of a drained FIFO keeps the bound.
-        while f.pop().is_some() {}
-        let mut g = f.clone();
+        // Popped nodes are reused: refilling allocates no new ones.
+        while deep.pop(&mut s).is_some() {}
+        while f.pop(&mut s).is_some() {}
+        assert!(f.push(&mut s, ht(5)) && deep.push(&mut s, ht(6)));
+        assert_eq!(s.slots(), 5);
+        // A copy of a drained FIFO (a snapshot) keeps the bound.
+        assert_eq!(f.pop(&mut s).map(|flit| flit.packet_id()), Some(5));
+        let mut g = f;
         assert_eq!(g.capacity(), 3);
-        assert!(g.push(ht(5)) && g.push(ht(6)) && g.push(ht(7)) && !g.push(ht(8)));
+        assert!(g.push(&mut s, ht(5)) && g.push(&mut s, ht(6)) && g.push(&mut s, ht(7)));
+        assert!(!g.push(&mut s, ht(8)));
     }
 
     #[test]
     fn peek_does_not_consume() {
+        let mut s = FlitSlab::new();
         let mut f = FlitFifo::new(2);
-        f.push(ht(9));
-        assert_eq!(f.peek().unwrap().packet_id(), 9);
+        f.push(&mut s, ht(9));
+        assert_eq!(f.peek(&s).unwrap().packet_id(), 9);
         assert_eq!(f.len(), 1);
     }
 
@@ -215,8 +231,9 @@ mod tests {
 
     #[test]
     fn display() {
+        let mut s = FlitSlab::new();
         let mut f = FlitFifo::new(2);
-        f.push(ht(0));
+        f.push(&mut s, ht(0));
         assert_eq!(f.to_string(), "fifo 1/2 (1 pkts)");
     }
 }

@@ -44,8 +44,11 @@ pub mod routing;
 pub mod switch;
 
 pub use arbiter::{Arbiter, RoundRobinArbiter};
-pub use buffer::FlitFifo;
+pub use buffer::{FlitFifo, FlitSlab};
 pub use flit::{Direction, Flit, FlitType, Header, LOCKED_BIT, MAX_PRESSURE};
 pub use packet::{IntoFlits, Packet, PacketAssembler, ReassemblyError};
 pub use routing::{PortId, RouteError, RoutingTable};
-pub use switch::{Switch, SwitchConfig, SwitchMode, SwitchStats, SwitchTick};
+pub use switch::{
+    InputPort, OutputPort, Switch, SwitchConfig, SwitchMode, SwitchMut, SwitchState, SwitchStats,
+    SwitchTick,
+};

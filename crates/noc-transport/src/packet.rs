@@ -272,11 +272,6 @@ impl PacketAssembler {
         PacketAssembler::default()
     }
 
-    /// Returns `true` if a packet is partially assembled.
-    pub fn in_progress(&self) -> bool {
-        self.open.is_some()
-    }
-
     /// Feeds one flit; returns the completed packet on tail.
     ///
     /// # Errors
@@ -429,11 +424,17 @@ mod tests {
     #[test]
     fn assembler_in_progress_state() {
         let mut asm = PacketAssembler::new();
-        assert!(!asm.in_progress());
+        // Idle: a payload flit has no packet to join.
+        assert_eq!(asm.push(Flit::body(1, 1)), Err(ReassemblyError::OrphanFlit));
         asm.push(Flit::head(1, hdr(), vec![0])).unwrap();
-        assert!(asm.in_progress());
-        asm.push(Flit::tail(1, 1)).unwrap();
-        assert!(!asm.in_progress());
+        // In progress: a second head is refused.
+        assert_eq!(
+            asm.push(Flit::head(2, hdr(), vec![0])),
+            Err(ReassemblyError::UnexpectedHead)
+        );
+        assert!(asm.push(Flit::tail(1, 1)).unwrap().is_some());
+        // Idle again.
+        assert_eq!(asm.push(Flit::body(1, 1)), Err(ReassemblyError::OrphanFlit));
     }
 
     #[test]
@@ -461,7 +462,6 @@ mod tests {
             })
         );
         // ...and the packet in progress still completes.
-        assert!(asm.in_progress());
         assert_eq!(asm.push(flits.next().unwrap()), Ok(Some(p)));
     }
 

@@ -161,15 +161,6 @@ impl RoutingTable {
             .flatten()
             .ok_or(RouteError { dst })
     }
-
-    /// Destinations that have routes, in ascending order.
-    pub fn mapped_destinations(&self) -> Vec<u16> {
-        self.row()
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.map(|_| i as u16))
-            .collect()
-    }
 }
 
 /// Tables are equal when they route alike, wherever their rows are stored.
@@ -228,7 +219,8 @@ mod tests {
         assert_eq!(rows[0].lookup(0), Ok(PortId(0)));
         assert_eq!(rows[1].lookup(1), Ok(PortId(1)));
         assert_eq!(rows[1].lookup(2), Err(RouteError { dst: 2 }), "a row ends");
-        assert_eq!((rows[2].len(), rows[2].mapped_destinations()), (2, vec![]));
+        assert_eq!(rows[2].len(), 2);
+        assert!(rows[2].lookup(0).is_err() && rows[2].lookup(1).is_err());
         // Editing one row leaves its neighbours' storage alone.
         rows[1].set(0, PortId(4));
         assert_eq!(rows[1].lookup(0), Ok(PortId(4)));
@@ -247,7 +239,8 @@ mod tests {
         let mut t = RoutingTable::new(10);
         t.set(7, PortId(0));
         t.set(2, PortId(0));
-        assert_eq!(t.mapped_destinations(), vec![2, 7]);
+        let mapped: Vec<u16> = (0..10).filter(|&d| t.lookup(d).is_ok()).collect();
+        assert_eq!(mapped, vec![2, 7]);
     }
 
     #[test]

@@ -17,9 +17,20 @@
 //! it uses stays pinned to the owning input, stalling all other traffic to
 //! that output — the measurable transport-level cost of READEX/LOCK that
 //! motivated the exclusive-access service bit.
+//!
+//! # Where a switch's state lives
+//!
+//! A switch is plain records: one [`SwitchState`] (counters, the active
+//! port sets, lock counts), one [`InputPort`] per input (a FIFO handle)
+//! and one [`OutputPort`] per output, with every buffered flit in a
+//! [`FlitSlab`] and the routing row beside them. A fabric keeps the
+//! records of all its switches in per-fabric arrays and one slab, and
+//! ticks switch `s` through a [`SwitchMut`] borrowing its slices of them;
+//! a standalone [`Switch`] owns a one-switch set of the same records and
+//! goes through the same [`SwitchMut`]. There is one switch model.
 
 use crate::arbiter::{Arbiter, RoundRobinArbiter};
-use crate::buffer::FlitFifo;
+use crate::buffer::{FlitFifo, FlitSlab};
 use crate::flit::Flit;
 use crate::routing::{PortId, RoutingTable};
 use std::fmt;
@@ -65,17 +76,6 @@ impl SwitchConfig {
             outputs,
             mode: SwitchMode::Wormhole,
             buffer_depth: 4,
-        }
-    }
-
-    /// A store-and-forward switch with buffers sized for `max_packet`
-    /// flits.
-    pub fn store_and_forward(inputs: usize, outputs: usize, max_packet: usize) -> Self {
-        SwitchConfig {
-            inputs,
-            outputs,
-            mode: SwitchMode::StoreAndForward,
-            buffer_depth: max_packet,
         }
     }
 
@@ -216,165 +216,51 @@ impl Iterator for Bits {
     }
 }
 
-/// An input-buffered NoC switch.
-///
-/// A cycle costs what its events cost, not what its port count costs.
-/// Besides one record per port, the switch keeps three things up to date
-/// as flits arrive, win an output and leave:
+/// One switch's own record in a fabric: the three things it keeps up to
+/// date as flits arrive, win an output and leave, so a cycle costs what
+/// its events cost, not what its port count costs:
 ///
 /// - the **waiting** inputs — holding flits but no output — which
-///   [`Switch::accept`], a grant and a tail that leaves flits behind
+///   [`SwitchMut::accept`], a grant and a tail that leaves flits behind
 ///   update, and which are the only inputs allocation reads;
 /// - the **streaming** outputs — whose owner is mid-packet — which a
 ///   grant and a tail update, and which are the only outputs forwarding
 ///   reads;
 /// - the number of outputs pinned by a locked sequence, and how many of
-///   those sit between packets: [`Switch::has_locked_output`],
-///   [`Switch::skip_cycles`] and the per-cycle
+///   those sit between packets: [`SwitchState::has_locked_output`],
+///   [`SwitchState::skip_cycles`] and the per-cycle
 ///   [`SwitchStats::lock_idle_cycles`] read the counts instead of
 ///   scanning the outputs.
 ///
-/// Both sets are inline bitmaps over the 256 ports a [`PortId`] can
-/// name, so a switch is still two heap arrays however many ports it has.
-///
-/// # Examples
-///
-/// A 2×2 switch delivering one single-flit packet:
-///
-/// ```
-/// use noc_transport::{Flit, Header, PortId, RoutingTable, Switch, SwitchConfig};
-/// let mut table = RoutingTable::new(4);
-/// table.set(3, PortId(1));
-/// let mut sw = Switch::new(SwitchConfig::wormhole(2, 2), table);
-/// sw.set_output_credits(1, 4);
-/// assert!(sw.accept(0, Flit::head_tail(0, Header::request(3, 0, 0))));
-/// let tick = sw.tick();
-/// assert_eq!(tick.sent.len(), 1);
-/// assert_eq!(tick.sent[0].0, PortId(1));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Switch {
-    config: SwitchConfig,
-    table: RoutingTable,
-    /// Per-port state, one record per port: a switch is two arrays,
-    /// however many ports it has.
-    inputs: Vec<InputPort>,
-    outputs: Vec<OutputPort>,
-    stats: SwitchStats,
+/// Both sets are inline bitmaps over the 256 ports a [`PortId`] can name.
+/// The ports themselves are [`InputPort`] and [`OutputPort`] records in
+/// the owner's arrays, their flits sit in the owner's [`FlitSlab`], and
+/// the counters add up in the [`SwitchStats`] the owner passes (a fabric
+/// keeps one for all its switches: nothing reads one switch's counters,
+/// and every byte here is copied by every fork). Nothing here is a heap
+/// object, so a fabric's switches are one array of these records.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SwitchState {
     /// Flits buffered across all inputs: zero with no output streaming
-    /// is [`Switch::is_idle`], without scanning.
-    buffered: usize,
+    /// is [`SwitchState::is_idle`], without scanning.
+    buffered: u32,
+    /// Outputs pinned by a locked sequence.
+    locked: u32,
+    /// Pinned outputs whose owner is between packets: each counts one
+    /// lock-idle cycle per cycle it is not granted again.
+    locked_idle: u32,
     /// Inputs holding flits but no output.
     waiting: PortSet,
     /// Outputs whose owner is mid-packet.
     streaming: PortSet,
-    /// Outputs pinned by a locked sequence.
-    locked: usize,
-    /// Pinned outputs whose owner is between packets: each counts one
-    /// lock-idle cycle per cycle it is not granted again.
-    locked_idle: usize,
 }
 
-#[derive(Debug, Clone)]
-struct InputPort {
-    fifo: FlitFifo,
-    /// Whether this input's in-flight packet owns an output.
-    allocated: bool,
-    /// Whether the in-flight packet releases a lock at its tail.
-    lock_release: bool,
-}
-
-#[derive(Debug, Clone, Default)]
-struct OutputPort {
-    /// Which input owns this output (persists across packets while
-    /// locked).
-    owner: Option<u8>,
-    /// Lock pinning: the input this output is reserved for across packets.
-    lock: Option<u8>,
-    credits: u32,
-    arbiter: RoundRobinArbiter,
-}
-
-impl Switch {
-    /// Creates a switch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero-port or zero-buffer configuration, and on more
-    /// than 256 ports a side: a [`PortId`] is a `u8`.
-    pub fn new(config: SwitchConfig, table: RoutingTable) -> Self {
-        assert!(config.inputs > 0, "switch needs at least one input");
-        assert!(config.outputs > 0, "switch needs at least one output");
-        assert!(config.buffer_depth > 0, "switch needs buffering");
-        assert!(
-            config.inputs <= PortSet::CAPACITY && config.outputs <= PortSet::CAPACITY,
-            "a switch has at most {} ports a side, not {}x{}",
-            PortSet::CAPACITY,
-            config.inputs,
-            config.outputs
-        );
-        Switch {
-            inputs: (0..config.inputs)
-                .map(|_| InputPort {
-                    fifo: FlitFifo::new(config.buffer_depth),
-                    allocated: false,
-                    lock_release: false,
-                })
-                .collect(),
-            outputs: (0..config.outputs).map(|_| OutputPort::default()).collect(),
-            config,
-            table,
-            stats: SwitchStats::default(),
-            buffered: 0,
-            waiting: PortSet::default(),
-            streaming: PortSet::default(),
-            locked: 0,
-            locked_idle: 0,
-        }
-    }
-
-    /// The switch configuration.
-    pub fn config(&self) -> &SwitchConfig {
-        &self.config
-    }
-
-    /// Performance counters.
-    pub fn stats(&self) -> &SwitchStats {
-        &self.stats
-    }
-
-    /// Returns `true` if input `port` can accept a flit this cycle.
-    pub fn can_accept(&self, port: usize) -> bool {
-        !self.inputs[port].fifo.is_full()
-    }
-
-    /// Pushes a flit into input `port`. Returns `false` when the buffer is
-    /// full (a flow-control violation by the caller).
-    pub fn accept(&mut self, port: usize, flit: Flit) -> bool {
-        let input = &mut self.inputs[port];
-        let accepted = input.fifo.push(flit);
-        self.buffered += usize::from(accepted);
-        if accepted && !input.allocated {
-            self.waiting.insert(port);
-        }
-        accepted
-    }
-
-    /// Sets the credit count of output `port` (downstream buffer space).
-    pub fn set_output_credits(&mut self, port: usize, credits: u32) {
-        self.outputs[port].credits = credits;
-    }
-
-    /// Returns one credit to output `port` (downstream freed a slot).
-    pub fn add_output_credit(&mut self, port: usize) {
-        self.outputs[port].credits += 1;
-    }
-
+impl SwitchState {
     /// Returns `true` if any output is pinned by a locked sequence.
     /// Idle-but-locked switches still accrue
     /// [`SwitchStats::lock_idle_cycles`] every cycle, so callers that
     /// skip ticking idle switches must keep accounting for these via
-    /// [`Switch::skip_cycles`].
+    /// [`SwitchState::skip_cycles`].
     pub fn has_locked_output(&self) -> bool {
         self.locked > 0
     }
@@ -384,54 +270,132 @@ impl Switch {
         self.buffered == 0 && self.streaming.is_empty()
     }
 
-    /// The switch's event horizon: the earliest base cycle at or after
-    /// `now` at which ticking it can move a flit, or `None` when no
-    /// buffered flit exists. A switch holding any flit (or streaming
-    /// allocation) may move — and accrues stall counters — every cycle,
-    /// so it reports `Some(now)`; an idle switch reports `None` even
-    /// when an output is still pinned by a locked sequence, because the
-    /// only thing dense ticks would do then is count
-    /// [`SwitchStats::lock_idle_cycles`] — which
-    /// [`Switch::skip_cycles`] accounts in bulk, bit-identically.
-    pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        if self.is_idle() {
-            None
-        } else {
-            Some(now)
-        }
-    }
-
-    /// Accounts `cycles` skipped ticks of an idle switch: every output
-    /// pinned by a locked sequence would have counted one
+    /// Accounts `cycles` skipped ticks of an idle switch into `stats`:
+    /// every output pinned by a locked sequence would have counted one
     /// [`SwitchStats::lock_idle_cycles`] per tick (it has no candidate
     /// flits — the switch is idle), so the bulk add leaves the counters
     /// exactly as dense ticking would have.
     ///
-    /// Callers must only skip while [`Switch::next_event_at`] returns
-    /// `None`.
-    pub fn skip_cycles(&mut self, cycles: u64) {
+    /// Callers must only skip an idle switch.
+    pub fn skip_cycles(&self, cycles: u64, stats: &mut SwitchStats) {
         debug_assert!(self.is_idle(), "skipping a switch that holds flits");
-        self.stats.lock_idle_cycles += self.locked as u64 * cycles;
+        stats.lock_idle_cycles += u64::from(self.locked) * cycles;
+    }
+}
+
+/// One input port's record: its FIFO's handle into the flit slab, and
+/// the state of the packet at its front.
+#[derive(Debug, Clone, Copy)]
+pub struct InputPort {
+    fifo: FlitFifo,
+    /// Whether this input's in-flight packet owns an output.
+    allocated: bool,
+    /// Whether the in-flight packet releases a lock at its tail.
+    lock_release: bool,
+}
+
+/// One output port's record: ownership, lock pinning, downstream credit
+/// and the port's arbiter.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OutputPort {
+    /// Which input owns this output (persists across packets while
+    /// locked).
+    owner: Option<u8>,
+    /// Lock pinning: the input this output is reserved for across packets.
+    lock: Option<u8>,
+    credits: u32,
+    arbiter: RoundRobinArbiter,
+}
+
+impl OutputPort {
+    /// Sets the credit count (downstream buffer space).
+    pub fn set_credits(&mut self, credits: u32) {
+        self.credits = credits;
     }
 
-    /// Advances the switch one cycle: allocates outputs to waiting heads,
-    /// then forwards at most one flit per output.
-    pub fn tick(&mut self) -> SwitchTick {
-        let mut tick = SwitchTick::default();
-        self.tick_into(&mut tick);
-        tick
+    /// Returns one credit (downstream freed a slot).
+    pub fn add_credit(&mut self) {
+        self.credits += 1;
+    }
+}
+
+impl SwitchConfig {
+    /// Appends a fresh switch's port records to `inputs` and `outputs`:
+    /// `self.inputs` empty input ports buffering up to `buffer_depth` flits
+    /// each, and `self.outputs` output ports without credit. A
+    /// [`Switch`] and a fabric lay out a switch through this one call.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero-port or zero-buffer configuration, and on more
+    /// than 256 ports a side: a [`PortId`] is a `u8`.
+    pub fn append_ports(&self, inputs: &mut Vec<InputPort>, outputs: &mut Vec<OutputPort>) {
+        assert!(self.inputs > 0, "switch needs at least one input");
+        assert!(self.outputs > 0, "switch needs at least one output");
+        assert!(self.buffer_depth > 0, "switch needs buffering");
+        assert!(
+            self.inputs <= PortSet::CAPACITY && self.outputs <= PortSet::CAPACITY,
+            "a switch has at most {} ports a side, not {}x{}",
+            PortSet::CAPACITY,
+            self.inputs,
+            self.outputs
+        );
+        let input = InputPort {
+            fifo: FlitFifo::new(self.buffer_depth),
+            allocated: false,
+            lock_release: false,
+        };
+        inputs.resize(inputs.len() + self.inputs, input);
+        outputs.resize(outputs.len() + self.outputs, OutputPort::default());
+    }
+}
+
+/// One switch, borrowed from wherever its records live: its
+/// [`SwitchState`], its port records, the slab its flits sit in, the
+/// counters it adds to and its routing row. This is the switch model — a
+/// fabric builds one over its per-fabric arrays for each switch it
+/// ticks, and [`Switch`] over its own.
+#[derive(Debug)]
+pub struct SwitchMut<'a> {
+    /// The switch's own record.
+    pub state: &'a mut SwitchState,
+    /// The counters its cycles add to.
+    pub stats: &'a mut SwitchStats,
+    /// Its input ports, in port order.
+    pub inputs: &'a mut [InputPort],
+    /// Its output ports, in port order.
+    pub outputs: &'a mut [OutputPort],
+    /// Where its FIFOs' flits are.
+    pub slab: &'a mut FlitSlab,
+    /// Its routing row.
+    pub table: &'a RoutingTable,
+    /// Its switching discipline.
+    pub mode: SwitchMode,
+}
+
+impl SwitchMut<'_> {
+    /// Pushes a flit into input `port`. Returns `false` when the buffer is
+    /// full (a flow-control violation by the caller).
+    pub fn accept(&mut self, port: usize, flit: Flit) -> bool {
+        let input = &mut self.inputs[port];
+        let accepted = input.fifo.push(self.slab, flit);
+        self.state.buffered += u32::from(accepted);
+        if accepted && !input.allocated {
+            self.state.waiting.insert(port);
+        }
+        accepted
     }
 
-    /// [`Switch::tick`] into a caller-owned (cleared) result, so hot
-    /// loops can reuse one buffer across many switch cycles.
+    /// Advances the switch one cycle into a caller-owned result (see
+    /// [`Switch::tick_into`]).
     pub fn tick_into(&mut self, tick: &mut SwitchTick) {
         tick.sent.clear();
         tick.credits_released.clear();
-        if !self.waiting.is_empty() {
+        if !self.state.waiting.is_empty() {
             self.allocate(&mut tick.requests);
         }
         // Pinned outputs their owner did not claim again idle this cycle.
-        self.stats.lock_idle_cycles += self.locked_idle as u64;
+        self.stats.lock_idle_cycles += u64::from(self.state.locked_idle);
         self.forward(tick);
     }
 
@@ -449,8 +413,8 @@ impl Switch {
     /// builds the arbiter's input.
     fn allocate(&mut self, requests: &mut Vec<Request>) {
         requests.clear();
-        for w in self.waiting.words() {
-            for input in self.waiting.word(w) {
+        for w in self.state.waiting.words() {
+            for input in self.state.waiting.word(w) {
                 requests.extend(self.request(input));
             }
         }
@@ -482,17 +446,18 @@ impl Switch {
 
     /// The request waiting input `input` makes this cycle, if any: its
     /// FIFO front is a head flit routed to a free output that admits it.
+    #[inline]
     fn request(&self, input: usize) -> Option<Request> {
         let port = &self.inputs[input];
-        let header = port.fifo.peek()?.header()?;
+        let header = port.fifo.peek(self.slab)?.header()?;
         let output = self.table.lookup(header.dst).ok()?.index();
-        let free = output < self.outputs.len() && !self.streaming.contains(output);
+        let free = output < self.outputs.len() && !self.state.streaming.contains(output);
         // Lock pinning: a locked output only admits its owner.
         let admitted = free
             && self.outputs[output]
                 .lock
                 .is_none_or(|owner| usize::from(owner) == input);
-        let whole = self.config.mode == SwitchMode::Wormhole || port.fifo.complete_packets() > 0;
+        let whole = self.mode == SwitchMode::Wormhole || port.fifo.complete_packets() > 0;
         (admitted && whole).then_some(Request {
             input,
             output,
@@ -504,18 +469,19 @@ impl Switch {
 
     /// Hands `r.output` to `r.input` for one packet.
     fn grant(&mut self, r: Request) {
+        let state = &mut *self.state;
         let out = &mut self.outputs[r.output];
         if out.lock.is_some() {
-            self.locked_idle -= 1; // the owner resumes its sequence
+            state.locked_idle -= 1; // the owner resumes its sequence
         } else if r.locked {
-            self.locked += 1;
+            state.locked += 1;
         }
         if r.locked {
             out.lock = Some(r.input as u8);
         }
         out.owner = Some(r.input as u8);
-        self.streaming.insert(r.output);
-        self.waiting.remove(r.input);
+        state.streaming.insert(r.output);
+        state.waiting.remove(r.input);
         let input = &mut self.inputs[r.input];
         input.allocated = true;
         input.lock_release = r.lock_release;
@@ -524,8 +490,8 @@ impl Switch {
     /// Forwarding: each streaming output, in ascending order, moves one
     /// flit from its owner, credit permitting.
     fn forward(&mut self, tick: &mut SwitchTick) {
-        for w in self.streaming.words() {
-            for o in self.streaming.word(w) {
+        for w in self.state.streaming.words() {
+            for o in self.state.streaming.word(w) {
                 self.forward_from(o, tick);
             }
         }
@@ -533,6 +499,7 @@ impl Switch {
 
     /// Moves one flit out of streaming output `o`, credit permitting.
     fn forward_from(&mut self, o: usize, tick: &mut SwitchTick) {
+        let state = &mut *self.state;
         let out = &mut self.outputs[o];
         let i = usize::from(out.owner.expect("a streaming output has an owner"));
         let input = &mut self.inputs[i];
@@ -543,8 +510,8 @@ impl Switch {
             self.stats.credit_stalls += 1;
             return;
         }
-        let flit = input.fifo.pop().expect("checked non-empty");
-        self.buffered -= 1;
+        let flit = input.fifo.pop(self.slab).expect("checked non-empty");
+        state.buffered -= 1;
         out.credits -= 1;
         self.stats.flits_forwarded += 1;
         tick.credits_released.push(i);
@@ -554,21 +521,171 @@ impl Switch {
             return;
         }
         self.stats.packets_forwarded += 1;
-        self.streaming.remove(o);
+        state.streaming.remove(o);
         input.allocated = false;
         if !input.fifo.is_empty() {
-            self.waiting.insert(i);
+            state.waiting.insert(i);
         }
         debug_assert!(out.lock.is_none_or(|owner| usize::from(owner) == i));
         if out.lock.is_some() && !input.lock_release {
             // Keep the owner pinned for the rest of the sequence.
-            self.locked_idle += 1;
+            state.locked_idle += 1;
         } else {
             // The unlocking packet releases the pin, with ownership.
-            self.locked -= usize::from(out.lock.take().is_some());
+            state.locked -= u32::from(out.lock.take().is_some());
             out.owner = None;
         }
         input.lock_release = false;
+    }
+}
+
+/// An input-buffered NoC switch, standing alone.
+///
+/// A `Switch` owns what a fabric keeps in per-fabric arrays for each of
+/// its switches — a [`SwitchState`], one [`InputPort`] and one
+/// [`OutputPort`] record per port, its routing row — plus a flit slab of
+/// its own, and runs them through the same [`SwitchMut`]. See
+/// [`SwitchState`] for what a cycle reads.
+///
+/// # Examples
+///
+/// A 2×2 switch delivering one single-flit packet:
+///
+/// ```
+/// use noc_transport::{Flit, Header, PortId, RoutingTable, Switch, SwitchConfig};
+/// let mut table = RoutingTable::new(4);
+/// table.set(3, PortId(1));
+/// let mut sw = Switch::new(SwitchConfig::wormhole(2, 2), table);
+/// sw.set_output_credits(1, 4);
+/// assert!(sw.accept(0, Flit::head_tail(0, Header::request(3, 0, 0))));
+/// let tick = sw.tick();
+/// assert_eq!(tick.sent.len(), 1);
+/// assert_eq!(tick.sent[0].0, PortId(1));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Switch {
+    config: SwitchConfig,
+    table: RoutingTable,
+    state: SwitchState,
+    stats: SwitchStats,
+    inputs: Vec<InputPort>,
+    outputs: Vec<OutputPort>,
+    slab: FlitSlab,
+}
+
+impl Switch {
+    /// Creates a switch.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero-port or zero-buffer configuration, and on more
+    /// than 256 ports a side: a [`PortId`] is a `u8`.
+    pub fn new(config: SwitchConfig, table: RoutingTable) -> Self {
+        let (mut inputs, mut outputs) = (Vec::new(), Vec::new());
+        config.append_ports(&mut inputs, &mut outputs);
+        Switch {
+            config,
+            table,
+            state: SwitchState::default(),
+            stats: SwitchStats::default(),
+            inputs,
+            outputs,
+            slab: FlitSlab::new(),
+        }
+    }
+
+    fn view(&mut self) -> SwitchMut<'_> {
+        SwitchMut {
+            state: &mut self.state,
+            stats: &mut self.stats,
+            inputs: &mut self.inputs,
+            outputs: &mut self.outputs,
+            slab: &mut self.slab,
+            table: &self.table,
+            mode: self.config.mode,
+        }
+    }
+
+    /// The switch configuration.
+    pub fn config(&self) -> &SwitchConfig {
+        &self.config
+    }
+
+    /// Performance counters.
+    pub fn stats(&self) -> &SwitchStats {
+        &self.stats
+    }
+
+    /// Returns `true` if input `port` can accept a flit this cycle.
+    pub fn can_accept(&self, port: usize) -> bool {
+        !self.inputs[port].fifo.is_full()
+    }
+
+    /// Pushes a flit into input `port`. Returns `false` when the buffer is
+    /// full (a flow-control violation by the caller).
+    pub fn accept(&mut self, port: usize, flit: Flit) -> bool {
+        self.view().accept(port, flit)
+    }
+
+    /// Sets the credit count of output `port` (downstream buffer space).
+    pub fn set_output_credits(&mut self, port: usize, credits: u32) {
+        self.outputs[port].set_credits(credits);
+    }
+
+    /// Returns one credit to output `port` (downstream freed a slot).
+    pub fn add_output_credit(&mut self, port: usize) {
+        self.outputs[port].add_credit();
+    }
+
+    /// Returns `true` if any output is pinned by a locked sequence (see
+    /// [`SwitchState::has_locked_output`]).
+    pub fn has_locked_output(&self) -> bool {
+        self.state.has_locked_output()
+    }
+
+    /// Returns `true` if the switch holds no flits and no allocations.
+    pub fn is_idle(&self) -> bool {
+        self.state.is_idle()
+    }
+
+    /// The switch's event horizon: the earliest base cycle at or after
+    /// `now` at which ticking it can move a flit, or `None` when no
+    /// buffered flit exists. A switch holding any flit (or streaming
+    /// allocation) may move — and accrues stall counters — every cycle,
+    /// so it reports `Some(now)`; an idle switch reports `None` even
+    /// when an output is still pinned by a locked sequence, because the
+    /// only thing dense ticks would do then is count
+    /// [`SwitchStats::lock_idle_cycles`] — which
+    /// [`Switch::skip_cycles`] accounts in bulk, bit-identically.
+    pub fn next_event_at(&self, now: u64) -> Option<u64> {
+        if self.is_idle() {
+            None
+        } else {
+            Some(now)
+        }
+    }
+
+    /// Accounts `cycles` skipped ticks of an idle switch (see
+    /// [`SwitchState::skip_cycles`]).
+    ///
+    /// Callers must only skip while [`Switch::next_event_at`] returns
+    /// `None`.
+    pub fn skip_cycles(&mut self, cycles: u64) {
+        self.state.skip_cycles(cycles, &mut self.stats);
+    }
+
+    /// Advances the switch one cycle: allocates outputs to waiting heads,
+    /// then forwards at most one flit per output.
+    pub fn tick(&mut self) -> SwitchTick {
+        let mut tick = SwitchTick::default();
+        self.tick_into(&mut tick);
+        tick
+    }
+
+    /// [`Switch::tick`] into a caller-owned (cleared) result, so hot
+    /// loops can reuse one buffer across many switch cycles.
+    pub fn tick_into(&mut self, tick: &mut SwitchTick) {
+        self.view().tick_into(tick);
     }
 }
 
@@ -577,7 +694,10 @@ impl fmt::Display for Switch {
         write!(
             f,
             "switch {}x{} {} (fwd {} flits)",
-            self.config.inputs, self.config.outputs, self.config.mode, self.stats.flits_forwarded
+            self.config.inputs,
+            self.config.outputs,
+            self.config.mode,
+            self.stats().flits_forwarded
         )
     }
 }

@@ -9,15 +9,16 @@
 //! What is counted is every heap allocation made while a built
 //! interconnect steps a corpus scenario to completion, per completed
 //! transaction. Transport contributes none — a packet's payload rides
-//! its head flit by move, body and tail flits own no heap memory, credits
-//! wait in a ring, active sets are bitsets — and the layers above it
-//! move the same buffer: a write's bytes are allocated once by the socket
-//! master (plus once for its completion record), a read's once by the
-//! memory, which stores pages, not bytes. The budgets leave that room and
-//! little more: one `to_vec` per transaction at any socket / NIU / codec
-//! boundary, on the NoC or in a baseline, breaks its row (the NoC row
-//! made 8.1 allocations per transaction when every boundary copied, 26.2
-//! when flits owned their bytes too).
+//! its head flit by move, body and tail flits own no heap memory, every
+//! flit the fabric holds sits in one slab that recycles its nodes,
+//! credits wait in per-latency lanes, active sets are bitsets — and the
+//! layers above it move the same buffer: a write's bytes are allocated
+//! once by the socket master (plus once for its completion record), a
+//! read's once by the memory, which stores pages, not bytes. The budgets
+//! leave that room and little more: one `to_vec` per transaction at any
+//! socket / NIU / codec boundary, on the NoC or in a baseline, breaks its
+//! row (the NoC row made 8.1 allocations per transaction when every
+//! boundary copied, 26.2 when flits owned their bytes too).
 //!
 //! The last row counts something else: the allocations that *building*
 //! a 1 024-switch platform and taking one *snapshot* of it make — see
@@ -32,9 +33,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// run may make).
 type Row = (&'static str, fn() -> Backend, f64);
 
-/// Each budget sits just above the figure measured when
-/// this table was last measured — 1.47, 2.17, 4.21 (the bridge chops bursts:
-/// one read buffer per chunk, one chunk list per transaction) and 1.69.
+/// Each budget sits just above the figure measured when it was set —
+/// 1.47, 2.17, 4.21 (the bridge chops bursts: one read buffer per chunk,
+/// one chunk list per transaction) and 1.69; now 1.41, 1.93, 4.15 and
+/// 1.63, the NoC rows lower since input FIFOs, stashes and links stopped
+/// reserving a buffer each on first use.
 /// The count repeats exactly from run to run, so the room is small on
 /// purpose: one copy per write transaction has to show (cloning the
 /// request per bus grant, as the bus once did, fails its row).
@@ -48,13 +51,16 @@ const BUDGETS: [Row; 4] = [
 /// Construction and forking of a large idle platform — the costs that
 /// scale with platform size, not traffic: (corpus file, heap allocations
 /// building it on the NoC may make, allocations one snapshot may make).
-/// A 32x32 mesh is 1 024 switches in each of two fabrics, and a switch is
-/// two arrays (its input-port and its output-port records); wiring,
-/// routing and link ends are immutable and shared, so a snapshot is those
-/// 4 096 arrays plus a hundred-odd for endpoints, links and calendars
-/// (measured 6 356 / 4 202; 26 864 / 22 643 when a switch was eight `Vec`s
-/// and the fabric kept three more per switch).
-const PLATFORM: (&str, u64, u64) = ("mesh_32x32_sparse.scn", 9_000, 4_500);
+/// A 32x32 mesh is 1 024 switches in each of two fabrics, and a fabric is
+/// a fixed number of flat arrays — switch, input-port, output-port,
+/// stash and link records — plus one flit slab; wiring, routing and link
+/// classes are immutable and shared. So a snapshot is those few arrays
+/// per fabric plus a hundred-odd for endpoints and calendars, whatever
+/// the platform's size (measured 2 241 / 112; 6 335 / 4 208 when a switch
+/// was two arrays of its own, 26 864 / 22 643 when it was eight `Vec`s).
+/// About 1 025 of the build's are the routing computation's per-switch
+/// tables in `noc-topology`.
+const PLATFORM: (&str, u64, u64) = ("mesh_32x32_sparse.scn", 2_500, 500);
 
 struct CountingAllocator;
 
@@ -136,12 +142,12 @@ fn stepping_stays_within_the_allocation_budget_on_every_backend() {
     assert!(
         build <= build_budget,
         "{file} build on the NoC: {build} heap allocations, over the budget of {build_budget}: \
-         a switch, a link or the wiring owns a small heap object of its own again"
+         a switch, a port, a link or the wiring owns a small heap object of its own again"
     );
     assert!(
         snapshot <= snapshot_budget,
         "{file} snapshot on the NoC: {snapshot} heap allocations, over the budget of \
          {snapshot_budget}: state that never changes after build is copied per fork, or \
-         per-port state left its switch's two arrays"
+         per-port or per-link state left the fabric's flat arrays"
     );
 }

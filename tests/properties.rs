@@ -14,7 +14,7 @@ use noc_transaction::{
     AddressMap, Burst, BurstKind, Fingerprint, MstAddr, Opcode, OrderingModel, OrderingPolicy,
     RespStatus, ServiceBits, SlvAddr, StreamId, Tag, TransactionRequest, TransactionResponse,
 };
-use noc_transport::{Flit, FlitFifo, Header, Packet};
+use noc_transport::{Flit, FlitFifo, FlitSlab, Header, Packet};
 
 const CASES: usize = 300;
 
@@ -248,25 +248,30 @@ fn fifo_preserves_order_and_capacity() {
     for case in 0..CASES {
         let capacity = rng.next_range(1, 16) as usize;
         let n_ops = rng.next_range(1, 100) as usize;
+        let mut slab = FlitSlab::new();
         let mut fifo = FlitFifo::new(capacity);
         let mut model: std::collections::VecDeque<u64> = Default::default();
         let mut next_id = 0u64;
         for op in 0..n_ops {
             if rng.chance(0.5) {
                 let flit = Flit::head_tail(next_id, Header::request(0, 0, 0));
-                let accepted = fifo.push(flit);
+                let accepted = fifo.push(&mut slab, flit);
                 assert_eq!(accepted, model.len() < capacity, "case {case} op {op}");
                 if accepted {
                     model.push_back(next_id);
                 }
                 next_id += 1;
-            } else if let Some(flit) = fifo.pop() {
+            } else if let Some(flit) = fifo.pop(&mut slab) {
                 let expect = model.pop_front().expect("model in sync");
                 assert_eq!(flit.packet_id(), expect, "case {case} op {op}");
             } else {
                 assert!(model.is_empty(), "case {case} op {op}");
             }
             assert_eq!(fifo.len(), model.len(), "case {case} op {op}");
+            assert!(
+                slab.slots() <= capacity,
+                "case {case} op {op}: the slab reuses popped nodes"
+            );
         }
     }
 }
@@ -936,9 +941,12 @@ fn one_pass_allocation_equals_the_per_output_scan() {
     }
 }
 
-/// The credit ring ≡ a `due cycle → links` map under random release /
-/// apply sequences, including horizon skips far longer than the ring
-/// (every slot due at once) and repeated applies of one cycle.
+/// The credit lanes ≡ a `due cycle → links` map under random release /
+/// apply sequences: a few distinct wire latencies per case (now and then
+/// a billion-cycle one, which must cost one entry, not a ring that
+/// long), several releases per cycle on one latency, horizon skips far
+/// longer than any wire (every lane due at once) and repeated applies of
+/// one cycle.
 #[test]
 fn credit_ring_equals_a_due_cycle_map() {
     use noc_system::CreditRing;
@@ -947,7 +955,13 @@ fn credit_ring_equals_a_due_cycle_map() {
     let mut rng = SplitMix64::new(0xC4ED);
     for case in 0..CASES {
         let max_latency = rng.next_range(1, 6);
-        let mut ring = CreditRing::new(max_latency);
+        let mut latencies: Vec<u64> = (0..rng.next_range(1, 3))
+            .map(|_| rng.next_range(1, max_latency))
+            .collect();
+        if rng.chance(0.2) {
+            latencies.push(1_000_000_000);
+        }
+        let mut ring = CreditRing::new();
         let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         let mut now = 0u64;
         for op in 0..rng.next_range(10, 150) {
@@ -966,15 +980,14 @@ fn credit_ring_equals_a_due_cycle_map() {
                 ring.drain_due(now, |link| panic!("case {case}: link {link} applied twice"));
             }
             for _ in 0..rng.next_below(4) {
-                let (due, link) = (
-                    now + rng.next_range(1, max_latency),
-                    rng.next_below(50) as u32,
-                );
-                ring.push(due, link);
-                model.entry(due).or_default().push(link);
+                let latency = latencies[rng.next_below(latencies.len() as u64) as usize];
+                let link = rng.next_below(50) as u32;
+                ring.push(now, latency, link);
+                model.entry(now + latency).or_default().push(link);
             }
             now += match rng.next_below(10) {
                 0 => rng.next_range(max_latency, 20 * max_latency), // a long skip
+                1 if rng.chance(0.1) => 2_000_000_000,              // past the deepest wire
                 1..=3 => rng.next_range(2, max_latency + 1),
                 _ => 1,
             };

@@ -614,6 +614,50 @@ fn removed_sharded_flags_exit_with_the_usage_error() {
     }
 }
 
+/// A billion-stage link pipeline is a legal `[config]` value. Credits in
+/// flight cost storage per credit, not per cycle of return wire, so the
+/// run drains — in a handful of executed steps, horizon stepping skipping
+/// the wire — where it used to abort the process allocating a credit
+/// ring as long as the wire (24 GB, exit 134); under `scn`'s default
+/// cycle budget it is the ordinary "failed to drain" error.
+#[test]
+fn a_billion_stage_link_pipeline_drains_or_fails_without_aborting() {
+    let text = format!(
+        "[config]\nlink_pipeline = 1000000000\n\n{}",
+        one_initiator("socket = \"axi\"\ncmd = \"read 0x1000 2x4\"", "2")
+    );
+    let spec = ScenarioSpec::from_text(&text).expect("a legal scenario");
+    let mut sim = spec.build(&Backend::noc()).expect("the NoC builds it");
+    assert!(sim.run_until_with(100_000_000_000, StepMode::Horizon));
+    let report = sim.report();
+    assert_eq!((report.cycles, report.steps), (4_000_000_012, 11));
+    assert_eq!(report.masters[0].mean_latency, 4_000_000_011.0);
+
+    let dir = std::env::temp_dir().join(format!("noc-scn-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let file = dir.join("deep_pipeline.scn");
+    std::fs::write(&file, &text).expect("scenario written");
+    let scn = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_scn"))
+            .args(args)
+            .arg(&file)
+            .output()
+            .expect("scn spawns")
+    };
+    let out = scn(&["--backend", "noc", "--max-cycles", "100000000000"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("| 4000000012 |"), "{stdout}");
+    let out = scn(&["--backend", "noc"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("failed to drain in 10000000 cycles") && !stderr.contains("panicked"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn bad_integer_and_unterminated_string_are_syntax_errors() {
     let e = parse_err("[[memory]]\nname = \"a\"\nbase = 0xZZ\nend = 16\nlatency = 1\n");

@@ -139,6 +139,116 @@ fn snapshots_are_independent_copies() {
     }
 }
 
+/// A NoC scenario that keeps flits in every kind of fabric storage as it
+/// runs: input FIFOs (two-flit buffers behind contended outputs), output
+/// stashes (half-width links take two cycles a flit), pipelined links,
+/// clock-domain crossings (endpoints on divided clocks) and a path pinned
+/// by a locked sequence.
+fn fabric_storage_spec() -> ScenarioSpec {
+    let text = "\
+[topology]
+kind = \"mesh\"
+width = 2
+height = 2
+
+[config]
+buffer_depth = 2
+link_pipeline = 1
+link_phits = 2
+
+[[initiator]]
+name = \"sync\"
+socket = \"ahb\"
+clock_divisor = 2
+cmd = \"read_locked 0x40 1x4\"
+cmd = \"write_unlock 0x40 1x4 seed=0x1 delay=4\"
+cmd = \"read_locked 0x40 1x4\"
+cmd = \"write_unlock 0x40 1x4 seed=0x2 delay=4\"
+
+[[initiator]]
+name = \"cpu\"
+socket = \"axi\"
+cmd = \"write 0x1100 8x4 seed=3\"
+cmd = \"read 0x1000 8x4\"
+cmd = \"read 0x1200 4x8 stream=1\"
+cmd = \"write 0x1300 4x4 seed=4 stream=1\"
+
+[[initiator]]
+name = \"dsp\"
+socket = \"ocp\"
+clock_divisor = 3
+cmd = \"write 0x1400 6x4 seed=5\"
+cmd = \"read 0x1500 3x8 delay=2\"
+
+[[target]]
+name = \"sem\"
+kind = \"service\"
+base = 0x0
+end = 0x1000
+latency = 2
+exclusive = true
+
+[[memory]]
+name = \"mem\"
+base = 0x1000
+end = 0x2000
+latency = 3
+clock_divisor = 2
+";
+    ScenarioSpec::from_text(text).expect("fixture parses")
+}
+
+/// Forking a running NoC after every step and running each fork to the
+/// end replays the uninterrupted run exactly — completion records,
+/// report (fabric counters included), executed steps and calendar pops —
+/// whatever the fabric holds at the fork: a fork copies every flit in
+/// every FIFO, stash and link, and the slab they share, or some fork
+/// diverges. Horizon forks are taken at every cycle, so the interrupted
+/// run polls more often than the reference; polls are the one counter
+/// left out.
+#[test]
+fn a_fork_after_every_step_replays_the_uninterrupted_run() {
+    let backend = Backend::noc();
+    let without_polls = |sim: &dyn Simulation| {
+        let mut t = trace(sim);
+        let mut report = sim.report();
+        report.horizon_polls = 0;
+        t.report = format!("{report:?}");
+        t
+    };
+    for mode in [StepMode::Dense, StepMode::Horizon] {
+        let mut reference = fabric_storage_spec()
+            .build(&backend)
+            .expect("fixture compiles");
+        assert!(reference.run_until_with(BUDGET, mode), "{mode:?}: drains");
+        let expected = without_polls(reference.as_ref());
+        let lock_idle = reference.report().fabric.map(|f| f.lock_idle_cycles);
+        assert!(lock_idle > Some(0), "{mode:?}: a locked path idles");
+
+        let mut sim = fabric_storage_spec()
+            .build(&backend)
+            .expect("fixture compiles");
+        let mut forks = 0;
+        while !sim.is_done() {
+            match mode {
+                StepMode::Dense => sim.step(),
+                StepMode::Horizon => sim.advance_to(sim.now() + 1),
+            }
+            let mut fork = sim.snapshot();
+            assert!(fork.run_until_with(BUDGET, mode), "{mode:?}: fork drains");
+            assert_eq!(
+                without_polls(fork.as_ref()),
+                expected,
+                "{mode:?}: the fork taken at cycle {} diverged",
+                sim.now()
+            );
+            forks += 1;
+        }
+        assert_eq!(without_polls(sim.as_ref()), expected, "{mode:?}: original");
+        assert_eq!(forks, expected.now, "{mode:?}: one fork per cycle");
+    }
+}
+
 #[test]
 fn program_loading_equals_building_with_programs() {
     // The serve-layer fork in miniature: a programless platform,
