@@ -40,12 +40,6 @@ impl GateCount {
     pub fn total(self) -> u64 {
         self.0
     }
-
-    /// Approximate area in mm² at 90 nm (≈ 0.5 µm² per NAND2 incl.
-    /// routing overhead).
-    pub fn mm2_90nm(self) -> f64 {
-        self.0 as f64 * 0.5e-6
-    }
 }
 
 impl fmt::Display for GateCount {
@@ -76,7 +70,8 @@ impl std::iter::Sum for GateCount {
 pub struct NiuAreaConfig {
     /// The socket protocol the front end speaks.
     pub protocol: ProtocolKind,
-    /// Transaction-table capacity (max outstanding transactions).
+    /// Max outstanding transactions: entries of the NIU's state lookup
+    /// table.
     pub outstanding: u32,
     /// Ordering model (tag pool sizes the rename CAM for ID-based
     /// sockets).
@@ -132,13 +127,6 @@ impl NiuAreaConfig {
         self.service_bits = bits;
         self
     }
-
-    /// Sets the exclusive-monitor capacity.
-    #[must_use]
-    pub fn with_monitor_slots(mut self, slots: u32) -> Self {
-        self.monitor_slots = slots;
-        self
-    }
 }
 
 /// Per-protocol front-end base cost (handshake FSMs, field muxing),
@@ -158,13 +146,15 @@ fn protocol_base_gates(p: ProtocolKind) -> u64 {
 /// Estimates the gate count of an NIU.
 ///
 /// Components: protocol front end (fixed per socket), the transaction
-/// state lookup table (per entry: tag + stream + dst + opcode + beats +
-/// timestamp ≈ 64 bits of flops), the tag/rename state, the optional
+/// state lookup table, the tag/rename state, the optional
 /// reorder buffer ([`TargetRule::Interleave`]), packetisation datapath,
 /// service-bit logic and the exclusive monitor.
 pub fn niu_gates(cfg: &NiuAreaConfig) -> GateCount {
     let mut gates = protocol_base_gates(cfg.protocol);
     // Transaction state lookup table: ~64 bits per entry + CAM compare.
+    // A hardware entry holds tag, stream, destination, opcode, beat count
+    // and timestamp; the simulated NIU keeps only tag, stream and opcode
+    // (its timing lives elsewhere), but the area is priced per real entry.
     let entry_bits = 64u64;
     gates += cfg.outstanding as u64 * (entry_bits * GATES_PER_FF as u64 + 40);
     // Tag state: per tag a counter + target register (~24 bits).
@@ -288,7 +278,10 @@ mod tests {
     #[test]
     fn monitor_slots_cost() {
         let without = niu_gates(&NiuAreaConfig::new(ProtocolKind::Bvci, 2));
-        let with = niu_gates(&NiuAreaConfig::new(ProtocolKind::Bvci, 2).with_monitor_slots(8));
+        let with = niu_gates(&NiuAreaConfig {
+            monitor_slots: 8,
+            ..NiuAreaConfig::new(ProtocolKind::Bvci, 2)
+        });
         assert!(with.total() > without.total());
     }
 
@@ -298,7 +291,6 @@ mod tests {
         assert_eq!(GateCount(1500).to_string(), "1.5k gates");
         let total: GateCount = [GateCount(100), GateCount(200)].into_iter().sum();
         assert_eq!(total.total(), 300);
-        assert!(GateCount(2_000_000).mm2_90nm() > 0.9);
     }
 
     #[test]

@@ -8,8 +8,7 @@
 
 use std::fmt;
 
-/// A clock domain defined by an integer divisor of the base clock and a
-/// phase offset.
+/// A clock domain defined by an integer divisor of the base clock.
 ///
 /// # Examples
 ///
@@ -24,15 +23,11 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClockDomain {
     divisor: u64,
-    phase: u64,
 }
 
 impl ClockDomain {
     /// The base clock itself (divisor 1).
-    pub const BASE: ClockDomain = ClockDomain {
-        divisor: 1,
-        phase: 0,
-    };
+    pub const BASE: ClockDomain = ClockDomain { divisor: 1 };
 
     /// Creates a clock domain ticking once every `divisor` base cycles.
     ///
@@ -41,18 +36,7 @@ impl ClockDomain {
     /// Panics if `divisor` is zero.
     pub fn new(divisor: u64) -> Self {
         assert!(divisor > 0, "clock divisor must be non-zero");
-        ClockDomain { divisor, phase: 0 }
-    }
-
-    /// Creates a clock domain with a phase offset (`phase < divisor`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `divisor` is zero or `phase >= divisor`.
-    pub fn with_phase(divisor: u64, phase: u64) -> Self {
-        assert!(divisor > 0, "clock divisor must be non-zero");
-        assert!(phase < divisor, "phase must be less than divisor");
-        ClockDomain { divisor, phase }
+        ClockDomain { divisor }
     }
 
     /// The divisor relative to the base clock.
@@ -60,14 +44,9 @@ impl ClockDomain {
         self.divisor
     }
 
-    /// The phase offset.
-    pub fn phase(&self) -> u64 {
-        self.phase
-    }
-
     /// Returns `true` if this domain ticks on base cycle `base_cycle`.
     pub fn is_active(&self, base_cycle: u64) -> bool {
-        base_cycle % self.divisor == self.phase
+        base_cycle.is_multiple_of(self.divisor)
     }
 
     /// The first active base cycle at or after `base_cycle`, saturating
@@ -75,29 +54,16 @@ impl ClockDomain {
     /// the `u64::MAX` "never" sentinel (or sit just below it), and a
     /// wrapped sum would turn "never" into a bogus early wakeup.
     pub fn next_active(&self, base_cycle: u64) -> u64 {
-        let rem = base_cycle % self.divisor;
-        if rem == self.phase {
-            base_cycle
-        } else if rem < self.phase {
-            base_cycle.saturating_add(self.phase - rem)
-        } else {
-            base_cycle.saturating_add(self.divisor - rem + self.phase)
+        match base_cycle % self.divisor {
+            0 => base_cycle,
+            rem => base_cycle.saturating_add(self.divisor - rem),
         }
     }
 
     /// Number of ticks of this domain in `base_cycles` base cycles starting
     /// from cycle 0.
     pub fn ticks_in(&self, base_cycles: u64) -> u64 {
-        if base_cycles == 0 {
-            return 0;
-        }
-        // active cycles c in [0, base_cycles): c ≡ phase (mod divisor)
-        let last = base_cycles - 1;
-        if last < self.phase {
-            0
-        } else {
-            (last - self.phase) / self.divisor + 1
-        }
+        base_cycles.div_ceil(self.divisor)
     }
 }
 
@@ -109,11 +75,7 @@ impl Default for ClockDomain {
 
 impl fmt::Display for ClockDomain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.phase == 0 {
-            write!(f, "clk/{}", self.divisor)
-        } else {
-            write!(f, "clk/{}+{}", self.divisor, self.phase)
-        }
+        write!(f, "clk/{}", self.divisor)
     }
 }
 
@@ -186,29 +148,11 @@ impl ClockSet {
         self.domains.is_empty()
     }
 
-    /// The least common multiple of all divisors — the hyperperiod after
-    /// which the activation pattern repeats.
-    pub fn hyperperiod(&self) -> u64 {
-        self.domains.iter().map(|d| d.divisor).fold(1, lcm).max(1)
-    }
-
     /// The next base cycle at or after `base_cycle` (inclusive) where time
     /// `t` maps into domain `id`'s active grid.
     pub fn next_active(&self, id: ClockId, base_cycle: u64) -> u64 {
         self.domains[id.0].next_active(base_cycle)
     }
-}
-
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
-    }
-}
-
-fn lcm(a: u64, b: u64) -> u64 {
-    a / gcd(a, b) * b
 }
 
 #[cfg(test)]
@@ -230,23 +174,12 @@ mod tests {
     }
 
     #[test]
-    fn phase_shifts_activation() {
-        let d = ClockDomain::with_phase(4, 1);
-        let active: Vec<u64> = (0..10).filter(|&c| d.is_active(c)).collect();
-        assert_eq!(active, vec![1, 5, 9]);
-    }
-
-    #[test]
     fn next_active_rounds_up() {
         let d = ClockDomain::new(4);
         assert_eq!(d.next_active(0), 0);
         assert_eq!(d.next_active(1), 4);
         assert_eq!(d.next_active(4), 4);
         assert_eq!(d.next_active(5), 8);
-        let p = ClockDomain::with_phase(4, 2);
-        assert_eq!(p.next_active(0), 2);
-        assert_eq!(p.next_active(2), 2);
-        assert_eq!(p.next_active(3), 6);
     }
 
     #[test]
@@ -257,9 +190,6 @@ mod tests {
         let d = ClockDomain::new(4);
         assert_eq!(d.next_active(u64::MAX), u64::MAX);
         assert_eq!(d.next_active(u64::MAX - 1), u64::MAX);
-        let p = ClockDomain::with_phase(7, 3);
-        assert_eq!(p.next_active(u64::MAX), u64::MAX);
-        assert_eq!(p.next_active(u64::MAX - 2), u64::MAX);
     }
 
     #[test]
@@ -270,10 +200,6 @@ mod tests {
         assert_eq!(d.ticks_in(4), 1);
         assert_eq!(d.ticks_in(5), 2);
         assert_eq!(d.ticks_in(9), 3);
-        let p = ClockDomain::with_phase(3, 2);
-        assert_eq!(p.ticks_in(2), 0);
-        assert_eq!(p.ticks_in(3), 1); // cycle 2
-        assert_eq!(p.ticks_in(6), 2); // cycles 2, 5
     }
 
     #[test]
@@ -288,34 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn hyperperiod_is_lcm() {
-        let mut set = ClockSet::new();
-        set.register(ClockDomain::new(2));
-        set.register(ClockDomain::new(3));
-        set.register(ClockDomain::new(4));
-        assert_eq!(set.hyperperiod(), 12);
-    }
-
-    #[test]
-    fn empty_set_hyperperiod_is_one() {
-        assert_eq!(ClockSet::new().hyperperiod(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "divisor must be non-zero")]
     fn zero_divisor_panics() {
         ClockDomain::new(0);
     }
 
     #[test]
-    #[should_panic(expected = "phase must be less than divisor")]
-    fn phase_out_of_range_panics() {
-        ClockDomain::with_phase(2, 2);
-    }
-
-    #[test]
     fn display_format() {
         assert_eq!(ClockDomain::new(2).to_string(), "clk/2");
-        assert_eq!(ClockDomain::with_phase(4, 1).to_string(), "clk/4+1");
     }
 }

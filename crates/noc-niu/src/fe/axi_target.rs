@@ -3,27 +3,39 @@
 
 use crate::target::SocketTarget;
 use noc_protocols::axi::{AxiAr, AxiAw, AxiPort, AxiSlave};
-use noc_transaction::{MstAddr, SlvAddr, Tag, TransactionRequest, TransactionResponse};
+use noc_transaction::{MstAddr, RespStatus, SlvAddr, Tag, TransactionRequest, TransactionResponse};
 use std::collections::{HashMap, VecDeque};
+
+/// Return-path bookkeeping for one request issued to the slave.
+#[derive(Debug, Clone)]
+struct Pending {
+    src: MstAddr,
+    origin: SlvAddr,
+    tag: Tag,
+    /// AXI always returns a B beat, so posted writes are tracked too —
+    /// with `expects = false`, so the B is consumed silently instead of
+    /// surfacing a response the NIU never asked for.
+    expects: bool,
+    is_read: bool,
+    /// The slave's answer, once its R or B beat has arrived.
+    answer: Option<(RespStatus, Vec<u8>)>,
+}
 
 /// Drives an [`AxiSlave`] from neutral transactions.
 ///
 /// Each NoC request is mapped to a local AXI ID derived from its
 /// `(MstAddr, Tag)` pair, so same-tag NoC order becomes same-ID AXI
-/// order — preserving the transaction layer's ordering contract through
-/// the socket.
-/// Return-path bookkeeping for one AXI ID: (src, origin, tag, expects a
-/// NoC response) per beat. AXI always returns a B beat, so posted writes
-/// still enqueue here — with `expects = false`, so the B is consumed
-/// silently instead of surfacing a response the NIU never asked for.
-type PendingFifo = VecDeque<(MstAddr, SlvAddr, Tag, bool)>;
-
+/// order. The slave keeps that order on R and on B, but answers the two
+/// independently, so a one-beat write can finish before an older
+/// eight-beat read of its ID: the front end holds such an answer until
+/// every older request of the ID is answered, which keeps the
+/// [`SocketTarget`] order contract.
 #[derive(Debug, Clone)]
 pub struct AxiTargetFe {
     slave: AxiSlave,
     port: AxiPort,
-    /// (Local AXI ID, is-read) → pending (src, origin, tag) FIFOs.
-    pending: HashMap<(u16, bool), PendingFifo>,
+    /// Local AXI ID → its requests in issue order, both directions.
+    pending: HashMap<u16, VecDeque<Pending>>,
     out: VecDeque<TransactionResponse>,
 }
 
@@ -48,37 +60,36 @@ impl AxiTargetFe {
     fn local_id(src: MstAddr, tag: Tag) -> u16 {
         ((src.raw() & 0xFF) << 8) | tag.raw() as u16
     }
+
+    /// Records the slave's answer to the oldest unanswered request of
+    /// `id` in its direction (R and B each keep per-ID order), then
+    /// releases the ID's answered prefix.
+    fn answer(&mut self, id: u16, is_read: bool, status: RespStatus, data: Vec<u8>) {
+        let queue = self.pending.get_mut(&id).expect("a beat for an issued ID");
+        let entry = queue
+            .iter_mut()
+            .find(|p| p.is_read == is_read && p.answer.is_none())
+            .expect("a beat for an issued request");
+        entry.answer = Some((status, data));
+        while queue.front().is_some_and(|p| p.answer.is_some()) {
+            let p = queue.pop_front().expect("front checked");
+            let (status, data) = p.answer.expect("answered");
+            if p.expects {
+                let resp = TransactionResponse::new(status, p.src, p.origin, p.tag, data);
+                self.out.push_back(resp);
+            }
+        }
+    }
 }
 
 impl SocketTarget for AxiTargetFe {
     fn tick(&mut self, cycle: u64) {
         self.slave.tick(cycle, &mut self.port);
         if let Some(r) = self.port.r.take() {
-            let (src, origin, tag, expects) = self
-                .pending
-                .get_mut(&(r.id, true))
-                .and_then(|q| q.pop_front())
-                .expect("R beat for an issued request");
-            if expects {
-                self.out
-                    .push_back(TransactionResponse::new(r.status, src, origin, tag, r.data));
-            }
+            self.answer(r.id, true, r.status, r.data);
         }
         if let Some(b) = self.port.b.take() {
-            let (src, origin, tag, expects) = self
-                .pending
-                .get_mut(&(b.id, false))
-                .and_then(|q| q.pop_front())
-                .expect("B beat for an issued request");
-            if expects {
-                self.out.push_back(TransactionResponse::new(
-                    b.status,
-                    src,
-                    origin,
-                    tag,
-                    Vec::new(),
-                ));
-            }
+            self.answer(b.id, false, b.status, Vec::new());
         }
     }
 
@@ -93,12 +104,14 @@ impl SocketTarget for AxiTargetFe {
             return Err(req);
         }
         let id = Self::local_id(req.src(), req.tag());
-        self.pending.entry((id, is_read)).or_default().push_back((
-            req.src(),
-            req.dst(),
-            req.tag(),
-            req.opcode().expects_response(),
-        ));
+        self.pending.entry(id).or_default().push_back(Pending {
+            src: req.src(),
+            origin: req.dst(),
+            tag: req.tag(),
+            expects: req.opcode().expects_response(),
+            is_read,
+            answer: None,
+        });
         let (addr, burst) = (req.address(), req.burst());
         if is_read {
             let ar = AxiAr {

@@ -4,7 +4,7 @@ use crate::codec::{packet_into_response, request_into_packet};
 use noc_protocols::{CompletionLog, Program};
 use noc_transaction::{
     AddressMap, MstAddr, Opcode, OrderingModel, OrderingPolicy, RespStatus, ServiceBits,
-    ServiceConfig, StreamId, TargetRule, TransactionRequest, TransactionResponse, TransactionTable,
+    ServiceConfig, StreamId, Tag, TransactionRequest, TransactionResponse,
 };
 use noc_transport::{Flit, PacketAssembler};
 use std::collections::VecDeque;
@@ -87,11 +87,10 @@ pub struct InitiatorNiuConfig {
     pub node: MstAddr,
     /// Ordering model matching the socket (paper §3).
     pub ordering: OrderingModel,
-    /// Transaction table capacity = max outstanding transactions — the
-    /// gate-count/performance knob.
+    /// Most transactions awaiting a response at once: the ordering
+    /// policy's budget and the length of the NIU's outstanding queue —
+    /// the gate-count/performance knob.
     pub max_outstanding: u32,
-    /// How same-tag multi-target ordering is preserved.
-    pub target_rule: TargetRule,
     /// Which optional NoC services this NoC instance activates.
     pub services: ServiceConfig,
     /// Flit payload width in bytes (physical-layer parameter used for
@@ -109,7 +108,6 @@ impl InitiatorNiuConfig {
             node,
             ordering: OrderingModel::FullyOrdered,
             max_outstanding: 4,
-            target_rule: TargetRule::StallOnSwitch,
             services: ServiceConfig::new()
                 .enable(ServiceBits::EXCLUSIVE)
                 .enable(ServiceBits::LOCKED)
@@ -130,13 +128,6 @@ impl InitiatorNiuConfig {
     #[must_use]
     pub fn with_outstanding(mut self, n: u32) -> Self {
         self.max_outstanding = n;
-        self
-    }
-
-    /// Sets the target rule.
-    #[must_use]
-    pub fn with_target_rule(mut self, rule: TargetRule) -> Self {
-        self.target_rule = rule;
         self
     }
 
@@ -166,7 +157,7 @@ pub struct NiuStats {
     pub policy_stalls: u64,
     /// Requests answered locally with `DECERR` (address decode miss).
     pub decode_errors: u64,
-    /// Posted writes (fire-and-forget, no table entry).
+    /// Posted writes (fire-and-forget, never outstanding).
     pub posted_writes: u64,
 }
 
@@ -181,7 +172,13 @@ pub struct InitiatorNiu<FE: SocketInitiator> {
     fe: FE,
     config: InitiatorNiuConfig,
     policy: OrderingPolicy,
-    table: TransactionTable,
+    /// The NIU's state lookup table (paper §2): every transaction
+    /// awaiting a response, in issue order. A tag's responses return in
+    /// issue order — one target per tag at a time (the policy stalls a
+    /// target switch), FIFO paths, targets that answer one (source, tag)
+    /// in request order — so a response belongs to the first entry with
+    /// its tag. The policy's budget bounds the length.
+    outstanding: VecDeque<(Tag, StreamId, Opcode)>,
     map: AddressMap,
     pending: Option<TransactionRequest>,
     egress: VecDeque<Flit>,
@@ -198,18 +195,12 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
     /// Panics on degenerate configuration (zero outstanding budget or
     /// zero-tag ordering model).
     pub fn new(fe: FE, config: InitiatorNiuConfig, map: AddressMap) -> Self {
-        let policy = OrderingPolicy::with_rules(
-            config.ordering,
-            config.max_outstanding,
-            config.max_outstanding,
-            config.target_rule,
-        )
-        .expect("valid ordering configuration");
-        let table = TransactionTable::new(config.max_outstanding as usize);
+        let policy = OrderingPolicy::new(config.ordering, config.max_outstanding)
+            .expect("valid ordering configuration");
         InitiatorNiu {
             fe,
             policy,
-            table,
+            outstanding: VecDeque::with_capacity(config.max_outstanding as usize),
             map,
             pending: None,
             egress: VecDeque::new(),
@@ -228,11 +219,6 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
     /// Back-end counters.
     pub fn stats(&self) -> &NiuStats {
         &self.stats
-    }
-
-    /// The transaction table (occupancy inspection).
-    pub fn table(&self) -> &TransactionTable {
-        &self.table
     }
 
     /// Advances socket, front end and back end one cycle.
@@ -262,7 +248,7 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
                 return;
             }
         };
-        // 2. Posted writes: no table entry, no tag state — fire and forget.
+        // 2. Posted writes: never outstanding, no tag state — fire and forget.
         if !req.opcode().expects_response() {
             let routed = req.with_route(self.config.node, dst, noc_transaction::Tag::ZERO);
             self.emit(routed);
@@ -273,16 +259,8 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
         match self.policy.try_issue(req.stream(), dst) {
             Ok(tag) => {
                 let routed = req.with_route(self.config.node, dst, tag);
-                let entry = self.table.allocate(
-                    tag,
-                    routed.stream(),
-                    dst,
-                    routed.opcode(),
-                    routed.burst().beats(),
-                    cycle,
-                    0,
-                );
-                entry.expect("policy budget equals table capacity");
+                self.outstanding
+                    .push_back((tag, routed.stream(), routed.opcode()));
                 self.emit(routed);
             }
             Err(_) => {
@@ -342,23 +320,24 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
             return;
         };
         let resp = packet_into_response(packet).expect("well-formed response packet");
-        let entry_id = self
-            .table
-            .match_response(resp.tag())
+        let tag = resp.tag();
+        let oldest = self
+            .outstanding
+            .iter()
+            .position(|&(t, ..)| t == tag)
             .expect("response matches an outstanding transaction");
-        let entry = self.table.free(entry_id).expect("entry just matched");
-        self.policy
-            .complete(resp.tag())
-            .expect("policy tracks this tag");
+        let (_, stream, opcode) = self.outstanding.remove(oldest).expect("index just found");
+        self.policy.complete(tag).expect("policy tracks this tag");
         self.stats.responses_received += 1;
-        self.fe.push_response(entry.stream, entry.opcode, resp);
+        self.fe.push_response(stream, opcode, resp);
     }
 
-    /// Returns `true` when socket, table and egress are all drained.
+    /// Returns `true` when socket, outstanding queue and egress are all
+    /// drained.
     pub fn is_done(&self) -> bool {
         self.fe.done()
             && self.pending.is_none()
-            && self.table.occupancy() == 0
+            && self.outstanding.is_empty()
             && self.egress.is_empty()
     }
 
@@ -421,7 +400,7 @@ impl<FE: SocketInitiator> fmt::Debug for InitiatorNiu<FE> {
         f.debug_struct("InitiatorNiu")
             .field("node", &self.config.node)
             .field("ordering", &self.config.ordering)
-            .field("outstanding", &self.table.occupancy())
+            .field("outstanding", &self.outstanding.len())
             .field("egress", &self.egress.len())
             .finish()
     }

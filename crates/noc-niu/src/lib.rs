@@ -13,9 +13,10 @@
 //! - a protocol-neutral **back end** ([`InitiatorNiu`] / [`TargetNiu`])
 //!   that owns the paper's machinery: the address decoder (`SlvAddr`
 //!   assignment), the [ordering policy](noc_transaction::OrderingPolicy)
-//!   (`Tag` assignment), the [transaction state lookup
-//!   table](noc_transaction::TransactionTable), packetisation, and — on
-//!   the target side — the [exclusive
+//!   (`Tag` assignment), the transaction state lookup table (one
+//!   issue-ordered queue of outstanding transactions in
+//!   [`InitiatorNiu`]; a response takes the first entry with its tag),
+//!   packetisation, and — on the target side — the [exclusive
 //!   monitor](noc_transaction::ExclusiveMonitor) plus legacy lock state.
 //!
 //! Supporting a new socket means one [`noc_protocols::Socket`] impl —

@@ -4,7 +4,7 @@
 
 use crate::codec::{packet_into_request, response_into_packet};
 use noc_transaction::{
-    ExclusiveMonitor, LockArbiter, Opcode, RespStatus, SlvAddr, TransactionRequest,
+    ExclusiveMonitor, LockArbiter, MstAddr, Opcode, RespStatus, SlvAddr, Tag, TransactionRequest,
     TransactionResponse,
 };
 use noc_transport::{Flit, PacketAssembler};
@@ -20,6 +20,14 @@ use std::fmt;
 ///
 /// Targets are plain owned state (`Send`), so built simulations can be
 /// checkpointed and moved across threads.
+///
+/// **Order contract:** the responses to one `(src, tag)` pair leave
+/// [`SocketTarget::pull_response`] in the order their requests were
+/// accepted, whatever their direction; responses of different pairs may
+/// overtake each other. The target NIU and the initiator NIU's
+/// outstanding queue pair each response with the oldest request of its
+/// `(src, tag)`, so a target that reorders one pair's responses hands
+/// them to the wrong requests.
 pub trait SocketTarget: Send {
     /// Advances the IP/slave model one cycle.
     fn tick(&mut self, cycle: u64);
@@ -110,8 +118,11 @@ pub struct TargetNiu<T: SocketTarget> {
     monitor: ExclusiveMonitor,
     lock: LockArbiter,
     ingress: VecDeque<TransactionRequest>,
-    /// Outstanding toward the IP: (opcode, exclusive upgrade pending).
-    inflight: VecDeque<Opcode>,
+    /// Outstanding toward the IP, in acceptance order: the source, tag
+    /// and NoC opcode of each request. The IP may answer different
+    /// `(source, tag)` pairs out of order, so a response takes the
+    /// oldest entry of its pair.
+    inflight: VecDeque<(MstAddr, Tag, Opcode)>,
     egress: VecDeque<Flit>,
     assembler: PacketAssembler,
     pkt_seq: u64,
@@ -169,8 +180,7 @@ impl<T: SocketTarget> TargetNiu<T> {
         self.target.tick(cycle);
         // Process the head ingress request.
         if let Some(req) = self.ingress.front() {
-            let master = req.src();
-            let opcode = req.opcode();
+            let (master, tag, opcode) = (req.src(), req.tag(), req.opcode());
             // Legacy lock gate.
             if opcode == Opcode::ReadLocked {
                 if !self.lock.try_lock(master) {
@@ -221,7 +231,7 @@ impl<T: SocketTarget> TargetNiu<T> {
                 Ok(()) => {
                     self.requests_served += 1;
                     if opcode.expects_response() {
-                        self.inflight.push_back(opcode);
+                        self.inflight.push_back((master, tag, opcode));
                     }
                     if opcode == Opcode::WriteUnlock {
                         self.lock
@@ -234,10 +244,13 @@ impl<T: SocketTarget> TargetNiu<T> {
         }
         // Collect IP responses, restore exclusive/lock status semantics.
         while let Some(resp) = self.target.pull_response() {
-            let opcode = self
+            let (dst, tag) = (resp.dst(), resp.tag());
+            let oldest = self
                 .inflight
-                .pop_front()
-                .expect("response with nothing in flight");
+                .iter()
+                .position(|&(m, t, _)| (m, t) == (dst, tag))
+                .expect("response matches a request in flight");
+            let (.., opcode) = self.inflight.remove(oldest).expect("index just found");
             let status = match (opcode, resp.status()) {
                 (Opcode::ReadExclusive | Opcode::ReadLinked, RespStatus::Okay) => {
                     RespStatus::ExOkay
@@ -247,7 +260,6 @@ impl<T: SocketTarget> TargetNiu<T> {
                 }
                 (_, s) => s,
             };
-            let (dst, tag) = (resp.dst(), resp.tag());
             self.respond(TransactionResponse::new(
                 status,
                 dst,

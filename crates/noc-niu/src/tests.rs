@@ -28,10 +28,28 @@ fn map_one() -> AddressMap {
 /// Runs an initiator NIU against a memory target NIU, directly exchanging
 /// flits (ideal zero-latency links), until done or `max_cycles`.
 fn loopback<FE: SocketInitiator>(
+    ini: InitiatorNiu<FE>,
+    tgt: TargetNiu<MemoryTarget>,
+    max_cycles: u64,
+) -> (InitiatorNiu<FE>, TargetNiu<MemoryTarget>) {
+    let (ini, tgt, _) = loopback_peak(ini, tgt, max_cycles);
+    (ini, tgt)
+}
+
+/// Transactions the NIU sent and has not yet seen answered.
+fn outstanding<FE: SocketInitiator>(ini: &InitiatorNiu<FE>) -> u64 {
+    let s = ini.stats();
+    s.requests_sent - s.posted_writes - s.responses_received
+}
+
+/// [`loopback`], also returning the most transactions outstanding at the
+/// end of any cycle.
+fn loopback_peak<FE: SocketInitiator>(
     mut ini: InitiatorNiu<FE>,
     mut tgt: TargetNiu<MemoryTarget>,
     max_cycles: u64,
-) -> (InitiatorNiu<FE>, TargetNiu<MemoryTarget>) {
+) -> (InitiatorNiu<FE>, TargetNiu<MemoryTarget>, u64) {
+    let mut peak = 0;
     for cycle in 0..max_cycles {
         ini.tick(cycle);
         tgt.tick(cycle);
@@ -43,11 +61,12 @@ fn loopback<FE: SocketInitiator>(
         if let Some(flit) = tgt.pull_flit() {
             ini.push_flit(flit);
         }
+        peak = peak.max(outstanding(&ini));
         if ini.is_done() && tgt.is_done() {
             break;
         }
     }
-    (ini, tgt)
+    (ini, tgt, peak)
 }
 
 fn mem_target() -> TargetNiu<MemoryTarget> {
@@ -226,16 +245,88 @@ fn decode_error_answered_locally() {
     assert_eq!(tgt.requests_served(), 0);
 }
 
+/// An AXI master that would keep eight reads in flight against an NIU
+/// allowed two: at the end of every cycle at most two are outstanding,
+/// the budget is reached, and the policy stalls the rest until a
+/// response frees an entry.
 #[test]
 fn table_occupancy_bounded_by_config() {
-    let program: Program = (0..20).map(|i| SocketCommand::read(i * 4, 4)).collect();
-    let fe = AhbInitiator::new(AhbMaster::new(program));
-    let cfg = InitiatorNiuConfig::new(MstAddr::new(0)).with_outstanding(2);
+    let program: Program = (0..20)
+        .map(|i| SocketCommand::read(i * 4, 4).with_stream(StreamId::new((i % 8) as u16)))
+        .collect();
+    let fe = AxiInitiator::new(AxiMaster::new(program, 8, 8));
+    let cfg = InitiatorNiuConfig::new(MstAddr::new(0))
+        .with_ordering(OrderingModel::IdBased { tags: 8 })
+        .with_outstanding(2);
     let ini = InitiatorNiu::new(fe, cfg, map_one());
-    let (ini, _) = loopback(ini, mem_target(), 5000);
+    let (ini, _, peak) = loopback_peak(ini, mem_target(), 5000);
     assert!(ini.is_done());
-    assert!(ini.table().peak_occupancy() <= 2);
+    assert_eq!(peak, 2, "the budget is reached and never exceeded");
+    assert!(ini.stats().policy_stalls > 0);
     assert_eq!(ini.fe().log().len(), 20);
+}
+
+/// BVCI, pipeline 2: a write and a read in flight together on tag 0.
+/// Each response belongs to the oldest outstanding entry with its tag —
+/// the write's comes back first. Matching the newest would hand the
+/// read's data to the write entry, whose socket response carries none.
+#[test]
+fn oldest_same_tag_entry_takes_a_bvci_response() {
+    let program = vec![
+        SocketCommand::write(0x40, 4, 3).with_burst(BurstKind::Incr, 4),
+        SocketCommand::read(0x40, 4).with_burst(BurstKind::Incr, 4),
+    ];
+    let fe = VciInitiator::new(VciMaster::new(program.clone(), VciFlavor::Basic, 2));
+    let ini = InitiatorNiu::new(fe, InitiatorNiuConfig::new(MstAddr::new(0)), map_one());
+    let (ini, _, peak) = loopback_peak(ini, mem_target(), 2000);
+    assert!(ini.is_done());
+    assert_eq!(peak, 2, "write and read outstanding on tag 0 at once");
+    let recs = ini.fe().log().records();
+    assert_eq!(recs.len(), 2);
+    assert_eq!(recs[1].data, program[0].payload(), "the read gets its data");
+}
+
+/// OCP, one thread (one tag) with two reads of different lengths in
+/// flight, beside a second thread: every read returns the bytes at its
+/// own address.
+#[test]
+fn oldest_same_tag_entry_takes_an_ocp_thread_response() {
+    let writes = [(0x300, 4, 1), (0x320, 1, 2), (0x000, 2, 3), (0x020, 1, 4)];
+    let write = |&(addr, beats, seed): &(u64, u32, u64), thread: u16| {
+        SocketCommand::write(addr, 4, seed)
+            .with_burst(BurstKind::Incr, beats)
+            .with_stream(StreamId::new(thread))
+    };
+    let read = |&(addr, beats, _): &(u64, u32, u64), thread: u16| {
+        SocketCommand::read(addr, 4)
+            .with_burst(BurstKind::Incr, beats)
+            .with_stream(StreamId::new(thread))
+    };
+    let program = vec![
+        write(&writes[0], 0),
+        write(&writes[1], 0),
+        write(&writes[2], 1),
+        write(&writes[3], 1),
+        read(&writes[0], 0).with_delay(40),
+        read(&writes[1], 0),
+        read(&writes[2], 1),
+        read(&writes[3], 1),
+    ];
+    let fe = OcpInitiator::new(OcpMaster::new(program.clone(), 2, 2));
+    let cfg = InitiatorNiuConfig::new(MstAddr::new(0))
+        .with_ordering(OrderingModel::Threaded { threads: 2 })
+        .with_outstanding(4);
+    let ini = InitiatorNiu::new(fe, cfg, map_one());
+    let (ini, _, peak) = loopback_peak(ini, mem_target(), 3000);
+    assert!(ini.is_done());
+    assert!(peak >= 2, "two reads of one thread in flight at once");
+    assert!(check_ocp_order(ini.fe().log()).is_ok());
+    let recs = ini.fe().log().records();
+    assert_eq!(recs.len(), 8);
+    for (i, w) in (4..8).zip(0..4) {
+        let rec = recs.iter().find(|r| r.index == i).expect("read completed");
+        assert_eq!(rec.data, program[w].payload(), "read {i}");
+    }
 }
 
 #[test]

@@ -42,8 +42,6 @@
 //! # Ok::<(), noc_physical::LinkFull>(())
 //! ```
 
-pub mod delay;
 pub mod link;
 
-pub use delay::DelayLine;
 pub use link::{Link, LinkConfig, LinkFull, LinkState};

@@ -251,12 +251,6 @@ impl ProgramSpec {
         }
     }
 
-    /// Whether this kind streams commands while the simulation runs
-    /// (everything except [`ProgramSpec::Explicit`]).
-    pub fn is_streamed(&self) -> bool {
-        !matches!(self, ProgramSpec::Explicit(_))
-    }
-
     /// The command-shape parameters, for the stochastic kinds.
     pub fn shape(&self) -> Option<&StochasticShape> {
         match self {

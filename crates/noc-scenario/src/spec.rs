@@ -496,7 +496,7 @@ impl InitiatorSpec {
     }
 
     /// The largest NIU outstanding budget a scenario may declare. The
-    /// NIU allocates its transaction table up front, so an unbounded
+    /// NIU sizes its outstanding queue up front, so an unbounded
     /// budget from a scenario file is an allocation failure — an abort
     /// no `catch_unwind` can turn into an error record.
     pub const MAX_OUTSTANDING: u32 = 1 << 16;

@@ -105,25 +105,6 @@ impl Histogram {
         self.max()
     }
 
-    /// Standard deviation of the samples (population form; 0.0 when < 2
-    /// samples).
-    pub fn std_dev(&self) -> f64 {
-        if self.total < 2 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let var: f64 = self
-            .counts
-            .iter()
-            .map(|(&v, &c)| {
-                let d = v as f64 - mean;
-                d * d * c as f64
-            })
-            .sum::<f64>()
-            / self.total as f64;
-        var.sqrt()
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (&v, &c) in &other.counts {
@@ -194,7 +175,6 @@ mod tests {
         assert_eq!(h.max(), None);
         assert_eq!(h.percentile(0.5), None);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.std_dev(), 0.0);
         assert_eq!(h.to_string(), "histogram(empty)");
     }
 
@@ -226,19 +206,6 @@ mod tests {
         assert_eq!(h.percentile(0.5), Some(10));
         assert_eq!(h.percentile(0.99), Some(10));
         assert_eq!(h.percentile(1.0), Some(1000));
-    }
-
-    #[test]
-    fn std_dev_of_constant_is_zero() {
-        let mut h = Histogram::new();
-        h.record_n(7, 10);
-        assert_eq!(h.std_dev(), 0.0);
-    }
-
-    #[test]
-    fn std_dev_known_value() {
-        let h: Histogram = [2u64, 4, 4, 4, 5, 5, 7, 9].into_iter().collect();
-        assert!((h.std_dev() - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -63,14 +63,6 @@ impl NocConfig {
         self
     }
 
-    /// Overrides the endpoint (injection/ejection) link class, leaving
-    /// switch-to-switch links on [`NocConfig::link`].
-    #[must_use]
-    pub fn with_endpoint_link(mut self, link: LinkConfig) -> Self {
-        self.endpoint_link = Some(link);
-        self
-    }
-
     /// Sets the routing algorithm.
     #[must_use]
     pub fn with_routing(mut self, routing: RouteAlgorithm) -> Self {

@@ -155,11 +155,6 @@ impl ExclusiveMonitor {
         self.reservations.retain(|r| r.granule != granule);
     }
 
-    /// Number of live reservations.
-    pub fn live_reservations(&self) -> usize {
-        self.reservations.len()
-    }
-
     /// Successful exclusive writes observed.
     pub fn successes(&self) -> u64 {
         self.successes
@@ -191,7 +186,6 @@ impl ExclusiveMonitor {
 pub struct LockArbiter {
     owner: Option<MstAddr>,
     lock_count: u64,
-    contended: u64,
 }
 
 /// Error unlocking a lock not held by the caller.
@@ -229,11 +223,7 @@ impl LockArbiter {
                 self.lock_count += 1;
                 true
             }
-            Some(o) if o == master => true,
-            Some(_) => {
-                self.contended += 1;
-                false
-            }
+            Some(o) => o == master,
         }
     }
 
@@ -265,11 +255,6 @@ impl LockArbiter {
     /// Number of successful lock acquisitions.
     pub fn acquisitions(&self) -> u64 {
         self.lock_count
-    }
-
-    /// Number of blocked attempts (a congestion indicator).
-    pub fn contended_attempts(&self) -> u64 {
-        self.contended
     }
 }
 
@@ -350,7 +335,6 @@ mod tests {
         mon.arm(m(0), 0x80); // moves the reservation
         assert!(!mon.is_armed(m(0), 0x40));
         assert!(mon.is_armed(m(0), 0x80));
-        assert_eq!(mon.live_reservations(), 1);
     }
 
     #[test]
@@ -362,7 +346,6 @@ mod tests {
         assert!(!mon.is_armed(m(0), 0x0));
         assert!(mon.is_armed(m(1), 0x40));
         assert!(mon.is_armed(m(2), 0x80));
-        assert_eq!(mon.live_reservations(), 2);
     }
 
     #[test]
@@ -380,7 +363,6 @@ mod tests {
         assert_eq!(lock.owner(), Some(m(0)));
         assert!(lock.try_lock(m(0))); // re-entrant
         assert!(!lock.try_lock(m(1)));
-        assert_eq!(lock.contended_attempts(), 1);
         lock.unlock(m(0)).unwrap();
         assert!(lock.try_lock(m(1)));
         assert_eq!(lock.acquisitions(), 2);

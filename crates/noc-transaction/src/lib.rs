@@ -18,9 +18,11 @@
 //!   per-NIU [`OrderingPolicy`] assigns them from socket-specific
 //!   information (AHB's implicit order, OCP's `ThreadID`, AXI's transaction
 //!   ID).
-//! - [`TransactionTable`]: the NIU "state lookup table" that tracks
-//!   outstanding transactions; its capacity is the knob that "scales gate
-//!   count to expected performance".
+//! - The NIU "state lookup table" of outstanding transactions is not a
+//!   type here: [`OrderingPolicy`] counts them per tag and in total, and
+//!   its budget is the knob that "scales gate count to expected
+//!   performance"; the initiator NIU (`noc_niu::InitiatorNiu`) keeps them
+//!   in one issue-ordered queue that a response searches by tag.
 //! - [`ExclusiveMonitor`]: the NIU-side state that implements AXI exclusive
 //!   access / OCP lazy synchronisation with nothing but one user-defined
 //!   packet bit ([`services::ServiceBits::EXCLUSIVE`]).
@@ -46,26 +48,22 @@
 
 pub mod addr;
 pub mod burst;
-pub mod endian;
 pub mod exclusive;
 pub mod node;
 pub mod opcode;
 pub mod ordering;
 pub mod request;
 pub mod services;
-pub mod table;
 pub mod tag;
 
 pub use addr::{Addr, AddressMap, AddressRange, DecodeError};
 pub use burst::{Burst, BurstError, BurstKind};
-pub use endian::Endianness;
 pub use exclusive::{ExclusiveMonitor, ExclusiveOutcome, LockArbiter};
 pub use node::{MstAddr, SlvAddr};
 pub use opcode::{Opcode, RespStatus};
-pub use ordering::{IssueBlock, OrderingModel, OrderingPolicy, PolicyError, StreamId, TargetRule};
+pub use ordering::{OrderingModel, OrderingPolicy, PolicyError, StreamId, TargetRule};
 pub use request::{
     Fingerprint, RequestBuilder, TransactionError, TransactionRequest, TransactionResponse,
 };
 pub use services::{ServiceBits, ServiceConfig};
-pub use table::{TableEntry, TableError, TransactionTable};
 pub use tag::Tag;

@@ -493,21 +493,6 @@ impl Fingerprint {
         self.count += 1;
     }
 
-    /// Records a completed request/response pair.
-    pub fn record_pair(&mut self, req: &TransactionRequest, resp: &TransactionResponse) {
-        let data = if req.opcode().is_read() {
-            resp.data()
-        } else {
-            req.data()
-        };
-        self.record(
-            req.opcode().encode(),
-            req.address(),
-            data,
-            resp.status().encode(),
-        );
-    }
-
     /// Number of records folded in.
     pub fn count(&self) -> u64 {
         self.count
@@ -733,26 +718,6 @@ mod tests {
         p2.record(1, 2, &[2], 0);
         p1.merge(&p2);
         assert_eq!(whole, p1);
-    }
-
-    #[test]
-    fn fingerprint_record_pair_uses_right_data() {
-        let read = TransactionRequest::builder(Opcode::Read)
-            .address(0x10)
-            .build()
-            .unwrap();
-        let resp = TransactionResponse::new(
-            RespStatus::Okay,
-            MstAddr::new(0),
-            SlvAddr::new(0),
-            Tag::ZERO,
-            vec![0xAA, 0xBB, 0xCC, 0xDD],
-        );
-        let mut fp1 = Fingerprint::new();
-        fp1.record_pair(&read, &resp);
-        let mut fp2 = Fingerprint::new();
-        fp2.record(Opcode::Read.encode(), 0x10, &[0xAA, 0xBB, 0xCC, 0xDD], 0);
-        assert_eq!(fp1, fp2);
     }
 
     #[test]

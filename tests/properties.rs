@@ -276,19 +276,6 @@ fn fifo_preserves_order_and_capacity() {
     }
 }
 
-#[test]
-fn endianness_is_involution() {
-    use noc_transaction::Endianness;
-    let mut rng = SplitMix64::new(0xE2D);
-    for case in 0..CASES {
-        let data = arb_bytes(&mut rng, 64);
-        let w = 1usize << rng.next_below(4);
-        let once = Endianness::Big.converted(&data, w);
-        let twice = Endianness::Big.converted(&once, w);
-        assert_eq!(twice, data, "case {case}: width {w}");
-    }
-}
-
 /// The packet → flits → assembler path moves the payload, it does not
 /// copy it: for every payload length and flit width the buffer that
 /// went in is the buffer that comes out (same allocation), the flit
