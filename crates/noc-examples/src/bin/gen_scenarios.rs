@@ -46,11 +46,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "zipf_hotspot_mesh16.scn",
             zipf_hotspot_mesh16_spec().to_text(),
         ),
-        ("trace_replay.scn", trace_replay_spec().to_text()),
         // Companion data, not a scenario: the trace the replay file
-        // streams. Written here so the git-porcelain CI check pins it
-        // to the generator too.
+        // loads, so written before it. Written here so the
+        // git-porcelain CI check pins it to the generator too.
         ("trace_replay.trace", trace_replay_trace()),
+        ("trace_replay.scn", trace_replay_spec().to_text()),
     ];
     let mut docs = Vec::new();
     for (name, text) in &files {

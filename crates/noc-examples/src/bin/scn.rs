@@ -398,7 +398,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut doc = parse_document(&text).map_err(|e| format!("{file}: {e}"))?;
         // Relative trace paths resolve against the scenario file, not
         // the process working directory — the same rule the serve layer
-        // applies to stdin and spool requests.
+        // applies to stdin and spool requests — and each trace is read
+        // here, once.
         doc.resolve_trace_paths_from(std::path::Path::new(file));
         let (sweep, sweep_file) = match doc {
             Document::Scenario(spec) => {

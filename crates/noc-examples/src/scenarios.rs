@@ -661,9 +661,12 @@ pub fn zipf_hotspot_mesh16_spec() -> ScenarioSpec {
         })
 }
 
-/// The trace-replay corpus scenario: an OCP initiator streaming the
+/// The trace-replay corpus scenario: an OCP initiator replaying the
 /// checked-in `trace_replay.trace` (written by `gen_scenarios` next to
-/// the `.scn` file) alongside an explicit AHB control master.
+/// the `.scn` file) alongside an explicit AHB control master. The trace
+/// path is relative to the `.scn` file: the spec is meant for emission,
+/// and the emitted file's records are read when it is resolved against
+/// its directory.
 pub fn trace_replay_spec() -> ScenarioSpec {
     let ctl: Program = (0..10)
         .map(|i| {
@@ -678,7 +681,7 @@ pub fn trace_replay_spec() -> ScenarioSpec {
         .initiator(InitiatorSpec::new(
             "replay",
             SocketSpec::ocp(),
-            TraceSpec::new("trace_replay.trace"),
+            TraceSpec::load("trace_replay.trace"),
         ))
         .initiator(InitiatorSpec::new("ctl", SocketSpec::Ahb, ctl))
         .memory(MemorySpec::new("dram", 0x0, 0x2000, 5).with_queue(4))

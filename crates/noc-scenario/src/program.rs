@@ -4,11 +4,12 @@
 //! either an explicit command list (the classic `cmd =` lines) or a
 //! *generated* workload — seeded on/off bursty arrivals
 //! ([`BurstySpec`]), Zipf-popularity target selection ([`ZipfSpec`]) or
-//! a timestamped trace replayed from a file ([`TraceSpec`]). Generated
-//! workloads are **streamed**: the scenario layer feeds commands to the
-//! master in bounded windows while the simulation runs, so a
-//! million-command trace never lives in memory, and the command stream
-//! is a pure function of the seed (or file) — the same spec produces
+//! a timestamped trace, read from a file once and replayed from memory
+//! ([`TraceSpec`]). Generated workloads are **streamed**: the scenario
+//! layer feeds commands to the master in bounded windows while the
+//! simulation runs, so a million-command generated program never lives
+//! in memory, and the command stream is a pure function of the seed
+//! (or the trace's records) — the same spec produces
 //! record-for-record identical completion logs on every backend and in
 //! both step modes.
 //!
@@ -22,7 +23,8 @@ use noc_protocols::{Program, SocketCommand};
 use noc_transaction::{BurstKind, Opcode, StreamId};
 use std::fmt;
 use std::fs::File;
-use std::io::{BufRead, BufReader, Seek, SeekFrom};
+use std::io::{BufRead, BufReader};
+use std::sync::Arc;
 
 /// The release-sum window (in base cycles) the feeder keeps every
 /// master's command stream topped up by: before the simulation executes
@@ -169,23 +171,131 @@ impl ZipfSpec {
     }
 }
 
-/// A trace-replay program: timestamped command records streamed from a
-/// text file (see [`TraceCursor`] for the line format). The path is
-/// stored as declared;
+/// A trace-replay program: the timestamped command records of a text
+/// file (see [`parse_trace_line`] for the line format), read once by
+/// [`TraceSpec::load`] and replayed from memory, so the run never sees
+/// the file again. Clones share the records. Equality and text emission
+/// go by the path alone.
+///
+/// A spec parsed from text holds the path as declared and no records;
 /// [`ScenarioSpec::resolve_trace_paths`](crate::ScenarioSpec::resolve_trace_paths)
-/// rebases relative paths against the `.scn` file's directory before
-/// building.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// rebases it against the `.scn` file's directory and loads it.
+#[derive(Debug, Clone)]
 pub struct TraceSpec {
-    /// The trace file path.
-    pub path: String,
+    path: String,
+    /// The records before the first bad line (all of them, for a good
+    /// file); `None` until the path is loaded.
+    records: Option<Arc<[TraceRecord]>>,
+    /// The `(line, reason)` reading stopped at; line 0 when the file
+    /// could not be opened.
+    failure: Option<(usize, String)>,
 }
 
-impl TraceSpec {
-    /// A trace-replay program reading `path`.
-    pub fn new(path: impl Into<String>) -> Self {
-        TraceSpec { path: path.into() }
+impl PartialEq for TraceSpec {
+    fn eq(&self, other: &Self) -> bool {
+        self.path == other.path
     }
+}
+
+impl Eq for TraceSpec {}
+
+impl TraceSpec {
+    /// A spec naming `path` with nothing read yet — what the text format
+    /// parses into.
+    pub(crate) const fn unloaded(path: String) -> Self {
+        TraceSpec {
+            path,
+            records: None,
+            failure: None,
+        }
+    }
+
+    /// Reads the trace file at `path` — the only place a trace file is
+    /// opened. Every record parses, timestamps are non-decreasing with
+    /// deltas fitting `delay_before`, and every stream first appears
+    /// within the feeder's primed window (a stream surfacing later would
+    /// start its delay countdown at an append-time-dependent cycle,
+    /// breaking dense ≡ horizon). A file that breaks a rule keeps the
+    /// records before the bad line and the line's `(number, reason)`;
+    /// [`ScenarioSpec::validate`](crate::ScenarioSpec::validate) reports
+    /// it, after the records before it have passed the scenario's
+    /// socket and containment rules.
+    pub fn load(path: impl Into<String>) -> Self {
+        let path = path.into();
+        let mut records = Vec::new();
+        let failure = read_trace(&path, &mut records).err();
+        TraceSpec {
+            path,
+            records: Some(records.into()),
+            failure,
+        }
+    }
+
+    /// The trace file path.
+    pub fn path(&self) -> &str {
+        &self.path
+    }
+
+    /// Checks every record with `rule`, then reports how reading ended:
+    /// the first failure, as a [`crate::ScenarioError::Trace`].
+    pub(crate) fn check(
+        &self,
+        mut rule: impl FnMut(&TraceRecord) -> Result<(), String>,
+    ) -> Result<(), crate::ScenarioError> {
+        let error = |line, reason| crate::ScenarioError::Trace {
+            path: self.path.clone(),
+            line,
+            reason,
+        };
+        let Some(records) = &self.records else {
+            let reason = "not loaded; resolve the scenario's trace paths first";
+            return Err(error(0, reason.into()));
+        };
+        for rec in records.iter() {
+            rule(rec).map_err(|reason| error(rec.line as usize, reason))?;
+        }
+        let failure = self.failure.clone();
+        failure.map_or(Ok(()), |(line, reason)| Err(error(line, reason)))
+    }
+}
+
+/// Parses the trace file at `path` into `records`, stopping at the first
+/// line that breaks a rule of [`TraceSpec::load`].
+fn read_trace(path: &str, records: &mut Vec<TraceRecord>) -> Result<(), (usize, String)> {
+    let file = File::open(path).map_err(|e| (0, e.to_string()))?;
+    let mut prev_ts = 0u64;
+    let mut release = 0u64;
+    let mut seen = std::collections::HashSet::new();
+    for (i, line) in BufReader::new(file).lines().enumerate() {
+        let no = i + 1;
+        let line = line.map_err(|e| (no, e.to_string()))?;
+        let Ok(line_no) = u32::try_from(no) else {
+            return Err((no, format!("a trace holds at most {} lines", u32::MAX)));
+        };
+        let Some(rec) = parse_trace_line(&line, line_no).map_err(|e| (no, e))? else {
+            continue;
+        };
+        if rec.cycle < prev_ts {
+            return Err((no, "timestamps must be non-decreasing".into()));
+        }
+        if rec.cycle - prev_ts > u32::MAX as u64 {
+            return Err((no, format!("gap {} exceeds u32::MAX", rec.cycle - prev_ts)));
+        }
+        release += 1 + (rec.cycle - prev_ts);
+        if seen.insert(rec.stream) && release > FEED_WINDOW {
+            return Err((
+                no,
+                format!(
+                    "stream {} first appears at release cycle {release}; every stream \
+                     must appear within the first {FEED_WINDOW} release cycles",
+                    rec.stream
+                ),
+            ));
+        }
+        prev_ts = rec.cycle;
+        records.push(rec);
+    }
+    Ok(())
 }
 
 /// The traffic program of one initiator: explicit commands or a
@@ -291,9 +401,11 @@ impl ProgramSpec {
             ProgramSpec::Zipf(z) => {
                 Workload::Streamed(FeedSource::Zipf(ZipfGen::new(*z, regions.to_vec())))
             }
-            ProgramSpec::Trace(t) => {
-                Workload::Streamed(FeedSource::Trace(TraceCursor::new(&t.path)))
-            }
+            ProgramSpec::Trace(t) => Workload::Streamed(FeedSource::Trace(TraceCursor {
+                records: t.records.clone().unwrap_or_else(|| Arc::new([])),
+                next: 0,
+                prev_ts: 0,
+            })),
         }
     }
 }
@@ -319,7 +431,7 @@ impl Workload {
 }
 
 /// A streamed command source. Cloning snapshots the exact stream
-/// position (generator state or file offset), so whole-simulation
+/// position (generator state or trace index), so whole-simulation
 /// checkpoints resume the feed bit-identically.
 #[derive(Debug, Clone)]
 pub enum FeedSource {
@@ -350,8 +462,8 @@ impl FeedSource {
     /// except at cycle 0, where both step modes prime identically.
     /// Stochastic kinds round-robin streams, so `streams` commands of
     /// worst-case release each suffice; traces prime with the plain
-    /// window and [`TraceCursor::validate_file`] rejects files whose
-    /// streams first appear beyond it.
+    /// window and [`TraceSpec::load`] rejects files whose streams first
+    /// appear beyond it.
     pub fn prime_release(&self, window: u64) -> u64 {
         let coverage = |streams: u16, worst_delay: u64| streams as u64 * (1 + worst_delay);
         match self {
@@ -562,6 +674,8 @@ pub struct TraceRecord {
     pub beat_bytes: u32,
     /// Socket stream (0 when omitted).
     pub stream: u16,
+    /// The 1-based line of the file the record was read from.
+    pub line: u32,
 }
 
 /// Parses an unsigned integer literal: decimal or `0x`/`0X` hex, with
@@ -580,11 +694,11 @@ pub(crate) fn parse_int(s: &str) -> Option<u64> {
     })
 }
 
-/// Parses one trace line: `cycle op addr beats beat_bytes [stream]`,
-/// where `op` is `read`/`r` or `write`/`w`, integers accept `0x` hex
-/// and `_` separators. Returns `Ok(None)` for blank and `#`-comment
-/// lines.
-pub fn parse_trace_line(line: &str) -> Result<Option<TraceRecord>, String> {
+/// Parses line `line_no` of a trace: `cycle op addr beats beat_bytes
+/// [stream]`, where `op` is `read`/`r` or `write`/`w`, integers accept
+/// `0x` hex and `_` separators. Returns `Ok(None)` for blank and
+/// `#`-comment lines.
+pub fn parse_trace_line(line: &str, line_no: u32) -> Result<Option<TraceRecord>, String> {
     let line = line.split('#').next().unwrap_or("").trim();
     if line.is_empty() {
         return Ok(None);
@@ -631,13 +745,14 @@ pub fn parse_trace_line(line: &str) -> Result<Option<TraceRecord>, String> {
         beats: beats as u32,
         beat_bytes: beat_bytes as u32,
         stream,
+        line: line_no,
     }))
 }
 
 impl TraceRecord {
-    /// The command this record replays as, `line_no` lines into a file
-    /// whose previous record was stamped `prev_ts`.
-    pub fn command(&self, prev_ts: u64, line_no: usize) -> SocketCommand {
+    /// The command this record replays as, after a record stamped
+    /// `prev_ts`.
+    pub fn command(&self, prev_ts: u64) -> SocketCommand {
         SocketCommand {
             opcode: self.opcode,
             addr: self.addr,
@@ -647,17 +762,16 @@ impl TraceRecord {
             stream: StreamId::new(self.stream),
             // Deterministic per-record write data: the record's position
             // and address (traces carry no payloads).
-            data_seed: (line_no as u64) << 32 ^ self.addr,
+            data_seed: (self.line as u64) << 32 ^ self.addr,
             delay_before: (self.cycle - prev_ts) as u32,
             pressure: 0,
         }
     }
 }
 
-/// A streaming cursor over a trace file. Holds a path and a byte
-/// offset, not an open handle — cloning (= checkpointing) is trivial
-/// and each [`FeedSource::pull`] reopens, seeks and reads one bounded
-/// chunk, so the full trace is never resident.
+/// The replay position in a loaded trace: the shared records, the index
+/// of the next one and the timestamp of the last one replayed. Cloning
+/// (= checkpointing) copies an `Arc`, not the records.
 ///
 /// Trace timestamps are issue-*intent* cycles: consecutive deltas
 /// become each command's `delay_before`, so the replay preserves the
@@ -665,123 +779,21 @@ impl TraceRecord {
 /// the socket's outstanding limits and backpressure.
 #[derive(Debug, Clone)]
 pub struct TraceCursor {
-    path: String,
-    offset: u64,
-    line_no: usize,
+    records: Arc<[TraceRecord]>,
+    next: usize,
     prev_ts: u64,
-    done: bool,
 }
 
 impl TraceCursor {
-    /// Opens a cursor at the head of `path` (lazily — no I/O until the
-    /// first pull).
-    pub fn new(path: &str) -> Self {
-        TraceCursor {
-            path: path.to_owned(),
-            offset: 0,
-            line_no: 0,
-            prev_ts: 0,
-            done: false,
-        }
-    }
-
-    /// The trace file path.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
     /// Pulls the next chunk (see [`FeedSource::pull`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on I/O errors or malformed records: the file was fully
-    /// validated at build time, so a failure here means it changed
-    /// mid-run.
     fn pull(&mut self, release_budget: u64) -> Vec<SocketCommand> {
-        if self.done {
-            return Vec::new();
-        }
-        let file = File::open(&self.path)
-            .unwrap_or_else(|e| panic!("trace {}: {e} (validated at build time)", self.path));
-        let mut reader = BufReader::new(file);
-        reader
-            .seek(SeekFrom::Start(self.offset))
-            .unwrap_or_else(|e| panic!("trace {}: seek: {e}", self.path));
-        let mut out = Vec::new();
-        let mut released = 0u64;
-        let mut line = String::new();
-        while released < release_budget {
-            line.clear();
-            let n = reader
-                .read_line(&mut line)
-                .unwrap_or_else(|e| panic!("trace {}: read: {e}", self.path));
-            if n == 0 {
-                self.done = true;
-                break;
-            }
-            self.offset += n as u64;
-            self.line_no += 1;
-            let rec = parse_trace_line(&line)
-                .unwrap_or_else(|e| panic!("trace {}:{}: {e}", self.path, self.line_no));
-            let Some(rec) = rec else { continue };
-            assert!(
-                rec.cycle >= self.prev_ts,
-                "trace {}:{}: timestamps must be non-decreasing",
-                self.path,
-                self.line_no
-            );
-            let cmd = rec.command(self.prev_ts, self.line_no);
+        pull_from(release_budget, || {
+            let rec = self.records.get(self.next)?;
+            let cmd = rec.command(self.prev_ts);
+            self.next += 1;
             self.prev_ts = rec.cycle;
-            released += 1 + cmd.delay_before as u64;
-            out.push(cmd);
-        }
-        out
-    }
-
-    /// Validates the whole file once: every record parses, timestamps
-    /// are non-decreasing with deltas fitting `delay_before`, every
-    /// stream first appears within the feeder's primed window (a stream
-    /// surfacing later would start its delay countdown at an
-    /// append-time-dependent cycle, breaking dense ≡ horizon), and every
-    /// record passes `check` (the scenario layer's containment and
-    /// shape rules). Returns `(line, reason)` on the first failure.
-    pub fn validate_file(
-        path: &str,
-        mut check: impl FnMut(&TraceRecord) -> Result<(), String>,
-    ) -> Result<usize, (usize, String)> {
-        let file = File::open(path).map_err(|e| (0, e.to_string()))?;
-        let mut prev_ts = 0u64;
-        let mut records = 0usize;
-        let mut release = 0u64;
-        let mut seen = std::collections::HashSet::new();
-        for (i, line) in BufReader::new(file).lines().enumerate() {
-            let no = i + 1;
-            let line = line.map_err(|e| (no, e.to_string()))?;
-            let Some(rec) = parse_trace_line(&line).map_err(|e| (no, e))? else {
-                continue;
-            };
-            if rec.cycle < prev_ts {
-                return Err((no, "timestamps must be non-decreasing".into()));
-            }
-            if rec.cycle - prev_ts > u32::MAX as u64 {
-                return Err((no, format!("gap {} exceeds u32::MAX", rec.cycle - prev_ts)));
-            }
-            release += 1 + (rec.cycle - prev_ts);
-            if seen.insert(rec.stream) && release > FEED_WINDOW {
-                return Err((
-                    no,
-                    format!(
-                        "stream {} first appears at release cycle {release}; every stream \
-                         must appear within the first {FEED_WINDOW} release cycles",
-                        rec.stream
-                    ),
-                ));
-            }
-            check(&rec).map_err(|e| (no, e))?;
-            prev_ts = rec.cycle;
-            records += 1;
-        }
-        Ok(records)
+            Some(cmd)
+        })
     }
 }
 
@@ -861,9 +873,11 @@ mod tests {
 
     #[test]
     fn trace_lines_parse() {
-        assert_eq!(parse_trace_line("# comment").unwrap(), None);
-        assert_eq!(parse_trace_line("   ").unwrap(), None);
-        let rec = parse_trace_line("120 read 0x1_00 4 8 2").unwrap().unwrap();
+        assert_eq!(parse_trace_line("# comment", 1).unwrap(), None);
+        assert_eq!(parse_trace_line("   ", 2).unwrap(), None);
+        let rec = parse_trace_line("120 read 0x1_00 4 8 2", 3)
+            .unwrap()
+            .unwrap();
         assert_eq!(
             rec,
             TraceRecord {
@@ -873,10 +887,58 @@ mod tests {
                 beats: 4,
                 beat_bytes: 8,
                 stream: 2,
+                line: 3,
             }
         );
-        assert!(parse_trace_line("120 read 0x100 4").is_err());
-        assert!(parse_trace_line("120 flush 0x100 4 8").is_err());
-        assert!(parse_trace_line("x read 0x100 4 8").is_err());
+        assert!(parse_trace_line("120 read 0x100 4", 1).is_err());
+        assert!(parse_trace_line("120 flush 0x100 4 8", 1).is_err());
+        assert!(parse_trace_line("x read 0x100 4 8", 1).is_err());
+        // What a loaded trace costs per record.
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 32);
+    }
+
+    #[test]
+    fn a_sweep_reads_each_trace_file_once() {
+        let dir = std::env::temp_dir().join(format!("noc-shared-trace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        std::fs::write(dir.join("shared.trace"), "0 read 0x100 1 4\n").expect("trace written");
+        let point = |backend| {
+            format!(
+                "[[sweep.point]]\nlabel = \"{backend}\"\nbackend = \"{backend}\"\n\n\
+                 [[initiator]]\nname = \"m\"\nsocket = \"ahb\"\nkind = \"trace\"\n\
+                 trace_file = \"shared.trace\"\n\n\
+                 [[memory]]\nname = \"mem\"\nbase = 0x0\nend = 0x1000\nlatency = 1\n\n"
+            )
+        };
+        let text = ["noc", "bridged", "bus"].map(point).concat();
+        let mut doc = crate::parse_document(&text).expect("sweep parses");
+        if let crate::Document::Sweep(sweep) = &doc {
+            let unloaded = sweep.points()[0].spec.validate();
+            let error = matches!(unloaded, Err(crate::ScenarioError::Trace { line: 0, .. }));
+            assert!(
+                error,
+                "a trace not loaded yet fails validation: {unloaded:?}"
+            );
+        }
+        doc.resolve_trace_paths(&dir);
+        std::fs::remove_dir_all(&dir).ok();
+        let crate::Document::Sweep(sweep) = doc else {
+            panic!("expected a sweep");
+        };
+        let records: Vec<_> = sweep
+            .points()
+            .iter()
+            .map(|p| match &p.spec.initiators[0].program {
+                ProgramSpec::Trace(t) => t.records.clone().expect("loaded"),
+                _ => unreachable!("every point replays the trace"),
+            })
+            .collect();
+        assert_eq!(records[0].len(), 1);
+        assert!(records.iter().all(|r| Arc::ptr_eq(r, &records[0])));
+        for p in sweep.points() {
+            p.spec
+                .validate()
+                .expect("the deleted file's records validate");
+        }
     }
 }

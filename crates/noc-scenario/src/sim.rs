@@ -54,8 +54,8 @@ impl Feeder {
 
 /// The streamed-workload feeders of one simulation. Plain cloneable
 /// state: a snapshot captures every generator's RNG state and every
-/// trace cursor's file offset, so restored runs resume the feed
-/// bit-identically.
+/// trace cursor's index into its shared records, so restored runs
+/// resume the feed bit-identically.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FeederSet {
     feeders: Vec<Feeder>,

@@ -1,7 +1,7 @@
 //! The declarative scenario description and its compilers.
 
 use crate::names::{name_of, named, Names};
-use crate::program::{ProgramSpec, StochasticShape, TraceCursor, Workload, ZipfSpec};
+use crate::program::{ProgramSpec, StochasticShape, TraceSpec, Workload, ZipfSpec};
 use crate::sim::{BridgedSim, BusSim, NocSim, Simulation};
 use noc_baseline::{
     AttachedMaster, BridgeConfig, BridgedInterconnect, BusConfig, SharedBus, SlaveTiming,
@@ -25,6 +25,7 @@ use noc_topology::{PortCount, RouteAlgorithm, Topology, TopologyBuilder, Topolog
 use noc_transaction::{
     AddressMap, Burst, BurstKind, MstAddr, Opcode, OrderingModel, SlvAddr, StreamId,
 };
+use std::collections::HashMap;
 use std::fmt;
 use std::mem::discriminant;
 
@@ -1035,10 +1036,10 @@ pub enum ScenarioError {
         /// Why.
         reason: String,
     },
-    /// A trace file failed build-time validation: unreadable, a
+    /// A trace file failed validation: unreadable or never loaded, a
     /// malformed record, decreasing timestamps, or a record violating
-    /// the scenario's containment rules. `line` is `0` for file-level
-    /// failures.
+    /// the scenario's socket or containment rules. `line` is `0` for
+    /// file-level failures.
     Trace {
         /// The trace file path.
         path: String,
@@ -1358,7 +1359,7 @@ impl ScenarioSpec {
                     }
                 }
                 ProgramSpec::Trace(t) => {
-                    if t.path.is_empty() {
+                    if t.path().is_empty() {
                         return Err(self.bad_program(ini, "trace_file must not be empty"));
                     }
                 }
@@ -1374,7 +1375,8 @@ impl ScenarioSpec {
             });
         }
         self.topology.placement(self.num_endpoints())?;
-        self.topology.check_links()
+        self.topology.check_links()?;
+        self.check_traces()
     }
 
     fn bad_program(&self, ini: &InitiatorSpec, reason: impl Into<String>) -> ScenarioError {
@@ -1428,41 +1430,47 @@ impl ScenarioSpec {
         Ok(())
     }
 
-    /// Rebases every relative `trace_file` path against `base` — called
+    /// Rebases every relative `trace_file` path against `base`, then
+    /// reads each trace file into memory ([`TraceSpec::load`]) — called
     /// by file-loading front ends (`scn`, the serve layer, tests) after
     /// parsing, so paths in a `.scn` file resolve relative to the file
-    /// rather than the process working directory. Emission round-trips
-    /// are done on the unresolved spec.
+    /// rather than the process working directory, and the run never
+    /// touches the file again. Emission round-trips are done on the
+    /// unresolved spec.
     pub fn resolve_trace_paths(&mut self, base: &std::path::Path) {
+        self.load_traces(base, &mut HashMap::new());
+    }
+
+    /// [`ScenarioSpec::resolve_trace_paths`], reading each path that is
+    /// not in `loaded` yet and adding it there.
+    pub(crate) fn load_traces(
+        &mut self,
+        base: &std::path::Path,
+        loaded: &mut HashMap<String, TraceSpec>,
+    ) {
         for ini in &mut self.initiators {
             if let ProgramSpec::Trace(t) = &mut ini.program {
-                let p = std::path::Path::new(&t.path);
-                if p.is_relative() {
-                    t.path = base.join(p).to_string_lossy().into_owned();
-                }
+                let path = base.join(t.path()).to_string_lossy().into_owned();
+                *t = loaded
+                    .entry(path)
+                    .or_insert_with_key(|path| TraceSpec::load(path.as_str()))
+                    .clone();
             }
         }
     }
 
-    /// Build-time validation of every declared trace file: each record
-    /// parses, timestamps are non-decreasing, and each record passes the
-    /// containment and shape rules explicit commands are held to.
-    /// Kept separate from [`ScenarioSpec::validate`] so validation of a
-    /// spec stays I/O-free; all three builders call this, and so must
-    /// whoever loads trace programs into a simulation built without
-    /// them (the serve layer's checkpoint forks).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ScenarioError::Trace`] naming the file, line and reason.
-    pub fn validate_traces(&self) -> Result<(), ScenarioError> {
+    /// The trace rules that depend on the scenario, checked over the
+    /// records the load read: the socket can carry each record, and each
+    /// lands inside one declared region — the rules explicit commands
+    /// are held to. A trace that failed to load is reported after the
+    /// records before its bad line.
+    fn check_traces(&self) -> Result<(), ScenarioError> {
         for ini in &self.initiators {
             let ProgramSpec::Trace(t) = &ini.program else {
                 continue;
             };
-            TraceCursor::validate_file(&t.path, |rec| {
-                ini.socket
-                    .admits(ini.ordering, &rec.command(rec.cycle, 0))?;
+            t.check(|rec| {
+                ini.socket.admits(ini.ordering, &rec.command(rec.cycle))?;
                 let burst_bytes = rec.beats as u64 * rec.beat_bytes as u64;
                 let end = rec.addr.checked_add(burst_bytes);
                 let contained = self
@@ -1476,11 +1484,6 @@ impl ScenarioSpec {
                     ));
                 }
                 Ok(())
-            })
-            .map_err(|(line, reason)| ScenarioError::Trace {
-                path: t.path.clone(),
-                line,
-                reason,
             })?;
         }
         Ok(())
@@ -1585,7 +1588,6 @@ impl ScenarioSpec {
     /// Returns [`ScenarioError`] if the declaration is inconsistent.
     pub fn build_noc(&self, mut config: NocConfig) -> Result<NocSim, ScenarioError> {
         let map = self.address_map()?;
-        self.validate_traces()?;
         if let Some(overrides) = &self.config {
             config = overrides.apply(config);
         }
@@ -1666,7 +1668,6 @@ impl ScenarioSpec {
     pub fn build_bridged(&self, config: BridgeConfig) -> Result<BridgedSim, ScenarioError> {
         self.reject_clocked("bridged")?;
         let map = self.address_map()?;
-        self.validate_traces()?;
         let mut ic = BridgedInterconnect::new(config, map);
         for ini in &self.initiators {
             ic.add_master(AttachedMaster::new(
@@ -1697,7 +1698,6 @@ impl ScenarioSpec {
         self.reject_clocked("bus")?;
         self.reject_bus_targets()?;
         let map = self.address_map()?;
-        self.validate_traces()?;
         let mut bus = SharedBus::new(config, map);
         for ini in &self.initiators {
             bus.add_master(AttachedMaster::new(

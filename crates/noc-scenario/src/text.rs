@@ -183,22 +183,24 @@ pub enum Document {
 
 impl Document {
     /// Rebases every relative `trace_file` path in the document against
-    /// `base` — the file-loading counterpart of
+    /// `base` and loads the traces — the document counterpart of
     /// [`ScenarioSpec::resolve_trace_paths`], covering sweep documents
-    /// too.
+    /// too. Each distinct file is read once, however many sweep points
+    /// name it; the points share its records.
     pub fn resolve_trace_paths(&mut self, base: &std::path::Path) {
+        let mut loaded = std::collections::HashMap::new();
         match self {
-            Document::Scenario(spec) => spec.resolve_trace_paths(base),
+            Document::Scenario(spec) => spec.load_traces(base, &mut loaded),
             Document::Sweep(sweep) => {
                 for point in sweep.points_mut() {
-                    point.spec.resolve_trace_paths(base);
+                    point.spec.load_traces(base, &mut loaded);
                 }
             }
         }
     }
 
-    /// Resolves trace paths against the directory of the `.scn` file
-    /// the document was loaded from — the one resolution rule every
+    /// Resolves and loads trace paths against the directory of the
+    /// `.scn` file the document was loaded from — the one rule every
     /// front end (`scn` run and sweep files, serve stdin requests,
     /// spool files) shares. The base is absolutized first, so the
     /// resolved document stays valid wherever the process working
@@ -574,7 +576,7 @@ const SOCKETS: Variants<SocketSpec> = &[
 const PROGRAMS: Variants<ProgramSpec> = &[
     ("bursty", (BURSTY, Bursty(BurstySpec::new(0, 0, 1, 0)))),
     ("zipf", (ZIPF, Zipf(ZipfSpec::new(0, 0, 0)))),
-    ("trace", (TRACE, Trace(TraceSpec { path: String::new() }))),
+    ("trace", (TRACE, Trace(TraceSpec::unloaded(String::new())))),
 ];
 
 /// `ordering` spellings; `N` stands for a thread or tag count.
@@ -678,8 +680,8 @@ const INITIATOR: Section<InitiatorSpec> = Section {
             at!(i.program => Zipf(ZipfSpec { exponent_milli, .. }), exponent_milli: u32)),
             "Zipf exponent x1000; the first declared memory is hottest"),
         req("trace_file", TRACE, Text(
-            |i| match &i.program { Trace(t) => Some(t.path.as_str()), _ => None },
-            |i, v| if let Trace(t) = &mut i.program { t.path = v.to_owned() }),
+            |i| match &i.program { Trace(t) => Some(t.path()), _ => None },
+            |i, v| if let Trace(t) = &mut i.program { *t = TraceSpec::unloaded(v.to_owned()) }),
             "trace to replay, its path relative to the .scn file"),
         opt("read_pct", BURSTY | ZIPF, Int(0, 100, at!(i.program.shape => read_pct: u8)),
             "percentage of reads (default 70)"),

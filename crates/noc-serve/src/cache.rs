@@ -80,11 +80,13 @@ impl CheckpointCache {
     /// (then cached) otherwise. Returns the simulation and whether it
     /// was a warm fork.
     ///
-    /// The *full* spec is validated first, trace files included, so
+    /// The *full* spec is validated first, trace records included, so
     /// program-dependent errors (say, an unmapped address, or a trace
     /// record the socket cannot carry) surface even when the platform
     /// itself is already warm — the checkpoint is built without
-    /// programs and so never sees them.
+    /// programs and so never sees them. No file is read here: a trace
+    /// was read when its request was loaded, and a fork shares its
+    /// records.
     ///
     /// # Errors
     ///
@@ -95,7 +97,6 @@ impl CheckpointCache {
         point: &SweepPoint,
     ) -> Result<(Box<dyn Simulation>, bool), ScenarioError> {
         point.spec.validate()?;
-        point.spec.validate_traces()?;
         self.clock += 1;
         let clock = self.clock;
         let warm = self

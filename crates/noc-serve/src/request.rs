@@ -109,7 +109,8 @@ impl Request {
         let mut req = Request::from_text(id, &file, &text)?;
         // Relative trace paths in a spooled or stdin-named file resolve
         // against the file itself (absolutized), as they do for
-        // `scn FILE` — one shared rule across every entry point.
+        // `scn FILE` — one shared rule across every entry point — and
+        // each trace is read here, once, for every point of the request.
         req.doc.resolve_trace_paths_from(path);
         Ok(req)
     }
@@ -274,9 +275,9 @@ mod tests {
             panic!("expected a trace program");
         };
         assert!(
-            Path::new(&t.path).is_absolute(),
+            Path::new(t.path()).is_absolute(),
             "trace path {:?} should be absolute after load",
-            t.path
+            t.path()
         );
         std::fs::remove_dir_all(&dir).ok();
     }

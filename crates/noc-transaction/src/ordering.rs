@@ -13,11 +13,13 @@
 //!
 //! The Arteris transaction layer absorbs all three with one mechanism: the
 //! packet `Tag` field plus a per-NIU **assignment policy** mapping socket
-//! streams to tags. [`OrderingPolicy`] implements that policy, including
-//! the two resource knobs the paper calls out — how many transactions may
-//! be outstanding simultaneously and whether different targets may be
-//! outstanding at once — which let an NIU "scale its gate count to its
-//! expected performance within the system".
+//! streams to tags. [`OrderingPolicy`] implements that policy. The paper
+//! calls out two resource knobs that let an NIU "scale its gate count to
+//! its expected performance within the system": how many transactions
+//! may be outstanding at once (the policy's budget) and whether one tag
+//! may be outstanding at different targets at once ([`TargetRule`]). The
+//! simulated NIU always stalls on a target switch; the other rule is
+//! priced by the gate model only.
 
 use crate::node::SlvAddr;
 use crate::tag::Tag;
@@ -139,13 +141,7 @@ impl fmt::Display for TargetRule {
 pub enum IssueBlock {
     /// The global outstanding-transaction budget is exhausted.
     TableFull,
-    /// The per-tag in-flight limit is reached.
-    TagBusy {
-        /// Tag at its limit.
-        tag: Tag,
-    },
-    /// Issuing would reorder same-tag responses across targets
-    /// (only under [`TargetRule::StallOnSwitch`]).
+    /// Issuing would reorder same-tag responses across targets.
     TargetHazard {
         /// Tag with outstanding traffic to a different target.
         tag: Tag,
@@ -160,7 +156,6 @@ impl fmt::Display for IssueBlock {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IssueBlock::TableFull => write!(f, "transaction table full"),
-            IssueBlock::TagBusy { tag } => write!(f, "{tag} at per-tag limit"),
             IssueBlock::TargetHazard { tag, busy_with } => {
                 write!(f, "{tag} busy with {busy_with}")
             }
@@ -238,8 +233,6 @@ struct TagState {
 pub struct OrderingPolicy {
     model: OrderingModel,
     max_outstanding: u32,
-    per_tag_limit: u32,
-    target_rule: TargetRule,
     tags: Vec<TagState>,
     rename: HashMap<StreamId, Tag>,
     outstanding: u32,
@@ -247,45 +240,23 @@ pub struct OrderingPolicy {
 
 impl OrderingPolicy {
     /// Creates a policy for `model` allowing `max_outstanding` transactions
-    /// in flight in total, with the default [`TargetRule::StallOnSwitch`]
-    /// and no per-tag limit beyond the global one.
+    /// in flight in total. A tag with traffic outstanding at one target
+    /// stalls before it switches to another ([`TargetRule::StallOnSwitch`]).
     ///
     /// # Errors
     ///
     /// Returns [`PolicyError::ZeroTags`] or [`PolicyError::ZeroOutstanding`]
     /// on degenerate configurations.
     pub fn new(model: OrderingModel, max_outstanding: u32) -> Result<Self, PolicyError> {
-        Self::with_rules(
-            model,
-            max_outstanding,
-            max_outstanding,
-            TargetRule::default(),
-        )
-    }
-
-    /// Full-control constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PolicyError::ZeroTags`] or [`PolicyError::ZeroOutstanding`]
-    /// on degenerate configurations.
-    pub fn with_rules(
-        model: OrderingModel,
-        max_outstanding: u32,
-        per_tag_limit: u32,
-        target_rule: TargetRule,
-    ) -> Result<Self, PolicyError> {
         if model.tag_count() == 0 {
             return Err(PolicyError::ZeroTags);
         }
-        if max_outstanding == 0 || per_tag_limit == 0 {
+        if max_outstanding == 0 {
             return Err(PolicyError::ZeroOutstanding);
         }
         Ok(OrderingPolicy {
             model,
             max_outstanding,
-            per_tag_limit,
-            target_rule,
             tags: vec![TagState::default(); model.tag_count() as usize],
             rename: HashMap::new(),
             outstanding: 0,
@@ -295,11 +266,6 @@ impl OrderingPolicy {
     /// The configured ordering model.
     pub fn model(&self) -> OrderingModel {
         self.model
-    }
-
-    /// The configured target rule.
-    pub fn target_rule(&self) -> TargetRule {
-        self.target_rule
     }
 
     /// Total transactions currently outstanding.
@@ -348,14 +314,9 @@ impl OrderingPolicy {
             },
         };
         let state = &self.tags[tag.index()];
-        if state.outstanding >= self.per_tag_limit {
-            return Err(IssueBlock::TagBusy { tag });
-        }
-        if self.target_rule == TargetRule::StallOnSwitch {
-            if let Some(busy_with) = state.current_target {
-                if busy_with != dst && state.outstanding > 0 {
-                    return Err(IssueBlock::TargetHazard { tag, busy_with });
-                }
+        if let Some(busy_with) = state.current_target {
+            if busy_with != dst && state.outstanding > 0 {
+                return Err(IssueBlock::TargetHazard { tag, busy_with });
             }
         }
         // Commit.
@@ -440,15 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn interleave_rule_permits_target_switch() {
-        let mut p =
-            OrderingPolicy::with_rules(OrderingModel::FullyOrdered, 4, 4, TargetRule::Interleave)
-                .unwrap();
-        p.try_issue(s(0), d(1)).unwrap();
-        assert!(p.try_issue(s(0), d(2)).is_ok());
-    }
-
-    #[test]
     fn table_full_blocks() {
         let mut p = OrderingPolicy::new(OrderingModel::FullyOrdered, 2).unwrap();
         p.try_issue(s(0), d(1)).unwrap();
@@ -456,18 +408,6 @@ mod tests {
         assert_eq!(p.try_issue(s(0), d(1)), Err(IssueBlock::TableFull));
         p.complete(Tag::ZERO).unwrap();
         assert!(p.try_issue(s(0), d(1)).is_ok());
-    }
-
-    #[test]
-    fn per_tag_limit_blocks() {
-        let mut p =
-            OrderingPolicy::with_rules(OrderingModel::FullyOrdered, 8, 1, TargetRule::default())
-                .unwrap();
-        p.try_issue(s(0), d(1)).unwrap();
-        assert_eq!(
-            p.try_issue(s(0), d(1)),
-            Err(IssueBlock::TagBusy { tag: Tag::ZERO })
-        );
     }
 
     #[test]

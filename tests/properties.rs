@@ -1685,10 +1685,11 @@ fn arb_stochastic_scenario(rng: &mut SplitMix64) -> noc_scenario::ScenarioSpec {
 /// through the text format (`parse(emit(x)) == x`, emit a fixpoint) and
 /// the same seed produces record-for-record identical completion logs:
 /// timestamps included across dense/horizon stepping on one backend,
-/// and the same functional records (index, opcode, address, status,
-/// data, stream) across all three backends — whose fabrics time the
-/// same traffic differently — with every commanded completion
-/// accounted for.
+/// and the same commands (index, opcode, address, stream) across all
+/// three backends — whose fabrics time the same traffic differently —
+/// with every commanded completion accounted for. Status and data are
+/// left out across backends: racing writes to one address make the
+/// data a read returns depend on the fabric's timing.
 #[test]
 fn stochastic_specs_round_trip_and_run_identically() {
     use noc_scenario::{Backend, ProgramSpec, ScenarioSpec, StepMode};
@@ -1771,8 +1772,8 @@ fn stochastic_specs_round_trip_and_run_identically() {
     }
 }
 
-/// Trace replay: a generated trace file streams through the cursor
-/// (bounded pulls, never resident) and replays record-identically on
+/// Trace replay: a generated trace file, loaded once, feeds the cursor
+/// in bounded pulls and replays record-identically on
 /// all three backends and both step modes, preserving the trace's
 /// inter-arrival spacing in the issue stream.
 #[test]
@@ -1783,7 +1784,7 @@ fn trace_replay_is_identical_across_backends_and_modes() {
     use std::io::Write;
 
     // Per-process directory: concurrent runs of this test binary must
-    // not truncate each other's trace under a streaming cursor.
+    // not truncate each other's trace before it is loaded.
     let dir = std::env::temp_dir().join(format!("noc-scenario-prop-trace-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("prop.trace");
@@ -1807,7 +1808,7 @@ fn trace_replay_is_identical_across_backends_and_modes() {
                 threads: 2,
                 per_thread: 4,
             },
-            TraceSpec::new(path.to_str().expect("utf-8 temp path")),
+            TraceSpec::load(path.to_str().expect("utf-8 temp path")),
         ))
         .memory(MemorySpec::new("m0", 0x0, 0x1000, 2))
         .memory(MemorySpec::new("m1", 0x1000, 0x2000, 4));
@@ -1866,10 +1867,12 @@ fn trace_replay_is_identical_across_backends_and_modes() {
 /// `scn FILE` drives it: parse, validate, build on every backend, run.
 /// A mutant may be rejected (a parse error with its line and column, or
 /// a typed [`noc_scenario::ScenarioError`]) or may run; it may not
-/// panic.
+/// panic. Then `trace_replay.trace` is mutated the same way under the
+/// unmodified `trace_replay.scn`: a mutant trace runs, or is rejected
+/// as a [`noc_scenario::ScenarioError::Trace`] naming the line it broke.
 #[test]
 fn mutated_corpus_files_never_panic() {
-    use noc_scenario::{parse_document, Backend, Document};
+    use noc_scenario::{parse_document, Backend, Document, ScenarioError, ScenarioSpec};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     const CASES_PER_FILE: usize = 120;
@@ -1940,6 +1943,44 @@ fn mutated_corpus_files_never_panic() {
     assert!(
         rejected * 10 >= cases,
         "only {rejected} of {cases} mutants were rejected"
+    );
+
+    let scn = std::fs::read_to_string(dir.join("trace_replay.scn")).expect("readable corpus file");
+    let original = std::fs::read(dir.join("trace_replay.trace")).expect("readable trace");
+    let scratch = std::env::temp_dir().join(format!("noc-mutated-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).expect("temp dir");
+    let (mut rejected, mut ran) = (0, 0);
+    for case in 0..CASES_PER_FILE {
+        let mut bytes = original.clone();
+        for _ in 0..rng.next_range(1, 3) {
+            mutate(&mut rng, &mut bytes);
+        }
+        std::fs::write(scratch.join("trace_replay.trace"), &bytes).expect("mutant written");
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut spec = ScenarioSpec::from_text(&scn).expect("corpus file parses");
+            spec.resolve_trace_paths(&scratch);
+            let mut runs = true;
+            for (label, make) in Backend::NAMES {
+                match spec.build(&make()) {
+                    Ok(mut sim) => drop(sim.run_until(2_000)),
+                    Err(ScenarioError::Trace { line, .. }) if line >= 1 => runs = false,
+                    Err(e) => return Err(format!("{label}: {e}")),
+                }
+            }
+            Ok(runs)
+        }));
+        let text = String::from_utf8_lossy(&bytes);
+        match outcome {
+            Ok(Ok(true)) => ran += 1,
+            Ok(Ok(false)) => rejected += 1,
+            Ok(Err(e)) => panic!("trace case {case} is not a trace line error ({e}) on:\n{text}"),
+            Err(_) => panic!("trace case {case} panicked on:\n{text}"),
+        }
+    }
+    std::fs::remove_dir_all(&scratch).ok();
+    assert!(
+        ran * 20 >= CASES_PER_FILE && rejected * 20 >= CASES_PER_FILE,
+        "trace mutants: {ran} ran and {rejected} were rejected of {CASES_PER_FILE}"
     );
 }
 

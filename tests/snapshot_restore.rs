@@ -276,14 +276,13 @@ fn program_loading_equals_building_with_programs() {
 
 /// A scenario mixing all three streamed program kinds — bursty, zipf
 /// and trace replay — so checkpoints must capture generator RNG state
-/// and the trace cursor's file position.
+/// and the trace cursor's position in the loaded records.
 fn stochastic_spec() -> ScenarioSpec {
     use noc_scenario::{BurstySpec, InitiatorSpec, MemorySpec, SocketSpec, TraceSpec, ZipfSpec};
     use std::io::Write;
 
-    // One file per call: the callers run concurrently, and a streamed
-    // trace cursor re-reads its file mid-run, so a shared path would let
-    // one test truncate the trace under another.
+    // One file per call: the callers run concurrently, and one of them
+    // truncates, overwrites and deletes its file after loading it.
     static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let dir = std::env::temp_dir().join("noc-scenario-snapshot-trace");
@@ -325,14 +324,14 @@ fn stochastic_spec() -> ScenarioSpec {
         .initiator(InitiatorSpec::new(
             "replay",
             SocketSpec::Ahb,
-            TraceSpec::new(path.to_str().expect("utf-8 temp path")),
+            TraceSpec::load(path.to_str().expect("utf-8 temp path")),
         ))
         .memory(MemorySpec::new("dram", 0x0, 0x1000, 5).with_queue(2))
         .memory(MemorySpec::new("sram", 0x1000, 0x2000, 2).with_queue(4))
 }
 
 /// Snapshotting mid-burst — generators part-way through their RNG
-/// streams, the trace cursor part-way through its file — and
+/// streams, the trace cursor part-way through its records — and
 /// continuing must replay exactly the uninterrupted run's records on
 /// every backend and in both step modes.
 #[test]
@@ -371,6 +370,75 @@ fn stochastic_interrupted_runs_match_uninterrupted_runs() {
                 "{label}: a restored mid-burst checkpoint must replay the identical future"
             );
         }
+    }
+}
+
+/// A trace file is read once, when the spec loads it, so changing it
+/// afterwards changes nothing: truncated after a build, overwritten
+/// after a snapshot, deleted between two serve checkouts, the run, the
+/// restore and both forks still replay the untouched run.
+#[test]
+fn a_trace_file_changed_mid_run_does_not_change_the_run() {
+    for backend in backends() {
+        let label = format!("{} (trace file changed)", backend.label());
+        let spec = stochastic_spec();
+        let path = match &spec.initiators[2].program {
+            noc_scenario::ProgramSpec::Trace(t) => std::path::PathBuf::from(t.path()),
+            _ => unreachable!("the third initiator replays the trace"),
+        };
+        let mut reference = spec.build(&backend).expect("fixture compiles");
+        assert!(
+            reference.run_until_with(BUDGET, StepMode::Horizon),
+            "{label}"
+        );
+        let expected = trace(reference.as_ref());
+        let mut original = spec.build(&backend).expect("fixture compiles");
+        let file = std::fs::OpenOptions::new().write(true).open(&path);
+        file.and_then(|f| f.set_len(40)).expect("trace truncated");
+        let mid = expected.now / 2;
+        assert!(!original.run_until_with(mid, StepMode::Horizon), "{label}");
+        let mut restored = original.snapshot();
+        std::fs::write(&path, "not a trace\n").expect("trace overwritten");
+        assert!(
+            original.run_until_with(BUDGET, StepMode::Horizon),
+            "{label}"
+        );
+        assert!(
+            restored.run_until_with(BUDGET, StepMode::Horizon),
+            "{label}"
+        );
+        assert_eq!(
+            trace(original.as_ref()),
+            expected,
+            "{label}: the run changed"
+        );
+        assert_eq!(
+            trace(restored.as_ref()),
+            expected,
+            "{label}: the restore changed"
+        );
+
+        let mut cache = noc_serve::CheckpointCache::new(2);
+        let point = noc_scenario::SweepPoint::new("replay", spec, backend);
+        let (mut cold, _) = cache.checkout(&point).expect("first checkout");
+        std::fs::remove_file(&path).expect("trace deleted");
+        let (mut warm, hit) = cache.checkout(&point).expect("second checkout");
+        assert!(
+            hit,
+            "{label}: the second checkout forks the first's platform"
+        );
+        assert!(cold.run_until_with(BUDGET, StepMode::Horizon), "{label}");
+        assert!(warm.run_until_with(BUDGET, StepMode::Horizon), "{label}");
+        assert_eq!(
+            trace(cold.as_ref()),
+            expected,
+            "{label}: the first fork changed"
+        );
+        assert_eq!(
+            trace(warm.as_ref()),
+            expected,
+            "{label}: the second fork changed"
+        );
     }
 }
 
