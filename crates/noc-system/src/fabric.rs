@@ -41,8 +41,8 @@
 //!   depth or the port count;
 //! - **stepping** allocates nothing per flit-hop: the slab recycles its
 //!   nodes, credit returns wait in per-latency lanes ([`CreditRing`]),
-//!   the sets of components that can act are bitsets ([`ActiveSet`]),
-//!   and every per-tick buffer is reused.
+//!   the sets of components that can act are two-level bitsets
+//!   ([`ActiveSet`]), and every per-tick buffer is reused.
 //!
 //! A switch is ticked through [`SwitchMut`], a borrow of its record, its
 //! slices of the port arrays, the slab and its routing row — the same
@@ -52,8 +52,8 @@
 //! # O(active) ticking
 //!
 //! The fabric tracks exactly which components can act on a given cycle,
-//! so both `tick` and the horizon queries cost O(active), not
-//! O(components):
+//! so `tick` costs O(active) plus one summary-word step per 4 096 links,
+//! switches or ports (see [`ActiveSet`]), and the horizon queries O(1):
 //!
 //! - every link schedules its next arrival cycle into a
 //!   [`Calendar`] (re-registered after every `send`/`deliver`, the only
@@ -72,8 +72,11 @@
 //! An [`ActiveSet`] iterates in ascending switch/link index order — the
 //! dense loop's order restricted to the members that can act — so the
 //! resulting logs and counters are bit-identical to dense ticking, with
-//! no per-tick sort. None of this reads the port arrays of a switch that
-//! has no work.
+//! no per-tick sort. Walking and clearing one visits only its non-empty
+//! words, found through a summary bitmap: on an idle 32×32 mesh a step
+//! that delivers one flit no longer scans and zeroes the 63 words of the
+//! ≈ 4 000-link due set. None of this reads the port arrays of a switch
+//! that has no work.
 
 use noc_kernel::{Calendar, Horizon, Queue, WakeId};
 use noc_physical::{LinkConfig, LinkState};
@@ -147,10 +150,21 @@ fn credit_latency(cfg: &LinkConfig) -> u64 {
     1 + cfg.pipeline as u64 * cfg.src_divisor
 }
 
-/// A set of small indices (switches, links, endpoints) as a bitset: O(1)
-/// insert, remove and emptiness, and iteration in *ascending* index
-/// order — the order a dense scan over all components visits them — at
-/// one `trailing_zeros` per member.
+/// A set of small indices (switches, links, endpoints) as a two-level
+/// bitset: one bit per index in the *member* words, and one *summary* bit
+/// per member word, set exactly while that word is non-zero. Iteration is
+/// in *ascending* index order — the order a dense scan over all
+/// components visits them. What each operation costs, for a set of
+/// capacity `n` holding `m` members:
+///
+/// - `insert`, `remove`, `contains`, `len` and `is_empty`: O(1);
+/// - `next_from`: O(1) to finish the current word, plus one step per
+///   summary word (4 096 indices) passed on the way to the next member;
+/// - a whole walk (`iter`, or `next_from` stepped from member to member)
+///   and `clear`: O(m + n / 4 096) — the words holding members, not every
+///   word of the set.
+///
+/// Both levels are one `Vec`, so a clone is one allocation.
 ///
 /// # Examples
 ///
@@ -167,15 +181,23 @@ fn credit_latency(cfg: &LinkConfig) -> u64 {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ActiveSet {
-    words: Vec<u64>,
+    /// The summary words, then the member words: bit `w % 64` of
+    /// `bits[w / 64]` is set exactly when member word `w`,
+    /// `bits[summary + w]`, is non-zero.
+    bits: Vec<u64>,
+    /// How many summary words lead `bits`.
+    summary: usize,
     len: usize,
 }
 
 impl ActiveSet {
     /// An empty set over the indices `0..n`.
     pub fn with_capacity(n: usize) -> ActiveSet {
+        let words = n.div_ceil(64);
+        let summary = words.div_ceil(64);
         ActiveSet {
-            words: vec![0; n.div_ceil(64)],
+            bits: vec![0; summary + words],
+            summary,
             len: 0,
         }
     }
@@ -186,9 +208,11 @@ impl ActiveSet {
     ///
     /// Panics if `i` is beyond the capacity.
     pub fn insert(&mut self, i: usize) {
-        let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        let word = &mut self.bits[self.summary + w];
         self.len += usize::from(*word & bit == 0);
         *word |= bit;
+        self.bits[w / 64] |= 1 << (w % 64);
     }
 
     /// Removes `i` (a no-op for a non-member).
@@ -197,9 +221,12 @@ impl ActiveSet {
     ///
     /// Panics if `i` is beyond the capacity.
     pub fn remove(&mut self, i: usize) {
-        let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        let word = &mut self.bits[self.summary + w];
         self.len -= usize::from(*word & bit != 0);
         *word &= !bit;
+        let emptied = u64::from(*word == 0);
+        self.bits[w / 64] &= !(emptied << (w % 64));
     }
 
     /// Returns `true` when `i` is a member.
@@ -208,15 +235,23 @@ impl ActiveSet {
     ///
     /// Panics if `i` is beyond the capacity.
     pub fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
+        self.bits[self.summary + i / 64] & (1u64 << (i % 64)) != 0
     }
 
-    /// Removes every member.
+    /// Removes every member, zeroing only the words the summary marks.
     pub fn clear(&mut self) {
-        if self.len > 0 {
-            self.words.fill(0);
-            self.len = 0;
+        if self.len == 0 {
+            return;
         }
+        let (summary, words) = self.bits.split_at_mut(self.summary);
+        for (s, marks) in summary.iter_mut().enumerate() {
+            let mut marked = std::mem::take(marks);
+            while marked != 0 {
+                words[s * 64 + marked.trailing_zeros() as usize] = 0;
+                marked &= marked - 1;
+            }
+        }
+        self.len = 0;
     }
 
     /// Number of members.
@@ -237,13 +272,23 @@ impl ActiveSet {
         if self.len == 0 {
             return None;
         }
-        let mut w = from / 64;
-        let mut bits = *self.words.get(w)? & (!0u64 << (from % 64));
-        while bits == 0 {
-            w += 1;
-            bits = *self.words.get(w)?;
+        let (summary, words) = self.bits.split_at(self.summary);
+        // The rest of `from`'s own word…
+        let w = from / 64;
+        let bits = *words.get(w)? & (!0u64 << (from % 64));
+        if bits != 0 {
+            return Some(w * 64 + bits.trailing_zeros() as usize);
         }
-        Some(w * 64 + bits.trailing_zeros() as usize)
+        // …then the first non-empty word after it, found in the summary.
+        let next = w + 1;
+        let mut s = next / 64;
+        let mut marked = *summary.get(s)? & (!0u64 << (next % 64));
+        while marked == 0 {
+            s += 1;
+            marked = *summary.get(s)?;
+        }
+        let w = s * 64 + marked.trailing_zeros() as usize;
+        Some(w * 64 + words[w].trailing_zeros() as usize)
     }
 
     /// The members in ascending order.
@@ -451,8 +496,10 @@ impl Fabric {
         );
         let num_nodes = topology.num_nodes();
         let ports = topology.ports();
-        let matrix = (0..num_switches)
-            .flat_map(|s| tables.switch_table(s).iter().map(|port| port.map(PortId)))
+        let matrix = tables
+            .matrix()
+            .iter()
+            .map(|port| port.map(PortId))
             .collect();
         let out_base = offsets(ports.iter().map(|p| p.outputs as usize));
         let in_base = offsets(ports.iter().map(|p| p.inputs as usize));

@@ -26,31 +26,60 @@ pub enum RouteAlgorithm {
     UpDown,
 }
 
-/// Computed per-switch routing tables: `tables[switch][dst_node]` is the
-/// output port, if reachable.
+/// Computed per-switch routing tables: one row-major matrix whose row
+/// `switch` holds, per destination node, the output port towards it, if
+/// reachable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwitchTables {
-    tables: Vec<Vec<Option<u8>>>,
+    /// `num_nodes` entries per switch, switch after switch.
+    ports: Vec<Option<u8>>,
+    num_switches: usize,
+    num_nodes: usize,
 }
 
 impl SwitchTables {
+    /// Tables for `num_switches` switches with no route yet.
+    fn unrouted(num_switches: usize, num_nodes: usize) -> SwitchTables {
+        SwitchTables {
+            ports: vec![None; num_switches * num_nodes],
+            num_switches,
+            num_nodes,
+        }
+    }
+
+    /// The entry of `switch` for destination `node`.
+    fn entry(&mut self, switch: usize, node: usize) -> &mut Option<u8> {
+        &mut self.ports[switch * self.num_nodes + node]
+    }
+
     /// Output port on `switch` towards destination `node`.
     pub fn port(&self, switch: usize, node: u16) -> Option<u8> {
-        self.tables
-            .get(switch)
-            .and_then(|t| t.get(node as usize))
-            .copied()
-            .flatten()
+        let node = node as usize;
+        if switch < self.num_switches && node < self.num_nodes {
+            self.ports[switch * self.num_nodes + node]
+        } else {
+            None
+        }
     }
 
     /// The raw table of one switch (indexed by destination node).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `switch` is beyond the switches covered.
     pub fn switch_table(&self, switch: usize) -> &[Option<u8>] {
-        &self.tables[switch]
+        assert!(switch < self.num_switches, "no switch {switch}");
+        &self.ports[switch * self.num_nodes..][..self.num_nodes]
+    }
+
+    /// Every switch's table, one after the other: the row-major matrix.
+    pub fn matrix(&self) -> &[Option<u8>] {
+        &self.ports
     }
 
     /// Number of switches covered.
     pub fn num_switches(&self) -> usize {
-        self.tables.len()
+        self.num_switches
     }
 }
 
@@ -113,7 +142,7 @@ impl Topology {
         for preds in &mut radj {
             preds.sort_by_key(|&(from, _, _)| from);
         }
-        let mut tables = vec![vec![None; self.num_nodes()]; self.num_switches];
+        let mut tables = SwitchTables::unrouted(self.num_switches, self.num_nodes());
         // dist[switch][phase]; a forward up*/down* route is up…up then
         // down…down, so the backward walk from the destination crosses
         // down edges first (phase 0) and, once it has crossed an up
@@ -125,7 +154,7 @@ impl Topology {
             dist.fill([usize::MAX; 2]);
             dist[a.switch][0] = 0;
             q.push_back((a.switch, 0));
-            tables[a.switch][node] = Some(a.out_port);
+            *tables.entry(a.switch, node) = Some(a.out_port);
             while let Some((s, phase)) = q.pop_front() {
                 for &(from, from_port, up) in &radj[s] {
                     if phase == 1 && !up {
@@ -137,9 +166,7 @@ impl Topology {
                     }
                     dist[from][next_phase] = dist[s][phase] + 1;
                     // First writer wins → BFS shortest, deterministic.
-                    if tables[from][node].is_none() {
-                        tables[from][node] = Some(from_port);
-                    }
+                    tables.entry(from, node).get_or_insert(from_port);
                     q.push_back((from, next_phase));
                 }
             }
@@ -151,7 +178,7 @@ impl Topology {
                 });
             }
         }
-        Ok(SwitchTables { tables })
+        Ok(tables)
     }
 
     /// Dimension-order routing for a row-major mesh (as built by
@@ -180,7 +207,7 @@ impl Topology {
                 .find(|&&(_, t)| t == to)
                 .map(|&(edge, _)| self.edges[edge].from_port)
         };
-        let mut tables = vec![vec![None; self.num_nodes()]; self.num_switches];
+        let mut tables = SwitchTables::unrouted(self.num_switches, self.num_nodes());
         for a in &self.attachments {
             let (dx, dy) = (a.switch % width, a.switch / width);
             #[allow(clippy::needless_range_loop)] // s is also arithmetic, not just an index
@@ -199,10 +226,10 @@ impl Topology {
                 let port = entry.ok_or_else(|| TopologyError::AlgorithmMismatch {
                     reason: format!("missing mesh link at switch {s}"),
                 })?;
-                tables[s][a.node as usize] = Some(port);
+                *tables.entry(s, a.node as usize) = Some(port);
             }
         }
-        Ok(SwitchTables { tables })
+        Ok(tables)
     }
 }
 

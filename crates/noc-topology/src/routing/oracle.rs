@@ -35,7 +35,7 @@ impl Topology {
             .map(|a| a.node as usize + 1)
             .max()
             .unwrap_or(0);
-        let mut tables = vec![vec![None; num_nodes]; self.num_switches];
+        let mut tables = SwitchTables::unrouted(self.num_switches, num_nodes);
         for a in &self.attachments {
             // BFS outward from the destination switch along reverse edges.
             // phase: 0 = still descending when walked forward (down-phase
@@ -48,7 +48,7 @@ impl Topology {
             let mut q: VecDeque<(usize, usize)> = VecDeque::new();
             dist[a.switch][0] = 0;
             q.push_back((a.switch, 0));
-            tables[a.switch][a.node as usize] = Some(a.out_port);
+            *tables.entry(a.switch, a.node as usize) = Some(a.out_port);
             while let Some((s, phase)) = q.pop_front() {
                 let mut preds: Vec<(usize, usize)> = radj[s].clone();
                 preds.sort_by_key(|&(_, from)| from);
@@ -89,8 +89,9 @@ impl Topology {
                         }
                         dist[from][next_phase] = dist[s][phase] + 1;
                         // First writer wins → BFS shortest, deterministic.
-                        if tables[from][a.node as usize].is_none() {
-                            tables[from][a.node as usize] = Some(e.from_port);
+                        let entry = tables.entry(from, a.node as usize);
+                        if entry.is_none() {
+                            *entry = Some(e.from_port);
                         }
                         q.push_back((from, next_phase));
                     }
@@ -106,7 +107,7 @@ impl Topology {
                 });
             }
         }
-        Ok(SwitchTables { tables })
+        Ok(tables)
     }
 
     /// XY routing as first written: every hop scans all edges.
@@ -139,7 +140,7 @@ impl Topology {
                 .find(|e| e.from == from && e.to == to)
                 .map(|e| e.from_port)
         };
-        let mut tables = vec![vec![None; num_nodes]; self.num_switches];
+        let mut tables = SwitchTables::unrouted(self.num_switches, num_nodes);
         for a in &self.attachments {
             let (dx, dy) = (a.switch % width, a.switch / width);
             #[allow(clippy::needless_range_loop)] // s is also arithmetic, not just an index
@@ -158,10 +159,10 @@ impl Topology {
                 let port = entry.ok_or_else(|| TopologyError::AlgorithmMismatch {
                     reason: format!("missing mesh link at switch {s}"),
                 })?;
-                tables[s][a.node as usize] = Some(port);
+                *tables.entry(s, a.node as usize) = Some(port);
             }
         }
-        Ok(SwitchTables { tables })
+        Ok(tables)
     }
 }
 

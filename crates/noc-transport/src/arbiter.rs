@@ -43,7 +43,6 @@ pub struct RoundRobinArbiter {
     /// The last winner: a port index, so a `u32` (a switch output holds
     /// one arbiter, and a fabric thousands).
     last: Option<u32>,
-    grants: u64,
 }
 
 impl RoundRobinArbiter {
@@ -52,22 +51,15 @@ impl RoundRobinArbiter {
         RoundRobinArbiter::default()
     }
 
-    /// Total grants issued (for fairness accounting).
-    pub fn grants(&self) -> u64 {
-        self.grants
-    }
-
     fn index(winner: usize) -> u32 {
         u32::try_from(winner).expect("requester index fits in u32")
     }
 
     /// Grants `winner`, the only requester: exactly what
     /// [`Arbiter::pick`] does when `winner` holds the one `Some` of its
-    /// input, pointer and grant count included, without building the
-    /// input.
+    /// input, without building the input.
     pub(crate) fn grant_sole(&mut self, winner: usize) {
         self.last = Some(Self::index(winner));
-        self.grants += 1;
     }
 }
 
@@ -81,14 +73,13 @@ impl Arbiter for RoundRobinArbiter {
             .map(|k| (start + k) % n)
             .find(|&i| requests[i] == Some(*top))?;
         self.last = Some(Self::index(winner));
-        self.grants += 1;
         Some(winner)
     }
 }
 
 impl fmt::Display for RoundRobinArbiter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "rr(last={:?}, grants={})", self.last, self.grants)
+        write!(f, "rr(last={:?})", self.last)
     }
 }
 
@@ -101,7 +92,8 @@ mod tests {
         let mut arb = RoundRobinArbiter::new();
         assert_eq!(arb.pick(&[None, None, None]), None);
         assert_eq!(arb.pick(&[]), None);
-        assert_eq!(arb.grants(), 0);
+        // Nothing was granted: the rotation still starts at requester 0.
+        assert_eq!(arb.pick(&[Some(0), Some(0)]), Some(0));
     }
 
     #[test]
@@ -171,7 +163,8 @@ mod tests {
     #[test]
     fn display() {
         let mut arb = RoundRobinArbiter::new();
-        arb.pick(&[Some(0)]);
-        assert!(arb.to_string().contains("grants=1"));
+        assert_eq!(arb.to_string(), "rr(last=None)");
+        arb.pick(&[None, Some(0)]);
+        assert_eq!(arb.to_string(), "rr(last=Some(1))");
     }
 }

@@ -1014,6 +1014,13 @@ mod tests {
         assert!(set.is_empty());
     }
 
+    /// A fork copies every output record and a hop touches one, so the
+    /// record stays at two ports, a credit count and the rotation pointer.
+    #[test]
+    fn an_output_record_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<OutputPort>(), 16);
+    }
+
     #[test]
     fn display_mentions_mode() {
         let sw = switch2x2(SwitchMode::StoreAndForward);

@@ -54,13 +54,14 @@ const BUDGETS: [Row; 4] = [
 /// A 32x32 mesh is 1 024 switches in each of two fabrics, and a fabric is
 /// a fixed number of flat arrays — switch, input-port, output-port,
 /// stash and link records — plus one flit slab; wiring, routing and link
-/// classes are immutable and shared. So a snapshot is those few arrays
-/// per fabric plus a hundred-odd for endpoints and calendars, whatever
-/// the platform's size (measured 2 241 / 112; 6 335 / 4 208 when a switch
-/// was two arrays of its own, 26 864 / 22 643 when it was eight `Vec`s).
-/// About 1 025 of the build's are the routing computation's per-switch
-/// tables in `noc-topology`.
-const PLATFORM: (&str, u64, u64) = ("mesh_32x32_sparse.scn", 2_500, 500);
+/// classes are immutable and shared, and the routing computation in
+/// `noc-topology` hands over its tables as one matrix. So a snapshot is
+/// those few arrays per fabric plus a hundred-odd for endpoints and
+/// calendars, whatever the platform's size (measured 1 207 / 104; 2 241
+/// / 104 when every switch's routing table was a `Vec` of its own,
+/// 6 335 / 4 208 when a switch was two arrays of its own, 26 864 /
+/// 22 643 when it was eight `Vec`s).
+const PLATFORM: (&str, u64, u64) = ("mesh_32x32_sparse.scn", 1_250, 500);
 
 struct CountingAllocator;
 
@@ -142,7 +143,8 @@ fn stepping_stays_within_the_allocation_budget_on_every_backend() {
     assert!(
         build <= build_budget,
         "{file} build on the NoC: {build} heap allocations, over the budget of {build_budget}: \
-         a switch, a port, a link or the wiring owns a small heap object of its own again"
+         a switch, a port, a link, a routing row or the wiring owns a small heap object of its \
+         own again"
     );
     assert!(
         snapshot <= snapshot_budget,

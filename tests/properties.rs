@@ -982,10 +982,41 @@ fn credit_ring_equals_a_due_cycle_map() {
     }
 }
 
-/// The bitset `ActiveSet` ≡ an ordered-set model: membership, length,
-/// ascending iteration, `next_from` at arbitrary cursors, and the walk
-/// the tick loops do — visit ascending, retiring some members as they
-/// are visited.
+/// An `ActiveSet` capacity: mostly 1–300, and otherwise one that
+/// reaches a second or third summary word (each covers 64 words, 4 096
+/// indices) or spans dozens of them.
+fn arb_set_capacity(rng: &mut SplitMix64) -> usize {
+    let (lo, hi) = match rng.next_below(8) {
+        0 => (4_000, 4_200),
+        1 => (8_190, 8_200),
+        2 => (299_000, 301_000),
+        _ => (1, 300),
+    };
+    rng.next_range(lo, hi) as usize
+}
+
+/// An index of `0..capacity`, drawn to sit on a word or summary-word
+/// edge, or at the last index, as often as anywhere else.
+fn arb_set_index(rng: &mut SplitMix64, capacity: usize) -> usize {
+    const EDGES: [usize; 9] = [0, 63, 64, 127, 4_095, 4_096, 4_159, 8_191, 8_192];
+    if rng.chance(0.4) {
+        let edge = EDGES[rng.next_below(EDGES.len() as u64) as usize];
+        if edge < capacity {
+            return edge;
+        }
+    }
+    if rng.chance(0.15) {
+        return capacity - 1;
+    }
+    rng.next_below(capacity as u64) as usize
+}
+
+/// The two-level bitset `ActiveSet` ≡ an ordered-set model: membership,
+/// length, ascending iteration, `next_from` at arbitrary cursors (past
+/// the capacity too), the walk the tick loops do — visit ascending,
+/// retiring some members as they are visited — and `clear` followed by
+/// reuse. Capacities reach a second and third summary word and span
+/// dozens of them, and indices crowd the word and summary edges.
 #[test]
 fn active_set_equals_an_ordered_set_model() {
     use noc_system::ActiveSet;
@@ -993,11 +1024,11 @@ fn active_set_equals_an_ordered_set_model() {
 
     let mut rng = SplitMix64::new(0xAC71);
     for case in 0..CASES {
-        let capacity = rng.next_range(1, 300) as usize;
+        let capacity = arb_set_capacity(&mut rng);
         let mut set = ActiveSet::with_capacity(capacity);
         let mut model = BTreeSet::new();
         for op in 0..rng.next_range(10, 200) {
-            let i = rng.next_below(capacity as u64) as usize;
+            let i = arb_set_index(&mut rng, capacity);
             match rng.next_below(10) {
                 0..=4 => {
                     set.insert(i);
@@ -1019,24 +1050,41 @@ fn active_set_equals_an_ordered_set_model() {
                     }
                     assert!(
                         visited.iter().copied().eq(model.iter().copied()),
-                        "case {case} op {op}"
+                        "case {case} op {op}: capacity {capacity}, walked {visited:?}"
                     );
                     model.retain(|&m| set.next_from(m) == Some(m));
                 }
                 _ => {
                     if rng.chance(0.3) {
+                        let members: Vec<usize> = model.iter().copied().collect();
                         set.clear();
                         model.clear();
+                        for m in members {
+                            assert!(!set.contains(m), "case {case} op {op}: {m} survived clear");
+                        }
                     }
                 }
             }
-            assert_eq!((set.len(), set.is_empty()), (model.len(), model.is_empty()));
-            assert!(set.iter().eq(model.iter().copied()), "case {case} op {op}");
-            let from = rng.next_below(capacity as u64 + 70) as usize;
+            assert_eq!(
+                (set.len(), set.is_empty(), set.contains(i)),
+                (model.len(), model.is_empty(), model.contains(&i)),
+                "case {case} op {op}: capacity {capacity}, index {i}"
+            );
+            assert!(
+                set.iter().eq(model.iter().copied()),
+                "case {case} op {op}: capacity {capacity}, iter {:?}, model {model:?}",
+                set.iter().collect::<Vec<_>>()
+            );
+            let from = match rng.next_below(6) {
+                0 => capacity + rng.next_below(5_000) as usize,
+                1 if rng.chance(0.2) => usize::MAX,
+                1 | 2 => arb_set_index(&mut rng, capacity) + rng.next_below(2) as usize,
+                _ => rng.next_below(capacity as u64 + 70) as usize,
+            };
             assert_eq!(
                 set.next_from(from),
                 model.range(from..).next().copied(),
-                "case {case} op {op} from {from}"
+                "case {case} op {op}: capacity {capacity}, from {from}"
             );
         }
     }
