@@ -26,13 +26,16 @@
 //!
 //! A scenario file runs as one point per backend, a sweep file as its
 //! declared points; both print the same tables from each run's
-//! `ScenarioReport`: one row per run (cycles, completions, mean latency,
-//! executed steps, dense/horizon ratio, polls/pops, and the fabric's
-//! flits forwarded and lock-idle cycles — `-` on the baselines), one row
-//! per master (completions, errors, mean and p95 latency — `-` for a
-//! master that completed nothing) and, for multi-target specs, one row
-//! per target. The paper's experiments are corpus files read through
-//! these tables (README, "The paper's experiments").
+//! `RunReport` rows (`metrics()`, the rows serve and the golden print
+//! too): one row per run (the `cycles`, `completions`, `mean_latency`,
+//! `flits_forwarded` and `lock_idle_cycles` rows, plus the cells that
+//! combine the two runs of `--step both`: executed steps,
+//! dense/horizon ratio and polls/pops), one row per master (its
+//! numeric rows: completions, errors, mean and p95 latency) and, for
+//! multi-target specs, one row per target. A row without a value — no
+//! latency sample, no fabric on a baseline — prints `-`. The paper's
+//! experiments are corpus files read through these tables (README,
+//! "The paper's experiments").
 //!
 //! With `--backend all`, scenarios that declare divided clocks or
 //! target kinds a baseline cannot model are skipped (with a note) on
@@ -64,6 +67,7 @@ use noc_examples::golden::{self, Run};
 use noc_protocols::CompletionRecord;
 use noc_scenario::{
     parse_document, Backend, Document, ScenarioError, ScenarioSpec, StepMode, Sweep, SweepPoint,
+    Value,
 };
 use noc_stats::Table;
 use std::fmt::Display;
@@ -274,29 +278,36 @@ fn run_sweep(
         let horizon_ran = modes.last() == Some(&StepMode::Horizon);
         let wake = horizon_ran.then(|| format!("{}/{}", r.horizon_polls, r.calendar_pops));
         let modes: Vec<String> = modes.iter().map(StepMode::to_string).collect();
-        let mean = (r.total_completions() > 0).then(|| format!("{:.1}", r.mean_latency()));
+        let rows = r.metrics();
+        let plain = |name| {
+            cell(
+                rows.iter()
+                    .find(|row| row.name == name)
+                    .and_then(|row| row.value),
+            )
+        };
         runs.row(&row(vec![
             backend.to_owned(),
             modes.join("="),
-            r.cycles.to_string(),
-            r.total_completions().to_string(),
-            cell(mean),
+            plain("cycles"),
+            plain("completions"),
+            plain("mean_latency"),
             steps.join("/"),
             cell(ratio),
             cell(wake),
-            cell(r.fabric.as_ref().map(|f| f.flits_forwarded)),
-            cell(r.fabric.as_ref().map(|f| f.lock_idle_cycles)),
+            plain("flits_forwarded"),
+            plain("lock_idle_cycles"),
         ]));
         for m in &r.masters {
-            let sampled = m.completions > 0;
-            masters.row(&row(vec![
-                backend.to_owned(),
-                m.name.clone(),
-                m.completions.to_string(),
-                m.errors.to_string(),
-                cell(sampled.then(|| format!("{:.1}", m.mean_latency))),
-                cell(sampled.then(|| m.latency_percentile(0.95))),
-            ]));
+            // A fingerprint identifies results; the golden pins it, and
+            // a table has no column for it.
+            let cells = m
+                .metrics()
+                .into_iter()
+                .filter(|row| !matches!(row.value, Some(Value::Fingerprint(_))))
+                .map(|row| cell(row.value));
+            let head = [backend.to_owned(), m.name.clone()];
+            masters.row(&row(head.into_iter().chain(cells).collect()));
         }
         // The per-target breakdown only says something when traffic can
         // actually spread over more than one target.

@@ -9,7 +9,7 @@
 //! same runs.
 
 use noc_protocols::CompletionRecord;
-use noc_scenario::{Backend, Document, ScenarioError, ScenarioReport, ScenarioSpec, StepMode};
+use noc_scenario::{Backend, Document, RunReport, ScenarioError, ScenarioSpec, StepMode};
 use std::fmt;
 
 /// The golden's file name, next to the corpus files it pins.
@@ -36,7 +36,7 @@ pub struct Run {
     /// Whether the simulation drained within its budget.
     pub drained: bool,
     /// The backend-neutral report of the finished simulation.
-    pub report: ScenarioReport,
+    pub report: RunReport,
     /// Every master's completion records, in declaration and log order.
     pub logs: Vec<Vec<CompletionRecord>>,
 }
@@ -66,21 +66,14 @@ impl Run {
     }
 }
 
-/// The golden row: every host-independent number of the run.
+/// The golden row: the report's golden rows, then the digest of the
+/// logs.
 impl fmt::Display for Run {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let r = &self.report;
-        write!(
-            f,
-            "cycles={} steps={} polls={} pops={} completions={} {} digest={:016x}",
-            r.cycles,
-            r.steps,
-            r.horizon_polls,
-            r.calendar_pops,
-            r.total_completions(),
-            r.system_fingerprint(),
-            self.digest()
-        )
+        for row in self.report.metrics().iter().filter(|row| row.golden) {
+            write!(f, "{row} ")?;
+        }
+        write!(f, "digest={:016x}", self.digest())
     }
 }
 

@@ -53,16 +53,18 @@ pub mod spec;
 pub mod sweep;
 pub mod text;
 
+pub use noc_system::{Metric, RunReport, Value};
 pub use program::{
     BurstySpec, Discipline, FeedSource, ProgramSpec, StochasticShape, TraceCursor, TraceSpec,
     Workload, ZipfSpec,
 };
-pub use sim::{
-    BridgedSim, BusSim, NocSim, ScenarioEngine, ScenarioReport, Sim, Simulation, StepMode,
-};
+pub use sim::{BridgedSim, BusSim, NocSim, ScenarioEngine, Sim, Simulation, StepMode};
 pub use spec::{
     Backend, InitiatorSpec, LinkClassSpec, MemorySpec, NocConfigSpec, ScenarioError, ScenarioSpec,
     SocketSpec, TargetSpec, TopologySpec,
 };
 pub use sweep::{Sweep, SweepPoint, SweepResult};
 pub use text::{grammar_reference, parse_document, Document, ParseError, ParseErrorKind};
+
+/// [`RunReport`] under the name the repository benchmark imports.
+pub type ScenarioReport = RunReport;

@@ -5,8 +5,7 @@ use crate::program::{FeedSource, Workload};
 use noc_baseline::{BridgedInterconnect, SharedBus};
 use noc_kernel::Engine;
 use noc_protocols::{CompletionLog, Program, SocketCommand};
-use noc_system::{FabricReport, MasterReport, Soc};
-use noc_transaction::Fingerprint;
+use noc_system::{RunReport, Soc};
 use std::fmt;
 
 use crate::program::FEED_WINDOW;
@@ -138,8 +137,8 @@ impl FeederSet {
 /// How [`Simulation::run_until`] advances base time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StepMode {
-    /// Execute every base cycle: nothing is skipped, so
-    /// `executed_steps == now`. The reference semantics, and the escape
+    /// Execute every base cycle: nothing is skipped, so a report's
+    /// `steps == cycles`. The reference semantics, and the escape
     /// hatch when debugging a backend's horizon bookkeeping. It does not
     /// promise that every component is polled on every cycle — the NoC
     /// clocks, in an executed cycle of either mode, only the endpoints,
@@ -197,27 +196,9 @@ pub trait Simulation: Send {
     fn is_done(&self) -> bool;
     /// Named per-master completion logs, in declaration order.
     fn logs(&self) -> Vec<(&str, &CompletionLog)>;
-    /// A backend-neutral report of the current state.
-    fn report(&self) -> ScenarioReport;
-
-    /// Base cycles actually stepped, excluding the cycles horizon
-    /// stepping jumped over. A dense run executes exactly
-    /// [`Simulation::now`] steps, so
-    /// `dense.executed_steps() / horizon.executed_steps()` is the
-    /// executed-step collapse the horizon machinery buys on a workload.
-    fn executed_steps(&self) -> u64;
-
-    /// Times [`Simulation::advance_to`] polled the backend's
-    /// `next_activity` — one per advance-loop iteration, 0 for dense
-    /// runs, which never ask.
-    fn horizon_polls(&self) -> u64;
-
-    /// Calendar wakeups the backend retired while stepping (stale
-    /// entries included). Only the NoC keeps calendars — over fabric
-    /// links and endpoints, where they replace a scan of every
-    /// component; the baselines fold a few sources per master directly
-    /// and report 0.
-    fn calendar_pops(&self) -> u64;
+    /// A backend-neutral report of the current state, polls and
+    /// calendar pops included.
+    fn report(&self) -> RunReport;
 
     /// Advances until done or `horizon`, skipping provably-dead gaps.
     /// Leaves state bit-identical to stepping every cycle.
@@ -262,112 +243,6 @@ pub trait Simulation: Send {
     fn load_programs(&mut self, workloads: &[Workload]);
 }
 
-/// A backend-neutral simulation report: per-master results plus fabric
-/// aggregates when the backend has a fabric.
-#[derive(Debug, Clone)]
-pub struct ScenarioReport {
-    /// Backend label ("noc", "bridged", "bus").
-    pub backend: &'static str,
-    /// Base cycles simulated.
-    pub cycles: u64,
-    /// Base cycles actually stepped (skipped cycles excluded); equals
-    /// `cycles` for dense runs, so `cycles / steps` is the horizon win.
-    pub steps: u64,
-    /// Whether every master drained.
-    pub all_done: bool,
-    /// Per-master reports, in declaration order.
-    pub masters: Vec<MasterReport>,
-    /// Fabric aggregates (NoC backend only).
-    pub fabric: Option<FabricReport>,
-    /// Times the advance machinery polled `next_activity` (0 for dense
-    /// runs, which never ask).
-    pub horizon_polls: u64,
-    /// Calendar wakeups retired while stepping (both modes execute the
-    /// same events, so this is mode-independent up to run length).
-    pub calendar_pops: u64,
-}
-
-impl ScenarioReport {
-    /// Finds a master report whose name contains `fragment`.
-    pub fn master(&self, fragment: &str) -> Option<&MasterReport> {
-        self.masters.iter().find(|m| m.name.contains(fragment))
-    }
-
-    /// Total completions across masters.
-    pub fn total_completions(&self) -> usize {
-        self.masters.iter().map(|m| m.completions).sum()
-    }
-
-    /// Completions per cycle.
-    pub fn throughput(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.total_completions() as f64 / self.cycles as f64
-        }
-    }
-
-    /// Mean latency across all masters, weighted by completions. With
-    /// zero completions there is no latency sample at all, so this is
-    /// `NaN` — not a fabricated `0.0`. The serve layer's JSON emitter
-    /// turns it into `null` and the `scn` tables print `-`.
-    pub fn mean_latency(&self) -> f64 {
-        let total = self.total_completions();
-        if total == 0 {
-            return f64::NAN;
-        }
-        self.masters
-            .iter()
-            .map(|m| m.mean_latency * m.completions as f64)
-            .sum::<f64>()
-            / total as f64
-    }
-
-    /// Merged functional fingerprint over all masters.
-    pub fn system_fingerprint(&self) -> Fingerprint {
-        let mut fp = Fingerprint::new();
-        for m in &self.masters {
-            fp.merge(&m.fingerprint);
-        }
-        fp
-    }
-}
-
-impl fmt::Display for ScenarioReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mean = if self.total_completions() == 0 {
-            "-".to_owned()
-        } else {
-            format!("{:.1}cy", self.mean_latency())
-        };
-        writeln!(
-            f,
-            "{} report: {} cycles, done={}, {} completions ({:.4}/cy), mean latency {}",
-            self.backend,
-            self.cycles,
-            self.all_done,
-            self.total_completions(),
-            self.throughput(),
-            mean
-        )?;
-        for m in &self.masters {
-            writeln!(f, "  {m}")?;
-        }
-        if let Some(fab) = &self.fabric {
-            write!(
-                f,
-                "  fabric: {} flits, {} pkts, {} credit stalls, {} conflicts, {} lock-idle",
-                fab.flits_forwarded,
-                fab.packets_forwarded,
-                fab.credit_stalls,
-                fab.arbitration_conflicts,
-                fab.lock_idle_cycles
-            )?;
-        }
-        Ok(())
-    }
-}
-
 /// What a backend supplies beyond the [`Engine`] stepping contract so
 /// the scenario layer can load it, feed it and report on it. Everything
 /// else about running a scenario is [`Sim`], written once.
@@ -381,10 +256,10 @@ pub trait ScenarioEngine: Engine + Clone + Send + 'static {
     fn append_commands(&mut self, ordinal: usize, tail: &[SocketCommand]);
     /// Named per-master completion logs, in declaration order.
     fn completion_logs(&self) -> Vec<(&str, &CompletionLog)>;
-    /// Fabric aggregates, for backends that have a fabric.
-    fn fabric_report(&self) -> Option<FabricReport>;
-    /// Calendar wakeups retired while stepping; 0 without a calendar.
-    fn calendar_pops(&self) -> u64;
+    /// A report of the current state: fabric aggregates and calendar
+    /// pops for a backend that keeps them, no polls (the advance loop
+    /// counts those).
+    fn report(&self) -> RunReport;
 }
 
 impl ScenarioEngine for Soc {
@@ -398,11 +273,8 @@ impl ScenarioEngine for Soc {
     fn completion_logs(&self) -> Vec<(&str, &CompletionLog)> {
         Soc::completion_logs(self)
     }
-    fn fabric_report(&self) -> Option<FabricReport> {
-        Some(Soc::fabric_report(self))
-    }
-    fn calendar_pops(&self) -> u64 {
-        Soc::calendar_pops(self)
+    fn report(&self) -> RunReport {
+        Soc::report(self)
     }
 }
 
@@ -417,11 +289,8 @@ impl ScenarioEngine for BridgedInterconnect {
     fn completion_logs(&self) -> Vec<(&str, &CompletionLog)> {
         BridgedInterconnect::completion_logs(self)
     }
-    fn fabric_report(&self) -> Option<FabricReport> {
-        None
-    }
-    fn calendar_pops(&self) -> u64 {
-        0
+    fn report(&self) -> RunReport {
+        RunReport::new(Self::LABEL, self, self.completion_logs())
     }
 }
 
@@ -436,11 +305,8 @@ impl ScenarioEngine for SharedBus {
     fn completion_logs(&self) -> Vec<(&str, &CompletionLog)> {
         SharedBus::completion_logs(self)
     }
-    fn fabric_report(&self) -> Option<FabricReport> {
-        None
-    }
-    fn calendar_pops(&self) -> u64 {
-        0
+    fn report(&self) -> RunReport {
+        RunReport::new(Self::LABEL, self, self.completion_logs())
     }
 }
 
@@ -510,15 +376,6 @@ impl<E: ScenarioEngine> Simulation for Sim<E> {
     fn logs(&self) -> Vec<(&str, &CompletionLog)> {
         self.engine.completion_logs()
     }
-    fn executed_steps(&self) -> u64 {
-        self.engine.executed_steps()
-    }
-    fn horizon_polls(&self) -> u64 {
-        self.polls
-    }
-    fn calendar_pops(&self) -> u64 {
-        self.engine.calendar_pops()
-    }
     /// The feeder wrapper around [`Engine::advance_to`]: top the
     /// streamed programs up, let the engine run to the feeders' bound,
     /// repeat.
@@ -531,25 +388,10 @@ impl<E: ScenarioEngine> Simulation for Sim<E> {
             }
         }
     }
-    fn report(&self) -> ScenarioReport {
-        // The scenario layer numbers initiator nodes by declaration
-        // order, which is also log order on every backend.
-        let masters = self
-            .engine
-            .completion_logs()
-            .into_iter()
-            .enumerate()
-            .map(|(node, (name, log))| MasterReport::from_log(name, node as u16, log))
-            .collect();
-        ScenarioReport {
-            backend: E::LABEL,
-            cycles: self.engine.now(),
-            steps: self.engine.executed_steps(),
-            all_done: self.engine.is_done(),
-            masters,
-            fabric: self.engine.fabric_report(),
+    fn report(&self) -> RunReport {
+        RunReport {
             horizon_polls: self.polls,
-            calendar_pops: self.engine.calendar_pops(),
+            ..self.engine.report()
         }
     }
     fn snapshot(&self) -> Box<dyn Simulation> {

@@ -8,8 +8,9 @@
 //! runner fans them out across OS threads and reassembles the results
 //! in declaration order.
 
-use crate::sim::{ScenarioReport, StepMode};
+use crate::sim::StepMode;
 use crate::spec::{Backend, ScenarioError, ScenarioSpec};
+use noc_system::RunReport;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -53,7 +54,7 @@ pub struct SweepResult {
     /// The point's label.
     pub label: String,
     /// Its report after running.
-    pub report: ScenarioReport,
+    pub report: RunReport,
 }
 
 /// A batch of scenario simulations expanded from a parameter grid.

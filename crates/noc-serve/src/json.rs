@@ -1,7 +1,7 @@
 //! Minimal JSON record emission.
 //!
 //! The serve protocol streams one JSON object per line. The objects are
-//! flat (strings, integers, floats, booleans), so a tiny escape-and-
+//! flat (strings, integers, floats, nulls), so a tiny escape-and-
 //! concatenate builder covers the whole need without pulling in a
 //! serialization dependency.
 
@@ -80,14 +80,14 @@ impl JsonObject {
             let text = format!("{value}");
             self.raw(key, &text)
         } else {
-            self.raw(key, "null")
+            self.null(key)
         }
     }
 
-    /// Adds a boolean field.
+    /// Adds a `null` field.
     #[must_use]
-    pub fn boolean(self, key: &str, value: bool) -> Self {
-        self.raw(key, if value { "true" } else { "false" })
+    pub fn null(self, key: &str) -> Self {
+        self.raw(key, "null")
     }
 
     /// Closes the object and returns the JSON text (no trailing newline).
@@ -120,9 +120,12 @@ mod tests {
             .number("n", 7)
             .float("t", 0.5)
             .float("bad", f64::NAN)
-            .boolean("ok", true)
+            .null("none")
             .finish();
-        assert_eq!(line, r#"{"id":"q\"1","n":7,"t":0.5,"bad":null,"ok":true}"#);
+        assert_eq!(
+            line,
+            r#"{"id":"q\"1","n":7,"t":0.5,"bad":null,"none":null}"#
+        );
     }
 
     #[test]

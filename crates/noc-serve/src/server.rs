@@ -20,7 +20,7 @@
 use crate::cache::CheckpointCache;
 use crate::json::JsonObject;
 use crate::request::{Command, Request, RequestError};
-use noc_scenario::{ScenarioReport, StepMode, Sweep};
+use noc_scenario::{Metric, RunReport, StepMode, Sweep, Value};
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -252,7 +252,7 @@ fn intake_spool(dir: &std::path::Path, poll: Duration, tx: &SyncSender<Job>, sto
 struct PointOutcome {
     label: String,
     backend: &'static str,
-    result: Result<(ScenarioReport, bool), String>,
+    result: Result<(RunReport, bool), String>,
 }
 
 /// Expands `request` and runs its points over the shared cache,
@@ -297,16 +297,10 @@ pub fn execute_request(
             let line = match outcome.result {
                 Ok((report, warm)) => {
                     ok += 1;
-                    record
+                    let record = record
                         .string("status", "ok")
-                        .string("cache", if warm { "warm" } else { "cold" })
-                        .number("cycles", report.cycles)
-                        .number("steps", report.steps)
-                        .number("completions", report.total_completions() as u64)
-                        .float("throughput", report.throughput())
-                        .float("mean_latency", report.mean_latency())
-                        .string("fingerprint", &report.system_fingerprint().to_string())
-                        .finish()
+                        .string("cache", if warm { "warm" } else { "cold" });
+                    report.metrics().iter().fold(record, field).finish()
                 }
                 Err(message) => {
                     failed += 1;
@@ -338,13 +332,23 @@ pub fn execute_request(
     out.flush()
 }
 
+/// Adds one report row to a record: `null` without a value.
+fn field(record: JsonObject, row: &Metric) -> JsonObject {
+    match row.value {
+        None => record.null(row.name),
+        Some(Value::Count(n)) => record.number(row.name, n),
+        Some(Value::Mean(x) | Value::Rate(x)) => record.float(row.name, x),
+        Some(Value::Fingerprint(fp)) => record.string(row.name, &fp.to_string()),
+    }
+}
+
 /// Runs one point from a cache fork, catching panics (drain timeouts,
 /// construction asserts) into error strings.
 fn run_forked(
     sweep: &Sweep,
     point: &noc_scenario::SweepPoint,
     cache: &Mutex<CheckpointCache>,
-) -> Result<(ScenarioReport, bool), String> {
+) -> Result<(RunReport, bool), String> {
     let max_cycles = sweep.max_cycles();
     let step = point.step.unwrap_or(sweep.step_mode());
     let attempt = catch_unwind(AssertUnwindSafe(|| {
@@ -537,6 +541,68 @@ queue = 4
             assert!(line.contains("failed to drain"), "{line}");
         }
         assert!(lines[3].contains("\"failed\":3"), "{}", lines[3]);
+    }
+
+    /// The keys of one flat record, in order, with each raw value.
+    fn fields(line: &str) -> Vec<(&str, &str)> {
+        let parts: Vec<&str> = line.split('"').collect();
+        let mut fields = Vec::new();
+        for i in (1..parts.len().saturating_sub(1)).step_by(2) {
+            if let Some(rest) = parts[i + 1].strip_prefix(':') {
+                // A string value is the next part; anything else runs
+                // to the next comma or the closing brace.
+                let value = if rest.is_empty() {
+                    parts[i + 2]
+                } else {
+                    rest.trim_end_matches([',', '}'])
+                };
+                fields.push((parts[i], value));
+            }
+        }
+        fields
+    }
+
+    #[test]
+    fn ok_records_carry_the_run_report_rows_in_order() {
+        let dir = std::env::temp_dir().join(format!("noc-serve-rows-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = dir.join("rows.scn");
+        std::fs::write(&file, scenario_text(0)).unwrap();
+        let input = format!("run q1 {}\nshutdown\n", file.display());
+        let mut out = Vec::new();
+        let stats = serve(ServeConfig::default(), Cursor::new(input), &mut out).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(stats.points_ok, 3);
+        let spec = noc_scenario::ScenarioSpec::from_text(&scenario_text(0)).unwrap();
+        let sim = spec.build(&noc_scenario::Backend::bus()).unwrap();
+        let rows: Vec<&str> = sim.report().metrics().iter().map(|m| m.name).collect();
+        let fabric = [
+            "request_flits",
+            "response_flits",
+            "flits_forwarded",
+            "packets_forwarded",
+            "credit_stalls",
+            "arbitration_conflicts",
+            "lock_idle_cycles",
+            "mean_link_latency",
+        ];
+        let lines = records(&out);
+        for (line, backend) in [(&lines[0], "noc"), (&lines[2], "bus")] {
+            let fields = fields(line);
+            assert!(fields.contains(&("backend", backend)), "{line}");
+            let cache = fields.iter().position(|(k, _)| *k == "cache").unwrap();
+            let keys: Vec<&str> = fields[cache + 1..].iter().map(|(k, _)| *k).collect();
+            assert_eq!(keys, rows, "{line}");
+            for (key, value) in &fields {
+                if fabric.contains(key) {
+                    let number = value.parse::<f64>().is_ok();
+                    match backend {
+                        "noc" => assert!(number, "{key}={value} in {line}"),
+                        _ => assert_eq!(*value, "null", "{key} in {line}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -55,5 +55,5 @@ pub mod report;
 pub mod soc;
 
 pub use fabric::{ActiveSet, CreditRing, Fabric};
-pub use report::{FabricReport, MasterReport, SocReport};
+pub use report::{FabricReport, MasterReport, Metric, RunReport, Value};
 pub use soc::{BuildError, NocConfig, Soc, SocBuilder};

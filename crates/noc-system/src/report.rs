@@ -1,23 +1,99 @@
-//! Simulation reports.
+//! Simulation reports: typed storage plus one list of rows per level.
+//!
+//! A report keeps its numbers in typed fields, and [`RunReport::metrics`]
+//! and [`MasterReport::metrics`] read them out as [`Metric`] rows. Every
+//! sink prints from those rows — `Display`, the `scn` tables, the serve
+//! JSON record and the corpus golden — so a new counter is one field,
+//! its count site and one row.
 
+use noc_kernel::Engine;
 use noc_protocols::CompletionLog;
 use noc_stats::Histogram;
 use noc_transaction::Fingerprint;
 use std::fmt;
+use Value::{Count, Mean, Rate};
+
+/// The value of one report row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// A count.
+    Count(u64),
+    /// An average in cycles, printed to one decimal.
+    Mean(f64),
+    /// A per-cycle rate, printed to four decimals.
+    Rate(f64),
+    /// A functional fingerprint (`fp:…/N`).
+    Fingerprint(Fingerprint),
+}
+
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Count(n) => write!(f, "{n}"),
+            Mean(x) => write!(f, "{x:.1}"),
+            Rate(x) => write!(f, "{x:.4}"),
+            Value::Fingerprint(fp) => write!(f, "{fp}"),
+        }
+    }
+}
+
+/// One report row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Metric {
+    /// The row's name: a serve JSON key and a golden column label.
+    pub name: &'static str,
+    /// What one unit of the value is; empty for a plain count of what
+    /// the name says.
+    pub unit: &'static str,
+    /// `None` when there is nothing to report: no latency sample, or no
+    /// fabric on a baseline.
+    pub value: Option<Value>,
+    /// Whether the row is a column of `tests/scenarios/GOLDEN.txt`.
+    /// Golden rows are host-independent and carry no unit.
+    pub golden: bool,
+}
+
+impl Metric {
+    fn new(name: &'static str, unit: &'static str, value: Option<Value>) -> Self {
+        Metric {
+            name,
+            unit,
+            value,
+            golden: false,
+        }
+    }
+
+    fn golden(name: &'static str, value: Value) -> Self {
+        Metric {
+            name,
+            unit: "",
+            value: Some(value),
+            golden: true,
+        }
+    }
+}
+
+/// `name=value` with its unit, or `name=-` without a value; a
+/// fingerprint labels itself.
+impl fmt::Display for Metric {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.value {
+            Some(Value::Fingerprint(fp)) => write!(f, "{fp}"),
+            Some(v) => write!(f, "{}={v}{}", self.name, self.unit),
+            None => write!(f, "{}=-", self.name),
+        }
+    }
+}
 
 /// Per-master results.
 #[derive(Debug, Clone)]
 pub struct MasterReport {
     /// Endpoint name given at build time.
     pub name: String,
-    /// Node number.
-    pub node: u16,
     /// Completed socket commands.
     pub completions: usize,
     /// Error completions (including clean exclusive failures).
     pub errors: usize,
-    /// Mean socket-observed latency in cycles.
-    pub mean_latency: f64,
     /// Full latency distribution.
     pub latency: Histogram,
     /// Order-insensitive functional fingerprint of all completions.
@@ -26,40 +102,42 @@ pub struct MasterReport {
 
 impl MasterReport {
     /// Summarises one master's completion log.
-    pub fn from_log(name: &str, node: u16, log: &CompletionLog) -> Self {
+    pub fn from_log((name, log): (&str, &CompletionLog)) -> Self {
         let mut latency = Histogram::new();
         for r in log.records() {
             latency.record(r.latency());
         }
         MasterReport {
             name: name.to_owned(),
-            node,
             completions: log.len(),
             errors: log.errors(),
-            mean_latency: log.mean_latency(),
             latency,
             fingerprint: log.fingerprint(),
         }
     }
 
-    /// The `q`-quantile of the latency distribution.
-    pub fn latency_percentile(&self, q: f64) -> u64 {
-        self.latency.percentile(q).unwrap_or(0)
+    /// Mean socket-observed latency in cycles; `NaN` when nothing
+    /// completed, since there is no sample.
+    pub fn mean_latency(&self) -> f64 {
+        if self.latency.is_empty() {
+            f64::NAN
+        } else {
+            self.latency.mean()
+        }
     }
-}
 
-impl fmt::Display for MasterReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} done, mean {:.1}cy p95 {}cy, {} errors, {}",
-            self.name,
-            self.completions,
-            self.mean_latency,
-            self.latency_percentile(0.95),
-            self.errors,
-            self.fingerprint
-        )
+    /// The master's rows.
+    pub fn metrics(&self) -> Vec<Metric> {
+        let mean = (!self.latency.is_empty()).then(|| Mean(self.mean_latency()));
+        let p95 = self.latency.percentile(0.95).map(Count);
+        let fingerprint = Some(Value::Fingerprint(self.fingerprint));
+        vec![
+            Metric::new("completions", "", Some(Count(self.completions as u64))),
+            Metric::new("errors", "", Some(Count(self.errors as u64))),
+            Metric::new("mean_latency", "cy", mean),
+            Metric::new("p95_latency", "cy", p95),
+            Metric::new("fingerprint", "", fingerprint),
+        ]
     }
 }
 
@@ -84,26 +162,65 @@ pub struct FabricReport {
     pub mean_link_latency: f64,
 }
 
-/// A full simulation report.
+/// What one run produced, on any backend: per-master results, fabric
+/// aggregates when the backend has a fabric, and the stepping counters.
 #[derive(Debug, Clone)]
-pub struct SocReport {
+pub struct RunReport {
+    /// Backend label ("noc", "bridged", "bus").
+    pub backend: &'static str,
     /// Base cycles simulated.
     pub cycles: u64,
-    /// Whether every endpoint drained.
+    /// Base cycles actually stepped (skipped cycles excluded); equals
+    /// `cycles` for dense runs, so `cycles / steps` is the horizon win.
+    pub steps: u64,
+    /// Whether every master drained.
     pub all_done: bool,
-    /// Per-master reports (build order).
+    /// Per-master reports, in declaration order.
     pub masters: Vec<MasterReport>,
-    /// Fabric aggregates.
-    pub fabric: FabricReport,
+    /// Fabric aggregates (NoC backend only).
+    pub fabric: Option<FabricReport>,
+    /// Times the advance loop polled `next_activity`, one per iteration
+    /// (0 for dense runs, which never ask).
+    pub horizon_polls: u64,
+    /// Calendar wakeups retired while stepping, stale entries included
+    /// (both modes execute the same events, so this is mode-independent
+    /// up to run length). Only the NoC keeps calendars; the baselines
+    /// fold a few sources per master directly and report 0.
+    pub calendar_pops: u64,
 }
 
-impl SocReport {
+impl RunReport {
+    /// Reports `engine`'s current state, with its masters' completion
+    /// `logs` in declaration order. The fabric and the poll and pop
+    /// counters start empty, for a backend that keeps them to fill in.
+    pub fn new<'a>(
+        backend: &'static str,
+        engine: &impl Engine,
+        logs: Vec<(&'a str, &'a CompletionLog)>,
+    ) -> Self {
+        RunReport {
+            backend,
+            cycles: engine.now(),
+            steps: engine.executed_steps(),
+            all_done: engine.is_done(),
+            masters: logs.into_iter().map(MasterReport::from_log).collect(),
+            fabric: None,
+            horizon_polls: 0,
+            calendar_pops: 0,
+        }
+    }
+
+    /// Finds a master report whose name contains `fragment`.
+    pub fn master(&self, fragment: &str) -> Option<&MasterReport> {
+        self.masters.iter().find(|m| m.name.contains(fragment))
+    }
+
     /// Total completions across masters.
     pub fn total_completions(&self) -> usize {
         self.masters.iter().map(|m| m.completions).sum()
     }
 
-    /// Completions per cycle (system throughput).
+    /// Completions per cycle.
     pub fn throughput(&self) -> f64 {
         if self.cycles == 0 {
             0.0
@@ -112,21 +229,23 @@ impl SocReport {
         }
     }
 
-    /// Mean latency across all masters, weighted by completions.
+    /// Mean latency across all masters, weighted by completions; `NaN`
+    /// when nothing completed, since there is no sample.
     pub fn mean_latency(&self) -> f64 {
-        let total: usize = self.total_completions();
+        let total = self.total_completions();
         if total == 0 {
-            return 0.0;
+            return f64::NAN;
         }
         self.masters
             .iter()
-            .map(|m| m.mean_latency * m.completions as f64)
+            .filter(|m| m.completions > 0)
+            .map(|m| m.mean_latency() * m.completions as f64)
             .sum::<f64>()
             / total as f64
     }
 
-    /// Merged fingerprint over all masters (system-level functional
-    /// digest — the layering-invariance witness).
+    /// Merged functional fingerprint over all masters (the system-level
+    /// functional digest — the layering-invariance witness).
     pub fn system_fingerprint(&self) -> Fingerprint {
         let mut fp = Fingerprint::new();
         for m in &self.masters {
@@ -134,30 +253,52 @@ impl SocReport {
         }
         fp
     }
+
+    /// The run's rows. The golden ones, in this order, are the columns of
+    /// `tests/scenarios/GOLDEN.txt`; the names are the serve record's
+    /// keys.
+    pub fn metrics(&self) -> Vec<Metric> {
+        let total = self.total_completions();
+        let mean = (total > 0).then(|| Mean(self.mean_latency()));
+        let fabric = |name, unit, read: fn(&FabricReport) -> Value| {
+            Metric::new(name, unit, self.fabric.as_ref().map(read))
+        };
+        vec![
+            Metric::golden("cycles", Count(self.cycles)),
+            Metric::golden("steps", Count(self.steps)),
+            Metric::golden("polls", Count(self.horizon_polls)),
+            Metric::golden("pops", Count(self.calendar_pops)),
+            Metric::golden("completions", Count(total as u64)),
+            Metric::new("throughput", "/cy", Some(Rate(self.throughput()))),
+            Metric::new("mean_latency", "cy", mean),
+            Metric::golden("fingerprint", Value::Fingerprint(self.system_fingerprint())),
+            fabric("request_flits", "", |f| Count(f.request_flits)),
+            fabric("response_flits", "", |f| Count(f.response_flits)),
+            fabric("flits_forwarded", "", |f| Count(f.flits_forwarded)),
+            fabric("packets_forwarded", "", |f| Count(f.packets_forwarded)),
+            fabric("credit_stalls", "", |f| Count(f.credit_stalls)),
+            fabric("arbitration_conflicts", "", |f| {
+                Count(f.arbitration_conflicts)
+            }),
+            fabric("lock_idle_cycles", "", |f| Count(f.lock_idle_cycles)),
+            fabric("mean_link_latency", "cy", |f| Mean(f.mean_link_latency)),
+        ]
+    }
 }
 
-impl fmt::Display for SocReport {
+/// The backend and drain flag, every run row, then one line per master.
+impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "SoC report: {} cycles, done={}, {} completions ({:.4}/cy), mean latency {:.1}cy",
-            self.cycles,
-            self.all_done,
-            self.total_completions(),
-            self.throughput(),
-            self.mean_latency()
-        )?;
-        for m in &self.masters {
-            writeln!(f, "  {m}")?;
+        write!(f, "{} report: done={}", self.backend, self.all_done)?;
+        for m in self.metrics() {
+            write!(f, " {m}")?;
         }
-        write!(
-            f,
-            "  fabric: {} flits, {} pkts, {} credit stalls, {} conflicts, {} lock-idle",
-            self.fabric.flits_forwarded,
-            self.fabric.packets_forwarded,
-            self.fabric.credit_stalls,
-            self.fabric.arbitration_conflicts,
-            self.fabric.lock_idle_cycles
-        )
+        for master in &self.masters {
+            write!(f, "\n  {}:", master.name)?;
+            for m in master.metrics() {
+                write!(f, " {m}")?;
+            }
+        }
+        Ok(())
     }
 }

@@ -1,7 +1,7 @@
 //! The assembled SoC and its builder.
 
 use crate::fabric::{ActiveSet, Fabric};
-use crate::report::{FabricReport, MasterReport, SocReport};
+use crate::report::{FabricReport, RunReport};
 use noc_kernel::{Calendar, ClockDomain, ClockId, ClockSet, Engine, WakeId};
 use noc_niu::NocEndpoint;
 use noc_physical::LinkConfig;
@@ -546,10 +546,14 @@ impl Soc {
         self.ep_cal.pops() + self.request.calendar_pops() + self.response.calendar_pops()
     }
 
-    /// Runs until done or `max_cycles` (horizon stepping), then reports.
-    pub fn run(&mut self, max_cycles: u64) -> SocReport {
-        self.advance_to(max_cycles);
-        self.report()
+    /// Runs until done or `max_cycles` (horizon stepping), then reports,
+    /// with the advance's polls.
+    pub fn run(&mut self, max_cycles: u64) -> RunReport {
+        let horizon_polls = self.advance_to(max_cycles);
+        RunReport {
+            horizon_polls,
+            ..self.report()
+        }
     }
 
     /// Loads one socket program per initiator endpoint (build order)
@@ -613,31 +617,13 @@ impl Soc {
             .collect()
     }
 
-    /// Builds a report from the current state.
-    pub fn report(&self) -> SocReport {
-        let masters = self
-            .endpoints
-            .iter()
-            .filter(|ep| ep.is_initiator)
-            .filter_map(|ep| {
-                let log = ep.inner.completion_log()?;
-                Some(MasterReport::from_log(&ep.name, ep.node, log))
-            })
-            .collect();
-        SocReport {
-            cycles: self.now,
-            all_done: self.is_done(),
-            masters,
-            fabric: self.fabric_report(),
-        }
-    }
-
-    /// The fabric aggregates of [`Soc::report`], summed over the request
-    /// and response networks.
-    pub fn fabric_report(&self) -> FabricReport {
-        let req = self.request.stats();
-        let resp = self.response.stats();
-        FabricReport {
+    /// Builds a report from the current state, fabric aggregates summed
+    /// over the request and response networks. A `Soc` keeps no poll
+    /// count, so `horizon_polls` is 0: [`Soc::run`] and the scenario
+    /// layer fill in the polls of the advance they made.
+    pub fn report(&self) -> RunReport {
+        let (req, resp) = (self.request.stats(), self.response.stats());
+        let fabric = FabricReport {
             request_flits: self.request.delivered_flits(),
             response_flits: self.response.delivered_flits(),
             flits_forwarded: req.flits_forwarded + resp.flits_forwarded,
@@ -648,6 +634,11 @@ impl Soc {
             mean_link_latency: (self.request.mean_link_latency()
                 + self.response.mean_link_latency())
                 / 2.0,
+        };
+        RunReport {
+            fabric: Some(fabric),
+            calendar_pops: self.calendar_pops(),
+            ..RunReport::new("noc", self, self.completion_logs())
         }
     }
 }
@@ -746,7 +737,37 @@ mod tests {
         assert!(fork.is_done());
         assert_eq!(outcome(&original), outcome(&fork));
         assert_eq!(original.completion_logs().len(), 2);
-        assert!(original.report().fabric.request_flits > 0);
+        assert!(original.report().fabric.unwrap().request_flits > 0);
+    }
+
+    #[test]
+    fn a_run_with_no_completions_reports_no_mean_latency() {
+        let idle = AhbInitiator::new(AhbMaster::new(Vec::new()));
+        let idle = InitiatorNiu::new(
+            idle,
+            InitiatorNiuConfig::new(MstAddr::new(0)),
+            address_map(),
+        );
+        let config = NocConfig::new().with_routing(RouteAlgorithm::XyMesh {
+            width: 2,
+            height: 2,
+        });
+        let mut soc = SocBuilder::new(Topology::mesh(2, 2), config)
+            .initiator("cpu", 0, Box::new(idle))
+            .target("mem0", 2, memory(2))
+            .build()
+            .unwrap();
+        let report = soc.run(1_000);
+        assert!(report.all_done);
+        assert_eq!(report.total_completions(), 0);
+        assert!(report.mean_latency().is_nan(), "no sample, no mean");
+        assert!(report.masters[0].mean_latency().is_nan());
+        let text = report.to_string();
+        assert!(text.contains(" mean_latency=- "), "{text}");
+        assert!(
+            text.contains("cpu: completions=0 errors=0 mean_latency=- "),
+            "{text}"
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@ fn run(sync_program: Program, label: &str) {
     let bg_lat = report
         .master("bystander")
         .expect("declared above")
-        .mean_latency;
+        .mean_latency();
     let lock_idle = report.fabric.expect("NoC backend").lock_idle_cycles;
     println!(
         "{label:>28}: bystander mean latency {bg_lat:6.1} cycles, lock-idle {lock_idle} cycles"

@@ -38,7 +38,10 @@ fn run(display_pressure: u8) -> (f64, u64) {
     assert!(sim.run_until(1_000_000));
     let report = sim.report();
     let disp = report.master("display").expect("declared above");
-    (disp.mean_latency, disp.latency_percentile(0.95))
+    (
+        disp.mean_latency(),
+        disp.latency.percentile(0.95).unwrap_or(0),
+    )
 }
 
 fn main() {

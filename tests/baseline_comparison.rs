@@ -76,9 +76,9 @@ fn noc_latency_beats_bridged_for_concurrent_masters() {
     let bridged_logs = bridged.logs();
     let bridged_dma = bridged_logs[2]; // attach order: cpu, video, dma, ...
     assert!(
-        noc_dma.mean_latency < bridged_dma.mean_latency(),
+        noc_dma.mean_latency() < bridged_dma.mean_latency(),
         "NoC DMA latency {:.1} must beat bridged {:.1}",
-        noc_dma.mean_latency,
+        noc_dma.mean_latency(),
         bridged_dma.mean_latency()
     );
 }

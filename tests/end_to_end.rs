@@ -24,7 +24,7 @@ fn set_top_soc_drains_and_honours_every_ordering_contract() {
     for m in &report.masters {
         assert_eq!(m.completions, 24, "{}", m.name);
         assert_eq!(m.errors, 0, "{}", m.name);
-        assert!(m.mean_latency > 0.0, "{}", m.name);
+        assert!(m.mean_latency() > 0.0, "{}", m.name);
     }
     for (name, log) in soc.completion_logs() {
         // every socket obeys at least its own ordering contract
@@ -48,14 +48,15 @@ fn fabric_carries_traffic_for_every_master() {
     let mut soc = build_noc(SetTopConfig::new(10, 7));
     let report = soc.run(500_000);
     assert!(report.all_done);
-    assert!(report.fabric.flits_forwarded > 0);
+    let fabric = report.fabric.expect("the NoC reports its fabric");
+    assert!(fabric.flits_forwarded > 0);
     assert!(
-        report.fabric.packets_forwarded >= 70,
+        fabric.packets_forwarded >= 70,
         "7 masters x >=10 packets, got {}",
-        report.fabric.packets_forwarded
+        fabric.packets_forwarded
     );
-    assert!(report.fabric.request_flits > 0);
-    assert!(report.fabric.response_flits > 0);
+    assert!(fabric.request_flits > 0);
+    assert!(fabric.response_flits > 0);
 }
 
 #[test]
@@ -66,7 +67,7 @@ fn deterministic_replay_same_seed_same_everything() {
         (
             report.cycles,
             report.system_fingerprint(),
-            report.fabric.flits_forwarded,
+            report.fabric.map(|f| f.flits_forwarded),
         )
     };
     assert_eq!(run(), run(), "bit-for-bit reproducibility from the seed");

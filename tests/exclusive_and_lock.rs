@@ -126,7 +126,7 @@ fn exclusive_does_not_slow_bystanders() {
             .iter()
             .find(|m| m.name == "bg")
             .unwrap()
-            .mean_latency
+            .mean_latency()
     };
     let idle = run_bg_latency(vec![]);
     let excl: Program = (0..10)
@@ -163,8 +163,8 @@ fn legacy_lock_throttles_bystanders() {
             .iter()
             .find(|m| m.name == "bg")
             .unwrap()
-            .mean_latency;
-        (bg, report.fabric.lock_idle_cycles)
+            .mean_latency();
+        (bg, report.fabric.unwrap().lock_idle_cycles)
     };
     let (idle_lat, _) = run(vec![]);
     let locks: Program = (0..10)

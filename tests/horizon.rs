@@ -53,7 +53,7 @@ fn observe(spec: &ScenarioSpec, backend: &Backend, mode: StepMode) -> Observed {
     Observed {
         compared: (drained, sim.now(), logs, master_counters),
         fabric: report.fabric,
-        steps: sim.executed_steps(),
+        steps: report.steps,
     }
 }
 
@@ -238,7 +238,7 @@ fn skipping_a_proven_dead_gap_equals_stepping_it<E: ScenarioEngine>(mut engine: 
             .into_iter()
             .map(|(name, log)| (name.to_owned(), log.records().to_vec()))
             .collect();
-        (engine.now(), engine.is_done(), logs, engine.fabric_report())
+        (engine.now(), engine.is_done(), logs, engine.report().fabric)
     }
     let mut gaps = 0;
     while gaps < 32 && !engine.is_done() {
@@ -486,7 +486,7 @@ mod replay {
     type Outcome = (
         u64,
         Vec<(String, Vec<CompletionRecord>)>,
-        FabricReport,
+        Option<FabricReport>,
         u64,
         u64,
     );
@@ -509,7 +509,7 @@ mod replay {
         (
             soc.now(),
             logs,
-            soc.fabric_report(),
+            soc.report().fabric,
             soc.executed_steps(),
             soc.calendar_pops(),
         )

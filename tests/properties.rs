@@ -1622,7 +1622,7 @@ fn horizon_stepping_equals_dense_on_random_scenarios() {
                 // poll/pop accounting may differ between modes.
                 let r = sim.report();
                 let report = format!("fabric={:?} masters={:?}", r.fabric, r.masters);
-                let counters = (sim.horizon_polls(), sim.calendar_pops());
+                let counters = (r.horizon_polls, r.calendar_pops);
                 ((drained, sim.now(), logs, report), counters)
             };
             let (dense, _) = run(StepMode::Dense);

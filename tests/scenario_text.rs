@@ -390,7 +390,7 @@ fn qos_pressure_moves_latency_between_classes_end_to_end() {
         .expect("the QoS points compile")
         .into_iter()
         .map(|r| {
-            let mean = |class| r.report.master(class).expect("declared").mean_latency;
+            let mean = |class| r.report.master(class).expect("declared").mean_latency();
             (r.label, mean("class0"), mean("class2"))
         })
         .collect();
@@ -688,7 +688,7 @@ fn a_billion_stage_link_pipeline_drains_or_fails_without_aborting() {
     assert!(sim.run_until_with(100_000_000_000, StepMode::Horizon));
     let report = sim.report();
     assert_eq!((report.cycles, report.steps), (4_000_000_012, 11));
-    assert_eq!(report.masters[0].mean_latency, 4_000_000_011.0);
+    assert_eq!(report.masters[0].mean_latency(), 4_000_000_011.0);
 
     let dir = std::env::temp_dir().join(format!("noc-scn-deep-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");

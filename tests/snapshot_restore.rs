@@ -60,7 +60,7 @@ struct Trace {
 fn trace(sim: &dyn Simulation) -> Trace {
     Trace {
         now: sim.now(),
-        steps: sim.executed_steps(),
+        steps: sim.report().steps,
         logs: sim
             .logs()
             .iter()
