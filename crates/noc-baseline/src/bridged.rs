@@ -493,7 +493,7 @@ impl Engine for BridgedInterconnect {
         let now = self.now;
         let mut horizon = Horizon::new();
         for m in &self.masters {
-            horizon.merge_idle_ticks(now, m.fe.idle_ticks());
+            horizon.merge_idle_ticks(now, m.fe.idle_ticks(true));
         }
         for bridge in &self.bridges {
             if let Some(front) = bridge.subs.front() {

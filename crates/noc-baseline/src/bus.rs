@@ -300,7 +300,7 @@ impl Engine for SharedBus {
     fn next_activity(&self) -> Option<u64> {
         let mut horizon = Horizon::new();
         for m in &self.masters {
-            horizon.merge_idle_ticks(self.now, m.fe.idle_ticks());
+            horizon.merge_idle_ticks(self.now, m.fe.idle_ticks(true));
         }
         if let Some((_, _, done_at)) = self.busy {
             horizon.merge_at(done_at);

@@ -28,9 +28,9 @@
 //! declared points; both print the same tables from each run's
 //! `RunReport` rows (`metrics()`, the rows serve and the golden print
 //! too): one row per run (the `cycles`, `completions`, `mean_latency`,
-//! `flits_forwarded` and `lock_idle_cycles` rows, plus the cells that
-//! combine the two runs of `--step both`: executed steps,
-//! dense/horizon ratio and polls/pops), one row per master (its
+//! `endpoint_ticks`, `flits_forwarded` and `lock_idle_cycles` rows,
+//! plus the cells that combine the two runs of `--step both`: executed
+//! steps, dense/horizon ratio and polls/pops), one row per master (its
 //! numeric rows: completions, errors, mean and p95 latency) and, for
 //! multi-target specs, one row per target. A row without a value — no
 //! latency sample, no fabric on a baseline — prints `-`. The paper's
@@ -218,6 +218,7 @@ fn run_sweep(
             "steps",
             "dense/horizon",
             "polls/pops",
+            "ep ticks",
             "flits",
             "lock-idle",
         ],
@@ -295,6 +296,7 @@ fn run_sweep(
             steps.join("/"),
             cell(ratio),
             cell(wake),
+            plain("endpoint_ticks"),
             plain("flits_forwarded"),
             plain("lock_idle_cycles"),
         ]));

@@ -104,15 +104,20 @@ impl<S: Socket> SocketInitiator for Initiator<S> {
         self.master.log()
     }
 
-    fn idle_ticks(&self) -> u64 {
-        if self.buffered() {
-            return 0; // buffered traffic keeps the front end hot
+    fn idle_ticks(&self, accepting: bool) -> u64 {
+        // Queued responses keep the front end hot, and so does a port the
+        // back end empties at its next tick. The master samples every
+        // response channel each tick, so what a back end that does not
+        // accept leaves on the port is held requests: the master's own
+        // claim covers them.
+        if self.queues.iter().any(|q| !q.is_empty()) || (accepting && !S::quiet(&self.port)) {
+            return 0;
         }
-        self.master.idle_ticks()
+        self.master.idle_ticks(&self.port)
     }
 
     fn skip_ticks(&mut self, ticks: u64) {
-        self.master.skip_ticks(ticks);
+        self.master.skip_ticks(ticks, &self.port);
     }
 
     fn load_program(&mut self, program: Program) {

@@ -38,9 +38,12 @@ pub trait SocketInitiator: Send {
     fn log(&self) -> &CompletionLog;
     /// Quiescence hook: upcoming ticks that are provably no-ops absent
     /// new responses (`0` = must tick densely, the conservative
-    /// default; `u64::MAX` = quiescent until input). See
-    /// [`crate::NocEndpoint::idle_ticks`] for the contract.
-    fn idle_ticks(&self) -> u64 {
+    /// default; `u64::MAX` = quiescent until input). `accepting` says
+    /// whether the back end takes a request held on the port at its next
+    /// tick; when it does not, the claim holds for a port whose request
+    /// channels nobody drains. See [`crate::NocEndpoint::idle_ticks`] for
+    /// the contract.
+    fn idle_ticks(&self, _accepting: bool) -> u64 {
         0
     }
     /// Accounts `ticks` skipped no-op ticks (see
@@ -181,6 +184,10 @@ pub struct InitiatorNiu<FE: SocketInitiator> {
     outstanding: VecDeque<(Tag, StreamId, Opcode)>,
     map: AddressMap,
     pending: Option<TransactionRequest>,
+    /// The ordering policy refused `pending`. A refusal changes nothing
+    /// and holds until a response completes (`push_flit`), so a blocked
+    /// NIU does not ask again.
+    blocked: bool,
     egress: VecDeque<Flit>,
     assembler: PacketAssembler,
     pkt_seq: u64,
@@ -203,6 +210,7 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
             outstanding: VecDeque::with_capacity(config.max_outstanding as usize),
             map,
             pending: None,
+            blocked: false,
             egress: VecDeque::new(),
             assembler: PacketAssembler::new(),
             pkt_seq: 0,
@@ -224,6 +232,10 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
     /// Advances socket, front end and back end one cycle.
     pub fn tick(&mut self, cycle: u64) {
         self.fe.tick(cycle);
+        if self.blocked {
+            self.stats.policy_stalls += 1;
+            return;
+        }
         if self.pending.is_none() {
             self.pending = self.fe.pull_request();
         }
@@ -265,7 +277,8 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
             }
             Err(_) => {
                 self.stats.policy_stalls += 1;
-                self.pending = Some(req); // retry next cycle
+                self.pending = Some(req); // retry once a response completes
+                self.blocked = true;
             }
         }
     }
@@ -328,6 +341,7 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
             .expect("response matches an outstanding transaction");
         let (_, stream, opcode) = self.outstanding.remove(oldest).expect("index just found");
         self.policy.complete(tag).expect("policy tracks this tag");
+        self.blocked = false;
         self.stats.responses_received += 1;
         self.fe.push_response(stream, opcode, resp);
     }
@@ -342,22 +356,28 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
     }
 
     /// Quiescence: upcoming local ticks that are provably no-ops absent
-    /// incoming flits. With a stalled request or queued egress flits the
-    /// NIU must tick densely (the stall retries and the flits inject
-    /// every cycle); otherwise the horizon is whatever the socket front
-    /// end reports. Outstanding transactions alone do *not* force dense
-    /// ticking — a front end waiting on responses reports its own
-    /// quiescence, and the wait is the fabric's and target's business,
-    /// tracked by their horizons.
+    /// incoming flits. Queued egress flits inject every cycle, and a
+    /// pending request the policy has not refused issues on the next
+    /// tick, so either keeps the NIU dense. A request the policy refused
+    /// stays refused until a response completes, so a blocked NIU sleeps:
+    /// the horizon is the socket front end's, over a port whose held
+    /// requests nobody takes meanwhile. Outstanding transactions alone do
+    /// *not* force dense ticking — a front end waiting on responses
+    /// reports its own quiescence, and the wait is the fabric's and
+    /// target's business, tracked by their horizons.
     pub fn idle_ticks(&self) -> u64 {
-        if self.pending.is_some() || !self.egress.is_empty() {
+        if !self.egress.is_empty() || (self.pending.is_some() && !self.blocked) {
             return 0;
         }
-        self.fe.idle_ticks()
+        self.fe.idle_ticks(!self.blocked)
     }
 
-    /// Accounts skipped no-op ticks (forwarded to the front end).
+    /// Accounts skipped no-op ticks: forwarded to the front end, and
+    /// counted as policy stalls while blocked, as the ticks would have.
     pub fn skip_ticks(&mut self, ticks: u64) {
+        if self.blocked {
+            self.stats.policy_stalls += ticks;
+        }
         self.fe.skip_ticks(ticks);
     }
 }

@@ -266,6 +266,160 @@ fn table_occupancy_bounded_by_config() {
     assert_eq!(ini.fe().log().len(), 20);
 }
 
+/// Two targets, `[0, 0x800)` at node 0 and `[0x800, 0x1000)` at node 1,
+/// both served by the one memory a loop drives (a target NIU does not
+/// check the address it is sent to).
+fn map_two() -> AddressMap {
+    let mut map = AddressMap::new();
+    map.add(0x0, 0x800, SlvAddr::new(0)).unwrap();
+    map.add(0x800, 0x1000, SlvAddr::new(1)).unwrap();
+    map
+}
+
+/// 24 commands over `streams` streams, every third a write, with delays
+/// the front end counts down while the NIU waits. With `alternate`, each
+/// stream's commands alternate between the two targets of [`map_two`];
+/// otherwise they all go to the first.
+fn blocking_program(streams: u16, alternate: bool) -> Program {
+    (0..24u64)
+        .map(|i| {
+            let target = if alternate {
+                (i / u64::from(streams)) % 2
+            } else {
+                0
+            };
+            let addr = 0x800 * target + 0x40 * i;
+            let cmd = if i % 3 == 2 {
+                SocketCommand::write(addr, 4, i)
+            } else {
+                SocketCommand::read(addr, 4)
+            };
+            cmd.with_stream(StreamId::new((i % u64::from(streams)) as u16))
+                .with_delay([0, 0, 5, 0, 13][i as usize % 5])
+        })
+        .collect()
+}
+
+/// Runs `ini` against a memory target NIU over ideal links, returning it
+/// drained and the ticks it executed. With `skip`, it is ticked only at
+/// its wake (`idle_ticks` counted from the last edge accounted), and the
+/// edges passed over are charged through one `skip_ticks` before it is
+/// next ticked or handed a flit — the way `Soc` drives an endpoint.
+fn drive<FE: SocketInitiator>(mut ini: InitiatorNiu<FE>, skip: bool) -> (InitiatorNiu<FE>, u64) {
+    let mut tgt = mem_target();
+    let (mut settled, mut wake, mut ticks) = (0u64, 0u64, 0u64);
+    for cycle in 0..20_000 {
+        if !skip || cycle >= wake {
+            ini.skip_ticks(cycle - settled);
+            ini.tick(cycle);
+            settled = cycle + 1;
+            ticks += 1;
+            if let Some(flit) = ini.pull_flit() {
+                tgt.push_flit(flit);
+            }
+        }
+        tgt.tick(cycle);
+        if let Some(flit) = tgt.pull_flit() {
+            // A dense run ticked the NIU on this cycle before the delivery.
+            ini.skip_ticks(cycle + 1 - settled);
+            settled = cycle + 1;
+            ini.push_flit(flit);
+        }
+        wake = settled.saturating_add(ini.idle_ticks());
+        if ini.is_done() && tgt.is_done() {
+            ini.skip_ticks(cycle + 1 - settled);
+            return (ini, ticks);
+        }
+    }
+    panic!("the loop did not drain");
+}
+
+/// A NIU the ordering policy refused sleeps until a response completes.
+/// Ticking it only at its wake and charging the gaps through
+/// `skip_ticks` must equal ticking it every cycle, down to the counters:
+/// each policy, each reason the policy refuses, with socket countdowns
+/// running while the NIU sleeps.
+#[test]
+fn a_policy_blocked_niu_skipped_to_its_wake_equals_dense_ticking() {
+    fn case<FE: SocketInitiator + Clone>(label: &str, fe: FE, cfg: InitiatorNiuConfig) {
+        let ini = InitiatorNiu::new(fe, cfg, map_two());
+        let (dense, dense_ticks) = drive(ini.clone(), false);
+        let (skipped, skipped_ticks) = drive(ini, true);
+        assert_eq!(
+            dense.fe().log().len(),
+            24,
+            "{label}: every command completes"
+        );
+        assert_eq!(
+            skipped.fe().log().records(),
+            dense.fe().log().records(),
+            "{label}: records"
+        );
+        assert_eq!(skipped.stats(), dense.stats(), "{label}: counters");
+        assert!(
+            dense.stats().policy_stalls > 0,
+            "{label}: the policy refuses"
+        );
+        assert!(
+            skipped_ticks + dense.stats().policy_stalls / 2 < dense_ticks,
+            "{label}: a blocked NIU sleeps ({skipped_ticks} of {dense_ticks} ticks)"
+        );
+    }
+    let node = || InitiatorNiuConfig::new(MstAddr::new(0));
+    let bvci = |alternate| {
+        VciInitiator::new(VciMaster::new(
+            blocking_program(1, alternate),
+            VciFlavor::Basic,
+            4,
+        ))
+    };
+    let ocp = |alternate| OcpInitiator::new(OcpMaster::new(blocking_program(2, alternate), 2, 4));
+    let axi = |streams, alternate| {
+        AxiInitiator::new(AxiMaster::new(blocking_program(streams, alternate), 4, 8))
+    };
+    let threaded = OrderingModel::Threaded { threads: 2 };
+    let tags = |tags| OrderingModel::IdBased { tags };
+    // One target and room for every tag: only the budget refuses.
+    case(
+        "fully ordered, table full",
+        bvci(false),
+        node().with_outstanding(2),
+    );
+    case(
+        "threaded, table full",
+        ocp(false),
+        node().with_ordering(threaded).with_outstanding(2),
+    );
+    case(
+        "id-based, table full",
+        axi(8, false),
+        node().with_ordering(tags(8)).with_outstanding(2),
+    );
+    // One target and a budget above the master's: only the pool refuses.
+    case(
+        "id-based, no free tag",
+        axi(4, false),
+        node().with_ordering(tags(2)).with_outstanding(16),
+    );
+    // Each stream alternates targets under a budget above the master's:
+    // only the target switch refuses.
+    case(
+        "fully ordered, target hazard",
+        bvci(true),
+        node().with_outstanding(16),
+    );
+    case(
+        "threaded, target hazard",
+        ocp(true),
+        node().with_ordering(threaded).with_outstanding(16),
+    );
+    case(
+        "id-based, target hazard",
+        axi(2, true),
+        node().with_ordering(tags(4)).with_outstanding(16),
+    );
+}
+
 /// BVCI, pipeline 2: a write and a read in flight together on tag 0.
 /// Each response belongs to the oldest outstanding entry with its tag —
 /// the write's comes back first. Matching the newest would hand the

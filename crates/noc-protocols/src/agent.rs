@@ -308,19 +308,26 @@ impl<S: Socket> Agent<S> {
     }
 
     /// Number of immediately upcoming socket ticks that are provably
-    /// no-ops, assuming the request channels stay free and no response
-    /// reaches the port meanwhile. `u64::MAX` means the master is
-    /// quiescent until new input; `0` means the very next tick may
-    /// change state. A lane at its limit does not count down, exactly as
-    /// in a dense tick, and one whose expired countdown waits on its key
-    /// unblocks only when a response retires.
-    pub fn idle_ticks(&self) -> u64 {
+    /// no-ops while `port`'s request channels hold what they hold now and
+    /// no response reaches it. `u64::MAX` means the master is quiescent
+    /// until new input; `0` means the very next tick may change state. A
+    /// lane at its limit does not count down, exactly as in a dense tick,
+    /// and one whose expired countdown waits on its key unblocks only when
+    /// a response retires. A lane whose command finds its channel occupied
+    /// cannot issue while the port holds it, so it bounds nothing; its
+    /// countdown, which runs unless the socket pauses every lane on a held
+    /// channel ([`Socket::BUSY_PAUSES`]), is [`Agent::skip_ticks`]'s to
+    /// charge.
+    pub fn idle_ticks(&self, port: &S::Port) -> u64 {
         let mut idle = u64::MAX;
         for lane in &self.lanes {
             let Some(idx) = lane.front(&self.program, self.lane_limit) else {
                 continue;
             };
             let cmd = self.program.get(idx);
+            if !self.socket.ready(port, cmd) {
+                continue;
+            }
             let wait = lane.wait.unwrap_or(cmd.delay_before);
             if wait > 0 {
                 idle = idle.min(wait as u64);
@@ -332,16 +339,21 @@ impl<S: Socket> Agent<S> {
     }
 
     /// Accounts `ticks` socket cycles skipped under the
-    /// [`idle_ticks`](Agent::idle_ticks) contract: afterwards the master
-    /// is in exactly the state `ticks` dense no-op ticks would have left
-    /// it in — every lane that would have counted down has.
-    pub fn skip_ticks(&mut self, ticks: u64) {
+    /// [`idle_ticks`](Agent::idle_ticks) contract, over a `port` that
+    /// held the same requests throughout: afterwards the master is in
+    /// exactly the state `ticks` dense no-op ticks would have left it in
+    /// — every lane that would have counted down has.
+    pub fn skip_ticks(&mut self, ticks: u64, port: &S::Port) {
         let ticks = ticks.min(u32::MAX as u64) as u32;
         for lane in &mut self.lanes {
             let Some(idx) = lane.front(&self.program, self.lane_limit) else {
                 continue;
             };
-            let wait = lane.wait.get_or_insert(self.program.get(idx).delay_before);
+            let cmd = self.program.get(idx);
+            if S::BUSY_PAUSES && !self.socket.ready(port, cmd) {
+                continue;
+            }
+            let wait = lane.wait.get_or_insert(cmd.delay_before);
             *wait = wait.saturating_sub(ticks);
         }
     }

@@ -218,8 +218,13 @@ mod tests {
     #[test]
     fn single_outstanding_enforced_by_latency() {
         let mut waiting = AhbMaster::new(vec![SocketCommand::read(0, 4); 2]);
-        waiting.tick(0, &mut AhbPort::default());
-        assert_eq!(waiting.idle_ticks(), u64::MAX, "nothing moves before HRESP");
+        let mut port = AhbPort::default();
+        waiting.tick(0, &mut port);
+        assert_eq!(
+            waiting.idle_ticks(&port),
+            u64::MAX,
+            "nothing moves before HRESP"
+        );
         // With latency 10 per op, 3 ops take >= 30 cycles (no pipelining).
         let program: Program = (0..3).map(|i| SocketCommand::read(i * 4, 4)).collect();
         let (m, _) = run(program, 10, 500);

@@ -12,6 +12,7 @@ use crate::ocp::OcpMaster;
 use crate::strm::StrmMaster;
 use crate::vci::{VciFlavor, VciMaster};
 use noc_transaction::StreamId;
+use std::ops::Range;
 
 /// Reads and writes over `streams` streams, spread across the loopback's
 /// banks, with issue delays from none to longer than a round trip.
@@ -30,36 +31,67 @@ fn program(streams: u16) -> Program {
         .collect()
 }
 
-/// Runs `master` to completion against a slow, bank-staggered loopback,
-/// appending each `(cycle, tail)` of `feeds` on its cycle. With `skip`,
-/// the master is ticked only when its `idle_ticks` claim has run out or
-/// the port carries input, and the cycles passed over are charged through
-/// one `skip_ticks` before it is next touched — the way `Soc::step`
-/// drives an endpoint.
+/// Windows in which the loopback withholds `accept`, each longer than
+/// the program's longest delay, so countdowns run out while a request
+/// sits on the port.
+const HOLDS: [Range<u64>; 3] = [10..35, 80..120, 200..260];
+
+/// Whether the port carries a response for the master.
+fn answered<S: Socket>(port: &S::Port) -> bool {
+    let mut any = false;
+    S::sample(&mut port.clone(), |_, _, _| any = true);
+    any
+}
+
+/// Runs `master` to completion against a slow, bank-staggered loopback
+/// that accepts nothing during `holds`, appending each `(cycle, tail)`
+/// of `feeds` on its cycle; returns the records and the ticks executed.
+/// With `skip`, the master is ticked only when its `idle_ticks` claim
+/// over the port has run out or a response waits on the port, and the
+/// cycles passed over are charged through one `skip_ticks` before it is
+/// next touched or the slave takes a request it held — the way
+/// `Soc::step` drives an endpoint.
 fn run<S: Socket>(
     mut master: Agent<S>,
     skip: bool,
     feeds: &[(u64, &[SocketCommand])],
-) -> Vec<CompletionRecord> {
+    holds: &[Range<u64>],
+) -> (Vec<CompletionRecord>, u64) {
     let mut slave = Loopback::<S>::new(MemoryModel::new(6), 3);
     let mut port = S::Port::default();
-    let (mut settled, mut wake) = (0u64, 0u64);
+    let (mut settled, mut wake, mut ticks) = (0u64, 0u64, 0u64);
     for cycle in 0..10_000 {
         let feed = feeds.iter().find(|(at, _)| *at == cycle);
-        if !skip || feed.is_some() || cycle >= wake || !S::quiet(&port) {
-            master.skip_ticks(cycle - settled);
+        if !skip || feed.is_some() || cycle >= wake {
+            master.skip_ticks(cycle - settled, &port);
             if let Some((_, tail)) = feed {
                 assert!(!master.done(), "{master}: appends land mid-run");
                 master.append_commands(tail);
             }
             master.tick(cycle, &mut port);
             settled = cycle + 1;
-            wake = settled.saturating_add(master.idle_ticks());
+            ticks += 1;
         }
-        slave.tick(cycle, &mut port);
+        if holds.iter().any(|h| h.contains(&cycle)) {
+            slave.respond(cycle, &mut port);
+        } else {
+            if !S::quiet(&port) {
+                // The slave takes a held request: the edges not yet
+                // charged saw it held.
+                master.skip_ticks(cycle + 1 - settled, &port);
+                settled = cycle + 1;
+            }
+            slave.tick(cycle, &mut port);
+        }
+        // Re-asked after the slave's half, which may free a channel.
+        wake = if answered::<S>(&port) {
+            cycle + 1
+        } else {
+            settled.saturating_add(master.idle_ticks(&port))
+        };
         if master.done() {
-            assert_eq!(master.idle_ticks(), u64::MAX, "drained is quiescent");
-            return master.log().records().to_vec();
+            assert_eq!(master.idle_ticks(&port), u64::MAX, "drained is quiescent");
+            return (master.log().records().to_vec(), ticks);
         }
     }
     panic!("{master} did not drain");
@@ -71,7 +103,7 @@ fn conforms<S: Socket>(
     order: fn(&CompletionLog) -> Result<(), OrderingViolation>,
 ) {
     let program = program(streams);
-    let dense = run(make(program.clone()), false, &[]);
+    let (dense, dense_ticks) = run(make(program.clone()), false, &[], &[]);
     let name = make(vec![]).to_string();
     assert_eq!(
         dense.len(),
@@ -85,20 +117,36 @@ fn conforms<S: Socket>(
 
     // `skip_ticks(n)` is `n` dense no-op ticks, and `idle_ticks` never
     // promises a tick that would have done something.
-    let skipped = run(make(program.clone()), true, &[]);
+    let (skipped, skipped_ticks) = run(make(program.clone()), true, &[], &[]);
     assert_eq!(skipped, dense, "{name}: skipping idle ticks");
+    assert!(skipped_ticks < dense_ticks, "{name}: skipping skips");
+
+    // The same over a port the slave leaves held: the claim and the
+    // charge both read the held channels.
+    let (held, held_ticks) = run(make(program.clone()), false, &[], &HOLDS);
+    assert_ne!(held, dense, "{name}: the holds delay the program");
+    let (held_skipped, held_skipped_ticks) = run(make(program.clone()), true, &[], &HOLDS);
+    assert_eq!(held_skipped, held, "{name}: skipping over a held port");
+    assert!(
+        held_ticks - held_skipped_ticks > dense_ticks - skipped_ticks,
+        "{name}: a held port is slept through"
+    );
 
     // `load_program` is `new`.
     let mut loaded = make(vec![]);
     loaded.load_program(program.clone());
-    assert_eq!(run(loaded, false, &[]), dense, "{name}: load_program");
+    assert_eq!(
+        run(loaded, false, &[], &[]).0,
+        dense,
+        "{name}: load_program"
+    );
 
     // Appending mid-run, while every lane still has commands to issue,
     // is the full program up front — through prefix reclaim, dense or
     // skipping.
     let feeds = [(5, &program[8..16]), (25, &program[16..])];
     for skip in [false, true] {
-        let fed = run(make(program[..8].to_vec()), skip, &feeds);
+        let (fed, _) = run(make(program[..8].to_vec()), skip, &feeds, &[]);
         assert_eq!(fed, dense, "{name}: append_commands (skip: {skip})");
     }
 }

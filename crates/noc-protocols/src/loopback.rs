@@ -57,6 +57,12 @@ impl<S: Socket> Loopback<S> {
     /// (memory state is sequentially consistent at the socket), then
     /// sends at most one response per response channel.
     pub fn tick(&mut self, cycle: u64, port: &mut S::Port) {
+        self.accept(cycle, port);
+        self.respond(cycle, port);
+    }
+
+    /// Accepts every request on the port and serves it.
+    fn accept(&mut self, cycle: u64, port: &mut S::Port) {
         while let Some(req) = S::accept(port) {
             let bank = (req.address() >> 8) % 4;
             let service = self.mem.latency() as u64 + req.burst().beats() as u64;
@@ -85,6 +91,11 @@ impl<S: Socket> Loopback<S> {
                 });
             }
         }
+    }
+
+    /// Sends at most one due response per response channel; the half of
+    /// a [`Loopback::tick`] a slave withholding `accept` still does.
+    pub(crate) fn respond(&mut self, cycle: u64, port: &mut S::Port) {
         for channel in 0..S::RESP_CHANNELS {
             let same = |p: &Pending, q: &Pending| {
                 S::resp_channel(q.opcode) == S::resp_channel(p.opcode) && q.stream == p.stream

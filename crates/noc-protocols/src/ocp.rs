@@ -312,12 +312,12 @@ mod tests {
         ];
         let mut m = OcpMaster::new(program, 2, 1);
         let mut port = OcpPort::default();
-        assert_eq!(m.idle_ticks(), 3, "nearest thread wakes first");
-        m.skip_ticks(3);
-        assert_eq!(m.idle_ticks(), 0);
+        assert_eq!(m.idle_ticks(&port), 3, "nearest thread wakes first");
+        m.skip_ticks(3, &port);
+        assert_eq!(m.idle_ticks(&port), 0);
         m.tick(3, &mut port);
         assert_eq!(port.req.take().unwrap().thread, 1);
         // thread 1 waits on its response; thread 0 kept counting
-        assert_eq!(m.idle_ticks(), 4);
+        assert_eq!(m.idle_ticks(&port), 4);
     }
 }

@@ -577,6 +577,7 @@ queue = 4
         let sim = spec.build(&noc_scenario::Backend::bus()).unwrap();
         let rows: Vec<&str> = sim.report().metrics().iter().map(|m| m.name).collect();
         let fabric = [
+            "endpoint_ticks",
             "request_flits",
             "response_flits",
             "flits_forwarded",

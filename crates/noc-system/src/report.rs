@@ -141,9 +141,13 @@ impl MasterReport {
     }
 }
 
-/// Aggregate fabric results.
+/// Aggregate NoC results: the two fabrics, and the endpoint work that
+/// steps them.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FabricReport {
+    /// Endpoint ticks the step loop executed; the clock edges charged
+    /// through `skip_ticks` instead are not counted.
+    pub endpoint_ticks: u64,
     /// Flits delivered to targets (request network).
     pub request_flits: u64,
     /// Flits delivered to initiators (response network).
@@ -272,6 +276,7 @@ impl RunReport {
             Metric::new("throughput", "/cy", Some(Rate(self.throughput()))),
             Metric::new("mean_latency", "cy", mean),
             Metric::golden("fingerprint", Value::Fingerprint(self.system_fingerprint())),
+            fabric("endpoint_ticks", "", |f| Count(f.endpoint_ticks)),
             fabric("request_flits", "", |f| Count(f.request_flits)),
             fabric("response_flits", "", |f| Count(f.response_flits)),
             fabric("flits_forwarded", "", |f| Count(f.flits_forwarded)),

@@ -264,6 +264,7 @@ impl SocBuilder {
             not_done: num_endpoints,
             now: 0,
             steps: 0,
+            endpoint_ticks: 0,
             touched: ActiveSet::with_capacity(num_endpoints),
             eject_scratch: Vec::new(),
         };
@@ -324,6 +325,8 @@ pub struct Soc {
     now: u64,
     /// Base cycles actually executed (skipped cycles excluded).
     steps: u64,
+    /// Endpoint ticks executed (edges charged by `settle` excluded).
+    endpoint_ticks: u64,
     /// Step-loop scratch (touched endpoints, ejected flits), empty
     /// between steps and reused so the hot path allocates nothing.
     touched: ActiveSet,
@@ -351,12 +354,14 @@ impl Engine for Soc {
         // Retire due endpoint wakeups: the calendar *is* the set of
         // endpoints to clock this cycle. An endpoint's wakeup is the
         // first of its clock edges that is not provably a no-op — the
-        // very next edge while a request is pending or its egress holds
-        // flits — so every edge before it is left unexecuted, in dense
-        // and horizon runs alike, and charged later in bulk (see the
-        // `settled` field). Everything that can move an endpoint's
-        // horizon (or done-ness) this cycle lands in `touched`: its
-        // wakeup firing here, a flit pushed into it below.
+        // very next edge while it may issue a pending request or its
+        // egress holds flits; while the ordering policy refuses its head,
+        // only its socket's own countdowns bound it, since a response is
+        // pushed in, not ticked for — so every edge before it is left
+        // unexecuted, in dense and horizon runs alike, and charged later
+        // in bulk (see the `settled` field). Everything that can move an
+        // endpoint's horizon (or done-ness) this cycle lands in
+        // `touched`: its wakeup firing here, a flit pushed into it below.
         let touched = &mut self.touched;
         self.ep_cal.pop_due(now, |id| touched.insert(id.index()));
         #[cfg(debug_assertions)]
@@ -379,6 +384,7 @@ impl Engine for Soc {
             self.settled[i] = now + 1;
             let ep = &mut self.endpoints[i];
             ep.inner.tick(now);
+            self.endpoint_ticks += 1;
             let fabric = if ep.is_initiator {
                 &mut self.request
             } else {
@@ -624,6 +630,7 @@ impl Soc {
     pub fn report(&self) -> RunReport {
         let (req, resp) = (self.request.stats(), self.response.stats());
         let fabric = FabricReport {
+            endpoint_ticks: self.endpoint_ticks,
             request_flits: self.request.delivered_flits(),
             response_flits: self.response.delivered_flits(),
             flits_forwarded: req.flits_forwarded + resp.flits_forwarded,

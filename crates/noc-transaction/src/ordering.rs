@@ -135,8 +135,8 @@ impl fmt::Display for TargetRule {
 
 /// Why [`OrderingPolicy::try_issue`] refused to issue right now.
 ///
-/// These are *back-pressure* conditions, not errors: the NIU retries next
-/// cycle.
+/// These are *back-pressure* conditions, not errors: each holds until a
+/// transaction completes, and the NIU retries after the next completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IssueBlock {
     /// The global outstanding-transaction budget is exhausted.
@@ -202,7 +202,7 @@ impl fmt::Display for PolicyError {
 
 impl std::error::Error for PolicyError {}
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct TagState {
     outstanding: u32,
     current_target: Option<SlvAddr>,
@@ -229,7 +229,7 @@ struct TagState {
 /// assert!(p.try_issue(StreamId::new(300), SlvAddr::new(0)).is_err()); // pool empty
 /// # Ok::<(), noc_transaction::PolicyError>(())
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrderingPolicy {
     model: OrderingModel,
     max_outstanding: u32,
@@ -283,8 +283,10 @@ impl OrderingPolicy {
     ///
     /// # Errors
     ///
-    /// Returns an [`IssueBlock`] back-pressure condition; the caller should
-    /// retry on a later cycle.
+    /// Returns an [`IssueBlock`] back-pressure condition. A refusal leaves
+    /// the policy unchanged, and further issues only keep it refused, so
+    /// the same request is refused until a [`OrderingPolicy::complete`]:
+    /// the caller need not ask again before one.
     ///
     /// # Panics
     ///
@@ -466,6 +468,61 @@ mod tests {
             p.try_issue(s(1), d(1)),
             Err(IssueBlock::TargetHazard { .. })
         ));
+    }
+
+    /// What an NIU that stops asking after a refusal relies on: a refused
+    /// `try_issue` changes nothing, and the same `(stream, dst)` stays
+    /// refused — whatever else issues meanwhile — until a `complete`.
+    #[test]
+    fn a_refusal_changes_nothing_and_holds_until_a_completion() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |n: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % n
+        };
+        let models = [
+            OrderingModel::FullyOrdered,
+            OrderingModel::Threaded { threads: 3 },
+            OrderingModel::IdBased { tags: 2 },
+        ];
+        let mut seen = [0usize; 3];
+        for model in models {
+            for budget in [1, 3, 6] {
+                let mut p = OrderingPolicy::new(model, budget).unwrap();
+                let mut issued: Vec<Tag> = Vec::new();
+                let mut refused: Vec<(StreamId, SlvAddr)> = Vec::new();
+                for _ in 0..400 {
+                    if !issued.is_empty() && draw(3) == 0 {
+                        let tag = issued.remove(draw(issued.len() as u64) as usize);
+                        p.complete(tag).unwrap();
+                        refused.clear();
+                        continue;
+                    }
+                    let (stream, dst) = (s(draw(3) as u16), d(draw(2) as u16));
+                    let before = p.clone();
+                    match p.try_issue(stream, dst) {
+                        Ok(tag) => issued.push(tag),
+                        Err(block) => {
+                            assert_eq!(p, before, "{model}: {block} changed the policy");
+                            seen[match block {
+                                IssueBlock::TableFull => 0,
+                                IssueBlock::NoFreeTag => 1,
+                                IssueBlock::TargetHazard { .. } => 2,
+                            }] += 1;
+                            refused.push((stream, dst));
+                        }
+                    }
+                    for &(stream, dst) in &refused {
+                        let before = p.clone();
+                        assert!(p.try_issue(stream, dst).is_err(), "{model}: refused again");
+                        assert_eq!(p, before);
+                    }
+                }
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every reason drawn: {seen:?}");
     }
 
     #[test]

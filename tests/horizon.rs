@@ -200,6 +200,39 @@ fn horizon_equals_dense_through_cdc_crossings() {
 /// corpus sweep point runs a READEX/LOCK neighbour against a bystander,
 /// so the counter is hot — it must come out bit-identical (covered by
 /// the fabric-report comparison) on the NoC backend.
+/// One AXI master whose NIU allows one transaction outstanding: while a
+/// read is in flight the ordering policy refuses the next one on every
+/// cycle. The NIU sleeps through that refusal until the response
+/// arrives, so the endpoints tick on well under half of the cycles (a
+/// NIU that retried each cycle ticked on nearly all of them), and the
+/// ticks it sleeps through change no record.
+#[test]
+fn a_policy_blocked_initiator_sleeps_until_its_response() {
+    let reads: String = (0..30)
+        .map(|i| format!("cmd = \"read {:#x} 1x4\"\n", 0x40 * i))
+        .collect();
+    let text = format!(
+        "[topology]\nkind = \"mesh\"\nwidth = 2\nheight = 2\n\n\
+         [[initiator]]\nname = \"cpu\"\nsocket = \"axi\"\noutstanding = 1\n{reads}\n\
+         [[memory]]\nname = \"mem\"\nbase = 0x0\nend = 0x1000\nlatency = 40\n"
+    );
+    let spec = ScenarioSpec::from_text(&text).expect("the scenario parses");
+    assert_equivalent(&spec, &Backend::noc(), "policy-blocked initiator");
+    let mut sim = spec.build(&Backend::noc()).expect("spec compiles");
+    assert!(sim.run_until_with(1_000_000, StepMode::Horizon));
+    let report = sim.report();
+    assert_eq!(report.total_completions(), 30);
+    let ticks = report
+        .fabric
+        .expect("the NoC reports its fabric")
+        .endpoint_ticks;
+    assert!(
+        ticks * 2 < report.cycles,
+        "{ticks} endpoint ticks over {} cycles",
+        report.cycles
+    );
+}
+
 #[test]
 fn lock_idle_statistics_survive_bulk_skip_accounting() {
     let Document::Sweep(sweep) =
