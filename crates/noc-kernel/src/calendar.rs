@@ -7,6 +7,14 @@
 //! and *schedules* a wakeup whenever its horizon changes; the advance
 //! loop takes the earliest pending cycle instead of rescanning.
 //!
+//! What files into one is a component whose wakeup *moves*: the SoC's
+//! endpoints (NIUs with their socket agents), re-scheduled whenever a
+//! tick, a delivered flit or a program append changes their horizon.
+//! Events fixed when they are posted — a flit's arrival on a link, a
+//! credit's return to its sender — go to
+//! [`Arrivals`](crate::Arrivals) instead, which files each once and has
+//! nothing to cancel.
+//!
 //! # A timing wheel with an overflow heap
 //!
 //! A wakeup is an entry `(cycle, id)`. Nearly every entry a simulation
@@ -71,14 +79,14 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// No wakeup scheduled (sentinel in the `pending` array).
-const NONE: u64 = u64::MAX;
+pub(crate) const NONE: u64 = u64::MAX;
 
 /// Cycles the wheel covers: one bucket, and one bit of the occupancy
 /// mask, per cycle.
-const WHEEL: u64 = u64::BITS as u64;
+pub(crate) const WHEEL: u64 = u64::BITS as u64;
 
 /// End of a node list.
-const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// Stable handle for a registered component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -94,16 +102,18 @@ impl WakeId {
 
 /// One filed entry: its component and the next node of its bucket.
 #[derive(Debug, Clone, Copy)]
-struct Node {
-    id: u32,
-    next: u32,
+pub(crate) struct Node {
+    pub(crate) id: u32,
+    pub(crate) next: u32,
 }
 
-/// A bucket's node list, in filing order; `head == NIL` when empty.
+/// A bucket's node list, in filing order. The calendar sets `head` to
+/// `NIL` when it empties a bucket; the arrival wheel reads its occupancy
+/// bit instead and leaves an empty bucket's fields stale.
 #[derive(Debug, Clone, Copy)]
-struct Bucket {
-    head: u32,
-    tail: u32,
+pub(crate) struct Bucket {
+    pub(crate) head: u32,
+    pub(crate) tail: u32,
 }
 
 /// A wakeup calendar keyed by absolute base-clock cycle: a timing wheel

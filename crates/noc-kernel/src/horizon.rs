@@ -32,6 +32,7 @@ impl Horizon {
     pub const NEVER: Horizon = Horizon(None);
 
     /// Starts an accumulation with no events.
+    #[inline]
     pub fn new() -> Self {
         Horizon::NEVER
     }
@@ -43,6 +44,7 @@ impl Horizon {
 
     /// Folds in another component's horizon: the earlier event wins;
     /// `None` (quiescent) constrains nothing.
+    #[inline]
     pub fn merge(&mut self, event: Option<u64>) {
         self.0 = match (self.0, event) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -52,6 +54,7 @@ impl Horizon {
     }
 
     /// Folds in a concrete event cycle.
+    #[inline]
     pub fn merge_at(&mut self, cycle: u64) {
         self.merge(Some(cycle));
     }
@@ -70,6 +73,7 @@ impl Horizon {
     }
 
     /// The earliest merged event, if any component reported one.
+    #[inline]
     pub fn earliest(&self) -> Option<u64> {
         self.0
     }
@@ -77,12 +81,14 @@ impl Horizon {
     /// The earliest merged event, clamped to be no earlier than `now` —
     /// for callers whose contract is "the next event at or after the
     /// current cycle" while sub-components report stale (past) stamps.
+    #[inline]
     pub fn earliest_from(&self, now: u64) -> Option<u64> {
         self.0.map(|t| t.max(now))
     }
 }
 
 impl From<Option<u64>> for Horizon {
+    #[inline]
     fn from(event: Option<u64>) -> Self {
         Horizon(event)
     }

@@ -16,6 +16,9 @@
 //!   components schedule their next-activity cycle once and the advance
 //!   loop pops the earliest instead of rescanning every component (a
 //!   timing wheel: O(1) per wakeup within 64 cycles of now);
+//! - [`Arrivals`], the same wheel for events that never move once
+//!   posted (a flit's arrival, a credit's return): each id is filed once
+//!   for the cycle it falls due and drained exactly once;
 //! - [`SplitMix64`], a tiny deterministic RNG used to seed all stochastic
 //!   behaviour in the workspace;
 //! - [`Slab`], one node store for many FIFO [`Queue`]s, so a model with
@@ -44,6 +47,7 @@
 //! assert_eq!(h.earliest(), Some(12));
 //! ```
 
+pub mod arrivals;
 pub mod calendar;
 pub mod clock;
 pub mod engine;
@@ -51,6 +55,7 @@ pub mod horizon;
 pub mod rng;
 pub mod slab;
 
+pub use arrivals::Arrivals;
 pub use calendar::{Calendar, WakeId};
 pub use clock::{ClockDomain, ClockId, ClockSet};
 pub use engine::Engine;

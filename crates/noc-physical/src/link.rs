@@ -113,7 +113,10 @@ impl fmt::Display for LinkConfig {
 /// capacity reached). Back-pressure, not failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkFull {
-    /// Base cycle at which the serialiser frees up.
+    /// The earliest base cycle at which the link can take an item: when
+    /// its serialiser frees up and, on a link at its in-flight capacity,
+    /// no earlier than its oldest item's arrival, whose delivery frees a
+    /// slot.
     pub retry_at: u64,
 }
 
@@ -127,6 +130,15 @@ impl std::error::Error for LinkFull {}
 
 /// `LinkState::last_delivery` before the first delivery.
 const NEVER: u64 = u64::MAX;
+
+/// Returns `true` when base cycle `cycle` is an edge of a clock of
+/// `divisor`. Most links run on the base clock on both ends, so that case
+/// skips the 64-bit division, which a send and a delivery would otherwise
+/// each pay.
+#[inline(always)]
+fn on_edge(cycle: u64, divisor: u64) -> bool {
+    divisor == 1 || cycle.is_multiple_of(divisor)
+}
 
 /// One link's state as a plain record: when its serialiser frees up, its
 /// last delivery, its *class* — the owner's index of the [`LinkConfig`]
@@ -197,15 +209,19 @@ impl LinkState {
         item: T,
         now: u64,
     ) -> Result<u64, LinkFull> {
-        assert_eq!(
-            now % config.src_divisor,
-            0,
+        assert!(
+            on_edge(now, config.src_divisor),
             "send must occur on a source clock edge"
         );
         if !self.can_send(config, now) {
-            return Err(LinkFull {
-                retry_at: self.busy_until,
-            });
+            let mut retry_at = self.busy_until;
+            if self.in_flight.len() >= config.capacity {
+                let front = slab
+                    .front_stamp(&self.in_flight)
+                    .expect("a full link holds items");
+                retry_at = retry_at.max(front);
+            }
+            return Err(LinkFull { retry_at });
         }
         let ser = config.phits_per_flit as u64 * config.src_divisor;
         let pipe = config.pipeline as u64 * config.src_divisor;
@@ -215,9 +231,8 @@ impl LinkState {
             arrival += config.cdc_latency as u64 * config.dst_divisor;
         }
         // Align to the next destination clock edge at or after arrival.
-        let rem = arrival % config.dst_divisor;
-        if rem != 0 {
-            arrival += config.dst_divisor - rem;
+        if !on_edge(arrival, config.dst_divisor) {
+            arrival += config.dst_divisor - arrival % config.dst_divisor;
         }
         // FIFO: never deliver before the previously queued item.
         if let Some(prev) = slab.back_stamp(&self.in_flight) {
@@ -230,7 +245,7 @@ impl LinkState {
     /// Delivers the next item from `slab` if one has arrived by base
     /// cycle `now`. At most one item per destination-clock edge.
     pub fn deliver<T>(&mut self, config: &LinkConfig, slab: &mut Slab<T>, now: u64) -> Option<T> {
-        if !now.is_multiple_of(config.dst_divisor) || self.last_delivery == now {
+        if !on_edge(now, config.dst_divisor) || self.last_delivery == now {
             return None;
         }
         if slab.front_stamp(&self.in_flight)? > now {
@@ -503,6 +518,23 @@ mod tests {
         link.send(2, 1).unwrap();
         assert!(!link.can_send(2));
         assert!(link.send(3, 2).is_err());
+    }
+
+    #[test]
+    fn a_full_link_retries_when_its_oldest_item_lands() {
+        // Capacity 1, five stages: the serialiser frees at 1, but the one
+        // slot only when the item lands at 0 + 1 + 5 = 6.
+        let cfg = LinkConfig::new().with_capacity(1).with_pipeline(5);
+        let mut link: Link<u8> = Link::new(cfg);
+        link.send(1, 0).unwrap();
+        assert_eq!(link.send(2, 2), Err(LinkFull { retry_at: 6 }));
+        assert_eq!(link.deliver(6), Some(1));
+        link.send(2, 6).unwrap();
+        // Not full: a busy serialiser alone decides.
+        let cfg = LinkConfig::new().with_phits_per_flit(3).with_pipeline(5);
+        let mut link: Link<u8> = Link::new(cfg);
+        link.send(1, 0).unwrap();
+        assert_eq!(link.send(2, 1), Err(LinkFull { retry_at: 3 }));
     }
 
     #[test]

@@ -40,9 +40,10 @@
 //! - storage grows with the flits held at once, not with the buffer
 //!   depth or the port count;
 //! - **stepping** allocates nothing per flit-hop: the slab recycles its
-//!   nodes, credit returns wait in per-latency lanes ([`CreditRing`]),
-//!   the sets of components that can act are two-level bitsets
-//!   ([`ActiveSet`]), and every per-tick buffer is reused.
+//!   nodes, flits in flight and credit returns are each filed once, by
+//!   link index, into an arrival wheel ([`Arrivals`]) whose nodes are
+//!   reused too, the sets of components that can act are two-level
+//!   bitsets ([`ActiveSet`]), and every per-tick buffer is reused.
 //!
 //! A switch is ticked through [`SwitchMut`], a borrow of its record, its
 //! slices of the port arrays, the slab and its routing row — the same
@@ -52,13 +53,18 @@
 //! # O(active) ticking
 //!
 //! The fabric tracks exactly which components can act on a given cycle,
-//! so `tick` costs O(active) plus one summary-word step per 4 096 links,
+//! so `tick` costs O(active) plus one summary-word step per 4 096
 //! switches or ports (see [`ActiveSet`]), and the horizon queries O(1):
 //!
-//! - every link schedules its next arrival cycle into a
-//!   [`Calendar`] (re-registered after every `send`/`deliver`, the only
-//!   operations that move a link's horizon), so delivery scans touch
-//!   only the links that are due *this* cycle;
+//! - [`LinkState::send`] fixes a flit's arrival cycle when it accepts
+//!   the flit — on a destination-clock edge, at least one destination
+//!   period after the flit in flight before it — and the stamp never
+//!   moves, so each send files its link once into the `arrivals` wheel
+//!   for that cycle, and a tick delivers exactly the flits filed for it,
+//!   each with one [`LinkState::deliver`] that cannot come back empty:
+//!   no link is re-filed, scanned or sorted, and the wheel's earliest
+//!   cycle is the fabric's horizon. Credit returns ride a second wheel
+//!   the same way, filed for the cycle they reach the sender;
 //! - switches holding flits (or streaming allocations) live in a `busy`
 //!   set, entered on `accept` and left when a tick ends idle; only busy
 //!   switches are ticked — ticking an idle switch is a no-op except for
@@ -69,16 +75,29 @@
 //! - output ports whose stash holds flits live in a `stashing` set, so
 //!   draining stashes visits only those, in port order.
 //!
-//! An [`ActiveSet`] iterates in ascending switch/link index order — the
-//! dense loop's order restricted to the members that can act — so the
-//! resulting logs and counters are bit-identical to dense ticking, with
-//! no per-tick sort. Walking and clearing one visits only its non-empty
-//! words, found through a summary bitmap: on an idle 32×32 mesh a step
-//! that delivers one flit no longer scans and zeroes the 63 words of the
-//! ≈ 4 000-link due set. None of this reads the port arrays of a switch
-//! that has no work.
+//! An [`ActiveSet`] iterates in ascending switch or port index order —
+//! the dense loop's order restricted to the members that can act — so
+//! the resulting logs and counters are bit-identical to dense ticking,
+//! with no per-tick sort. Walking and clearing one visits only its
+//! non-empty words, found through a summary bitmap. None of this reads
+//! the port arrays of a switch that has no work.
+//!
+//! Two things about the arrival wheel are deliberate:
+//!
+//! - Flits due on one cycle are delivered in the order they were filed,
+//!   not in link order as the dense scan visited them. Nothing can
+//!   observe the difference: every link ends at its own switch input
+//!   port or endpoint, so no two same-cycle deliveries touch the same
+//!   record, and the counters they raise are sums.
+//! - A flit found in the wheel *before* the cycle being ticked means a
+//!   tick was skipped that its arrival should have forced — a horizon
+//!   bug. Debug builds panic there, naming both cycles. The wheel hands
+//!   out entries for drained cycles first, so a release build still
+//!   delivers such a flit at the late tick, not 64 cycles later on the
+//!   wheel's next turn (or stops at the delivery's `expect` if its link
+//!   cannot deliver on that cycle).
 
-use noc_kernel::{Calendar, Horizon, Queue, WakeId};
+use noc_kernel::{Arrivals, Horizon, Queue};
 use noc_physical::{LinkConfig, LinkState};
 use noc_topology::{SwitchTables, Topology};
 use noc_transport::{
@@ -86,7 +105,6 @@ use noc_transport::{
     SwitchMut, SwitchState, SwitchStats, SwitchTick,
 };
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Where a link terminates.
@@ -98,12 +116,11 @@ enum LinkEnd {
     Endpoint { node: u16 },
 }
 
-/// One link's wiring: its two ends and its wakeup handle.
+/// One link's wiring: its two ends.
 #[derive(Debug, Clone, Copy)]
 struct Wire {
     from: LinkEnd,
     to: LinkEnd,
-    wake: WakeId,
 }
 
 /// Everything [`Fabric::new`] wires and nothing changes afterwards: link
@@ -297,107 +314,6 @@ impl ActiveSet {
     }
 }
 
-/// In-flight credit returns: one FIFO lane per return-wire latency.
-///
-/// A credit released at cycle `t` over a return wire of latency `lat`
-/// falls due at `t + lat`, and [`CreditRing::drain_due`] hands out every
-/// credit whose cycle has been reached. Releases come in time order, so
-/// on one latency they also fall due in order: each lane is a FIFO of
-/// `(due, id)` whose front is its earliest credit, and a drain pops each
-/// lane's front until it lies in the future. Storage is proportional to
-/// the credits in flight, however long a wire is, and a lane keeps its
-/// capacity from one use to the next: no map, no allocation per cycle.
-/// Credits within one drain come out lane by lane; whoever applies them
-/// as counter increments cannot tell the order.
-///
-/// # Examples
-///
-/// ```
-/// use noc_system::CreditRing;
-/// let mut ring = CreditRing::new();
-/// ring.drain_due(10, |_| unreachable!("nothing pending"));
-/// ring.push(10, 1, 4); // released at 10, one-cycle wire
-/// ring.push(10, 3, 9); // released at 10, three-cycle wire
-/// let mut due = Vec::new();
-/// ring.drain_due(12, |link| due.push(link));
-/// assert_eq!(due, [4]);
-/// ring.push(12, 1_000_000_000, 7); // a deep wire costs one entry
-/// ring.drain_due(5_000, |link| due.push(link)); // a long horizon skip
-/// assert_eq!(due, [4, 9]);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct CreditRing {
-    /// Per distinct latency: that latency and its credits in due order.
-    lanes: Vec<(u64, VecDeque<(u64, u32)>)>,
-    /// Credits pending across all lanes.
-    pending: usize,
-    /// The first cycle not drained yet.
-    next: u64,
-}
-
-impl CreditRing {
-    /// An empty set of lanes; a lane is added by the first credit on its
-    /// latency.
-    pub fn new() -> CreditRing {
-        CreditRing::default()
-    }
-
-    /// Registers `id`'s credit, released at cycle `released` onto a wire
-    /// of `latency` cycles: it becomes visible at `released + latency`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if that cycle has already been drained (it would never be
-    /// handed out), or if it precedes an earlier release on the same
-    /// latency (releases must come in time order).
-    #[inline]
-    pub fn push(&mut self, released: u64, latency: u64, id: u32) {
-        let due = released + latency;
-        assert!(
-            due >= self.next,
-            "credit due at {due}, but cycles before {} are drained",
-            self.next
-        );
-        let lane = match self.lanes.iter().position(|&(lat, _)| lat == latency) {
-            Some(lane) => lane,
-            None => {
-                self.lanes.push((latency, VecDeque::new()));
-                self.lanes.len() - 1
-            }
-        };
-        let lane = &mut self.lanes[lane].1;
-        assert!(
-            lane.back().is_none_or(|&(last, _)| last <= due),
-            "credits on a {latency}-cycle wire released out of time order"
-        );
-        lane.push_back((due, id));
-        self.pending += 1;
-    }
-
-    /// Hands every credit due at or before `now` to `apply`. A drain
-    /// costs the credits it hands out plus one look per lane, however
-    /// many cycles it covers.
-    pub fn drain_due(&mut self, now: u64, mut apply: impl FnMut(u32)) {
-        if now < self.next {
-            return;
-        }
-        self.next = now + 1;
-        if self.pending == 0 {
-            return;
-        }
-        for (_, lane) in &mut self.lanes {
-            while let Some(&(due, id)) = lane.front() {
-                if due > now {
-                    break;
-                }
-                lane.pop_front();
-                self.pending -= 1;
-                apply(id);
-            }
-        }
-    }
-}
-
 /// Where each switch's ports start in a flat per-port array — the running
 /// totals of the per-switch `counts`, from 0 — plus the grand total.
 fn offsets(counts: impl Iterator<Item = usize>) -> Vec<usize> {
@@ -432,8 +348,9 @@ pub struct Fabric {
     link_deliveries: u64,
     /// Per node: current injection credits into its first switch.
     inj_credits: Vec<u32>,
-    /// Wakeup calendar over links.
-    link_cal: Calendar,
+    /// Every flit in flight on a link, filed by link index for the cycle
+    /// it arrives: its stamp, which [`LinkState::send`] fixed.
+    arrivals: Arrivals,
     /// Switches currently holding flits or allocations.
     busy: ActiveSet,
     /// Idle switches with ≥ 1 output pinned by a locked sequence (they
@@ -442,18 +359,19 @@ pub struct Fabric {
     /// Flits in flight on links (send minus deliver).
     in_flight: usize,
     delivered_flits: u64,
-    /// In-flight credit returns, applied by [`Fabric::apply_due_credits`]
-    /// at the top of each SoC step. Deliberately excluded from
-    /// [`Fabric::is_idle`] and [`Fabric::next_event_at`]: a pending
-    /// credit only raises a counter that nothing reads between steps, so
-    /// applying it lazily at the next executed step is
-    /// observation-equivalent to applying it at its due cycle (and any
-    /// component that could consume it is itself keeping the system
-    /// non-idle).
-    pending_credits: CreditRing,
-    /// Tick-loop scratch (the links due this cycle, the per-switch tick
+    /// In-flight credit returns, filed by the index of the link whose
+    /// sender they credit for the cycle they reach it, and applied by
+    /// [`Fabric::apply_due_credits`] at the top of each SoC step.
+    /// Deliberately excluded from [`Fabric::is_idle`] and
+    /// [`Fabric::next_event_at`]: a pending credit only raises a counter
+    /// that nothing reads between steps, so applying it lazily at the
+    /// next executed step is observation-equivalent to applying it at
+    /// its due cycle (and any component that could consume it is itself
+    /// keeping the system non-idle).
+    credits: Arrivals,
+    /// Tick-loop scratch (the links a wheel drained, the per-switch tick
     /// result), reused so the hot path allocates nothing.
-    due_links: ActiveSet,
+    due: Vec<u32>,
     tick_scratch: SwitchTick,
 }
 
@@ -536,9 +454,7 @@ impl Fabric {
             routes: RoutingTable::rows(matrix, num_nodes).collect(),
             mode,
         };
-        let mut link_cal = Calendar::new();
-        // Adds a link of configuration `cfg` and registers it with the
-        // wakeup calendar.
+        // Adds a link of configuration `cfg`.
         let mut add_link = |wiring: &mut Wiring, cfg: LinkConfig, from: LinkEnd, to: LinkEnd| {
             let idx = u32::try_from(wiring.wires.len()).expect("link count fits in u32");
             let class = wiring
@@ -549,9 +465,7 @@ impl Fabric {
                     wiring.classes.push(cfg);
                     wiring.classes.len() - 1
                 });
-            let wake = link_cal.register();
-            debug_assert_eq!(wake.index(), idx as usize);
-            wiring.wires.push(Wire { from, to, wake });
+            wiring.wires.push(Wire { from, to });
             links.push(LinkState::new(
                 u32::try_from(class).expect("link classes fit in u32"),
             ));
@@ -632,13 +546,13 @@ impl Fabric {
             link_deliveries: 0,
             wiring: Arc::new(wiring),
             inj_credits,
-            link_cal,
+            arrivals: Arrivals::new(),
             busy: ActiveSet::with_capacity(num_switches),
             locked: ActiveSet::with_capacity(num_switches),
             in_flight: 0,
             delivered_flits: 0,
-            pending_credits: CreditRing::new(),
-            due_links: ActiveSet::with_capacity(num_links),
+            credits: Arrivals::new(),
+            due: Vec::new(),
             tick_scratch: SwitchTick::default(),
         }
     }
@@ -679,16 +593,15 @@ impl Fabric {
         self.records.links[li].can_send(self.link_config(li), now)
     }
 
-    /// Sends `flit` on link `li` and reschedules the link's arrival
-    /// wakeup. Every send in the fabric funnels through here so no
-    /// horizon change can escape the calendar.
+    /// Sends `flit` on link `li` and files its arrival. Every send in the
+    /// fabric funnels through here, so every flit in flight is filed.
+    #[inline]
     fn send_on_link(&mut self, li: usize, flit: Flit, now: u64) {
         let (link, cfg, slab) = self.link_mut(li);
         let latency = link.send(cfg, slab, flit, now).expect("can_send checked");
-        let next = link.next_event_at(cfg, slab, now);
         self.in_flight += 1;
         self.link_latency += latency;
-        self.link_cal.set(self.wiring.wires[li].wake, next);
+        self.arrivals.file(now + latency, li as u32);
     }
 
     /// Marks a switch as holding work; it leaves the busy set when a
@@ -725,39 +638,38 @@ impl Fabric {
     /// `ejected` as `(node, flit)` pairs for the SoC to deliver to
     /// endpoints (the caller owns — and reuses — the buffer).
     pub fn tick(&mut self, now: u64, ejected: &mut Vec<(u16, Flit)>) {
-        // 1. Link deliveries into switches / endpoints. Only links whose
-        // scheduled arrival is due can deliver; everything else provably
-        // returns `None` this cycle (the calendar entry *is*
-        // `LinkState::next_event_at`, re-registered on every
-        // send/deliver). Ascending link order = the dense scan restricted
-        // to movers.
-        let due = &mut self.due_links;
-        self.link_cal.pop_due(now, |id| due.insert(id.index()));
-        let mut next = self.due_links.next_from(0);
-        while let Some(li) = next {
-            next = self.due_links.next_from(li + 1);
+        // 1. Link deliveries into switches / endpoints: exactly the flits
+        // filed for this cycle, each its link's front flit, in filing
+        // order (see the module docs for why that order is unobservable).
+        debug_assert!(
+            self.arrivals.peek().is_none_or(|at| at >= now),
+            "a flit arrived at cycle {:?}, but the fabric was not ticked until {now}",
+            self.arrivals.peek()
+        );
+        let mut due = std::mem::take(&mut self.due);
+        self.arrivals.drain_due(now, &mut due);
+        for li in due.drain(..) {
+            let li = li as usize;
             let (link, cfg, slab) = self.link_mut(li);
-            if let Some(flit) = link.deliver(cfg, slab, now) {
-                self.in_flight -= 1;
-                self.link_deliveries += 1;
-                match self.wiring.wires[li].to {
-                    LinkEnd::Switch { switch, port } => {
-                        let switch = switch as usize;
-                        let ok = self.switch_mut(switch).accept(port.into(), flit);
-                        assert!(ok, "credit flow control must prevent overflow");
-                        self.mark_busy(switch);
-                    }
-                    LinkEnd::Endpoint { node } => {
-                        self.delivered_flits += 1;
-                        ejected.push((node, flit));
-                    }
+            let flit = link
+                .deliver(cfg, slab, now)
+                .expect("a filed arrival is its link's front flit, due now");
+            self.in_flight -= 1;
+            self.link_deliveries += 1;
+            match self.wiring.wires[li].to {
+                LinkEnd::Switch { switch, port } => {
+                    let switch = switch as usize;
+                    let ok = self.switch_mut(switch).accept(port.into(), flit);
+                    assert!(ok, "credit flow control must prevent overflow");
+                    self.mark_busy(switch);
+                }
+                LinkEnd::Endpoint { node } => {
+                    self.delivered_flits += 1;
+                    ejected.push((node, flit));
                 }
             }
-            let (link, cfg, slab) = self.link_mut(li);
-            let at = link.next_event_at(cfg, slab, now);
-            self.link_cal.set(self.wiring.wires[li].wake, at);
         }
-        self.due_links.clear();
+        self.due = due;
         // 1b. Idle switches pinned by locked sequences accrue their
         // lock-idle statistic for this executed cycle in bulk — exactly
         // what a dense tick's empty allocation pass would have counted.
@@ -810,7 +722,7 @@ impl Fabric {
                 let li = self.wiring.in_wire[self.wiring.in_base[s] + input]
                     .expect("every switch input is wired");
                 let latency = credit_latency(self.link_config(li as usize));
-                self.pending_credits.push(now, latency, li);
+                self.credits.file(now + latency, li);
             }
             let switch = &self.records.switches[s];
             if switch.is_idle() {
@@ -830,19 +742,21 @@ impl Fabric {
     /// nothing earlier.
     pub(crate) fn apply_due_credits(&mut self, now: u64) {
         let wiring = &*self.wiring;
-        self.pending_credits
-            .drain_due(now, |li| match wiring.wires[li as usize].from {
+        self.credits.drain_due(now, &mut self.due);
+        for li in self.due.drain(..) {
+            match wiring.wires[li as usize].from {
                 LinkEnd::Switch { switch, port } => {
                     self.records.outputs[wiring.out_base[switch as usize] + usize::from(port)]
                         .add_credit();
                 }
                 LinkEnd::Endpoint { node } => self.inj_credits[node as usize] += 1,
-            });
+            }
+        }
     }
 
     /// Returns `true` when no flit is buffered or in flight. In-flight
     /// credit returns deliberately don't count (see the
-    /// `pending_credits` field).
+    /// `credits` field).
     pub fn is_idle(&self) -> bool {
         self.busy.is_empty() && self.stashing.is_empty() && self.in_flight == 0
     }
@@ -855,18 +769,14 @@ impl Fabric {
     /// and count every cycle) and pin the answer to `now`; a fabric
     /// whose only traffic is *in flight on links* — deep in a pipelined
     /// crossing, or waiting out a CDC synchroniser — reports the
-    /// earliest scheduled arrival from the link calendar instead, in
-    /// O(1). Idle switches with pinned locks constrain nothing here;
+    /// earliest filed arrival instead, in O(1). Idle switches with pinned locks constrain nothing here;
     /// their per-cycle lock-idle statistics are bulk-accounted by
     /// [`Fabric::skip_cycles`] and [`Fabric::tick`].
     pub fn next_event_at(&self, now: u64) -> Option<u64> {
         if !self.busy.is_empty() || !self.stashing.is_empty() {
             return Some(now);
         }
-        // A stale calendar minimum is never later than the true earliest
-        // arrival, so the caller may at worst execute a spurious,
-        // dense-identical step.
-        Horizon::from(self.link_cal.peek()).earliest_from(now)
+        Horizon::from(self.arrivals.peek()).earliest_from(now)
     }
 
     /// Accounts `cycles` skipped fabric ticks: forwards the bulk
@@ -884,10 +794,12 @@ impl Fabric {
         }
     }
 
-    /// Total wakeups the link calendar has retired — the fabric's share
-    /// of the `calendar_pops` observability counter.
+    /// Flit arrivals retired — the fabric's share of the
+    /// `calendar_pops` observability counter: one per link delivery, as
+    /// many as the link calendar this wheel replaced retired (a link's
+    /// entry there never went stale).
     pub fn calendar_pops(&self) -> u64 {
-        self.link_cal.pops()
+        self.arrivals.pops()
     }
 
     /// Aggregate switch statistics.

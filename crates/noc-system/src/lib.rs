@@ -54,6 +54,6 @@ pub mod fabric;
 pub mod report;
 pub mod soc;
 
-pub use fabric::{ActiveSet, CreditRing, Fabric};
+pub use fabric::{ActiveSet, Fabric};
 pub use report::{FabricReport, MasterReport, Metric, RunReport, Value};
 pub use soc::{BuildError, NocConfig, Soc, SocBuilder};

@@ -186,10 +186,11 @@ pub struct RunReport {
     /// Times the advance loop polled `next_activity`, one per iteration
     /// (0 for dense runs, which never ask).
     pub horizon_polls: u64,
-    /// Calendar wakeups retired while stepping, stale entries included
-    /// (both modes execute the same events, so this is mode-independent
-    /// up to run length). Only the NoC keeps calendars; the baselines
-    /// fold a few sources per master directly and report 0.
+    /// Calendar wakeups retired while stepping, stale entries included,
+    /// plus the fabrics' flit arrivals (one per link delivery); both
+    /// modes execute the same events, so this is mode-independent up to
+    /// run length. Only the NoC keeps calendars; the baselines fold a
+    /// few sources per master directly and report 0.
     pub calendar_pops: u64,
 }
 

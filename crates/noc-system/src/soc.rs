@@ -423,8 +423,8 @@ impl Engine for Soc {
     }
 
     /// Does not scan components: each fabric answers in O(1)
-    /// (busy/stash sets pin it to `now`; otherwise its link calendar's
-    /// earliest scheduled arrival), and the endpoints' contribution is
+    /// (busy/stash sets pin it to `now`; otherwise the earliest flit
+    /// arrival it has filed), and the endpoints' contribution is
     /// the earliest wakeup they scheduled into the endpoint calendar
     /// (`step` re-registers every endpoint whose horizon can have
     /// moved). A calendar minimum may be stale — a component
@@ -546,8 +546,8 @@ impl Soc {
         }
     }
 
-    /// Total calendar wakeups retired across the endpoint calendar and
-    /// both fabrics' link calendars.
+    /// Total calendar wakeups retired: the endpoint calendar's, plus
+    /// both fabrics' flit arrivals (one per link delivery).
     pub fn calendar_pops(&self) -> u64 {
         self.ep_cal.pops() + self.request.calendar_pops() + self.response.calendar_pops()
     }

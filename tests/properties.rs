@@ -928,15 +928,17 @@ fn one_pass_allocation_equals_the_per_output_scan() {
     }
 }
 
-/// The credit lanes ≡ a `due cycle → links` map under random release /
-/// apply sequences: a few distinct wire latencies per case (now and then
-/// a billion-cycle one, which must cost one entry, not a ring that
-/// long), several releases per cycle on one latency, horizon skips far
-/// longer than any wire (every lane due at once) and repeated applies of
-/// one cycle.
+/// Credit returns as the fabric files them into an [`Arrivals`] wheel ≡
+/// a `due cycle → links` map under random release / apply sequences: a
+/// few distinct wire latencies per case (now and then a billion-cycle
+/// one, which must cost one entry, not a ring that long), several
+/// releases per cycle on one latency, horizon skips far longer than any
+/// wire (every credit due at once) and repeated applies of one cycle.
+///
+/// [`Arrivals`]: noc_kernel::Arrivals
 #[test]
-fn credit_ring_equals_a_due_cycle_map() {
-    use noc_system::CreditRing;
+fn credit_returns_equal_a_due_cycle_map() {
+    use noc_kernel::Arrivals;
     use std::collections::BTreeMap;
 
     let mut rng = SplitMix64::new(0xC4ED);
@@ -948,14 +950,14 @@ fn credit_ring_equals_a_due_cycle_map() {
         if rng.chance(0.2) {
             latencies.push(1_000_000_000);
         }
-        let mut ring = CreditRing::new();
+        let mut credits = Arrivals::new();
         let mut model: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         let mut now = 0u64;
         for op in 0..rng.next_range(10, 150) {
             // A step applies the credits due, then releases new ones —
             // the order `Soc::step` runs the fabric in.
             let mut applied = Vec::new();
-            ring.drain_due(now, |link| applied.push(link));
+            credits.drain_due(now, &mut applied);
             let mut expect = Vec::new();
             while let Some(entry) = model.first_entry().filter(|e| *e.key() <= now) {
                 expect.extend(entry.remove());
@@ -964,20 +966,197 @@ fn credit_ring_equals_a_due_cycle_map() {
             expect.sort_unstable();
             assert_eq!(applied, expect, "case {case} op {op} now {now}");
             if rng.chance(0.2) {
-                ring.drain_due(now, |link| panic!("case {case}: link {link} applied twice"));
+                credits.drain_due(now, &mut applied);
+                assert_eq!(applied, expect, "case {case}: a credit applied twice");
             }
             for _ in 0..rng.next_below(4) {
                 let latency = latencies[rng.next_below(latencies.len() as u64) as usize];
                 let link = rng.next_below(50) as u32;
-                ring.push(now, latency, link);
+                credits.file(now + latency, link);
                 model.entry(now + latency).or_default().push(link);
             }
+            let pending: usize = model.values().map(Vec::len).sum();
+            assert_eq!(credits.len(), pending, "case {case} op {op}");
             now += match rng.next_below(10) {
                 0 => rng.next_range(max_latency, 20 * max_latency), // a long skip
                 1 if rng.chance(0.1) => 2_000_000_000,              // past the deepest wire
                 1..=3 => rng.next_range(2, max_latency + 1),
                 _ => 1,
             };
+        }
+    }
+}
+
+/// Flit arrivals as the fabric files them ≡ a `due cycle → entries`
+/// model: each step drains everything due, then files arrivals 1, 63,
+/// 64, 65 or 127 cycles after the drained cycle — on either side of the
+/// wheel's 64-cycle window and of its second turn — or 10⁹ cycles out.
+/// Drains advance one cycle, a few, to a window edge, to the earliest
+/// entry or far past every entry. After every step the drained entries
+/// must be exactly the model's due set, in cycle order, and `peek`,
+/// `len` and `pops` must match; a clone taken mid-run continues on its
+/// own. Every entry gets its own id, so the order of a drain can be
+/// read back as cycles.
+#[test]
+fn flit_arrivals_equal_a_due_cycle_model() {
+    use noc_kernel::Arrivals;
+    use std::collections::BTreeMap;
+
+    const OFFSETS: [u64; 6] = [1, 63, 64, 65, 127, 1_000_000_000];
+
+    #[derive(Clone)]
+    struct Pair {
+        wheel: Arrivals,
+        /// Due cycle → the ids filed for it.
+        model: BTreeMap<u64, Vec<u32>>,
+        /// Per id, the cycle it was filed for.
+        filed_at: Vec<u64>,
+        retired: u64,
+        now: u64,
+    }
+
+    impl Pair {
+        fn drive(&mut self, rng: &mut SplitMix64, steps: u64, what: &str) {
+            for step in 0..steps {
+                let now = self.now;
+                let what = format!("{what} step {step} now {now}");
+                let mut due = Vec::new();
+                self.wheel.drain_due(now, &mut due);
+                let cycles: Vec<u64> = due.iter().map(|&id| self.filed_at[id as usize]).collect();
+                assert!(
+                    cycles.windows(2).all(|w| w[0] <= w[1]),
+                    "{what}: out of cycle order: {cycles:?}"
+                );
+                let mut expect = Vec::new();
+                while let Some(entry) = self.model.first_entry().filter(|e| *e.key() <= now) {
+                    expect.extend(entry.remove());
+                }
+                due.sort_unstable();
+                expect.sort_unstable();
+                assert_eq!(due, expect, "{what}: due set");
+                self.retired += due.len() as u64;
+                for _ in 0..rng.next_below(5) {
+                    let at = now + OFFSETS[rng.next_below(OFFSETS.len() as u64) as usize];
+                    let id = self.filed_at.len() as u32;
+                    self.filed_at.push(at);
+                    self.wheel.file(at, id);
+                    self.model.entry(at).or_default().push(id);
+                }
+                let pending: usize = self.model.values().map(Vec::len).sum();
+                assert_eq!(self.wheel.len(), pending, "{what}: len");
+                let earliest = self.model.keys().next().copied();
+                assert_eq!(self.wheel.peek(), earliest, "{what}: peek");
+                assert_eq!(self.wheel.pops(), self.retired, "{what}: pops");
+                self.now += match rng.next_below(12) {
+                    0 => rng.next_range(62, 66), // to a window edge
+                    1 => rng.next_range(126, 130),
+                    2 if rng.chance(0.2) => 3_000_000_000, // past every entry
+                    3 => rng.next_range(2, 40),
+                    4 => earliest.map_or(1, |at| at.saturating_sub(now).max(1)),
+                    _ => 1,
+                };
+            }
+        }
+    }
+
+    let mut rng = SplitMix64::new(0xA771);
+    for case in 0..CASES {
+        let mut pair = Pair {
+            wheel: Arrivals::new(),
+            model: BTreeMap::new(),
+            filed_at: Vec::new(),
+            retired: 0,
+            now: rng.next_below(200),
+        };
+        pair.drive(&mut rng, 60, &format!("case {case} before the clone"));
+        let mut fork = pair.clone();
+        let steps = rng.next_range(20, 120);
+        pair.drive(&mut rng, steps, &format!("case {case} original"));
+        fork.drive(&mut rng.fork(1), steps, &format!("case {case} clone"));
+    }
+}
+
+/// The invariant the fabric's arrival wheel rests on: a link fixes each
+/// item's arrival cycle when it accepts the item, and delivers it at
+/// exactly that cycle. Over random link shapes (1–3 phits, 0–5 pipeline
+/// stages, clock divisors 1–4 on each end, 0–3 synchroniser stages,
+/// capacity 1–16) and sends on source edges, every accepted item's stamp
+/// lies on a destination edge, at least one destination period after the
+/// item in flight before it; `deliver` returns it at its stamp and
+/// nothing at any earlier cycle. A refused send's `retry_at` is exact:
+/// the link cannot take an item before it, and can at it.
+#[test]
+fn link_stamps_land_on_destination_edges_and_deliver_on_time() {
+    use noc_kernel::Slab;
+    use noc_physical::{LinkConfig, LinkFull, LinkState};
+    use std::collections::VecDeque;
+
+    let mut rng = SplitMix64::new(0x57A4);
+    for case in 0..CASES {
+        let cfg = LinkConfig {
+            phits_per_flit: rng.next_range(1, 3) as u32,
+            pipeline: rng.next_range(0, 5) as u32,
+            src_divisor: rng.next_range(1, 4),
+            dst_divisor: rng.next_range(1, 4),
+            cdc_latency: rng.next_range(0, 3) as u32,
+            capacity: rng.next_range(1, 16) as usize,
+        };
+        let what = format!("case {case} ({cfg:?})");
+        let (src, dst) = (cfg.src_divisor, cfg.dst_divisor);
+        let mut link = LinkState::new(0);
+        let mut slab = Slab::new();
+        let mut model: VecDeque<(u64, u32)> = VecDeque::new();
+        let mut retry: Option<u64> = None;
+        let load = rng.next_f64();
+        for now in 0..rng.next_range(50, 400) {
+            let got = link.deliver(&cfg, &mut slab, now);
+            match model.front() {
+                Some(&(stamp, item)) if stamp == now => {
+                    assert_eq!(got, Some(item), "{what}: item due at {now}");
+                    model.pop_front();
+                }
+                Some(&(stamp, _)) => {
+                    assert!(stamp > now, "{what}: stamp {stamp} passed at {now}");
+                    assert_eq!(got, None, "{what}: delivered before its stamp {stamp}");
+                }
+                None => assert_eq!(got, None, "{what}: nothing in flight at {now}"),
+            }
+            if let Some(at) = retry {
+                assert_eq!(
+                    link.can_send(&cfg, now),
+                    now >= at,
+                    "{what}: retry at {at}, now {now}"
+                );
+                if now >= at {
+                    retry = None;
+                }
+            }
+            if now % src != 0 || !rng.chance(load) {
+                continue;
+            }
+            let item = now as u32;
+            match link.send(&cfg, &mut slab, item, now) {
+                Ok(latency) => {
+                    let stamp = now + latency;
+                    assert!(latency > 0, "{what}: zero-latency send at {now}");
+                    assert_eq!(
+                        stamp % dst,
+                        0,
+                        "{what}: stamp {stamp} off a destination edge"
+                    );
+                    if let Some(&(prev, _)) = model.back() {
+                        assert!(stamp >= prev + dst, "{what}: stamp {stamp} crowds {prev}");
+                    }
+                    model.push_back((stamp, item));
+                }
+                Err(LinkFull { retry_at }) => {
+                    assert!(
+                        retry_at > now,
+                        "{what}: refused at {now}, retry at {retry_at}"
+                    );
+                    retry = Some(retry_at);
+                }
+            }
         }
     }
 }
