@@ -1,22 +1,22 @@
 //! One-shot arrival wheel: ids filed once, for the cycle they land.
 //!
-//! A [`Calendar`](crate::Calendar) serves components whose wakeup moves:
-//! each holds one pending cycle, re-filed whenever its horizon changes,
-//! and stale entries are dropped as they surface. Some events never move
-//! once posted — a flit whose arrival cycle its link fixed at send time,
-//! a credit on a return wire of fixed latency — and for those that
-//! bookkeeping is pure cost. [`Arrivals`] files each such event once, with
-//! the cycle it falls due, and hands it back exactly once when a drain
-//! reaches that cycle: the payload-event-queue idiom of annotated-delay
-//! transaction-level models (post a payload with its delay; it fires when
-//! it falls due).
+//! Some events never move once posted — a flit whose arrival cycle its
+//! link fixed at send time, a credit on a return wire of fixed latency.
+//! [`Arrivals`] files each once, with the cycle it falls due, and hands
+//! it back exactly once when a drain reaches that cycle: the
+//! payload-event-queue idiom of annotated-delay transaction-level models
+//! (post a payload with its delay; it fires when it falls due). A
+//! [`Calendar`](crate::Calendar), whose wakeups move, is a pending cycle
+//! per component over one of these wheels.
 //!
-//! The storage is the calendar's: a ring of 64 one-cycle buckets covering
+//! Nearly every entry lands a few cycles ahead, the case a timing wheel
+//! serves in constant time (Varghese & Lauck, *Hashed and Hierarchical
+//! Timing Wheels*, 1987): a ring of 64 one-cycle buckets covering
 //! `[base, base + 64)`, where `base` is the first cycle not drained yet,
 //! whose lists are threaded through one node arena (drained nodes are
 //! reused, so a wheel at its working size allocates nothing), a 64-bit
-//! occupancy mask, a cached earliest cycle, and a min-heap for the
-//! entries outside the window:
+//! occupancy mask, a cached earliest cycle (so [`Arrivals::peek`] is a
+//! load), and a min-heap for the entries outside the window:
 //!
 //! - an entry 64 or more cycles past `base` waits in the heap and moves
 //!   into its bucket when `base` comes within 64 cycles of it — also when
@@ -34,9 +34,31 @@
 //! constant number of word operations; only entries outside the window
 //! pay the heap's O(log n).
 
-use crate::calendar::{Bucket, Node, NIL, NONE, WHEEL};
+use crate::calendar::NONE;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Cycles the wheel covers: one bucket, and one bit of the occupancy
+/// mask, per cycle.
+const WHEEL: u64 = u64::BITS as u64;
+
+/// End of a node list.
+const NIL: u32 = u32::MAX;
+
+/// One filed entry: its id and the next node of its bucket.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    id: u32,
+    next: u32,
+}
+
+/// A bucket's node list, in filing order. An empty bucket's fields are
+/// stale: its occupancy bit says whether it holds anything.
+#[derive(Debug, Clone, Copy, Default)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
 
 /// A one-shot timing wheel of `u32` ids keyed by absolute base-clock
 /// cycle: 64 one-cycle buckets plus an overflow min-heap (see the
@@ -71,8 +93,10 @@ pub struct Arrivals {
     len: usize,
     /// Bit `cycle % WHEEL` is set while that cycle's bucket is non-empty.
     occupied: u64,
-    /// Bucket `cycle % WHEEL`'s entries, as a list in `nodes`; boxed for
-    /// the same reason as the calendar's.
+    /// Bucket `cycle % WHEEL`'s entries, as a list in `nodes`. Boxed to
+    /// keep the wheel small inside the structs that hold it: inline, the
+    /// 512 bytes pushed their hot fields apart, and a sparse 32x32
+    /// platform stepped ≈ 2 % slower.
     buckets: Box<[Bucket; WHEEL as usize]>,
     /// Node arena shared by every bucket; retired nodes are chained from
     /// `free` and reused.
@@ -92,12 +116,7 @@ impl Default for Arrivals {
             next: NONE,
             len: 0,
             occupied: 0,
-            buckets: Box::new(
-                [Bucket {
-                    head: NIL,
-                    tail: NIL,
-                }; WHEEL as usize],
-            ),
+            buckets: Box::new([Bucket::default(); WHEEL as usize]),
             nodes: Vec::new(),
             free: NIL,
             overflow: BinaryHeap::new(),

@@ -12,13 +12,13 @@
 //!   mixed-clock systems stay on one deterministic base timeline;
 //! - [`Horizon`], the min-combining accumulator for per-component event
 //!   horizons used by quiescence-aware stepping;
+//! - [`Arrivals`], a timing wheel for events that never move once posted
+//!   (a flit's arrival, a credit's return): each id is filed once for the
+//!   cycle it falls due and drained exactly once, O(1) within 64 cycles;
 //! - [`Calendar`], the wakeup queue that inverts horizon polling:
-//!   components schedule their next-activity cycle once and the advance
-//!   loop pops the earliest instead of rescanning every component (a
-//!   timing wheel: O(1) per wakeup within 64 cycles of now);
-//! - [`Arrivals`], the same wheel for events that never move once
-//!   posted (a flit's arrival, a credit's return): each id is filed once
-//!   for the cycle it falls due and drained exactly once;
+//!   components schedule their next-activity cycle and the advance loop
+//!   pops the earliest instead of rescanning every component (a pending
+//!   cycle per component over one [`Arrivals`] wheel);
 //! - [`SplitMix64`], a tiny deterministic RNG used to seed all stochastic
 //!   behaviour in the workspace;
 //! - [`Slab`], one node store for many FIFO [`Queue`]s, so a model with

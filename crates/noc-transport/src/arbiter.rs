@@ -7,16 +7,6 @@
 
 use std::fmt;
 
-/// An arbiter choosing among competing requesters each cycle.
-///
-/// Implementations must be *work-conserving* (grant whenever someone
-/// requests) and *deterministic*.
-pub trait Arbiter {
-    /// Chooses among `requests`, where `requests[i] = Some(pressure)` when
-    /// requester `i` wants the resource. Returns the granted index.
-    fn pick(&mut self, requests: &[Option<u8>]) -> Option<usize>;
-}
-
 /// Pressure-aware round-robin: the highest pressure class wins; within the
 /// class, grants rotate starting after the previous winner (classic
 /// round-robin pointer), so equal-pressure requesters share bandwidth
@@ -30,7 +20,7 @@ pub trait Arbiter {
 /// # Examples
 ///
 /// ```
-/// use noc_transport::{Arbiter, RoundRobinArbiter};
+/// use noc_transport::RoundRobinArbiter;
 /// let mut arb = RoundRobinArbiter::new();
 /// // equal pressure: alternates fairly
 /// assert_eq!(arb.pick(&[Some(0), Some(0)]), Some(0));
@@ -55,16 +45,11 @@ impl RoundRobinArbiter {
         u32::try_from(winner).expect("requester index fits in u32")
     }
 
-    /// Grants `winner`, the only requester: exactly what
-    /// [`Arbiter::pick`] does when `winner` holds the one `Some` of its
-    /// input, without building the input.
-    pub(crate) fn grant_sole(&mut self, winner: usize) {
-        self.last = Some(Self::index(winner));
-    }
-}
-
-impl Arbiter for RoundRobinArbiter {
-    fn pick(&mut self, requests: &[Option<u8>]) -> Option<usize> {
+    /// Chooses among `requests`, where `requests[i] = Some(pressure)` when
+    /// requester `i` wants the output. Returns the granted index: work
+    /// conserving (someone is granted whenever someone requests) and
+    /// deterministic.
+    pub fn pick(&mut self, requests: &[Option<u8>]) -> Option<usize> {
         let top = requests.iter().flatten().max()?;
         let n = requests.len();
         // Rotate starting just after the last winner (from 0 when fresh).
@@ -74,6 +59,13 @@ impl Arbiter for RoundRobinArbiter {
             .find(|&i| requests[i] == Some(*top))?;
         self.last = Some(Self::index(winner));
         Some(winner)
+    }
+
+    /// Grants `winner`, the only requester: exactly what
+    /// [`RoundRobinArbiter::pick`] does when `winner` holds the one `Some`
+    /// of its input, without building the input.
+    pub(crate) fn grant_sole(&mut self, winner: usize) {
+        self.last = Some(Self::index(winner));
     }
 }
 

@@ -43,7 +43,7 @@ pub mod packet;
 pub mod routing;
 pub mod switch;
 
-pub use arbiter::{Arbiter, RoundRobinArbiter};
+pub use arbiter::RoundRobinArbiter;
 pub use buffer::{FlitFifo, FlitSlab};
 pub use flit::{Direction, Flit, FlitType, Header, LOCKED_BIT, MAX_PRESSURE};
 pub use packet::{IntoFlits, Packet, PacketAssembler, ReassemblyError};

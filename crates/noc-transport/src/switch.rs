@@ -29,7 +29,7 @@
 //! a standalone [`Switch`] owns a one-switch set of the same records and
 //! goes through the same [`SwitchMut`]. There is one switch model.
 
-use crate::arbiter::{Arbiter, RoundRobinArbiter};
+use crate::arbiter::RoundRobinArbiter;
 use crate::buffer::{FlitFifo, FlitSlab};
 use crate::flit::Flit;
 use crate::routing::{PortId, RoutingTable};
