@@ -158,14 +158,6 @@ impl BridgedInterconnect {
         }
     }
 
-    /// Appends commands to the end of master `ordinal`'s socket program,
-    /// mid-run (same contract as `Soc::append_commands` in
-    /// `noc-system`): the appended tail extends the program without
-    /// disturbing in-flight state.
-    pub fn append_commands(&mut self, ordinal: usize, tail: &[noc_protocols::SocketCommand]) {
-        self.masters[ordinal].fe.append_commands(tail);
-    }
-
     /// Attaches a memory slave at crossbar port `node`, identified inside
     /// the map by `base`.
     pub fn add_slave(&mut self, node: SlvAddr, base: u64, mem: MemoryModel) -> &mut Self {

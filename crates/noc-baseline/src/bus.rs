@@ -103,14 +103,6 @@ impl SharedBus {
         }
     }
 
-    /// Appends commands to the end of master `ordinal`'s socket program,
-    /// mid-run (same contract as `Soc::append_commands` in
-    /// `noc-system`): the appended tail extends the program without
-    /// disturbing in-flight state.
-    pub fn append_commands(&mut self, ordinal: usize, tail: &[noc_protocols::SocketCommand]) {
-        self.masters[ordinal].fe.append_commands(tail);
-    }
-
     /// Attaches a memory slave serving the address range that the map
     /// assigns it (identified by base address).
     pub fn add_slave(&mut self, base: u64, mem: MemoryModel) -> &mut Self {

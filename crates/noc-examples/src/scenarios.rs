@@ -690,9 +690,7 @@ pub fn trace_replay_spec() -> ScenarioSpec {
 
 /// The companion trace for [`trace_replay_spec`]: 200 seeded records on
 /// 2 OCP threads, bursts of back-to-back commands separated by long
-/// idle stretches (dead time for the horizon machinery). Both streams
-/// appear in the first burst, satisfying the feeder's primed-window
-/// rule.
+/// idle stretches (dead time for the horizon machinery).
 pub fn trace_replay_trace() -> String {
     let mut rng = noc_kernel::SplitMix64::new(0x7124CE);
     let mut out = String::from(

@@ -9,7 +9,7 @@
 //!
 //! What files into one is a component whose wakeup *moves*: the SoC's
 //! endpoints (NIUs with their socket agents), re-scheduled whenever a
-//! tick, a delivered flit or a program append changes their horizon.
+//! tick, a delivered flit or a program load changes their horizon.
 //! Events fixed when they are posted — a flit's arrival on a link, a
 //! credit's return to its sender — go straight to an [`Arrivals`] wheel.
 //!

@@ -25,7 +25,7 @@ use noc_protocols::axi::Axi;
 use noc_protocols::ocp::Ocp;
 use noc_protocols::strm::Strm;
 use noc_protocols::vci::VciFlavor;
-use noc_protocols::{Agent, CompletionLog, Program, Socket, SocketCommand};
+use noc_protocols::{Agent, CompletionLog, Program, Socket};
 use noc_transaction::{Opcode, StreamId, TransactionRequest, TransactionResponse};
 use std::collections::VecDeque;
 
@@ -122,10 +122,6 @@ impl<S: Socket> SocketInitiator for Initiator<S> {
 
     fn load_program(&mut self, program: Program) {
         self.master.load_program(program);
-    }
-
-    fn append_commands(&mut self, tail: &[SocketCommand]) {
-        self.master.append_commands(tail);
     }
 
     fn clone_box(&self) -> Box<dyn SocketInitiator> {

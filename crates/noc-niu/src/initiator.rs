@@ -3,8 +3,8 @@
 use crate::codec::{packet_into_response, request_into_packet};
 use noc_protocols::{CompletionLog, Program};
 use noc_transaction::{
-    AddressMap, MstAddr, Opcode, OrderingModel, OrderingPolicy, RespStatus, ServiceBits,
-    ServiceConfig, StreamId, Tag, TransactionRequest, TransactionResponse,
+    AddressMap, MstAddr, Opcode, OrderingModel, OrderingPolicy, RespStatus, ServiceBits, StreamId,
+    Tag, TransactionRequest, TransactionResponse,
 };
 use noc_transport::{Flit, PacketAssembler};
 use std::collections::VecDeque;
@@ -59,18 +59,6 @@ pub trait SocketInitiator: Send {
     ///
     /// Panics if the socket already issued or completed a command.
     fn load_program(&mut self, program: Program);
-    /// Appends commands to the end of the socket's program, mid-run.
-    /// While the socket still has unissued commands, the append instant
-    /// is unobservable — the run is bit-identical to constructing the
-    /// master with the full program up front. Feeding layers stream
-    /// unbounded workloads (traces, generated storms) through this hook,
-    /// and the master reclaims its fully-retired prefix on each call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a command violates the socket's constraints (stream
-    /// beyond the thread count, opcodes the socket cannot express, …).
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand]);
     /// Clones the front end behind the object-safe interface, enabling
     /// `Clone` for `Box<dyn SocketInitiator>` and therefore snapshots of
     /// whole simulations.
@@ -94,8 +82,6 @@ pub struct InitiatorNiuConfig {
     /// policy's budget and the length of the NIU's outstanding queue —
     /// the gate-count/performance knob.
     pub max_outstanding: u32,
-    /// Which optional NoC services this NoC instance activates.
-    pub services: ServiceConfig,
     /// Flit payload width in bytes (physical-layer parameter used for
     /// packetisation).
     pub flit_bytes: usize,
@@ -105,16 +91,12 @@ pub struct InitiatorNiuConfig {
 
 impl InitiatorNiuConfig {
     /// A sensible default configuration for `node`: fully ordered, 4
-    /// outstanding, exclusive service on, 8-byte flits.
+    /// outstanding, 8-byte flits.
     pub fn new(node: MstAddr) -> Self {
         InitiatorNiuConfig {
             node,
             ordering: OrderingModel::FullyOrdered,
             max_outstanding: 4,
-            services: ServiceConfig::new()
-                .enable(ServiceBits::EXCLUSIVE)
-                .enable(ServiceBits::LOCKED)
-                .enable(ServiceBits::POSTED),
             flit_bytes: 8,
             default_pressure: 0,
         }
@@ -295,10 +277,6 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
         if !req.opcode().expects_response() {
             services |= ServiceBits::POSTED;
         }
-        self.config
-            .services
-            .check(services)
-            .expect("socket requires a NoC service this configuration disables");
         let mut req = req.with_services(services);
         if req.pressure() == 0 {
             // apply NIU default pressure when the command carried none
@@ -406,9 +384,6 @@ impl<FE: SocketInitiator + Clone + 'static> crate::NocEndpoint for InitiatorNiu<
     }
     fn load_program(&mut self, program: Program) {
         self.fe.load_program(program);
-    }
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand]) {
-        self.fe.append_commands(tail);
     }
     fn clone_box(&self) -> Box<dyn crate::NocEndpoint> {
         Box::new(self.clone())

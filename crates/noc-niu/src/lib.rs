@@ -109,11 +109,10 @@ pub trait NocEndpoint: Send {
     ///
     /// Callers may settle lazily: the skipped ticks need not be accounted
     /// when they pass, only before the endpoint is next touched — always
-    /// before its next [`NocEndpoint::tick`], [`NocEndpoint::push_flit`]
-    /// or [`NocEndpoint::append_commands`], and before
-    /// [`NocEndpoint::idle_ticks`] is read to schedule it again. Between
-    /// those moments its countdown is stale by the unaccounted ticks and
-    /// nothing else about it is.
+    /// before its next [`NocEndpoint::tick`] or [`NocEndpoint::push_flit`],
+    /// and before [`NocEndpoint::idle_ticks`] is read to schedule it
+    /// again. Between those moments its countdown is stale by the
+    /// unaccounted ticks and nothing else about it is.
     fn skip_ticks(&mut self, _ticks: u64) {}
     /// Absolute-time refinement of [`NocEndpoint::idle_ticks`]: when the
     /// endpoint's next self-activity is pinned to a *base cycle* rather
@@ -143,18 +142,6 @@ pub trait NocEndpoint: Send {
     /// Panics by default: only initiator endpoints execute programs.
     fn load_program(&mut self, program: noc_protocols::Program) {
         let _ = program;
-        panic!("this endpoint does not execute a socket program");
-    }
-    /// Appends commands to the end of an initiator endpoint's socket
-    /// program, mid-run (see
-    /// [`SocketInitiator::append_commands`]).
-    /// Target endpoints never receive this call.
-    ///
-    /// # Panics
-    ///
-    /// Panics by default: only initiator endpoints execute programs.
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand]) {
-        let _ = tail;
         panic!("this endpoint does not execute a socket program");
     }
     /// Clones the endpoint behind the object-safe interface, enabling

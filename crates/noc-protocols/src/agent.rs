@@ -12,9 +12,7 @@
 //! at compile time, so the per-tick path has no `dyn`, no function
 //! pointer and no branch on the protocol.
 
-use crate::command::{
-    CompletionLog, CompletionRecord, Program, ProgramTail, ProtocolKind, SocketCommand,
-};
+use crate::command::{CompletionLog, CompletionRecord, Program, ProtocolKind, SocketCommand};
 use noc_transaction::{
     Burst, Opcode, RespStatus, StreamId, TransactionRequest, TransactionResponse,
 };
@@ -120,16 +118,16 @@ struct Lane {
 impl Lane {
     /// The next command's program index, while the lane may count down
     /// or issue: it has a command left and fewer than `limit` in flight.
-    fn front(&self, program: &ProgramTail, limit: u32) -> Option<usize> {
+    fn front(&self, program: &[SocketCommand], limit: u32) -> Option<usize> {
         (self.next < program.len() && self.in_flight < limit).then_some(self.next)
     }
 }
 
 /// The first index at or after `from` whose command joins `lane`, or the
 /// program's length. A lane passes over each command once in a run.
-fn seek<S: Socket>(socket: &S, program: &ProgramTail, lane: usize, from: usize) -> usize {
+fn seek<S: Socket>(socket: &S, program: &[SocketCommand], lane: usize, from: usize) -> usize {
     (from..program.len())
-        .find(|&i| socket.lane(program.get(i)) == lane)
+        .find(|&i| socket.lane(&program[i]) == lane)
         .unwrap_or(program.len())
 }
 
@@ -148,7 +146,7 @@ struct Issued {
 #[derive(Debug, Clone)]
 pub struct Agent<S: Socket> {
     socket: S,
-    program: ProgramTail,
+    program: Program,
     lanes: Vec<Lane>,
     /// A lane with this many commands in flight stops counting down.
     lane_limit: u32,
@@ -180,7 +178,9 @@ impl<S: Socket> Agent<S> {
     ///
     /// Panics if `lanes` or a limit is zero, if `lane_limit` exceeds
     /// [`Socket::max_depth`], or if a command is one the socket cannot
-    /// carry (see [`Agent::append_commands`]).
+    /// carry: an opcode it cannot express ([`ProtocolKind::expresses`]),
+    /// more beats than [`Socket::max_beats`], a stream beyond the lane
+    /// count.
     pub fn with_shape(
         socket: S,
         program: Program,
@@ -199,79 +199,40 @@ impl<S: Socket> Agent<S> {
             "{kind} allows {} outstanding per lane, not {lane_limit}",
             socket.max_depth()
         );
-        let mut agent = Agent {
+        for (index, cmd) in program.iter().enumerate() {
+            assert!(
+                kind.expresses(cmd.opcode),
+                "{kind} cannot express {:?} (command {index})",
+                cmd.opcode
+            );
+            assert!(
+                cmd.beats <= socket.max_beats(),
+                "{kind} carries at most {} beat(s) per command (command {index} has {})",
+                socket.max_beats(),
+                cmd.beats
+            );
+            let lane = socket.lane(cmd);
+            assert!(
+                lane < lanes,
+                "command stream {lane} exceeds {lanes} threads"
+            );
+        }
+        let lanes = (0..lanes)
+            .map(|at| Lane {
+                next: seek(&socket, &program, at, 0),
+                ..Lane::default()
+            })
+            .collect();
+        Agent {
             socket,
-            program: ProgramTail::default(),
-            lanes: vec![Lane::default(); lanes],
+            program,
+            lanes,
             lane_limit,
             key_limit,
             outstanding: VecDeque::new(),
             issue_rr: 0,
             log: CompletionLog::new(),
-        };
-        for (i, cmd) in program.iter().enumerate() {
-            agent.admit(i, cmd);
         }
-        agent.program = ProgramTail::new(program);
-        agent.seek_from(0);
-        agent
-    }
-
-    /// Points every lane that had no command left at `len` at its first
-    /// command from there on.
-    fn seek_from(&mut self, len: usize) {
-        for (at, lane) in self.lanes.iter_mut().enumerate() {
-            if lane.next >= len {
-                lane.next = seek(&self.socket, &self.program, at, len);
-            }
-        }
-    }
-
-    /// Checks command `index` against the socket.
-    fn admit(&self, index: usize, cmd: &SocketCommand) {
-        let kind = self.socket.kind();
-        assert!(
-            kind.expresses(cmd.opcode),
-            "{kind} cannot express {:?} (command {index})",
-            cmd.opcode
-        );
-        assert!(
-            cmd.beats <= self.socket.max_beats(),
-            "{kind} carries at most {} beat(s) per command (command {index} has {})",
-            self.socket.max_beats(),
-            cmd.beats
-        );
-        let lane = self.socket.lane(cmd);
-        assert!(
-            lane < self.lanes.len(),
-            "command stream {lane} exceeds {} threads",
-            self.lanes.len()
-        );
-    }
-
-    /// Appends commands to the end of the program, mid-run. As long as
-    /// the master has not yet drained (there are unissued commands, or
-    /// there is nothing more to append), the append instant is
-    /// unobservable: the run is bit-identical to constructing the master
-    /// with the full program up front. Feeding layers rely on that to
-    /// stream unbounded workloads through a bounded window; the
-    /// fully-retired prefix is reclaimed on each call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a command violates the socket's constraints: an opcode
-    /// it cannot express ([`ProtocolKind::expresses`]), more beats than
-    /// [`Socket::max_beats`], a stream beyond the lane count.
-    pub fn append_commands(&mut self, tail: &[SocketCommand]) {
-        let len = self.program.len();
-        for cmd in tail {
-            self.admit(self.program.len(), cmd);
-            self.program.push(cmd.clone());
-        }
-        self.seek_from(len);
-        let next = self.lanes.iter().map(|l| l.next);
-        let live = next.chain(self.outstanding.iter().map(|o| o.index)).min();
-        self.program.compact_to(live.expect("at least one lane"));
     }
 
     /// Replaces the program of a master that has not started executing,
@@ -324,7 +285,7 @@ impl<S: Socket> Agent<S> {
             let Some(idx) = lane.front(&self.program, self.lane_limit) else {
                 continue;
             };
-            let cmd = self.program.get(idx);
+            let cmd = &self.program[idx];
             if !self.socket.ready(port, cmd) {
                 continue;
             }
@@ -349,7 +310,7 @@ impl<S: Socket> Agent<S> {
             let Some(idx) = lane.front(&self.program, self.lane_limit) else {
                 continue;
             };
-            let cmd = self.program.get(idx);
+            let cmd = &self.program[idx];
             if S::BUSY_PAUSES && !self.socket.ready(port, cmd) {
                 continue;
             }
@@ -365,7 +326,7 @@ impl<S: Socket> Agent<S> {
             .and_then(|at| self.outstanding.remove(at))
             .expect("response with nothing outstanding under its key");
         self.lanes[issued.lane as usize].in_flight -= 1;
-        let cmd = self.program.get(issued.index);
+        let cmd = &self.program[issued.index];
         let data = if cmd.opcode.is_read() {
             data
         } else {
@@ -397,7 +358,7 @@ impl<S: Socket> Agent<S> {
             let Some(idx) = lane.front(&self.program, self.lane_limit) else {
                 continue;
             };
-            let cmd = self.program.get(idx);
+            let cmd = &self.program[idx];
             if S::BUSY_PAUSES && !self.socket.ready(port, cmd) {
                 continue;
             }

@@ -193,86 +193,6 @@ impl fmt::Display for SocketCommand {
 /// A master's workload: the command sequence it issues in order.
 pub type Program = Vec<SocketCommand>;
 
-/// Program storage that supports appending commands mid-run and
-/// reclaiming the fully-retired prefix, so a master replaying a streamed
-/// workload (a trace fed chunk by chunk) holds only the live window of
-/// its virtually unbounded program.
-///
-/// Indices are *virtual*: they keep counting monotonically across
-/// compaction, so [`CompletionRecord::index`] values and queued indices
-/// inside master agents stay valid after the prefix is dropped.
-///
-/// # Examples
-///
-/// ```
-/// use noc_protocols::{ProgramTail, SocketCommand};
-///
-/// let mut tail = ProgramTail::new(vec![SocketCommand::read(0x0, 1)]);
-/// tail.push(SocketCommand::read(0x8, 1));
-/// assert_eq!(tail.len(), 2);
-/// assert_eq!(tail.get(1).addr, 0x8);
-/// tail.compact_to(1); // index 0 fully retired
-/// assert_eq!(tail.len(), 2); // virtual length is unchanged
-/// assert_eq!(tail.get(1).addr, 0x8);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ProgramTail {
-    cmds: Program,
-    base: usize,
-}
-
-impl ProgramTail {
-    /// Wraps a program; virtual indices start at 0.
-    pub fn new(program: Program) -> Self {
-        ProgramTail {
-            cmds: program,
-            base: 0,
-        }
-    }
-
-    /// The virtual length: total commands ever held, compacted included.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.base + self.cmds.len()
-    }
-
-    /// `true` when no command was ever held.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The command at virtual index `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` was compacted away or is out of bounds.
-    #[inline]
-    pub fn get(&self, idx: usize) -> &SocketCommand {
-        assert!(
-            idx >= self.base,
-            "virtual index {idx} was compacted (base {})",
-            self.base
-        );
-        &self.cmds[idx - self.base]
-    }
-
-    /// Appends a command at the next virtual index.
-    pub fn push(&mut self, cmd: SocketCommand) {
-        self.cmds.push(cmd);
-    }
-
-    /// Drops every command below virtual index `keep_from` (clamped to
-    /// the virtual length). Cost is O(live window), not O(history): the
-    /// commands at or above `keep_from` are the only ones moved.
-    pub fn compact_to(&mut self, keep_from: usize) {
-        let keep_from = keep_from.min(self.len());
-        if keep_from > self.base {
-            self.cmds.drain(..keep_from - self.base);
-            self.base = keep_from;
-        }
-    }
-}
-
 /// Deterministic pseudo-random bytes from a seed (SplitMix64 stream).
 ///
 /// # Examples

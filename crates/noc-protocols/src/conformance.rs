@@ -44,8 +44,8 @@ fn answered<S: Socket>(port: &S::Port) -> bool {
 }
 
 /// Runs `master` to completion against a slow, bank-staggered loopback
-/// that accepts nothing during `holds`, appending each `(cycle, tail)`
-/// of `feeds` on its cycle; returns the records and the ticks executed.
+/// that accepts nothing during `holds`; returns the records and the
+/// ticks executed.
 /// With `skip`, the master is ticked only when its `idle_ticks` claim
 /// over the port has run out or a response waits on the port, and the
 /// cycles passed over are charged through one `skip_ticks` before it is
@@ -54,20 +54,14 @@ fn answered<S: Socket>(port: &S::Port) -> bool {
 fn run<S: Socket>(
     mut master: Agent<S>,
     skip: bool,
-    feeds: &[(u64, &[SocketCommand])],
     holds: &[Range<u64>],
 ) -> (Vec<CompletionRecord>, u64) {
     let mut slave = Loopback::<S>::new(MemoryModel::new(6), 3);
     let mut port = S::Port::default();
     let (mut settled, mut wake, mut ticks) = (0u64, 0u64, 0u64);
     for cycle in 0..10_000 {
-        let feed = feeds.iter().find(|(at, _)| *at == cycle);
-        if !skip || feed.is_some() || cycle >= wake {
+        if !skip || cycle >= wake {
             master.skip_ticks(cycle - settled, &port);
-            if let Some((_, tail)) = feed {
-                assert!(!master.done(), "{master}: appends land mid-run");
-                master.append_commands(tail);
-            }
             master.tick(cycle, &mut port);
             settled = cycle + 1;
             ticks += 1;
@@ -103,7 +97,7 @@ fn conforms<S: Socket>(
     order: fn(&CompletionLog) -> Result<(), OrderingViolation>,
 ) {
     let program = program(streams);
-    let (dense, dense_ticks) = run(make(program.clone()), false, &[], &[]);
+    let (dense, dense_ticks) = run(make(program.clone()), false, &[]);
     let name = make(vec![]).to_string();
     assert_eq!(
         dense.len(),
@@ -117,15 +111,15 @@ fn conforms<S: Socket>(
 
     // `skip_ticks(n)` is `n` dense no-op ticks, and `idle_ticks` never
     // promises a tick that would have done something.
-    let (skipped, skipped_ticks) = run(make(program.clone()), true, &[], &[]);
+    let (skipped, skipped_ticks) = run(make(program.clone()), true, &[]);
     assert_eq!(skipped, dense, "{name}: skipping idle ticks");
     assert!(skipped_ticks < dense_ticks, "{name}: skipping skips");
 
     // The same over a port the slave leaves held: the claim and the
     // charge both read the held channels.
-    let (held, held_ticks) = run(make(program.clone()), false, &[], &HOLDS);
+    let (held, held_ticks) = run(make(program.clone()), false, &HOLDS);
     assert_ne!(held, dense, "{name}: the holds delay the program");
-    let (held_skipped, held_skipped_ticks) = run(make(program.clone()), true, &[], &HOLDS);
+    let (held_skipped, held_skipped_ticks) = run(make(program.clone()), true, &HOLDS);
     assert_eq!(held_skipped, held, "{name}: skipping over a held port");
     assert!(
         held_ticks - held_skipped_ticks > dense_ticks - skipped_ticks,
@@ -135,20 +129,7 @@ fn conforms<S: Socket>(
     // `load_program` is `new`.
     let mut loaded = make(vec![]);
     loaded.load_program(program.clone());
-    assert_eq!(
-        run(loaded, false, &[], &[]).0,
-        dense,
-        "{name}: load_program"
-    );
-
-    // Appending mid-run, while every lane still has commands to issue,
-    // is the full program up front — through prefix reclaim, dense or
-    // skipping.
-    let feeds = [(5, &program[8..16]), (25, &program[16..])];
-    for skip in [false, true] {
-        let (fed, _) = run(make(program[..8].to_vec()), skip, &feeds, &[]);
-        assert_eq!(fed, dense, "{name}: append_commands (skip: {skip})");
-    }
+    assert_eq!(run(loaded, false, &[]).0, dense, "{name}: load_program");
 }
 
 #[test]

@@ -53,7 +53,7 @@ pub mod vci;
 pub use agent::{Agent, Socket};
 pub use checker::{check_ahb_order, check_axi_order, check_ocp_order, OrderingViolation};
 pub use command::{
-    gen_data, CompletionLog, CompletionRecord, Program, ProgramTail, ProtocolKind, SocketCommand,
+    gen_data, CompletionLog, CompletionRecord, Program, ProtocolKind, SocketCommand,
 };
 pub use handshake::Chan;
 pub use loopback::Loopback;

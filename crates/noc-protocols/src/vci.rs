@@ -244,9 +244,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "BVCI cannot express Broadcast (command 1)")]
-    fn appended_opcodes_no_response_answers_are_refused() {
-        let mut m = VciMaster::new(vec![SocketCommand::read(0, 4)], VciFlavor::Basic, 1);
-        m.append_commands(&[SocketCommand::write(0, 4, 1).with_opcode(Opcode::Broadcast)]);
+    fn bvci_refuses_a_broadcast_at_construction() {
+        let program = vec![
+            SocketCommand::read(0, 4),
+            SocketCommand::write(0, 4, 1).with_opcode(Opcode::Broadcast),
+        ];
+        VciMaster::new(program, VciFlavor::Basic, 1);
     }
 
     #[test]

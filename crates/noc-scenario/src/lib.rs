@@ -54,10 +54,7 @@ pub mod sweep;
 pub mod text;
 
 pub use noc_system::{Metric, RunReport, Value};
-pub use program::{
-    BurstySpec, Discipline, FeedSource, ProgramSpec, StochasticShape, TraceCursor, TraceSpec,
-    Workload, ZipfSpec,
-};
+pub use program::{BurstySpec, Discipline, ProgramSpec, StochasticShape, TraceSpec, ZipfSpec};
 pub use sim::{BridgedSim, BusSim, NocSim, ScenarioEngine, Sim, Simulation, StepMode};
 pub use spec::{
     Backend, InitiatorSpec, LinkClassSpec, MemorySpec, NocConfigSpec, ScenarioError, ScenarioSpec,

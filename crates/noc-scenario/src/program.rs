@@ -5,17 +5,16 @@
 //! *generated* workload — seeded on/off bursty arrivals
 //! ([`BurstySpec`]), Zipf-popularity target selection ([`ZipfSpec`]) or
 //! a timestamped trace, read from a file once and replayed from memory
-//! ([`TraceSpec`]). Generated workloads are **streamed**: the scenario
-//! layer feeds commands to the master in bounded windows while the
-//! simulation runs, so a million-command generated program never lives
-//! in memory, and the command stream is a pure function of the seed
-//! (or the trace's records) — the same spec produces
-//! record-for-record identical completion logs on every backend and in
-//! both step modes.
+//! ([`TraceSpec`]). Every kind compiles, once, to a plain [`Program`]
+//! ([`ProgramSpec::compile`]) that the master is built with: a generator
+//! runs to its `commands` count and a trace's records become its
+//! commands. The master never learns where its program came from, and
+//! the program is a pure function of the seed (or the trace's records) —
+//! the same spec produces record-for-record identical completion logs on
+//! every backend and in both step modes.
 //!
 //! All randomness comes from the kernel's [`SplitMix64`]; no generator
-//! ever reads simulation time, which is what makes the feed timing
-//! unobservable and the dense ≡ horizon equivalence hold.
+//! reads simulation time.
 
 use crate::names::{name_of, Names};
 use noc_kernel::SplitMix64;
@@ -25,17 +24,6 @@ use std::fmt;
 use std::fs::File;
 use std::io::{BufRead, BufReader};
 use std::sync::Arc;
-
-/// The release-sum window (in base cycles) the feeder keeps every
-/// master's command stream topped up by: before the simulation executes
-/// cycle `now`, each active stream holds appended commands whose
-/// per-stream release sum `Σ (1 + delay_before)` reaches at least
-/// `now + FEED_WINDOW`. A stream's queue cannot drain before its
-/// release sum elapses (each command occupies the queue front for at
-/// least `1 + delay_before` cycles), so no master ever observes its
-/// program running dry mid-stream — which is what makes the append
-/// timing, and hence the step mode, unobservable.
-pub const FEED_WINDOW: u64 = 1024;
 
 /// How a generator spaces consecutive commands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -211,12 +199,10 @@ impl TraceSpec {
     }
 
     /// Reads the trace file at `path` — the only place a trace file is
-    /// opened. Every record parses, timestamps are non-decreasing with
-    /// deltas fitting `delay_before`, and every stream first appears
-    /// within the feeder's primed window (a stream surfacing later would
-    /// start its delay countdown at an append-time-dependent cycle,
-    /// breaking dense ≡ horizon). A file that breaks a rule keeps the
-    /// records before the bad line and the line's `(number, reason)`;
+    /// opened. Every record parses and timestamps are non-decreasing
+    /// with deltas fitting `delay_before`. A file that breaks a rule
+    /// keeps the records before the bad line and the line's
+    /// `(number, reason)`;
     /// [`ScenarioSpec::validate`](crate::ScenarioSpec::validate) reports
     /// it, after the records before it have passed the scenario's
     /// socket and containment rules.
@@ -264,8 +250,6 @@ impl TraceSpec {
 fn read_trace(path: &str, records: &mut Vec<TraceRecord>) -> Result<(), (usize, String)> {
     let file = File::open(path).map_err(|e| (0, e.to_string()))?;
     let mut prev_ts = 0u64;
-    let mut release = 0u64;
-    let mut seen = std::collections::HashSet::new();
     for (i, line) in BufReader::new(file).lines().enumerate() {
         let no = i + 1;
         let line = line.map_err(|e| (no, e.to_string()))?;
@@ -281,25 +265,14 @@ fn read_trace(path: &str, records: &mut Vec<TraceRecord>) -> Result<(), (usize, 
         if rec.cycle - prev_ts > u32::MAX as u64 {
             return Err((no, format!("gap {} exceeds u32::MAX", rec.cycle - prev_ts)));
         }
-        release += 1 + (rec.cycle - prev_ts);
-        if seen.insert(rec.stream) && release > FEED_WINDOW {
-            return Err((
-                no,
-                format!(
-                    "stream {} first appears at release cycle {release}; every stream \
-                     must appear within the first {FEED_WINDOW} release cycles",
-                    rec.stream
-                ),
-            ));
-        }
         prev_ts = rec.cycle;
         records.push(rec);
     }
     Ok(())
 }
 
-/// The traffic program of one initiator: explicit commands or a
-/// generated (streamed) workload.
+/// The traffic program of one initiator: explicit commands, or a
+/// generated or traced workload that compiles to commands.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProgramSpec {
     /// An explicit command list (`cmd =` lines).
@@ -343,6 +316,12 @@ impl From<TraceSpec> for ProgramSpec {
 }
 
 impl ProgramSpec {
+    /// The most commands a bursty or Zipf program may declare: it
+    /// compiles whole, at 40 bytes a command, before the run starts, so
+    /// a larger request from a scenario file must be an error, not an
+    /// allocation failure.
+    pub const MAX_GENERATED: usize = 1 << 22;
+
     /// The explicit command list, when this is an [`ProgramSpec::Explicit`]
     /// program.
     pub fn explicit(&self) -> Option<&Program> {
@@ -380,101 +359,29 @@ impl ProgramSpec {
         }
     }
 
-    /// The program the master is *constructed* with: the full list for
-    /// explicit kinds, empty for streamed kinds (their commands arrive
-    /// through the feeder).
-    pub fn head_program(&self) -> Program {
+    /// The commands a master built from this spec issues, in order:
+    /// the explicit list, a generator run to its `commands` count, or a
+    /// trace's records (none while the trace is unloaded). Generators
+    /// target `regions`, the scenario's memory declarations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a generated kind is given no region.
+    pub fn compile(&self, regions: &[(u64, u64)]) -> Program {
         match self {
             ProgramSpec::Explicit(p) => p.clone(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// Compiles the spec into the runnable workload, resolving target
-    /// regions from the scenario's memory declarations.
-    pub fn workload(&self, regions: &[(u64, u64)]) -> Workload {
-        match self {
-            ProgramSpec::Explicit(p) => Workload::Fixed(p.clone()),
-            ProgramSpec::Bursty(b) => {
-                Workload::Streamed(FeedSource::Bursty(BurstyGen::new(*b, regions.to_vec())))
+            ProgramSpec::Bursty(b) => b.compile(regions),
+            ProgramSpec::Zipf(z) => z.compile(regions),
+            ProgramSpec::Trace(t) => {
+                let records = t.records.as_deref().unwrap_or_default();
+                // Each record's delay is the gap to the one before it.
+                let prev = std::iter::once(0).chain(records.iter().map(|r| r.cycle));
+                records
+                    .iter()
+                    .zip(prev)
+                    .map(|(rec, prev_ts)| rec.command(prev_ts))
+                    .collect()
             }
-            ProgramSpec::Zipf(z) => {
-                Workload::Streamed(FeedSource::Zipf(ZipfGen::new(*z, regions.to_vec())))
-            }
-            ProgramSpec::Trace(t) => Workload::Streamed(FeedSource::Trace(TraceCursor {
-                records: t.records.clone().unwrap_or_else(|| Arc::new([])),
-                next: 0,
-                prev_ts: 0,
-            })),
-        }
-    }
-}
-
-/// One initiator's runnable workload: a fixed program loaded up front,
-/// or a feed source streamed into the master while the simulation runs.
-#[derive(Debug, Clone)]
-pub enum Workload {
-    /// The whole program, loaded before the first step.
-    Fixed(Program),
-    /// A generator/cursor the feeder pulls bounded windows from.
-    Streamed(FeedSource),
-}
-
-impl Workload {
-    /// The program the master starts with (empty for streamed kinds).
-    pub fn head_program(&self) -> Program {
-        match self {
-            Workload::Fixed(p) => p.clone(),
-            Workload::Streamed(_) => Vec::new(),
-        }
-    }
-}
-
-/// A streamed command source. Cloning snapshots the exact stream
-/// position (generator state or trace index), so whole-simulation
-/// checkpoints resume the feed bit-identically.
-#[derive(Debug, Clone)]
-pub enum FeedSource {
-    /// On/off bursty arrivals.
-    Bursty(BurstyGen),
-    /// Zipf target selection.
-    Zipf(ZipfGen),
-    /// Trace replay.
-    Trace(TraceCursor),
-}
-
-impl FeedSource {
-    /// Pulls the next chunk of commands, stopping once the chunk's
-    /// release sum `Σ (1 + delay_before)` reaches `release_budget` (or
-    /// the source is exhausted). Returns an empty chunk iff exhausted.
-    pub fn pull(&mut self, release_budget: u64) -> Vec<SocketCommand> {
-        match self {
-            FeedSource::Bursty(g) => g.pull(release_budget),
-            FeedSource::Zipf(g) => g.pull(release_budget),
-            FeedSource::Trace(c) => c.pull(release_budget),
-        }
-    }
-
-    /// Release budget the cycle-0 prime pull must cover so that every
-    /// stream's *first* command lands in the primed window. A command
-    /// appended onto an empty per-stream queue starts its delay
-    /// countdown at the append cycle, so such appends are observable —
-    /// except at cycle 0, where both step modes prime identically.
-    /// Stochastic kinds round-robin streams, so `streams` commands of
-    /// worst-case release each suffice; traces prime with the plain
-    /// window and [`TraceSpec::load`] rejects files whose streams first
-    /// appear beyond it.
-    pub fn prime_release(&self, window: u64) -> u64 {
-        let coverage = |streams: u16, worst_delay: u64| streams as u64 * (1 + worst_delay);
-        match self {
-            FeedSource::Bursty(g) => window.max(coverage(
-                g.spec.shape.streams,
-                2 * g.spec.shape.gap as u64 + 2 * g.spec.idle_gap as u64,
-            )),
-            FeedSource::Zipf(g) => {
-                window.max(coverage(g.spec.shape.streams, 2 * g.spec.shape.gap as u64))
-            }
-            FeedSource::Trace(_) => window,
         }
     }
 }
@@ -522,86 +429,42 @@ fn shaped_command(
     }
 }
 
-/// The running state of a [`BurstySpec`] program.
-#[derive(Debug, Clone)]
-pub struct BurstyGen {
-    spec: BurstySpec,
-    regions: Vec<(u64, u64)>,
-    rng: SplitMix64,
-    emitted: usize,
-    left_in_burst: u32,
-}
-
-impl BurstyGen {
-    /// Starts the generator at the head of its stream.
-    pub fn new(spec: BurstySpec, regions: Vec<(u64, u64)>) -> Self {
+impl BurstySpec {
+    /// The program's commands, targeting `regions`.
+    fn compile(&self, regions: &[(u64, u64)]) -> Program {
         assert!(!regions.is_empty(), "need at least one target region");
-        BurstyGen {
-            rng: SplitMix64::new(spec.seed),
-            spec,
-            regions,
-            emitted: 0,
-            left_in_burst: 0,
-        }
-    }
-
-    fn next_command(&mut self) -> Option<SocketCommand> {
-        if self.emitted >= self.spec.commands {
-            return None;
-        }
-        let shape = self.spec.shape;
-        // Burst bookkeeping first, so the draw order is fixed: burst
-        // length (when a burst starts), inter-burst idle, region, then
-        // the shaped command's own draws.
-        let mut extra = 0u32;
-        if self.left_in_burst == 0 {
-            self.left_in_burst =
-                self.rng
-                    .next_range(1, 2 * self.spec.burst_len.max(1) as u64) as u32;
-            if self.emitted > 0 && self.spec.idle_gap > 0 {
-                extra = self.rng.next_below(2 * self.spec.idle_gap as u64 + 1) as u32;
-            }
-        }
-        self.left_in_burst -= 1;
-        let region = self.regions[self.rng.next_below(self.regions.len() as u64) as usize];
-        let gap = draw_gap(&mut self.rng, shape.gap, shape.discipline);
-        let delay = gap.saturating_add(extra);
-        let cmd = shaped_command(
-            &mut self.rng,
-            &shape,
-            region,
-            self.emitted,
-            self.spec.seed,
-            delay,
-        );
-        self.emitted += 1;
-        Some(cmd)
-    }
-
-    fn pull(&mut self, release_budget: u64) -> Vec<SocketCommand> {
-        pull_from(release_budget, || self.next_command())
+        let shape = self.shape;
+        let mut rng = SplitMix64::new(self.seed);
+        let mut left_in_burst = 0u32;
+        (0..self.commands)
+            .map(|index| {
+                // Burst bookkeeping first, so the draw order is fixed:
+                // burst length (when a burst starts), inter-burst idle,
+                // region, then the shaped command's own draws.
+                let mut extra = 0u32;
+                if left_in_burst == 0 {
+                    left_in_burst = rng.next_range(1, 2 * self.burst_len.max(1) as u64) as u32;
+                    if index > 0 && self.idle_gap > 0 {
+                        extra = rng.next_below(2 * self.idle_gap as u64 + 1) as u32;
+                    }
+                }
+                left_in_burst -= 1;
+                let region = regions[rng.next_below(regions.len() as u64) as usize];
+                let delay = draw_gap(&mut rng, shape.gap, shape.discipline).saturating_add(extra);
+                shaped_command(&mut rng, &shape, region, index, self.seed, delay)
+            })
+            .collect()
     }
 }
 
-/// The running state of a [`ZipfSpec`] program.
-#[derive(Debug, Clone)]
-pub struct ZipfGen {
-    spec: ZipfSpec,
-    regions: Vec<(u64, u64)>,
-    /// Cumulative integer popularity weights over the regions.
-    cumulative: Vec<u64>,
-    rng: SplitMix64,
-    emitted: usize,
-}
-
-impl ZipfGen {
-    /// Starts the generator at the head of its stream.
-    pub fn new(spec: ZipfSpec, regions: Vec<(u64, u64)>) -> Self {
+impl ZipfSpec {
+    /// The program's commands, targeting `regions` in popularity rank.
+    fn compile(&self, regions: &[(u64, u64)]) -> Program {
         assert!(!regions.is_empty(), "need at least one target region");
         // Integer CDF table: weights 1/rank^s scaled into u64 and
         // clamped to ≥ 1 so every region stays reachable. The f64 powf
         // is evaluated once here; selection below is pure integer.
-        let s = spec.exponent_milli as f64 / 1000.0;
+        let s = self.exponent_milli as f64 / 1000.0;
         let mut cumulative = Vec::with_capacity(regions.len());
         let mut total = 0u64;
         for rank in 1..=regions.len() {
@@ -609,54 +472,17 @@ impl ZipfGen {
             total += w.max(1);
             cumulative.push(total);
         }
-        ZipfGen {
-            rng: SplitMix64::new(spec.seed),
-            spec,
-            regions,
-            cumulative,
-            emitted: 0,
-        }
+        let shape = self.shape;
+        let mut rng = SplitMix64::new(self.seed);
+        (0..self.commands)
+            .map(|index| {
+                let x = rng.next_below(total);
+                let region = regions[cumulative.partition_point(|&c| c <= x)];
+                let delay = draw_gap(&mut rng, shape.gap, shape.discipline);
+                shaped_command(&mut rng, &shape, region, index, self.seed, delay)
+            })
+            .collect()
     }
-
-    fn next_command(&mut self) -> Option<SocketCommand> {
-        if self.emitted >= self.spec.commands {
-            return None;
-        }
-        let shape = self.spec.shape;
-        let total = *self.cumulative.last().expect("regions non-empty");
-        let x = self.rng.next_below(total);
-        let idx = self.cumulative.partition_point(|&c| c <= x);
-        let region = self.regions[idx];
-        let delay = draw_gap(&mut self.rng, shape.gap, shape.discipline);
-        let cmd = shaped_command(
-            &mut self.rng,
-            &shape,
-            region,
-            self.emitted,
-            self.spec.seed,
-            delay,
-        );
-        self.emitted += 1;
-        Some(cmd)
-    }
-
-    fn pull(&mut self, release_budget: u64) -> Vec<SocketCommand> {
-        pull_from(release_budget, || self.next_command())
-    }
-}
-
-fn pull_from(
-    release_budget: u64,
-    mut next: impl FnMut() -> Option<SocketCommand>,
-) -> Vec<SocketCommand> {
-    let mut out = Vec::new();
-    let mut released = 0u64;
-    while released < release_budget {
-        let Some(cmd) = next() else { break };
-        released += 1 + cmd.delay_before as u64;
-        out.push(cmd);
-    }
-    out
 }
 
 /// One parsed trace record.
@@ -769,34 +595,6 @@ impl TraceRecord {
     }
 }
 
-/// The replay position in a loaded trace: the shared records, the index
-/// of the next one and the timestamp of the last one replayed. Cloning
-/// (= checkpointing) copies an `Arc`, not the records.
-///
-/// Trace timestamps are issue-*intent* cycles: consecutive deltas
-/// become each command's `delay_before`, so the replay preserves the
-/// trace's inter-arrival spacing while actual issue still flows through
-/// the socket's outstanding limits and backpressure.
-#[derive(Debug, Clone)]
-pub struct TraceCursor {
-    records: Arc<[TraceRecord]>,
-    next: usize,
-    prev_ts: u64,
-}
-
-impl TraceCursor {
-    /// Pulls the next chunk (see [`FeedSource::pull`]).
-    fn pull(&mut self, release_budget: u64) -> Vec<SocketCommand> {
-        pull_from(release_budget, || {
-            let rec = self.records.get(self.next)?;
-            let cmd = rec.command(self.prev_ts);
-            self.next += 1;
-            self.prev_ts = rec.cycle;
-            Some(cmd)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -806,21 +604,15 @@ mod tests {
     }
 
     #[test]
-    fn bursty_stream_is_seed_deterministic_and_chunking_invariant() {
+    fn bursty_stream_is_seed_deterministic() {
         let spec = BurstySpec::new(7, 100, 4, 50);
-        let mut a = BurstyGen::new(spec, regions());
-        let mut b = BurstyGen::new(spec, regions());
-        let whole = a.pull(u64::MAX);
+        let whole = spec.compile(&regions());
         assert_eq!(whole.len(), 100);
-        let mut chunked = Vec::new();
-        loop {
-            let chunk = b.pull(17);
-            if chunk.is_empty() {
-                break;
-            }
-            chunked.extend(chunk);
-        }
-        assert_eq!(whole, chunked, "chunk boundaries must not affect content");
+        assert_eq!(
+            whole,
+            spec.compile(&regions()),
+            "the seed fixes the program"
+        );
         for cmd in &whole {
             assert!(regions().iter().any(|&(s, e)| {
                 cmd.addr >= s && cmd.addr + (cmd.beats * cmd.beat_bytes) as u64 <= e
@@ -831,7 +623,7 @@ mod tests {
     #[test]
     fn bursty_has_on_off_structure() {
         let spec = BurstySpec::new(11, 200, 4, 200);
-        let cmds = BurstyGen::new(spec, regions()).pull(u64::MAX);
+        let cmds = spec.compile(&regions());
         let long_gaps = cmds.iter().filter(|c| c.delay_before > 50).count();
         assert!(long_gaps > 5, "expected inter-burst idle gaps");
         let short_gaps = cmds.iter().filter(|c| c.delay_before <= 4).count();
@@ -841,7 +633,7 @@ mod tests {
     #[test]
     fn zipf_concentrates_on_first_region() {
         let spec = ZipfSpec::new(3, 1000, 2000);
-        let cmds = ZipfGen::new(spec, regions()).pull(u64::MAX);
+        let cmds = spec.compile(&regions());
         let hot = cmds.iter().filter(|c| c.addr < 0x1000).count();
         assert!(
             hot > 700,
@@ -854,7 +646,7 @@ mod tests {
     #[test]
     fn zipf_exponent_zero_is_uniform() {
         let spec = ZipfSpec::new(3, 3000, 0);
-        let cmds = ZipfGen::new(spec, regions()).pull(u64::MAX);
+        let cmds = spec.compile(&regions());
         let hot = cmds.iter().filter(|c| c.addr < 0x1000).count();
         assert!(
             (800..1200).contains(&hot),
@@ -867,7 +659,7 @@ mod tests {
         let mut spec = BurstySpec::new(9, 50, 4, 0);
         spec.shape.gap = 1;
         spec.shape.discipline = Discipline::Closed;
-        let cmds = BurstyGen::new(spec, regions()).pull(u64::MAX);
+        let cmds = spec.compile(&regions());
         assert!(cmds.iter().all(|c| c.delay_before >= 1));
     }
 

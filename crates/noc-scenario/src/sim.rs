@@ -1,138 +1,14 @@
-//! The common simulation surface every backend realisation exposes.
+//! The common simulation surface every backend realisation exposes:
+//! [`Simulation`], implemented once by [`Sim`] — a backend's engine,
+//! whose masters were built with their whole programs, plus the count of
+//! horizon polls its advance loop made.
 
 use crate::names::{name_of, named, Names};
-use crate::program::{FeedSource, Workload};
 use noc_baseline::{BridgedInterconnect, SharedBus};
 use noc_kernel::Engine;
-use noc_protocols::{CompletionLog, Program, SocketCommand};
+use noc_protocols::{CompletionLog, Program};
 use noc_system::{RunReport, Soc};
 use std::fmt;
-
-use crate::program::FEED_WINDOW;
-
-/// One streamed workload being fed to master `ordinal`.
-///
-/// `releases[stream]` is the running sum `Σ (1 + delay_before)` over
-/// every command appended so far *on that stream* — a lower bound, in
-/// base cycles from 0, on when the master can drain that stream's
-/// queue: each command occupies the queue front for at least
-/// `delay_before` countdown ticks plus one issue tick, front occupancy
-/// is sequential per stream, and a local tick spans at least one base
-/// cycle (clock divisors only stretch it). Accounting is per stream
-/// because multi-threaded sockets (OCP threads, AXI IDs, advanced-VCI
-/// threads) count down each thread's front delay *concurrently*, so a
-/// master consumes global release budget up to `streams` times faster
-/// than the global sum predicts; single-queue sockets are the
-/// one-stream special case. As long as every refill happens before the
-/// simulation executes cycle `min(releases)`, no master observes any
-/// stream of its program running dry, so *when* commands were appended
-/// is unobservable and dense ≡ horizon bit-identity extends to
-/// streamed workloads.
-#[derive(Debug, Clone)]
-struct Feeder {
-    ordinal: usize,
-    source: FeedSource,
-    releases: std::collections::HashMap<u16, u64>,
-    primed: bool,
-    exhausted: bool,
-}
-
-impl Feeder {
-    /// The earliest cycle any stream of this workload could drain — the
-    /// feeder's advance bound.
-    fn min_release(&self) -> u64 {
-        self.releases.values().copied().min().unwrap_or(0)
-    }
-
-    fn account(&mut self, chunk: &[SocketCommand]) {
-        for c in chunk {
-            *self.releases.entry(c.stream.raw()).or_insert(0) += 1 + c.delay_before as u64;
-        }
-    }
-}
-
-/// The streamed-workload feeders of one simulation. Plain cloneable
-/// state: a snapshot captures every generator's RNG state and every
-/// trace cursor's index into its shared records, so restored runs
-/// resume the feed bit-identically.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct FeederSet {
-    feeders: Vec<Feeder>,
-}
-
-impl FeederSet {
-    /// Builds feeders for the streamed workloads (fixed programs need
-    /// none).
-    pub(crate) fn new(workloads: &[Workload]) -> Self {
-        let feeders = workloads
-            .iter()
-            .enumerate()
-            .filter_map(|(ordinal, w)| match w {
-                Workload::Fixed(_) => None,
-                Workload::Streamed(source) => Some(Feeder {
-                    ordinal,
-                    source: source.clone(),
-                    releases: std::collections::HashMap::new(),
-                    primed: false,
-                    exhausted: false,
-                }),
-            })
-            .collect();
-        FeederSet { feeders }
-    }
-
-    /// Tops every active feeder up to `now + FEED_WINDOW` of release on
-    /// its *slowest-filling* stream, appending pulled commands through
-    /// `append(ordinal, chunk)`. The first pull primes with
-    /// [`FeedSource::prime_release`] so every stream's first command
-    /// lands at cycle 0 (identical in both step modes). Chunk
-    /// boundaries never affect the command stream's content, so refill
-    /// cadence (every dense step vs. every horizon bound) is
-    /// unobservable.
-    pub(crate) fn refill(&mut self, now: u64, mut append: impl FnMut(usize, &[SocketCommand])) {
-        for f in &mut self.feeders {
-            if f.exhausted {
-                continue;
-            }
-            if !f.primed {
-                f.primed = true;
-                let chunk = f.source.pull(f.source.prime_release(now + FEED_WINDOW));
-                if chunk.is_empty() {
-                    f.exhausted = true;
-                    continue;
-                }
-                f.account(&chunk);
-                append(f.ordinal, &chunk);
-            }
-            while f.min_release() < now + FEED_WINDOW {
-                let chunk = f.source.pull(now + FEED_WINDOW - f.min_release());
-                if chunk.is_empty() {
-                    f.exhausted = true;
-                    break;
-                }
-                f.account(&chunk);
-                append(f.ordinal, &chunk);
-            }
-        }
-    }
-
-    /// The furthest cycle the backend may advance to before the next
-    /// refill: `horizon`, capped by every active feeder's
-    /// `min(releases)` bound. Stopping at the bound (exclusive of
-    /// executing that cycle) guarantees the refill lands before the
-    /// master could first observe any stream of its program drained.
-    pub(crate) fn bound(&self, horizon: u64) -> u64 {
-        self.feeders
-            .iter()
-            .filter(|f| !f.exhausted)
-            .fold(horizon, |b, f| b.min(f.min_release()))
-    }
-
-    /// Whether every feeder has drained its source.
-    pub(crate) fn exhausted(&self) -> bool {
-        self.feeders.iter().all(|f| f.exhausted)
-    }
-}
 
 /// How [`Simulation::run_until`] advances base time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -230,21 +106,21 @@ pub trait Simulation: Send {
     /// bit-identical logs and counters, pinned by the snapshot suite.
     fn snapshot(&self) -> Box<dyn Simulation>;
 
-    /// Loads one workload per master (declaration order) into a
-    /// simulation that has not started executing. Warm-state forking
-    /// snapshots a programless checkpoint and injects each point's real
-    /// workload through this hook. Fixed workloads load whole; streamed
-    /// workloads install a feeder and prime its first window.
+    /// Loads one program per master (declaration order,
+    /// [`crate::ScenarioSpec::programs`]) into a simulation that has not
+    /// started executing: the run is the one a spec built with those
+    /// programs makes. Warm-state forking snapshots a programless
+    /// checkpoint and loads each point's programs through this hook.
     ///
     /// # Panics
     ///
-    /// Panics if the simulation already stepped or the workload count
+    /// Panics if the simulation already stepped or the program count
     /// does not match the master count.
-    fn load_programs(&mut self, workloads: &[Workload]);
+    fn load_programs(&mut self, programs: &[Program]);
 }
 
 /// What a backend supplies beyond the [`Engine`] stepping contract so
-/// the scenario layer can load it, feed it and report on it. Everything
+/// the scenario layer can load it and report on it. Everything
 /// else about running a scenario is [`Sim`], written once.
 pub trait ScenarioEngine: Engine + Clone + Send + 'static {
     /// The backend label reports carry ("noc", "bridged", "bus").
@@ -252,8 +128,6 @@ pub trait ScenarioEngine: Engine + Clone + Send + 'static {
     /// Loads one socket program per master (declaration order) before
     /// execution starts.
     fn load_programs(&mut self, programs: &[Program]);
-    /// Appends commands to the `ordinal`-th master's program, mid-run.
-    fn append_commands(&mut self, ordinal: usize, tail: &[SocketCommand]);
     /// Named per-master completion logs, in declaration order.
     fn completion_logs(&self) -> Vec<(&str, &CompletionLog)>;
     /// A report of the current state: fabric aggregates and calendar
@@ -266,9 +140,6 @@ impl ScenarioEngine for Soc {
     const LABEL: &'static str = "noc";
     fn load_programs(&mut self, programs: &[Program]) {
         Soc::load_programs(self, programs)
-    }
-    fn append_commands(&mut self, ordinal: usize, tail: &[SocketCommand]) {
-        Soc::append_commands(self, ordinal, tail)
     }
     fn completion_logs(&self) -> Vec<(&str, &CompletionLog)> {
         Soc::completion_logs(self)
@@ -283,9 +154,6 @@ impl ScenarioEngine for BridgedInterconnect {
     fn load_programs(&mut self, programs: &[Program]) {
         BridgedInterconnect::load_programs(self, programs)
     }
-    fn append_commands(&mut self, ordinal: usize, tail: &[SocketCommand]) {
-        BridgedInterconnect::append_commands(self, ordinal, tail)
-    }
     fn completion_logs(&self) -> Vec<(&str, &CompletionLog)> {
         BridgedInterconnect::completion_logs(self)
     }
@@ -299,9 +167,6 @@ impl ScenarioEngine for SharedBus {
     fn load_programs(&mut self, programs: &[Program]) {
         SharedBus::load_programs(self, programs)
     }
-    fn append_commands(&mut self, ordinal: usize, tail: &[SocketCommand]) {
-        SharedBus::append_commands(self, ordinal, tail)
-    }
     fn completion_logs(&self) -> Vec<(&str, &CompletionLog)> {
         SharedBus::completion_logs(self)
     }
@@ -310,13 +175,12 @@ impl ScenarioEngine for SharedBus {
     }
 }
 
-/// A scenario running on engine `E`: the engine, the feeders streaming
-/// its generated and trace workloads, and the advance loop's poll count.
-/// The only [`Simulation`].
+/// A scenario running on engine `E`: the engine, whose masters hold
+/// their whole programs, and the advance loop's poll count. The only
+/// [`Simulation`].
 #[derive(Debug, Clone)]
 pub struct Sim<E> {
     engine: E,
-    feeders: FeederSet,
     polls: u64,
 }
 
@@ -328,24 +192,9 @@ pub type BridgedSim = Sim<BridgedInterconnect>;
 pub type BusSim = Sim<SharedBus>;
 
 impl<E: ScenarioEngine> Sim<E> {
-    /// Wraps an engine whose masters already hold their fixed programs
-    /// (or the head of their streamed ones), installing the feeders for
-    /// the streamed workloads and priming their first window.
-    pub(crate) fn new(engine: E, workloads: &[Workload]) -> Self {
-        let mut sim = Sim {
-            engine,
-            feeders: FeederSet::new(workloads),
-            polls: 0,
-        };
-        sim.refill();
-        sim
-    }
-
-    fn refill(&mut self) {
-        let engine = &mut self.engine;
-        self.feeders.refill(engine.now(), |ordinal, tail| {
-            engine.append_commands(ordinal, tail)
-        });
+    /// Wraps an engine whose masters already hold their programs.
+    pub(crate) fn new(engine: E) -> Self {
+        Sim { engine, polls: 0 }
     }
 
     /// The underlying engine, for backend-specific inspection (fabric
@@ -355,8 +204,7 @@ impl<E: ScenarioEngine> Sim<E> {
         &self.engine
     }
 
-    /// Unwraps into the lower-layer engine, dropping the feeders: only
-    /// meaningful when every workload is a fixed program.
+    /// Unwraps into the lower-layer engine, dropping the poll count.
     pub fn into_inner(self) -> E {
         self.engine
     }
@@ -364,29 +212,19 @@ impl<E: ScenarioEngine> Sim<E> {
 
 impl<E: ScenarioEngine> Simulation for Sim<E> {
     fn step(&mut self) {
-        self.refill();
         self.engine.step();
     }
     fn now(&self) -> u64 {
         self.engine.now()
     }
     fn is_done(&self) -> bool {
-        self.feeders.exhausted() && self.engine.is_done()
+        self.engine.is_done()
     }
     fn logs(&self) -> Vec<(&str, &CompletionLog)> {
         self.engine.completion_logs()
     }
-    /// The feeder wrapper around [`Engine::advance_to`]: top the
-    /// streamed programs up, let the engine run to the feeders' bound,
-    /// repeat.
     fn advance_to(&mut self, horizon: u64) {
-        while self.engine.now() < horizon {
-            self.refill();
-            self.polls += self.engine.advance_to(self.feeders.bound(horizon));
-            if self.is_done() {
-                break;
-            }
-        }
+        self.polls += self.engine.advance_to(horizon);
     }
     fn report(&self) -> RunReport {
         RunReport {
@@ -397,10 +235,7 @@ impl<E: ScenarioEngine> Simulation for Sim<E> {
     fn snapshot(&self) -> Box<dyn Simulation> {
         Box::new(self.clone())
     }
-    fn load_programs(&mut self, workloads: &[Workload]) {
-        let heads: Vec<Program> = workloads.iter().map(Workload::head_program).collect();
-        self.engine.load_programs(&heads);
-        self.feeders = FeederSet::new(workloads);
-        self.refill();
+    fn load_programs(&mut self, programs: &[Program]) {
+        self.engine.load_programs(programs);
     }
 }

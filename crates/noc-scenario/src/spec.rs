@@ -1,7 +1,7 @@
 //! The declarative scenario description and its compilers.
 
 use crate::names::{name_of, named, Names};
-use crate::program::{ProgramSpec, StochasticShape, TraceSpec, Workload, ZipfSpec};
+use crate::program::{ProgramSpec, StochasticShape, TraceSpec, ZipfSpec};
 use crate::sim::{BridgedSim, BusSim, NocSim, Simulation};
 use noc_baseline::{
     AttachedMaster, BridgeConfig, BridgedInterconnect, BusConfig, SharedBus, SlaveTiming,
@@ -459,7 +459,7 @@ pub struct InitiatorSpec {
     /// Socket protocol and agent parameters.
     pub socket: SocketSpec,
     /// The deterministic traffic program this initiator issues: an
-    /// explicit command list or a generated (streamed) workload.
+    /// explicit command list or a generated or traced workload.
     pub program: ProgramSpec,
     /// NIU ordering override; defaults to the socket's natural model.
     pub ordering: Option<OrderingModel>,
@@ -1340,13 +1340,13 @@ impl ScenarioSpec {
                     }
                 }
                 ProgramSpec::Bursty(b) => {
-                    self.check_shape(ini, &b.shape)?;
+                    self.check_shape(ini, b.commands, &b.shape)?;
                     if b.burst_len == 0 {
                         return Err(self.bad_program(ini, "burst_len must be at least 1"));
                     }
                 }
                 ProgramSpec::Zipf(z) => {
-                    self.check_shape(ini, &z.shape)?;
+                    self.check_shape(ini, z.commands, &z.shape)?;
                     if z.exponent_milli > ZipfSpec::MAX_EXPONENT_MILLI {
                         return Err(self.bad_program(
                             ini,
@@ -1386,15 +1386,26 @@ impl ScenarioSpec {
         }
     }
 
-    /// Consistency rules for a stochastic command shape: the generated
-    /// commands must pass the same containment and capacity checks an
-    /// explicit program would, but proved once over the parameters
-    /// instead of per command.
+    /// Consistency rules for a stochastic program of `commands` commands
+    /// of `shape`: at most [`ProgramSpec::MAX_GENERATED`] of them, each
+    /// passing the same containment and capacity checks an explicit
+    /// program would, but proved once over the parameters instead of
+    /// per command.
     fn check_shape(
         &self,
         ini: &InitiatorSpec,
+        commands: usize,
         shape: &StochasticShape,
     ) -> Result<(), ScenarioError> {
+        if commands > ProgramSpec::MAX_GENERATED {
+            return Err(self.bad_program(
+                ini,
+                format!(
+                    "{commands} commands exceed the limit of {}",
+                    ProgramSpec::MAX_GENERATED
+                ),
+            ));
+        }
         if shape.read_pct > 100 {
             return Err(self.bad_program(
                 ini,
@@ -1504,16 +1515,21 @@ impl ScenarioSpec {
         Ok(map)
     }
 
-    /// The per-initiator workloads, in declaration order — what a warm
-    /// fork injects via [`Simulation::load_programs`]. Explicit programs
-    /// become [`Workload::Fixed`]; stochastic and trace kinds become
-    /// [`Workload::Streamed`] sources carrying the declared memory
-    /// regions as their target ranges.
-    pub fn programs(&self) -> Vec<Workload> {
+    /// The per-initiator programs, in declaration order: each
+    /// [`ProgramSpec::compile`]d, generators targeting the declared
+    /// memory regions. Every `build_*` moves them into its masters; a
+    /// warm fork loads them via [`Simulation::load_programs`].
+    ///
+    /// # Panics
+    ///
+    /// Panics, or fails to allocate, on a spec
+    /// [`ScenarioSpec::validate`] refuses: a generated program with no
+    /// memory to target or over [`ProgramSpec::MAX_GENERATED`] commands.
+    pub fn programs(&self) -> Vec<Program> {
         let regions: Vec<(u64, u64)> = self.memories.iter().map(|m| (m.base, m.end)).collect();
         self.initiators
             .iter()
-            .map(|i| i.program.workload(&regions))
+            .map(|i| i.program.compile(&regions))
             .collect()
     }
 
@@ -1600,9 +1616,9 @@ impl ScenarioSpec {
         }
         let topology = self.topology.build(self.num_endpoints())?;
         let mut builder = SocBuilder::new(topology, config);
-        for (i, ini) in self.initiators.iter().enumerate() {
+        let programs = self.initiators.iter().zip(self.programs());
+        for (i, (ini, program)) in programs.enumerate() {
             let node = self.initiator_node(i);
-            let program = ini.program.head_program();
             let niu = ini
                 .socket
                 .build_niu(program, ini.niu_config(node), map.clone());
@@ -1616,7 +1632,7 @@ impl ScenarioSpec {
         let soc = builder.build().map_err(|e| ScenarioError::BadTopology {
             reason: e.to_string(),
         })?;
-        Ok(NocSim::new(soc, &self.programs()))
+        Ok(NocSim::new(soc))
     }
 
     /// Rejects specs that declare divided endpoint clocks, which the
@@ -1669,11 +1685,8 @@ impl ScenarioSpec {
         self.reject_clocked("bridged")?;
         let map = self.address_map()?;
         let mut ic = BridgedInterconnect::new(config, map);
-        for ini in &self.initiators {
-            ic.add_master(AttachedMaster::new(
-                &ini.name,
-                ini.socket.build_fe(ini.program.head_program()),
-            ));
+        for (ini, program) in self.initiators.iter().zip(self.programs()) {
+            ic.add_master(AttachedMaster::new(&ini.name, ini.socket.build_fe(program)));
         }
         for (i, mem) in self.memories.iter().enumerate() {
             ic.add_slave_timed(
@@ -1683,7 +1696,7 @@ impl ScenarioSpec {
                 mem.target.slave_timing(),
             );
         }
-        Ok(BridgedSim::new(ic, &self.programs()))
+        Ok(BridgedSim::new(ic))
     }
 
     /// Compiles the spec onto the shared-bus baseline.
@@ -1699,11 +1712,8 @@ impl ScenarioSpec {
         self.reject_bus_targets()?;
         let map = self.address_map()?;
         let mut bus = SharedBus::new(config, map);
-        for ini in &self.initiators {
-            bus.add_master(AttachedMaster::new(
-                &ini.name,
-                ini.socket.build_fe(ini.program.head_program()),
-            ));
+        for (ini, program) in self.initiators.iter().zip(self.programs()) {
+            bus.add_master(AttachedMaster::new(&ini.name, ini.socket.build_fe(program)));
         }
         for mem in &self.memories {
             bus.add_slave_timed(
@@ -1712,6 +1722,6 @@ impl ScenarioSpec {
                 mem.target.slave_timing(),
             );
         }
-        Ok(BusSim::new(bus, &self.programs()))
+        Ok(BusSim::new(bus))
     }
 }

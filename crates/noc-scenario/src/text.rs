@@ -666,7 +666,7 @@ const INITIATOR: Section<InitiatorSpec> = Section {
         req("seed", BURSTY | ZIPF, Hex(at!(
             i.program => Bursty(BurstySpec { seed, .. }) | Zipf(ZipfSpec { seed, .. }), seed: u64)),
             "generator seed"),
-        req("commands", BURSTY | ZIPF, Int(0, u64::MAX, at!(
+        req("commands", BURSTY | ZIPF, Int(0, ProgramSpec::MAX_GENERATED as u64, at!(
             i.program => Bursty(BurstySpec { commands, .. }) | Zipf(ZipfSpec { commands, .. }),
             commands: usize)),
             "commands generated in total"),

@@ -287,7 +287,7 @@ impl SocBuilder {
 pub struct Soc {
     endpoints: Vec<Endpoint>,
     /// Indices into `endpoints` of the initiators, in build order — the
-    /// order programs are loaded and appended in.
+    /// order programs are loaded in.
     initiators: Vec<usize>,
     /// Per endpoint: the base cycle up to which (exclusive) every edge of
     /// its clock has been accounted — ticked for real, or charged through
@@ -296,9 +296,9 @@ pub struct Soc {
     /// over are proven no-ops by the endpoint's own pending wakeup, and
     /// they are charged in one `skip_ticks` call the next time anything
     /// looks at the endpoint ([`Soc::settle`]): before its next real
-    /// tick, before a flit is pushed into it, before commands are
-    /// appended, before its wakeup is recomputed. Between those moments
-    /// its countdown is stale by exactly the edges in `settled[i]..now`.
+    /// tick, before a flit is pushed into it, before its wakeup is
+    /// recomputed. Between those moments its countdown is stale by
+    /// exactly the edges in `settled[i]..now`.
     settled: Vec<u64>,
     /// Per-endpoint clock domain, index-aligned with `endpoints`.
     clock_ids: Vec<ClockId>,
@@ -588,30 +588,6 @@ impl Soc {
             self.endpoints[i].inner.load_program(program.clone());
             self.refresh_endpoint(i);
         }
-    }
-
-    /// Appends commands to the program of the `ordinal`-th initiator
-    /// endpoint (build order — the same order
-    /// [`Soc::load_programs`] consumes), mid-run. While that initiator
-    /// still holds unissued commands the append instant is unobservable,
-    /// so feeding layers can stream unbounded workloads chunk by chunk
-    /// with bit-identical results. The endpoint's calendar wakeup is
-    /// re-registered afterwards ([`Calendar::set`] no-ops when the
-    /// target cycle is unchanged, which it is whenever the head command
-    /// stays the same).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ordinal` exceeds the initiator count or a command
-    /// violates the socket's constraints.
-    pub fn append_commands(&mut self, ordinal: usize, tail: &[noc_protocols::SocketCommand]) {
-        let i = *self
-            .initiators
-            .get(ordinal)
-            .expect("initiator ordinal out of range");
-        self.settle(i, self.now);
-        self.endpoints[i].inner.append_commands(tail);
-        self.refresh_endpoint(i);
     }
 
     /// Named completion logs of all initiator endpoints (build order).

@@ -150,34 +150,12 @@ impl fmt::Display for ServiceBits {
 ///     .enable(ServiceBits::EXCLUSIVE)
 ///     .enable(ServiceBits::SECURE);
 /// assert_eq!(cfg.header_bits(), 2);
-/// assert!(cfg.is_enabled(ServiceBits::EXCLUSIVE));
-/// assert!(cfg.check(ServiceBits::EXCLUSIVE).is_ok());
-/// assert!(cfg.check(ServiceBits::LOCKED).is_err());
+/// assert!(cfg.enabled().contains(ServiceBits::EXCLUSIVE));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceConfig {
     enabled: ServiceBits,
 }
-
-/// Error produced when a packet requests a service the NoC configuration
-/// does not activate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceDisabled {
-    /// The bits that were requested but not enabled.
-    pub missing: ServiceBits,
-}
-
-impl fmt::Display for ServiceDisabled {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "service(s) [{}] not enabled in this NoC configuration",
-            self.missing
-        )
-    }
-}
-
-impl std::error::Error for ServiceDisabled {}
 
 impl ServiceConfig {
     /// A configuration with no optional services.
@@ -192,11 +170,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Returns `true` if all bits of `service` are enabled.
-    pub fn is_enabled(self, service: ServiceBits) -> bool {
-        self.enabled.contains(service)
-    }
-
     /// The enabled set.
     pub fn enabled(self) -> ServiceBits {
         self.enabled
@@ -205,20 +178,6 @@ impl ServiceConfig {
     /// Number of optional header bits this configuration spends.
     pub fn header_bits(self) -> u32 {
         self.enabled.bits().count_ones()
-    }
-
-    /// Validates that `requested` only uses enabled services.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServiceDisabled`] naming the missing bits.
-    pub fn check(self, requested: ServiceBits) -> Result<(), ServiceDisabled> {
-        let missing = requested.without(self.enabled);
-        if missing.is_empty() {
-            Ok(())
-        } else {
-            Err(ServiceDisabled { missing })
-        }
     }
 }
 
@@ -264,18 +223,6 @@ mod tests {
         // re-enabling is idempotent
         let cfg = cfg.enable(ServiceBits::SECURE);
         assert_eq!(cfg.header_bits(), 3);
-    }
-
-    #[test]
-    fn config_check_rejects_disabled() {
-        let cfg = ServiceConfig::new().enable(ServiceBits::EXCLUSIVE);
-        assert!(cfg.check(ServiceBits::EXCLUSIVE).is_ok());
-        assert!(cfg.check(ServiceBits::NONE).is_ok());
-        let err = cfg
-            .check(ServiceBits::EXCLUSIVE | ServiceBits::LOCKED)
-            .unwrap_err();
-        assert_eq!(err.missing, ServiceBits::LOCKED);
-        assert!(err.to_string().contains("lock"));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! A program is a deterministic function of its seed (SplitMix64). The
 //! shaped workloads (bursty, Zipf hotspot, trace replay) are the
-//! streamed generators of `noc_scenario::program`.
+//! `ProgramSpec` kinds of `noc_scenario::program`, which compile to
+//! programs the same way.
 
 use noc_kernel::SplitMix64;
 use noc_protocols::{Program, SocketCommand};

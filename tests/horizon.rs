@@ -388,9 +388,6 @@ mod replay {
         fn load_program(&mut self, program: Program) {
             self.inner.load_program(program);
         }
-        fn append_commands(&mut self, tail: &[SocketCommand]) {
-            self.inner.append_commands(tail);
-        }
         fn clone_box(&self) -> Box<dyn NocEndpoint> {
             Box::new(Replay {
                 inner: self.inner.clone_box(),

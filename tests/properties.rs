@@ -381,9 +381,6 @@ impl noc_niu::SocketInitiator for SpyInitiator {
     fn load_program(&mut self, program: noc_protocols::Program) {
         self.fe.load_program(program);
     }
-    fn append_commands(&mut self, tail: &[noc_protocols::SocketCommand]) {
-        self.fe.append_commands(tail);
-    }
     fn clone_box(&self) -> Box<dyn noc_niu::SocketInitiator> {
         Box::new(self.clone())
     }
@@ -2002,46 +1999,14 @@ fn stochastic_specs_round_trip_and_run_identically() {
     }
 }
 
-/// Trace replay: a generated trace file, loaded once, feeds the cursor
-/// in bounded pulls and replays record-identically on
-/// all three backends and both step modes, preserving the trace's
-/// inter-arrival spacing in the issue stream.
-#[test]
-fn trace_replay_is_identical_across_backends_and_modes() {
-    use noc_scenario::{
-        Backend, InitiatorSpec, MemorySpec, ScenarioSpec, SocketSpec, StepMode, TraceSpec,
-    };
-    use std::io::Write;
+/// Runs `spec`, whose one initiator replays a trace of `records`
+/// records, on all three backends in both step modes: dense and horizon
+/// logs are identical on each backend, and every backend replays the
+/// same command sequence.
+fn assert_trace_replays_identically(spec: &noc_scenario::ScenarioSpec, records: usize) {
+    use noc_scenario::{Backend, StepMode};
 
-    // Per-process directory: concurrent runs of this test binary must
-    // not truncate each other's trace before it is loaded.
-    let dir = std::env::temp_dir().join(format!("noc-scenario-prop-trace-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("prop.trace");
-    let mut rng = SplitMix64::new(0x7AACE);
-    let mut f = std::fs::File::create(&path).expect("trace file");
-    writeln!(f, "# generated by the property suite").unwrap();
-    let mut ts = 0u64;
-    for i in 0..300 {
-        ts += rng.next_below(40);
-        let addr = (rng.next_below(2) * 0x1000 + rng.next_below(0xF00)) & !0xF;
-        let op = if rng.chance(0.6) { "read" } else { "write" };
-        let stream = i % 2;
-        writeln!(f, "{ts} {op} {addr:#x} 4 4 {stream}").unwrap();
-    }
-    drop(f);
-
-    let spec = ScenarioSpec::new()
-        .initiator(InitiatorSpec::new(
-            "replay",
-            SocketSpec::Ocp {
-                threads: 2,
-                per_thread: 4,
-            },
-            TraceSpec::load(path.to_str().expect("utf-8 temp path")),
-        ))
-        .memory(MemorySpec::new("m0", 0x0, 0x1000, 2))
-        .memory(MemorySpec::new("m1", 0x1000, 0x2000, 4));
+    spec.validate().expect("the trace validates");
     let mut cross_backend = None;
     for backend in [Backend::noc(), Backend::bridged(), Backend::bus()] {
         let mut timed = None;
@@ -2056,7 +2021,11 @@ fn trace_replay_is_identical_across_backends_and_modes() {
                 .iter()
                 .map(|(_, log)| log.records().to_vec())
                 .collect();
-            assert_eq!(logs[0].len(), 300, "{backend} {mode:?} lost trace records");
+            assert_eq!(
+                logs[0].len(),
+                records,
+                "{backend} {mode:?} lost trace records"
+            );
             match &timed {
                 None => timed = Some(logs),
                 Some(r) => assert_eq!(r, &logs, "{backend}: dense and horizon replay diverge"),
@@ -2089,6 +2058,71 @@ fn trace_replay_is_identical_across_backends_and_modes() {
             Some(r) => assert_eq!(r, &records, "{backend} replays a different record sequence"),
         }
     }
+}
+
+/// The spec replaying the trace file written from `lines` through a
+/// two-thread OCP socket onto two memories. The file sits in a
+/// per-process directory named after `label` (concurrent runs of this
+/// test binary must not truncate each other's trace before it is
+/// loaded) and is deleted once loaded: the run never reads it again.
+fn two_thread_trace_spec(label: &str, lines: &[String]) -> noc_scenario::ScenarioSpec {
+    use noc_scenario::{InitiatorSpec, MemorySpec, ScenarioSpec, SocketSpec, TraceSpec};
+
+    let dir = std::env::temp_dir().join(format!("noc-{label}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("prop.trace");
+    std::fs::write(&path, lines.join("\n")).expect("trace file");
+    let trace = TraceSpec::load(path.to_str().expect("utf-8 temp path"));
+    std::fs::remove_dir_all(&dir).ok();
+    ScenarioSpec::new()
+        .initiator(InitiatorSpec::new(
+            "replay",
+            SocketSpec::Ocp {
+                threads: 2,
+                per_thread: 4,
+            },
+            trace,
+        ))
+        .memory(MemorySpec::new("m0", 0x0, 0x1000, 2))
+        .memory(MemorySpec::new("m1", 0x1000, 0x2000, 4))
+}
+
+/// Trace replay: a generated trace file, loaded once, compiles to the
+/// master's program and replays record-identically on all three
+/// backends and both step modes, preserving the trace's inter-arrival
+/// spacing in the issue stream.
+#[test]
+fn trace_replay_is_identical_across_backends_and_modes() {
+    let mut rng = SplitMix64::new(0x7AACE);
+    let mut lines = vec!["# generated by the property suite".to_string()];
+    let mut ts = 0u64;
+    for i in 0..300 {
+        ts += rng.next_below(40);
+        let addr = (rng.next_below(2) * 0x1000 + rng.next_below(0xF00)) & !0xF;
+        let op = if rng.chance(0.6) { "read" } else { "write" };
+        let stream = i % 2;
+        lines.push(format!("{ts} {op} {addr:#x} 4 4 {stream}"));
+    }
+    let spec = two_thread_trace_spec("scenario-prop-trace", &lines);
+    assert_trace_replays_identically(&spec, 300);
+}
+
+/// A trace whose second stream first appears 3 000 cycles in loads,
+/// validates and replays like any other trace.
+#[test]
+fn a_trace_stream_that_first_appears_late_replays_identically() {
+    let mut rng = SplitMix64::new(0x1A7E);
+    let mut lines = Vec::new();
+    for i in 0..120u64 {
+        // Stream 0 alone for the first 60 records (3 000 cycles), then
+        // both streams.
+        let stream = if i < 60 { 0 } else { i % 2 };
+        let addr = (rng.next_below(2) * 0x1000 + rng.next_below(0xF00)) & !0xF;
+        let op = if rng.chance(0.5) { "read" } else { "write" };
+        lines.push(format!("{} {op} {addr:#x} 4 4 {stream}", i * 50));
+    }
+    let spec = two_thread_trace_spec("scenario-prop-late-stream", &lines);
+    assert_trace_replays_identically(&spec, 120);
 }
 
 /// No scenario text panics the stack. Every corpus file is mutated —

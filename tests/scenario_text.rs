@@ -542,11 +542,12 @@ fn zero_clock_divisor_is_rejected() {
 
 /// Sizes a file can name but a process cannot allocate are hostile
 /// input: an allocation failure aborts, which no `catch_unwind` in the
-/// serve layer can turn into an error record. Both known cases — an
-/// NIU outstanding budget of `u32::MAX` and a mesh whose sides each
-/// pass their own cap but whose product is 2^32 switches — must be
-/// typed errors, at line:col from text and from `validate` for specs
-/// built through the API.
+/// serve layer can turn into an error record. The known cases — an
+/// NIU outstanding budget of `u32::MAX`, a mesh whose sides each pass
+/// their own cap but whose product is 2^32 switches, and a generated
+/// program of 2^64 − 1 commands, which compiles whole before the run —
+/// must be typed errors, at line:col from text and from `validate` for
+/// specs built through the API.
 #[test]
 fn sizes_that_would_abort_the_allocator_are_rejected_in_place() {
     let e = parse_err("[[initiator]]\nname = \"m\"\nsocket = \"ahb\"\noutstanding = 4294967295\n");
@@ -562,6 +563,17 @@ fn sizes_that_would_abort_the_allocator_are_rejected_in_place() {
     assert!(
         matches!(e.kind, ParseErrorKind::BadValue { ref key, ref reason }
             if key == "height" && reason.contains("1048576")),
+        "{:?}",
+        e.kind
+    );
+    let e = parse_err(
+        "[[initiator]]\nname = \"m\"\nsocket = \"ahb\"\nkind = \"zipf\"\nseed = 1\n\
+         commands = 0xFFFF_FFFF_FFFF_FFFF\nexponent_milli = 800\n",
+    );
+    assert_eq!((e.line, e.column), (6, 12));
+    assert!(
+        matches!(e.kind, ParseErrorKind::BadValue { ref key, ref reason }
+            if key == "commands" && reason.contains("4194304")),
         "{:?}",
         e.kind
     );
@@ -581,7 +593,7 @@ fn sizes_that_would_abort_the_allocator_are_rejected_in_place() {
             outstanding: u32::MAX
         })
     );
-    let hostile = spec.with_topology(TopologySpec::Mesh {
+    let hostile = spec.clone().with_topology(TopologySpec::Mesh {
         width: 1 << 16,
         height: 1 << 16,
     });
@@ -596,6 +608,23 @@ fn sizes_that_would_abort_the_allocator_are_rejected_in_place() {
         hostile.build(&Backend::noc()),
         Err(ScenarioError::BadTopology { .. })
     ));
+
+    // Nor is a program: the largest legal count validates, one more is
+    // refused before anything compiles.
+    let limit = noc_scenario::ProgramSpec::MAX_GENERATED;
+    let mut hostile = spec.clone();
+    let zipf = |commands| noc_scenario::ZipfSpec::new(1, commands, 800).into();
+    hostile.initiators[0].program = zipf(limit);
+    assert_eq!(hostile.validate(), Ok(()));
+    hostile.initiators[0].program = zipf(usize::MAX);
+    let refused = hostile.build(&Backend::noc()).map(drop);
+    assert_eq!(
+        refused,
+        Err(ScenarioError::BadProgram {
+            initiator: "m".into(),
+            reason: format!("{} commands exceed the limit of {limit}", usize::MAX),
+        })
+    );
 }
 
 /// The sharded-stepping grammar was removed with the engine; its keys

@@ -274,9 +274,9 @@ fn program_loading_equals_building_with_programs() {
     }
 }
 
-/// A scenario mixing all three streamed program kinds — bursty, zipf
-/// and trace replay — so checkpoints must capture generator RNG state
-/// and the trace cursor's position in the loaded records.
+/// A scenario mixing all three generated program kinds — bursty, zipf
+/// and trace replay — so checkpoints taken mid-program must resume each
+/// master's position in its compiled program.
 fn stochastic_spec() -> ScenarioSpec {
     use noc_scenario::{BurstySpec, InitiatorSpec, MemorySpec, SocketSpec, TraceSpec, ZipfSpec};
     use std::io::Write;
