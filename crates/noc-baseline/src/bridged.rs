@@ -2,7 +2,7 @@
 //! crossbar with per-master protocol bridges.
 
 use crate::{AttachedMaster, SlaveTiming};
-use noc_kernel::{Engine, Horizon};
+use noc_kernel::{ClockDomain, Engine, Wake};
 use noc_protocols::memory::access;
 use noc_protocols::{CompletionLog, MemoryModel};
 use noc_transaction::{
@@ -483,12 +483,12 @@ impl Engine for BridgedInterconnect {
     /// one dense-identical step.
     fn next_activity(&self) -> Option<u64> {
         let now = self.now;
-        let mut horizon = Horizon::new();
-        for m in &self.masters {
-            horizon.merge_idle_ticks(now, m.fe.idle_ticks(true));
-        }
-        for bridge in &self.bridges {
-            if let Some(front) = bridge.subs.front() {
+        let masters = self
+            .masters
+            .iter()
+            .filter_map(|m| Wake::Ticks(m.fe.idle_ticks(true)).base_cycle(ClockDomain::BASE, now));
+        let bridges = self.bridges.iter().flat_map(|bridge| {
+            let serviceable = bridge.subs.front().map(|front| {
                 // Decode misses are consumed (as DECERR) the first time
                 // any free slave's crossbar pass reaches them — `now`
                 // under-approximates that safely. Lock gating is also
@@ -501,17 +501,17 @@ impl Engine for BridgedInterconnect {
                         .map_or(now, |s| s.busy_until),
                     Err(_) => now,
                 };
-                horizon.merge_at(front.eligible_at.max(slave_free_at));
-            }
+                front.eligible_at.max(slave_free_at)
+            });
             let respond = bridge.order.front().and_then(|&slot| {
                 bridge.inflight[slot]
                     .as_ref()
                     .filter(|p| p.remaining == 0)
                     .map(|p| p.respond_at)
             });
-            horizon.merge(respond);
-        }
-        horizon.earliest_from(now)
+            serviceable.into_iter().chain(respond)
+        });
+        masters.chain(bridges).min().map(|at| at.max(now))
     }
 
     fn skip_to(&mut self, target: u64) {

@@ -1,7 +1,7 @@
 //! The shared pipelined bus baseline.
 
 use crate::{AttachedMaster, SlaveTiming};
-use noc_kernel::{Engine, Horizon};
+use noc_kernel::{ClockDomain, Engine, Wake};
 use noc_protocols::memory::access;
 use noc_protocols::{CompletionLog, MemoryModel};
 use noc_transaction::{
@@ -290,14 +290,13 @@ impl Engine for SharedBus {
     /// comes first. A direct fold: with one source per master plus one
     /// for the bus there is no scan for a calendar to invert.
     fn next_activity(&self) -> Option<u64> {
-        let mut horizon = Horizon::new();
-        for m in &self.masters {
-            horizon.merge_idle_ticks(self.now, m.fe.idle_ticks(true));
-        }
-        if let Some((_, _, done_at)) = self.busy {
-            horizon.merge_at(done_at);
-        }
-        horizon.earliest_from(self.now)
+        let now = self.now;
+        let masters = self
+            .masters
+            .iter()
+            .filter_map(|m| Wake::Ticks(m.fe.idle_ticks(true)).base_cycle(ClockDomain::BASE, now));
+        let done = self.busy.as_ref().map(|&(_, _, done_at)| done_at);
+        masters.chain(done).min().map(|at| at.max(now))
     }
 
     fn skip_to(&mut self, target: u64) {

@@ -10,8 +10,9 @@
 //!   advance loop provided on top of it;
 //! - [`ClockDomain`] / [`ClockSet`], divisor-based clock domains so that
 //!   mixed-clock systems stay on one deterministic base timeline;
-//! - [`Horizon`], the min-combining accumulator for per-component event
-//!   horizons used by quiescence-aware stepping;
+//! - [`Wake`], a component's answer to "when can you next act?" — a
+//!   count of its own clock edges or an absolute cycle — and the one
+//!   mapping of that answer onto the base timeline;
 //! - [`Arrivals`], a timing wheel for events that never move once posted
 //!   (a flit's arrival, a credit's return): each id is filed once for the
 //!   cycle it falls due and drained exactly once, O(1) within 64 cycles;
@@ -32,33 +33,34 @@
 //! # Examples
 //!
 //! ```
-//! use noc_kernel::{Calendar, ClockDomain, Horizon};
+//! use noc_kernel::{Calendar, ClockDomain, Wake};
 //!
-//! // A component on a /4 clock wants to wake at base cycle 9; its next
-//! // active edge is cycle 12.
+//! // A component on a /4 clock, settled through cycle 5, waits for a
+//! // response stamped ready at base cycle 9: its next edge after that is
+//! // cycle 12. A countdown of two of its edges lands on 8 + 2 * 4 = 16.
 //! let slow = ClockDomain::new(4);
+//! assert_eq!(Wake::At(9).base_cycle(slow, 5), Some(12));
+//! assert_eq!(Wake::Ticks(2).base_cycle(slow, 5), Some(16));
+//! assert_eq!(Wake::Ticks(u64::MAX).base_cycle(slow, 5), None);
+//!
 //! let mut cal = Calendar::new();
 //! let id = cal.register();
-//! cal.set(id, Some(slow.next_active(9)));
-//!
-//! let mut h = Horizon::new();
-//! h.merge(cal.peek());
-//! h.merge_at(40);
-//! assert_eq!(h.earliest(), Some(12));
+//! cal.set(id, Wake::At(9).base_cycle(slow, 5));
+//! assert_eq!(cal.peek(), Some(12));
 //! ```
 
 pub mod arrivals;
 pub mod calendar;
 pub mod clock;
 pub mod engine;
-pub mod horizon;
 pub mod rng;
 pub mod slab;
+pub mod wake;
 
 pub use arrivals::Arrivals;
 pub use calendar::{Calendar, WakeId};
 pub use clock::{ClockDomain, ClockId, ClockSet};
 pub use engine::Engine;
-pub use horizon::Horizon;
 pub use rng::SplitMix64;
 pub use slab::{Queue, Slab};
+pub use wake::Wake;

@@ -4,10 +4,11 @@
 //! into (and read back out of) the transport layer's opaque header
 //! fields — the codec is what keeps both layers ignorant of each other.
 //!
-//! Each direction has a by-move form (`*_into_*`), which hands the
-//! payload buffer from transaction to packet or back without copying and
-//! is what the NIUs call, and a borrowing form (`encode_*` / `decode_*`)
-//! that clones first, for callers that keep their input.
+//! Each direction is a by-move function (`*_into_*`), which hands the
+//! payload buffer from transaction to packet or back without copying.
+//! Requests also keep a borrowing form (`encode_request` /
+//! `decode_request`) that clones first, for callers that keep their
+//! input.
 
 use noc_transaction::{
     Burst, BurstKind, MstAddr, Opcode, RespStatus, ServiceBits, SlvAddr, Tag, TransactionRequest,
@@ -150,11 +151,6 @@ pub fn response_into_packet(resp: TransactionResponse, pressure: u8) -> Packet {
     Packet::new(header, resp.into_data())
 }
 
-/// Borrowing form of [`response_into_packet`] (clone, then move).
-pub fn encode_response(resp: &TransactionResponse, pressure: u8) -> Packet {
-    response_into_packet(resp.clone(), pressure)
-}
-
 /// Decodes a response-network packet, moving the packet's payload buffer
 /// into the response.
 ///
@@ -171,15 +167,6 @@ pub fn packet_into_response(pkt: Packet) -> Result<TransactionResponse, CodecErr
         Tag::new(h.tag),
         payload,
     ))
-}
-
-/// Borrowing form of [`packet_into_response`] (clone, then move).
-///
-/// # Errors
-///
-/// As [`packet_into_response`].
-pub fn decode_response(pkt: &Packet) -> Result<TransactionResponse, CodecError> {
-    packet_into_response(pkt.clone())
 }
 
 #[cfg(test)]
@@ -267,9 +254,9 @@ mod tests {
             Tag::new(1),
             vec![1, 2, 3],
         );
-        let pkt = encode_response(&resp, 3);
+        let pkt = response_into_packet(resp.clone(), 3);
         assert_eq!(pkt.header.pressure, 3);
-        let back = decode_response(&pkt).unwrap();
+        let back = packet_into_response(pkt).unwrap();
         assert_eq!(back, resp);
     }
 
@@ -290,9 +277,9 @@ mod tests {
             Tag::ZERO,
             vec![],
         );
-        let mut pkt = encode_response(&resp, 0);
+        let mut pkt = response_into_packet(resp, 0);
         pkt.header.status = 7;
-        assert_eq!(decode_response(&pkt), Err(CodecError::BadStatus(7)));
+        assert_eq!(packet_into_response(pkt), Err(CodecError::BadStatus(7)));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! typical DRAM-controller attachment).
 
 use crate::target::SocketTarget;
+use noc_kernel::Wake;
 use noc_protocols::axi::{AxiAr, AxiAw, AxiPort, AxiSlave};
 use noc_transaction::{MstAddr, RespStatus, SlvAddr, Tag, TransactionRequest, TransactionResponse};
 use std::collections::{HashMap, VecDeque};
@@ -138,7 +139,7 @@ impl SocketTarget for AxiTargetFe {
         self.out.pop_front()
     }
 
-    fn idle_ticks(&self) -> u64 {
+    fn wake(&self) -> Wake {
         // The pending FIFOs mirror the slave's in-service set, so with
         // them and every buffer drained the slave tick has nothing to
         // accept or emit: a pure no-op until a new request arrives.
@@ -148,10 +149,6 @@ impl SocketTarget for AxiTargetFe {
             && self.port.aw.is_empty()
             && self.port.r.is_empty()
             && self.port.b.is_empty();
-        if empty {
-            u64::MAX
-        } else {
-            0
-        }
+        Wake::Ticks(if empty { u64::MAX } else { 0 })
     }
 }

@@ -1,6 +1,7 @@
 //! The protocol-neutral initiator NIU back end.
 
 use crate::codec::{packet_into_response, request_into_packet};
+use noc_kernel::Wake;
 use noc_protocols::{CompletionLog, Program};
 use noc_transaction::{
     AddressMap, MstAddr, Opcode, OrderingModel, OrderingPolicy, RespStatus, ServiceBits, StreamId,
@@ -41,8 +42,8 @@ pub trait SocketInitiator: Send {
     /// default; `u64::MAX` = quiescent until input). `accepting` says
     /// whether the back end takes a request held on the port at its next
     /// tick; when it does not, the claim holds for a port whose request
-    /// channels nobody drains. See [`crate::NocEndpoint::idle_ticks`] for
-    /// the contract.
+    /// channels nobody drains. See [`crate::NocEndpoint::wake`] for the
+    /// contract.
     fn idle_ticks(&self, _accepting: bool) -> u64 {
         0
     }
@@ -376,8 +377,8 @@ impl<FE: SocketInitiator + Clone + 'static> crate::NocEndpoint for InitiatorNiu<
     fn completion_log(&self) -> Option<&noc_protocols::CompletionLog> {
         Some(self.fe.log())
     }
-    fn idle_ticks(&self) -> u64 {
-        InitiatorNiu::idle_ticks(self)
+    fn wake(&self) -> Wake {
+        Wake::Ticks(self.idle_ticks())
     }
     fn skip_ticks(&mut self, ticks: u64) {
         InitiatorNiu::skip_ticks(self, ticks);

@@ -51,8 +51,9 @@
 //!   [`CompletionRecord`](noc_protocols::CompletionRecord), where it
 //!   stays.
 //!
-//! The borrowing codec forms (`encode_*` / `decode_*`) clone, then move;
-//! the NIUs never call them. `tests/alloc_budget.rs` gates the result as
+//! Only requests keep a borrowing codec form (`encode_request` /
+//! `decode_request`: clone, then move), for the benchmark's codec probe;
+//! the NIUs never call it. `tests/alloc_budget.rs` gates the result as
 //! heap allocations per completed transaction.
 
 pub mod codec;
@@ -61,12 +62,13 @@ pub mod initiator;
 pub mod target;
 
 pub use codec::{
-    decode_request, decode_response, encode_request, encode_response, packet_into_request,
-    packet_into_response, request_into_packet, response_into_packet, CodecError,
+    decode_request, encode_request, packet_into_request, packet_into_response, request_into_packet,
+    response_into_packet, CodecError,
 };
 pub use initiator::{InitiatorNiu, InitiatorNiuConfig, NiuStats, SocketInitiator};
 pub use target::{MemoryTarget, ServiceTarget, SocketTarget, TargetNiu, TargetNiuConfig};
 
+use noc_kernel::Wake;
 use noc_transaction::{TransactionRequest, TransactionResponse};
 
 /// Object-safe endpoint view used by the system assembler: everything a
@@ -89,50 +91,30 @@ pub trait NocEndpoint: Send {
     fn completion_log(&self) -> Option<&noc_protocols::CompletionLog> {
         None
     }
-    /// Quiescence hook: the number of immediately upcoming *local-clock*
-    /// ticks that are provably no-ops, provided no flit is pushed to the
-    /// endpoint meanwhile. `0` (the conservative default) means the
-    /// endpoint must be ticked densely; `u64::MAX` means it is quiescent
-    /// until new input arrives. Callers that skip ticks must account
-    /// them through [`NocEndpoint::skip_ticks`] and resume dense ticking
-    /// as soon as any input reaches the endpoint. The system assembler
-    /// executes *only* the ticks this hook does not cover, in every step
-    /// mode, so a claim that is too long is a late wakeup, not a slow
-    /// path: `tests/horizon.rs`'s replay adapter is the oracle.
-    fn idle_ticks(&self) -> u64 {
-        0
-    }
+    /// Quiescence hook: when the endpoint can next act, provided no flit
+    /// is pushed to it meanwhile. [`Wake::Ticks`] counts its own
+    /// local-clock edges (`0`: the next edge must execute; `u64::MAX`:
+    /// quiescent until new input); [`Wake::At`] names the base cycle its
+    /// IP finishes a service, every edge before which is a no-op. Callers
+    /// that pass edges over must account them through
+    /// [`NocEndpoint::skip_ticks`] and resume ticking as soon as any input
+    /// reaches the endpoint. The system assembler executes *only* the
+    /// ticks this hook does not cover, in every step mode, so a claim
+    /// that is too long is a late wakeup, not a slow path:
+    /// `tests/horizon.rs`'s replay adapter is the oracle.
+    fn wake(&self) -> Wake;
     /// Accounts `ticks` local-clock ticks skipped under the
-    /// [`NocEndpoint::idle_ticks`] contract: afterwards the endpoint is
-    /// in exactly the state that many dense no-op ticks would have left
-    /// it in.
+    /// [`NocEndpoint::wake`] contract: afterwards the endpoint is in
+    /// exactly the state that many dense no-op ticks would have left it
+    /// in.
     ///
     /// Callers may settle lazily: the skipped ticks need not be accounted
     /// when they pass, only before the endpoint is next touched — always
     /// before its next [`NocEndpoint::tick`] or [`NocEndpoint::push_flit`],
-    /// and before [`NocEndpoint::idle_ticks`] is read to schedule it
-    /// again. Between those moments its countdown is stale by the
-    /// unaccounted ticks and nothing else about it is.
+    /// and before [`NocEndpoint::wake`] is read to schedule it again.
+    /// Between those moments a [`Wake::Ticks`] countdown is stale by the
+    /// unaccounted ticks and nothing else about the endpoint is.
     fn skip_ticks(&mut self, _ticks: u64) {}
-    /// Absolute-time refinement of [`NocEndpoint::idle_ticks`]: when the
-    /// endpoint's next self-activity is pinned to a *base cycle* rather
-    /// than a count of local ticks — a memory service completing at a
-    /// known cycle — it reports that cycle here, and every local tick
-    /// strictly before it is provably a no-op (absent incoming flits).
-    /// `None` (the default) makes no absolute claim;
-    /// [`NocEndpoint::idle_ticks`] alone governs.
-    ///
-    /// Combining rule for callers: a `u64::MAX` from `idle_ticks` is the
-    /// *no-tick-based-claim* sentinel, not a proof of eternal deadness —
-    /// an endpoint may return it together with `ready_at = Some(r)`
-    /// precisely because its wake-up is time-pinned, not tick-counted
-    /// (so `max`-ing the sentinel against `r` would skip past the event
-    /// forever). When *both* hooks make real claims (finite ticks and
-    /// `Some(r)`), each independently proves its prefix dead and the
-    /// endpoint's next possible action is at the later bound.
-    fn ready_at(&self) -> Option<u64> {
-        None
-    }
     /// Replaces the program of an initiator endpoint's socket before
     /// execution starts (warm-state forking). Target endpoints never
     /// receive this call.

@@ -3,6 +3,7 @@
 //! of paper §3.
 
 use crate::codec::{packet_into_request, response_into_packet};
+use noc_kernel::Wake;
 use noc_transaction::{
     ExclusiveMonitor, LockArbiter, MstAddr, Opcode, RespStatus, SlvAddr, Tag, TransactionRequest,
     TransactionResponse,
@@ -40,23 +41,16 @@ pub trait SocketTarget: Send {
     /// Takes the next completed response (with `dst`, `origin`, `tag`
     /// echoed from the request).
     fn pull_response(&mut self) -> Option<TransactionResponse>;
-    /// Quiescence hook: upcoming ticks that are provably no-ops absent
-    /// new requests (`0` = must tick densely, the conservative default;
-    /// `u64::MAX` = quiescent until input). See
-    /// [`crate::NocEndpoint::idle_ticks`] for the contract.
-    fn idle_ticks(&self) -> u64 {
-        0
-    }
-    /// Accounts `ticks` skipped no-op ticks (see
-    /// [`crate::NocEndpoint::skip_ticks`]).
-    fn skip_ticks(&mut self, _ticks: u64) {}
-    /// The base cycle at which the earliest in-service access completes
-    /// (its response becomes pullable), for targets that stamp absolute
-    /// ready times. `None` when nothing is in service *or* the target
-    /// cannot bound completion — callers then fall back to
-    /// [`SocketTarget::idle_ticks`].
-    fn next_ready_at(&self) -> Option<u64> {
-        None
+    /// Quiescence hook: when the IP can next act absent new requests —
+    /// [`Wake::At`] the base cycle its earliest in-service access
+    /// completes (its response becomes pullable), or [`Wake::Ticks`]
+    /// (`0`, the conservative default: tick densely; `u64::MAX`:
+    /// quiescent until input). See [`crate::NocEndpoint::wake`] for the
+    /// contract. The edges passed over are never replayed to the target,
+    /// so they must be true no-ops: a target that counts its ticks
+    /// claims `Ticks(0)`.
+    fn wake(&self) -> Wake {
+        Wake::Ticks(0)
     }
 }
 
@@ -307,42 +301,17 @@ impl<T: SocketTarget> TargetNiu<T> {
 
     /// Quiescence: with queued requests or undrained egress the NIU must
     /// tick densely (ingress heads arbitrate locks and count stall
-    /// cycles; egress flits inject). With *only* IP-side service in
-    /// flight, ticking is a no-op until the IP's next completion — which
-    /// [`TargetNiu::ready_at`] pins to a base cycle when the IP can, so
-    /// the service-latency window is skippable instead of forcing dense
+    /// cycles; egress flits inject). Otherwise it waits on its IP alone,
+    /// whose own wake governs: a memory's service latency is skippable
+    /// to the cycle its response is ready instead of forcing dense
     /// ticking for the whole transaction. A held legacy lock is pure
     /// state — it only matters once a request arrives, which resumes
     /// dense ticking.
-    pub fn idle_ticks(&self) -> u64 {
+    pub fn wake(&self) -> Wake {
         if !self.ingress.is_empty() || !self.egress.is_empty() {
-            return 0;
+            return Wake::Ticks(0);
         }
-        if self.inflight.is_empty() {
-            return self.target.idle_ticks();
-        }
-        // Waiting on the IP only: quiescent until the absolute ready
-        // cycle when the IP stamps one, dense otherwise.
-        if self.target.next_ready_at().is_some() {
-            u64::MAX
-        } else {
-            self.target.idle_ticks()
-        }
-    }
-
-    /// Absolute-time refinement (see [`crate::NocEndpoint::ready_at`]):
-    /// the IP's next completion cycle, valid only while nothing is
-    /// queued on the NoC side of the NIU.
-    pub fn ready_at(&self) -> Option<u64> {
-        if !self.ingress.is_empty() || !self.egress.is_empty() {
-            return None;
-        }
-        self.target.next_ready_at()
-    }
-
-    /// Accounts skipped no-op ticks (forwarded to the IP front end).
-    pub fn skip_ticks(&mut self, ticks: u64) {
-        self.target.skip_ticks(ticks);
+        self.target.wake()
     }
 }
 
@@ -359,14 +328,8 @@ impl<T: SocketTarget + Clone + 'static> crate::NocEndpoint for TargetNiu<T> {
     fn is_done(&self) -> bool {
         TargetNiu::is_done(self)
     }
-    fn idle_ticks(&self) -> u64 {
-        TargetNiu::idle_ticks(self)
-    }
-    fn skip_ticks(&mut self, ticks: u64) {
-        TargetNiu::skip_ticks(self, ticks);
-    }
-    fn ready_at(&self) -> Option<u64> {
-        TargetNiu::ready_at(self)
+    fn wake(&self) -> Wake {
+        TargetNiu::wake(self)
     }
     fn clone_box(&self) -> Box<dyn crate::NocEndpoint> {
         Box::new(self.clone())
@@ -405,17 +368,16 @@ impl ReadyQueue {
         }
     }
 
-    /// The base cycle the earliest queued response matures, if any.
-    fn next_ready(&self) -> Option<u64> {
-        self.pending.front().map(|&(ready, _)| ready)
+    /// The base cycle the earliest queued response matures, or not
+    /// until input when nothing is queued.
+    fn wake(&self) -> Wake {
+        self.pending
+            .front()
+            .map_or(Wake::Ticks(u64::MAX), |&(ready, _)| Wake::At(ready))
     }
 
     fn len(&self) -> usize {
         self.pending.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pending.is_empty()
     }
 }
 
@@ -478,20 +440,11 @@ impl SocketTarget for MemoryTarget {
         self.pending.pull(self.now)
     }
 
-    fn idle_ticks(&self) -> u64 {
-        // The tick only latches the (absolute) current cycle, so an empty
-        // memory is quiescent until the next request arrives.
-        if self.pending.is_empty() {
-            u64::MAX
-        } else {
-            0
-        }
-    }
-
-    fn next_ready_at(&self) -> Option<u64> {
-        // Every in-service access carries an absolute ready stamp, so
-        // the latency window is dead time the caller may skip.
-        self.pending.next_ready()
+    fn wake(&self) -> Wake {
+        // Every in-service access carries an absolute ready stamp, so the
+        // latency window is dead time; the tick only latches the current
+        // cycle, so an empty memory is quiescent until the next request.
+        self.pending.wake()
     }
 }
 
@@ -576,18 +529,10 @@ impl SocketTarget for ServiceTarget {
         self.pending.pull(self.now)
     }
 
-    fn idle_ticks(&self) -> u64 {
+    fn wake(&self) -> Wake {
         // `busy_until` compares against the absolute cycle latched by the
         // next tick, so an empty block is quiescent until new input; the
         // NIU resumes dense ticking the moment a request arrives.
-        if self.pending.is_empty() {
-            u64::MAX
-        } else {
-            0
-        }
-    }
-
-    fn next_ready_at(&self) -> Option<u64> {
-        self.pending.next_ready()
+        self.pending.wake()
     }
 }

@@ -6,7 +6,8 @@ use crate::fe::{
     AhbInitiator, AxiInitiator, AxiTargetFe, Initiator, OcpInitiator, StrmInitiator, VciInitiator,
 };
 use crate::initiator::{InitiatorNiu, InitiatorNiuConfig, SocketInitiator};
-use crate::target::{MemoryTarget, SocketTarget, TargetNiu, TargetNiuConfig};
+use crate::target::{MemoryTarget, ServiceTarget, SocketTarget, TargetNiu, TargetNiuConfig};
+use noc_kernel::Wake;
 use noc_protocols::ahb::AhbMaster;
 use noc_protocols::axi::{AxiMaster, AxiSlave};
 use noc_protocols::checker::{check_ahb_order, check_axi_order, check_ocp_order};
@@ -631,7 +632,11 @@ fn refused_request_is_handed_back_and_issued_exactly_once() {
                 tgt.tick(cycle as u64);
                 assert_eq!(tgt.target().offers.len(), cycle + 1, "one offer a cycle");
                 assert_eq!(tgt.requests_served(), 0, "{opcode} refusal {cycle}");
-                assert_eq!(tgt.idle_ticks(), 0, "a waiting head keeps the NIU dense");
+                assert_eq!(
+                    tgt.wake(),
+                    Wake::Ticks(0),
+                    "a waiting head keeps the NIU dense"
+                );
                 assert!(!tgt.is_done());
             }
             tgt.tick(refusals as u64);
@@ -687,7 +692,7 @@ fn axi_target_fe_refuses_on_a_full_channel_without_keeping_the_request() {
     // AW is a one-beat channel the slave has not drained yet.
     let refused = fe.push_request(write(1)).unwrap_err();
     assert_eq!(refused, write(1));
-    assert_eq!(fe.idle_ticks(), 0);
+    assert_eq!(fe.wake(), Wake::Ticks(0));
     fe.tick(0);
     assert_eq!(fe.push_request(refused), Ok(()));
     let mut responses = Vec::new();
@@ -698,7 +703,94 @@ fn axi_target_fe_refuses_on_a_full_channel_without_keeping_the_request() {
     let tags: Vec<Tag> = responses.iter().map(|r| r.tag()).collect();
     assert_eq!(tags, [Tag::new(0), Tag::new(1)]);
     assert_eq!(fe.slave().memory().write_count(), 2);
-    assert_eq!(fe.idle_ticks(), u64::MAX);
+    assert_eq!(fe.wake(), Wake::Ticks(u64::MAX));
+}
+
+/// Delivers a read from `master` to `tgt`, as the request network does.
+fn push_read<T: SocketTarget>(tgt: &mut TargetNiu<T>, opcode: Opcode, master: u16) {
+    let req = TransactionRequest::builder(opcode)
+        .address(0x40)
+        .source(MstAddr::new(master))
+        .build()
+        .unwrap();
+    for flit in crate::request_into_packet(req).into_flits_with_id(8, master.into()) {
+        tgt.push_flit(flit);
+    }
+}
+
+/// `TargetNiu::wake` in the five states a target NIU passes through:
+/// idle, a head waiting in ingress, a head held back, the access in
+/// service at the IP, and a response held in egress. The NIU's own
+/// queues override the IP: only in service does the IP's wake show, as
+/// the cycle the response is ready for the memory and the service block,
+/// and as dense ticking for the AXI slave, which stamps no ready cycle.
+#[test]
+fn target_niu_wake_in_each_state() {
+    const IDLE: Wake = Wake::Ticks(u64::MAX);
+    const DENSE: Wake = Wake::Ticks(0);
+    let config = || TargetNiuConfig::new(SlvAddr::new(0));
+    let regs = || MemoryModel::new(3);
+    let memory = TargetNiu::new(MemoryTarget::new(regs(), 1), config());
+    let service = TargetNiu::new(ServiceTarget::new(regs(), 5, 1), config());
+    let axi = TargetNiu::new(AxiTargetFe::new(AxiSlave::new(regs(), 0)), config());
+    // States in the order above; a read accepted at cycle 0 is ready 3
+    // cycles of latency plus its one beat later.
+    assert_eq!(
+        [
+            wake_in_each_state(memory, Opcode::Read),
+            wake_in_each_state(service, Opcode::Read),
+            wake_in_each_state(axi, Opcode::ReadLocked),
+        ],
+        [
+            [IDLE, DENSE, DENSE, Wake::At(4), DENSE],
+            [IDLE, DENSE, DENSE, Wake::At(4), DENSE],
+            [IDLE, DENSE, DENSE, DENSE, DENSE],
+        ]
+    );
+}
+
+/// Drives a fresh target NIU through the states of
+/// [`target_niu_wake_in_each_state`]: a `first` request from master 1
+/// and a read from master 2 behind it. A plain `first` is still in
+/// service when the IP refuses the read; the AXI slave takes every beat
+/// on its port at the start of each tick, so it never refuses an offer
+/// through the NIU, and a `ReadLocked` first holds the read back on the
+/// legacy lock instead, once its own response has left.
+fn wake_in_each_state<T: SocketTarget + Clone>(mut tgt: TargetNiu<T>, first: Opcode) -> [Wake; 5] {
+    let mut cycle = 0;
+    let mut tick = |tgt: &mut TargetNiu<T>| {
+        assert!(cycle < 100, "{first}: the next state is reached");
+        tgt.tick(cycle);
+        cycle += 1;
+    };
+    let egress_held = |tgt: &TargetNiu<T>| tgt.clone().pull_flit().is_some();
+    let idle = tgt.wake();
+    push_read(&mut tgt, first, 1);
+    let waiting = tgt.wake();
+    tick(&mut tgt);
+    assert_eq!(tgt.requests_served(), 1, "{first} is accepted at once");
+    let in_service = tgt.wake();
+    if first == Opcode::ReadLocked {
+        while !egress_held(&tgt) {
+            tick(&mut tgt);
+        }
+        let egress = tgt.wake();
+        while tgt.pull_flit().is_some() {}
+        push_read(&mut tgt, Opcode::Read, 2);
+        tick(&mut tgt);
+        assert_eq!(tgt.lock_stall_cycles(), 1, "the lock holds the read back");
+        return [idle, waiting, tgt.wake(), in_service, egress];
+    }
+    push_read(&mut tgt, Opcode::Read, 2);
+    tick(&mut tgt);
+    assert_eq!(tgt.requests_served(), 1, "{first}: the IP refuses the read");
+    assert_eq!(tgt.lock_stall_cycles(), 0);
+    let refused = tgt.wake();
+    // The read is accepted once the first response left the IP.
+    while tgt.requests_served() < 2 || !egress_held(&tgt) {
+        tick(&mut tgt);
+    }
+    [idle, waiting, refused, in_service, tgt.wake()]
 }
 
 /// A sixth socket, written here and nowhere else: a WISHBONE-classic-like

@@ -97,7 +97,7 @@
 //!   wheel's next turn (or stops at the delivery's `expect` if its link
 //!   cannot deliver on that cycle).
 
-use noc_kernel::{Arrivals, Horizon, Queue};
+use noc_kernel::{Arrivals, Queue};
 use noc_physical::{LinkConfig, LinkState};
 use noc_topology::{SwitchTables, Topology};
 use noc_transport::{
@@ -776,7 +776,7 @@ impl Fabric {
         if !self.busy.is_empty() || !self.stashing.is_empty() {
             return Some(now);
         }
-        Horizon::from(self.arrivals.peek()).earliest_from(now)
+        self.arrivals.peek().map(|at| at.max(now))
     }
 
     /// Accounts `cycles` skipped fabric ticks: forwards the bulk

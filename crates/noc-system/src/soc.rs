@@ -432,11 +432,11 @@ impl Engine for Soc {
     /// stale means early, and an early wakeup merely executes a step a
     /// dense run executes anyway, so logs stay bit-identical.
     fn next_activity(&self) -> Option<u64> {
-        let mut horizon = noc_kernel::Horizon::new();
-        horizon.merge(self.request.next_event_at(self.now));
-        horizon.merge(self.response.next_event_at(self.now));
-        horizon.merge(self.ep_cal.peek());
-        horizon.earliest_from(self.now)
+        let now = self.now;
+        let request = self.request.next_event_at(now).into_iter();
+        let response = self.response.next_event_at(now);
+        let earliest = request.chain(response).chain(self.ep_cal.peek()).min();
+        earliest.map(|at| at.max(now))
     }
 
     /// Both fabrics bulk-account their lock-idle statistics through
@@ -501,31 +501,18 @@ impl Soc {
         }
     }
 
-    /// The endpoint's current horizon contribution: the earliest base
-    /// cycle at which it can act, combining its local-tick countdown
-    /// ([`NocEndpoint::idle_ticks`], counted from its `settled` cycle and
-    /// mapped onto the base timeline through its clock domain) with the
-    /// [`NocEndpoint::ready_at`] absolute refinement. Both are proofs of
-    /// deadness, so the later bound wins; both name an absolute cycle
-    /// that settling does not move (the countdown shrinks by exactly the
+    /// The endpoint's current horizon contribution: its [`NocEndpoint::wake`]
+    /// mapped onto the base timeline through its clock domain, counted
+    /// from its `settled` cycle. Either form names an absolute cycle
+    /// that settling does not move (a countdown shrinks by exactly the
     /// edges charged), so a scheduled wakeup stays valid until the
     /// endpoint's state changes.
     fn endpoint_wake_at(&self, i: usize) -> Option<u64> {
-        let ep = &self.endpoints[i];
         let domain = self.clocks.domain(self.clock_ids[i]);
-        let from = self.settled[i];
-        let edge = domain.next_active(from);
-        let idle = ep.inner.idle_ticks();
-        let from_idle =
-            (idle != u64::MAX).then(|| edge.saturating_add(idle.saturating_mul(domain.divisor())));
-        let from_ready = ep
+        self.endpoints[i]
             .inner
-            .ready_at()
-            .map(|ready| domain.next_active(ready.max(from)));
-        match (from_idle, from_ready) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        }
+            .wake()
+            .base_cycle(domain, self.settled[i])
     }
 
     /// Settles endpoint `i` through `now`, re-registers its wakeup and

@@ -2,9 +2,9 @@
 //! and the platform's (construction and forking) — as a host-independent
 //! gate.
 //!
-//! A counting global allocator wraps the system one, so this file holds
-//! exactly one test: nothing else may allocate on another thread while
-//! the count is taken.
+//! A counting global allocator wraps the system one. It counts only on a
+//! thread inside [`counted`], so what the test harness's other threads
+//! allocate meanwhile never enters a row, and the count repeats exactly.
 //!
 //! What is counted is every heap allocation made while a built
 //! interconnect steps a corpus scenario to completion, per completed
@@ -26,6 +26,7 @@
 
 use noc_scenario::{Backend, ScenarioSpec, StepMode};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -67,12 +68,26 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// On while this thread runs inside [`counted`]. A `const` `Cell`
+    /// has no destructor and allocates nothing on first access, so the
+    /// allocator may read it.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Counts one allocation if this thread is inside [`counted`].
+fn count() {
+    if COUNTING.get() {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// only addition is a relaxed counter increment, which touches no memory
-// the allocator or its callers own.
+// only addition is a thread-local flag read and a relaxed counter
+// increment, which touch no memory the allocator or its callers own.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -83,7 +98,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -100,10 +115,13 @@ fn corpus(file: &str) -> ScenarioSpec {
     ScenarioSpec::from_text(&text).expect("corpus parses")
 }
 
-/// Runs `work` and returns its result with the heap allocations it made.
+/// Runs `work` and returns its result with the heap allocations it made
+/// on this thread.
 fn counted<T>(work: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.set(true);
     let result = work();
+    COUNTING.set(false);
     (result, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 

@@ -308,7 +308,7 @@ fn every_engine_honours_the_skip_contract_on_its_first_32_gaps() {
     skipping_a_proven_dead_gap_equals_stepping_it(bus.into_inner());
 }
 
-/// The `idle_ticks` / `skip_ticks` oracle for NoC endpoints.
+/// The `wake` / `skip_ticks` oracle for NoC endpoints.
 ///
 /// `Soc::step` never executes an endpoint tick its wake proved a no-op:
 /// it accounts the edge through `skip_ticks`, lazily, in dense and
@@ -316,13 +316,13 @@ fn every_engine_honours_the_skip_contract_on_its_first_32_gaps() {
 /// endpoint's quiescence claim. This adapter does: it knows its clock
 /// divisor, replays `skip_ticks(n)` as `n` real `inner.tick(edge)`
 /// calls, and asserts that every real `tick` arrives on the next clock
-/// edge nobody accounted yet. An `idle_ticks` that promises too much
+/// edge nobody accounted yet. A `wake` that promises too much
 /// makes a replayed tick *do* something (a command issues early, a
 /// response moves), a `skip_ticks` that disagrees with ticking leaves a
 /// different countdown, an edge settled twice or not at all trips the
 /// assertion — each shows up as diverging records or counters.
 mod replay {
-    use noc_kernel::Engine;
+    use noc_kernel::{Engine, Wake};
     use noc_niu::fe::{
         AhbInitiator, AxiInitiator, AxiTargetFe, OcpInitiator, StrmInitiator, VciInitiator,
     };
@@ -379,11 +379,8 @@ mod replay {
         fn completion_log(&self) -> Option<&CompletionLog> {
             self.inner.completion_log()
         }
-        fn idle_ticks(&self) -> u64 {
-            self.inner.idle_ticks()
-        }
-        fn ready_at(&self) -> Option<u64> {
-            self.inner.ready_at()
+        fn wake(&self) -> Wake {
+            self.inner.wake()
         }
         fn load_program(&mut self, program: Program) {
             self.inner.load_program(program);

@@ -7,8 +7,8 @@
 
 use noc_kernel::SplitMix64;
 use noc_niu::{
-    decode_request, decode_response, encode_request, encode_response, packet_into_request,
-    packet_into_response, request_into_packet, response_into_packet,
+    decode_request, encode_request, packet_into_request, packet_into_response, request_into_packet,
+    response_into_packet,
 };
 use noc_transaction::{
     AddressMap, Burst, BurstKind, Fingerprint, MstAddr, Opcode, OrderingModel, OrderingPolicy,
@@ -136,12 +136,11 @@ fn response_codec_round_trips() {
             RespStatus::SlvErr,
             RespStatus::DecErr,
         ] {
-            let resp = TransactionResponse::new(status, dst, origin, tag, data.clone());
-            let back = decode_response(&encode_response(&resp, 0)).expect("decodes");
-            assert_eq!(back, resp, "case {case}");
-            let buffer = resp.data().as_ptr();
-            let moved = packet_into_response(response_into_packet(resp, 0)).expect("decodes");
-            assert_eq!(moved, back, "case {case}");
+            let resp = || TransactionResponse::new(status, dst, origin, tag, data.clone());
+            let sent = resp();
+            let buffer = sent.data().as_ptr();
+            let moved = packet_into_response(response_into_packet(sent, 0)).expect("decodes");
+            assert_eq!(moved, resp(), "case {case}");
             assert_eq!(moved.data().as_ptr(), buffer, "case {case}");
         }
     }
