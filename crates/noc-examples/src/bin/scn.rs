@@ -198,6 +198,7 @@ fn run_sweep(
     };
     let mut outcomes = Vec::new();
     sweep.run_streaming_with(
+        sweep.threads(),
         |_, p| {
             let run = |mode| golden::run(&p.spec, &p.backend, mode, max_cycles);
             modes(p)

@@ -10,6 +10,7 @@ use noc_transaction::{
 use noc_transport::{Flit, PacketAssembler};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 /// The protocol-specific front half of an initiator NIU: a socket master
 /// agent plus the logic converting its beats to neutral transactions.
@@ -165,7 +166,8 @@ pub struct InitiatorNiu<FE: SocketInitiator> {
     /// in request order — so a response belongs to the first entry with
     /// its tag. The policy's budget bounds the length.
     outstanding: VecDeque<(Tag, StreamId, Opcode)>,
-    map: AddressMap,
+    /// Never changes after build, so forks share it.
+    map: Arc<AddressMap>,
     pending: Option<TransactionRequest>,
     /// The ordering policy refused `pending`. A refusal changes nothing
     /// and holds until a response completes (`push_flit`), so a blocked
@@ -178,20 +180,21 @@ pub struct InitiatorNiu<FE: SocketInitiator> {
 }
 
 impl<FE: SocketInitiator> InitiatorNiu<FE> {
-    /// Creates an initiator NIU around front end `fe`.
+    /// Creates an initiator NIU around front end `fe`, decoding through
+    /// `map` (an [`AddressMap`], or one shared with other NIUs).
     ///
     /// # Panics
     ///
     /// Panics on degenerate configuration (zero outstanding budget or
     /// zero-tag ordering model).
-    pub fn new(fe: FE, config: InitiatorNiuConfig, map: AddressMap) -> Self {
+    pub fn new(fe: FE, config: InitiatorNiuConfig, map: impl Into<Arc<AddressMap>>) -> Self {
         let policy = OrderingPolicy::new(config.ordering, config.max_outstanding)
             .expect("valid ordering configuration");
         InitiatorNiu {
             fe,
             policy,
             outstanding: VecDeque::with_capacity(config.max_outstanding as usize),
-            map,
+            map: map.into(),
             pending: None,
             blocked: false,
             egress: VecDeque::new(),

@@ -255,29 +255,6 @@ impl LinkState {
         self.last_delivery = now;
         Some(item)
     }
-
-    /// The link's event horizon: the earliest base cycle at or after
-    /// `now` at which [`LinkState::deliver`] can return an item, or
-    /// `None` when nothing is in flight. Until that cycle, polling the
-    /// link is provably a no-op — an item nine pipeline stages deep
-    /// yields a nine-cycle skip instead of nine empty polls, and a CDC
-    /// crossing's horizon lands on a destination-clock edge because
-    /// arrivals are aligned to one at send time.
-    pub fn next_event_at<T>(&self, config: &LinkConfig, slab: &Slab<T>, now: u64) -> Option<u64> {
-        let mut t = slab.front_stamp(&self.in_flight)?.max(now);
-        // Deliveries only happen on destination-clock edges (arrivals
-        // are edge-aligned at send time; the rounding here also covers
-        // direct callers probing from an off-edge `now`).
-        let rem = t % config.dst_divisor;
-        if rem != 0 {
-            t += config.dst_divisor - rem;
-        }
-        // At most one delivery per destination edge.
-        if self.last_delivery == t {
-            t += config.dst_divisor;
-        }
-        Some(t)
-    }
 }
 
 /// A unidirectional physical link carrying items of type `T` (flits — the
@@ -361,11 +338,6 @@ impl<T> Link<T> {
         let item = self.state.deliver(&self.config, &mut self.slab, now)?;
         self.delivered += 1;
         Some(item)
-    }
-
-    /// The link's event horizon (see [`LinkState::next_event_at`]).
-    pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        self.state.next_event_at(&self.config, &self.slab, now)
     }
 }
 
@@ -468,9 +440,7 @@ mod tests {
         let mut link: Link<u8> = Link::new(cfg);
         link.send(9, 0).unwrap();
         // arrival = 0 + 1 (ser) + 0 + 6 (cdc: 2*3) = 7 → aligned up to 9
-        assert_eq!(link.next_event_at(0), Some(9));
-        assert_eq!(link.deliver(7), None); // not a dst edge
-        assert_eq!(link.deliver(9), Some(9));
+        assert_eq!(first_delivery(&mut link, 0..20), Some((9, 9)));
     }
 
     #[test]
@@ -479,8 +449,7 @@ mod tests {
         let mut link: Link<u8> = Link::new(cfg);
         link.send(1, 4).unwrap();
         // ser = 1*4 → 8, cdc = 2*1 → 10; dst divisor 1 aligns trivially
-        assert_eq!(link.next_event_at(4), Some(10));
-        assert_eq!(link.deliver(10), Some(1));
+        assert_eq!(first_delivery(&mut link, 4..20), Some((10, 1)));
     }
 
     #[test]
@@ -546,35 +515,37 @@ mod tests {
         assert!((link.mean_latency() - 2.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn next_event_at_skips_deep_pipelines() {
-        let cfg = LinkConfig::new().with_pipeline(9);
-        let mut link: Link<u8> = Link::new(cfg);
-        assert_eq!(link.next_event_at(0), None);
-        link.send(1, 0).unwrap();
-        // arrival at 0 + 1 (ser) + 9 (pipe) = 10: a 10-cycle skip
-        assert_eq!(link.next_event_at(0), Some(10));
-        for now in 0..10 {
-            assert_eq!(link.deliver(now), None);
-        }
-        assert_eq!(link.deliver(10), Some(1));
-        assert_eq!(link.next_event_at(10), None);
+    /// The first cycle of `cycles` at which `link` delivers, and what.
+    fn first_delivery(link: &mut Link<u8>, cycles: std::ops::Range<u64>) -> Option<(u64, u8)> {
+        cycles
+            .into_iter()
+            .find_map(|now| link.deliver(now).map(|v| (now, v)))
     }
 
     #[test]
-    fn next_event_at_lands_on_destination_edges() {
+    fn deep_pipelines_deliver_once_the_item_lands() {
+        let cfg = LinkConfig::new().with_pipeline(9);
+        let mut link: Link<u8> = Link::new(cfg);
+        link.send(1, 0).unwrap();
+        // arrival at 0 + 1 (ser) + 9 (pipe) = 10
+        assert_eq!(first_delivery(&mut link, 0..20), Some((10, 1)));
+        assert_eq!(link.in_flight(), 0, "an empty link is idle");
+    }
+
+    #[test]
+    fn deliveries_land_on_destination_edges() {
         let cfg = clocks(1, 3).with_cdc_latency(2);
         let mut link: Link<u8> = Link::new(cfg);
         link.send(9, 0).unwrap();
-        // arrival 7 aligned up to the /3 edge at 9 (see the CDC test)
-        assert_eq!(link.next_event_at(0), Some(9));
-        // probing from beyond the arrival rounds up to the next edge
-        assert_eq!(link.next_event_at(10), Some(12));
-        // one delivery per destination edge: after delivering at 9, a
-        // second queued flit waits for the next edge
-        link.send(5, 1).unwrap();
-        assert_eq!(link.deliver(9), Some(9));
-        assert_eq!(link.next_event_at(9), Some(12));
+        // polled late, off an edge: the arrival at 9 waits for the edge at 12
+        assert_eq!(link.deliver(10), None);
+        assert_eq!(first_delivery(&mut link, 10..20), Some((12, 9)));
+        // one delivery per destination edge: two flits that both land by
+        // the edge at 21 leave on the edges at 21 and 24
+        link.send(5, 12).unwrap();
+        link.send(6, 13).unwrap();
+        assert_eq!(first_delivery(&mut link, 12..30), Some((21, 5)));
+        assert_eq!(first_delivery(&mut link, 22..30), Some((24, 6)));
     }
 
     #[test]

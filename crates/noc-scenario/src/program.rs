@@ -508,16 +508,21 @@ pub struct TraceRecord {
 /// `_` separators among the digits and no sign. Every integer the trace
 /// and scenario text formats read goes through here.
 pub(crate) fn parse_int(s: &str) -> Option<u64> {
-    let (digits, radix) = match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => (hex, 16),
-        None => (s, 10),
+    let (digits, radix) = match s.as_bytes() {
+        [b'0', b'x' | b'X', hex @ ..] => (hex, 16),
+        digits => (digits, 10),
     };
-    let mut digits = digits.bytes().filter(|b| *b != b'_').peekable();
-    digits.peek()?;
-    digits.try_fold(0u64, |n, b| {
-        let digit = (b as char).to_digit(radix)?;
-        n.checked_mul(radix as u64)?.checked_add(digit as u64)
-    })
+    // `None` until the first digit.
+    let mut n = None;
+    for &b in digits.iter().filter(|b| **b != b'_') {
+        let digit = (b as char).to_digit(radix)? as u64;
+        n = Some(
+            n.unwrap_or(0u64)
+                .checked_mul(radix as u64)?
+                .checked_add(digit)?,
+        );
+    }
+    n
 }
 
 /// Parses line `line_no` of a trace: `cycle op addr beats beat_bytes
@@ -601,6 +606,23 @@ mod tests {
 
     fn regions() -> Vec<(u64, u64)> {
         vec![(0x0, 0x1000), (0x1000, 0x2000), (0x2000, 0x3000)]
+    }
+
+    #[test]
+    fn integer_literals_parse_as_the_grammar_says() {
+        let max = u64::MAX;
+        #[rustfmt::skip]
+        let cases: &[(&str, Option<u64>)] = &[
+            ("0", Some(0)), ("42", Some(42)), ("1_000", Some(1000)), ("_7_", Some(7)),
+            ("0x1f", Some(31)), ("0X1F", Some(31)), ("0x_1", Some(1)), ("0xffffffffffffffff", Some(max)),
+            ("18446744073709551615", Some(max)), ("18446744073709551616", None),
+            ("0x10000000000000000", None), ("", None), ("_", None), ("0x", None), ("0x_", None),
+            ("-1", None), ("+1", None), ("1a", None), ("0b1", None), ("0o7", None), (" 1", None),
+            ("\u{ff11}", None), ("x1", None),
+        ];
+        for &(text, value) in cases {
+            assert_eq!(parse_int(text), value, "{text:?}");
+        }
     }
 
     #[test]

@@ -28,6 +28,7 @@ use noc_transaction::{
 use std::collections::HashMap;
 use std::fmt;
 use std::mem::discriminant;
+use std::sync::Arc;
 
 /// Which interconnect a [`ScenarioSpec`] compiles to.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -328,7 +329,7 @@ impl SocketSpec {
         &self,
         program: Program,
         config: InitiatorNiuConfig,
-        map: AddressMap,
+        map: Arc<AddressMap>,
     ) -> Box<dyn NocEndpoint> {
         with_front_end!(self, program, fe => Box::new(InitiatorNiu::new(fe, config, map)))
     }
@@ -1603,7 +1604,8 @@ impl ScenarioSpec {
     ///
     /// Returns [`ScenarioError`] if the declaration is inconsistent.
     pub fn build_noc(&self, mut config: NocConfig) -> Result<NocSim, ScenarioError> {
-        let map = self.address_map()?;
+        // One map, shared by every initiator NIU and every fork of them.
+        let map = Arc::new(self.address_map()?);
         if let Some(overrides) = &self.config {
             config = overrides.apply(config);
         }

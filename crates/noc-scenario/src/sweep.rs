@@ -184,8 +184,8 @@ impl Sweep {
         })
     }
 
-    fn worker_count(&self, n: usize) -> usize {
-        self.threads
+    fn worker_count(threads: Option<usize>, n: usize) -> usize {
+        threads
             .unwrap_or_else(|| {
                 std::thread::available_parallelism()
                     .map(|p| p.get())
@@ -195,9 +195,10 @@ impl Sweep {
     }
 
     /// The generic fan-out under every sweep runner: executes `exec`
-    /// once per point across the worker threads and hands each outcome
-    /// to `emit` in declaration order, as soon as the point and all its
-    /// predecessors have finished — no whole-grid buffering.
+    /// once per point across at most `threads` workers (`None`: one per
+    /// core; the sweep's own cap is [`Sweep::threads`]) and hands each
+    /// outcome to `emit` in declaration order, as soon as the point and
+    /// all its predecessors have finished — no whole-grid buffering.
     ///
     /// `exec` decides what running a point *means*, which is how the
     /// serve layer reuses this machinery with checkpoint forking and
@@ -208,14 +209,14 @@ impl Sweep {
     ///
     /// Propagates panics from `exec` after the surviving workers finish
     /// their in-flight points.
-    pub fn run_streaming_with<T, E, F>(&self, exec: E, mut emit: F)
+    pub fn run_streaming_with<T, E, F>(&self, threads: Option<usize>, exec: E, mut emit: F)
     where
         T: Send,
         E: Fn(usize, &SweepPoint) -> T + Sync,
         F: FnMut(usize, T),
     {
         let n = self.points.len();
-        let workers = self.worker_count(n);
+        let workers = Self::worker_count(threads, n);
         if workers <= 1 {
             for (i, p) in self.points.iter().enumerate() {
                 emit(i, exec(i, p));
@@ -284,6 +285,7 @@ impl Sweep {
             drop(p.spec.build(&p.backend)?);
         }
         self.run_streaming_with(
+            self.threads,
             |_, p| {
                 self.run_point(p)
                     .expect("points compile-checked before the fan-out")

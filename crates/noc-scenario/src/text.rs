@@ -332,11 +332,11 @@ enum Field<T: 'static> {
     ),
     Ints(Borrow<T, [usize]>, fn(&mut T, Vec<usize>)),
     Pairs(Borrow<T, [(usize, usize)]>, fn(&mut T, Vec<(usize, usize)>)),
-    /// The repeatable `cmd` line; the setter refuses (`false`) a value
-    /// that cannot take explicit commands.
+    /// The repeatable `cmd` line, and the explicit program it appends
+    /// to (`None`: a value that cannot take explicit commands).
     Cmds(
         for<'a> fn(&'a T) -> &'a [SocketCommand],
-        fn(&mut T, SocketCommand) -> bool,
+        for<'a> fn(&'a mut T) -> Option<&'a mut Vec<SocketCommand>>,
     ),
 }
 
@@ -661,7 +661,7 @@ const INITIATOR: Section<InitiatorSpec> = Section {
             "a generated program, instead of cmd lines"),
         opt("cmd", ANY, Cmds(
             |i| i.program.explicit().map_or(&[], Vec::as_slice),
-            |i, cmd| i.program.explicit_mut().map(|p| p.push(cmd)).is_some()),
+            |i| i.program.explicit_mut()),
             "one command of the explicit program; repeats (see below)"),
         req("seed", BURSTY | ZIPF, Hex(at!(
             i.program => Bursty(BurstySpec { seed, .. }) | Zipf(ZipfSpec { seed, .. }), seed: u64)),
@@ -1021,6 +1021,7 @@ fn describe<T>(out: &mut String, section: &Section<T>) {
 // Parser
 // ---------------------------------------------------------------------
 
+#[cfg_attr(test, derive(Debug, PartialEq))]
 enum Value<'a> {
     Int(u64),
     Bool(bool),
@@ -1030,6 +1031,7 @@ enum Value<'a> {
 }
 
 /// One `key = value` line, borrowing its key and string from the input.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 struct Entry<'a> {
     key: &'a str,
     value: Value<'a>,
@@ -1054,6 +1056,8 @@ impl Entry<'_> {
 }
 
 const NO_ROW: usize = usize::MAX;
+/// More rows than any section has: where their entries stand fits on the stack.
+const MAX_ROWS: usize = 32;
 
 /// Parses the entries of one section into `t` by the section's table.
 ///
@@ -1062,17 +1066,17 @@ const NO_ROW: usize = usize::MAX;
 /// each entry type- and range-checked before its setter runs; a missing
 /// required row is reported at the header. An entry no applicable row
 /// claimed (unknown key, or a key of another variant) is reported last.
-/// Returns the line of the first row's entry, the key that names the
-/// section in document-level diagnostics.
-fn parse_section<T>(
+/// Returns the line and string of the first row's entry, the key that
+/// names the section in document-level diagnostics.
+fn parse_section<'a, T>(
     section: &Section<T>,
     name: &str,
     header_line: usize,
-    entries: &[Entry<'_>],
+    entries: &mut [Entry<'a>],
     t: &mut T,
-) -> Result<usize, ParseError> {
+) -> Result<(usize, &'a str), ParseError> {
     let rows = section.rows;
-    let mut first = vec![NO_ROW; rows.len()];
+    let mut first = [NO_ROW; MAX_ROWS];
     let mut unclaimed = NO_ROW;
     let mut r = 0;
     for (i, e) in entries.iter().enumerate() {
@@ -1094,7 +1098,7 @@ fn parse_section<T>(
     let mut mask = (section.mask)(t);
     for (r, row) in rows.iter().enumerate() {
         let applies = row.when == ANY || row.when & mask != 0;
-        let Some(e) = entries.get(first[r]) else {
+        let Some(e) = entries.get_mut(first[r]) else {
             if row.required && applies {
                 let (section, key) = (name.to_owned(), row.key.to_owned());
                 let missing = ParseErrorKind::MissingKey { section, key };
@@ -1106,11 +1110,11 @@ fn parse_section<T>(
             unclaimed = unclaimed.min(first[r]);
             continue;
         }
-        match (&row.field, &e.value) {
-            (Int(_, max, _), Value::Int(n)) if n > max => {
+        match (&row.field, &mut e.value) {
+            (Int(_, max, _), Value::Int(n)) if *n > *max => {
                 return Err(e.bad(format!("must be at most {max}")));
             }
-            (Int(min, ..), Value::Int(n)) if n < min => {
+            (Int(min, ..), Value::Int(n)) if *n < *min => {
                 return Err(e.bad(format!("must be at least {min}")));
             }
             (Int(_, _, (_, set)) | Hex((_, set)), Value::Int(n)) => set(t, *n),
@@ -1121,16 +1125,17 @@ fn parse_section<T>(
                 // Only a name can select another variant.
                 mask = (section.mask)(t);
             }
-            (Ints(_, set), Value::Ints(v)) => set(t, v.clone()),
-            (Pairs(_, set), Value::Pairs(v)) => set(t, v.clone()),
+            (Ints(_, set), Value::Ints(v)) => set(t, std::mem::take(v)),
+            (Pairs(_, set), Value::Pairs(v)) => set(t, std::mem::take(v)),
             (Pairs(_, set), Value::Ints(v)) if v.is_empty() => set(t, Vec::new()),
-            (Cmds(_, push), _) => {
-                for e in entries[first[r]..].iter().filter(|e| e.key == row.key) {
-                    if !push(t, parse_command(e)?) {
-                        let conflict = "cmd lines conflict with a generated program kind";
-                        return Err(syntax(e.line, e.key_col, conflict));
-                    }
-                }
+            (Cmds(_, program), _) => {
+                let Some(program) = program(t) else {
+                    let conflict = "cmd lines conflict with a generated program kind";
+                    return Err(syntax(e.line, e.key_col, conflict));
+                };
+                let mut cmds = entries[first[r]..].iter().filter(|e| e.key == row.key);
+                program.reserve_exact(cmds.clone().count());
+                cmds.try_for_each(|e| parse_command(e).map(|cmd| program.push(cmd)))?;
             }
             (Int(..) | Hex(_), _) => return Err(e.bad("expected an integer")),
             (Flag(..), _) => return Err(e.bad("expected true or false")),
@@ -1139,12 +1144,13 @@ fn parse_section<T>(
             (Pairs(..), _) => return Err(e.bad("expected a pair array like [[0, 1], [1, 2]]")),
         }
         if let Some(reason) = row.rule.and_then(|rule| rule(t)) {
-            return Err(e.bad(reason));
+            return Err(entries[first[r]].bad(reason));
         }
     }
+    let named = |e: &Entry<'a>| (e.line, if let Value::Str(s) = e.value { s } else { "" });
     match entries.get(unclaimed) {
         Some(e) => Err(e.at_key(ParseErrorKind::UnknownKey(e.key.to_owned()))),
-        None => Ok(entries.get(first[0]).map_or(header_line, |e| e.line)),
+        None => Ok(entries.get(first[0]).map_or((header_line, ""), named)),
     }
 }
 
@@ -1208,37 +1214,82 @@ fn syntax(line: usize, col: usize, msg: impl Into<String>) -> ParseError {
     ParseError::new(line, col, ParseErrorKind::Syntax(msg.into()))
 }
 
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    let comment = |b: u8| {
-        in_str ^= b == b'"';
-        b == b'#' && !in_str
-    };
-    line.bytes().position(comment).map_or(line, |i| &line[..i])
+/// `str::trim_start` / `trim_end`, answered without decoding when the
+/// edge byte is ASCII and not whitespace: the common case, nothing to trim.
+fn trim_start(s: &str) -> &str {
+    match s.as_bytes().first() {
+        Some(&b) if b.is_ascii() && !matches!(b, b'\t'..=b'\r' | b' ') => s,
+        _ => s.trim_start(),
+    }
 }
 
-fn parse_kv(line: &str, no: usize) -> Result<Entry<'_>, ParseError> {
-    let indent = |s: &str| s.len() - s.trim_start().len();
-    let Some(eq) = line.find('=') else {
-        return Err(syntax(no, indent(line) + 1, "expected `key = value`"));
+fn trim_end(s: &str) -> &str {
+    match s.as_bytes().last() {
+        Some(&b) if b.is_ascii() && !matches!(b, b'\t'..=b'\r' | b' ') => s,
+        _ => s.trim_end(),
+    }
+}
+
+fn trim(s: &str) -> &str {
+    trim_end(trim_start(s))
+}
+
+/// Reads line `no` from byte `at` of `text` in one pass over its bytes,
+/// and moves `at` to the next line. Returns a header, trimmed, with its
+/// column; an entry goes to `entries`.
+fn scan_line<'a>(
+    text: &'a str,
+    at: &mut usize,
+    no: usize,
+    entries: &mut Vec<Entry<'a>>,
+) -> Result<Option<(&'a str, usize)>, ParseError> {
+    let (bytes, start) = (text.as_bytes(), *at);
+    let (mut end, mut eq, mut quoted) = (start, None, false);
+    *at = loop {
+        match bytes.get(end) {
+            None => break end,
+            Some(b'\n') => break end + 1,
+            Some(b'#') if !quoted => {
+                let rest = text[end..].find('\n');
+                break rest.map_or(text.len(), |lf| end + lf + 1);
+            }
+            Some(b'"') => quoted = !quoted,
+            Some(b'=') if eq.is_none() => eq = Some(end - start),
+            Some(_) => {}
+        }
+        end += 1;
     };
-    let (key, key_col) = (line[..eq].trim(), indent(line) + 1);
+    // Less a CR before the LF, as `str::lines` reads it.
+    let cr = bytes.get(end) == Some(&b'\n') && end > start && bytes[end - 1] == b'\r';
+    let line = &text[start..end - cr as usize];
+    let rest = trim_start(line);
+    let key_col = line.len() - rest.len() + 1;
+    match rest.as_bytes().first() {
+        None => return Ok(None),
+        Some(b'[') => return Ok(Some((trim_end(rest), key_col))),
+        Some(_) => {}
+    }
+    let Some(eq) = eq else {
+        return Err(syntax(no, key_col, "expected `key = value`"));
+    };
+    let key = trim(&line[..eq]);
     if key.is_empty() || !key.bytes().all(|b| b.is_ascii_lowercase() || b == b'_') {
         return Err(syntax(no, key_col, format!("malformed key {key:?}")));
     }
-    let val = line[eq + 1..].trim();
-    let val_col = eq + 1 + indent(&line[eq + 1..]) + 1;
+    let val = trim_start(&line[eq + 1..]);
+    let val_col = line.len() - val.len() + 1;
+    let val = trim_end(val);
     if val.is_empty() {
         return Err(syntax(no, val_col, "missing value"));
     }
-    let value = parse_value(val, no, val_col)?;
-    Ok(Entry {
+    entries.push(Entry {
         key,
-        value,
+        value: parse_value(val, no, val_col)?,
         line: no,
         key_col,
         val_col,
-    })
+    });
+    Ok(None)
 }
 
 fn parse_value(s: &str, line: usize, col: usize) -> Result<Value<'_>, ParseError> {
@@ -1263,20 +1314,28 @@ fn parse_value(s: &str, line: usize, col: usize) -> Result<Value<'_>, ParseError
     let Some(inner) = rest.strip_suffix(']').map(str::trim) else {
         return Err(syntax(line, col, "unterminated array"));
     };
+    // Sized once: one item per comma, one pair per bracket.
+    let count = |of: u8| inner.bytes().filter(|&b| b == of).count();
     if !inner.starts_with('[') {
-        let items = inner.split(',').filter(|_| !inner.is_empty());
-        let ints: Result<_, _> = items.map(|i| int(i.trim()).map(|n| n as usize)).collect();
-        return ints.map(Value::Ints);
+        let mut ints = Vec::with_capacity(count(b',') + !inner.is_empty() as usize);
+        let mut items = inner.split(',').filter(|_| !inner.is_empty());
+        items.try_for_each(|i| int(trim(i)).map(|n| ints.push(n as usize)))?;
+        return Ok(Value::Ints(ints));
     }
     // `[a, b], [c, d]`: one bracketed pair, then an optional comma.
     let malformed = || syntax(line, col, format!("malformed pair array [{inner}]"));
-    let mut pairs = Vec::new();
+    let mut pairs = Vec::with_capacity(count(b'['));
     let mut rest = inner;
     while !rest.is_empty() {
-        let pair = rest.strip_prefix('[').and_then(|r| r.split_once(']'));
-        let (pair, tail) = pair.ok_or_else(malformed)?;
-        let (a, b) = pair.split_once(',').ok_or_else(malformed)?;
-        pairs.push((int(a.trim())? as usize, int(b.trim())? as usize));
+        // Byte searches: the separators are too close for `memchr`'s set-up.
+        let close = rest.bytes().position(|b| b == b']');
+        let close = close
+            .filter(|_| rest.starts_with('['))
+            .ok_or_else(malformed)?;
+        let (pair, tail) = (&rest[1..close], &rest[close + 1..]);
+        let comma = pair.bytes().position(|b| b == b',').ok_or_else(malformed)?;
+        let (a, b) = (&pair[..comma], &pair[comma + 1..]);
+        pairs.push((int(trim(a))? as usize, int(trim(b))? as usize));
         rest = match tail.trim_start().strip_prefix(',') {
             Some(next) => next.trim_start(),
             None if tail.trim().is_empty() => "",
@@ -1348,57 +1407,99 @@ struct Draft {
     /// Scenario sections read so far.
     sections: usize,
     has_topology: bool,
-    names: HashSet<String>,
 }
 
-impl Draft {
-    /// Registers an endpoint name, declared on `line`.
-    fn declare(&mut self, name: &str, line: usize) -> Result<(), ParseError> {
-        if self.names.insert(name.to_owned()) {
-            return Ok(());
-        }
-        let twice = ParseErrorKind::DuplicateName(name.to_owned());
-        Err(ParseError::new(line, 1, twice))
+/// Registers the endpoint name a section's first row gave, and its line.
+fn declare<'a>(names: &mut HashSet<&'a str>, named: (usize, &'a str)) -> Result<usize, ParseError> {
+    let (line, name) = named;
+    if names.insert(name) {
+        return Ok(line);
     }
+    let twice = ParseErrorKind::DuplicateName(name.to_owned());
+    Err(ParseError::new(line, 1, twice))
 }
 
 /// Parses a whole scenario text file into a [`Document`].
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] locating the first grammar violation.
+/// Returns a [`ParseError`] locating the first grammar violation in
+/// document order.
 pub fn parse_document(text: &str) -> Result<Document, ParseError> {
-    // Lines first: each header with where it stands and where its
-    // entries start.
-    let mut entries = Vec::new();
-    let mut headers = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = strip_comment(raw);
-        let trimmed = line.trim();
-        if trimmed.starts_with('[') {
-            let col = line.len() - line.trim_start().len() + 1;
-            headers.push((
-                parse_header(trimmed, i + 1, col)?,
-                i + 1,
-                col,
-                entries.len(),
-            ));
-        } else if !trimmed.is_empty() {
-            let entry = parse_kv(line, i + 1)?;
-            if headers.is_empty() {
-                return Err(syntax(i + 1, entry.key_col, "key outside any section"));
-            }
-            entries.push(entry);
-        }
-    }
-    // Then sections, each parsed by its table and filed in the scenario
-    // under assembly or the sweep around it.
     let mut draft = Draft::default();
+    let mut names = HashSet::new(); // the draft's, borrowed from the text
     let mut sweep = Sweep::new();
     let mut sweep_line = None;
-    let mut ends = headers.iter().skip(1).map(|h| h.3).chain([entries.len()]);
-    for &((opens, name), line, col, start) in &headers {
-        let entries = &mut entries[start..ends.next().unwrap_or(start)];
+    // The open section and its entries, in one buffer every section reuses:
+    // the next header, or the end of the text, closes and files it.
+    let mut open = None;
+    let mut entries = Vec::new();
+    let (mut at, mut no) = (0, 0);
+    loop {
+        let header = if at < text.len() {
+            no += 1;
+            match scan_line(text, &mut at, no, &mut entries)? {
+                None if open.is_none() && !entries.is_empty() => {
+                    return Err(syntax(no, entries[0].key_col, "key outside any section"));
+                }
+                None => continue,
+                header => header,
+            }
+        } else {
+            None
+        };
+        if let Some((opens, name, line)) = open.take() {
+            match opens {
+                Opens::Topology => {
+                    draft.has_topology = true;
+                    parse_section(&TOPOLOGY, name, line, &mut entries, &mut draft.spec)?;
+                }
+                Opens::Config => {
+                    let cfg = draft.spec.config.insert(NocConfigSpec::default());
+                    parse_section(&CONFIG, name, line, &mut entries, cfg)?;
+                }
+                Opens::Initiator => {
+                    let mut ini = InitiatorSpec::new("", Ahb, Vec::new());
+                    let named = parse_section(&INITIATOR, name, line, &mut entries, &mut ini)?;
+                    declare(&mut names, named)?;
+                    draft.spec.initiators.push(ini);
+                }
+                Opens::Target => {
+                    let mut mem = MemorySpec::new("", 0, 0, 0);
+                    let named = parse_section(&TARGET, name, line, &mut entries, &mut mem)?;
+                    let named_at = declare(&mut names, named)?;
+                    let overlaps = |a: &&MemorySpec| a.base < mem.end && mem.base < a.end;
+                    if let Some(a) = draft.spec.memories.iter().find(overlaps) {
+                        let (a, b) = (a.name.clone(), mem.name.clone());
+                        let kind = ParseErrorKind::OverlappingRegions { a, b };
+                        return Err(ParseError::new(named_at, 1, kind));
+                    }
+                    draft.spec.memories.push(mem);
+                }
+                Opens::Sweep => {
+                    sweep_line = Some(line);
+                    parse_section(&SWEEP, name, line, &mut entries, &mut sweep)?;
+                }
+                Opens::Point => {
+                    // The scenario assembled so far is the previous point's.
+                    if let Some(previous) = sweep.points.last_mut() {
+                        previous.spec = std::mem::take(&mut draft).spec;
+                        // Points of a sweep mostly share their platform.
+                        let (spec, last) = (&mut draft.spec, &previous.spec);
+                        spec.initiators.reserve_exact(last.initiators.len());
+                        spec.memories.reserve_exact(last.memories.len());
+                        names.clear();
+                    }
+                    let mut point = SweepPoint::new("", ScenarioSpec::new(), Backend::noc());
+                    parse_section(&POINT, name, line, &mut entries, &mut point)?;
+                    sweep.points.push(point);
+                }
+            }
+            draft.sections += !matches!(opens, Opens::Sweep | Opens::Point) as usize;
+            entries.clear();
+        }
+        let Some((header, col)) = header else { break };
+        let (opens, name) = parse_header(header, no, col)?;
         let refusal = match opens {
             Opens::Topology if draft.has_topology => "second [topology] section in one scenario",
             Opens::Config if draft.spec.config.is_some() => {
@@ -1414,50 +1515,9 @@ pub fn parse_document(text: &str) -> Result<Document, ParseError> {
             _ => "",
         };
         if !refusal.is_empty() {
-            return Err(syntax(line, col, refusal));
+            return Err(syntax(no, col, refusal));
         }
-        match opens {
-            Opens::Topology => {
-                draft.has_topology = true;
-                parse_section(&TOPOLOGY, name, line, entries, &mut draft.spec)?;
-            }
-            Opens::Config => {
-                let cfg = draft.spec.config.insert(NocConfigSpec::default());
-                parse_section(&CONFIG, name, line, entries, cfg)?;
-            }
-            Opens::Initiator => {
-                let mut ini = InitiatorSpec::new("", Ahb, Vec::new());
-                let named_at = parse_section(&INITIATOR, name, line, entries, &mut ini)?;
-                draft.declare(&ini.name, named_at)?;
-                draft.spec.initiators.push(ini);
-            }
-            Opens::Target => {
-                let mut mem = MemorySpec::new("", 0, 0, 0);
-                let named_at = parse_section(&TARGET, name, line, entries, &mut mem)?;
-                draft.declare(&mem.name, named_at)?;
-                let overlaps = |a: &&MemorySpec| a.base < mem.end && mem.base < a.end;
-                if let Some(a) = draft.spec.memories.iter().find(overlaps) {
-                    let (a, b) = (a.name.clone(), mem.name.clone());
-                    let kind = ParseErrorKind::OverlappingRegions { a, b };
-                    return Err(ParseError::new(named_at, 1, kind));
-                }
-                draft.spec.memories.push(mem);
-            }
-            Opens::Sweep => {
-                sweep_line = Some(line);
-                parse_section(&SWEEP, name, line, entries, &mut sweep)?;
-            }
-            Opens::Point => {
-                // The scenario assembled so far is the previous point's.
-                if let Some(previous) = sweep.points.last_mut() {
-                    previous.spec = std::mem::take(&mut draft).spec;
-                }
-                let mut point = SweepPoint::new("", ScenarioSpec::new(), Backend::noc());
-                parse_section(&POINT, name, line, entries, &mut point)?;
-                sweep.points.push(point);
-            }
-        }
-        draft.sections += !matches!(opens, Opens::Sweep | Opens::Point) as usize;
+        open = Some((opens, name, no));
     }
     match (sweep.points.last_mut(), sweep_line) {
         (None, None) => Ok(Document::Scenario(draft.spec)),
@@ -1472,6 +1532,10 @@ pub fn parse_document(text: &str) -> Result<Document, ParseError> {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "../../../tests/mutants.rs"]
+mod mutants;
 
 #[cfg(test)]
 mod tests {
@@ -1732,6 +1796,8 @@ mod tests {
                 .split("\n\n")
                 .find(|block| block.starts_with(&section.header()))
                 .unwrap_or_else(|| panic!("[{}] is not rendered", section.name));
+            let rows = section.rows.len();
+            assert!(rows <= MAX_ROWS, "[{}] has {rows} rows", section.name);
             for (r, row) in section.rows.iter().enumerate() {
                 let (name, key) = (section.name, row.key);
                 let twice = section.rows[..r].iter().any(|earlier| earlier.key == key);
@@ -1782,5 +1848,179 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    /// The line reader `scan_line` replaced — comment stripped, then
+    /// trimmed, split at the first `=` and the value parsed, one pass
+    /// each — kept as the scanner's oracle.
+    mod oracle {
+        use super::super::{parse_int, syntax, Entry, ParseError, Value};
+
+        pub fn strip_comment(line: &str) -> &str {
+            let mut in_str = false;
+            let comment = |b: u8| {
+                in_str ^= b == b'"';
+                b == b'#' && !in_str
+            };
+            line.bytes().position(comment).map_or(line, |i| &line[..i])
+        }
+
+        pub fn parse_kv(line: &str, no: usize) -> Result<Entry<'_>, ParseError> {
+            let indent = |s: &str| s.len() - s.trim_start().len();
+            let Some(eq) = line.find('=') else {
+                return Err(syntax(no, indent(line) + 1, "expected `key = value`"));
+            };
+            let (key, key_col) = (line[..eq].trim(), indent(line) + 1);
+            if key.is_empty() || !key.bytes().all(|b| b.is_ascii_lowercase() || b == b'_') {
+                return Err(syntax(no, key_col, format!("malformed key {key:?}")));
+            }
+            let val = line[eq + 1..].trim();
+            let val_col = eq + 1 + indent(&line[eq + 1..]) + 1;
+            if val.is_empty() {
+                return Err(syntax(no, val_col, "missing value"));
+            }
+            let value = parse_value(val, no, val_col)?;
+            Ok(Entry {
+                key,
+                value,
+                line: no,
+                key_col,
+                val_col,
+            })
+        }
+
+        fn parse_value(s: &str, line: usize, col: usize) -> Result<Value<'_>, ParseError> {
+            let int = |s: &str| {
+                parse_int(s).ok_or_else(|| syntax(line, col, format!("malformed integer {s:?}")))
+            };
+            if let Some(rest) = s.strip_prefix('"') {
+                return match rest.strip_suffix('"') {
+                    None => Err(syntax(line, col, "unterminated string")),
+                    Some(inner) if inner.contains('"') => {
+                        Err(syntax(line, col, "strings cannot contain quotes"))
+                    }
+                    Some(inner) => Ok(Value::Str(inner)),
+                };
+            }
+            let Some(rest) = s.strip_prefix('[') else {
+                return match s {
+                    "true" => Ok(Value::Bool(true)),
+                    "false" => Ok(Value::Bool(false)),
+                    _ => Ok(Value::Int(int(s)?)),
+                };
+            };
+            let Some(inner) = rest.strip_suffix(']').map(str::trim) else {
+                return Err(syntax(line, col, "unterminated array"));
+            };
+            if !inner.starts_with('[') {
+                let items = inner.split(',').filter(|_| !inner.is_empty());
+                let ints: Result<_, _> = items.map(|i| int(i.trim()).map(|n| n as usize)).collect();
+                return ints.map(Value::Ints);
+            }
+            let malformed = || syntax(line, col, format!("malformed pair array [{inner}]"));
+            let mut pairs = Vec::new();
+            let mut rest = inner;
+            while !rest.is_empty() {
+                let pair = rest.strip_prefix('[').and_then(|r| r.split_once(']'));
+                let (pair, tail) = pair.ok_or_else(malformed)?;
+                let (a, b) = pair.split_once(',').ok_or_else(malformed)?;
+                pairs.push((int(a.trim())? as usize, int(b.trim())? as usize));
+                rest = match tail.trim_start().strip_prefix(',') {
+                    Some(next) => next.trim_start(),
+                    None if tail.trim().is_empty() => "",
+                    None => return Err(malformed()),
+                };
+            }
+            Ok(Value::Pairs(pairs))
+        }
+    }
+
+    /// What a line read as: blank, a header and its column, or an entry.
+    #[derive(Debug, PartialEq)]
+    enum Read<'a> {
+        Blank,
+        Header(&'a str, usize),
+        Entry(Entry<'a>),
+    }
+
+    /// Every line of `text` as the scanner reads it, in one run over the
+    /// text.
+    fn scanned(text: &str) -> Vec<Result<Read<'_>, ParseError>> {
+        let (mut at, mut no, mut entries, mut lines) = (0, 0, Vec::new(), Vec::new());
+        while at < text.len() {
+            no += 1;
+            let line = scan_line(text, &mut at, no, &mut entries);
+            lines.push(line.map(|header| match (header, entries.pop()) {
+                (Some((header, col)), _) => Read::Header(header, col),
+                (None, Some(entry)) => Read::Entry(entry),
+                (None, None) => Read::Blank,
+            }));
+        }
+        lines
+    }
+
+    /// Every line of `text` as the oracle reads it, split by `str::lines`.
+    fn oracle_read(text: &str) -> Vec<Result<Read<'_>, ParseError>> {
+        let lines = text.lines().enumerate().map(|(i, raw)| {
+            let line = oracle::strip_comment(raw);
+            let trimmed = line.trim();
+            if trimmed.starts_with('[') {
+                let col = line.len() - line.trim_start().len() + 1;
+                Ok(Read::Header(trimmed, col))
+            } else if trimmed.is_empty() {
+                Ok(Read::Blank)
+            } else {
+                oracle::parse_kv(line, i + 1).map(Read::Entry)
+            }
+        });
+        lines.collect()
+    }
+
+    #[track_caller]
+    fn reads_as_oracle(text: &str, what: &str) {
+        let (new, old) = (scanned(text), oracle_read(text));
+        assert_eq!(new.len(), old.len(), "{what}: line count of {text:?}");
+        for (no, ((new, old), line)) in new.iter().zip(&old).zip(text.lines()).enumerate() {
+            assert_eq!(new, old, "{what}, line {}: {line:?}", no + 1);
+        }
+    }
+
+    /// The one-pass scanner reads every line as the line reader it
+    /// replaced did — the same entry (key, value, line, key and value
+    /// columns), header, blank or error — on the corpus, on the seeded
+    /// mutants `mutated_corpus_files_never_panic` draws from it, and on
+    /// the whitespace and quoting corners a byte-level scanner could get
+    /// wrong.
+    #[test]
+    fn scanner_reads_every_line_as_the_oracle_does() {
+        #[rustfmt::skip]
+        let fixed = [
+            "name = \"cpu\"\r\nbase = 0x10\r\n", "key =\r\n", "key = \r\r\n", "tail\r",
+            "\tbase\t=\t0x10\t\n", "\x0bkey\x0b=\x0b7\x0b\n", "\x0c[config]\x0c\n",
+            "base\u{a0}=\u{a0}4\u{a0}", "\u{3000}latency\u{3000}=\u{3000}2\u{3000}\n",
+            "\u{85}queue =\u{85}1", "name = \"a # b\" # c\n", "name = \"a\"b\"#c\n",
+            "a\"#\" = 1\n", "naïve = 1\n", "ключ = 1\n", "[[initiator]]\u{3000}# x\n",
+            "links = [[0, 1],\u{a0}[1, 2]]\n", "placement = [0,\u{3000}1, 0x_2]\n", "= 1\n",
+            " # only a comment\n", "\n\n\r\n", "x = [\n", "x = []\n", "x = [[]]\n", "x = true",
+            "x = [[0, 1] [1, 2]]\n", "x = 99999999999999999999\n", "#=\n", "k=v=w\n",
+        ];
+        for text in fixed {
+            reads_as_oracle(text, "fixed case");
+        }
+        reads_as_oracle(&fixed.concat(), "fixed cases, one text");
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/scenarios");
+        let mut rng = super::mutants::rng();
+        for path in super::mutants::corpus_files(&dir) {
+            let original = std::fs::read(&path).expect("readable corpus file");
+            let name = path.file_name().expect("a file").to_string_lossy();
+            reads_as_oracle(&String::from_utf8_lossy(&original), &name);
+            for case in 0..super::mutants::CASES_PER_FILE {
+                let mutant = super::mutants::mutant(&mut rng, &original);
+                reads_as_oracle(
+                    &String::from_utf8_lossy(&mutant),
+                    &format!("{name} case {case}"),
+                );
+            }
+        }
     }
 }

@@ -16,6 +16,7 @@
 //! stream. A bad request never takes the server down.
 
 use noc_scenario::{parse_document, Backend, Document, ParseError, ScenarioError, Sweep};
+use std::borrow::Cow;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -136,15 +137,15 @@ impl Request {
 
     /// Expands the request into the sweep the executor runs.
     ///
-    /// Sweep documents run as declared. A plain scenario document
-    /// becomes one point per backend (`noc`, `bridged`, `bus`) under
-    /// the server's default budget and step mode, so a single spool
-    /// file reports the paper's full cross-backend comparison; points a
-    /// backend cannot compile come back as typed per-point error
-    /// records, not a failed request.
-    pub fn expand(&self, max_cycles: u64, step: noc_scenario::StepMode) -> Sweep {
+    /// Sweep documents run as declared, their points borrowed. A plain
+    /// scenario document becomes one point per backend (`noc`,
+    /// `bridged`, `bus`) under the server's default budget and step
+    /// mode, so a single spool file reports the paper's full
+    /// cross-backend comparison; points a backend cannot compile come
+    /// back as typed per-point error records, not a failed request.
+    pub fn expand(&self, max_cycles: u64, step: noc_scenario::StepMode) -> Cow<'_, Sweep> {
         match &self.doc {
-            Document::Sweep(sweep) => sweep.clone(),
+            Document::Sweep(sweep) => Cow::Borrowed(sweep),
             Document::Scenario(spec) => {
                 let mut sweep = Sweep::new()
                     .with_max_cycles(max_cycles)
@@ -152,7 +153,7 @@ impl Request {
                 for (label, make) in Backend::NAMES {
                     sweep = sweep.point(label, spec.clone(), make());
                 }
-                sweep
+                Cow::Owned(sweep)
             }
         }
     }

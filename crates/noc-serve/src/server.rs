@@ -272,14 +272,11 @@ pub fn execute_request(
     stats: &mut ServeStats,
 ) -> io::Result<()> {
     let sweep = request.expand(config.max_cycles, config.step_mode);
-    let sweep = match config.threads {
-        Some(t) => sweep.with_threads(t),
-        None => sweep,
-    };
     let n = sweep.points().len();
     let (mut ok, mut failed) = (0u64, 0u64);
     let mut write_error: Option<io::Error> = None;
     sweep.run_streaming_with(
+        config.threads.or(sweep.threads()),
         |_, point| PointOutcome {
             label: point.label.clone(),
             backend: point.backend.label(),

@@ -8,6 +8,7 @@ use noc_physical::LinkConfig;
 use noc_topology::{RouteAlgorithm, Topology, TopologyError};
 use noc_transport::SwitchMode;
 use std::fmt;
+use std::sync::Arc;
 
 /// Transport + physical configuration of a NoC instance — everything the
 /// paper says can change without the transaction layer noticing.
@@ -125,7 +126,8 @@ impl From<TopologyError> for BuildError {
 
 #[derive(Clone)]
 struct Endpoint {
-    name: String,
+    /// Never changes after build, so forks share it.
+    name: Arc<str>,
     node: u16,
     is_initiator: bool,
     clock_divisor: u64,
@@ -167,7 +169,7 @@ impl SocBuilder {
         clock_divisor: u64,
     ) -> Self {
         self.endpoints.push(Endpoint {
-            name: name.to_owned(),
+            name: name.into(),
             node,
             is_initiator: true,
             clock_divisor,
@@ -192,7 +194,7 @@ impl SocBuilder {
         clock_divisor: u64,
     ) -> Self {
         self.endpoints.push(Endpoint {
-            name: name.to_owned(),
+            name: name.into(),
             node,
             is_initiator: false,
             clock_divisor,
@@ -582,7 +584,7 @@ impl Soc {
         self.endpoints
             .iter()
             .filter(|e| e.is_initiator)
-            .filter_map(|e| e.inner.completion_log().map(|l| (e.name.as_str(), l)))
+            .filter_map(|e| e.inner.completion_log().map(|l| (&*e.name, l)))
             .collect()
     }
 

@@ -648,28 +648,14 @@ impl Switch {
         self.state.is_idle()
     }
 
-    /// The switch's event horizon: the earliest base cycle at or after
-    /// `now` at which ticking it can move a flit, or `None` when no
-    /// buffered flit exists. A switch holding any flit (or streaming
-    /// allocation) may move — and accrues stall counters — every cycle,
-    /// so it reports `Some(now)`; an idle switch reports `None` even
-    /// when an output is still pinned by a locked sequence, because the
-    /// only thing dense ticks would do then is count
-    /// [`SwitchStats::lock_idle_cycles`] — which
-    /// [`Switch::skip_cycles`] accounts in bulk, bit-identically.
-    pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        if self.is_idle() {
-            None
-        } else {
-            Some(now)
-        }
-    }
-
     /// Accounts `cycles` skipped ticks of an idle switch (see
-    /// [`SwitchState::skip_cycles`]).
+    /// [`SwitchState::skip_cycles`]). A switch holding any flit (or
+    /// streaming allocation) may move — and accrues stall counters —
+    /// every cycle; an idle one only counts
+    /// [`SwitchStats::lock_idle_cycles`] for each output a locked
+    /// sequence still pins, which this accounts in bulk, bit-identically.
     ///
-    /// Callers must only skip while [`Switch::next_event_at`] returns
-    /// `None`.
+    /// Callers must only skip while [`Switch::is_idle`] holds.
     pub fn skip_cycles(&mut self, cycles: u64) {
         self.state.skip_cycles(cycles, &mut self.stats);
     }
@@ -922,13 +908,13 @@ mod tests {
     }
 
     #[test]
-    fn next_event_at_is_dense_while_flits_are_buffered() {
+    fn a_switch_is_busy_while_flits_are_buffered() {
         let mut sw = switch2x2(SwitchMode::Wormhole);
-        assert_eq!(sw.next_event_at(7), None);
+        assert!(sw.is_idle());
         inject(&mut sw, 0, &packet(1, 7, 0, 0));
-        assert_eq!(sw.next_event_at(7), Some(7));
+        assert!(!sw.is_idle());
         let _ = drain(&mut sw, 3);
-        assert_eq!(sw.next_event_at(10), None);
+        assert!(sw.is_idle());
     }
 
     #[test]
@@ -938,9 +924,8 @@ mod tests {
         let mut dense = switch2x2(SwitchMode::Wormhole);
         inject(&mut dense, 0, &locked_packet(0, 1, false));
         let _ = drain(&mut dense, 3); // locked packet fully forwarded
-        assert!(dense.is_idle());
+        assert!(dense.is_idle(), "idle lock is skippable");
         assert!(dense.has_locked_output());
-        assert_eq!(dense.next_event_at(5), None, "idle lock is skippable");
         let mut skipped = dense.clone();
         for _ in 0..17 {
             let _ = dense.tick();

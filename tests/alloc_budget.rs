@@ -11,7 +11,7 @@
 //! transaction. Transport contributes none — a packet's payload rides
 //! its head flit by move, body and tail flits own no heap memory, every
 //! flit the fabric holds sits in one slab that recycles its nodes,
-//! credits wait in per-latency lanes, active sets are bitsets — and the
+//! credits wait in an `Arrivals` wheel, active sets are bitsets — and the
 //! layers above it move the same buffer: a write's bytes are allocated
 //! once by the socket master (plus once for its completion record), a
 //! read's once by the memory, which stores pages, not bytes. The budgets
@@ -20,11 +20,12 @@
 //! row (the NoC row made 8.1 allocations per transaction when every
 //! boundary copied, 26.2 when flits owned their bytes too).
 //!
-//! The last row counts something else: the allocations that *building*
+//! Two more rows count something else: the allocations that *building*
 //! a 1 024-switch platform and taking one *snapshot* of it make — see
-//! [`PLATFORM`].
+//! [`PLATFORM`] — and those that *parsing* a sweep document makes — see
+//! [`PARSE`].
 
-use noc_scenario::{Backend, ScenarioSpec, StepMode};
+use noc_scenario::{parse_document, Backend, Document, ScenarioSpec, StepMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
@@ -56,13 +57,24 @@ const BUDGETS: [Row; 4] = [
 /// a fixed number of flat arrays — switch, input-port, output-port,
 /// stash and link records — plus one flit slab; wiring, routing and link
 /// classes are immutable and shared, and the routing computation in
-/// `noc-topology` hands over its tables as one matrix. So a snapshot is
-/// those few arrays per fabric plus a hundred-odd for endpoints and
-/// calendars, whatever the platform's size (measured 1 207 / 104; 2 241
-/// / 104 when every switch's routing table was a `Vec` of its own,
-/// 6 335 / 4 208 when a switch was two arrays of its own, 26 864 /
-/// 22 643 when it was eight `Vec`s).
-const PLATFORM: (&str, u64, u64) = ("mesh_32x32_sparse.scn", 1_250, 500);
+/// `noc-topology` hands over its tables as one matrix. Endpoint names and
+/// the initiators' address map never change after build either, so forks
+/// share them too. A snapshot is those few arrays per fabric plus a few
+/// per endpoint and calendar, whatever the platform's size (measured
+/// 1 173 / 75; 1 180 / 99 when every fork copied each endpoint's name
+/// and each initiator's address map, 2 241 / 104 when every switch's
+/// routing table was a `Vec` of its own, 6 335 / 4 208 when a switch was
+/// two arrays of its own, 26 864 / 22 643 when it was eight `Vec`s).
+const PLATFORM: (&str, u64, u64) = ("mesh_32x32_sparse.scn", 1_250, 80);
+
+/// Parsing a sweep document — the corpus's six-point sweep, 506 lines:
+/// (corpus file, heap allocations `parse_document` may make). The parser
+/// allocates only what the returned sweep keeps — labels, names,
+/// programs, arrays, point and endpoint lists — nothing per line or
+/// section (measured 122; 311 when every entry was first collected into
+/// one growing list, every section made a scratch array and every
+/// endpoint name was copied into a set).
+const PARSE: (&str, u64) = ("serve_sweep.scn", 130);
 
 struct CountingAllocator;
 
@@ -107,12 +119,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn corpus(file: &str) -> ScenarioSpec {
+fn corpus_text(file: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../tests/scenarios")
         .join(file);
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    ScenarioSpec::from_text(&text).expect("corpus parses")
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+fn corpus(file: &str) -> ScenarioSpec {
+    ScenarioSpec::from_text(&corpus_text(file)).expect("corpus parses")
 }
 
 /// Runs `work` and returns its result with the heap allocations it made
@@ -169,5 +184,23 @@ fn stepping_stays_within_the_allocation_budget_on_every_backend() {
         "{file} snapshot on the NoC: {snapshot} heap allocations, over the budget of \
          {snapshot_budget}: state that never changes after build is copied per fork, or \
          per-port or per-link state left the fabric's flat arrays"
+    );
+}
+
+#[test]
+fn parsing_a_sweep_allocates_what_the_sweep_keeps() {
+    let (file, budget) = PARSE;
+    let text = corpus_text(file);
+    let (doc, parse) = counted(|| parse_document(&text));
+    assert!(
+        matches!(doc, Ok(Document::Sweep(_))),
+        "{file} parses as a sweep"
+    );
+    let lines = text.lines().count();
+    eprintln!("MEASURED {file} parse: {parse} for {lines} lines");
+    assert!(
+        parse <= budget,
+        "{file}: parsing made {parse} heap allocations, over the budget of {budget}: the parser \
+         copies or collects something per line, entry or section again"
     );
 }

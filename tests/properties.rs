@@ -16,6 +16,8 @@ use noc_transaction::{
 };
 use noc_transport::{Flit, FlitFifo, FlitSlab, Header, Packet};
 
+mod mutants;
+
 const CASES: usize = 300;
 
 fn arb_burst(rng: &mut SplitMix64) -> Burst {
@@ -2138,23 +2140,14 @@ fn mutated_corpus_files_never_panic() {
     use noc_scenario::{parse_document, Backend, Document, ScenarioError, ScenarioSpec};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    const CASES_PER_FILE: usize = 120;
+    use mutants::{mutant, CASES_PER_FILE};
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/scenarios");
-    let mut files: Vec<_> = std::fs::read_dir(&dir)
-        .expect("tests/scenarios exists")
-        .map(|entry| entry.expect("readable dir entry").path())
-        .filter(|path| path.extension().is_some_and(|e| e == "scn"))
-        .collect();
-    files.sort();
-    let mut rng = SplitMix64::new(0x5CE9_A210);
+    let mut rng = mutants::rng();
     let (mut cases, mut rejected, mut ran) = (0, 0, 0);
-    for path in &files {
+    for path in &mutants::corpus_files(&dir) {
         let original = std::fs::read(path).expect("readable corpus file");
         for case in 0..CASES_PER_FILE {
-            let mut bytes = original.clone();
-            for _ in 0..rng.next_range(1, 3) {
-                mutate(&mut rng, &mut bytes);
-            }
+            let bytes = mutant(&mut rng, &original);
             let text = String::from_utf8_lossy(&bytes).into_owned();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let mut doc = match parse_document(&text) {
@@ -2214,10 +2207,7 @@ fn mutated_corpus_files_never_panic() {
     std::fs::create_dir_all(&scratch).expect("temp dir");
     let (mut rejected, mut ran) = (0, 0);
     for case in 0..CASES_PER_FILE {
-        let mut bytes = original.clone();
-        for _ in 0..rng.next_range(1, 3) {
-            mutate(&mut rng, &mut bytes);
-        }
+        let bytes = mutant(&mut rng, &original);
         std::fs::write(scratch.join("trace_replay.trace"), &bytes).expect("mutant written");
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut spec = ScenarioSpec::from_text(&scn).expect("corpus file parses");
@@ -2245,39 +2235,4 @@ fn mutated_corpus_files_never_panic() {
         ran * 20 >= CASES_PER_FILE && rejected * 20 >= CASES_PER_FILE,
         "trace mutants: {ran} ran and {rejected} were rejected of {CASES_PER_FILE}"
     );
-}
-
-/// One random edit of `bytes`: a byte or a line deleted, duplicated, or
-/// overwritten by one picked elsewhere in the file.
-fn mutate(rng: &mut SplitMix64, bytes: &mut Vec<u8>) {
-    if bytes.is_empty() {
-        return;
-    }
-    let line_at = |bytes: &[u8], at: usize| {
-        let start = bytes[..at]
-            .iter()
-            .rposition(|b| *b == b'\n')
-            .map_or(0, |i| i + 1);
-        let end = bytes[at..]
-            .iter()
-            .position(|b| *b == b'\n')
-            .map_or(bytes.len(), |i| at + i + 1);
-        start..end
-    };
-    let at = rng.next_below(bytes.len() as u64) as usize;
-    let from = rng.next_below(bytes.len() as u64) as usize;
-    match rng.next_below(6) {
-        0 => drop(bytes.remove(at)),
-        1 => bytes.insert(at, bytes[at]),
-        2 => bytes[at] = bytes[from],
-        3 => drop(bytes.drain(line_at(bytes, at))),
-        4 => {
-            let line = bytes[line_at(bytes, at)].to_vec();
-            bytes.splice(at..at, line);
-        }
-        _ => {
-            let line = bytes[line_at(bytes, from)].to_vec();
-            bytes.splice(line_at(bytes, at), line);
-        }
-    }
 }
