@@ -41,6 +41,10 @@ impl Default for BridgeConfig {
 #[derive(Clone)]
 struct SubRequest {
     parent_slot: usize,
+    /// The slave serving `addr`, decoded once when the parent is chopped:
+    /// `None` on a decode miss, `slaves.len()` for a mapped node with
+    /// no slave attached (never served).
+    slave: Option<usize>,
     addr: u64,
     burst: noc_transaction::Burst,
     eligible_at: u64,
@@ -233,7 +237,14 @@ impl Engine for BridgedInterconnect {
         for m in &mut self.masters {
             m.fe.tick(now);
         }
-        // 1. Bridges accept a new socket transaction when a slot is free.
+        // 1. Bridges accept a new socket transaction when a slot is free,
+        //    and decode each of its chunks once.
+        let (map, slaves) = (&self.map, &self.slaves);
+        let route = |addr| {
+            let dst = map.decode(addr).ok()?;
+            let slave = slaves.iter().position(|s| s.node == dst);
+            Some(slave.unwrap_or(slaves.len()))
+        };
         for (midx, bridge) in self.bridges.iter_mut().enumerate() {
             if bridge.occupancy() >= self.config.bridge_outstanding as usize {
                 continue;
@@ -260,6 +271,7 @@ impl Engine for BridgedInterconnect {
                 for (addr, burst) in chunks {
                     bridge.subs.push_back(SubRequest {
                         parent_slot: slot,
+                        slave: route(addr),
                         addr,
                         burst,
                         eligible_at: now + self.config.request_latency as u64,
@@ -283,7 +295,7 @@ impl Engine for BridgedInterconnect {
                 if front.eligible_at > now {
                     continue;
                 }
-                let Ok(dst) = self.map.decode(front.addr) else {
+                let Some(slave) = front.slave else {
                     // decode error: answered without slave service
                     let sub = bridge.subs.pop_front().expect("front exists");
                     let parent = bridge.inflight[sub.parent_slot]
@@ -296,7 +308,7 @@ impl Engine for BridgedInterconnect {
                     }
                     continue;
                 };
-                if dst != self.slaves[sidx].node {
+                if slave != sidx {
                     continue;
                 }
                 // lock gate: exclusives emulated by target locking
@@ -481,26 +493,31 @@ impl Engine for BridgedInterconnect {
     /// of comparisons per master, so there is no scan for a calendar to
     /// invert. Every bound is early, never late; an early answer costs
     /// one dense-identical step.
+    ///
+    /// A master is told its bridge accepts the held request only while
+    /// the bridge has a free slot, the one gate on its pull. A slot
+    /// frees only when a response is delivered, at a `respond_at` this
+    /// fold already wakes for, so a master behind a full bridge sleeps
+    /// until then.
     fn next_activity(&self) -> Option<u64> {
         let now = self.now;
-        let masters = self
-            .masters
-            .iter()
-            .filter_map(|m| Wake::Ticks(m.fe.idle_ticks(true)).base_cycle(ClockDomain::BASE, now));
+        let outstanding = self.config.bridge_outstanding as usize;
+        let attached = self.masters.iter().zip(&self.bridges);
+        let masters = attached.filter_map(|(m, bridge)| {
+            let accepting = bridge.occupancy() < outstanding;
+            Wake::Ticks(m.fe.idle_ticks(accepting)).base_cycle(ClockDomain::BASE, now)
+        });
         let bridges = self.bridges.iter().flat_map(|bridge| {
             let serviceable = bridge.subs.front().map(|front| {
                 // Decode misses are consumed (as DECERR) the first time
                 // any free slave's crossbar pass reaches them — `now`
-                // under-approximates that safely. Lock gating is also
-                // ignored: both can only make the bound early.
-                let slave_free_at = match self.map.decode(front.addr) {
-                    Ok(dst) => self
-                        .slaves
-                        .iter()
-                        .find(|s| s.node == dst)
-                        .map_or(now, |s| s.busy_until),
-                    Err(_) => now,
-                };
+                // under-approximates that safely, as it does for a node
+                // no slave serves. Lock gating is also ignored: both can
+                // only make the bound early.
+                let slave_free_at = front
+                    .slave
+                    .and_then(|s| self.slaves.get(s))
+                    .map_or(now, |s| s.busy_until);
                 front.eligible_at.max(slave_free_at)
             });
             let respond = bridge.order.front().and_then(|&slot| {

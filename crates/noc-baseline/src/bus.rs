@@ -49,8 +49,9 @@ pub struct SharedBus {
     monitor: ExclusiveMonitor,
     rr: usize,
     lock_owner: Option<usize>,
-    /// In-service transaction: (master, request, completion cycle).
-    busy: Option<(usize, TransactionRequest, u64)>,
+    /// In-service transaction: (master, request, completion cycle, its
+    /// slave as resolved at grant — see [`SharedBus::route`]).
+    busy: Option<(usize, TransactionRequest, u64, Option<Option<usize>>)>,
     now: u64,
     steps: u64,
     granted: u64,
@@ -146,11 +147,12 @@ impl SharedBus {
         self.is_done()
     }
 
-    fn slave_for(&mut self, addr: u64) -> Option<&mut BusSlave> {
-        // Identify by map: find the range containing addr, then the slave
-        // whose base falls inside it.
+    /// Resolves `addr` once, at grant: `None` when the map misses it,
+    /// else the slave whose base falls inside its range (`Some(None)`
+    /// when no slave is attached there).
+    fn route(&self, addr: u64) -> Option<Option<usize>> {
         let range = self.map.iter().find(|(r, _)| r.contains(addr))?;
-        self.slaves.iter_mut().find(|s| range.0.contains(s.base))
+        Some(self.slaves.iter().position(|s| range.0.contains(s.base)))
     }
 }
 
@@ -162,13 +164,13 @@ impl Engine for SharedBus {
             m.fe.tick(now);
         }
         // Complete the in-service transaction.
-        if let Some(&(_, _, done_at)) = self.busy.as_ref() {
+        if let Some(&(_, _, done_at, _)) = self.busy.as_ref() {
             if now >= done_at {
-                let (midx, req, _) = self.busy.take().expect("matched in service");
+                let (midx, req, _, route) = self.busy.take().expect("matched in service");
                 let master = MstAddr::new(midx as u16);
-                let (status, data) = match self.map.decode(req.address()) {
-                    Err(_) => (RespStatus::DecErr, Vec::new()),
-                    Ok(_) => {
+                let (status, data) = match route {
+                    None => (RespStatus::DecErr, Vec::new()),
+                    Some(slave) => {
                         // Monitor first (single serialisation point).
                         match req.opcode() {
                             Opcode::ReadExclusive | Opcode::ReadLinked => {
@@ -203,7 +205,7 @@ impl Engine for SharedBus {
                             _ => {}
                         }
                         let plain = req.opcode().plain();
-                        match self.slave_for(req.address()) {
+                        match slave.map(|s| &mut self.slaves[s]) {
                             Some(slave) => {
                                 let (st, data) = access(
                                     &mut slave.mem,
@@ -250,20 +252,16 @@ impl Engine for SharedBus {
                 if let Some(req) = self.masters[midx].fe.pull_request() {
                     let beats = req.burst().beats();
                     let (opcode, addr) = (req.opcode(), req.address());
-                    let slave_latency = self
-                        .map
-                        .decode(addr)
-                        .ok()
-                        .and_then(|_| {
-                            self.slave_for(addr)
-                                .map(|s| s.timing.latency_for(s.mem.latency(), opcode, addr))
-                        })
-                        .unwrap_or(0);
+                    let route = self.route(addr);
+                    let slave_latency = route.flatten().map_or(0, |s| {
+                        let s = &self.slaves[s];
+                        s.timing.latency_for(s.mem.latency(), opcode, addr)
+                    });
                     let done_at = now
                         + self.config.arbitration_cycles as u64
                         + (beats * self.config.cycles_per_beat) as u64
                         + slave_latency;
-                    self.busy = Some((midx, req, done_at));
+                    self.busy = Some((midx, req, done_at, route));
                     self.granted += 1;
                     self.rr = (midx + 1) % n;
                     break;
@@ -289,13 +287,21 @@ impl Engine for SharedBus {
     /// the in-service transaction completing (`done_at`), whichever
     /// comes first. A direct fold: with one source per master plus one
     /// for the bus there is no scan for a calendar to invert.
+    ///
+    /// A master is told the bus accepts its held request only when the
+    /// grant loop would pull it at the next step: the bus is free by
+    /// then and the lock, if any, is this master's. Any other master's
+    /// request can be pulled no sooner than the completion that frees
+    /// the bus or lifts the lock, at a `done_at` this fold wakes for, so
+    /// it sleeps until then.
     fn next_activity(&self) -> Option<u64> {
         let now = self.now;
-        let masters = self
-            .masters
-            .iter()
-            .filter_map(|m| Wake::Ticks(m.fe.idle_ticks(true)).base_cycle(ClockDomain::BASE, now));
-        let done = self.busy.as_ref().map(|&(_, _, done_at)| done_at);
+        let done = self.busy.as_ref().map(|&(_, _, done_at, _)| done_at);
+        let free = done.is_none_or(|at| at <= now);
+        let masters = self.masters.iter().enumerate().filter_map(|(i, m)| {
+            let accepting = free && self.lock_owner.is_none_or(|owner| owner == i);
+            Wake::Ticks(m.fe.idle_ticks(accepting)).base_cycle(ClockDomain::BASE, now)
+        });
         masters.chain(done).min().map(|at| at.max(now))
     }
 
@@ -407,6 +413,41 @@ mod tests {
         let logs = bus.logs();
         assert_eq!(logs[0].len(), 2);
         assert_eq!(logs[1].len(), 1);
+    }
+
+    /// A master whose read waits out another master's locked sequence
+    /// sleeps until the unlocking write completes: the bus is free for
+    /// most of the lock, but the grant loop admits only the lock owner,
+    /// so the waiter is told nobody takes its request. Horizon stepping
+    /// equals dense stepping record for record, on a handful of steps.
+    #[test]
+    fn a_master_locked_out_sleeps_until_the_unlock() {
+        let locker = vec![
+            SocketCommand::read(0x40, 4).with_opcode(Opcode::ReadLocked),
+            SocketCommand::write(0x40, 4, 7)
+                .with_opcode(Opcode::WriteUnlock)
+                .with_delay(100),
+        ];
+        let waiter = vec![SocketCommand::read(0x80, 4).with_delay(5)];
+        let mut dense = bus_with(vec![locker, waiter]);
+        let mut horizon = dense.clone();
+        while !dense.is_done() {
+            dense.step();
+        }
+        assert!(horizon.run(10_000));
+        let records = |bus: &SharedBus| -> Vec<_> {
+            bus.logs().iter().map(|l| l.records().to_vec()).collect()
+        };
+        assert_eq!(records(&horizon), records(&dense));
+        assert_eq!(horizon.now(), dense.now());
+        let waited = records(&dense)[1][0].latency();
+        assert!(waited > 90, "the read waits out the lock ({waited} cycles)");
+        assert!(
+            horizon.executed_steps() < 20,
+            "{} steps over {} cycles",
+            horizon.executed_steps(),
+            horizon.now()
+        );
     }
 
     #[test]

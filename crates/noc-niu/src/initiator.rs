@@ -45,6 +45,14 @@ pub trait SocketInitiator: Send {
     /// tick; when it does not, the claim holds for a port whose request
     /// channels nobody drains. See [`crate::NocEndpoint::wake`] for the
     /// contract.
+    ///
+    /// Who passes what: [`InitiatorNiu`] passes `false` while the
+    /// ordering policy has refused its pending request (until a response
+    /// completes); the shared bus passes `true` only when it is free at
+    /// its next step and its lock, if held, is this master's; the bridged
+    /// interconnect passes `true` only while the master's bridge has a
+    /// free slot. Each back end wakes itself at the event that flips the
+    /// answer back — a completion, `done_at`, a bridge's `respond_at`.
     fn idle_ticks(&self, _accepting: bool) -> u64 {
         0
     }

@@ -24,6 +24,31 @@
 //! a 1 024-switch platform and taking one *snapshot* of it make — see
 //! [`PLATFORM`] — and those that *parsing* a sweep document makes — see
 //! [`PARSE`].
+//!
+//! Who owns a snapshot's allocations. One `Simulation::snapshot` of the
+//! `serve_sweep` benchmark platform (seed 1, variant 0: a 6×6 mesh, 18
+//! AXI initiators with their programs, 18 memories) makes 125, counted
+//! by owner with a backtrace-bucketing allocator around that one call:
+//!
+//! | owner | allocations |
+//! |---|---|
+//! | endpoint boxes: 18 initiator NIUs, 18 target NIUs | 36 |
+//! | socket agents: the program (18) and the lane table (18) | 36 |
+//! | ordering policies: the tag table, one per initiator NIU | 18 |
+//! | NIU queues (outstanding, egress, front-end responses): empty at a checkpoint | 0 |
+//! | fabric records: five arrays × two fabrics, 0 when the per-thread spare set is filled | 10 |
+//! | fabric arrival wheels (flits, credits) × two fabrics | 4 |
+//! | fabric injection credits × two fabrics | 2 |
+//! | active sets: busy, locked, stashing × two fabrics, plus `Soc::touched` | 7 |
+//! | endpoint calendar: `pending` and its wheel's buckets and nodes | 3 |
+//! | `Soc` per-endpoint arrays (endpoints, initiators, settled, clock ids, node map, wake ids, done) | 7 |
+//! | clock set, and the snapshot's own box | 2 |
+//!
+//! So 90 scale with the endpoints (five per initiator, one per target)
+//! and 35 are per platform. The programless checkpoint a serve request
+//! forks makes 19 fewer (no programs, and nothing filed in the calendar
+//! wheel yet), and 10 fewer again once a dropped fork left its records
+//! in the spare set.
 
 use noc_scenario::{parse_document, Backend, Document, ScenarioSpec, StepMode};
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -49,24 +49,30 @@ queue = 4
 const BUDGET: u64 = 100_000;
 
 /// Everything two runs must agree on to count as identical.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Trace {
     now: u64,
     steps: u64,
     logs: Vec<(String, Vec<CompletionRecord>)>,
+    /// Every report row but `polls`, which is kept apart: an interrupted
+    /// horizon run may poll once more than an uninterrupted one.
     report: String,
+    polls: u64,
 }
 
 fn trace(sim: &dyn Simulation) -> Trace {
+    let mut report = sim.report();
+    let polls = std::mem::take(&mut report.horizon_polls);
     Trace {
         now: sim.now(),
-        steps: sim.report().steps,
+        steps: report.steps,
         logs: sim
             .logs()
             .iter()
             .map(|(name, log)| ((*name).to_owned(), log.records().to_vec()))
             .collect(),
-        report: format!("{:?}", sim.report()),
+        report: format!("{report:?}"),
+        polls,
     }
 }
 
@@ -74,44 +80,73 @@ fn backends() -> [Backend; 3] {
     [Backend::noc(), Backend::bridged(), Backend::bus()]
 }
 
+/// Interrupting a run at any cycle — the run loop stops there and is
+/// called again — changes nothing but, at most, one extra poll: a stop
+/// inside a span the horizon would have skipped in one hop splits that
+/// hop in two. A snapshot taken at the stop adds nothing more: the
+/// original and the restored copy replay the interrupted run exactly,
+/// polls included.
 #[test]
 fn interrupted_runs_match_uninterrupted_runs() {
     for backend in backends() {
         for mode in [StepMode::Dense, StepMode::Horizon] {
-            let label = format!("{} / {mode:?}", backend.label());
+            let run = format!("{} / {mode:?}", backend.label());
 
             // Reference: one uninterrupted run.
             let mut reference = spec().build(&backend).expect("fixture compiles");
-            assert!(reference.run_until_with(BUDGET, mode), "{label}: drains");
+            assert!(reference.run_until_with(BUDGET, mode), "{run}: drains");
             let expected = trace(reference.as_ref());
-            assert!(expected.now > 4, "{label}: long enough to interrupt");
+            assert!(expected.now > 4, "{run}: long enough to interrupt");
 
-            // Interrupted: pause mid-run, snapshot, continue BOTH the
-            // original and the restored copy to completion.
-            let mid = expected.now / 2;
-            let mut original = spec().build(&backend).expect("fixture compiles");
-            assert!(
-                !original.run_until_with(mid, mode),
-                "{label}: not yet drained at cycle {mid}"
-            );
-            let mut restored = original.snapshot();
-            assert_eq!(
-                trace(original.as_ref()),
-                trace(restored.as_ref()),
-                "{label}: a snapshot is the state it was taken from"
-            );
-            assert!(original.run_until_with(BUDGET, mode), "{label}: drains");
-            assert!(restored.run_until_with(BUDGET, mode), "{label}: drains");
-            assert_eq!(
-                trace(original.as_ref()),
-                expected,
-                "{label}: continuing past a checkpoint must not disturb the run"
-            );
-            assert_eq!(
-                trace(restored.as_ref()),
-                expected,
-                "{label}: a restored checkpoint must replay the identical future"
-            );
+            for cut in 1..expected.now {
+                let label = format!("{run} / cut at {cut}");
+                let interrupted = || {
+                    let mut sim = spec().build(&backend).expect("fixture compiles");
+                    assert!(!sim.run_until_with(cut, mode), "{label}: not yet drained");
+                    sim
+                };
+
+                // Interrupted without a snapshot: the same run but polls.
+                let mut plain = interrupted();
+                assert!(plain.run_until_with(BUDGET, mode), "{label}: drains");
+                let plain = trace(plain.as_ref());
+                assert!(
+                    matches!(plain.polls.checked_sub(expected.polls), Some(0 | 1)),
+                    "{label}: {} polls against {} uninterrupted",
+                    plain.polls,
+                    expected.polls
+                );
+                assert_eq!(
+                    Trace {
+                        polls: expected.polls,
+                        ..plain.clone()
+                    },
+                    expected,
+                    "{label}: an interruption must not disturb the run"
+                );
+
+                // Interrupted with a snapshot: continue BOTH the original
+                // and the restored copy to completion.
+                let mut original = interrupted();
+                let mut restored = original.snapshot();
+                assert_eq!(
+                    trace(original.as_ref()),
+                    trace(restored.as_ref()),
+                    "{label}: a snapshot is the state it was taken from"
+                );
+                assert!(original.run_until_with(BUDGET, mode), "{label}: drains");
+                assert!(restored.run_until_with(BUDGET, mode), "{label}: drains");
+                assert_eq!(
+                    trace(original.as_ref()),
+                    plain,
+                    "{label}: continuing past a checkpoint must not disturb the run"
+                );
+                assert_eq!(
+                    trace(restored.as_ref()),
+                    plain,
+                    "{label}: a restored checkpoint must replay the identical future"
+                );
+            }
         }
     }
 }
@@ -209,12 +244,9 @@ clock_divisor = 2
 #[test]
 fn a_fork_after_every_step_replays_the_uninterrupted_run() {
     let backend = Backend::noc();
-    let without_polls = |sim: &dyn Simulation| {
-        let mut t = trace(sim);
-        let mut report = sim.report();
-        report.horizon_polls = 0;
-        t.report = format!("{report:?}");
-        t
+    let without_polls = |sim: &dyn Simulation| Trace {
+        polls: 0,
+        ..trace(sim)
     };
     for mode in [StepMode::Dense, StepMode::Horizon] {
         let mut reference = fabric_storage_spec()
