@@ -2,7 +2,7 @@
 //! crossbar with per-master protocol bridges.
 
 use crate::{AttachedMaster, SlaveTiming};
-use noc_kernel::{ClockDomain, Engine, Wake};
+use noc_kernel::{ClockDomain, Engine};
 use noc_protocols::memory::access;
 use noc_protocols::{CompletionLog, MemoryModel};
 use noc_transaction::{
@@ -505,7 +505,7 @@ impl Engine for BridgedInterconnect {
         let attached = self.masters.iter().zip(&self.bridges);
         let masters = attached.filter_map(|(m, bridge)| {
             let accepting = bridge.occupancy() < outstanding;
-            Wake::Ticks(m.fe.idle_ticks(accepting)).base_cycle(ClockDomain::BASE, now)
+            m.fe.wake(accepting).base_cycle(ClockDomain::BASE, now)
         });
         let bridges = self.bridges.iter().flat_map(|bridge| {
             let serviceable = bridge.subs.front().map(|front| {

@@ -1,7 +1,7 @@
 //! The shared pipelined bus baseline.
 
 use crate::{AttachedMaster, SlaveTiming};
-use noc_kernel::{ClockDomain, Engine, Wake};
+use noc_kernel::{ClockDomain, Engine};
 use noc_protocols::memory::access;
 use noc_protocols::{CompletionLog, MemoryModel};
 use noc_transaction::{
@@ -300,7 +300,7 @@ impl Engine for SharedBus {
         let free = done.is_none_or(|at| at <= now);
         let masters = self.masters.iter().enumerate().filter_map(|(i, m)| {
             let accepting = free && self.lock_owner.is_none_or(|owner| owner == i);
-            Wake::Ticks(m.fe.idle_ticks(accepting)).base_cycle(ClockDomain::BASE, now)
+            m.fe.wake(accepting).base_cycle(ClockDomain::BASE, now)
         });
         masters.chain(done).min().map(|at| at.max(now))
     }

@@ -20,6 +20,7 @@ pub mod axi_target;
 pub use axi_target::AxiTargetFe;
 
 use crate::initiator::SocketInitiator;
+use noc_kernel::Wake;
 use noc_protocols::ahb::Ahb;
 use noc_protocols::axi::Axi;
 use noc_protocols::ocp::Ocp;
@@ -104,16 +105,16 @@ impl<S: Socket> SocketInitiator for Initiator<S> {
         self.master.log()
     }
 
-    fn idle_ticks(&self, accepting: bool) -> u64 {
+    fn wake(&self, accepting: bool) -> Wake {
         // Queued responses keep the front end hot, and so does a port the
         // back end empties at its next tick. The master samples every
         // response channel each tick, so what a back end that does not
         // accept leaves on the port is held requests: the master's own
         // claim covers them.
         if self.queues.iter().any(|q| !q.is_empty()) || (accepting && !S::quiet(&self.port)) {
-            return 0;
+            return Wake::Ticks(0);
         }
-        self.master.idle_ticks(&self.port)
+        Wake::Ticks(self.master.idle_ticks(&self.port))
     }
 
     fn skip_ticks(&mut self, ticks: u64) {

@@ -1,6 +1,7 @@
 //! The protocol-neutral initiator NIU back end.
 
 use crate::codec::{packet_into_response, request_into_packet};
+use crate::NocEndpoint;
 use noc_kernel::Wake;
 use noc_protocols::{CompletionLog, Program};
 use noc_transaction::{
@@ -38,23 +39,25 @@ pub trait SocketInitiator: Send {
     fn done(&self) -> bool;
     /// The socket's completion log (for statistics and fingerprints).
     fn log(&self) -> &CompletionLog;
-    /// Quiescence hook: upcoming ticks that are provably no-ops absent
-    /// new responses (`0` = must tick densely, the conservative
-    /// default; `u64::MAX` = quiescent until input). `accepting` says
-    /// whether the back end takes a request held on the port at its next
-    /// tick; when it does not, the claim holds for a port whose request
-    /// channels nobody drains. See [`crate::NocEndpoint::wake`] for the
-    /// contract.
+    /// Quiescence hook: when the front end can next act absent new
+    /// responses, as [`Wake::Ticks`] of its own edges (`0`, the
+    /// conservative default: tick densely; `u64::MAX`: quiescent until
+    /// input). `accepting` says whether the back end takes a request
+    /// held on the port at its next tick; when it does not, the claim
+    /// holds for a port whose request channels nobody drains. See
+    /// [`crate::NocEndpoint::wake`] for the contract.
     ///
-    /// Who passes what: [`InitiatorNiu`] passes `false` while the
+    /// Who passes what: [`InitiatorNiu`]'s own
+    /// [`wake`](crate::NocEndpoint::wake) passes `false` while the
     /// ordering policy has refused its pending request (until a response
     /// completes); the shared bus passes `true` only when it is free at
     /// its next step and its lock, if held, is this master's; the bridged
     /// interconnect passes `true` only while the master's bridge has a
-    /// free slot. Each back end wakes itself at the event that flips the
-    /// answer back — a completion, `done_at`, a bridge's `respond_at`.
-    fn idle_ticks(&self, _accepting: bool) -> u64 {
-        0
+    /// free slot. The baselines map the answer with [`Wake::base_cycle`];
+    /// each back end wakes itself at the event that flips `accepting`
+    /// back — a completion, `done_at`, a bridge's `respond_at`.
+    fn wake(&self, _accepting: bool) -> Wake {
+        Wake::Ticks(0)
     }
     /// Accounts `ticks` skipped no-op ticks (see
     /// [`crate::NocEndpoint::skip_ticks`]).
@@ -223,8 +226,35 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
         &self.stats
     }
 
+    /// Stamps service bits and packetises onto the egress queue.
+    fn emit(&mut self, req: TransactionRequest) {
+        let mut services = ServiceBits::NONE;
+        if req.opcode().is_exclusive() {
+            services |= ServiceBits::EXCLUSIVE;
+        }
+        if req.opcode().is_locking() {
+            services |= ServiceBits::LOCKED;
+        }
+        if !req.opcode().expects_response() {
+            services |= ServiceBits::POSTED;
+        }
+        let mut req = req.with_services(services);
+        if req.pressure() == 0 {
+            // apply NIU default pressure when the command carried none
+            req = req.with_pressure(self.config.default_pressure);
+        }
+        let packet = request_into_packet(req);
+        let id = (self.config.node.raw() as u64) << 48 | self.pkt_seq;
+        self.pkt_seq += 1;
+        self.egress
+            .extend(packet.into_flits_with_id(self.config.flit_bytes, id));
+        self.stats.requests_sent += 1;
+    }
+}
+
+impl<FE: SocketInitiator + Clone + 'static> NocEndpoint for InitiatorNiu<FE> {
     /// Advances socket, front end and back end one cycle.
-    pub fn tick(&mut self, cycle: u64) {
+    fn tick(&mut self, cycle: u64) {
         self.fe.tick(cycle);
         if self.blocked {
             self.stats.policy_stalls += 1;
@@ -277,33 +307,8 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
         }
     }
 
-    /// Stamps service bits and packetises onto the egress queue.
-    fn emit(&mut self, req: TransactionRequest) {
-        let mut services = ServiceBits::NONE;
-        if req.opcode().is_exclusive() {
-            services |= ServiceBits::EXCLUSIVE;
-        }
-        if req.opcode().is_locking() {
-            services |= ServiceBits::LOCKED;
-        }
-        if !req.opcode().expects_response() {
-            services |= ServiceBits::POSTED;
-        }
-        let mut req = req.with_services(services);
-        if req.pressure() == 0 {
-            // apply NIU default pressure when the command carried none
-            req = req.with_pressure(self.config.default_pressure);
-        }
-        let packet = request_into_packet(req);
-        let id = (self.config.node.raw() as u64) << 48 | self.pkt_seq;
-        self.pkt_seq += 1;
-        self.egress
-            .extend(packet.into_flits_with_id(self.config.flit_bytes, id));
-        self.stats.requests_sent += 1;
-    }
-
     /// Takes the next flit bound for the request network.
-    pub fn pull_flit(&mut self) -> Option<Flit> {
+    fn pull_flit(&mut self) -> Option<Flit> {
         self.egress.pop_front()
     }
 
@@ -314,7 +319,7 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
     /// Panics on malformed packets or responses that match no outstanding
     /// transaction — both indicate fabric corruption, which must never
     /// happen silently in a simulator.
-    pub fn push_flit(&mut self, flit: Flit) {
+    fn push_flit(&mut self, flit: Flit) {
         let Some(packet) = self
             .assembler
             .push(flit)
@@ -338,11 +343,15 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
 
     /// Returns `true` when socket, outstanding queue and egress are all
     /// drained.
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.fe.done()
             && self.pending.is_none()
             && self.outstanding.is_empty()
             && self.egress.is_empty()
+    }
+
+    fn completion_log(&self) -> Option<&CompletionLog> {
+        Some(self.fe.log())
     }
 
     /// Quiescence: upcoming local ticks that are provably no-ops absent
@@ -355,49 +364,27 @@ impl<FE: SocketInitiator> InitiatorNiu<FE> {
     /// *not* force dense ticking — a front end waiting on responses
     /// reports its own quiescence, and the wait is the fabric's and
     /// target's business, tracked by their horizons.
-    pub fn idle_ticks(&self) -> u64 {
+    fn wake(&self) -> Wake {
         if !self.egress.is_empty() || (self.pending.is_some() && !self.blocked) {
-            return 0;
+            return Wake::Ticks(0);
         }
-        self.fe.idle_ticks(!self.blocked)
+        self.fe.wake(!self.blocked)
     }
 
     /// Accounts skipped no-op ticks: forwarded to the front end, and
     /// counted as policy stalls while blocked, as the ticks would have.
-    pub fn skip_ticks(&mut self, ticks: u64) {
+    fn skip_ticks(&mut self, ticks: u64) {
         if self.blocked {
             self.stats.policy_stalls += ticks;
         }
         self.fe.skip_ticks(ticks);
     }
-}
 
-impl<FE: SocketInitiator + Clone + 'static> crate::NocEndpoint for InitiatorNiu<FE> {
-    fn tick(&mut self, cycle: u64) {
-        InitiatorNiu::tick(self, cycle);
-    }
-    fn pull_flit(&mut self) -> Option<Flit> {
-        InitiatorNiu::pull_flit(self)
-    }
-    fn push_flit(&mut self, flit: Flit) {
-        InitiatorNiu::push_flit(self, flit);
-    }
-    fn is_done(&self) -> bool {
-        InitiatorNiu::is_done(self)
-    }
-    fn completion_log(&self) -> Option<&noc_protocols::CompletionLog> {
-        Some(self.fe.log())
-    }
-    fn wake(&self) -> Wake {
-        Wake::Ticks(self.idle_ticks())
-    }
-    fn skip_ticks(&mut self, ticks: u64) {
-        InitiatorNiu::skip_ticks(self, ticks);
-    }
     fn load_program(&mut self, program: Program) {
         self.fe.load_program(program);
     }
-    fn clone_box(&self) -> Box<dyn crate::NocEndpoint> {
+
+    fn clone_box(&self) -> Box<dyn NocEndpoint> {
         Box::new(self.clone())
     }
 }

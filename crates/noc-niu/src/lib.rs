@@ -9,7 +9,9 @@
 //! - a protocol-specific **front end** ([`fe::Initiator`], generic over
 //!   the socket, behind [`SocketInitiator`]; [`SocketTarget`]
 //!   implementations) that speaks the socket's beat-level language and
-//!   produces/consumes neutral [`Request`]s and [`Response`]s; and
+//!   produces/consumes neutral
+//!   [`TransactionRequest`](noc_transaction::TransactionRequest)s and
+//!   [`TransactionResponse`](noc_transaction::TransactionResponse)s; and
 //! - a protocol-neutral **back end** ([`InitiatorNiu`] / [`TargetNiu`])
 //!   that owns the paper's machinery: the address decoder (`SlvAddr`
 //!   assignment), the [ordering policy](noc_transaction::OrderingPolicy)
@@ -32,8 +34,10 @@
 //!
 //! - **A write's bytes are allocated once, by the socket master**, when
 //!   its request channel is ready to take them. The front end moves that
-//!   buffer into a [`Request`]; [`InitiatorNiu`] re-stamps the request
-//!   in place and [`request_into_packet`] moves the buffer into the
+//!   buffer into a
+//!   [`TransactionRequest`](noc_transaction::TransactionRequest);
+//!   [`InitiatorNiu`] re-stamps the request in place and
+//!   [`request_into_packet`] moves the buffer into the
 //!   packet, whose head flit carries it across the fabric;
 //!   [`packet_into_request`] moves it into the request the [`TargetNiu`]
 //!   queues; [`SocketTarget::push_request`] takes the request by value —
@@ -43,10 +47,12 @@
 //!   back-pressure costs no copy however long it lasts.
 //! - **A read's bytes are allocated once, by the memory**
 //!   ([`noc_protocols::memory::access`] fills one buffer per burst). It
-//!   travels in the [`Response`], through [`response_into_packet`], the
-//!   fabric and [`packet_into_response`], into
-//!   [`SocketInitiator::push_response`], which moves it
-//!   ([`Response::into_data`](noc_transaction::TransactionResponse::into_data))
+//!   travels in the
+//!   [`TransactionResponse`](noc_transaction::TransactionResponse),
+//!   through [`response_into_packet`], the fabric and
+//!   [`packet_into_response`], into [`SocketInitiator::push_response`],
+//!   which moves it
+//!   ([`into_data`](noc_transaction::TransactionResponse::into_data))
 //!   onto the socket's response channel; the master moves it into its
 //!   [`CompletionRecord`](noc_protocols::CompletionRecord), where it
 //!   stays.
@@ -69,10 +75,11 @@ pub use initiator::{InitiatorNiu, InitiatorNiuConfig, NiuStats, SocketInitiator}
 pub use target::{MemoryTarget, ServiceTarget, SocketTarget, TargetNiu, TargetNiuConfig};
 
 use noc_kernel::Wake;
-use noc_transaction::{TransactionRequest, TransactionResponse};
 
 /// Object-safe endpoint view used by the system assembler: everything a
 /// fabric port needs from an NIU, regardless of socket protocol.
+/// [`InitiatorNiu`] and [`TargetNiu`] state these operations here and
+/// nowhere else, so callers bring the trait into scope.
 ///
 /// Endpoints are plain owned state (`Send`) and cloneable behind the
 /// trait object ([`NocEndpoint::clone_box`]), so a whole built system
@@ -137,11 +144,6 @@ impl Clone for Box<dyn NocEndpoint> {
         self.clone_box()
     }
 }
-
-/// Convenience alias for the request type NIUs translate.
-pub type Request = TransactionRequest;
-/// Convenience alias for the response type NIUs translate.
-pub type Response = TransactionResponse;
 
 #[cfg(test)]
 mod tests;

@@ -3,6 +3,7 @@
 //! of paper §3.
 
 use crate::codec::{packet_into_request, response_into_packet};
+use crate::NocEndpoint;
 use noc_kernel::Wake;
 use noc_transaction::{
     ExclusiveMonitor, LockArbiter, MstAddr, Opcode, RespStatus, SlvAddr, Tag, TransactionRequest,
@@ -169,8 +170,18 @@ impl<T: SocketTarget> TargetNiu<T> {
         self.lock_stall_cycles
     }
 
+    fn respond(&mut self, resp: TransactionResponse) {
+        let packet = response_into_packet(resp, self.config.response_pressure);
+        let id = (self.config.node.raw() as u64) << 48 | 0x8000_0000_0000 | self.pkt_seq;
+        self.pkt_seq += 1;
+        self.egress
+            .extend(packet.into_flits_with_id(self.config.flit_bytes, id));
+    }
+}
+
+impl<T: SocketTarget + Clone + 'static> NocEndpoint for TargetNiu<T> {
     /// Advances IP and back end one cycle.
-    pub fn tick(&mut self, cycle: u64) {
+    fn tick(&mut self, cycle: u64) {
         self.target.tick(cycle);
         // Process the head ingress request.
         if let Some(req) = self.ingress.front() {
@@ -264,16 +275,8 @@ impl<T: SocketTarget> TargetNiu<T> {
         }
     }
 
-    fn respond(&mut self, resp: TransactionResponse) {
-        let packet = response_into_packet(resp, self.config.response_pressure);
-        let id = (self.config.node.raw() as u64) << 48 | 0x8000_0000_0000 | self.pkt_seq;
-        self.pkt_seq += 1;
-        self.egress
-            .extend(packet.into_flits_with_id(self.config.flit_bytes, id));
-    }
-
     /// Takes the next flit bound for the response network.
-    pub fn pull_flit(&mut self) -> Option<Flit> {
+    fn pull_flit(&mut self) -> Option<Flit> {
         self.egress.pop_front()
     }
 
@@ -282,7 +285,7 @@ impl<T: SocketTarget> TargetNiu<T> {
     /// # Panics
     ///
     /// Panics on malformed packets (fabric corruption).
-    pub fn push_flit(&mut self, flit: Flit) {
+    fn push_flit(&mut self, flit: Flit) {
         let Some(packet) = self
             .assembler
             .push(flit)
@@ -295,7 +298,7 @@ impl<T: SocketTarget> TargetNiu<T> {
     }
 
     /// Returns `true` when nothing is queued or in flight.
-    pub fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.ingress.is_empty() && self.inflight.is_empty() && self.egress.is_empty()
     }
 
@@ -307,31 +310,14 @@ impl<T: SocketTarget> TargetNiu<T> {
     /// ticking for the whole transaction. A held legacy lock is pure
     /// state — it only matters once a request arrives, which resumes
     /// dense ticking.
-    pub fn wake(&self) -> Wake {
+    fn wake(&self) -> Wake {
         if !self.ingress.is_empty() || !self.egress.is_empty() {
             return Wake::Ticks(0);
         }
         self.target.wake()
     }
-}
 
-impl<T: SocketTarget + Clone + 'static> crate::NocEndpoint for TargetNiu<T> {
-    fn tick(&mut self, cycle: u64) {
-        TargetNiu::tick(self, cycle);
-    }
-    fn pull_flit(&mut self) -> Option<Flit> {
-        TargetNiu::pull_flit(self)
-    }
-    fn push_flit(&mut self, flit: Flit) {
-        TargetNiu::push_flit(self, flit);
-    }
-    fn is_done(&self) -> bool {
-        TargetNiu::is_done(self)
-    }
-    fn wake(&self) -> Wake {
-        TargetNiu::wake(self)
-    }
-    fn clone_box(&self) -> Box<dyn crate::NocEndpoint> {
+    fn clone_box(&self) -> Box<dyn NocEndpoint> {
         Box::new(self.clone())
     }
 }

@@ -7,7 +7,8 @@ use crate::fe::{
 };
 use crate::initiator::{InitiatorNiu, InitiatorNiuConfig, SocketInitiator};
 use crate::target::{MemoryTarget, ServiceTarget, SocketTarget, TargetNiu, TargetNiuConfig};
-use noc_kernel::Wake;
+use crate::NocEndpoint;
+use noc_kernel::{ClockDomain, Wake};
 use noc_protocols::ahb::AhbMaster;
 use noc_protocols::axi::{AxiMaster, AxiSlave};
 use noc_protocols::checker::{check_ahb_order, check_axi_order, check_ocp_order};
@@ -28,7 +29,7 @@ fn map_one() -> AddressMap {
 
 /// Runs an initiator NIU against a memory target NIU, directly exchanging
 /// flits (ideal zero-latency links), until done or `max_cycles`.
-fn loopback<FE: SocketInitiator>(
+fn loopback<FE: SocketInitiator + Clone + 'static>(
     ini: InitiatorNiu<FE>,
     tgt: TargetNiu<MemoryTarget>,
     max_cycles: u64,
@@ -45,7 +46,7 @@ fn outstanding<FE: SocketInitiator>(ini: &InitiatorNiu<FE>) -> u64 {
 
 /// [`loopback`], also returning the most transactions outstanding at the
 /// end of any cycle.
-fn loopback_peak<FE: SocketInitiator>(
+fn loopback_peak<FE: SocketInitiator + Clone + 'static>(
     mut ini: InitiatorNiu<FE>,
     mut tgt: TargetNiu<MemoryTarget>,
     max_cycles: u64,
@@ -303,10 +304,13 @@ fn blocking_program(streams: u16, alternate: bool) -> Program {
 
 /// Runs `ini` against a memory target NIU over ideal links, returning it
 /// drained and the ticks it executed. With `skip`, it is ticked only at
-/// its wake (`idle_ticks` counted from the last edge accounted), and the
+/// its wake (its `Wake` counted from the last edge accounted), and the
 /// edges passed over are charged through one `skip_ticks` before it is
 /// next ticked or handed a flit — the way `Soc` drives an endpoint.
-fn drive<FE: SocketInitiator>(mut ini: InitiatorNiu<FE>, skip: bool) -> (InitiatorNiu<FE>, u64) {
+fn drive<FE: SocketInitiator + Clone + 'static>(
+    mut ini: InitiatorNiu<FE>,
+    skip: bool,
+) -> (InitiatorNiu<FE>, u64) {
     let mut tgt = mem_target();
     let (mut settled, mut wake, mut ticks) = (0u64, 0u64, 0u64);
     for cycle in 0..20_000 {
@@ -326,7 +330,10 @@ fn drive<FE: SocketInitiator>(mut ini: InitiatorNiu<FE>, skip: bool) -> (Initiat
             settled = cycle + 1;
             ini.push_flit(flit);
         }
-        wake = settled.saturating_add(ini.idle_ticks());
+        wake = ini
+            .wake()
+            .base_cycle(ClockDomain::BASE, settled)
+            .unwrap_or(u64::MAX);
         if ini.is_done() && tgt.is_done() {
             ini.skip_ticks(cycle + 1 - settled);
             return (ini, ticks);
@@ -342,7 +349,7 @@ fn drive<FE: SocketInitiator>(mut ini: InitiatorNiu<FE>, skip: bool) -> (Initiat
 /// running while the NIU sleeps.
 #[test]
 fn a_policy_blocked_niu_skipped_to_its_wake_equals_dense_ticking() {
-    fn case<FE: SocketInitiator + Clone>(label: &str, fe: FE, cfg: InitiatorNiuConfig) {
+    fn case<FE: SocketInitiator + Clone + 'static>(label: &str, fe: FE, cfg: InitiatorNiuConfig) {
         let ini = InitiatorNiu::new(fe, cfg, map_two());
         let (dense, dense_ticks) = drive(ini.clone(), false);
         let (skipped, skipped_ticks) = drive(ini, true);
@@ -707,7 +714,11 @@ fn axi_target_fe_refuses_on_a_full_channel_without_keeping_the_request() {
 }
 
 /// Delivers a read from `master` to `tgt`, as the request network does.
-fn push_read<T: SocketTarget>(tgt: &mut TargetNiu<T>, opcode: Opcode, master: u16) {
+fn push_read<T: SocketTarget + Clone + 'static>(
+    tgt: &mut TargetNiu<T>,
+    opcode: Opcode,
+    master: u16,
+) {
     let req = TransactionRequest::builder(opcode)
         .address(0x40)
         .source(MstAddr::new(master))
@@ -756,7 +767,10 @@ fn target_niu_wake_in_each_state() {
 /// on its port at the start of each tick, so it never refuses an offer
 /// through the NIU, and a `ReadLocked` first holds the read back on the
 /// legacy lock instead, once its own response has left.
-fn wake_in_each_state<T: SocketTarget + Clone>(mut tgt: TargetNiu<T>, first: Opcode) -> [Wake; 5] {
+fn wake_in_each_state<T: SocketTarget + Clone + 'static>(
+    mut tgt: TargetNiu<T>,
+    first: Opcode,
+) -> [Wake; 5] {
     let mut cycle = 0;
     let mut tick = |tgt: &mut TargetNiu<T>| {
         assert!(cycle < 100, "{first}: the next state is reached");

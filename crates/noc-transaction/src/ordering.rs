@@ -118,9 +118,9 @@ pub enum TargetRule {
     StallOnSwitch,
     /// High-performance option: issue to any target immediately; the NIU
     /// carries a reorder buffer that restores same-tag order. Costs area
-    /// (see `noc-area`). The simulated initiator NIU has no reorder
-    /// buffer and always stalls on a switch; this rule is priced by the
-    /// gate model, not simulated.
+    /// (see `noc_examples::area`). The simulated initiator NIU has no
+    /// reorder buffer and always stalls on a switch; this rule is priced
+    /// by the gate model, not simulated.
     Interleave,
 }
 

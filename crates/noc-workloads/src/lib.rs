@@ -10,11 +10,7 @@
 //! same programs compile to the NoC (Fig 1), the bridged reference-socket
 //! interconnect (Fig 2) and a shared bus.
 
-pub mod patterns;
+mod patterns;
 pub mod scenario;
 
-pub use patterns::{uniform_program, PatternConfig};
 pub use scenario::{SetTop, SetTopConfig};
-
-// Convenience: workload consumers almost always want the scenario API too.
-pub use noc_scenario::{Backend, ScenarioSpec, Simulation};

@@ -28,16 +28,6 @@ pub const REG: (u64, u64) = (0x2000_0000, 0x2000_1000);
 pub mod nodes {
     /// AHB CPU.
     pub const CPU: u16 = 0;
-    /// OCP video decoder (2 threads).
-    pub const VIDEO: u16 = 1;
-    /// AXI DMA engine (4 IDs).
-    pub const DMA: u16 = 2;
-    /// STRM display controller.
-    pub const DISPLAY: u16 = 3;
-    /// PVCI control master.
-    pub const CTRL: u16 = 4;
-    /// BVCI I/O master.
-    pub const IO: u16 = 5;
     /// AVCI accelerator (2 threads).
     pub const ACC: u16 = 6;
     /// DRAM target.

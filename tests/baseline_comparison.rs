@@ -3,8 +3,8 @@
 //! bridged interconnect for concurrency-capable masters, reproducing the
 //! paper's qualitative claims quantitatively.
 
-use noc_area::{bridge_gates, bus_gates, niu_gates, switch_gates, NiuAreaConfig};
 use noc_baseline::{BridgedInterconnect, SharedBus};
+use noc_examples::area::{bridge_gates, bus_gates, niu_gates, switch_gates, NiuAreaConfig};
 use noc_kernel::Engine;
 use noc_protocols::ProtocolKind;
 use noc_system::Soc;

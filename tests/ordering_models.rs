@@ -3,7 +3,7 @@
 //! own contract, and the outstanding-capacity knob trades throughput for
 //! gate count.
 
-use noc_area::{niu_gates, NiuAreaConfig};
+use noc_examples::area::{niu_gates, NiuAreaConfig};
 use noc_niu::fe::{AhbInitiator, AxiInitiator, OcpInitiator};
 use noc_niu::{InitiatorNiu, InitiatorNiuConfig, MemoryTarget, TargetNiu, TargetNiuConfig};
 use noc_protocols::ahb::AhbMaster;

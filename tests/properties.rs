@@ -8,7 +8,7 @@
 use noc_kernel::SplitMix64;
 use noc_niu::{
     decode_request, encode_request, packet_into_request, packet_into_response, request_into_packet,
-    response_into_packet,
+    response_into_packet, NocEndpoint,
 };
 use noc_transaction::{
     AddressMap, Burst, BurstKind, Fingerprint, MstAddr, Opcode, OrderingModel, OrderingPolicy,
@@ -389,6 +389,7 @@ impl noc_niu::SocketInitiator for SpyInitiator {
 
 /// A memory target that notes the payload buffer of every request it is
 /// handed and of every response it hands out.
+#[derive(Clone)]
 struct SpyTarget {
     mem: noc_niu::MemoryTarget,
     pushed: Vec<usize>,
