@@ -82,9 +82,6 @@ impl BridgeState {
 #[derive(Clone)]
 struct CentralSlave {
     node: SlvAddr,
-    /// Base address, kept for debugging/reporting symmetry with the bus.
-    #[allow(dead_code)]
-    base: u64,
     mem: MemoryModel,
     timing: SlaveTiming,
     busy_until: u64,
@@ -162,10 +159,10 @@ impl BridgedInterconnect {
         }
     }
 
-    /// Attaches a memory slave at crossbar port `node`, identified inside
-    /// the map by `base`.
-    pub fn add_slave(&mut self, node: SlvAddr, base: u64, mem: MemoryModel) -> &mut Self {
-        self.add_slave_timed(node, base, mem, SlaveTiming::default())
+    /// Attaches a memory slave at crossbar port `node`, the destination
+    /// the address map decodes its range to.
+    pub fn add_slave(&mut self, node: SlvAddr, mem: MemoryModel) -> &mut Self {
+        self.add_slave_timed(node, mem, SlaveTiming::default())
     }
 
     /// Attaches a slave with explicit IP-side service timing (register
@@ -173,13 +170,11 @@ impl BridgedInterconnect {
     pub fn add_slave_timed(
         &mut self,
         node: SlvAddr,
-        base: u64,
         mem: MemoryModel,
         timing: SlaveTiming,
     ) -> &mut Self {
         self.slaves.push(CentralSlave {
             node,
-            base,
             mem,
             timing,
             busy_until: 0,
@@ -191,11 +186,6 @@ impl BridgedInterconnect {
     /// Number of burst chops performed (bridge overhead indicator).
     pub fn chopped_bursts(&self) -> u64 {
         self.chopped
-    }
-
-    /// Completion logs per master, in attachment order.
-    pub fn logs(&self) -> Vec<&CompletionLog> {
-        self.masters.iter().map(|m| m.fe.log()).collect()
     }
 
     /// Named completion logs per master, in attachment order.
@@ -336,60 +326,48 @@ impl Engine for BridgedInterconnect {
                     Opcode::WriteUnlock => self.slaves[sidx].locked_by = None,
                     _ => {}
                 }
-                // Exclusive service: the central monitor arbitrates with
-                // the same arm/try/observe semantics as the NoC's target
-                // NIU and the bus, so contended exclusive outcomes agree
-                // record-for-record across backends. Both sides anchor
-                // at the *parent* request's address, exactly like the
-                // unchopped request the other backends see: arming per
-                // sub would move the master's single reservation to the
-                // last chunk's granule and spuriously fail multi-granule
-                // exclusive pairs.
-                match opcode {
-                    Opcode::ReadExclusive | Opcode::ReadLinked => {
-                        self.monitor.arm(master, parent_addr);
-                    }
-                    Opcode::WriteExclusive | Opcode::WriteConditional => {
-                        let decided = self.bridges[midx].inflight[sub.parent_slot]
-                            .as_ref()
-                            .expect("sub references live parent")
-                            .exclusive_ok;
-                        let ok = decided.unwrap_or_else(|| {
-                            self.monitor
-                                .try_exclusive_write(master, parent_addr)
-                                .is_success()
-                        });
-                        let parent = self.bridges[midx].inflight[sub.parent_slot]
-                            .as_mut()
-                            .expect("sub references live parent");
-                        parent.exclusive_ok = Some(ok);
-                        if !ok {
-                            // Reservation gone: answered by the
-                            // interconnect without touching the slave —
-                            // nothing lands, no occupancy.
-                            parent.worst = Self::worst(parent.worst, RespStatus::ExFail);
-                            parent.remaining -= 1;
-                            if parent.remaining == 0 {
-                                parent.respond_at = now + self.config.response_latency as u64;
-                            }
-                            continue;
-                        }
-                    }
-                    op if op.is_write() => {
-                        // Ordinary writes break covering reservations.
-                        for a in sub.burst.beat_addresses(sub.addr) {
-                            self.monitor.observe_write(a);
-                        }
-                    }
-                    _ => {}
-                }
-                let slave = &mut self.slaves[sidx];
+                // Exclusive service: the crossbar's one monitor applies
+                // the rule every target applies
+                // (`ExclusiveMonitor::admit`). A chopped exclusive
+                // access anchors at the *parent* request's address, like
+                // the unchopped request the other backends see: each
+                // chunk of an exclusive read re-arms the parent's granule
+                // (arming per chunk would move the master's one
+                // reservation to the last chunk's granule), and an
+                // exclusive write is tried once, on its first chunk, so it
+                // cannot half-land. Every admitted chunk of a write clears
+                // the reservations on the granules it writes.
                 let parent = self.bridges[midx].inflight[sub.parent_slot]
                     .as_mut()
                     .expect("sub references live parent");
-                let plain = opcode.plain();
+                let admitted = match parent.exclusive_ok {
+                    Some(won) => {
+                        won && self
+                            .monitor
+                            .admit(master, opcode.plain(), sub.addr, sub.burst)
+                    }
+                    None if opcode.is_exclusive() => {
+                        self.monitor.admit(master, opcode, parent_addr, sub.burst)
+                    }
+                    None => self.monitor.admit(master, opcode, sub.addr, sub.burst),
+                };
+                if opcode.is_exclusive() && opcode.is_write() {
+                    parent.exclusive_ok = Some(admitted);
+                }
+                if !admitted {
+                    // Reservation gone: answered by the interconnect
+                    // without touching the slave — nothing lands, no
+                    // occupancy.
+                    parent.worst = Self::worst(parent.worst, RespStatus::ExFail);
+                    parent.remaining -= 1;
+                    if parent.remaining == 0 {
+                        parent.respond_at = now + self.config.response_latency as u64;
+                    }
+                    continue;
+                }
+                let slave = &mut self.slaves[sidx];
                 let zeros;
-                let wdata: &[u8] = if plain.is_write() {
+                let wdata: &[u8] = if opcode.is_write() {
                     // slice of parent data corresponding to this chunk
                     let off = sub
                         .addr
@@ -406,19 +384,8 @@ impl Engine for BridgedInterconnect {
                 } else {
                     &[]
                 };
-                let (mut status, data) = access(
-                    &mut slave.mem,
-                    plain,
-                    sub.addr,
-                    sub.burst,
-                    wdata,
-                    None,
-                    master,
-                );
-                if opcode.is_exclusive() && status == RespStatus::Okay {
-                    // the monitor already ruled in favour of this write
-                    status = RespStatus::ExOkay;
-                }
+                let data = access(&mut slave.mem, opcode, sub.addr, sub.burst, wdata);
+                let status = opcode.served(RespStatus::Okay);
                 slave.busy_until = now
                     + slave
                         .timing
@@ -568,8 +535,8 @@ mod tests {
 
     fn bridged() -> BridgedInterconnect {
         let mut b = BridgedInterconnect::new(BridgeConfig::default(), map_two());
-        b.add_slave(SlvAddr::new(0), 0x0, MemoryModel::new(2));
-        b.add_slave(SlvAddr::new(1), 0x10000, MemoryModel::new(2));
+        b.add_slave(SlvAddr::new(0), MemoryModel::new(2));
+        b.add_slave(SlvAddr::new(1), MemoryModel::new(2));
         b
     }
 
@@ -585,7 +552,7 @@ mod tests {
             Box::new(AhbInitiator::new(AhbMaster::new(program))),
         ));
         assert!(ic.run(20_000));
-        let recs = ic.logs()[0].records();
+        let recs = ic.completion_logs()[0].1.records();
         assert_eq!(recs[0].data, recs[1].data);
     }
 
@@ -599,7 +566,7 @@ mod tests {
         ));
         assert!(ic.run(20_000));
         assert_eq!(ic.chopped_bursts(), 1);
-        assert_eq!(ic.logs()[0].len(), 1);
+        assert_eq!(ic.completion_logs()[0].1.len(), 1);
     }
 
     #[test]
@@ -613,7 +580,7 @@ mod tests {
             Box::new(AhbInitiator::new(AhbMaster::new(program))),
         ));
         assert!(ic.run(20_000));
-        let lat = ic.logs()[0].records()[0].latency();
+        let lat = ic.completion_logs()[0].1.records()[0].latency();
         assert!(lat >= 7, "bridged read latency {lat} must include bridges");
     }
 
@@ -631,8 +598,8 @@ mod tests {
             Box::new(AhbInitiator::new(AhbMaster::new(m1))),
         ));
         assert!(ic.run(20_000));
-        let l0 = ic.logs()[0].records()[0].latency();
-        let l1 = ic.logs()[1].records()[0].latency();
+        let l0 = ic.completion_logs()[0].1.records()[0].latency();
+        let l1 = ic.completion_logs()[1].1.records()[0].latency();
         // crossbar parallelism: neither waits for the other
         assert!(l0.abs_diff(l1) <= 2, "latencies {l0} vs {l1}");
     }
@@ -652,14 +619,15 @@ mod tests {
                 ..BridgeConfig::default()
             };
             let mut ic = BridgedInterconnect::new(cfg, map_two());
-            ic.add_slave(SlvAddr::new(0), 0x0, MemoryModel::new(2));
-            ic.add_slave(SlvAddr::new(1), 0x10000, MemoryModel::new(2));
+            ic.add_slave(SlvAddr::new(0), MemoryModel::new(2));
+            ic.add_slave(SlvAddr::new(1), MemoryModel::new(2));
             ic.add_master(AttachedMaster::new(
                 "video",
                 Box::new(OcpInitiator::new(OcpMaster::new(program.clone(), 2, 2))),
             ));
             assert!(ic.run(20_000));
-            ic.logs()[0]
+            ic.completion_logs()[0]
+                .1
                 .records()
                 .iter()
                 .map(|r| r.completed_at)
@@ -690,7 +658,7 @@ mod tests {
             Box::new(OcpInitiator::new(OcpMaster::new(program, 1, 1))),
         ));
         assert!(ic.run(20_000));
-        let recs = ic.logs()[0].records();
+        let recs = ic.completion_logs()[0].1.records();
         assert!(recs.iter().all(|r| r.status == RespStatus::ExOkay));
     }
 
@@ -715,7 +683,7 @@ mod tests {
         ));
         assert!(ic.run(20_000));
         assert_eq!(ic.chopped_bursts(), 1);
-        let recs = ic.logs()[0].records();
+        let recs = ic.completion_logs()[0].1.records();
         assert!(
             recs.iter().all(|r| r.status == RespStatus::ExOkay),
             "{:?}",
@@ -750,9 +718,9 @@ mod tests {
         ));
         assert!(ic.run(20_000));
         let verdicts: Vec<RespStatus> = ic
-            .logs()
+            .completion_logs()
             .iter()
-            .map(|l| l.records().iter().find(|r| r.index == 1).unwrap().status)
+            .map(|(_, l)| l.records().iter().find(|r| r.index == 1).unwrap().status)
             .collect();
         assert_eq!(
             verdicts

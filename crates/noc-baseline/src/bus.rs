@@ -127,11 +127,6 @@ impl SharedBus {
         self.granted
     }
 
-    /// Completion logs per master, in attachment order.
-    pub fn logs(&self) -> Vec<&CompletionLog> {
-        self.masters.iter().map(|m| m.fe.log()).collect()
-    }
-
     /// Named completion logs per master, in attachment order.
     pub fn completion_logs(&self) -> Vec<(&str, &CompletionLog)> {
         self.masters
@@ -168,76 +163,45 @@ impl Engine for SharedBus {
             if now >= done_at {
                 let (midx, req, _, route) = self.busy.take().expect("matched in service");
                 let master = MstAddr::new(midx as u16);
+                let (opcode, addr, burst) = (req.opcode(), req.address(), req.burst());
                 let (status, data) = match route {
                     None => (RespStatus::DecErr, Vec::new()),
-                    Some(slave) => {
-                        // Monitor first (single serialisation point).
-                        match req.opcode() {
-                            Opcode::ReadExclusive | Opcode::ReadLinked => {
-                                self.monitor.arm(master, req.address());
-                            }
-                            Opcode::WriteExclusive | Opcode::WriteConditional
-                                if !self
-                                    .monitor
-                                    .try_exclusive_write(master, req.address())
-                                    .is_success() =>
-                            {
-                                let resp = TransactionResponse::new(
-                                    RespStatus::ExFail,
-                                    master,
-                                    req.dst(),
-                                    req.tag(),
-                                    Vec::new(),
-                                );
-                                self.masters[midx].fe.push_response(
-                                    req.stream(),
-                                    req.opcode(),
-                                    resp,
-                                );
-                                self.now += 1;
-                                return;
-                            }
-                            op if op.is_write() => {
-                                for a in req.burst().beat_addresses(req.address()) {
-                                    self.monitor.observe_write(a);
-                                }
-                            }
-                            _ => {}
-                        }
-                        let plain = req.opcode().plain();
-                        match slave.map(|s| &mut self.slaves[s]) {
-                            Some(slave) => {
-                                let (st, data) = access(
-                                    &mut slave.mem,
-                                    plain,
-                                    req.address(),
-                                    req.burst(),
-                                    req.data(),
-                                    None,
-                                    master,
-                                );
-                                let st = if req.opcode().is_exclusive() && st == RespStatus::Okay {
-                                    RespStatus::ExOkay
-                                } else {
-                                    st
-                                };
-                                (st, data)
-                            }
-                            None => (RespStatus::DecErr, Vec::new()),
-                        }
+                    // The one synchronisation rule first (the bus is the
+                    // single serialisation point), even for a mapped node
+                    // with no slave: a refused exclusive write is answered
+                    // EXFAIL, touches nothing and grants no one this step.
+                    Some(_) if !self.monitor.admit(master, opcode, addr, burst) => {
+                        let resp = TransactionResponse::new(
+                            RespStatus::ExFail,
+                            master,
+                            req.dst(),
+                            req.tag(),
+                            Vec::new(),
+                        );
+                        self.masters[midx]
+                            .fe
+                            .push_response(req.stream(), opcode, resp);
+                        self.now += 1;
+                        return;
                     }
+                    Some(Some(slave)) => {
+                        let mem = &mut self.slaves[slave].mem;
+                        let data = access(mem, opcode, addr, burst, req.data());
+                        (opcode.served(RespStatus::Okay), data)
+                    }
+                    Some(None) => (RespStatus::DecErr, Vec::new()),
                 };
                 // Lock bookkeeping.
-                match req.opcode() {
+                match opcode {
                     Opcode::ReadLocked => self.lock_owner = Some(midx),
                     Opcode::WriteUnlock => self.lock_owner = None,
                     _ => {}
                 }
-                if req.opcode().expects_response() {
+                if opcode.expects_response() {
                     let resp = TransactionResponse::new(status, master, req.dst(), req.tag(), data);
                     self.masters[midx]
                         .fe
-                        .push_response(req.stream(), req.opcode(), resp);
+                        .push_response(req.stream(), opcode, resp);
                 }
             }
         }
@@ -359,9 +323,9 @@ mod tests {
         ];
         let mut bus = bus_with(vec![program]);
         assert!(bus.run(10_000));
-        let logs = bus.logs();
-        assert_eq!(logs[0].len(), 2);
-        let recs = logs[0].records();
+        let logs = bus.completion_logs();
+        assert_eq!(logs[0].1.len(), 2);
+        let recs = logs[0].1.records();
         assert_eq!(recs[0].data, recs[1].data);
     }
 
@@ -373,9 +337,9 @@ mod tests {
         assert_eq!(bus.grants(), 3);
         // completions cannot overlap: end cycles strictly ordered
         let mut ends: Vec<u64> = bus
-            .logs()
+            .completion_logs()
             .iter()
-            .map(|l| l.records()[0].completed_at)
+            .map(|(_, l)| l.records()[0].completed_at)
             .collect();
         ends.sort_unstable();
         assert!(ends.windows(2).all(|w| w[0] < w[1]));
@@ -397,7 +361,7 @@ mod tests {
         ));
         bus.add_slave(0x0, MemoryModel::new(2));
         assert!(bus.run(10_000));
-        assert_eq!(bus.logs()[0].len(), 4);
+        assert_eq!(bus.completion_logs()[0].1.len(), 4);
     }
 
     #[test]
@@ -410,9 +374,9 @@ mod tests {
         let mut bus = bus_with(vec![locker, other]);
         assert!(bus.run(10_000));
         // Both finish; the locked pair is back-to-back.
-        let logs = bus.logs();
-        assert_eq!(logs[0].len(), 2);
-        assert_eq!(logs[1].len(), 1);
+        let logs = bus.completion_logs();
+        assert_eq!(logs[0].1.len(), 2);
+        assert_eq!(logs[1].1.len(), 1);
     }
 
     /// A master whose read waits out another master's locked sequence
@@ -436,7 +400,10 @@ mod tests {
         }
         assert!(horizon.run(10_000));
         let records = |bus: &SharedBus| -> Vec<_> {
-            bus.logs().iter().map(|l| l.records().to_vec()).collect()
+            bus.completion_logs()
+                .iter()
+                .map(|(_, l)| l.records().to_vec())
+                .collect()
         };
         assert_eq!(records(&horizon), records(&dense));
         assert_eq!(horizon.now(), dense.now());
@@ -470,7 +437,7 @@ mod tests {
         ));
         bus.add_slave(0x0, MemoryModel::new(1));
         assert!(bus.run(10_000));
-        let recs = bus.logs()[0].records();
+        let recs = bus.completion_logs()[0].1.records();
         assert!(recs.iter().all(|r| r.status == RespStatus::ExOkay));
     }
 
@@ -479,6 +446,9 @@ mod tests {
         let program = vec![SocketCommand::read(0xDEAD_0000, 4)];
         let mut bus = bus_with(vec![program]);
         assert!(bus.run(10_000));
-        assert_eq!(bus.logs()[0].records()[0].status, RespStatus::DecErr);
+        assert_eq!(
+            bus.completion_logs()[0].1.records()[0].status,
+            RespStatus::DecErr
+        );
     }
 }

@@ -12,9 +12,14 @@
 //!   reference socket (think BVCI), with per-master bridges that
 //!   *serialise* multi-threaded/ID traffic to one outstanding
 //!   transaction, *chop* long bursts to the reference maximum, add
-//!   request/response pipeline latency, and *emulate* exclusives by
+//!   request/response pipeline latency, and *emulate* the legacy lock by
 //!   locking the target — precisely the feature clamping the paper
 //!   blames on bridges.
+//!
+//! Each decides exclusive outcomes in one central monitor by the one rule
+//! every target applies, `noc_transaction::ExclusiveMonitor::admit`, and
+//! names the status with `Opcode::served`, so contended exclusive pairs
+//! resolve record for record as they do on the NoC.
 //!
 //! Both baselines host the same [`SocketInitiator`] front ends and run
 //! the same programs as the NoC, so latency/throughput/fingerprint

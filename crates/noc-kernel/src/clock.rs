@@ -79,82 +79,6 @@ impl fmt::Display for ClockDomain {
     }
 }
 
-/// A registry of clock domains used by a system, able to answer which
-/// domains are active on a given base cycle.
-///
-/// # Examples
-///
-/// ```
-/// use noc_kernel::{ClockDomain, ClockSet};
-/// let mut set = ClockSet::new();
-/// let fast = set.register(ClockDomain::BASE);
-/// let slow = set.register(ClockDomain::new(3));
-/// assert!(set.is_active(fast, 1));
-/// assert!(!set.is_active(slow, 1));
-/// assert!(set.is_active(slow, 3));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ClockSet {
-    domains: Vec<ClockDomain>,
-}
-
-/// Index of a clock domain within a [`ClockSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ClockId(usize);
-
-impl ClockId {
-    /// Raw index value.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl ClockSet {
-    /// Creates an empty clock set.
-    pub fn new() -> Self {
-        ClockSet::default()
-    }
-
-    /// Registers a domain, returning its id. Identical domains are shared.
-    pub fn register(&mut self, domain: ClockDomain) -> ClockId {
-        if let Some(pos) = self.domains.iter().position(|d| *d == domain) {
-            return ClockId(pos);
-        }
-        self.domains.push(domain);
-        ClockId(self.domains.len() - 1)
-    }
-
-    /// Looks up a domain by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not issued by this set.
-    pub fn domain(&self, id: ClockId) -> ClockDomain {
-        self.domains[id.0]
-    }
-
-    /// Returns `true` if domain `id` ticks on `base_cycle`.
-    pub fn is_active(&self, id: ClockId, base_cycle: u64) -> bool {
-        self.domains[id.0].is_active(base_cycle)
-    }
-
-    /// Number of registered (distinct) domains.
-    pub fn len(&self) -> usize {
-        self.domains.len()
-    }
-
-    /// Returns `true` if no domains are registered.
-    pub fn is_empty(&self) -> bool {
-        self.domains.is_empty()
-    }
-
-    /// The next base cycle at or after `base_cycle` (inclusive) where time
-    /// `t` maps into domain `id`'s active grid.
-    pub fn next_active(&self, id: ClockId, base_cycle: u64) -> u64 {
-        self.domains[id.0].next_active(base_cycle)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,17 +124,6 @@ mod tests {
         assert_eq!(d.ticks_in(4), 1);
         assert_eq!(d.ticks_in(5), 2);
         assert_eq!(d.ticks_in(9), 3);
-    }
-
-    #[test]
-    fn clock_set_shares_identical_domains() {
-        let mut set = ClockSet::new();
-        let a = set.register(ClockDomain::new(2));
-        let b = set.register(ClockDomain::new(2));
-        let c = set.register(ClockDomain::new(3));
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(set.len(), 2);
     }
 
     #[test]

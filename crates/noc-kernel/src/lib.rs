@@ -8,8 +8,9 @@
 //! - [`Engine`], the stepping contract (`step` / `next_activity` /
 //!   `skip_to`) every interconnect model implements, with the one
 //!   advance loop provided on top of it;
-//! - [`ClockDomain`] / [`ClockSet`], divisor-based clock domains so that
-//!   mixed-clock systems stay on one deterministic base timeline;
+//! - [`ClockDomain`], a divisor-based clock domain (each endpoint holds
+//!   its own) so that mixed-clock systems stay on one deterministic base
+//!   timeline;
 //! - [`Wake`], a component's answer to "when can you next act?" — a
 //!   count of its own clock edges or an absolute cycle — and the one
 //!   mapping of that answer onto the base timeline;
@@ -59,7 +60,7 @@ pub mod wake;
 
 pub use arrivals::Arrivals;
 pub use calendar::{Calendar, WakeId};
-pub use clock::{ClockDomain, ClockId, ClockSet};
+pub use clock::ClockDomain;
 pub use engine::Engine;
 pub use rng::SplitMix64;
 pub use slab::{Queue, Slab};

@@ -97,12 +97,14 @@ impl TargetNiuConfig {
 ///
 /// Responsibilities (paper §3):
 ///
-/// - **exclusive service**: `ReadExclusive`/`ReadLinked` arm the NIU's
-///   [`ExclusiveMonitor`]; `WriteExclusive`/`WriteConditional` are
-///   answered `EXFAIL` *locally, without touching the IP* when the
-///   reservation is gone, and upgraded to `EXOKAY` when it holds.
-///   Ordinary writes break covering reservations. One packet bit, NIU
-///   state only.
+/// - **exclusive service**: every request passes the NIU's
+///   [`ExclusiveMonitor`] under the one rule of
+///   [`ExclusiveMonitor::admit`] — the same rule the baselines and the
+///   loopback slave apply. A `WriteExclusive`/`WriteConditional` whose
+///   reservation is gone is answered `EXFAIL` *locally, without touching
+///   the IP*; the IP's answer to an admitted request is named by
+///   [`Opcode::served`] (`EXOKAY` for the exclusive family). One packet
+///   bit, NIU state only.
 /// - **legacy locks**: `ReadLocked` acquires the [`LockArbiter`];
 ///   requests from other masters stall while held (in addition to the
 ///   transport-level path pinning the LOCKED service bit causes).
@@ -122,7 +124,6 @@ pub struct TargetNiu<T: SocketTarget> {
     assembler: PacketAssembler,
     pkt_seq: u64,
     requests_served: u64,
-    exclusive_fails: u64,
     lock_stall_cycles: u64,
 }
 
@@ -139,7 +140,6 @@ impl<T: SocketTarget> TargetNiu<T> {
             assembler: PacketAssembler::new(),
             pkt_seq: 0,
             requests_served: 0,
-            exclusive_fails: 0,
             lock_stall_cycles: 0,
             config,
         }
@@ -150,7 +150,8 @@ impl<T: SocketTarget> TargetNiu<T> {
         &self.target
     }
 
-    /// The exclusive monitor (test inspection).
+    /// The exclusive monitor (test inspection; its
+    /// [`ExclusiveMonitor::failures`] counts the locally failed writes).
     pub fn monitor(&self) -> &ExclusiveMonitor {
         &self.monitor
     }
@@ -158,11 +159,6 @@ impl<T: SocketTarget> TargetNiu<T> {
     /// Requests served (accepted towards the IP or answered locally).
     pub fn requests_served(&self) -> u64 {
         self.requests_served
-    }
-
-    /// Locally failed exclusive writes.
-    pub fn exclusive_fails(&self) -> u64 {
-        self.exclusive_fails
     }
 
     /// Cycles the head request stalled on the legacy lock.
@@ -196,36 +192,23 @@ impl<T: SocketTarget + Clone + 'static> NocEndpoint for TargetNiu<T> {
                 self.lock_stall_cycles += 1;
                 return;
             }
-            // Exclusive service, entirely in NIU state.
-            match opcode {
-                Opcode::ReadExclusive | Opcode::ReadLinked => {
-                    self.monitor.arm(master, req.address());
-                }
-                Opcode::WriteExclusive | Opcode::WriteConditional
-                    if !self
-                        .monitor
-                        .try_exclusive_write(master, req.address())
-                        .is_success() =>
-                {
-                    // Fail locally: no IP interaction, no side effect.
-                    let req = self.ingress.pop_front().expect("head exists");
-                    self.exclusive_fails += 1;
-                    self.requests_served += 1;
-                    self.respond(TransactionResponse::new(
-                        RespStatus::ExFail,
-                        req.src(),
-                        self.config.node,
-                        req.tag(),
-                        Vec::new(),
-                    ));
-                    return;
-                }
-                Opcode::Write | Opcode::WritePosted | Opcode::Broadcast | Opcode::WriteUnlock => {
-                    for a in req.burst().beat_addresses(req.address()) {
-                        self.monitor.observe_write(a);
-                    }
-                }
-                _ => {}
+            // Exclusive service, entirely in NIU state: a write whose
+            // reservation is gone fails locally, with no IP interaction
+            // and no side effect.
+            if !self
+                .monitor
+                .admit(master, opcode, req.address(), req.burst())
+            {
+                self.ingress.pop_front();
+                self.requests_served += 1;
+                self.respond(TransactionResponse::new(
+                    RespStatus::ExFail,
+                    master,
+                    self.config.node,
+                    tag,
+                    Vec::new(),
+                ));
+                return;
             }
             // Hand the head itself to the IP, labelled with the plain
             // opcode (the IP never sees NoC service semantics); a
@@ -256,17 +239,8 @@ impl<T: SocketTarget + Clone + 'static> NocEndpoint for TargetNiu<T> {
                 .position(|&(m, t, _)| (m, t) == (dst, tag))
                 .expect("response matches a request in flight");
             let (.., opcode) = self.inflight.remove(oldest).expect("index just found");
-            let status = match (opcode, resp.status()) {
-                (Opcode::ReadExclusive | Opcode::ReadLinked, RespStatus::Okay) => {
-                    RespStatus::ExOkay
-                }
-                (Opcode::WriteExclusive | Opcode::WriteConditional, RespStatus::Okay) => {
-                    RespStatus::ExOkay
-                }
-                (_, s) => s,
-            };
             self.respond(TransactionResponse::new(
-                status,
+                opcode.served(resp.status()),
                 dst,
                 self.config.node,
                 tag,
@@ -403,20 +377,18 @@ impl SocketTarget for MemoryTarget {
         if self.pending.len() >= self.capacity {
             return Err(req);
         }
-        let (status, data) = noc_protocols::memory::access(
+        let data = noc_protocols::memory::access(
             &mut self.mem,
             req.opcode(),
             req.address(),
             req.burst(),
             req.data(),
-            None,
-            req.src(),
         );
         let ready = self.now + self.mem.latency() as u64 + req.burst().beats() as u64;
         if req.opcode().expects_response() {
             self.pending.push(
                 ready,
-                TransactionResponse::new(status, req.src(), req.dst(), req.tag(), data),
+                TransactionResponse::new(RespStatus::Okay, req.src(), req.dst(), req.tag(), data),
             );
         }
         Ok(())
@@ -486,14 +458,12 @@ impl SocketTarget for ServiceTarget {
         if self.now < self.busy_until || self.pending.len() >= self.capacity {
             return Err(req);
         }
-        let (status, data) = noc_protocols::memory::access(
+        let data = noc_protocols::memory::access(
             &mut self.regs,
             req.opcode(),
             req.address(),
             req.burst(),
             req.data(),
-            None,
-            req.src(),
         );
         let latency = if req.opcode().is_write() {
             self.write_latency
@@ -505,7 +475,7 @@ impl SocketTarget for ServiceTarget {
         if req.opcode().expects_response() {
             self.pending.push(
                 ready,
-                TransactionResponse::new(status, req.src(), req.dst(), req.tag(), data),
+                TransactionResponse::new(RespStatus::Okay, req.src(), req.dst(), req.tag(), data),
             );
         }
         Ok(())

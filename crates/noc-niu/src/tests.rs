@@ -152,7 +152,7 @@ fn axi_exclusive_handled_by_target_niu_monitor() {
         "statuses: {:?}",
         recs.iter().map(|r| r.status).collect::<Vec<_>>()
     );
-    assert_eq!(tgt.exclusive_fails(), 0);
+    assert_eq!(tgt.monitor().failures(), 0);
     assert_eq!(tgt.monitor().successes(), 1);
 }
 
@@ -167,7 +167,7 @@ fn exclusive_write_without_reservation_fails_locally() {
     let (ini, tgt) = loopback(ini, mem_target(), 2000);
     assert!(ini.is_done());
     assert_eq!(ini.fe().log().records()[0].status, RespStatus::ExFail);
-    assert_eq!(tgt.exclusive_fails(), 1);
+    assert_eq!(tgt.monitor().failures(), 1);
     // the failed write never reached the memory
     assert_eq!(tgt.target().memory().write_count(), 0);
 }

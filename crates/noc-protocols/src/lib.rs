@@ -22,7 +22,11 @@
 //!   any socket: the reference the master's unit tests and doc examples
 //!   run against. Products serve targets through [`MemoryModel`] and
 //!   [`memory::access`] directly; [`axi::AxiSlave`], an AXI slave *driven
-//!   by* neutral transactions, backs the NIU's `AxiTargetFe`;
+//!   by* neutral transactions, backs the NIU's `AxiTargetFe`. Storage is
+//!   plain: the loopback, like every target, decides exclusive outcomes
+//!   by the one rule of `noc_transaction::ExclusiveMonitor::admit` before
+//!   [`memory::access`] runs, and names the status with
+//!   `Opcode::served`;
 //! - log-level *checkers* ([`checker`]) assert each protocol's ordering
 //!   contract over completion logs.
 //!

@@ -3,7 +3,7 @@
 use crate::agent::{Agent, Socket};
 use crate::memory::{access, MemoryModel};
 use noc_transaction::{
-    ExclusiveMonitor, MstAddr, Opcode, SlvAddr, StreamId, Tag, TransactionResponse,
+    ExclusiveMonitor, MstAddr, Opcode, RespStatus, SlvAddr, StreamId, Tag, TransactionResponse,
 };
 use std::marker::PhantomData;
 
@@ -64,18 +64,17 @@ impl<S: Socket> Loopback<S> {
     /// Accepts every request on the port and serves it.
     fn accept(&mut self, cycle: u64, port: &mut S::Port) {
         while let Some(req) = S::accept(port) {
-            let bank = (req.address() >> 8) % 4;
-            let service = self.mem.latency() as u64 + req.burst().beats() as u64;
             let (stream, opcode) = (req.stream(), req.opcode());
-            let (status, data) = access(
-                &mut self.mem,
-                opcode,
-                req.address(),
-                req.burst(),
-                req.data(),
-                Some(&mut self.monitor),
-                MstAddr::new(stream.raw()),
-            );
+            let (addr, burst) = (req.address(), req.burst());
+            let bank = (addr >> 8) % 4;
+            let service = self.mem.latency() as u64 + burst.beats() as u64;
+            let master = MstAddr::new(stream.raw());
+            let (status, data) = if self.monitor.admit(master, opcode, addr, burst) {
+                let data = access(&mut self.mem, opcode, addr, burst, req.data());
+                (opcode.served(RespStatus::Okay), data)
+            } else {
+                (RespStatus::ExFail, Vec::new())
+            };
             if opcode.expects_response() {
                 self.pending.push(Pending {
                     ready_at: cycle + service + bank * self.bank_stagger as u64,

@@ -1,6 +1,6 @@
 //! A sparse byte-addressable memory model shared by every target.
 
-use noc_transaction::{Burst, ExclusiveMonitor, MstAddr, Opcode, RespStatus};
+use noc_transaction::{Burst, Opcode};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -181,26 +181,25 @@ impl MemoryModel {
     }
 }
 
-/// Performs one canonical transaction against a memory, honouring burst
-/// address progression and (optionally) an exclusive monitor — the single
-/// semantic kernel shared by the loopback slave, the baselines and every
-/// target NIU.
-///
-/// Returns the response status and the read data (empty for writes).
-/// Failed exclusive/conditional writes perform **no** memory update.
+/// Performs one transaction's storage access, honouring burst address
+/// progression: a read returns its beats' bytes, a write stores `wdata`
+/// and returns nothing. Only the opcode's direction matters — this is
+/// the plain storage kernel the loopback slave, the baselines and the
+/// NoC's memory and service targets share. Synchronisation is not
+/// storage: a target runs its
+/// [`ExclusiveMonitor::admit`](noc_transaction::ExclusiveMonitor::admit)
+/// first, calls this only for a request the monitor admitted, and names
+/// the status with [`Opcode::served`].
 ///
 /// # Examples
 ///
 /// ```
 /// use noc_protocols::memory::{access, MemoryModel};
-/// use noc_transaction::{Burst, MstAddr, Opcode, RespStatus};
+/// use noc_transaction::{Burst, Opcode};
 /// let mut mem = MemoryModel::new(1);
 /// let burst = Burst::incr(2, 4).unwrap();
-/// let (st, _) = access(&mut mem, Opcode::Write, 0x10, burst, &[7u8; 8], None, MstAddr::new(0));
-/// assert_eq!(st, RespStatus::Okay);
-/// let (st, data) = access(&mut mem, Opcode::Read, 0x10, burst, &[], None, MstAddr::new(0));
-/// assert_eq!(st, RespStatus::Okay);
-/// assert_eq!(data, vec![7u8; 8]);
+/// assert!(access(&mut mem, Opcode::Write, 0x10, burst, &[7u8; 8]).is_empty());
+/// assert_eq!(access(&mut mem, Opcode::Read, 0x10, burst, &[]), vec![7u8; 8]);
 /// ```
 pub fn access(
     mem: &mut MemoryModel,
@@ -208,65 +207,23 @@ pub fn access(
     addr: u64,
     burst: Burst,
     wdata: &[u8],
-    monitor: Option<&mut ExclusiveMonitor>,
-    master: MstAddr,
-) -> (RespStatus, Vec<u8>) {
+) -> Vec<u8> {
     let beat = burst.beat_bytes() as usize;
-    if opcode.is_read() {
-        let mut data = Vec::with_capacity(burst.total_bytes() as usize);
-        for a in burst.beat_addresses(addr) {
-            mem.read_into(a, beat, &mut data);
-        }
-        let status = match opcode {
-            Opcode::ReadExclusive | Opcode::ReadLinked => {
-                if let Some(mon) = monitor {
-                    mon.arm(master, addr);
-                    RespStatus::ExOkay
-                } else {
-                    // Exclusive service not present: degrade to plain read.
-                    RespStatus::Okay
-                }
-            }
-            _ => RespStatus::Okay,
-        };
-        (status, data)
-    } else {
-        match opcode {
-            Opcode::WriteExclusive | Opcode::WriteConditional => {
-                if let Some(mon) = monitor {
-                    if mon.try_exclusive_write(master, addr).is_success() {
-                        write_burst(mem, addr, burst, wdata);
-                        (RespStatus::ExOkay, Vec::new())
-                    } else {
-                        (RespStatus::ExFail, Vec::new())
-                    }
-                } else {
-                    (RespStatus::ExFail, Vec::new())
-                }
-            }
-            _ => {
-                if let Some(mon) = monitor {
-                    // Ordinary writes break covering reservations.
-                    for a in burst.beat_addresses(addr) {
-                        mon.observe_write(a);
-                    }
-                }
-                write_burst(mem, addr, burst, wdata);
-                (RespStatus::Okay, Vec::new())
+    if opcode.is_write() {
+        for (i, a) in burst.beat_addresses(addr).enumerate() {
+            let lo = i * beat;
+            let hi = ((i + 1) * beat).min(wdata.len());
+            if lo < wdata.len() {
+                mem.write(a, &wdata[lo..hi]);
             }
         }
+        return Vec::new();
     }
-}
-
-fn write_burst(mem: &mut MemoryModel, addr: u64, burst: Burst, wdata: &[u8]) {
-    let beat = burst.beat_bytes() as usize;
-    for (i, a) in burst.beat_addresses(addr).enumerate() {
-        let lo = i * beat;
-        let hi = ((i + 1) * beat).min(wdata.len());
-        if lo < wdata.len() {
-            mem.write(a, &wdata[lo..hi]);
-        }
+    let mut data = Vec::with_capacity(burst.total_bytes() as usize);
+    for a in burst.beat_addresses(addr) {
+        mem.read_into(a, beat, &mut data);
     }
+    data
 }
 
 impl fmt::Display for MemoryModel {
@@ -328,37 +285,35 @@ mod tests {
 
     mod access_tests {
         use super::super::*;
-        use noc_transaction::{Burst, ExclusiveMonitor, MstAddr, Opcode, RespStatus};
+        use noc_transaction::{ExclusiveMonitor, MstAddr, RespStatus};
 
         fn b(beats: u32) -> Burst {
             Burst::incr(beats, 4).unwrap()
+        }
+
+        /// A memory behind a monitor, as every target serves one: the
+        /// monitor admits, storage answers, the opcode names the status.
+        fn serve(
+            mem: &mut MemoryModel,
+            mon: &mut ExclusiveMonitor,
+            master: MstAddr,
+            opcode: Opcode,
+            addr: u64,
+            wdata: &[u8],
+        ) -> RespStatus {
+            if !mon.admit(master, opcode, addr, b(1)) {
+                return RespStatus::ExFail;
+            }
+            access(mem, opcode, addr, b(1), wdata);
+            opcode.served(RespStatus::Okay)
         }
 
         #[test]
         fn write_then_read_burst() {
             let mut mem = MemoryModel::new(1);
             let data: Vec<u8> = (0..8).collect();
-            let (st, _) = access(
-                &mut mem,
-                Opcode::Write,
-                0x20,
-                b(2),
-                &data,
-                None,
-                MstAddr::new(0),
-            );
-            assert_eq!(st, RespStatus::Okay);
-            let (st, rd) = access(
-                &mut mem,
-                Opcode::Read,
-                0x20,
-                b(2),
-                &[],
-                None,
-                MstAddr::new(0),
-            );
-            assert_eq!(st, RespStatus::Okay);
-            assert_eq!(rd, data);
+            assert!(access(&mut mem, Opcode::Write, 0x20, b(2), &data).is_empty());
+            assert_eq!(access(&mut mem, Opcode::Read, 0x20, b(2), &[]), data);
         }
 
         #[test]
@@ -369,15 +324,7 @@ mod tests {
             mem.write(0x28, &[3, 3, 3, 3]);
             mem.write(0x2C, &[4, 4, 4, 4]);
             let wrap = Burst::wrap(4, 4).unwrap();
-            let (_, rd) = access(
-                &mut mem,
-                Opcode::Read,
-                0x28,
-                wrap,
-                &[],
-                None,
-                MstAddr::new(0),
-            );
+            let rd = access(&mut mem, Opcode::Read, 0x28, wrap, &[]);
             assert_eq!(rd, vec![3, 3, 3, 3, 4, 4, 4, 4, 1, 1, 1, 1, 2, 2, 2, 2]);
         }
 
@@ -386,24 +333,15 @@ mod tests {
             let mut mem = MemoryModel::new(1);
             let mut mon = ExclusiveMonitor::new(64, 4);
             let m0 = MstAddr::new(0);
-            let (st, _) = access(
-                &mut mem,
-                Opcode::ReadExclusive,
-                0x40,
-                b(1),
-                &[],
-                Some(&mut mon),
-                m0,
-            );
+            let st = serve(&mut mem, &mut mon, m0, Opcode::ReadExclusive, 0x40, &[]);
             assert_eq!(st, RespStatus::ExOkay);
-            let (st, _) = access(
+            let st = serve(
                 &mut mem,
+                &mut mon,
+                m0,
                 Opcode::WriteExclusive,
                 0x40,
-                b(1),
-                &[9, 9, 9, 9],
-                Some(&mut mon),
-                m0,
+                &[9; 4],
             );
             assert_eq!(st, RespStatus::ExOkay);
             assert_eq!(mem.read(0x40, 4), vec![9, 9, 9, 9]);
@@ -414,14 +352,14 @@ mod tests {
             let mut mem = MemoryModel::new(1);
             let mut mon = ExclusiveMonitor::new(64, 4);
             mem.write(0x40, &[5, 5, 5, 5]);
-            let (st, _) = access(
+            let m1 = MstAddr::new(1);
+            let st = serve(
                 &mut mem,
+                &mut mon,
+                m1,
                 Opcode::WriteExclusive,
                 0x40,
-                b(1),
-                &[9, 9, 9, 9],
-                Some(&mut mon),
-                MstAddr::new(1),
+                &[9; 4],
             );
             assert_eq!(st, RespStatus::ExFail);
             assert_eq!(mem.read(0x40, 4), vec![5, 5, 5, 5]);
@@ -432,59 +370,21 @@ mod tests {
             let mut mem = MemoryModel::new(1);
             let mut mon = ExclusiveMonitor::new(64, 4);
             let (a, b_) = (MstAddr::new(0), MstAddr::new(1));
-            access(
-                &mut mem,
-                Opcode::ReadExclusive,
-                0x80,
-                b(1),
-                &[],
-                Some(&mut mon),
-                a,
-            );
-            access(
-                &mut mem,
-                Opcode::Write,
-                0x80,
-                b(1),
-                &[0; 4],
-                Some(&mut mon),
-                b_,
-            );
-            let (st, _) = access(
-                &mut mem,
-                Opcode::WriteExclusive,
-                0x80,
-                b(1),
-                &[1; 4],
-                Some(&mut mon),
-                a,
-            );
+            serve(&mut mem, &mut mon, a, Opcode::ReadExclusive, 0x80, &[]);
+            serve(&mut mem, &mut mon, b_, Opcode::Write, 0x80, &[0; 4]);
+            let st = serve(&mut mem, &mut mon, a, Opcode::WriteExclusive, 0x80, &[1; 4]);
             assert_eq!(st, RespStatus::ExFail);
         }
 
+        /// Without a monitor in front, storage sees only direction: the
+        /// synchronisation opcodes read and write like plain ones.
         #[test]
         fn no_monitor_degrades_gracefully() {
             let mut mem = MemoryModel::new(1);
-            let (st, _) = access(
-                &mut mem,
-                Opcode::ReadExclusive,
-                0x0,
-                b(1),
-                &[],
-                None,
-                MstAddr::new(0),
-            );
-            assert_eq!(st, RespStatus::Okay);
-            let (st, _) = access(
-                &mut mem,
-                Opcode::WriteExclusive,
-                0x0,
-                b(1),
-                &[0; 4],
-                None,
-                MstAddr::new(0),
-            );
-            assert_eq!(st, RespStatus::ExFail);
+            let written = access(&mut mem, Opcode::WriteExclusive, 0x0, b(1), &[3; 4]);
+            assert!(written.is_empty());
+            let read = access(&mut mem, Opcode::ReadExclusive, 0x0, b(1), &[]);
+            assert_eq!(read, vec![3; 4]);
         }
     }
 }

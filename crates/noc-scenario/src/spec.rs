@@ -1693,7 +1693,6 @@ impl ScenarioSpec {
         for (i, mem) in self.memories.iter().enumerate() {
             ic.add_slave_timed(
                 SlvAddr::new(self.memory_node(i)),
-                mem.base,
                 MemoryModel::new(mem.latency),
                 mem.target.slave_timing(),
             );

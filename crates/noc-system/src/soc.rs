@@ -2,7 +2,7 @@
 
 use crate::fabric::{ActiveSet, Fabric};
 use crate::report::{FabricReport, RunReport};
-use noc_kernel::{Calendar, ClockDomain, ClockId, ClockSet, Engine, WakeId};
+use noc_kernel::{Calendar, ClockDomain, Engine, WakeId};
 use noc_niu::NocEndpoint;
 use noc_physical::LinkConfig;
 use noc_topology::{RouteAlgorithm, Topology, TopologyError};
@@ -130,7 +130,7 @@ struct Endpoint {
     name: Arc<str>,
     node: u16,
     is_initiator: bool,
-    clock_divisor: u64,
+    clock: ClockDomain,
     inner: Box<dyn NocEndpoint>,
 }
 
@@ -160,6 +160,10 @@ impl SocBuilder {
     }
 
     /// Attaches an initiator NIU at `node` on a divided clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clock_divisor` is zero.
     #[must_use]
     pub fn initiator_clocked(
         mut self,
@@ -172,7 +176,7 @@ impl SocBuilder {
             name: name.into(),
             node,
             is_initiator: true,
-            clock_divisor,
+            clock: ClockDomain::new(clock_divisor),
             inner: endpoint,
         });
         self
@@ -185,6 +189,10 @@ impl SocBuilder {
     }
 
     /// Attaches a target NIU at `node` on a divided clock.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `clock_divisor` is zero.
     #[must_use]
     pub fn target_clocked(
         mut self,
@@ -197,7 +205,7 @@ impl SocBuilder {
             name: name.into(),
             node,
             is_initiator: false,
-            clock_divisor,
+            clock: ClockDomain::new(clock_divisor),
             inner: endpoint,
         });
         self
@@ -223,7 +231,7 @@ impl SocBuilder {
             }
         }
         let clock_of = |node: u16| -> u64 {
-            node_ep[node as usize].map_or(1, |i| self.endpoints[i].clock_divisor)
+            node_ep[node as usize].map_or(1, |i| self.endpoints[i].clock.divisor())
         };
         // One route computation and one fabric per SoC: the request and
         // response networks start out identical, so the second is a
@@ -239,12 +247,6 @@ impl SocBuilder {
             &clock_of,
         );
         let response = request.clone();
-        let mut clocks = ClockSet::new();
-        let clock_ids: Vec<ClockId> = self
-            .endpoints
-            .iter()
-            .map(|e| clocks.register(ClockDomain::new(e.clock_divisor)))
-            .collect();
         let mut ep_cal = Calendar::new();
         let ep_wake: Vec<WakeId> = self.endpoints.iter().map(|_| ep_cal.register()).collect();
         let num_endpoints = self.endpoints.len();
@@ -255,8 +257,6 @@ impl SocBuilder {
             endpoints: self.endpoints,
             initiators,
             settled: vec![0; num_endpoints],
-            clock_ids,
-            clocks,
             request,
             response,
             node_ep,
@@ -302,9 +302,6 @@ pub struct Soc {
     /// recomputed. Between those moments its countdown is stale by
     /// exactly the edges in `settled[i]..now`.
     settled: Vec<u64>,
-    /// Per-endpoint clock domain, index-aligned with `endpoints`.
-    clock_ids: Vec<ClockId>,
-    clocks: ClockSet,
     request: Fabric,
     response: Fabric,
     /// Node number → index into `endpoints` (nodes are unique).
@@ -379,7 +376,7 @@ impl Engine for Soc {
         while let Some(i) = next {
             next = self.touched.next_from(i + 1);
             debug_assert!(
-                self.clocks.is_active(self.clock_ids[i], now),
+                self.endpoints[i].clock.is_active(now),
                 "wakeups are scheduled on the endpoint's own clock edges"
             );
             self.settle(i, now);
@@ -459,7 +456,7 @@ impl Soc {
     /// were never executed, as one [`NocEndpoint::skip_ticks`] call (the
     /// endpoint's wakeup proved each of them a no-op).
     fn settle(&mut self, i: usize, upto: u64) {
-        let domain = self.clocks.domain(self.clock_ids[i]);
+        let domain = self.endpoints[i].clock;
         let ticks = domain.ticks_in(upto) - domain.ticks_in(self.settled[i]);
         if ticks > 0 {
             self.endpoints[i].inner.skip_ticks(ticks);
@@ -510,7 +507,7 @@ impl Soc {
     /// edges charged), so a scheduled wakeup stays valid until the
     /// endpoint's state changes.
     fn endpoint_wake_at(&self, i: usize) -> Option<u64> {
-        let domain = self.clocks.domain(self.clock_ids[i]);
+        let domain = self.endpoints[i].clock;
         self.endpoints[i]
             .inner
             .wake()

@@ -6,36 +6,12 @@
 //! `READEX`/`LOCK` transactions. In the NoC, the legacy pair impacts the
 //! *transport* level (switches pin paths), while the modern pair needs only
 //! one user-defined packet bit plus *state information in the NIU* — this
-//! module is that state.
+//! module is that state, and [`ExclusiveMonitor::admit`] its one rule:
+//! the NoC's target NIU, the shared bus, the bridged crossbar and the
+//! loopback slave all decide exclusive outcomes through it.
 
-use crate::node::MstAddr;
+use crate::{Burst, MstAddr, Opcode};
 use std::fmt;
-
-/// Result of an exclusive-write / write-conditional attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExclusiveOutcome {
-    /// The reservation held: the write was performed ([`crate::RespStatus::ExOkay`]).
-    Success,
-    /// The reservation was lost: the write was *not* performed
-    /// ([`crate::RespStatus::ExFail`] / plain `OKAY` on AXI).
-    Fail,
-}
-
-impl ExclusiveOutcome {
-    /// `true` on success.
-    pub const fn is_success(self) -> bool {
-        matches!(self, ExclusiveOutcome::Success)
-    }
-}
-
-impl fmt::Display for ExclusiveOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExclusiveOutcome::Success => write!(f, "EXOKAY"),
-            ExclusiveOutcome::Fail => write!(f, "EXFAIL"),
-        }
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Reservation {
@@ -43,15 +19,21 @@ struct Reservation {
     granule: u64,
 }
 
-/// A target-NIU exclusive monitor in the style of the AXI exclusive
-/// monitor / OCP synchronisation state.
+/// A target's exclusive monitor in the style of the AXI exclusive
+/// monitor / OCP synchronisation state, holding the one synchronisation
+/// rule every target applies through [`ExclusiveMonitor::admit`]:
 ///
-/// The monitor tracks, per master, one reserved address granule. An
-/// exclusive read (or read-linked) *arms* a reservation; an exclusive
-/// write (or write-conditional) *succeeds* only if the master's
-/// reservation on that granule is still intact. Any ordinary write —
-/// from anyone — to a reserved granule clears the reservations covering
-/// it, as does a successful exclusive write from another master.
+/// - an exclusive or linked read *arms* its master's reservation on the
+///   granule of its address;
+/// - an exclusive or conditional write *tries* it: the write is admitted
+///   only while that master's reservation on its address's granule is
+///   intact, and a refused write touches nothing;
+/// - every admitted write, a won exclusive write included, clears the
+///   reservations of every master on every granule it writes;
+/// - reads, locked reads included, leave reservations alone.
+///
+/// [`Opcode::served`] then names the answer: an admitted exclusive
+/// access is upgraded from `OKAY` to `EXOKAY`.
 ///
 /// Capacity is bounded (`max_reservations`): the oldest reservation is
 /// evicted when full, which is safe (an evicted master simply fails its
@@ -61,16 +43,18 @@ struct Reservation {
 /// # Examples
 ///
 /// ```
-/// use noc_transaction::{ExclusiveMonitor, ExclusiveOutcome, MstAddr};
+/// use noc_transaction::{Burst, ExclusiveMonitor, MstAddr, Opcode};
 /// let mut mon = ExclusiveMonitor::new(64, 4);
-/// let a = MstAddr::new(0);
-/// let b = MstAddr::new(1);
-/// mon.arm(a, 0x1000);
-/// mon.arm(b, 0x1000);
+/// let (a, b) = (MstAddr::new(0), MstAddr::new(1));
+/// let word = Burst::incr(1, 4)?;
+/// mon.admit(a, Opcode::ReadExclusive, 0x1000, word);
+/// mon.admit(b, Opcode::ReadExclusive, 0x1000, word);
 /// // B steals the semaphore first:
-/// assert_eq!(mon.try_exclusive_write(b, 0x1000), ExclusiveOutcome::Success);
-/// // A's reservation was broken by B's winning write:
-/// assert_eq!(mon.try_exclusive_write(a, 0x1000), ExclusiveOutcome::Fail);
+/// assert!(mon.admit(b, Opcode::WriteExclusive, 0x1000, word));
+/// // A's reservation was broken by B's winning write: A is answered
+/// // EXFAIL and its write never reaches storage.
+/// assert!(!mon.admit(a, Opcode::WriteExclusive, 0x1000, word));
+/// # Ok::<(), noc_transaction::BurstError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct ExclusiveMonitor {
@@ -106,13 +90,38 @@ impl ExclusiveMonitor {
         }
     }
 
+    /// Applies the rule to one request of `master`: arms on an exclusive
+    /// or linked read, tries on an exclusive or conditional write, and
+    /// clears the reservations under every beat of an admitted write.
+    /// Returns `false` only for an exclusive or conditional write whose
+    /// reservation is gone: the caller answers
+    /// [`RespStatus::ExFail`](crate::RespStatus::ExFail) and touches no
+    /// storage.
+    #[inline]
+    pub fn admit(&mut self, master: MstAddr, opcode: Opcode, addr: u64, burst: Burst) -> bool {
+        match opcode {
+            Opcode::ReadExclusive | Opcode::ReadLinked => self.arm(master, addr),
+            Opcode::WriteExclusive | Opcode::WriteConditional
+                if !self.try_exclusive_write(master, addr) =>
+            {
+                return false;
+            }
+            op if op.is_write() && !self.reservations.is_empty() => {
+                for a in burst.beat_addresses(addr) {
+                    self.observe_write(a);
+                }
+            }
+            _ => {}
+        }
+        true
+    }
+
     fn granule(&self, addr: u64) -> u64 {
         addr & !(self.granule_bytes - 1)
     }
 
     /// Arms (or re-arms) `master`'s reservation at `addr`'s granule.
-    /// Called on `ReadExclusive` / `ReadLinked`.
-    pub fn arm(&mut self, master: MstAddr, addr: u64) {
+    fn arm(&mut self, master: MstAddr, addr: u64) {
         let granule = self.granule(addr);
         // A master holds at most one reservation (AXI-style single monitor
         // per master): re-arming moves it.
@@ -132,25 +141,22 @@ impl ExclusiveMonitor {
             .any(|r| r.master == master && r.granule == granule)
     }
 
-    /// Attempts an exclusive write / write-conditional by `master` at
-    /// `addr`. On success the write proceeds and *all* reservations on the
-    /// granule (including other masters') are cleared; on failure nothing
-    /// changes except the failure count.
-    pub fn try_exclusive_write(&mut self, master: MstAddr, addr: u64) -> ExclusiveOutcome {
-        if self.is_armed(master, addr) {
-            let granule = self.granule(addr);
-            self.reservations.retain(|r| r.granule != granule);
+    /// Tries `master`'s reservation at `addr`: on success *all*
+    /// reservations on the granule (including other masters') are
+    /// cleared; on failure nothing changes except the failure count.
+    fn try_exclusive_write(&mut self, master: MstAddr, addr: u64) -> bool {
+        let armed = self.is_armed(master, addr);
+        if armed {
+            self.observe_write(addr);
             self.successes += 1;
-            ExclusiveOutcome::Success
         } else {
             self.failures += 1;
-            ExclusiveOutcome::Fail
         }
+        armed
     }
 
-    /// Observes an ordinary (non-exclusive) write at `addr`, clearing any
-    /// reservation on its granule. Reads never clear reservations.
-    pub fn observe_write(&mut self, addr: u64) {
+    /// Clears every reservation on `addr`'s granule.
+    fn observe_write(&mut self, addr: u64) {
         let granule = self.granule(addr);
         self.reservations.retain(|r| r.granule != granule);
     }
@@ -261,6 +267,7 @@ impl LockArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RespStatus;
 
     fn m(n: u16) -> MstAddr {
         MstAddr::new(n)
@@ -271,10 +278,7 @@ mod tests {
         let mut mon = ExclusiveMonitor::new(64, 4);
         mon.arm(m(0), 0x100);
         assert!(mon.is_armed(m(0), 0x100));
-        assert_eq!(
-            mon.try_exclusive_write(m(0), 0x100),
-            ExclusiveOutcome::Success
-        );
+        assert!(mon.try_exclusive_write(m(0), 0x100));
         // consumed
         assert!(!mon.is_armed(m(0), 0x100));
         assert_eq!(mon.successes(), 1);
@@ -283,7 +287,7 @@ mod tests {
     #[test]
     fn unarmed_write_fails() {
         let mut mon = ExclusiveMonitor::new(64, 4);
-        assert_eq!(mon.try_exclusive_write(m(0), 0x100), ExclusiveOutcome::Fail);
+        assert!(!mon.try_exclusive_write(m(0), 0x100));
         assert_eq!(mon.failures(), 1);
     }
 
@@ -302,7 +306,7 @@ mod tests {
         let mut mon = ExclusiveMonitor::new(64, 4);
         mon.arm(m(0), 0x100);
         mon.observe_write(0x120); // same granule
-        assert_eq!(mon.try_exclusive_write(m(0), 0x100), ExclusiveOutcome::Fail);
+        assert!(!mon.try_exclusive_write(m(0), 0x100));
     }
 
     #[test]
@@ -310,10 +314,7 @@ mod tests {
         let mut mon = ExclusiveMonitor::new(64, 4);
         mon.arm(m(0), 0x100);
         mon.observe_write(0x200);
-        assert_eq!(
-            mon.try_exclusive_write(m(0), 0x100),
-            ExclusiveOutcome::Success
-        );
+        assert!(mon.try_exclusive_write(m(0), 0x100));
     }
 
     #[test]
@@ -321,11 +322,8 @@ mod tests {
         let mut mon = ExclusiveMonitor::new(64, 4);
         mon.arm(m(0), 0x40);
         mon.arm(m(1), 0x40);
-        assert_eq!(
-            mon.try_exclusive_write(m(1), 0x40),
-            ExclusiveOutcome::Success
-        );
-        assert_eq!(mon.try_exclusive_write(m(0), 0x40), ExclusiveOutcome::Fail);
+        assert!(mon.try_exclusive_write(m(1), 0x40));
+        assert!(!mon.try_exclusive_write(m(0), 0x40));
     }
 
     #[test]
@@ -381,10 +379,65 @@ mod tests {
         assert_eq!(err2.owner, None);
     }
 
+    /// The rule over every opcode: `a` (armed on granule 0x0) and `b`
+    /// (armed on 0x40) hold reservations when a request covering both
+    /// granules arrives, once from `a` and once from the unarmed `c`.
     #[test]
-    fn outcome_display_and_predicate() {
-        assert!(ExclusiveOutcome::Success.is_success());
-        assert!(!ExclusiveOutcome::Fail.is_success());
-        assert_eq!(ExclusiveOutcome::Success.to_string(), "EXOKAY");
+    fn admit_and_served_state_the_rule_for_every_opcode() {
+        use Opcode::*;
+        use RespStatus::{ExOkay, Okay};
+        let (a, b, c) = (m(0), m(1), m(2));
+        let two_granules = Burst::incr(4, 32).unwrap();
+        // (opcode, served(OKAY), [a, b] armed after a's request,
+        //  (admitted, b armed) after c's request)
+        let table = [
+            (Read, Okay, [true, true], (true, true)),
+            (Write, Okay, [false, false], (true, false)),
+            (WritePosted, Okay, [false, false], (true, false)),
+            (ReadExclusive, ExOkay, [true, true], (true, true)),
+            (WriteExclusive, ExOkay, [false, false], (false, true)),
+            (ReadLinked, ExOkay, [true, true], (true, true)),
+            (WriteConditional, ExOkay, [false, false], (false, true)),
+            (ReadLocked, Okay, [true, true], (true, true)),
+            (WriteUnlock, Okay, [false, false], (true, false)),
+            (Broadcast, Okay, [false, false], (true, false)),
+        ];
+        assert_eq!(table.map(|row| row.0), Opcode::ALL);
+        for (op, served, armed_after_a, (admitted_c, b_after_c)) in table {
+            let armed = || {
+                let mut mon = ExclusiveMonitor::new(64, 4);
+                mon.arm(a, 0x0);
+                mon.arm(b, 0x40);
+                mon
+            };
+            let mut mon = armed();
+            assert!(mon.admit(a, op, 0x0, two_granules), "{op} from a");
+            assert_eq!(
+                [mon.is_armed(a, 0x0), mon.is_armed(b, 0x40)],
+                armed_after_a,
+                "{op} from a"
+            );
+            let mut mon = armed();
+            assert_eq!(
+                mon.admit(c, op, 0x0, two_granules),
+                admitted_c,
+                "{op} from c"
+            );
+            assert_eq!(mon.is_armed(b, 0x40), b_after_c, "{op} from c");
+            assert_eq!(
+                mon.is_armed(a, 0x0),
+                !op.is_write() || !admitted_c,
+                "{op} from c"
+            );
+            assert_eq!(op.served(Okay), served, "{op}");
+            for other in [
+                ExOkay,
+                RespStatus::ExFail,
+                RespStatus::SlvErr,
+                RespStatus::DecErr,
+            ] {
+                assert_eq!(op.served(other), other, "{op} passes {other:?} through");
+            }
+        }
     }
 }

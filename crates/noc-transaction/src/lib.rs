@@ -25,7 +25,10 @@
 //!   in one issue-ordered queue that a response searches by tag.
 //! - [`ExclusiveMonitor`]: the NIU-side state that implements AXI exclusive
 //!   access / OCP lazy synchronisation with nothing but one user-defined
-//!   packet bit ([`services::ServiceBits::EXCLUSIVE`]).
+//!   packet bit ([`services::ServiceBits::EXCLUSIVE`]). Its
+//!   [`ExclusiveMonitor::admit`] and [`Opcode::served`] are the one
+//!   synchronisation rule: every target — the NoC's target NIU, both
+//!   baselines, the loopback slave — decides and answers through them.
 //! - [`ServiceBits`]: the optional "NoC services" field — user-defined
 //!   packet bits that extend the transaction layer without touching the
 //!   transport or physical layers.
@@ -58,7 +61,7 @@ pub mod tag;
 
 pub use addr::{Addr, AddressMap, AddressRange, DecodeError};
 pub use burst::{Burst, BurstError, BurstKind};
-pub use exclusive::{ExclusiveMonitor, ExclusiveOutcome, LockArbiter};
+pub use exclusive::{ExclusiveMonitor, LockArbiter};
 pub use node::{MstAddr, SlvAddr};
 pub use opcode::{Opcode, RespStatus};
 pub use ordering::{OrderingModel, OrderingPolicy, PolicyError, StreamId, TargetRule};

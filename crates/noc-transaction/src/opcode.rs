@@ -126,6 +126,18 @@ impl Opcode {
         }
     }
 
+    /// The status a target answers once its
+    /// [`ExclusiveMonitor::admit`](crate::ExclusiveMonitor::admit) let
+    /// this opcode through and storage (or the IP behind it) answered
+    /// `status`: the exclusive family upgrades `OKAY` to `EXOKAY`; every
+    /// other status, and every other opcode's status, passes through.
+    pub const fn served(self, status: RespStatus) -> RespStatus {
+        match status {
+            RespStatus::Okay if self.is_exclusive() => RespStatus::ExOkay,
+            other => other,
+        }
+    }
+
     /// Compact 4-bit encoding used in packet headers.
     pub const fn encode(self) -> u8 {
         match self {

@@ -36,9 +36,9 @@ fn build_bridged(cfg: SetTopConfig) -> BridgedInterconnect {
         .into_inner()
 }
 
-fn mean_latency(logs: &[&noc_protocols::CompletionLog]) -> f64 {
+fn mean_latency(logs: &[(&str, &noc_protocols::CompletionLog)]) -> f64 {
     let (mut sum, mut n) = (0.0, 0usize);
-    for log in logs {
+    for (_, log) in logs {
         sum += log.mean_latency() * log.len() as f64;
         n += log.len();
     }
@@ -73,8 +73,8 @@ fn noc_latency_beats_bridged_for_concurrent_masters() {
         .iter()
         .find(|m| m.name.contains("dma"))
         .unwrap();
-    let bridged_logs = bridged.logs();
-    let bridged_dma = bridged_logs[2]; // attach order: cpu, video, dma, ...
+    let bridged_logs = bridged.completion_logs();
+    let (_, bridged_dma) = bridged_logs[2]; // attach order: cpu, video, dma, ...
     assert!(
         noc_dma.mean_latency() < bridged_dma.mean_latency(),
         "NoC DMA latency {:.1} must beat bridged {:.1}",
@@ -88,7 +88,7 @@ fn bridged_is_still_functionally_complete() {
     let cfg = SetTopConfig::new(15, 44);
     let mut bridged = build_bridged(cfg);
     assert!(bridged.run(5_000_000));
-    for log in bridged.logs() {
+    for (_, log) in bridged.completion_logs() {
         assert_eq!(log.len(), 15);
         assert_eq!(log.errors(), 0);
     }
@@ -134,14 +134,14 @@ fn bridged_makespan_exceeds_noc_for_concurrent_masters() {
         log.records().iter().map(|r| r.completed_at).max().unwrap()
     };
     let noc_logs = noc.completion_logs();
-    let bridged_logs = bridged.logs();
+    let bridged_logs = bridged.completion_logs();
     for idx in [1usize, 2] {
         // attach order: cpu=0, video=1, dma=2
         let (name, noc_log) = noc_logs[idx];
         assert!(
-            makespan(bridged_logs[idx]) > makespan(noc_log),
+            makespan(bridged_logs[idx].1) > makespan(noc_log),
             "{name}: bridged {} must exceed NoC {}",
-            makespan(bridged_logs[idx]),
+            makespan(bridged_logs[idx].1),
             makespan(noc_log)
         );
     }

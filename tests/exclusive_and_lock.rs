@@ -323,3 +323,55 @@ fn failed_exclusive_write_leaves_memory_untouched_across_fabric() {
     let attempted = SocketCommand::write(SEM, 4, 0xAB).payload();
     assert_ne!(rd.data, attempted, "failed exclusive write must not land");
 }
+
+/// A won exclusive write clears the reservations on every granule it
+/// writes, on every backend. `a` and `b` each arm one 64-byte granule
+/// (0x0 and 0x40); `a`'s exclusive write then covers both, so `b`'s
+/// later exclusive write at 0x40 must fail — whether the write is one
+/// 4x32 burst or an 8x16 burst that the bridge chops into two 4-beat
+/// chunks, one per granule.
+#[test]
+fn a_won_exclusive_write_clears_every_granule_it_writes_on_every_backend() {
+    use noc_examples::golden;
+    use noc_scenario::{Backend, ScenarioSpec, StepMode};
+
+    for socket in ["axi", "avci"] {
+        for burst in ["4x32", "8x16"] {
+            let text = format!(
+                "[topology]\nkind = \"crossbar\"\n\n\
+                 [[initiator]]\nname = \"a\"\nsocket = \"{socket}\"\n\
+                 cmd = \"read_ex 0x0 1x4 delay=20\"\n\
+                 cmd = \"write_ex 0x0 {burst} seed=0x7 delay=20\"\n\n\
+                 [[initiator]]\nname = \"b\"\nsocket = \"{socket}\"\n\
+                 cmd = \"read_ex 0x40 1x4\"\n\
+                 cmd = \"write_ex 0x40 1x4 seed=0x9 delay=400\"\n\n\
+                 [[memory]]\nname = \"mem\"\nbase = 0x0\nend = 0x1000\nlatency = 2\n"
+            );
+            let spec = ScenarioSpec::from_text(&text).expect("parses");
+            let mut fingerprints = Vec::new();
+            for backend in [Backend::noc(), Backend::bridged(), Backend::bus()] {
+                let case = format!("{socket} {burst} on {backend}");
+                let run = golden::run(&spec, &backend, StepMode::Horizon, 100_000)
+                    .unwrap_or_else(|e| panic!("{case}: {e}"));
+                assert!(run.drained, "{case} drains");
+                let b_write = run.logs[1].iter().find(|r| r.index == 1).expect("b wrote");
+                assert_eq!(
+                    b_write.status,
+                    RespStatus::ExFail,
+                    "{case}: a's won write must clear b's reservation at 0x40"
+                );
+                let per_master: Vec<String> = run
+                    .report
+                    .masters
+                    .iter()
+                    .map(|m| format!("{}={}", m.name, m.fingerprint))
+                    .collect();
+                fingerprints.push((case, per_master));
+            }
+            let (noc_case, noc) = &fingerprints[0];
+            for (case, fp) in &fingerprints[1..] {
+                assert_eq!(fp, noc, "{case} against {noc_case}");
+            }
+        }
+    }
+}

@@ -394,8 +394,8 @@ fn horizon_stepping_matches_dense_on_sparse_workloads() {
 }
 
 /// Mixed endpoint clocks: the horizon computation must respect every
-/// divided clock's edge grid (via the kernel `ClockSet`), so divided
-/// NIUs stay bit-identical too.
+/// divided clock's edge grid (each endpoint's own `ClockDomain`), so
+/// divided NIUs stay bit-identical too.
 #[test]
 fn horizon_stepping_matches_dense_under_divided_clocks() {
     let mut spec = race_free_spec();
