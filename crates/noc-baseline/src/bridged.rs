@@ -47,6 +47,9 @@ struct SubRequest {
     slave: Option<usize>,
     addr: u64,
     burst: noc_transaction::Burst,
+    /// Where the chunk's bytes start in the parent's data: the bytes of
+    /// the chunks before it.
+    data_offset: usize,
     eligible_at: u64,
 }
 
@@ -258,14 +261,17 @@ impl Engine for BridgedInterconnect {
                     exclusive_ok: None,
                 });
                 bridge.order.push_back(slot);
+                let mut data_offset = 0;
                 for (addr, burst) in chunks {
                     bridge.subs.push_back(SubRequest {
                         parent_slot: slot,
                         slave: route(addr),
                         addr,
                         burst,
+                        data_offset,
                         eligible_at: now + self.config.request_latency as u64,
                     });
+                    data_offset += burst.total_bytes() as usize;
                 }
             }
         }
@@ -318,7 +324,6 @@ impl Engine for BridgedInterconnect {
                     .req;
                 let master = MstAddr::new(midx as u16);
                 let (opcode, parent_addr) = (parent_req.opcode(), parent_req.address());
-                let parent_beat_bytes = parent_req.burst().beat_bytes() as u64;
                 // Legacy lock emulation: the READEX/LOCK sequence pins
                 // the target until the unlocking write completes.
                 match opcode {
@@ -366,21 +371,13 @@ impl Engine for BridgedInterconnect {
                     continue;
                 }
                 let slave = &mut self.slaves[sidx];
-                let zeros;
                 let wdata: &[u8] = if opcode.is_write() {
-                    // slice of parent data corresponding to this chunk
-                    let off = sub
-                        .addr
-                        .wrapping_sub(parent_addr & !(parent_beat_bytes - 1))
-                        as usize;
-                    let len = sub.burst.total_bytes() as usize;
+                    // The chunk's share of the parent's data, which holds
+                    // the beats in burst order — clipped like the
+                    // unchopped request's data is where it runs short.
                     let data = parent.req.data();
-                    if off + len <= data.len() {
-                        &data[off..off + len]
-                    } else {
-                        zeros = vec![0; len];
-                        &zeros
-                    }
+                    let end = sub.data_offset + sub.burst.total_bytes() as usize;
+                    &data[sub.data_offset.min(data.len())..end.min(data.len())]
                 } else {
                     &[]
                 };

@@ -19,7 +19,8 @@ const HEADER: &str = "\
 # Generated by `cargo run -p noc-examples --bin gen_scenarios`; compared exactly by
 # tests/scenario_text.rs. One line per corpus file, sweep point (`-` for a plain
 # scenario) and backend: the drained horizon run's cycles, executed steps,
-# next_activity polls, calendar pops, completions, functional fingerprint and an
+# next_activity polls, calendar pops (wheel entries retired; a flit on a
+# one-cycle link files none), completions, functional fingerprint and an
 # order-sensitive digest of every completion record's (master, index, status,
 # issued_at, completed_at). A diff here is a behaviour change to justify.
 ";

@@ -62,6 +62,7 @@ struct Node<T> {
 /// slab.push(&mut a, 12, 'z');
 /// assert_eq!(slab.front(&a), Some((10, &'x')));
 /// assert_eq!(slab.back_stamp(&a), Some(12));
+/// assert_eq!(slab.back(&b), Some((0, &'y')));
 /// assert_eq!(slab.pop(&mut a), Some((10, 'x')));
 /// slab.push(&mut b, 0, 'w'); // reuses the node 'x' left
 /// assert_eq!(slab.slots(), 3);
@@ -158,6 +159,16 @@ impl<T> Slab<T> {
             return None;
         }
         let node = &self.nodes[queue.head as usize];
+        Some((node.stamp, node.item.as_ref()?))
+    }
+
+    /// The back of `queue`: its stamp and item.
+    #[inline]
+    pub fn back(&self, queue: &Queue) -> Option<(u64, &T)> {
+        if queue.len == 0 {
+            return None;
+        }
+        let node = &self.nodes[queue.tail as usize];
         Some((node.stamp, node.item.as_ref()?))
     }
 

@@ -115,6 +115,11 @@ pub struct TargetNiu<T: SocketTarget> {
     monitor: ExclusiveMonitor,
     lock: LockArbiter,
     ingress: VecDeque<TransactionRequest>,
+    /// Whether the ingress head already passed the monitor: a head the IP
+    /// hands back waits with its verdict and is not admitted again (a
+    /// second try of a won exclusive write would find its own
+    /// reservation consumed).
+    head_admitted: bool,
     /// Outstanding toward the IP, in acceptance order: the source, tag
     /// and NoC opcode of each request. The IP may answer different
     /// `(source, tag)` pairs out of order, so a response takes the
@@ -135,6 +140,7 @@ impl<T: SocketTarget> TargetNiu<T> {
             monitor: ExclusiveMonitor::new(config.monitor_granule, config.monitor_slots),
             lock: LockArbiter::new(),
             ingress: VecDeque::new(),
+            head_admitted: false,
             inflight: VecDeque::new(),
             egress: VecDeque::new(),
             assembler: PacketAssembler::new(),
@@ -194,10 +200,12 @@ impl<T: SocketTarget + Clone + 'static> NocEndpoint for TargetNiu<T> {
             }
             // Exclusive service, entirely in NIU state: a write whose
             // reservation is gone fails locally, with no IP interaction
-            // and no side effect.
-            if !self
-                .monitor
-                .admit(master, opcode, req.address(), req.burst())
+            // and no side effect. A head is admitted once, however often
+            // the IP hands it back.
+            if !self.head_admitted
+                && !self
+                    .monitor
+                    .admit(master, opcode, req.address(), req.burst())
             {
                 self.ingress.pop_front();
                 self.requests_served += 1;
@@ -217,6 +225,7 @@ impl<T: SocketTarget + Clone + 'static> NocEndpoint for TargetNiu<T> {
             let req = self.ingress.pop_front().expect("head exists");
             match self.target.push_request(req.with_opcode(opcode.plain())) {
                 Ok(()) => {
+                    self.head_admitted = false;
                     self.requests_served += 1;
                     if opcode.expects_response() {
                         self.inflight.push_back((master, tag, opcode));
@@ -227,7 +236,10 @@ impl<T: SocketTarget + Clone + 'static> NocEndpoint for TargetNiu<T> {
                             .expect("unlock from the lock owner");
                     }
                 }
-                Err(refused) => self.ingress.push_front(refused.with_opcode(opcode)),
+                Err(refused) => {
+                    self.head_admitted = true;
+                    self.ingress.push_front(refused.with_opcode(opcode));
+                }
             }
         }
         // Collect IP responses, restore exclusive/lock status semantics.

@@ -91,6 +91,22 @@ impl LinkConfig {
     pub fn is_asynchronous(&self) -> bool {
         self.src_divisor != self.dst_divisor
     }
+
+    /// Returns `true` when every item sent on a link of this class
+    /// arrives exactly one base cycle later: one phit, no pipeline stage,
+    /// the base clock at both ends — and room in flight for the item sent
+    /// on the cycle before, which a receiver ticked after its sender may
+    /// not have taken yet, so a capacity bound never refuses an item
+    /// either. Such a link needs no in-flight queue: its owner hands an
+    /// item straight to the receiver, stamped with its arrival (see
+    /// [`LinkState::pass`]).
+    pub fn is_one_cycle(&self) -> bool {
+        self.phits_per_flit == 1
+            && self.pipeline == 0
+            && self.src_divisor == 1
+            && self.dst_divisor == 1
+            && self.capacity >= 2
+    }
 }
 
 impl Default for LinkConfig {
@@ -240,6 +256,21 @@ impl LinkState {
         }
         slab.push(&mut self.in_flight, arrival, item);
         Ok(arrival - now)
+    }
+
+    /// Sends an item at base cycle `now` on a link whose class is
+    /// one-cycle ([`LinkConfig::is_one_cycle`]) without queueing it, and
+    /// returns its arrival, `now + 1`: the caller hands the item to the
+    /// receiver stamped with that cycle. The serialiser rule still holds —
+    /// the link takes nothing more this cycle — and the item is the same
+    /// as one [`LinkState::send`] queues and [`LinkState::deliver`] hands
+    /// out at the returned cycle.
+    #[inline]
+    pub fn pass(&mut self, config: &LinkConfig, now: u64) -> u64 {
+        debug_assert!(config.is_one_cycle() && self.in_flight.is_empty());
+        debug_assert!(self.can_send(config, now), "can_send checked");
+        self.busy_until = now + 1;
+        now + 1
     }
 
     /// Delivers the next item from `slab` if one has arrived by base
@@ -546,6 +577,35 @@ mod tests {
         link.send(6, 13).unwrap();
         assert_eq!(first_delivery(&mut link, 12..30), Some((21, 5)));
         assert_eq!(first_delivery(&mut link, 22..30), Some((24, 6)));
+    }
+
+    #[test]
+    fn one_cycle_classes_are_full_width_unpipelined_base_clock_links() {
+        assert!(LinkConfig::new().is_one_cycle());
+        for cfg in [
+            LinkConfig::new().with_phits_per_flit(2),
+            LinkConfig::new().with_pipeline(1),
+            clocks(1, 2),
+            clocks(2, 1),
+            clocks(3, 3),
+            LinkConfig::new().with_capacity(1),
+        ] {
+            assert!(!cfg.is_one_cycle(), "{cfg}");
+        }
+        // A pass lands where a queued send of the same class lands, and
+        // keeps the serialiser rule.
+        let cfg = LinkConfig::new();
+        let mut queued: Link<u8> = Link::new(cfg);
+        let mut passed = LinkState::new(0);
+        for now in [0, 1, 5] {
+            queued.send(1, now).unwrap();
+            assert_eq!(
+                first_delivery(&mut queued, now..now + 3),
+                Some((now + 1, 1))
+            );
+            assert_eq!(passed.pass(&cfg, now), now + 1);
+            assert!(!passed.can_send(&cfg, now) && passed.can_send(&cfg, now + 1));
+        }
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! Inside the fabric every flit lives in one slab
 //! ([`noc_transport::FlitSlab`]): an input FIFO, an output stash and a
 //! link's in-flight queue are each a 12-byte list handle into it, and
-//! freed slab nodes are reused. A stash holds what a switch output sent
+//! freed slab nodes are reused. Each flit in a FIFO is stamped with the
+//! cycle it arrives at, and the switch treats one stamped after the
+//! cycle it ticks at as absent. A stash holds what a switch output sent
 //! while its link could not take it: the serialiser of a multi-phit link
 //! still busy, or a link at its in-flight capacity (a deep pipeline, or
 //! an ejection link whose endpoint runs on a divided clock). The rest of
@@ -40,10 +42,20 @@
 //! - storage grows with the flits held at once, not with the buffer
 //!   depth or the port count;
 //! - **stepping** allocates nothing per flit-hop: the slab recycles its
-//!   nodes, flits in flight and credit returns are each filed once, by
-//!   link index, into an arrival wheel ([`Arrivals`]) whose nodes are
-//!   reused too, the sets of components that can act are two-level
-//!   bitsets ([`ActiveSet`]), and every per-tick buffer is reused.
+//!   nodes, flits in flight on the longer links and their credit returns
+//!   are each filed once, by link index, into an arrival wheel
+//!   ([`Arrivals`]) whose nodes are reused too, the sets of components
+//!   that can act are two-level bitsets ([`ActiveSet`]), and every
+//!   per-tick buffer and list is reused;
+//! - **a hop on a one-cycle link** ([`LinkConfig::is_one_cycle`]: one
+//!   phit, no pipeline stage, the base clock at both ends — the default
+//!   link) costs no link queue and no wheel entry: the send applies the
+//!   link's serialiser rule and pushes the flit straight into the
+//!   destination input FIFO, stamped for the next cycle, or onto the list
+//!   the next tick ejects; its credit comes back on a plain list applied
+//!   when the releasing tick ends. Pipelined, multi-phit and clock-crossing
+//!   links queue their flits and file them on the wheels. Both paths end
+//!   in the same stamped FIFO push, so a switch sees one kind of input.
 //!
 //! A switch is ticked through [`SwitchMut`], a borrow of its record, its
 //! slices of the port arrays, the slab and its routing row — the same
@@ -59,18 +71,24 @@
 //! - [`LinkState::send`] fixes a flit's arrival cycle when it accepts
 //!   the flit — on a destination-clock edge, at least one destination
 //!   period after the flit in flight before it — and the stamp never
-//!   moves, so each send files its link once into the `arrivals` wheel
-//!   for that cycle, and a tick delivers exactly the flits filed for it,
-//!   each with one [`LinkState::deliver`] that cannot come back empty:
-//!   no link is re-filed, scanned or sorted, and the wheel's earliest
-//!   cycle is the fabric's horizon. Credit returns ride a second wheel
-//!   the same way, filed for the cycle they reach the sender;
+//!   moves, so each send on a link that is not one-cycle files its link
+//!   once into the `arrivals` wheel for that cycle, and a tick delivers
+//!   exactly the flits filed for it, each with one [`LinkState::deliver`]
+//!   that cannot come back empty: no link is re-filed, scanned or sorted,
+//!   and the wheel's earliest cycle is the fabric's horizon. Credit
+//!   returns on those links' return wires ride a second wheel the same
+//!   way, filed for the cycle they reach the sender. A flit on a
+//!   one-cycle link is already in its FIFO (or on the ejection list) and
+//!   arrives next cycle, so it pins the horizon to that cycle like any
+//!   buffered flit;
 //! - switches holding flits (or streaming allocations) live in a `busy`
-//!   set, entered on `accept` and left when a tick ends idle; only busy
+//!   set, entered on a wheel delivery, or when the tick that passed a
+//!   flit to them on a one-cycle link ends, and left when a tick ends
+//!   idle; only busy
 //!   switches are ticked — ticking an idle switch is a no-op except for
 //!   [`noc_transport::SwitchStats::lock_idle_cycles`], which idle
 //!   switches pinned by locked sequences accrue in bulk via the
-//!   `locked` set (one [`SwitchState::skip_cycles`] per executed cycle,
+//!   `locked` set (one [`SwitchMut::skip_cycles`] per executed cycle,
 //!   bit-identical to the dense tick's per-output increment);
 //! - output ports whose stash holds flits live in a `stashing` set, so
 //!   draining stashes visits only those, in port order.
@@ -85,10 +103,11 @@
 //! Two things about the arrival wheel are deliberate:
 //!
 //! - Flits due on one cycle are delivered in the order they were filed,
-//!   not in link order as the dense scan visited them. Nothing can
-//!   observe the difference: every link ends at its own switch input
-//!   port or endpoint, so no two same-cycle deliveries touch the same
-//!   record, and the counters they raise are sums.
+//!   not in link order as the dense scan visited them, and flits passed
+//!   on one-cycle links land before them, in the order they were sent.
+//!   Nothing can observe the difference: every link ends at its own
+//!   switch input port or endpoint, so no two same-cycle deliveries touch
+//!   the same record, and the counters they raise are sums.
 //! - A flit found in the wheel *before* the cycle being ticked means a
 //!   tick was skipped that its arrival should have forced — a horizon
 //!   bug. Debug builds panic there, naming both cycles. The wheel hands
@@ -133,11 +152,11 @@ struct Wire {
 struct Wiring {
     /// Per link.
     wires: Vec<Wire>,
-    /// Per link class: its configuration, indexed by
-    /// [`LinkState::class`]. Links of one class share it (every
-    /// switch-to-switch link is one class, and the injection or ejection
-    /// links of endpoints on one clock divisor another).
-    classes: Vec<LinkConfig>,
+    /// Per link class, indexed by [`LinkState::class`]. Links of one
+    /// class share it (every switch-to-switch link is one class, and the
+    /// injection or ejection links of endpoints on one clock divisor
+    /// another).
+    classes: Vec<LinkClass>,
     /// Per switch: where its output ports start in `out_wire`, plus one
     /// entry past the last switch.
     out_base: Vec<usize>,
@@ -153,6 +172,14 @@ struct Wiring {
     routes: Vec<RoutingTable>,
     /// Every switch's switching discipline.
     mode: SwitchMode,
+}
+
+/// One link class: its configuration, and whether it is one-cycle
+/// ([`LinkConfig::is_one_cycle`]), decided once at build — a flit sent on
+/// such a link skips the arrival wheel (see [`Fabric::send_on_link`]).
+struct LinkClass {
+    config: LinkConfig,
+    one_cycle: bool,
 }
 
 /// Credit-return latency in base cycles of a link of configuration
@@ -348,20 +375,35 @@ pub struct Fabric {
     link_deliveries: u64,
     /// Per node: current injection credits into its first switch.
     inj_credits: Vec<u32>,
-    /// Every flit in flight on a link, filed by link index for the cycle
-    /// it arrives: its stamp, which [`LinkState::send`] fixed.
+    /// Every flit in flight on a link that is not one-cycle, filed by
+    /// link index for the cycle it arrives: its stamp, which
+    /// [`LinkState::send`] fixed.
     arrivals: Arrivals,
+    /// Flits passed on one-cycle ejection links this cycle, with their
+    /// nodes: the next tick ejects them, where the wheel's deliveries go.
+    ejecting: Vec<(u16, Flit)>,
+    /// Switches that are not busy and took a flit on a one-cycle link
+    /// this cycle: they join the busy set when the tick ends. Empty
+    /// between ticks.
+    joining: Vec<u32>,
+    /// The latest flits passed on one-cycle links, and the cycle they
+    /// arrive at: link deliveries from that cycle on (see
+    /// [`Fabric::mean_link_latency`]).
+    landing: u64,
+    landing_at: u64,
     /// Switches currently holding flits or allocations.
     busy: ActiveSet,
     /// Idle switches with ≥ 1 output pinned by a locked sequence (they
     /// accrue lock-idle statistics every cycle, executed or skipped).
     locked: ActiveSet,
-    /// Flits in flight on links (send minus deliver).
+    /// Flits queued on links that are not one-cycle (send minus
+    /// deliver).
     in_flight: usize,
     delivered_flits: u64,
-    /// In-flight credit returns, filed by the index of the link whose
-    /// sender they credit for the cycle they reach it, and applied by
-    /// [`Fabric::apply_due_credits`] at the top of each SoC step.
+    /// In-flight credit returns on wires longer than one cycle, filed by
+    /// the index of the link whose sender they credit for the cycle they
+    /// reach it, and applied by [`Fabric::apply_due_credits`] at the top
+    /// of each SoC step.
     /// Deliberately excluded from [`Fabric::is_idle`] and
     /// [`Fabric::next_event_at`]: a pending credit only raises a counter
     /// that nothing reads between steps, so applying it lazily at the
@@ -369,6 +411,12 @@ pub struct Fabric {
     /// its due cycle (and any component that could consume it is itself
     /// keeping the system non-idle).
     credits: Arrivals,
+    /// Credit returns on one-cycle return wires (links without pipeline
+    /// stages), by link index: applied when the tick that released them
+    /// ends, which nothing can tell from applying them at the top of the
+    /// next step — no credit counter is read in between. Empty between
+    /// ticks.
+    returning: Vec<u32>,
     /// Tick-loop scratch (the links a wheel drained, the per-switch tick
     /// result), reused so the hot path allocates nothing.
     due: Vec<u32>,
@@ -460,9 +508,12 @@ impl Fabric {
             let class = wiring
                 .classes
                 .iter()
-                .position(|c| *c == cfg)
+                .position(|c| c.config == cfg)
                 .unwrap_or_else(|| {
-                    wiring.classes.push(cfg);
+                    wiring.classes.push(LinkClass {
+                        config: cfg,
+                        one_cycle: cfg.is_one_cycle(),
+                    });
                     wiring.classes.len() - 1
                 });
             wiring.wires.push(Wire { from, to });
@@ -547,11 +598,16 @@ impl Fabric {
             wiring: Arc::new(wiring),
             inj_credits,
             arrivals: Arrivals::new(),
+            ejecting: Vec::new(),
+            joining: Vec::new(),
+            landing: 0,
+            landing_at: 0,
             busy: ActiveSet::with_capacity(num_switches),
             locked: ActiveSet::with_capacity(num_switches),
             in_flight: 0,
             delivered_flits: 0,
             credits: Arrivals::new(),
+            returning: Vec::new(),
             due: Vec::new(),
             tick_scratch: SwitchTick::default(),
         }
@@ -577,14 +633,14 @@ impl Fabric {
     #[inline]
     fn link_mut(&mut self, li: usize) -> (&mut LinkState, &LinkConfig, &mut FlitSlab) {
         let link = &mut self.records.links[li];
-        let cfg = &self.wiring.classes[link.class() as usize];
+        let cfg = &self.wiring.classes[link.class() as usize].config;
         (link, cfg, &mut self.slab)
     }
 
     /// Link `li`'s class configuration.
     #[inline]
     fn link_config(&self, li: usize) -> &LinkConfig {
-        &self.wiring.classes[self.records.links[li].class() as usize]
+        &self.wiring.classes[self.records.links[li].class() as usize].config
     }
 
     /// Returns `true` if link `li` can take a flit at cycle `now`.
@@ -593,19 +649,49 @@ impl Fabric {
         self.records.links[li].can_send(self.link_config(li), now)
     }
 
-    /// Sends `flit` on link `li` and files its arrival. Every send in the
-    /// fabric funnels through here, so every flit in flight is filed.
+    /// Sends `flit` on link `li`. Every send in the fabric funnels
+    /// through here. On a one-cycle link the flit skips the link's queue
+    /// and the wheel: it goes straight into the destination switch's
+    /// input FIFO, stamped with its arrival, or onto the list of flits
+    /// the next tick ejects; every other flit is queued on its link and
+    /// its arrival filed.
     #[inline]
     fn send_on_link(&mut self, li: usize, flit: Flit, now: u64) {
-        let (link, cfg, slab) = self.link_mut(li);
-        let latency = link.send(cfg, slab, flit, now).expect("can_send checked");
-        self.in_flight += 1;
-        self.link_latency += latency;
-        self.arrivals.file(now + latency, li as u32);
+        let link = &mut self.records.links[li];
+        let class = &self.wiring.classes[link.class() as usize];
+        if !class.one_cycle {
+            let latency = link
+                .send(&class.config, &mut self.slab, flit, now)
+                .expect("can_send checked");
+            self.in_flight += 1;
+            self.link_latency += latency;
+            self.arrivals.file(now + latency, li as u32);
+            return;
+        }
+        let at = link.pass(&class.config, now);
+        self.link_latency += 1;
+        if self.landing_at != at {
+            // Every flit passed before arrived by `now`.
+            self.link_deliveries += std::mem::take(&mut self.landing);
+            self.landing_at = at;
+        }
+        self.landing += 1;
+        match self.wiring.wires[li].to {
+            LinkEnd::Switch { switch, port } => {
+                let switch = switch as usize;
+                let ok = self.switch_mut(switch).accept(port.into(), flit, at);
+                assert!(ok, "credit flow control must prevent overflow");
+                if !self.busy.contains(switch) {
+                    self.joining.push(switch as u32);
+                }
+            }
+            LinkEnd::Endpoint { node } => self.ejecting.push((node, flit)),
+        }
     }
 
     /// Marks a switch as holding work; it leaves the busy set when a
     /// tick ends with it idle.
+    #[inline]
     fn mark_busy(&mut self, s: usize) {
         self.busy.insert(s);
         self.locked.remove(s);
@@ -638,9 +724,16 @@ impl Fabric {
     /// `ejected` as `(node, flit)` pairs for the SoC to deliver to
     /// endpoints (the caller owns — and reuses — the buffer).
     pub fn tick(&mut self, now: u64, ejected: &mut Vec<(u16, Flit)>) {
-        // 1. Link deliveries into switches / endpoints: exactly the flits
-        // filed for this cycle, each its link's front flit, in filing
-        // order (see the module docs for why that order is unobservable).
+        // 1. Arrivals. Flits passed on one-cycle links last cycle land:
+        // those bound for a switch already sit in its FIFO, and those
+        // bound for an endpoint are ejected now. Then link deliveries
+        // into switches / endpoints: exactly the flits filed for this
+        // cycle, each its link's front flit, in filing order (see the
+        // module docs for why that order is unobservable).
+        if !self.ejecting.is_empty() {
+            self.delivered_flits += self.ejecting.len() as u64;
+            ejected.append(&mut self.ejecting);
+        }
         debug_assert!(
             self.arrivals.peek().is_none_or(|at| at >= now),
             "a flit arrived at cycle {:?}, but the fabric was not ticked until {now}",
@@ -659,7 +752,7 @@ impl Fabric {
             match self.wiring.wires[li].to {
                 LinkEnd::Switch { switch, port } => {
                     let switch = switch as usize;
-                    let ok = self.switch_mut(switch).accept(port.into(), flit);
+                    let ok = self.switch_mut(switch).accept(port.into(), flit, now);
                     assert!(ok, "credit flow control must prevent overflow");
                     self.mark_busy(switch);
                 }
@@ -674,9 +767,13 @@ impl Fabric {
         // lock-idle statistic for this executed cycle in bulk — exactly
         // what a dense tick's empty allocation pass would have counted.
         // (Switches that just turned busy in step 1 left the set and
-        // will count it themselves in step 3.)
-        for s in self.locked.iter() {
-            self.records.switches[s].skip_cycles(1, &mut self.stats);
+        // will count it themselves in step 3. One that an endpoint
+        // injected into this cycle still counts here: its flit arrives
+        // next cycle.)
+        let mut next = self.locked.next_from(0);
+        while let Some(s) = next {
+            next = self.locked.next_from(s + 1);
+            self.switch_mut(s).skip_cycles(now, 1);
         }
         // 2. Drain output stashes into links, in ascending port order —
         // the order of a scan over every switch's every output.
@@ -694,13 +791,14 @@ impl Fabric {
             }
         }
         // 3. Switch cycles (busy switches only; an idle switch's tick
-        // moves nothing and releases nothing). Flits reach a switch only
-        // in step 1, so the busy set gains no member while it is walked.
+        // moves nothing and releases nothing). A switch a flit reaches
+        // here joins the busy set only when the tick ends, so the set
+        // gains no member while it is walked.
         let mut tick = std::mem::take(&mut self.tick_scratch);
         let mut next = self.busy.next_from(0);
         while let Some(s) = next {
             next = self.busy.next_from(s + 1);
-            self.switch_mut(s).tick_into(&mut tick);
+            self.switch_mut(s).tick_into(now, &mut tick);
             for (port, flit) in tick.sent.drain(..) {
                 let slot = self.wiring.out_base[s] + port.index();
                 let Some(li) = self.wiring.out_wire[slot] else {
@@ -716,13 +814,16 @@ impl Fabric {
             }
             // 4. Credit returns to upstream, registered onto the return
             // wire: visible to the sender `credit_latency` cycles from
-            // now (applied by [`Fabric::apply_due_credits`]), never
-            // within this cycle.
+            // now, never within this cycle.
             for input in tick.credits_released.drain(..) {
                 let li = self.wiring.in_wire[self.wiring.in_base[s] + input]
                     .expect("every switch input is wired");
                 let latency = credit_latency(self.link_config(li as usize));
-                self.credits.file(now + latency, li);
+                if latency == 1 {
+                    self.returning.push(li);
+                } else {
+                    self.credits.file(now + latency, li);
+                }
             }
             let switch = &self.records.switches[s];
             if switch.is_idle() {
@@ -733,6 +834,31 @@ impl Fabric {
             }
         }
         self.tick_scratch = tick;
+        // 5. The tick ends: one-cycle credit returns reach their senders,
+        // and switches that took a flit on a one-cycle link join the busy
+        // set — which nothing reads before the next tick, whose step 1
+        // would have added them.
+        for i in 0..self.returning.len() {
+            self.return_credit(self.returning[i]);
+        }
+        self.returning.clear();
+        for i in 0..self.joining.len() {
+            self.mark_busy(self.joining[i] as usize);
+        }
+        self.joining.clear();
+    }
+
+    /// Returns one credit to the sender of link `li`.
+    #[inline]
+    fn return_credit(&mut self, li: u32) {
+        let wiring = &*self.wiring;
+        match wiring.wires[li as usize].from {
+            LinkEnd::Switch { switch, port } => {
+                self.records.outputs[wiring.out_base[switch as usize] + usize::from(port)]
+                    .add_credit();
+            }
+            LinkEnd::Endpoint { node } => self.inj_credits[node as usize] += 1,
+        }
     }
 
     /// Applies every credit return whose due cycle has been reached.
@@ -741,24 +867,21 @@ impl Fabric {
     /// cycle `d` is visible to everything that executes at `d` — and to
     /// nothing earlier.
     pub(crate) fn apply_due_credits(&mut self, now: u64) {
-        let wiring = &*self.wiring;
         self.credits.drain_due(now, &mut self.due);
-        for li in self.due.drain(..) {
-            match wiring.wires[li as usize].from {
-                LinkEnd::Switch { switch, port } => {
-                    self.records.outputs[wiring.out_base[switch as usize] + usize::from(port)]
-                        .add_credit();
-                }
-                LinkEnd::Endpoint { node } => self.inj_credits[node as usize] += 1,
-            }
+        for i in 0..self.due.len() {
+            self.return_credit(self.due[i]);
         }
+        self.due.clear();
     }
 
     /// Returns `true` when no flit is buffered or in flight. In-flight
     /// credit returns deliberately don't count (see the
     /// `credits` field).
     pub fn is_idle(&self) -> bool {
-        self.busy.is_empty() && self.stashing.is_empty() && self.in_flight == 0
+        self.busy.is_empty()
+            && self.stashing.is_empty()
+            && self.in_flight == 0
+            && self.ejecting.is_empty()
     }
 
     /// The fabric's event horizon: the earliest base cycle at or after
@@ -766,38 +889,43 @@ impl Fabric {
     /// switch, stash and link is empty.
     ///
     /// Buffered flits demand dense ticking (switches arbitrate, stall
-    /// and count every cycle) and pin the answer to `now`; a fabric
-    /// whose only traffic is *in flight on links* — deep in a pipelined
-    /// crossing, or waiting out a CDC synchroniser — reports the
-    /// earliest filed arrival instead, in O(1). Idle switches with pinned locks constrain nothing here;
-    /// their per-cycle lock-idle statistics are bulk-accounted by
-    /// [`Fabric::skip_cycles`] and [`Fabric::tick`].
+    /// and count every cycle) and pin the answer to `now`, and so do
+    /// flits passed on one-cycle links, which arrive at `now`; a fabric
+    /// whose only traffic is *in flight on longer links* — deep in a
+    /// pipelined crossing, or waiting out a CDC synchroniser — reports
+    /// the earliest filed arrival instead, in O(1). Idle switches with
+    /// pinned locks constrain nothing here; their per-cycle lock-idle
+    /// statistics are bulk-accounted by [`Fabric::skip_cycles`] and
+    /// [`Fabric::tick`].
     pub fn next_event_at(&self, now: u64) -> Option<u64> {
-        if !self.busy.is_empty() || !self.stashing.is_empty() {
+        if !self.busy.is_empty() || !self.stashing.is_empty() || !self.ejecting.is_empty() {
             return Some(now);
         }
         self.arrivals.peek().map(|at| at.max(now))
     }
 
-    /// Accounts `cycles` skipped fabric ticks: forwards the bulk
-    /// lock-idle accounting to every idle switch still pinned by a
-    /// locked sequence (see [`SwitchState::skip_cycles`]). Links and
-    /// stashes need nothing — their state is timestamped, not counted
-    /// per cycle — and unpinned idle switches have nothing to count.
+    /// Accounts the `cycles` skipped fabric ticks from base cycle `now`:
+    /// forwards the bulk lock-idle accounting to every idle switch still
+    /// pinned by a locked sequence (see [`SwitchMut::skip_cycles`]).
+    /// Links and stashes need nothing — their state is timestamped, not
+    /// counted per cycle — and unpinned idle switches have nothing to
+    /// count.
     ///
     /// Callers must only skip cycles [`Fabric::next_event_at`] proved
     /// dead.
-    pub fn skip_cycles(&mut self, cycles: u64) {
+    pub fn skip_cycles(&mut self, now: u64, cycles: u64) {
         debug_assert!(self.busy.is_empty(), "skipping a fabric holding flits");
-        for s in self.locked.iter() {
-            self.records.switches[s].skip_cycles(cycles, &mut self.stats);
+        let mut next = self.locked.next_from(0);
+        while let Some(s) = next {
+            next = self.locked.next_from(s + 1);
+            self.switch_mut(s).skip_cycles(now, cycles);
         }
     }
 
-    /// Flit arrivals retired — the fabric's share of the
-    /// `calendar_pops` observability counter: one per link delivery, as
-    /// many as the link calendar this wheel replaced retired (a link's
-    /// entry there never went stale).
+    /// Flit-wheel entries retired — the fabric's share of the
+    /// `calendar_pops` observability counter: one per delivery of a flit
+    /// queued on a link that is not one-cycle. A flit passed on a
+    /// one-cycle link files no wheel entry, so it retires none.
     pub fn calendar_pops(&self) -> u64 {
         self.arrivals.pops()
     }
@@ -818,13 +946,24 @@ impl Fabric {
     }
 
     /// Mean link latency in base cycles: the latencies of the flits sent
-    /// on the fabric's links over their deliveries (0 before the first
-    /// delivery). On a drained fabric every flit sent was delivered.
-    pub fn mean_link_latency(&self) -> f64 {
-        if self.link_deliveries == 0 {
+    /// on the fabric's links over their deliveries before base cycle
+    /// `now` (0 before the first delivery). On a drained fabric every
+    /// flit sent was delivered. Flits passed on one-cycle links count on
+    /// the cycle they arrive, as a queued flit's delivery does — the tick
+    /// of that cycle always runs, since they pin
+    /// [`Fabric::next_event_at`] to it — so a run cut short with flits in
+    /// flight reads the same either way.
+    pub fn mean_link_latency(&self, now: u64) -> f64 {
+        let landed = if self.landing_at < now {
+            self.landing
+        } else {
+            0
+        };
+        let deliveries = self.link_deliveries + landed;
+        if deliveries == 0 {
             0.0
         } else {
-            self.link_latency as f64 / self.link_deliveries as f64
+            self.link_latency as f64 / deliveries as f64
         }
     }
 }

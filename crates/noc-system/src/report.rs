@@ -187,7 +187,8 @@ pub struct RunReport {
     /// (0 for dense runs, which never ask).
     pub horizon_polls: u64,
     /// Calendar wakeups retired while stepping, stale entries included,
-    /// plus the fabrics' flit arrivals (one per link delivery); both
+    /// plus the fabrics' flit-wheel entries (one per delivery of a flit
+    /// queued on a link that is not one-cycle); both
     /// modes execute the same events, so this is mode-independent up to
     /// run length. Only the NoC keeps calendars; the baselines fold a
     /// few sources per master directly and report 0.

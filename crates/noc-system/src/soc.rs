@@ -445,8 +445,8 @@ impl Engine for Soc {
     /// edges `step` passes over.
     fn skip_to(&mut self, target: u64) {
         let cycles = target - self.now;
-        self.request.skip_cycles(cycles);
-        self.response.skip_cycles(cycles);
+        self.request.skip_cycles(self.now, cycles);
+        self.response.skip_cycles(self.now, cycles);
         self.now = target;
     }
 }
@@ -532,8 +532,10 @@ impl Soc {
         }
     }
 
-    /// Total calendar wakeups retired: the endpoint calendar's, plus
-    /// both fabrics' flit arrivals (one per link delivery).
+    /// Total wheel entries retired: the endpoint calendar's wakeups,
+    /// plus both fabrics' flit-wheel entries (one per delivery of a flit
+    /// queued on a link that is not one-cycle; a flit passed on a
+    /// one-cycle link files none — see [`Fabric::calendar_pops`]).
     pub fn calendar_pops(&self) -> u64 {
         self.ep_cal.pops() + self.request.calendar_pops() + self.response.calendar_pops()
     }
@@ -600,8 +602,8 @@ impl Soc {
             credit_stalls: req.credit_stalls + resp.credit_stalls,
             arbitration_conflicts: req.arbitration_conflicts + resp.arbitration_conflicts,
             lock_idle_cycles: req.lock_idle_cycles + resp.lock_idle_cycles,
-            mean_link_latency: (self.request.mean_link_latency()
-                + self.response.mean_link_latency())
+            mean_link_latency: (self.request.mean_link_latency(self.now)
+                + self.response.mean_link_latency(self.now))
                 / 2.0,
         };
         RunReport {

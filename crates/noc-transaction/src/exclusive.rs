@@ -107,8 +107,9 @@ impl ExclusiveMonitor {
                 return false;
             }
             op if op.is_write() && !self.reservations.is_empty() => {
+                let beat = u64::from(burst.beat_bytes());
                 for a in burst.beat_addresses(addr) {
-                    self.observe_write(a);
+                    self.observe_write(a, beat);
                 }
             }
             _ => {}
@@ -147,7 +148,7 @@ impl ExclusiveMonitor {
     fn try_exclusive_write(&mut self, master: MstAddr, addr: u64) -> bool {
         let armed = self.is_armed(master, addr);
         if armed {
-            self.observe_write(addr);
+            self.observe_write(addr, 1);
             self.successes += 1;
         } else {
             self.failures += 1;
@@ -155,10 +156,14 @@ impl ExclusiveMonitor {
         armed
     }
 
-    /// Clears every reservation on `addr`'s granule.
-    fn observe_write(&mut self, addr: u64) {
-        let granule = self.granule(addr);
-        self.reservations.retain(|r| r.granule != granule);
+    /// Clears every reservation on a granule that the `bytes` written
+    /// from `addr` touch: a beat wider than a granule clears each granule
+    /// it writes.
+    fn observe_write(&mut self, addr: u64, bytes: u64) {
+        let first = self.granule(addr);
+        let last = self.granule(addr.saturating_add(bytes.max(1) - 1));
+        self.reservations
+            .retain(|r| r.granule < first || r.granule > last);
     }
 
     /// Successful exclusive writes observed.
@@ -285,6 +290,22 @@ mod tests {
     }
 
     #[test]
+    fn a_wide_beat_clears_every_granule_it_writes() {
+        let mut mon = ExclusiveMonitor::new(64, 4);
+        let (word, wide) = (Burst::incr(1, 4).unwrap(), Burst::incr(1, 128).unwrap());
+        // One 128-byte beat at 0x0 writes the granules at 0x0 and 0x40.
+        mon.admit(m(0), Opcode::ReadExclusive, 0x40, word);
+        mon.admit(m(2), Opcode::ReadExclusive, 0x80, word);
+        assert!(mon.admit(m(1), Opcode::Write, 0x0, wide));
+        assert!(!mon.admit(m(0), Opcode::WriteExclusive, 0x40, word));
+        assert!(mon.is_armed(m(2), 0x80), "0x80 lies past the beat");
+        // A beat's address is aligned down to its width (0x5c → 0x0).
+        mon.admit(m(0), Opcode::ReadExclusive, 0x40, word);
+        assert!(mon.admit(m(1), Opcode::Write, 0x5c, wide));
+        assert!(!mon.is_armed(m(0), 0x40) && mon.is_armed(m(2), 0x80));
+    }
+
+    #[test]
     fn unarmed_write_fails() {
         let mut mon = ExclusiveMonitor::new(64, 4);
         assert!(!mon.try_exclusive_write(m(0), 0x100));
@@ -305,7 +326,7 @@ mod tests {
     fn ordinary_write_breaks_reservation() {
         let mut mon = ExclusiveMonitor::new(64, 4);
         mon.arm(m(0), 0x100);
-        mon.observe_write(0x120); // same granule
+        mon.observe_write(0x120, 4); // same granule
         assert!(!mon.try_exclusive_write(m(0), 0x100));
     }
 
@@ -313,7 +334,7 @@ mod tests {
     fn write_to_other_granule_preserves_reservation() {
         let mut mon = ExclusiveMonitor::new(64, 4);
         mon.arm(m(0), 0x100);
-        mon.observe_write(0x200);
+        mon.observe_write(0x200, 4);
         assert!(mon.try_exclusive_write(m(0), 0x100));
     }
 

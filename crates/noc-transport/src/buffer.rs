@@ -7,6 +7,12 @@
 //! flit it holds (input FIFOs, output stashes, links), so its thousands
 //! of buffers cost bytes in its port arrays, not a heap object each, and
 //! their storage grows with the flits held, not with their depth.
+//!
+//! Each flit is stamped with the base cycle it *arrives* at. A flit that
+//! crosses a one-cycle link is pushed on the cycle it is sent, stamped
+//! for the next one, so a FIFO's back flit may still be on its way: the
+//! reads a switch makes — the front, the whole packets — take the cycle
+//! and see only what has arrived by then.
 
 use crate::flit::Flit;
 use noc_kernel::{Queue, Slab};
@@ -22,7 +28,10 @@ pub type FlitSlab = Slab<Flit>;
 /// to forward only whole packets.
 ///
 /// Every operation that reads or moves flits takes the slab; a FIFO is
-/// only meaningful with the slab its flits were pushed into.
+/// only meaningful with the slab its flits were pushed into. Flits arrive
+/// in order, at most one a cycle, and are pushed no earlier than the
+/// cycle before their arrival, so only the back flit can be stamped after
+/// the cycle a switch reads at.
 ///
 /// # Examples
 ///
@@ -30,8 +39,11 @@ pub type FlitSlab = Slab<Flit>;
 /// use noc_transport::{Flit, FlitFifo, FlitSlab, Header};
 /// let mut slab = FlitSlab::new();
 /// let mut fifo = FlitFifo::new(4);
-/// assert!(fifo.push(&mut slab, Flit::head_tail(0, Header::request(1, 0, 0))));
+/// // Sent on a one-cycle link at cycle 6: it arrives at cycle 7.
+/// assert!(fifo.push(&mut slab, Flit::head_tail(0, Header::request(1, 0, 0)), 7));
 /// assert_eq!(fifo.complete_packets(), 1);
+/// assert!(fifo.front(&slab, 6).is_none() && fifo.whole_packets(&slab, 6) == 0);
+/// assert!(fifo.front(&slab, 7).is_some() && fifo.whole_packets(&slab, 7) == 1);
 /// assert!(fifo.pop(&mut slab).is_some());
 /// assert!(fifo.is_empty());
 /// ```
@@ -87,25 +99,49 @@ impl FlitFifo {
         self.complete_packets as usize
     }
 
-    /// Pushes a flit into `slab`; returns `false` (and drops nothing) when
-    /// full — callers must only push when credits say there is space, so
-    /// a `false` return indicates a flow-control bug upstream.
+    /// Whole packets whose tail has arrived by base cycle `now`: what a
+    /// store-and-forward switch may forward from.
     #[inline]
-    pub fn push(&mut self, slab: &mut FlitSlab, flit: Flit) -> bool {
+    pub fn whole_packets(&self, slab: &FlitSlab, now: u64) -> usize {
+        let arriving_tail = self.complete_packets > 0
+            && slab
+                .back(&self.flits)
+                .is_some_and(|(at, flit)| at > now && flit.is_tail());
+        (self.complete_packets - u32::from(arriving_tail)) as usize
+    }
+
+    /// Pushes a flit that arrives at base cycle `at` into `slab`; returns
+    /// `false` (and drops nothing) when full — callers must only push
+    /// when credits say there is space, so a `false` return indicates a
+    /// flow-control bug upstream.
+    #[inline]
+    pub fn push(&mut self, slab: &mut FlitSlab, flit: Flit, at: u64) -> bool {
         if self.is_full() {
             return false;
         }
+        debug_assert!(
+            slab.back_stamp(&self.flits).is_none_or(|back| back <= at),
+            "a flit arriving at cycle {at} overtakes the back of its FIFO"
+        );
         if flit.is_tail() {
             self.complete_packets += 1;
         }
-        slab.push(&mut self.flits, 0, flit);
+        slab.push(&mut self.flits, at, flit);
         true
     }
 
-    /// The flit at the head, if any.
+    /// Returns `true` when the flit at the head has arrived by base cycle
+    /// `now` — [`FlitFifo::front`]'s test, without reading the flit.
     #[inline]
-    pub fn peek<'s>(&self, slab: &'s FlitSlab) -> Option<&'s Flit> {
-        slab.front(&self.flits).map(|(_, flit)| flit)
+    pub fn has_arrived(&self, slab: &FlitSlab, now: u64) -> bool {
+        slab.front_stamp(&self.flits).is_some_and(|at| at <= now)
+    }
+
+    /// The flit at the head, if it has arrived by base cycle `now`.
+    #[inline]
+    pub fn front<'s>(&self, slab: &'s FlitSlab, now: u64) -> Option<&'s Flit> {
+        slab.front(&self.flits)
+            .and_then(|(at, flit)| (at <= now).then_some(flit))
     }
 
     /// Pops the head flit.
@@ -144,8 +180,8 @@ mod tests {
     fn push_pop_fifo_order() {
         let mut s = FlitSlab::new();
         let mut f = FlitFifo::new(3);
-        f.push(&mut s, ht(1));
-        f.push(&mut s, ht(2));
+        f.push(&mut s, ht(1), 0);
+        f.push(&mut s, ht(2), 0);
         assert_eq!(f.pop(&mut s).unwrap().packet_id(), 1);
         assert_eq!(f.pop(&mut s).unwrap().packet_id(), 2);
         assert!(f.pop(&mut s).is_none());
@@ -155,8 +191,8 @@ mod tests {
     fn full_rejects_push() {
         let mut s = FlitSlab::new();
         let mut f = FlitFifo::new(1);
-        assert!(f.push(&mut s, ht(1)));
-        assert!(!f.push(&mut s, ht(2)));
+        assert!(f.push(&mut s, ht(1), 0));
+        assert!(!f.push(&mut s, ht(2), 0));
         assert_eq!(f.len(), 1);
         assert!(f.is_full());
         assert_eq!(f.free(), 0);
@@ -167,12 +203,12 @@ mod tests {
         let mut s = FlitSlab::new();
         let mut f = FlitFifo::new(8);
         let h = Header::request(0, 0, 0);
-        f.push(&mut s, Flit::head(1, h, vec![0, 0]));
-        f.push(&mut s, Flit::body(1, 1));
+        f.push(&mut s, Flit::head(1, h, vec![0, 0]), 0);
+        f.push(&mut s, Flit::body(1, 1), 0);
         assert_eq!(f.complete_packets(), 0);
-        f.push(&mut s, Flit::tail(1, 1));
+        f.push(&mut s, Flit::tail(1, 1), 0);
         assert_eq!(f.complete_packets(), 1);
-        f.push(&mut s, ht(2));
+        f.push(&mut s, ht(2), 0);
         assert_eq!(f.complete_packets(), 2);
         // draining first packet decrements only at its tail
         f.pop(&mut s);
@@ -189,38 +225,56 @@ mod tests {
         let mut s = FlitSlab::new();
         let mut deep = FlitFifo::new(1 << 20);
         assert_eq!((s.slots(), deep.free()), (0, 1 << 20));
-        assert!(deep.push(&mut s, ht(1)) && deep.push(&mut s, ht(2)));
+        assert!(deep.push(&mut s, ht(1), 0) && deep.push(&mut s, ht(2), 0));
         assert_eq!(s.slots(), 2, "two flits, two nodes");
         let mut f = FlitFifo::new(3);
         assert_eq!((f.capacity(), f.free()), (3, 3));
         assert!(!f.is_full() && f.is_empty());
-        assert!(f.push(&mut s, ht(1)) && f.push(&mut s, ht(2)) && f.push(&mut s, ht(3)));
+        assert!(f.push(&mut s, ht(1), 0) && f.push(&mut s, ht(2), 0) && f.push(&mut s, ht(3), 0));
         assert!(f.is_full());
         assert!(
-            !f.push(&mut s, ht(4)),
+            !f.push(&mut s, ht(4), 0),
             "the declared capacity still bounds pushes"
         );
         assert_eq!((f.len(), f.free()), (3, 0));
         // Popped nodes are reused: refilling allocates no new ones.
         while deep.pop(&mut s).is_some() {}
         while f.pop(&mut s).is_some() {}
-        assert!(f.push(&mut s, ht(5)) && deep.push(&mut s, ht(6)));
+        assert!(f.push(&mut s, ht(5), 0) && deep.push(&mut s, ht(6), 0));
         assert_eq!(s.slots(), 5);
         // A copy of a drained FIFO (a snapshot) keeps the bound.
         assert_eq!(f.pop(&mut s).map(|flit| flit.packet_id()), Some(5));
         let mut g = f;
         assert_eq!(g.capacity(), 3);
-        assert!(g.push(&mut s, ht(5)) && g.push(&mut s, ht(6)) && g.push(&mut s, ht(7)));
-        assert!(!g.push(&mut s, ht(8)));
+        assert!(g.push(&mut s, ht(5), 0) && g.push(&mut s, ht(6), 0) && g.push(&mut s, ht(7), 0));
+        assert!(!g.push(&mut s, ht(8), 0));
     }
 
     #[test]
     fn peek_does_not_consume() {
         let mut s = FlitSlab::new();
         let mut f = FlitFifo::new(2);
-        f.push(&mut s, ht(9));
-        assert_eq!(f.peek(&s).unwrap().packet_id(), 9);
+        f.push(&mut s, ht(9), 0);
+        assert_eq!(f.front(&s, 0).unwrap().packet_id(), 9);
         assert_eq!(f.len(), 1);
+    }
+
+    #[test]
+    fn a_flit_stamped_after_now_is_not_there_yet() {
+        let mut s = FlitSlab::new();
+        let mut f = FlitFifo::new(4);
+        let h = Header::request(0, 0, 0);
+        f.push(&mut s, Flit::head(1, h, vec![0, 0]), 3);
+        f.push(&mut s, Flit::tail(1, 1), 5);
+        assert!(f.front(&s, 2).is_none(), "the head arrives at 3");
+        assert!(!f.has_arrived(&s, 2) && f.has_arrived(&s, 3));
+        assert_eq!(f.front(&s, 3).unwrap().packet_id(), 1);
+        assert_eq!(f.complete_packets(), 1, "the tail is buffered…");
+        assert_eq!(f.whole_packets(&s, 4), 0, "…but on its way until 5");
+        assert_eq!(f.whole_packets(&s, 5), 1);
+        // A later packet's arriving tail leaves the earlier whole one.
+        f.push(&mut s, ht(2), 6);
+        assert_eq!((f.whole_packets(&s, 5), f.whole_packets(&s, 6)), (1, 2));
     }
 
     #[test]
@@ -233,7 +287,7 @@ mod tests {
     fn display() {
         let mut s = FlitSlab::new();
         let mut f = FlitFifo::new(2);
-        f.push(&mut s, ht(0));
+        f.push(&mut s, ht(0), 0);
         assert_eq!(f.to_string(), "fifo 1/2 (1 pkts)");
     }
 }

@@ -28,6 +28,17 @@
 //! ticks switch `s` through a [`SwitchMut`] borrowing its slices of them;
 //! a standalone [`Switch`] owns a one-switch set of the same records and
 //! goes through the same [`SwitchMut`]. There is one switch model.
+//!
+//! # Flits on their way
+//!
+//! Every buffered flit carries the base cycle it arrives at (see
+//! [`FlitFifo`]). A fabric pushes a flit that crosses a one-cycle link on
+//! the cycle it is sent, stamped for the next, so a switch ticked at
+//! `now` treats a FIFO front stamped after `now` as absent: its head
+//! makes no request, a body flit behind a granted head is a wormhole
+//! bubble (not a credit stall), and a store-and-forward input waits until
+//! the tail has arrived. A switch holding only such flits is no busier
+//! than an empty one.
 
 use crate::arbiter::RoundRobinArbiter;
 use crate::buffer::{FlitFifo, FlitSlab};
@@ -228,7 +239,7 @@ impl Iterator for Bits {
 ///   reads;
 /// - the number of outputs pinned by a locked sequence, and how many of
 ///   those sit between packets: [`SwitchState::has_locked_output`],
-///   [`SwitchState::skip_cycles`] and the per-cycle
+///   [`SwitchMut::skip_cycles`] and the per-cycle
 ///   [`SwitchStats::lock_idle_cycles`] read the counts instead of
 ///   scanning the outputs.
 ///
@@ -260,7 +271,7 @@ impl SwitchState {
     /// Idle-but-locked switches still accrue
     /// [`SwitchStats::lock_idle_cycles`] every cycle, so callers that
     /// skip ticking idle switches must keep accounting for these via
-    /// [`SwitchState::skip_cycles`].
+    /// [`SwitchMut::skip_cycles`].
     pub fn has_locked_output(&self) -> bool {
         self.locked > 0
     }
@@ -268,18 +279,6 @@ impl SwitchState {
     /// Returns `true` if the switch holds no flits and no allocations.
     pub fn is_idle(&self) -> bool {
         self.buffered == 0 && self.streaming.is_empty()
-    }
-
-    /// Accounts `cycles` skipped ticks of an idle switch into `stats`:
-    /// every output pinned by a locked sequence would have counted one
-    /// [`SwitchStats::lock_idle_cycles`] per tick (it has no candidate
-    /// flits — the switch is idle), so the bulk add leaves the counters
-    /// exactly as dense ticking would have.
-    ///
-    /// Callers must only skip an idle switch.
-    pub fn skip_cycles(&self, cycles: u64, stats: &mut SwitchStats) {
-        debug_assert!(self.is_idle(), "skipping a switch that holds flits");
-        stats.lock_idle_cycles += u64::from(self.locked) * cycles;
     }
 }
 
@@ -374,11 +373,13 @@ pub struct SwitchMut<'a> {
 }
 
 impl SwitchMut<'_> {
-    /// Pushes a flit into input `port`. Returns `false` when the buffer is
-    /// full (a flow-control violation by the caller).
-    pub fn accept(&mut self, port: usize, flit: Flit) -> bool {
+    /// Pushes a flit that arrives at base cycle `at` into input `port`;
+    /// until then the switch treats it as absent. Returns `false` when the
+    /// buffer is full (a flow-control violation by the caller).
+    #[inline]
+    pub fn accept(&mut self, port: usize, flit: Flit, at: u64) -> bool {
         let input = &mut self.inputs[port];
-        let accepted = input.fifo.push(self.slab, flit);
+        let accepted = input.fifo.push(self.slab, flit, at);
         self.state.buffered += u32::from(accepted);
         if accepted && !input.allocated {
             self.state.waiting.insert(port);
@@ -386,17 +387,41 @@ impl SwitchMut<'_> {
         accepted
     }
 
-    /// Advances the switch one cycle into a caller-owned result (see
-    /// [`Switch::tick_into`]).
-    pub fn tick_into(&mut self, tick: &mut SwitchTick) {
+    /// Advances the switch through base cycle `now` into a caller-owned
+    /// result (see [`Switch::tick_into`]).
+    pub fn tick_into(&mut self, now: u64, tick: &mut SwitchTick) {
         tick.sent.clear();
         tick.credits_released.clear();
         if !self.state.waiting.is_empty() {
-            self.allocate(&mut tick.requests);
+            self.allocate(now, &mut tick.requests);
         }
         // Pinned outputs their owner did not claim again idle this cycle.
         self.stats.lock_idle_cycles += u64::from(self.state.locked_idle);
-        self.forward(tick);
+        self.forward(now, tick);
+    }
+
+    /// Accounts the `cycles` ticks from base cycle `now` of a switch
+    /// that none of them could move: every output pinned by a locked
+    /// sequence counts one [`SwitchStats::lock_idle_cycles`] per tick, so
+    /// the bulk add leaves the counters exactly as dense ticking would
+    /// have.
+    ///
+    /// Callers must only skip a switch with no output streaming and no
+    /// flit arriving before `now + cycles` — an idle switch, or one whose
+    /// only flits are still on their way.
+    pub fn skip_cycles(&mut self, now: u64, cycles: u64) {
+        debug_assert!(
+            self.state.streaming.is_empty()
+                && self.state.waiting.words().all(|w| {
+                    self.state.waiting.word(w).all(|i| {
+                        cycles == 0 || !self.inputs[i].fifo.has_arrived(self.slab, now + cycles - 1)
+                    })
+                }),
+            "skipping a switch with an arrived flit"
+        );
+        // Without a streaming output every pinned output is between
+        // packets, so `locked` is `locked_idle`.
+        self.stats.lock_idle_cycles += u64::from(self.state.locked) * cycles;
     }
 
     /// Output allocation: each free output goes to one of the heads that
@@ -411,11 +436,11 @@ impl SwitchMut<'_> {
     /// directly, exactly as [`RoundRobinArbiter::pick`] would, pointer and
     /// grant count included; only an output two or more heads contend for
     /// builds the arbiter's input.
-    fn allocate(&mut self, requests: &mut Vec<Request>) {
+    fn allocate(&mut self, now: u64, requests: &mut Vec<Request>) {
         requests.clear();
         for w in self.state.waiting.words() {
             for input in self.state.waiting.word(w) {
-                requests.extend(self.request(input));
+                requests.extend(self.request(input, now));
             }
         }
         // Each output's requesters side by side.
@@ -444,12 +469,13 @@ impl SwitchMut<'_> {
         }
     }
 
-    /// The request waiting input `input` makes this cycle, if any: its
-    /// FIFO front is a head flit routed to a free output that admits it.
+    /// The request waiting input `input` makes at cycle `now`, if any:
+    /// its FIFO front has arrived and is a head flit routed to a free
+    /// output that admits it.
     #[inline]
-    fn request(&self, input: usize) -> Option<Request> {
+    fn request(&self, input: usize, now: u64) -> Option<Request> {
         let port = &self.inputs[input];
-        let header = port.fifo.peek(self.slab)?.header()?;
+        let header = port.fifo.front(self.slab, now)?.header()?;
         let output = self.table.lookup(header.dst).ok()?.index();
         let free = output < self.outputs.len() && !self.state.streaming.contains(output);
         // Lock pinning: a locked output only admits its owner.
@@ -457,7 +483,8 @@ impl SwitchMut<'_> {
             && self.outputs[output]
                 .lock
                 .is_none_or(|owner| usize::from(owner) == input);
-        let whole = self.mode == SwitchMode::Wormhole || port.fifo.complete_packets() > 0;
+        let whole =
+            self.mode == SwitchMode::Wormhole || port.fifo.whole_packets(self.slab, now) > 0;
         (admitted && whole).then_some(Request {
             input,
             output,
@@ -489,21 +516,21 @@ impl SwitchMut<'_> {
 
     /// Forwarding: each streaming output, in ascending order, moves one
     /// flit from its owner, credit permitting.
-    fn forward(&mut self, tick: &mut SwitchTick) {
+    fn forward(&mut self, now: u64, tick: &mut SwitchTick) {
         for w in self.state.streaming.words() {
             for o in self.state.streaming.word(w) {
-                self.forward_from(o, tick);
+                self.forward_from(o, now, tick);
             }
         }
     }
 
     /// Moves one flit out of streaming output `o`, credit permitting.
-    fn forward_from(&mut self, o: usize, tick: &mut SwitchTick) {
+    fn forward_from(&mut self, o: usize, now: u64, tick: &mut SwitchTick) {
         let state = &mut *self.state;
         let out = &mut self.outputs[o];
         let i = usize::from(out.owner.expect("a streaming output has an owner"));
         let input = &mut self.inputs[i];
-        if input.fifo.is_empty() {
+        if !input.fifo.has_arrived(self.slab, now) {
             return; // wormhole bubble: body flits not here yet
         }
         if out.credits == 0 {
@@ -545,7 +572,8 @@ impl SwitchMut<'_> {
 /// its switches — a [`SwitchState`], one [`InputPort`] and one
 /// [`OutputPort`] record per port, its routing row — plus a flit slab of
 /// its own, and runs them through the same [`SwitchMut`]. See
-/// [`SwitchState`] for what a cycle reads.
+/// [`SwitchState`] for what a cycle reads. It keeps its own cycle count:
+/// a flit it accepts arrives on the cycle its next tick runs.
 ///
 /// # Examples
 ///
@@ -571,6 +599,8 @@ pub struct Switch {
     inputs: Vec<InputPort>,
     outputs: Vec<OutputPort>,
     slab: FlitSlab,
+    /// The cycle the next tick runs at: ticks and skipped cycles so far.
+    cycle: u64,
 }
 
 impl Switch {
@@ -591,6 +621,7 @@ impl Switch {
             inputs,
             outputs,
             slab: FlitSlab::new(),
+            cycle: 0,
         }
     }
 
@@ -624,7 +655,8 @@ impl Switch {
     /// Pushes a flit into input `port`. Returns `false` when the buffer is
     /// full (a flow-control violation by the caller).
     pub fn accept(&mut self, port: usize, flit: Flit) -> bool {
-        self.view().accept(port, flit)
+        let now = self.cycle;
+        self.view().accept(port, flit, now)
     }
 
     /// Sets the credit count of output `port` (downstream buffer space).
@@ -649,7 +681,7 @@ impl Switch {
     }
 
     /// Accounts `cycles` skipped ticks of an idle switch (see
-    /// [`SwitchState::skip_cycles`]). A switch holding any flit (or
+    /// [`SwitchMut::skip_cycles`]). A switch holding any flit (or
     /// streaming allocation) may move — and accrues stall counters —
     /// every cycle; an idle one only counts
     /// [`SwitchStats::lock_idle_cycles`] for each output a locked
@@ -657,7 +689,9 @@ impl Switch {
     ///
     /// Callers must only skip while [`Switch::is_idle`] holds.
     pub fn skip_cycles(&mut self, cycles: u64) {
-        self.state.skip_cycles(cycles, &mut self.stats);
+        let now = self.cycle;
+        self.view().skip_cycles(now, cycles);
+        self.cycle += cycles;
     }
 
     /// Advances the switch one cycle: allocates outputs to waiting heads,
@@ -671,7 +705,9 @@ impl Switch {
     /// [`Switch::tick`] into a caller-owned (cleared) result, so hot
     /// loops can reuse one buffer across many switch cycles.
     pub fn tick_into(&mut self, tick: &mut SwitchTick) {
-        self.view().tick_into(tick);
+        let now = self.cycle;
+        self.view().tick_into(now, tick);
+        self.cycle += 1;
     }
 }
 
@@ -932,6 +968,97 @@ mod tests {
         }
         skipped.skip_cycles(17);
         assert_eq!(dense.stats(), skipped.stats());
+    }
+
+    /// One tick of `sw` at base cycle `now`, whatever its own count says.
+    fn tick_at(sw: &mut Switch, now: u64) -> SwitchTick {
+        let mut tick = SwitchTick::default();
+        sw.view().tick_into(now, &mut tick);
+        tick
+    }
+
+    #[test]
+    fn a_head_on_its_way_makes_no_request() {
+        let mut sw = switch2x2(SwitchMode::Wormhole);
+        // Both heads want output 0; input 1's arrives a cycle later.
+        let (early, late) = (packet(0, 1, 0, 0), packet(0, 2, 0, 0));
+        assert!(sw.view().accept(0, early[0].clone(), 5));
+        assert!(sw.view().accept(1, late[0].clone(), 6));
+        assert!(!sw.is_idle(), "a flit on its way is buffered");
+        let t = tick_at(&mut sw, 5);
+        assert_eq!(t.sent.len(), 1);
+        assert_eq!(t.sent[0].1.header().unwrap().src, 1);
+        assert_eq!(sw.stats().arbitration_conflicts, 0, "one request only");
+        let t = tick_at(&mut sw, 6);
+        assert_eq!(t.sent[0].1.header().unwrap().src, 2);
+        assert!(sw.is_idle());
+    }
+
+    #[test]
+    fn a_body_flit_on_its_way_is_a_bubble_not_a_credit_stall() {
+        let mut sw = switch2x2(SwitchMode::Wormhole);
+        sw.set_output_credits(0, 1);
+        let flits = packet(0, 1, 8, 0); // head + 2 payload flits
+        assert!(sw.view().accept(0, flits[0].clone(), 5));
+        assert_eq!(
+            tick_at(&mut sw, 5).sent.len(),
+            1,
+            "the head takes the credit"
+        );
+        // The body arrives at 7: at 6 the output streams but has nothing.
+        assert!(sw.view().accept(0, flits[1].clone(), 7));
+        assert!(tick_at(&mut sw, 6).sent.is_empty());
+        assert_eq!(sw.stats().credit_stalls, 0, "a bubble, not a stall");
+        // Arrived, it stalls on the missing credit.
+        assert!(tick_at(&mut sw, 7).sent.is_empty());
+        assert_eq!(sw.stats().credit_stalls, 1);
+    }
+
+    #[test]
+    fn store_and_forward_waits_until_the_tail_has_arrived() {
+        let mut sw = switch2x2(SwitchMode::StoreAndForward);
+        let flits = packet(0, 1, 8, 0);
+        assert!(sw.view().accept(0, flits[0].clone(), 4));
+        assert!(sw.view().accept(0, flits[1].clone(), 5));
+        assert!(sw.view().accept(0, flits[2].clone(), 6));
+        assert!(tick_at(&mut sw, 5).sent.is_empty(), "the tail lands at 6");
+        let sent: Vec<_> = (6..9).flat_map(|now| tick_at(&mut sw, now).sent).collect();
+        assert_eq!(sent.len(), 3);
+    }
+
+    #[test]
+    fn a_pinned_switch_holding_only_a_flit_on_its_way_counts_lock_idle_as_when_idle() {
+        let mut pinned = switch2x2(SwitchMode::Wormhole);
+        inject(&mut pinned, 0, &locked_packet(0, 1, false));
+        let _ = drain(&mut pinned, 3);
+        assert!(pinned.is_idle() && pinned.has_locked_output());
+        // The reference has no flit at 10; the others hold one arriving
+        // at 11, for the free output 1. One skips cycle 10, one ticks it.
+        let mut reference = pinned.clone();
+        let flit = packet(1, 2, 0, 0).remove(0);
+        let (mut skipped, mut ticked) = (pinned.clone(), pinned);
+        for sw in [&mut skipped, &mut ticked] {
+            assert!(sw.view().accept(1, flit.clone(), 11));
+        }
+        reference.view().skip_cycles(10, 1);
+        skipped.view().skip_cycles(10, 1);
+        assert!(tick_at(&mut ticked, 10).sent.is_empty());
+        assert!(reference.view().accept(1, flit, 11));
+        for sw in [&mut reference, &mut skipped, &mut ticked] {
+            assert_eq!(tick_at(sw, 11).sent.len(), 1);
+        }
+        assert_eq!(skipped.stats(), reference.stats());
+        assert_eq!(ticked.stats(), reference.stats());
+        assert_eq!(reference.stats().lock_idle_cycles, 1 + 1 + 1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "skipping a switch with an arrived flit")]
+    fn skipping_over_an_arrival_panics_in_debug_builds() {
+        let mut sw = switch2x2(SwitchMode::Wormhole);
+        assert!(sw.view().accept(1, packet(1, 2, 0, 0).remove(0), 11));
+        sw.view().skip_cycles(10, 2); // cycle 11 could have moved it
     }
 
     #[test]

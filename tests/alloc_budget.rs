@@ -54,7 +54,6 @@ use noc_scenario::{parse_document, Backend, Document, ScenarioSpec, StepMode};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// (corpus file, backend, heap allocations per completed transaction the
 /// run may make).
@@ -103,24 +102,26 @@ const PARSE: (&str, u64) = ("serve_sweep.scn", 130);
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     /// On while this thread runs inside [`counted`]. A `const` `Cell`
     /// has no destructor and allocates nothing on first access, so the
     /// allocator may read it.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    /// This thread's counted allocations. Per thread, like the flag:
+    /// the tests run on parallel threads, and one shared counter would
+    /// add another test's counted allocations to this one's.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Counts one allocation if this thread is inside [`counted`].
 fn count() {
     if COUNTING.get() {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATIONS.set(ALLOCATIONS.get() + 1);
     }
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// only addition is a thread-local flag read and a relaxed counter
+// only addition is a thread-local flag read and a thread-local counter
 // increment, which touch no memory the allocator or its callers own.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -158,11 +159,11 @@ fn corpus(file: &str) -> ScenarioSpec {
 /// Runs `work` and returns its result with the heap allocations it made
 /// on this thread.
 fn counted<T>(work: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.get();
     COUNTING.set(true);
     let result = work();
     COUNTING.set(false);
-    (result, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    (result, ALLOCATIONS.get() - before)
 }
 
 #[test]

@@ -375,3 +375,76 @@ fn a_won_exclusive_write_clears_every_granule_it_writes_on_every_backend() {
         }
     }
 }
+
+/// A plain write with one beat wider than the 64-byte reservation granule
+/// clears every granule the beat writes: `b`'s 128-byte beat at 0x0 also
+/// writes the granule at 0x40 that `a` armed, so `a`'s exclusive write
+/// there fails on every backend.
+#[test]
+fn a_wide_beat_clears_every_granule_it_writes_on_every_backend() {
+    use noc_examples::golden;
+    use noc_scenario::{Backend, ScenarioSpec, StepMode};
+
+    let text = "[topology]\nkind = \"crossbar\"\n\n\
+                [[initiator]]\nname = \"a\"\nsocket = \"axi\"\n\
+                cmd = \"read_ex 0x40 1x4\"\n\
+                cmd = \"write_ex 0x40 1x4 seed=0x9 delay=200\"\n\n\
+                [[initiator]]\nname = \"b\"\nsocket = \"axi\"\n\
+                cmd = \"write 0x0 1x128 seed=0x3 delay=50\"\n\n\
+                [[memory]]\nname = \"mem\"\nbase = 0x0\nend = 0x1000\nlatency = 2\n";
+    let spec = ScenarioSpec::from_text(text).expect("parses");
+    let mut fingerprints = Vec::new();
+    for backend in [Backend::noc(), Backend::bridged(), Backend::bus()] {
+        let run = golden::run(&spec, &backend, StepMode::Horizon, 100_000)
+            .unwrap_or_else(|e| panic!("{backend}: {e}"));
+        assert!(run.drained, "{backend} drains");
+        let a_write = run.logs[0].iter().find(|r| r.index == 1).expect("a wrote");
+        assert_eq!(
+            a_write.status,
+            RespStatus::ExFail,
+            "{backend}: b's wide beat must clear a's reservation at 0x40"
+        );
+        let per_master: Vec<String> = run
+            .report
+            .masters
+            .iter()
+            .map(|m| format!("{}={}", m.name, m.fingerprint))
+            .collect();
+        fingerprints.push(per_master);
+    }
+    assert!(
+        fingerprints.windows(2).all(|w| w[0] == w[1]),
+        "{fingerprints:?}"
+    );
+}
+
+/// The target NIU admits each request once. `a`'s won exclusive write
+/// reaches a service block that is still busy with `b`'s slow write, so
+/// the IP hands it back; it waits at the head with its verdict and is
+/// served later, not tried again against the reservation it already
+/// consumed. Both backends that model an exclusive service block answer
+/// EXOKAY, with no errors.
+#[test]
+fn a_won_exclusive_write_the_ip_hands_back_is_not_tried_again() {
+    use noc_examples::golden;
+    use noc_scenario::{Backend, ScenarioSpec, StepMode};
+
+    let text = "[topology]\nkind = \"crossbar\"\n\n\
+                [[initiator]]\nname = \"a\"\nsocket = \"axi\"\n\
+                cmd = \"read_ex 0x0 1x4\"\n\
+                cmd = \"write_ex 0x0 1x4 seed=0x7 delay=100\"\n\n\
+                [[initiator]]\nname = \"b\"\nsocket = \"axi\"\n\
+                cmd = \"write 0x100 1x4 seed=0x9 delay=90\"\n\n\
+                [[target]]\nname = \"sem\"\nkind = \"service\"\nbase = 0x0\nend = 0x1000\n\
+                latency = 1\nwrite_latency = 60\nexclusive = true\n";
+    let spec = ScenarioSpec::from_text(text).expect("parses");
+    for backend in [Backend::noc(), Backend::bridged()] {
+        let run = golden::run(&spec, &backend, StepMode::Horizon, 100_000)
+            .unwrap_or_else(|e| panic!("{backend}: {e}"));
+        assert!(run.drained, "{backend} drains");
+        let a_write = run.logs[0].iter().find(|r| r.index == 1).expect("a wrote");
+        assert_eq!(a_write.status, RespStatus::ExOkay, "{backend}");
+        let errors: Vec<usize> = run.report.masters.iter().map(|m| m.errors).collect();
+        assert_eq!(errors, [0, 0], "{backend}");
+    }
+}

@@ -256,7 +256,7 @@ fn fifo_preserves_order_and_capacity() {
         for op in 0..n_ops {
             if rng.chance(0.5) {
                 let flit = Flit::head_tail(next_id, Header::request(0, 0, 0));
-                let accepted = fifo.push(&mut slab, flit);
+                let accepted = fifo.push(&mut slab, flit, 0);
                 assert_eq!(accepted, model.len() < capacity, "case {case} op {op}");
                 if accepted {
                     model.push_back(next_id);
@@ -1156,6 +1156,154 @@ fn link_stamps_land_on_destination_edges_and_deliver_on_time() {
             }
         }
     }
+}
+
+/// A random NoC scenario for the link-class property: switch links
+/// always one-cycle, endpoint links one-cycle or not — pipelined, two
+/// phits wide, one flit of capacity, or crossing into a divided clock —
+/// and a legacy-locked sequence that pins a path while other masters
+/// stream bursts past it.
+fn arb_link_mix_scenario(rng: &mut SplitMix64, store_and_forward: bool) -> String {
+    let mut text = String::from("[topology]\n");
+    text += match rng.next_below(3) {
+        0 => "kind = \"crossbar\"\n",
+        1 => "kind = \"ring\"\nswitches = 3\n",
+        _ => "kind = \"mesh\"\nwidth = 2\nheight = 2\n",
+    };
+    // Store-and-forward buffers must hold a whole packet.
+    let depth = if store_and_forward {
+        16
+    } else {
+        rng.next_range(2, 6)
+    };
+    text += &format!("\n[config]\nbuffer_depth = {depth}\n");
+    text += match rng.next_below(4) {
+        0 => "",
+        1 => "endpoint_pipeline = 2\n",
+        2 => "endpoint_phits = 2\n",
+        _ => "endpoint_capacity = 1\n",
+    };
+    let divisor = |rng: &mut SplitMix64| {
+        if rng.chance(0.3) {
+            rng.next_range(2, 4)
+        } else {
+            1
+        }
+    };
+    text += &format!(
+        "\n[[initiator]]\nname = \"sync\"\nsocket = \"ahb\"\nclock_divisor = {}\n\
+         cmd = \"read_locked 0x40 1x4\"\n\
+         cmd = \"write_unlock 0x40 1x4 seed=0x1 delay={}\"\n\
+         cmd = \"read_locked 0x40 1x4 delay={}\"\n\
+         cmd = \"write_unlock 0x40 1x4 seed=0x2 delay={}\"\n",
+        divisor(rng),
+        rng.next_below(12),
+        rng.next_below(30),
+        rng.next_below(12),
+    );
+    for (name, socket) in [("cpu", "axi"), ("dsp", "ocp")] {
+        text += &format!(
+            "\n[[initiator]]\nname = \"{name}\"\nsocket = \"{socket}\"\nclock_divisor = {}\n",
+            divisor(rng)
+        );
+        for _ in 0..rng.next_range(2, 7) {
+            let op = if rng.chance(0.5) { "read" } else { "write" };
+            let addr = rng.next_below(0x1000) & !0x3F;
+            let beats = 1 << rng.next_below(4);
+            text += &format!(
+                "cmd = \"{op} {addr:#x} {beats}x4 seed={} delay={}\"\n",
+                rng.next_u64() >> 1,
+                rng.next_below(8)
+            );
+        }
+    }
+    text += &format!(
+        "\n[[target]]\nname = \"sem\"\nkind = \"service\"\nbase = 0x0\nend = 0x800\n\
+         latency = {}\nexclusive = true\nclock_divisor = {}\n\
+         \n[[memory]]\nname = \"mem\"\nbase = 0x800\nend = 0x1000\nlatency = {}\nclock_divisor = {}\n",
+        rng.next_range(1, 4),
+        divisor(rng),
+        rng.next_range(1, 4),
+        divisor(rng),
+    );
+    text
+}
+
+/// A flit sent on a one-cycle link goes straight into the next input
+/// FIFO, stamped with its arrival, or onto the next tick's ejection list,
+/// and a credit on a one-cycle return wire is applied when its tick ends;
+/// every other link queues its flits and files them on the arrival wheel.
+/// On random fabrics that mix the two, under both switch modes and with
+/// a locked path: dense and horizon stepping agree on every record and
+/// switch statistic, and a fork taken after every step (horizon) replays
+/// the uninterrupted run — so no flit, credit or busy switch is lost
+/// between ticks.
+#[test]
+fn one_cycle_and_queued_links_agree_dense_horizon_and_forked() {
+    use noc_scenario::{Backend, ScenarioSpec, Simulation, StepMode};
+    use noc_system::NocConfig;
+    use noc_transport::SwitchMode;
+
+    /// Records, the report but its step, poll and pop counts (what the
+    /// step mode changes), and the clock.
+    fn outcome(sim: &dyn Simulation) -> String {
+        let mut report = sim.report();
+        report.steps = 0;
+        report.horizon_polls = 0;
+        report.calendar_pops = 0;
+        let logs: Vec<_> = sim
+            .logs()
+            .iter()
+            .map(|(_, l)| l.records().to_vec())
+            .collect();
+        format!("now={} logs={logs:?} report={report:?}", sim.now())
+    }
+
+    let mut rng = SplitMix64::new(0x1C7C1E);
+    let mut locked_idle = 0;
+    for case in 0..16 {
+        let store_and_forward = rng.chance(0.5);
+        let text = arb_link_mix_scenario(&mut rng, store_and_forward);
+        let spec = ScenarioSpec::from_text(&text).expect("the generator writes valid text");
+        let mode = if store_and_forward {
+            SwitchMode::StoreAndForward
+        } else {
+            SwitchMode::Wormhole
+        };
+        let backend = Backend::Noc(NocConfig::new().with_mode(mode));
+        let run = |step| {
+            let mut sim = spec.build(&backend).expect("valid random spec");
+            assert!(
+                sim.run_until_with(200_000, step),
+                "case {case}: drains\n{text}"
+            );
+            sim
+        };
+        let dense = run(StepMode::Dense);
+        let expected = outcome(dense.as_ref());
+        let horizon = run(StepMode::Horizon);
+        assert_eq!(
+            outcome(horizon.as_ref()),
+            expected,
+            "case {case}: horizon against dense\n{text}"
+        );
+        let steps = horizon.report().steps;
+        let fabric = dense.report().fabric.expect("the NoC reports its fabric");
+        locked_idle += fabric.lock_idle_cycles;
+        let mut sim = spec.build(&backend).expect("valid random spec");
+        while !sim.is_done() {
+            sim.advance_to(sim.now() + 1);
+            let mut fork = sim.snapshot();
+            assert!(fork.run_until_with(200_000, StepMode::Horizon));
+            assert_eq!(
+                (outcome(fork.as_ref()), fork.report().steps),
+                (expected.clone(), steps),
+                "case {case}: the fork taken at cycle {} diverged\n{text}",
+                sim.now()
+            );
+        }
+    }
+    assert!(locked_idle > 0, "some locked path idles");
 }
 
 /// An `ActiveSet` capacity: mostly 1–300, and otherwise one that

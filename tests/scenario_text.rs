@@ -311,9 +311,11 @@ fn a_wide_crossbar_runs_identically_dense_and_horizon() {
     assert_eq!(dense.report.cycles, horizon.report.cycles);
     let r = &horizon.report;
     let fabric = r.fabric.as_ref().expect("the NoC reports its fabric");
+    // Every link here is one-cycle, so no flit files a wheel entry: the
+    // pops are the endpoint calendar's.
     assert_eq!(
         (r.cycles, r.steps, r.horizon_polls, r.calendar_pops),
-        (11, 9, 10, 440)
+        (11, 9, 10, 200)
     );
     assert_eq!((fabric.flits_forwarded, r.total_completions()), (120, 40));
     assert_eq!(format!("{:.1}", r.mean_latency()), "10.0");
